@@ -10,17 +10,18 @@
 //! ([`CallBuilder::invoke_oneway`]).
 
 use crate::backpressure::Permit;
-use crate::dist::{plan_transfer_cached, Distribution};
+use crate::dist::Distribution;
 use crate::dseq::DSequence;
 use crate::error::{OrbError, OrbResult};
 use crate::object::{BindingId, ClientId, DistPolicy, EndpointId, ObjectKind, ObjectRef};
 use crate::orb::{Envelope, Orb, OrbConfig, TransferStrategy};
 use crate::poa::FORWARD_TAG;
 use crate::protocol::{
-    encode_fragment_frame, frame_list, unframe_list, ArgDir, DArgDesc, FragmentMsg, Message,
-    ReplyMsg, ReplyStatus, RequestMsg,
+    frame_list, unframe_list, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg, ReplyStatus,
+    RequestMsg, SrcTemplate,
 };
-use crate::servant::{stage_piece, RangeEncodeFn, ServantCtx, ServerRequest};
+use crate::servant::{ServantCtx, ServerRequest};
+use crate::strided::{assemble, cut_fragments, PackFn, Piece};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
@@ -330,7 +331,9 @@ impl PumpCore {
         // Funneled forwarding at the client edge: thread 0 relays frames
         // destined for siblings over the run-time system.
         match &msg {
-            Message::Fragment(f) if f.dst_thread as usize != self.thread => {
+            Message::Fragment(f) | Message::Strided(f, _)
+                if f.dst_thread as usize != self.thread =>
+            {
                 if let Some(rts) = &self.rts {
                     rts.send(f.dst_thread as usize, FORWARD_TAG, wire.clone());
                 } else {
@@ -362,7 +365,7 @@ impl PumpCore {
     fn route(&self, msg: Message) {
         let key = match &msg {
             Message::Reply(r) => (r.binding, r.req_id),
-            Message::Fragment(f) => (f.binding, f.req_id),
+            Message::Fragment(f) | Message::Strided(f, _) => (f.binding, f.req_id),
             // Close or stray messages at a client endpoint: ignore.
             _ => return,
         };
@@ -453,10 +456,18 @@ struct InvObs {
 #[derive(Default)]
 struct InvInner {
     reply: Option<ReplyMsg>,
-    frags: HashMap<u32, Vec<(u64, u64, Bytes)>>,
+    frags: HashMap<u32, Vec<Piece>>,
     /// Fragment identities already absorbed — duplicated or retransmitted
     /// fragments must not double-append elements.
     frag_seen: HashSet<(u32, u64, u64, u32)>,
+}
+
+impl InvInner {
+    fn absorb_fragment(&mut self, f: FragmentMsg, template: Option<SrcTemplate>) {
+        if self.frag_seen.insert((f.arg, f.start, f.count, f.src_thread)) {
+            self.frags.entry(f.arg).or_default().push(Piece::from_frame(f, template));
+        }
+    }
 }
 
 impl InvocationState {
@@ -477,13 +488,8 @@ impl InvocationState {
                     }
                     inner.reply = Some(r);
                 }
-                Message::Fragment(f)
-                    if inner.frag_seen.insert((f.arg, f.start, f.count, f.src_thread)) =>
-                {
-                    // f.data is a zero-copy slice of the wire frame; stashing it
-                    // keeps the frame alive instead of copying the payload.
-                    inner.frags.entry(f.arg).or_default().push((f.start, f.count, f.data));
-                }
+                Message::Fragment(f) => inner.absorb_fragment(f, None),
+                Message::Strided(f, template) => inner.absorb_fragment(f, Some(template)),
                 _ => {}
             }
             completed = self.has_permit.load(Ordering::Relaxed) && self.complete_locked(&inner);
@@ -520,7 +526,7 @@ impl InvocationState {
             let expected =
                 self.out_dists[ordinal].local_len(*len, self.client_threads, self.thread);
             let arrived: u64 =
-                inner.frags.get(wire_idx).map(|fs| fs.iter().map(|(_, c, _)| c).sum()).unwrap_or(0);
+                inner.frags.get(wire_idx).map(|fs| fs.iter().map(|p| p.count).sum()).unwrap_or(0);
             if arrived < expected {
                 return false;
             }
@@ -579,22 +585,9 @@ impl InvocationState {
             .get(ordinal)
             .ok_or_else(|| OrbError::Protocol("reply missing dout length".into()))?;
         let dist = self.out_dists[ordinal].clone();
-        let n = self.client_threads;
-        let t = self.thread;
-        let local_len = dist.local_len(len, n, t) as usize;
-        let mut staged: Vec<Option<T>> = (0..local_len).map(|_| None).collect();
-        if let Some(pieces) = inner.frags.get(&wire_idx) {
-            for (start, count, data) in pieces {
-                let mut d = Decoder::new(data.clone(), ByteOrder::native());
-                stage_piece(&mut staged, &mut d, &dist, len, n, t, *start, *count)?;
-            }
-        }
-        let mut local = Vec::with_capacity(local_len);
-        for (i, v) in staged.into_iter().enumerate() {
-            local.push(v.ok_or_else(|| {
-                OrbError::Protocol(format!("distributed out-arg {ordinal} missing element {i}"))
-            })?);
-        }
+        let (n, t) = (self.client_threads, self.thread);
+        let pieces = inner.frags.get(&wire_idx).map(Vec::as_slice).unwrap_or_default();
+        let local = assemble(len, &dist, n, t, pieces)?;
         Ok(DSequence::from_local(local, len, dist, n, t))
     }
 }
@@ -743,7 +736,7 @@ impl Proxy {
 }
 
 enum DArgEntry {
-    In { len: u64, client_dist: Distribution, encode: RangeEncodeFn },
+    In { len: u64, client_dist: Distribution, pack: PackFn },
     Out { expected_dist: Distribution },
 }
 
@@ -785,7 +778,7 @@ impl<'p> CallBuilder<'p> {
         self.dargs.push(DArgEntry::In {
             len: ds.len(),
             client_dist: ds.dist().clone(),
-            encode: Box::new(move |s, c, e| captured.encode_range_into(s, c, e)),
+            pack: Box::new(move |sets, e| captured.pack_into(sets, e)),
         });
         self
     }
@@ -1103,55 +1096,41 @@ impl<'p> CallBuilder<'p> {
             }
         }
 
-        // Distributed in-argument fragments. One pooled scratch buffer
-        // stages every piece's elements; the framed wire buffer is the only
-        // per-fragment allocation.
+        // Distributed in-argument fragments: one frame per server thread
+        // this thread owes elements to.
         let mut my_frames: Vec<Bytes> = Vec::new();
-        let mut scratch = Encoder::pooled(ByteOrder::native());
         for (i, entry) in self.dargs.iter().enumerate() {
-            let DArgEntry::In { len, client_dist, encode } = entry else { continue };
+            let DArgEntry::In { len, client_dist, pack } = entry else { continue };
             let server_dist = proxy.policy.get(&self.op, i as u32);
-            let plan =
-                plan_transfer_cached(*len, client_dist, cthreads, &server_dist, proxy.obj.nthreads);
-            for piece in plan.iter().filter(|p| p.src == cthread) {
-                scratch.clear();
-                encode(piece.start, piece.count, &mut scratch);
-                let head = FragmentMsg {
-                    req_id,
-                    binding: proxy.binding,
-                    arg: i as u32,
-                    dir: ArgDir::In,
-                    start: piece.start,
-                    count: piece.count,
-                    dst_thread: piece.dst as u32,
-                    src_thread: cthread as u32,
-                    data: Bytes::new(),
-                };
-                let wire = encode_fragment_frame(&head, scratch.as_slice());
+            let head =
+                FragmentMsg::head(req_id, proxy.binding, i as u32, ArgDir::In, cthread as u32);
+            let (src, dst) = ((client_dist, cthreads), (&server_dist, proxy.obj.nthreads));
+            cut_fragments(head, *len, src, dst, &**pack, |f, wire| {
                 if trace_on {
                     pardis_obs::instant(
                         "client",
                         "client.fragment",
                         Some((key.0 .0, key.1)),
                         vec![
-                            ("arg", (i as u32).into()),
-                            ("start", piece.start.into()),
-                            ("count", piece.count.into()),
-                            ("dst", piece.dst.into()),
+                            ("arg", f.arg.into()),
+                            ("start", f.start.into()),
+                            ("count", f.count.into()),
+                            ("dst", f.dst_thread.into()),
                         ],
                     );
                 }
                 if funneled {
                     my_frames.push(wire);
                 } else {
-                    core.orb.send_wire(core.host, endpoints[piece.dst], wire.clone())?;
+                    let to = endpoints[f.dst_thread as usize];
+                    core.orb.send_wire(core.host, to, wire.clone())?;
                     if !oneway {
-                        replay.push((endpoints[piece.dst], wire));
+                        replay.push((to, wire));
                     }
                 }
-            }
+                Ok(())
+            })?;
         }
-        scratch.recycle();
         if funneled {
             if proxy.collective && cthreads > 1 {
                 // Funnel all threads' fragments through thread 0's wire

@@ -8,11 +8,8 @@
 //! optimisation of Keahey & Gannon's companion paper \[KG97\] — instead of
 //! funneling everything through thread 0.
 
-use pardis_audit::{lock_site, AuditMutex};
+use crate::strided::{plan_transfer, Owned, PlanPiece, Strided};
 use pardis_cdr::{CdrCodec, CdrError, Decoder, Encoder, TypeCode};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// How a distributed sequence's elements are mapped onto the computing
 /// threads of one side of an invocation.
@@ -45,72 +42,6 @@ pub struct Run {
     pub start: u64,
     /// Number of elements in the run.
     pub count: u64,
-}
-
-/// One piece of a transfer plan: elements `[start, start+count)` move from
-/// `src` (thread on the sending side) to `dst` (thread on the receiving
-/// side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanPiece {
-    /// Sending-side thread.
-    pub src: usize,
-    /// Receiving-side thread.
-    pub dst: usize,
-    /// First global index.
-    pub start: u64,
-    /// Element count.
-    pub count: u64,
-}
-
-impl PlanPiece {
-    /// First local offset of this piece in its source thread's buffer under
-    /// `src_dist`. A plan piece has constant `(src, dst)`, so its source
-    /// locals are dense: the whole piece is the local range
-    /// `[start, start + count)` of offsets beginning here. Both the push
-    /// redistribution's local branch and the one-sided pull path lean on
-    /// this to turn pieces into slice ranges / byte spans.
-    ///
-    /// # Panics
-    /// Debug builds assert the piece really is owned by `src` end to end
-    /// and that its locals are dense.
-    pub fn src_local_start(&self, len: u64, src_dist: &Distribution, src_n: usize) -> u64 {
-        piece_local_start(self.src, self.start, self.count, len, src_dist, src_n)
-    }
-
-    /// First local offset of this piece in its destination thread's buffer
-    /// under `dst_dist` — the mirror of [`PlanPiece::src_local_start`].
-    pub fn dst_local_start(&self, len: u64, dst_dist: &Distribution, dst_n: usize) -> u64 {
-        piece_local_start(self.dst, self.start, self.count, len, dst_dist, dst_n)
-    }
-}
-
-/// Shared core of the piece-to-local-range mapping: the local offset of
-/// `start` on `thread`, with debug-time proof that `[start, start+count)`
-/// stays on `thread` with dense locals (local offsets are monotone in global
-/// index, so checking the endpoints suffices).
-fn piece_local_start(
-    thread: usize,
-    start: u64,
-    count: u64,
-    len: u64,
-    dist: &Distribution,
-    n: usize,
-) -> u64 {
-    debug_assert!(count > 0, "empty plan piece");
-    let (owner, lo) = dist.global_to_local(len, n, start);
-    debug_assert_eq!(owner, thread, "piece start {start} not owned by thread {thread}");
-    #[cfg(debug_assertions)]
-    {
-        let (owner_last, lo_last) = dist.global_to_local(len, n, start + count - 1);
-        debug_assert_eq!(
-            owner_last,
-            thread,
-            "piece end {} not owned by thread {thread}",
-            start + count - 1
-        );
-        debug_assert_eq!(lo_last - lo, count - 1, "piece locals not dense on thread {thread}");
-    }
-    lo
 }
 
 impl Distribution {
@@ -212,71 +143,57 @@ impl Distribution {
         }
     }
 
+    /// The index set thread `t` owns, in closed form: one run for
+    /// block/concentrated/irregular templates, a strided body (stride `n`
+    /// block 1 for cyclic, stride `n*b` block `b` for block-cyclic) plus at
+    /// most one short tail block otherwise. Its size never depends on `len`.
+    pub fn owned(&self, len: u64, n: usize, t: usize) -> Owned {
+        assert!(t < n, "thread {t} out of range for {n} threads");
+        if len == 0 {
+            return Owned::default();
+        }
+        let block = match self {
+            // One thread owns everything, whatever the template.
+            _ if n == 1 => return Owned([Some(Strided::run(0, len)), None]),
+            Distribution::Cyclic => 1,
+            Distribution::BlockCyclic(b) => {
+                assert!(*b > 0, "block-cyclic block size must be positive");
+                // A block longer than the sequence is the whole sequence.
+                (*b).min(len)
+            }
+            _ => {
+                let count = self.local_len(len, n, t);
+                let run = (count > 0).then(|| Strided::run(self.run_start(len, n, t), count));
+                return Owned([run, None]);
+            }
+        };
+        let (t64, n64) = (t as u64, n as u64);
+        // Blocks t, t+n, ... of the `whole` full blocks; the short last
+        // block (index `whole`) goes to thread `whole % n`.
+        let (whole, short) = (len / block, len % block);
+        let mine = whole.saturating_sub(t64).div_ceil(n64);
+        let body = Strided::new(t64.saturating_mul(block), n64.saturating_mul(block), block, mine);
+        let tail = (short > 0 && whole % n64 == t64).then(|| Strided::run(whole * block, short));
+        Owned([body, tail])
+    }
+
     /// The maximal runs of global indices thread `t` owns, in ascending
     /// order.
     pub fn runs(&self, len: u64, n: usize, t: usize) -> Vec<Run> {
-        assert!(t < n, "thread {t} out of range for {n} threads");
-        if len == 0 {
-            return Vec::new();
-        }
+        self.owned(len, n, t).iter().flat_map(Strided::runs).collect()
+    }
+
+    /// First global index of thread `t`'s single run under a block,
+    /// irregular or concentrated template.
+    fn run_start(&self, len: u64, n: usize, t: usize) -> u64 {
         match self {
             Distribution::Block => {
-                let count = self.local_len(len, n, t);
-                if count == 0 {
-                    return Vec::new();
-                }
-                let n64 = n as u64;
-                let base = len / n64;
-                let extra = len % n64;
-                let t64 = t as u64;
-                let start = if t64 < extra {
-                    t64 * (base + 1)
-                } else {
-                    extra * (base + 1) + (t64 - extra) * base
-                };
-                vec![Run { start, count }]
+                let (n, t) = (n as u64, t as u64);
+                t * (len / n) + t.min(len % n)
             }
-            Distribution::Cyclic => {
-                let mut runs = Vec::new();
-                let mut idx = t as u64;
-                while idx < len {
-                    runs.push(Run { start: idx, count: 1 });
-                    idx += n as u64;
-                }
-                runs
-            }
-            Distribution::Concentrated(c) => {
-                if t == *c {
-                    vec![Run { start: 0, count: len }]
-                } else {
-                    Vec::new()
-                }
-            }
-            Distribution::Irregular(counts) => {
-                assert_eq!(counts.len(), n, "irregular template thread count mismatch");
-                let start: u64 = counts[..t].iter().sum();
-                let count = counts[t];
-                if count == 0 {
-                    Vec::new()
-                } else {
-                    vec![Run { start, count }]
-                }
-            }
-            Distribution::BlockCyclic(b) => {
-                assert!(*b > 0, "block-cyclic block size must be positive");
-                let mut runs = Vec::new();
-                let mut block = t as u64;
-                let n64 = n as u64;
-                loop {
-                    let start = block * b;
-                    if start >= len {
-                        break;
-                    }
-                    runs.push(Run { start, count: (*b).min(len - start) });
-                    block += n64;
-                }
-                runs
-            }
+            Distribution::Irregular(counts) => counts[..t].iter().sum(),
+            Distribution::Concentrated(_) => 0,
+            _ => unreachable!("cyclic templates own more than one run"),
         }
     }
 
@@ -288,9 +205,7 @@ impl Distribution {
         let owner = self.owner(len, n, idx);
         let local = match self {
             Distribution::Block | Distribution::Irregular(_) | Distribution::Concentrated(_) => {
-                let runs = self.runs(len, n, owner);
-                // Block/irregular/concentrated have a single run per thread.
-                idx - runs[0].start
+                idx - self.run_start(len, n, owner)
             }
             Distribution::Cyclic => idx / n as u64,
             Distribution::BlockCyclic(b) => {
@@ -311,9 +226,11 @@ impl Distribution {
                 block * b + local % b
             }
             _ => {
-                let runs = self.runs(len, n, t);
-                assert!(!runs.is_empty(), "thread {t} owns no elements");
-                runs[0].start + local
+                assert!(
+                    local < self.local_len(len, n, t),
+                    "thread {t} has no local element {local}"
+                );
+                self.run_start(len, n, t) + local
             }
         }
     }
@@ -335,11 +252,14 @@ impl Distribution {
                         counts.len()
                     ));
                 }
-                let total: u64 = counts.iter().sum();
-                if total != len {
-                    return Err(format!("irregular template covers {total} of {len} elements"));
+                // Checked: the counts may come off a wire.
+                match counts.iter().try_fold(0u64, |sum, c| sum.checked_add(*c)) {
+                    Some(total) if total == len => Ok(()),
+                    Some(total) => {
+                        Err(format!("irregular template covers {total} of {len} elements"))
+                    }
+                    None => Err(format!("irregular template overflows covering {len} elements")),
                 }
-                Ok(())
             }
             Distribution::BlockCyclic(0) => Err("block-cyclic block size must be positive".into()),
             _ => Ok(()),
@@ -347,172 +267,18 @@ impl Distribution {
     }
 }
 
-/// Plan the movement of `len` elements from a source side (`src_dist` over
-/// `src_n` threads) to a destination side (`dst_dist` over `dst_n` threads).
-///
-/// Pieces are returned sorted by global index, coalesced into maximal runs
-/// with a constant (src, dst) pair. The plan is deterministic, so client and
-/// server compute identical plans independently — no negotiation round-trip
-/// is needed.
-pub fn plan_transfer(
-    len: u64,
-    src_dist: &Distribution,
-    src_n: usize,
-    dst_dist: &Distribution,
-    dst_n: usize,
-) -> Vec<PlanPiece> {
-    let mut pieces = Vec::new();
-    if len == 0 {
-        return pieces;
-    }
-    let mut idx = 0u64;
-    let mut cur_src = src_dist.owner(len, src_n, 0);
-    let mut cur_dst = dst_dist.owner(len, dst_n, 0);
-    let mut run_start = 0u64;
-    while idx < len {
-        let s = src_dist.owner(len, src_n, idx);
-        let d = dst_dist.owner(len, dst_n, idx);
-        if s != cur_src || d != cur_dst {
-            pieces.push(PlanPiece {
-                src: cur_src,
-                dst: cur_dst,
-                start: run_start,
-                count: idx - run_start,
-            });
-            cur_src = s;
-            cur_dst = d;
-            run_start = idx;
-        }
-        idx += 1;
-    }
-    pieces.push(PlanPiece { src: cur_src, dst: cur_dst, start: run_start, count: len - run_start });
-    pieces
-}
-
-/// Cache key of one planned transfer shape.
-#[derive(PartialEq, Eq, Hash, Clone)]
-struct PlanKey {
-    len: u64,
-    src_dist: Distribution,
-    dst_dist: Distribution,
-    src_n: usize,
-    dst_n: usize,
-}
-
-/// Default bound on the plan cache: an application cycles through a handful
-/// of transfer shapes, so a small FIFO window catches the steady state while
-/// a hostile stream of distinct shapes stays bounded.
-const DEFAULT_PLAN_CACHE_CAP: usize = 64;
-
-/// Live bound on the plan cache. 0 means "not yet initialised": the first
-/// reader resolves it from `PARDIS_PLAN_CACHE_CAP` (falling back to the
-/// default) so the env knob works without any API call.
-static PLAN_CACHE_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Current plan-cache capacity, resolving the env override on first use.
-pub fn plan_cache_cap() -> usize {
-    match PLAN_CACHE_CAP.load(Ordering::Relaxed) {
-        0 => {
-            let cap = std::env::var("PARDIS_PLAN_CACHE_CAP")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&c| c > 0)
-                .unwrap_or(DEFAULT_PLAN_CACHE_CAP);
-            PLAN_CACHE_CAP.store(cap, Ordering::Relaxed);
-            cap
-        }
-        cap => cap,
-    }
-}
-
-/// Re-bound the plan cache, evicting oldest entries immediately when
-/// shrinking. Process-wide: plans depend only on shapes, so the cache is
-/// shared by every ORB in the process.
-///
-/// # Panics
-/// Panics if `cap` is 0.
-pub fn set_plan_cache_cap(cap: usize) {
-    assert!(cap > 0, "plan cache cap must be positive");
-    PLAN_CACHE_CAP.store(cap, Ordering::Relaxed);
-    let mut guard = PLAN_CACHE.lock();
-    // Inside the guard: the access inherits the lock's release clock, so
-    // lock-ordered accesses never read as races.
-    pardis_audit::access_write(&PLAN_CACHE_SITE, plan_cache_instance());
-    if let Some(cache) = guard.as_mut() {
-        while cache.order.len() > cap {
-            if let Some(old) = cache.order.pop_front() {
-                cache.plans.remove(&old);
-            }
-        }
-    }
-}
-
-struct PlanCache {
-    plans: HashMap<PlanKey, Arc<Vec<PlanPiece>>>,
-    order: VecDeque<PlanKey>,
-}
-
-static PLAN_CACHE: AuditMutex<Option<PlanCache>> =
-    AuditMutex::new(lock_site!("dist: plan cache"), None);
-
-/// Shared-table identity of the plan cache for the happens-before checker
-/// (all call paths funnel through the one static, so one site + one
-/// instance).
-static PLAN_CACHE_SITE: pardis_audit::Site = pardis_audit::Site {
-    label: "dist: plan cache table",
-    krate: "pardis-core",
-    file: file!(),
-    line: line!(),
-};
-
-fn plan_cache_instance() -> usize {
-    &PLAN_CACHE as *const _ as usize
-}
-
-/// [`plan_transfer`] behind a keyed, bounded, process-wide cache. Invocation
-/// paths recompute the same plan for every call of a repeated operation; the
-/// plan depends only on `(len, src_dist, dst_dist, src_n, dst_n)`, so a
-/// cache hit replaces the O(len) walk with a refcounted handle.
+/// [`plan_transfer`] under the name it had while plans were element-granular
+/// and worth caching; a strided plan is a handful of descriptors computed in
+/// well under a microsecond, so there is nothing left to cache.
+#[doc(hidden)]
 pub fn plan_transfer_cached(
     len: u64,
     src_dist: &Distribution,
     src_n: usize,
     dst_dist: &Distribution,
     dst_n: usize,
-) -> Arc<Vec<PlanPiece>> {
-    let key = PlanKey { len, src_dist: src_dist.clone(), dst_dist: dst_dist.clone(), src_n, dst_n };
-    {
-        let mut guard = PLAN_CACHE.lock();
-        pardis_audit::access_read(&PLAN_CACHE_SITE, plan_cache_instance());
-        let cache = guard
-            .get_or_insert_with(|| PlanCache { plans: HashMap::new(), order: VecDeque::new() });
-        if let Some(plan) = cache.plans.get(&key) {
-            return plan.clone();
-        }
-    }
-    // Compute outside the lock: plans are deterministic, so a racing
-    // duplicate computation inserts an identical value.
-    let plan = Arc::new(plan_transfer(len, src_dist, src_n, dst_dist, dst_n));
-    let mut guard = PLAN_CACHE.lock();
-    pardis_audit::access_write(&PLAN_CACHE_SITE, plan_cache_instance());
-    let cache = guard.as_mut().expect("initialised above");
-    if !cache.plans.contains_key(&key) {
-        cache.plans.insert(key.clone(), plan.clone());
-        cache.order.push_back(key);
-        while cache.order.len() > plan_cache_cap() {
-            if let Some(old) = cache.order.pop_front() {
-                cache.plans.remove(&old);
-            }
-        }
-    }
-    plan
-}
-
-/// Number of plans currently cached (test hook for the eviction bound).
-pub fn plan_cache_len() -> usize {
-    let guard = PLAN_CACHE.lock();
-    pardis_audit::access_read(&PLAN_CACHE_SITE, plan_cache_instance());
-    guard.as_ref().map(|c| c.plans.len()).unwrap_or(0)
+) -> Vec<PlanPiece> {
+    plan_transfer(len, src_dist, src_n, dst_dist, dst_n)
 }
 
 impl CdrCodec for Distribution {

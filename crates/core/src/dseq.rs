@@ -20,11 +20,11 @@
 //! * [`DSequence::redistribute`] applies a new template, exchanging elements
 //!   through the run-time system interface.
 
-use crate::dist::{plan_transfer_cached, Distribution, Run};
+use crate::dist::{Distribution, Run};
+use crate::strided::{pair_plan, Assembler, Strided};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
 use pardis_rts::{tags, Rts};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A distributed sequence: one computing thread's view of a globally
@@ -46,11 +46,10 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     pub fn distribute(full: &[T], dist: Distribution, nthreads: usize, thread: usize) -> Self {
         let len = full.len() as u64;
         dist.validate(len, nthreads).expect("invalid distribution");
-        let local: Vec<T> = dist
-            .runs(len, nthreads, thread)
-            .iter()
-            .flat_map(|r| full[r.start as usize..(r.start + r.count) as usize].iter().cloned())
-            .collect();
+        let mut local = Vec::with_capacity(dist.local_len(len, nthreads, thread) as usize);
+        for r in dist.owned(len, nthreads, thread).iter().flat_map(Strided::runs) {
+            local.extend_from_slice(&full[r.start as usize..(r.start + r.count) as usize]);
+        }
         DSequence { global_len: len, bound: None, dist, nthreads, thread, local: Arc::new(local) }
     }
 
@@ -190,13 +189,13 @@ impl<T: CdrCodec + Clone> DSequence<T> {
 
     /// Iterate this thread's elements with their global indices.
     pub fn local_iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
-        let mut global_indices = Vec::with_capacity(self.local.len());
-        for run in self.my_runs() {
-            for idx in run.start..run.start + run.count {
-                global_indices.push(idx);
-            }
-        }
-        global_indices.into_iter().zip(self.local.iter())
+        let owned = self.dist.owned(self.global_len, self.nthreads, self.thread);
+        let indices = owned
+            .0
+            .into_iter()
+            .flatten()
+            .flat_map(|set| set.runs().flat_map(|r| r.start..r.start + r.count));
+        indices.zip(self.local.iter())
     }
 
     /// CDR-encode the elements of global range `[start, start+count)`,
@@ -211,38 +210,30 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     }
 
     /// Streaming form of [`DSequence::encode_range`]: append the range's
-    /// elements to an existing encoder. When the global range maps onto one
-    /// contiguous run of locals — true for every piece a transfer plan emits
-    /// — the elements go through the bulk [`CdrCodec::encode_elems`] hook
-    /// (a single `memcpy` for native-order primitives).
+    /// elements to an existing encoder.
     pub fn encode_range_into(&self, start: u64, count: u64, e: &mut Encoder) {
-        if count == 0 {
-            return;
-        }
-        if let Some(lo) = self.contiguous_local(start, count) {
-            T::encode_elems(&self.local[lo..lo + count as usize], e);
-            return;
-        }
-        for idx in start..start + count {
-            let (owner, local) = self.dist.global_to_local(self.global_len, self.nthreads, idx);
-            assert_eq!(
-                owner, self.thread,
-                "encode_range asked for global index {idx} owned by thread {owner}, not {}",
-                self.thread
-            );
-            self.local[local as usize].encode(e);
+        if count > 0 {
+            self.pack_into(&[Strided::run(start, count)], e);
         }
     }
 
-    /// If global range `[start, start+count)` is entirely this thread's and
-    /// its local offsets are dense, return the first local offset. Local
-    /// offsets are monotone in global index, so checking the endpoints'
-    /// owners plus span density proves the whole range is local-contiguous.
-    fn contiguous_local(&self, start: u64, count: u64) -> Option<usize> {
-        debug_assert!(count > 0);
-        let (o1, l1) = self.dist.global_to_local(self.global_len, self.nthreads, start);
-        let (o2, l2) = self.dist.global_to_local(self.global_len, self.nthreads, start + count - 1);
-        (o1 == self.thread && o2 == self.thread && l2 - l1 == count - 1).then_some(l1 as usize)
+    /// Pack the elements of the given index sets, in order, into `e`: one
+    /// tight strided loop over the local slice per set, each block through
+    /// the bulk [`CdrCodec::encode_elems`] hook (a `memcpy` for native-order
+    /// primitives, per-element `encode` otherwise).
+    ///
+    /// # Panics
+    /// Panics if any set is not wholly owned by this thread.
+    pub fn pack_into(&self, sets: &[Strided], e: &mut Encoder) {
+        for set in sets {
+            let (mut lo, lstride) = set
+                .localize(self.global_len, &self.dist, self.nthreads, self.thread)
+                .unwrap_or_else(|| panic!("{set:?} is not local to thread {}", self.thread));
+            for _ in 0..set.count {
+                T::encode_elems(&self.local[lo as usize..(lo + set.block) as usize], e);
+                lo += lstride;
+            }
+        }
     }
 
     /// Collective: materialise the whole sequence on every thread, using the
@@ -250,34 +241,19 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     pub fn gather(&self, rts: &dyn Rts) -> Vec<T> {
         assert_eq!(rts.size(), self.nthreads, "gather over a mismatched RTS world");
         assert_eq!(rts.rank(), self.thread, "gather called from the wrong thread");
-        let mine = self.encode_range_list();
-        let parts = rts.all_gather(mine);
-        let mut full: Vec<Option<T>> = (0..self.global_len).map(|_| None).collect();
-        for part in parts {
+        let mut e = Encoder::new(ByteOrder::native());
+        T::encode_elems(&self.local, &mut e);
+        // Each part is its thread's local in local order, which is the order
+        // of that thread's owned sets; everything lands on "thread 0 of 1".
+        let whole = Distribution::Concentrated(0);
+        let mut asm = Assembler::new(self.global_len, &whole, 1, 0);
+        for (src, part) in rts.all_gather(e.finish()).into_iter().enumerate() {
             let mut d = Decoder::new(part, ByteOrder::native());
-            let nruns = d.read_u32().expect("run count");
-            for _ in 0..nruns {
-                let start = d.read_u64().expect("run start");
-                let count = d.read_u64().expect("run count");
-                let elems = T::decode_elems(&mut d, count as usize).expect("elements");
-                for (k, v) in elems.into_iter().enumerate() {
-                    full[start as usize + k] = Some(v);
-                }
+            for set in self.dist.owned(self.global_len, self.nthreads, src).iter() {
+                asm.decode(set, &mut d).expect("gathered elements");
             }
         }
-        full.into_iter().map(|t| t.expect("distribution covers every index")).collect()
-    }
-
-    fn encode_range_list(&self) -> Bytes {
-        let runs = self.my_runs();
-        let mut e = Encoder::new(ByteOrder::native());
-        e.write_u32(runs.len() as u32);
-        for run in &runs {
-            e.write_u64(run.start);
-            e.write_u64(run.count);
-            self.encode_range_into(run.start, run.count, &mut e);
-        }
-        e.finish()
+        asm.finish().expect("distribution covers every index")
     }
 
     /// Collective: apply a new distribution template, exchanging elements
@@ -290,100 +266,93 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     ///   ([`Rts::windows`]), one-sided transfers are enabled
     ///   (`PARDIS_ONESIDED`), and the element type has a fixed wire size,
     ///   each thread exposes its CDR-encoded local in a window and every
-    ///   destination `get`s exactly the byte spans its plan pieces name —
-    ///   one vectored get per remote source, no rendezvous handshake and no
+    ///   destination `get`s exactly the strided byte spans its plan names —
+    ///   one strided get per remote source, no rendezvous handshake and no
     ///   receive matching;
-    /// * **push** — otherwise, the classic two-sided exchange: coalesced
-    ///   sends per destination matched by tagged receives. FIFO per
+    /// * **push** — otherwise, the classic two-sided exchange: one packed
+    ///   message per destination matched by a tagged receive. FIFO per
     ///   (source, tag) channel plus a deterministic plan means no extra
     ///   sequencing is needed even across repeated redistributions.
     pub fn redistribute(&mut self, rts: &dyn Rts, new_dist: Distribution) {
         assert_eq!(rts.size(), self.nthreads, "redistribute over a mismatched RTS world");
         assert_eq!(rts.rank(), self.thread, "redistribute called from the wrong thread");
         new_dist.validate(self.global_len, self.nthreads).expect("invalid target distribution");
-        let plan = plan_transfer_cached(
-            self.global_len,
-            &self.dist,
-            self.nthreads,
-            &new_dist,
-            self.nthreads,
-        );
-        const REDIST_TAG: u64 = tags::ORB_REDIST; // 'SD', from the shared registry
-
         // All threads see identical gate inputs (the knob, the trait object's
         // window support, T's wire size), so the branch itself is collective.
-        if self.nthreads > 1
+        let windows = (self.nthreads > 1
             && self.global_len > 0
             && pardis_rts::one_sided_enabled()
-            && T::fixed_wire_size().is_some()
-        {
-            if let Some(w) = rts.windows() {
-                self.redistribute_pull(rts, w, &plan, new_dist);
-                return;
-            }
-        }
-
-        // Coalesce every outbound piece for one destination into a single
-        // message, in plan order. Both sides compute the identical plan, so
-        // the receiver can split the buffer by piece counts without any
-        // per-piece framing — a BLOCK→CYCLIC exchange costs one message per
-        // peer instead of one per element run.
-        let mut out_bufs: Vec<Option<Encoder>> = (0..self.nthreads).map(|_| None).collect();
-        for piece in plan.iter().filter(|p| p.src == self.thread && p.dst != self.thread) {
-            let e = out_bufs[piece.dst].get_or_insert_with(|| Encoder::new(ByteOrder::native()));
-            self.encode_range_into(piece.start, piece.count, e);
-        }
-        for (dst, e) in out_bufs.into_iter().enumerate() {
-            if let Some(e) = e {
-                rts.send(dst, REDIST_TAG, e.finish());
-            }
-        }
-
-        // Assemble the new local vector by walking the plan in order: each
-        // piece destined for us covers a dense run of new-local offsets, and
-        // those runs appear in increasing offset order, so appends suffice.
-        let new_local_len =
-            new_dist.local_len(self.global_len, self.nthreads, self.thread) as usize;
-        let mut new_local: Vec<T> = Vec::with_capacity(new_local_len);
-        let mut incoming: HashMap<usize, Decoder> = HashMap::new();
-        for piece in plan.iter().filter(|p| p.dst == self.thread) {
-            if piece.src == self.thread {
-                // A piece has constant (src, dst), so its old locals are as
-                // dense as its new ones: one slice clone moves it.
-                let lo = piece.src_local_start(self.global_len, &self.dist, self.nthreads) as usize;
-                new_local.extend_from_slice(&self.local[lo..lo + piece.count as usize]);
-            } else {
-                let d = incoming.entry(piece.src).or_insert_with(|| {
-                    Decoder::new(rts.recv(Some(piece.src), REDIST_TAG).data, ByteOrder::native())
-                });
-                let elems =
-                    T::decode_elems(d, piece.count as usize).expect("redistribution elements");
-                new_local.extend(elems);
-            }
-        }
-        debug_assert_eq!(new_local.len(), new_local_len, "plan covers every local index");
+            && T::fixed_wire_size().is_some())
+        .then(|| rts.windows())
+        .flatten();
+        let new_local = match windows {
+            Some(w) => self.redistribute_pull(rts, w, &new_dist),
+            None => self.redistribute_push(rts, &new_dist),
+        };
         self.local = Arc::new(new_local);
         self.dist = new_dist;
     }
 
+    /// The index sets that move from thread `src` under the current template
+    /// to thread `dst` under `new_dist`.
+    fn share(&self, src: usize, new_dist: &Distribution, dst: usize, out: &mut Vec<Strided>) {
+        out.clear();
+        let n = self.nthreads;
+        pair_plan(self.global_len, &self.dist, n, src, new_dist, n, dst, out);
+    }
+
+    /// Two-sided exchange: pack each peer's share into one message, then
+    /// scatter what arrives (and what stays) into the new local vector.
+    fn redistribute_push(&self, rts: &dyn Rts, new_dist: &Distribution) -> Vec<T> {
+        const REDIST_TAG: u64 = tags::ORB_REDIST; // 'SD', from the shared registry
+        let me = self.thread;
+        let mut sets = Vec::new();
+        for dst in (0..self.nthreads).filter(|&dst| dst != me) {
+            self.share(me, new_dist, dst, &mut sets);
+            if !sets.is_empty() {
+                let mut e = Encoder::new(ByteOrder::native());
+                self.pack_into(&sets, &mut e);
+                rts.send(dst, REDIST_TAG, e.finish());
+            }
+        }
+        let mut asm = Assembler::new(self.global_len, new_dist, self.nthreads, me);
+        for src in 0..self.nthreads {
+            self.share(src, new_dist, me, &mut sets);
+            if src == me {
+                for set in &sets {
+                    asm.copy(set, &self.local, &self.dist).expect("own share");
+                }
+            } else if !sets.is_empty() {
+                let data = rts.recv(Some(src), REDIST_TAG).data;
+                let mut d = Decoder::new(data, ByteOrder::native());
+                for set in &sets {
+                    asm.decode(set, &mut d).expect("redistribution elements");
+                }
+            }
+        }
+        asm.finish().expect("plan covers every local index")
+    }
+
     /// One-sided pull redistribution: sources are passive. Each thread
     /// exposes its encoded local in a collective window; each destination
-    /// computes, from the shared plan, exactly which byte spans of which
-    /// source windows hold its new elements and issues one vectored
-    /// [`get_vec_nb`](pardis_rts::Windows::get_vec_nb) per remote source.
+    /// computes, from the shared plan, exactly which strided byte spans of
+    /// which source windows hold its new elements and issues one
+    /// [`get_strided_nb`](pardis_rts::Windows::get_strided_nb) per remote
+    /// source.
     ///
     /// The byte arithmetic is licensed by [`CdrCodec::fixed_wire_size`]: a
     /// homogeneous fixed-size array encoded from stream offset 0 places
-    /// element `i` at byte `i * size` with no padding, so a piece whose
-    /// source locals start at `lo` is the span `[lo*size, (lo+count)*size)`.
+    /// element `i` at byte `i * size` with no padding, so a set whose source
+    /// locals start at `lo`, `stride` apart, is the same shape scaled by
+    /// `size`.
     fn redistribute_pull(
-        &mut self,
+        &self,
         rts: &dyn Rts,
         w: &pardis_rts::Windows,
-        plan: &[crate::dist::PlanPiece],
-        new_dist: Distribution,
-    ) {
+        new_dist: &Distribution,
+    ) -> Vec<T> {
         let ws = T::fixed_wire_size().expect("pull path gated on fixed-size elements") as u64;
+        let me = self.thread;
 
         // Expose my encoded local. Every thread exposes (possibly empty) so
         // the collective base sequence stays aligned across threads.
@@ -396,52 +365,52 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         // Windows on every thread must be published before anyone pulls.
         rts.barrier();
 
-        // Per-source byte spans of my inbound pieces, in plan order — the
-        // reply concatenates them in request order, so decoding in the same
-        // order keeps piece boundaries aligned.
-        let mut spans: HashMap<usize, Vec<(u64, u64)>> = HashMap::new();
-        for piece in plan.iter().filter(|p| p.dst == self.thread && p.src != self.thread) {
-            let lo = piece.src_local_start(self.global_len, &self.dist, self.nthreads);
-            spans.entry(piece.src).or_default().push((lo * ws, piece.count * ws));
-        }
-        let mut pulls: HashMap<usize, pardis_rts::GetHandle> = HashMap::new();
-        for (&src, source_spans) in &spans {
+        // One strided get per remote source, all issued before any is
+        // awaited; the reply concatenates the spans in request order, which
+        // is the plan order the assembler decodes in.
+        let mut sets = Vec::new();
+        let mut pulls = Vec::new();
+        for src in (0..self.nthreads).filter(|&src| src != me) {
+            self.share(src, new_dist, me, &mut sets);
+            if sets.is_empty() {
+                continue;
+            }
+            let spans: Vec<(u64, u64, u64, u64)> = sets
+                .iter()
+                .map(|set| {
+                    let (lo, lstride) = set
+                        .localize(self.global_len, &self.dist, self.nthreads, src)
+                        .expect("plan sets are owned by their source");
+                    (lo * ws, lstride * ws, set.block * ws, set.count)
+                })
+                .collect();
             let id = pardis_rts::WindowId { owner: src, base };
             let handle = w
-                .get_vec_nb(id, source_spans)
+                .get_strided_nb(id, &spans)
                 .expect("plan spans lie inside the source's encoded local");
-            pulls.insert(src, handle);
+            pulls.push((src, handle));
         }
 
-        // Assemble in plan order, exactly like the push path: local pieces
-        // are slice copies, remote pieces decode from the per-source reply.
-        let new_local_len =
-            new_dist.local_len(self.global_len, self.nthreads, self.thread) as usize;
-        let mut new_local: Vec<T> = Vec::with_capacity(new_local_len);
-        let mut incoming: HashMap<usize, Decoder> = HashMap::new();
-        for piece in plan.iter().filter(|p| p.dst == self.thread) {
-            if piece.src == self.thread {
-                let lo = piece.src_local_start(self.global_len, &self.dist, self.nthreads) as usize;
-                new_local.extend_from_slice(&self.local[lo..lo + piece.count as usize]);
-            } else {
-                let d = incoming.entry(piece.src).or_insert_with(|| {
-                    let handle = pulls.remove(&piece.src).expect("one pull per remote source");
-                    Decoder::new(handle.wait(), ByteOrder::native())
-                });
-                let elems =
-                    T::decode_elems(d, piece.count as usize).expect("redistribution elements");
-                new_local.extend(elems);
+        let mut asm = Assembler::new(self.global_len, new_dist, self.nthreads, me);
+        self.share(me, new_dist, me, &mut sets);
+        for set in &sets {
+            asm.copy(set, &self.local, &self.dist).expect("own share");
+        }
+        for (src, handle) in pulls {
+            self.share(src, new_dist, me, &mut sets);
+            let mut d = Decoder::new(handle.wait(), ByteOrder::native());
+            for set in &sets {
+                asm.decode(set, &mut d).expect("redistribution elements");
             }
         }
-        debug_assert_eq!(new_local.len(), new_local_len, "plan covers every local index");
+        let new_local = asm.finish().expect("plan covers every local index");
 
         // My gets are done, but peers may still be reading my window: drain
         // my own inflight ops, then rendezvous before withdrawing it.
         w.fence();
         rts.barrier();
         w.deregister(my_window).expect("window exposed above");
-        self.local = Arc::new(new_local);
-        self.dist = new_dist;
+        new_local
     }
 }
 

@@ -22,7 +22,7 @@
 //!   per thread); [`Proxy`] / [`CallBuilder`] for invocations.
 //! * **Distributed arguments** (§3.2) — [`DSequence`] with
 //!   [`Distribution`] templates, redistribution, and planned thread-to-thread
-//!   transfer ([`dist::plan_transfer`]).
+//!   transfer ([`strided::plan_transfer`]).
 //! * **Futures** (§3.3) — [`PFuture`], [`DSeqFuture`]: non-blocking
 //!   invocations resolve all their futures at once.
 //!
@@ -73,6 +73,7 @@ pub mod poa;
 pub mod protocol;
 pub mod repository;
 pub mod servant;
+pub mod strided;
 
 mod backpressure;
 mod batch;
@@ -82,8 +83,7 @@ pub use batch::BatchMode;
 pub use client::{
     CallBuilder, ClientGroup, ClientThread, CommThread, InvocationHandle, Proxy, ReplyData,
 };
-pub use dist::{plan_cache_cap, plan_cache_len, plan_transfer, set_plan_cache_cap};
-pub use dist::{Distribution, PlanPiece, Run};
+pub use dist::{Distribution, Run};
 pub use dseq::DSequence;
 pub use error::{OrbError, OrbResult, TransportError};
 pub use future::{DSeqFuture, PFuture};
@@ -100,6 +100,7 @@ pub use repository::{
 pub use servant::{
     DInLocal, DOutArg, DispatchResult, Raised, Servant, ServantCtx, ServerReply, ServerRequest,
 };
+pub use strided::{pair_plan, plan_transfer, Piece, PlanPiece, Strided};
 
 /// The concurrency auditor the ORB core is instrumented with — re-exported
 /// so embedders can flip the gate, pull an [`pardis_audit::AuditReport`]

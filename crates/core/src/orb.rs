@@ -61,9 +61,6 @@ pub struct OrbConfig {
     /// entries are evicted FIFO; an evicted invocation that is retransmitted
     /// re-executes (the at-most-once guarantee is bounded by this window).
     pub reply_cache_cap: usize,
-    /// Bound on the process-wide redistribution plan cache (entries).
-    /// Default 64, overridable with `PARDIS_PLAN_CACHE_CAP`.
-    pub plan_cache_cap: usize,
     /// How many times a replicated-group invocation may fail over to another
     /// replica (re-resolve, mark the dead one suspect, replay) before the
     /// transport error is surfaced to the caller.
@@ -102,7 +99,6 @@ impl Default for OrbConfig {
             retry_base: Duration::from_millis(10),
             retry_seed: 0,
             reply_cache_cap: 1024,
-            plan_cache_cap: crate::dist::plan_cache_cap(),
             failover_limit: 3,
             registry_ttl_ms: 5_000,
             router_shards: env_usize("PARDIS_SHARDS", 16),
@@ -303,17 +299,6 @@ impl Orb {
     pub fn set_reply_cache_cap(&self, cap: usize) {
         assert!(cap > 0, "reply cache cap must be positive");
         self.inner.config.write().reply_cache_cap = cap;
-    }
-
-    /// Bound the redistribution plan cache. The cache is process-wide (plans
-    /// depend only on shapes, not on ORB state), so this takes effect for
-    /// every ORB in the process and evicts immediately if shrinking.
-    ///
-    /// # Panics
-    /// Panics if `cap` is 0 (a capless cache cannot hold any plan).
-    pub fn set_plan_cache_cap(&self, cap: usize) {
-        crate::dist::set_plan_cache_cap(cap);
-        self.inner.config.write().plan_cache_cap = cap;
     }
 
     /// Set how many times a replicated-group invocation may fail over to

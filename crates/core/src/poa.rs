@@ -7,21 +7,19 @@
 //! periodically with [`Poa::process_requests`] from inside its computation —
 //! exactly the programming model of §3.3.
 
-use crate::dist::plan_transfer_cached;
 use crate::error::OrbResult;
 use crate::object::{
     BindingId, DistPolicy, EndpointId, ObjectKey, ObjectKind, ObjectRef, ServerId,
 };
 use crate::orb::{Envelope, ObjectMeta, Orb, ServerRecord};
 use crate::protocol::{
-    encode_fragment_frame, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg, ReplyStatus,
-    RequestMsg,
+    ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg, ReplyStatus, RequestMsg, SrcTemplate,
 };
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
+use crate::strided::{cut_fragments, Piece};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
-use pardis_cdr::{ByteOrder, Encoder};
 use pardis_netsim::{HostId, Published};
 use pardis_rts::{tags, Rts};
 use std::cmp::Reverse;
@@ -161,8 +159,8 @@ impl ServerGroup {
 
 struct PendingReq {
     control: Option<RequestMsg>,
-    /// Fragments per wire darg index.
-    frags: HashMap<u32, Vec<FragmentMsg>>,
+    /// Fragments per wire darg index, one per sending client thread.
+    frags: HashMap<u32, Vec<Piece>>,
     /// Sibling-bound fragments already forwarded over the RTS, per wire darg
     /// index: (start, count, src_thread, dst_thread). Thread 0 of a funneled
     /// SPMD dispatch is the only forwarder; once it enters the (blocking,
@@ -454,65 +452,9 @@ impl Poa {
                 entry.control = Some(req);
                 entry.ctx = entry.ctx.or(ctx);
             }
-            Message::Fragment(frag) => {
-                let key = (frag.binding, frag.req_id);
-                let accepted = {
-                    let recent = self.recent.lock();
-                    pardis_audit::access_read(&REPLY_CACHE, &self.recent as *const _ as usize);
-                    recent.seen.contains_key(&key)
-                };
-                if frag.dst_thread as usize != self.thread {
-                    // Funneled data: forward to the true owner over the RTS.
-                    let rts = self.rts.as_ref().expect("parallel server has an RTS");
-                    rts.send(frag.dst_thread as usize, FORWARD_TAG, wire.clone());
-                    if pardis_obs::enabled() {
-                        pardis_obs::counter("poa.fragments_forwarded").inc();
-                    }
-                    if !accepted {
-                        // Count the forward toward dispatch readiness
-                        // (idempotently — a retransmitted fragment must not
-                        // double-count).
-                        let entry = self.pending.entry(key).or_insert_with(PendingReq::new);
-                        entry.ctx = entry.ctx.or(ctx);
-                        let rec = (frag.start, frag.count, frag.src_thread, frag.dst_thread);
-                        let slot = entry.fwd.entry(frag.arg).or_default();
-                        if !slot.contains(&rec) {
-                            slot.push(rec);
-                        }
-                    }
-                    return;
-                }
-                if accepted {
-                    // Fragment of an already-dispatched invocation
-                    // (retransmission by-product): ignore.
-                    return;
-                }
-                let entry =
-                    self.pending.entry((frag.binding, frag.req_id)).or_insert_with(PendingReq::new);
-                entry.ctx = entry.ctx.or(ctx);
-                let slot = entry.frags.entry(frag.arg).or_default();
-                // Idempotent reassembly: a duplicated or retransmitted
-                // fragment range must not double-count toward completion.
-                if !slot.iter().any(|f| {
-                    f.start == frag.start
-                        && f.count == frag.count
-                        && f.src_thread == frag.src_thread
-                }) {
-                    if pardis_obs::enabled() {
-                        pardis_obs::counter("poa.fragments_reassembled").inc();
-                        pardis_obs::instant(
-                            "poa",
-                            "poa.fragment",
-                            Some((frag.binding.0, frag.req_id)),
-                            vec![
-                                ("arg", frag.arg.into()),
-                                ("start", frag.start.into()),
-                                ("count", frag.count.into()),
-                            ],
-                        );
-                    }
-                    slot.push(frag);
-                }
+            Message::Fragment(frag) => self.handle_fragment(frag, None, wire, ctx),
+            Message::Strided(frag, template) => {
+                self.handle_fragment(frag, Some(template), wire, ctx)
             }
             Message::Cancel { binding, req_id } => {
                 self.pending.remove(&(binding, req_id));
@@ -523,6 +465,72 @@ impl Poa {
             Message::Reply(_) => {
                 debug_assert!(false, "server received a Reply frame");
             }
+        }
+    }
+
+    /// Reassemble (or, on the funneled entry thread, forward) one bulk-data
+    /// frame of either encoding.
+    fn handle_fragment(
+        &mut self,
+        frag: FragmentMsg,
+        template: Option<SrcTemplate>,
+        wire: &Bytes,
+        ctx: Option<pardis_obs::TraceCtx>,
+    ) {
+        let key = (frag.binding, frag.req_id);
+        let accepted = {
+            let recent = self.recent.lock();
+            pardis_audit::access_read(&REPLY_CACHE, &self.recent as *const _ as usize);
+            recent.seen.contains_key(&key)
+        };
+        if frag.dst_thread as usize != self.thread {
+            // Funneled data: forward to the true owner over the RTS.
+            let rts = self.rts.as_ref().expect("parallel server has an RTS");
+            rts.send(frag.dst_thread as usize, FORWARD_TAG, wire.clone());
+            if pardis_obs::enabled() {
+                pardis_obs::counter("poa.fragments_forwarded").inc();
+            }
+            if !accepted {
+                // Count the forward toward dispatch readiness
+                // (idempotently — a retransmitted fragment must not
+                // double-count).
+                let entry = self.pending.entry(key).or_insert_with(PendingReq::new);
+                entry.ctx = entry.ctx.or(ctx);
+                let rec = (frag.start, frag.count, frag.src_thread, frag.dst_thread);
+                let slot = entry.fwd.entry(frag.arg).or_default();
+                if !slot.contains(&rec) {
+                    slot.push(rec);
+                }
+            }
+            return;
+        }
+        if accepted {
+            // Fragment of an already-dispatched invocation
+            // (retransmission by-product): ignore.
+            return;
+        }
+        let entry = self.pending.entry(key).or_insert_with(PendingReq::new);
+        entry.ctx = entry.ctx.or(ctx);
+        let slot = entry.frags.entry(frag.arg).or_default();
+        // Idempotent reassembly: a duplicated or retransmitted fragment must
+        // not double-count toward completion.
+        if !slot.iter().any(|p| {
+            p.start == frag.start && p.count == frag.count && p.src_thread == frag.src_thread
+        }) {
+            if pardis_obs::enabled() {
+                pardis_obs::counter("poa.fragments_reassembled").inc();
+                pardis_obs::instant(
+                    "poa",
+                    "poa.fragment",
+                    Some((frag.binding.0, frag.req_id)),
+                    vec![
+                        ("arg", frag.arg.into()),
+                        ("start", frag.start.into()),
+                        ("count", frag.count.into()),
+                    ],
+                );
+            }
+            slot.push(Piece::from_frame(frag, template));
         }
     }
 
@@ -621,7 +629,7 @@ impl Poa {
             let arrived: u64 = pending
                 .frags
                 .get(&(i as u32))
-                .map(|fs| fs.iter().map(|f| f.count).sum())
+                .map(|fs| fs.iter().map(|p| p.count).sum())
                 .unwrap_or(0);
             if arrived < expected {
                 return false;
@@ -724,7 +732,7 @@ impl Poa {
     fn dispatch(
         &mut self,
         req: RequestMsg,
-        mut frags: HashMap<u32, Vec<FragmentMsg>>,
+        mut frags: HashMap<u32, Vec<Piece>>,
         ctx: Option<pardis_obs::TraceCtx>,
     ) {
         self.mark_accepted((req.binding, req.req_id));
@@ -762,17 +770,10 @@ impl Poa {
                     if desc.dir != ArgDir::In {
                         continue;
                     }
-                    let mut pieces: Vec<(u64, u64, Bytes)> = frags
-                        .remove(&(i as u32))
-                        .unwrap_or_default()
-                        .into_iter()
-                        .map(|f| (f.start, f.count, f.data))
-                        .collect();
-                    pieces.sort_by_key(|p| p.0);
                     dins.push(DInLocal {
                         desc: desc.clone(),
                         server_dist: meta.policy.get(&req.op, i as u32),
-                        pieces,
+                        pieces: frags.remove(&(i as u32)).unwrap_or_default(),
                     });
                 }
                 let sreq = ServerRequest { op: &req.op, ins: &req.ins, dins: &dins, ctx: &ctx };
@@ -859,44 +860,31 @@ impl Poa {
                     reply.douts.len(),
                     out_descs.len()
                 );
-                // Cut fragments of each distributed out argument, staging
-                // elements in one pooled scratch buffer (the framed wire
-                // buffer is the only per-fragment allocation).
+                // Cut each distributed out argument into one frame per
+                // client thread this thread owes elements to.
                 let mut my_frames: Vec<Bytes> = Vec::new();
-                let mut scratch = Encoder::pooled(ByteOrder::native());
                 for (ordinal, dout) in reply.douts.iter().enumerate() {
                     let (wire_idx, desc) = out_descs[ordinal];
-                    let plan = plan_transfer_cached(
-                        dout.len,
-                        &dout.dist,
-                        self.nthreads,
-                        &desc.client_dist,
-                        m,
+                    let head = FragmentMsg::head(
+                        req.req_id,
+                        req.binding,
+                        wire_idx as u32,
+                        ArgDir::Out,
+                        self.thread as u32,
                     );
-                    for piece in plan.iter().filter(|p| p.src == self.thread) {
-                        scratch.clear();
-                        dout.encode_range_into(piece.start, piece.count, &mut scratch);
-                        let head = FragmentMsg {
-                            req_id: req.req_id,
-                            binding: req.binding,
-                            arg: wire_idx as u32,
-                            dir: ArgDir::Out,
-                            start: piece.start,
-                            count: piece.count,
-                            dst_thread: piece.dst as u32,
-                            src_thread: self.thread as u32,
-                            data: Bytes::new(),
-                        };
-                        let wire = encode_fragment_frame(&head, scratch.as_slice());
+                    let (src, dst) = ((&dout.dist, self.nthreads), (&desc.client_dist, m));
+                    let pack = |sets: &[_], e: &mut _| dout.pack_into(sets, e);
+                    let _ = cut_fragments(head, dout.len, src, dst, &pack, |f, wire| {
                         if funneled {
                             my_frames.push(wire);
                         } else {
-                            let _ = self.send_raw(req.reply_to[piece.dst], wire.clone());
-                            sent.push((req.reply_to[piece.dst], wire));
+                            let to = req.reply_to[f.dst_thread as usize];
+                            let _ = self.send_raw(to, wire.clone());
+                            sent.push((to, wire));
                         }
-                    }
+                        Ok(())
+                    });
                 }
-                scratch.recycle();
                 if funneled && is_spmd && self.nthreads > 1 {
                     // Collective: funnel everyone's fragments through thread
                     // 0's wire connection.

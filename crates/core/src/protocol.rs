@@ -192,6 +192,36 @@ pub struct FragmentMsg {
     pub data: Bytes,
 }
 
+impl FragmentMsg {
+    /// The header every fragment of one argument from one sending thread
+    /// shares; `start`, `count` and `dst_thread` are filled in per
+    /// destination, the payload travels separately.
+    pub fn head(req_id: u64, binding: BindingId, arg: u32, dir: ArgDir, src_thread: u32) -> Self {
+        FragmentMsg {
+            req_id,
+            binding,
+            arg,
+            dir,
+            start: 0,
+            count: 0,
+            dst_thread: 0,
+            src_thread,
+            data: Bytes::new(),
+        }
+    }
+}
+
+/// The sending side's shape of a distributed argument, carried by a
+/// [`Message::Strided`] frame so the receiver can recompute the pair's
+/// transfer plan ([`crate::strided::pair_plan`]) without being told it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SrcTemplate {
+    /// Distribution template on the sending side.
+    pub dist: Distribution,
+    /// Computing-thread count of the sending side.
+    pub nthreads: u32,
+}
+
 /// All messages the ORB moves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -216,6 +246,11 @@ pub enum Message {
     /// extension, so every batched request keeps its sub-span. The envelope
     /// itself carries no context.
     Batch(Vec<Bytes>),
+    /// Bulk data of a thread pair whose share is not one contiguous run:
+    /// `start` is the pair's first global index, `count` its element total,
+    /// and `data` packs the elements in the order of the pair's transfer
+    /// plan under the given source-side template.
+    Strided(FragmentMsg, SrcTemplate),
 }
 
 impl Message {
@@ -227,6 +262,7 @@ impl Message {
             Message::Cancel { .. } => 3,
             Message::Close => 4,
             Message::Batch(_) => 5,
+            Message::Strided(..) => 6,
         }
     }
 
@@ -239,6 +275,7 @@ impl Message {
             Message::Cancel { .. } => "cancel",
             Message::Close => "close",
             Message::Batch(_) => "batch",
+            Message::Strided(..) => "strided",
         }
     }
 
@@ -251,9 +288,10 @@ impl Message {
         // dwarfs the header, and a good hint avoids the doubling reallocs
         // (and their copies) while the payload streams in.
         let hint = match self {
-            // Exact for the bulk-bearing frame: slack capacity can cost a
-            // second payload copy when the finished Vec becomes Bytes.
-            Message::Fragment(f) => fragment_frame_overhead() + ctx_ext_len(&ctx) + f.data.len(),
+            Message::Fragment(f) => return frame_fragment(f, None, &f.data),
+            Message::Strided(f, t) => {
+                return frame_fragment(f, Some((&t.dist, t.nthreads)), &f.data)
+            }
             Message::Request(r) => 96 + r.ins.iter().map(|b| b.len() + 8).sum::<usize>(),
             Message::Reply(r) => 96 + r.outs.iter().map(|b| b.len() + 8).sum::<usize>(),
             Message::Batch(fs) => 16 + fs.iter().map(|f| f.len() + 8).sum::<usize>(),
@@ -264,7 +302,7 @@ impl Message {
         match self {
             Message::Request(r) => encode_request(r, &mut e),
             Message::Reply(r) => encode_reply(r, &mut e),
-            Message::Fragment(f) => encode_fragment(f, &mut e),
+            Message::Fragment(_) | Message::Strided(..) => unreachable!("framed above"),
             Message::Cancel { binding, req_id } => {
                 binding.encode(&mut e);
                 e.write_u64(*req_id);
@@ -314,7 +352,11 @@ impl Message {
         let msg = match ty {
             0 => Message::Request(decode_request(&mut d)?),
             1 => Message::Reply(decode_reply(&mut d)?),
-            2 => Message::Fragment(decode_fragment(&mut d)?),
+            2 => {
+                let mut head = decode_fragment_fields(&mut d)?;
+                head.data = d.read_byte_seq_bytes()?;
+                Message::Fragment(head)
+            }
             3 => Message::Cancel { binding: BindingId::decode(&mut d)?, req_id: d.read_u64()? },
             4 => Message::Close,
             5 => {
@@ -324,6 +366,13 @@ impl Message {
                     frames.push(d.read_byte_seq_bytes()?);
                 }
                 Message::Batch(frames)
+            }
+            6 => {
+                let mut head = decode_fragment_fields(&mut d)?;
+                let nthreads = d.read_u32()?;
+                let template = SrcTemplate { dist: Distribution::decode(&mut d)?, nthreads };
+                head.data = d.read_byte_seq_bytes()?;
+                Message::Strided(head, template)
             }
             other => Err(CdrError::InvalidEnumDiscriminant {
                 name: "MessageType".into(),
@@ -528,7 +577,8 @@ pub fn encode_batch_frame(frames: &[Bytes]) -> Bytes {
     e.finish()
 }
 
-fn encode_fragment(f: &FragmentMsg, e: &mut Encoder) {
+/// The fixed-width fields every bulk-data frame starts with.
+fn encode_fragment_fields(f: &FragmentMsg, e: &mut Encoder) {
     e.write_u64(f.req_id);
     f.binding.encode(e);
     e.write_u32(f.arg);
@@ -537,68 +587,77 @@ fn encode_fragment(f: &FragmentMsg, e: &mut Encoder) {
     e.write_u64(f.count);
     e.write_u32(f.dst_thread);
     e.write_u32(f.src_thread);
-    e.write_byte_seq(&f.data);
 }
 
-/// Frame one fragment whose payload is supplied separately as
-/// already-encoded element bytes. Byte-identical to
-/// `Message::Fragment(..).encode()` with `data = payload`, but lets hot
-/// paths stage the elements in a pooled scratch buffer instead of
-/// allocating a one-shot owned payload per piece (`head.data` is ignored
-/// and expected to be empty).
-pub fn encode_fragment_frame(head: &FragmentMsg, payload: &[u8]) -> Bytes {
-    debug_assert!(head.data.is_empty(), "payload travels separately");
+/// Frame one bulk-data message: a plain `Fragment` (type 2) without a
+/// template, a `Strided` (type 6) with one. `head.data` is ignored; the
+/// payload travels separately so hot paths can stage it in a pooled scratch
+/// buffer.
+fn frame_fragment(
+    head: &FragmentMsg,
+    template: Option<(&Distribution, u32)>,
+    payload: &[u8],
+) -> Bytes {
     let order = ByteOrder::native();
     let ctx = pardis_obs::current_ctx();
-    let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + payload.len();
+    // Exact for a plain fragment (its fields are all fixed-width); a
+    // template adds a few words, more only for an irregular one.
+    let slack = match template {
+        None => 0,
+        Some((Distribution::Irregular(counts), _)) => 24 + 8 * counts.len(),
+        Some(_) => 24,
+    };
+    let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + slack + payload.len();
     let mut e = Encoder::with_capacity(order, cap);
-    write_header(&mut e, order, 2, ctx); // 2 = Message::Fragment type tag
-    e.write_u64(head.req_id);
-    head.binding.encode(&mut e);
-    e.write_u32(head.arg);
-    head.dir.encode(&mut e);
-    e.write_u64(head.start);
-    e.write_u64(head.count);
-    e.write_u32(head.dst_thread);
-    e.write_u32(head.src_thread);
+    write_header(&mut e, order, if template.is_some() { 6 } else { 2 }, ctx);
+    encode_fragment_fields(head, &mut e);
+    if let Some((dist, nthreads)) = template {
+        e.write_u32(nthreads);
+        dist.encode(&mut e);
+    }
     e.write_byte_seq(payload);
     e.finish()
 }
 
-/// Byte size of an *untraced* fragment frame ahead of its payload, measured
-/// once from an empty-payload frame. Fragment fields are all fixed-width,
-/// so `overhead + ctx_ext_len(..) + payload.len()` is the *exact* frame
-/// size — and an exact capacity hint matters: `Bytes::from(Vec)` may
-/// reallocate (and copy a bulk payload a second time) when capacity exceeds
-/// length.
+/// Frame one contiguous fragment whose payload is supplied separately as
+/// already-encoded element bytes. Byte-identical to
+/// `Message::Fragment(..).encode()` with `data = payload` (`head.data` is
+/// ignored and expected to be empty).
+pub fn encode_fragment_frame(head: &FragmentMsg, payload: &[u8]) -> Bytes {
+    debug_assert!(head.data.is_empty(), "payload travels separately");
+    frame_fragment(head, None, payload)
+}
+
+/// Frame one strided fragment ([`Message::Strided`]): `payload` packs the
+/// pair's elements in plan order under the sender's `(dist, nthreads)`.
+pub fn encode_strided_frame(
+    head: &FragmentMsg,
+    dist: &Distribution,
+    nthreads: u32,
+    payload: &[u8],
+) -> Bytes {
+    debug_assert!(head.data.is_empty(), "payload travels separately");
+    frame_fragment(head, Some((dist, nthreads)), payload)
+}
+
+/// Byte size of an *untraced* plain fragment frame ahead of its payload,
+/// measured once from an empty-payload frame. Fragment fields are all
+/// fixed-width, so `overhead + ctx_ext_len(..) + payload.len()` is the
+/// *exact* frame size.
 fn fragment_frame_overhead() -> usize {
     static OVERHEAD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *OVERHEAD.get_or_init(|| {
         let mut e = Encoder::new(ByteOrder::native());
-        e.write_raw(&MAGIC);
-        e.write_u8(VERSION);
-        e.write_u8(0);
-        e.write_u8(2);
-        e.write_u8(0);
-        encode_fragment(
-            &FragmentMsg {
-                req_id: 0,
-                binding: BindingId(0),
-                arg: 0,
-                dir: ArgDir::In,
-                start: 0,
-                count: 0,
-                dst_thread: 0,
-                src_thread: 0,
-                data: Bytes::new(),
-            },
-            &mut e,
-        );
+        write_header(&mut e, ByteOrder::native(), 2, None);
+        encode_fragment_fields(&FragmentMsg::head(0, BindingId(0), 0, ArgDir::In, 0), &mut e);
+        e.write_byte_seq(&[]);
         e.len()
     })
 }
 
-fn decode_fragment(d: &mut Decoder) -> Result<FragmentMsg, CdrError> {
+/// Decode the fixed-width fields of a bulk-data frame; the payload (and, in
+/// a strided frame, the template before it) follows.
+fn decode_fragment_fields(d: &mut Decoder) -> Result<FragmentMsg, CdrError> {
     Ok(FragmentMsg {
         req_id: d.read_u64()?,
         binding: BindingId::decode(d)?,
@@ -608,6 +667,6 @@ fn decode_fragment(d: &mut Decoder) -> Result<FragmentMsg, CdrError> {
         count: d.read_u64()?,
         dst_thread: d.read_u32()?,
         src_thread: d.read_u32()?,
-        data: d.read_byte_seq_bytes()?,
+        data: Bytes::new(),
     })
 }

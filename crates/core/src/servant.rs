@@ -10,6 +10,7 @@ use crate::dist::Distribution;
 use crate::dseq::DSequence;
 use crate::error::{OrbError, OrbResult};
 use crate::protocol::DArgDesc;
+use crate::strided::{assemble, PackFn, Piece, Strided};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
 use pardis_rts::Rts;
@@ -48,7 +49,7 @@ impl std::fmt::Debug for ServantCtx {
     }
 }
 
-/// One assembled distributed `in` argument, as raw CDR pieces plus the
+/// One reassembled distributed `in` argument, as received pieces plus the
 /// distributions needed to decode it.
 #[derive(Debug, Clone)]
 pub struct DInLocal {
@@ -56,9 +57,9 @@ pub struct DInLocal {
     pub desc: DArgDesc,
     /// The server-side distribution resolved from the object's policy.
     pub server_dist: Distribution,
-    /// `(global_start, count, elements)` pieces covering this thread's local
-    /// part, sorted by `global_start`.
-    pub pieces: Vec<(u64, u64, Bytes)>,
+    /// The fragments covering this thread's local part, one per sending
+    /// thread, in arrival order.
+    pub pieces: Vec<Piece>,
 }
 
 /// A dispatch request as seen by a servant.
@@ -92,67 +93,10 @@ impl ServerRequest<'_> {
             .dins
             .get(ordinal)
             .ok_or_else(|| OrbError::Protocol(format!("no distributed in-arg {ordinal}")))?;
-        let len = din.desc.len;
-        let n = self.ctx.nthreads;
-        let t = self.ctx.thread;
-        let local_len = din.server_dist.local_len(len, n, t) as usize;
-        let mut staged: Vec<Option<T>> = (0..local_len).map(|_| None).collect();
-        for (start, count, data) in &din.pieces {
-            let mut d = Decoder::new(data.clone(), ByteOrder::native());
-            stage_piece(&mut staged, &mut d, &din.server_dist, len, n, t, *start, *count)?;
-        }
-        let mut local = Vec::with_capacity(local_len);
-        for (i, v) in staged.into_iter().enumerate() {
-            local.push(v.ok_or_else(|| {
-                OrbError::Protocol(format!(
-                    "distributed in-arg {ordinal} missing local element {i}"
-                ))
-            })?);
-        }
+        let (len, n, t) = (din.desc.len, self.ctx.nthreads, self.ctx.thread);
+        let local = assemble(len, &din.server_dist, n, t, &din.pieces)?;
         Ok(DSequence::from_local(local, len, din.server_dist.clone(), n, t))
     }
-}
-
-/// Decode one fragment's elements into the staged local vector. Fast path:
-/// when the whole global range maps onto one contiguous run of this thread's
-/// locals (true for every piece a transfer plan produces), the elements are
-/// bulk-decoded and placed with a single sweep; otherwise each element is
-/// routed — and ownership-checked — individually.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stage_piece<T: CdrCodec>(
-    staged: &mut [Option<T>],
-    d: &mut Decoder,
-    dist: &Distribution,
-    len: u64,
-    n: usize,
-    t: usize,
-    start: u64,
-    count: u64,
-) -> OrbResult<()> {
-    if count == 0 {
-        return Ok(());
-    }
-    let (o1, l1) = dist.global_to_local(len, n, start);
-    let (o2, l2) = dist.global_to_local(len, n, start + count - 1);
-    // Local offsets are monotone in global index, so equal owners plus a
-    // dense local span prove every interior element is ours and contiguous.
-    if o1 == t && o2 == t && l2 - l1 == count - 1 && (l2 as usize) < staged.len() {
-        let elems = T::decode_elems(d, count as usize)?;
-        for (k, v) in elems.into_iter().enumerate() {
-            staged[l1 as usize + k] = Some(v);
-        }
-        return Ok(());
-    }
-    for idx in start..start + count {
-        let (owner, local) = dist.global_to_local(len, n, idx);
-        if owner != t {
-            return Err(OrbError::Protocol(format!(
-                "fragment element {idx} belongs to thread {owner}, delivered to {t}"
-            )));
-        }
-        staged[local as usize] = Some(T::decode(d)?);
-    }
-    Ok(())
 }
 
 /// A distributed `out` argument produced by a servant: this thread's local
@@ -168,25 +112,14 @@ pub struct DOutArg {
     pub thread: usize,
     /// Server thread count.
     pub nthreads: usize,
-    encode: RangeEncodeFn,
+    pack: PackFn,
 }
 
-/// Encodes the elements of global range `[start, start + count)` into the
-/// given encoder; the capture owns (or borrows into) the sequence storage.
-pub(crate) type RangeEncodeFn = Box<dyn Fn(u64, u64, &mut Encoder) + Send>;
-
 impl DOutArg {
-    /// Encode the elements of a global range owned by the producing thread.
-    pub fn encode_range(&self, start: u64, count: u64) -> Bytes {
-        let mut e = Encoder::new(ByteOrder::native());
-        (self.encode)(start, count, &mut e);
-        e.finish()
-    }
-
-    /// Stream the elements of a global range into an existing encoder (the
-    /// POA's fragment cutter reuses one pooled scratch buffer this way).
-    pub fn encode_range_into(&self, start: u64, count: u64, e: &mut Encoder) {
-        (self.encode)(start, count, e);
+    /// Pack the elements of the given index sets (owned by the producing
+    /// thread) into an encoder, in order.
+    pub fn pack_into(&self, sets: &[Strided], e: &mut Encoder) {
+        (self.pack)(sets, e);
     }
 }
 
@@ -201,7 +134,7 @@ impl<T: CdrCodec + Clone + Send + Sync + 'static> From<DSequence<T>> for DOutArg
             dist,
             thread,
             nthreads,
-            encode: Box::new(move |start, count, e| ds.encode_range_into(start, count, e)),
+            pack: Box::new(move |sets, e| ds.pack_into(sets, e)),
         }
     }
 }

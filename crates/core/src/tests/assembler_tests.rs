@@ -1,0 +1,91 @@
+//! The scatter helper's write-once slots: runs that straddle bitmap words,
+//! refusal of overlap and of out-of-range runs, the missing-element report,
+//! and clean teardown of a half-filled vector of heap-owning elements.
+
+use crate::dist::Distribution;
+use crate::error::OrbError;
+use crate::strided::{Assembler, Strided};
+use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
+
+const WHOLE: Distribution = Distribution::Concentrated(0);
+
+fn payload(words: &[String]) -> Decoder {
+    let mut e = Encoder::new(ByteOrder::native());
+    String::encode_elems(words, &mut e);
+    Decoder::new(e.finish(), ByteOrder::native())
+}
+
+fn words(indices: impl Iterator<Item = u64>) -> Vec<String> {
+    indices.map(|i| format!("element number {i}")).collect()
+}
+
+#[test]
+fn runs_across_word_boundaries_assemble_in_place() {
+    // 200 slots = 3 full bitmap words and a partial one. Evens arrive as
+    // one strided set decoded element by element, odds are cloned in one at
+    // a time, so every word is filled through single-bit masks.
+    let len = 200u64;
+    let all = words(0..len);
+    let mut asm = Assembler::<String>::new(len, &WHOLE, 1, 0);
+    let evens = Strided { start: 0, stride: 2, block: 1, count: 100 };
+    asm.decode(&evens, &mut payload(&words((0..len).step_by(2)))).unwrap();
+    for odd in (1..len).step_by(2) {
+        asm.copy(&Strided::run(odd, 1), &all, &WHOLE).unwrap();
+    }
+    assert_eq!(asm.finish().unwrap(), all);
+}
+
+#[test]
+fn long_runs_are_marked_a_word_at_a_time() {
+    let len = 1_000u64;
+    let all = words(0..len);
+    let mut asm = Assembler::<String>::new(len, &WHOLE, 1, 0);
+    // Bulk-decoded runs with ragged ends: [0,70) [70,130) [130,1000).
+    for (start, count) in [(70u64, 60u64), (0, 70), (130, 870)] {
+        let part = &all[start as usize..(start + count) as usize];
+        asm.decode(&Strided::run(start, count), &mut payload(part)).unwrap();
+    }
+    assert_eq!(asm.finish().unwrap(), all);
+}
+
+#[test]
+fn overlap_out_of_range_and_gaps_are_typed_errors() {
+    let all = words(0..100);
+    let mut asm = Assembler::<String>::new(100, &WHOLE, 1, 0);
+    asm.decode(&Strided::run(10, 60), &mut payload(&all[10..70])).unwrap();
+    for (what, set) in [
+        ("overlap at the front", Strided::run(5, 6)),
+        ("overlap at the back", Strided::run(69, 4)),
+        ("overlap inside, bulk", Strided::run(20, 30)),
+        ("overlap across a word", Strided { start: 60, stride: 8, block: 1, count: 3 }),
+    ] {
+        let n = set.total() as usize;
+        let err = asm.decode(&set, &mut payload(&all[..n])).unwrap_err();
+        assert!(matches!(err, OrbError::Protocol(_)), "{what}: {err:?}");
+    }
+    let err = asm.decode(&Strided::run(90, 20), &mut payload(&all[..20])).unwrap_err();
+    assert!(matches!(err, OrbError::Protocol(_)), "past the end: {err:?}");
+    // The report names the first slot nothing covered.
+    let mut asm = Assembler::<String>::new(100, &WHOLE, 1, 0);
+    asm.decode(&Strided::run(0, 70), &mut payload(&all[..70])).unwrap();
+    asm.decode(&Strided::run(71, 29), &mut payload(&all[71..])).unwrap();
+    match asm.finish() {
+        Err(OrbError::Protocol(msg)) => assert!(msg.contains("element 70"), "{msg}"),
+        other => panic!("expected the first missing element, got {other:?}"),
+    }
+}
+
+#[test]
+fn truncated_payload_tears_down_cleanly() {
+    // The decoder runs dry halfway through a strided set: the elements
+    // already placed are dropped with the assembler, the rest never existed.
+    let all = words(0..64);
+    let mut short = payload(&all[..20]);
+    let mut asm = Assembler::<String>::new(64, &WHOLE, 1, 0);
+    let err = asm.decode(&Strided { start: 0, stride: 2, block: 1, count: 32 }, &mut short);
+    assert!(matches!(err, Err(OrbError::Marshal(_))), "{err:?}");
+    drop(asm);
+    // Nothing at all placed, zero-length sequences included.
+    assert!(Assembler::<String>::new(64, &WHOLE, 1, 0).finish().is_err());
+    assert_eq!(Assembler::<String>::new(0, &WHOLE, 1, 0).finish().unwrap(), Vec::<String>::new());
+}

@@ -1,4 +1,6 @@
+use super::elementwise_plan::{plan_elementwise, ElemPiece};
 use crate::dist::*;
+use crate::strided::{pair_plan, plan_transfer, PlanPiece, Strided};
 
 #[test]
 fn block_owner_and_local_len_consistent() {
@@ -135,41 +137,126 @@ fn global_local_roundtrip_all_dists() {
 }
 
 #[test]
+fn owned_sets_are_closed_forms() {
+    // 11 elements, blocks of 3 over 2 threads: t0 owns [0,3) and [6,9),
+    // t1 owns [3,6) and the short tail [9,11).
+    let bc = Distribution::BlockCyclic(3);
+    let t0: Vec<Strided> = bc.owned(11, 2, 0).iter().copied().collect();
+    assert_eq!(t0, vec![Strided { start: 0, stride: 6, block: 3, count: 2 }]);
+    let t1: Vec<Strided> = bc.owned(11, 2, 1).iter().copied().collect();
+    assert_eq!(t1, vec![Strided::run(3, 3), Strided::run(9, 2)]);
+    // Cyclic is stride n, block 1, whatever the length.
+    for len in [10u64, 10_000_000] {
+        let c: Vec<Strided> = Distribution::Cyclic.owned(len, 4, 1).iter().copied().collect();
+        let count = Distribution::Cyclic.local_len(len, 4, 1);
+        assert_eq!(c, vec![Strided { start: 1, stride: 4, block: 1, count }]);
+    }
+    // One thread owns one run under any template; a block longer than the
+    // sequence is the whole sequence.
+    let whole = vec![Strided::run(0, 7)];
+    assert_eq!(Distribution::Cyclic.owned(7, 1, 0).iter().copied().collect::<Vec<_>>(), whole);
+    assert_eq!(
+        Distribution::BlockCyclic(u64::MAX).owned(7, 3, 0).iter().copied().collect::<Vec<_>>(),
+        whole
+    );
+    assert_eq!(Distribution::BlockCyclic(u64::MAX).owned(7, 3, 2), Default::default());
+}
+
+#[test]
 fn plan_block_to_block_same_shape_is_identity_diagonal() {
     let plan = plan_transfer(12, &Distribution::Block, 3, &Distribution::Block, 3);
     assert_eq!(plan.len(), 3);
     for (i, piece) in plan.iter().enumerate() {
-        assert_eq!(piece.src, i);
-        assert_eq!(piece.dst, i);
-        assert_eq!(piece.count, 4);
+        assert_eq!(*piece, PlanPiece { src: i, dst: i, set: Strided::run(4 * i as u64, 4) });
     }
 }
 
 #[test]
 fn plan_block_to_concentrated_funnels() {
     let plan = plan_transfer(10, &Distribution::Block, 2, &Distribution::Concentrated(0), 1);
-    assert_eq!(plan.len(), 2);
-    assert_eq!(plan[0], PlanPiece { src: 0, dst: 0, start: 0, count: 5 });
-    assert_eq!(plan[1], PlanPiece { src: 1, dst: 0, start: 5, count: 5 });
+    assert_eq!(
+        plan,
+        vec![
+            PlanPiece { src: 0, dst: 0, set: Strided::run(0, 5) },
+            PlanPiece { src: 1, dst: 0, set: Strided::run(5, 5) },
+        ]
+    );
 }
 
 #[test]
-fn plan_block_to_cyclic_has_elementwise_pieces() {
-    let plan = plan_transfer(6, &Distribution::Block, 2, &Distribution::Cyclic, 2);
-    // src 0 owns 0,1,2 (dst 0,1,0), src 1 owns 3,4,5 (dst 1,0,1).
-    let covered: u64 = plan.iter().map(|p| p.count).sum();
-    assert_eq!(covered, 6);
-    for p in &plan {
-        for idx in p.start..p.start + p.count {
-            assert_eq!(Distribution::Block.owner(6, 2, idx), p.src);
-            assert_eq!(Distribution::Cyclic.owner(6, 2, idx), p.dst);
-        }
+fn plan_block_to_cyclic_is_one_descriptor_per_pair() {
+    // The benchmark's shape: 4 descriptors at any length, where the
+    // element-wise plan had `len` one-element pieces.
+    for len in [4_096u64, 65_536, 1 << 40] {
+        let plan = plan_transfer(len, &Distribution::Block, 2, &Distribution::Cyclic, 2);
+        let half = len / 2;
+        assert_eq!(
+            plan,
+            vec![
+                PlanPiece {
+                    src: 0,
+                    dst: 0,
+                    set: Strided { start: 0, stride: 2, block: 1, count: half / 2 }
+                },
+                PlanPiece {
+                    src: 0,
+                    dst: 1,
+                    set: Strided { start: 1, stride: 2, block: 1, count: half / 2 }
+                },
+                PlanPiece {
+                    src: 1,
+                    dst: 0,
+                    set: Strided { start: half, stride: 2, block: 1, count: half / 2 }
+                },
+                PlanPiece {
+                    src: 1,
+                    dst: 1,
+                    set: Strided { start: half + 1, stride: 2, block: 1, count: half / 2 }
+                },
+            ]
+        );
     }
+}
+
+#[test]
+fn plan_block_cyclic_pair_walks_one_period_by_runs() {
+    // BlockCyclic(3) over 2 -> BlockCyclic(5) over 2: strides 6 and 10,
+    // period 30. Source 0 owns [0,3) [6,9) [12,15) [18,21) [24,27) per
+    // period, destination 0 owns [0,5) [10,15) [20,25): the pair shares
+    // [0,3) [12,15) [20,21) [24,25) each period.
+    let mut sets = Vec::new();
+    let (s, d) = (Distribution::BlockCyclic(3), Distribution::BlockCyclic(5));
+    pair_plan(300, &s, 2, 0, &d, 2, 0, &mut sets);
+    assert_eq!(
+        sets,
+        vec![
+            Strided { start: 0, stride: 30, block: 3, count: 10 },
+            Strided { start: 12, stride: 30, block: 3, count: 10 },
+            Strided { start: 20, stride: 30, block: 1, count: 10 },
+            Strided { start: 24, stride: 30, block: 1, count: 10 },
+        ]
+    );
 }
 
 #[test]
 fn plan_zero_length_is_empty() {
     assert!(plan_transfer(0, &Distribution::Block, 2, &Distribution::Block, 3).is_empty());
+}
+
+#[test]
+fn localize_rejects_foreign_and_out_of_range_sets() {
+    let (len, n) = (20u64, 2usize);
+    let c = Distribution::Cyclic;
+    // Thread 0 owns the evens: locals are global / 2, local stride 1.
+    let evens = Strided { start: 4, stride: 2, block: 1, count: 5 };
+    assert_eq!(evens.localize(len, &c, n, 0), Some((2, 1)));
+    assert_eq!(evens.localize(len, &c, n, 1), None, "wrong owner");
+    assert_eq!(Strided::run(4, 2).localize(len, &c, n, 0), None, "run crosses owners");
+    assert_eq!(Strided::run(18, 4).localize(len, &Distribution::Block, n, 1), None, "past len");
+    assert_eq!(Strided::run(u64::MAX, 2).localize(len, &c, n, 0), None, "overflow");
+    assert_eq!(Strided { start: 0, stride: 0, block: 0, count: 0 }.localize(len, &c, n, 0), None);
+    let huge = Strided { start: 0, stride: u64::MAX, block: 1, count: u64::MAX };
+    assert_eq!(huge.localize(len, &c, n, 0), None, "count * stride overflow");
 }
 
 #[test]
@@ -262,84 +349,161 @@ mod property {
             }
         }
 
-        /// A transfer plan covers every index exactly once with correct
-        /// endpoints.
+        /// The strided plan expands to exactly the partition the
+        /// element-wise planner produces, for every pairing of the five
+        /// template kinds; both sides' local offsets of every descriptor
+        /// are themselves strided; and the descriptor count does not grow
+        /// with the length.
         #[test]
-        fn plan_is_exact_cover(
-            len in 0u64..200,
-            src_n in 1usize..5,
-            dst_n in 1usize..5,
+        fn strided_plan_matches_elementwise_oracle(
+            len in 0u64..3_000,
+            src_n in 1usize..8,
+            dst_n in 1usize..8,
+            src_kind in 0usize..5,
+            dst_kind in 0usize..5,
+            src_param in 0u64..64,
+            dst_param in 0u64..64,
+            cuts in proptest::collection::vec(0u64..3_000, 12),
         ) {
-            for (src, dst) in [
-                (Distribution::Block, Distribution::Block),
-                (Distribution::Block, Distribution::Cyclic),
-                (Distribution::Cyclic, Distribution::Block),
-                (Distribution::Cyclic, Distribution::Cyclic),
-                (Distribution::Block, Distribution::BlockCyclic(3)),
-                (Distribution::BlockCyclic(5), Distribution::Block),
-            ] {
-                let plan = plan_transfer(len, &src, src_n, &dst, dst_n);
-                let covered: u64 = plan.iter().map(|p| p.count).sum();
-                prop_assert_eq!(covered, len);
-                let mut next = 0;
-                for p in &plan {
-                    prop_assert_eq!(p.start, next, "plan pieces are ordered and dense");
-                    next = p.start + p.count;
-                    for idx in p.start..p.start + p.count {
-                        prop_assert_eq!(src.owner(len, src_n, idx), p.src);
-                        prop_assert_eq!(dst.owner(len, dst_n, idx), p.dst);
-                    }
-                }
+            let src = dist_from(src_kind, src_param, &cuts[..6], src_n, len);
+            let dst = dist_from(dst_kind, dst_param, &cuts[6..], dst_n, len);
+            check_against_oracle(len, &src, src_n, &dst, dst_n)?;
+        }
+    }
+
+    /// A template of the selected kind, valid for `len` elements over `n`
+    /// threads (`BlockCyclic(b1)` -> `BlockCyclic(b2)` pairings included).
+    fn dist_from(kind: usize, param: u64, cuts: &[u64], n: usize, len: u64) -> Distribution {
+        match kind {
+            0 => Distribution::Block,
+            1 => Distribution::Cyclic,
+            2 => Distribution::Concentrated(param as usize % n),
+            3 => Distribution::BlockCyclic(1 + param % 9),
+            _ => {
+                let mut cuts: Vec<u64> = cuts[..n - 1].iter().map(|c| c % (len + 1)).collect();
+                cuts.sort_unstable();
+                cuts.push(len);
+                let mut prev = 0;
+                let counts = cuts.into_iter().map(|c| c - std::mem::replace(&mut prev, c));
+                Distribution::Irregular(counts.collect())
             }
         }
+    }
 
-        /// The piece-to-local-range helper agrees with per-element
-        /// global_to_local on both sides of every piece of every plan: the
-        /// piece's element `k` lives at local offset `local_start + k`.
-        #[test]
-        fn piece_local_start_matches_elementwise_mapping(
-            len in 1u64..200,
-            src_n in 1usize..5,
-            dst_n in 1usize..5,
-        ) {
-            for (src, dst) in [
-                (Distribution::Block, Distribution::Cyclic),
-                (Distribution::Cyclic, Distribution::BlockCyclic(3)),
-                (Distribution::BlockCyclic(5), Distribution::Block),
-                (Distribution::Block, Distribution::Concentrated(0)),
-            ] {
-                let plan = plan_transfer(len, &src, src_n, &dst, dst_n);
-                for p in &plan {
-                    let slo = p.src_local_start(len, &src, src_n);
-                    let dlo = p.dst_local_start(len, &dst, dst_n);
-                    for k in 0..p.count {
-                        let (so, sl) = src.global_to_local(len, src_n, p.start + k);
-                        prop_assert_eq!(so, p.src);
-                        prop_assert_eq!(sl, slo + k, "src locals dense from the helper's start");
-                        let (dofs, dl) = dst.global_to_local(len, dst_n, p.start + k);
-                        prop_assert_eq!(dofs, p.dst);
-                        prop_assert_eq!(dl, dlo + k, "dst locals dense from the helper's start");
+    /// Every pairing of the five kinds at fixed awkward shapes (the random
+    /// test above only samples pairings): `len < n`, `len == 0`, block sizes
+    /// that do not divide each other, uneven irregular counts.
+    #[test]
+    fn every_kind_pairing_matches_the_oracle() {
+        for len in [0u64, 1, 2, 5, 97, 360, 1_001] {
+            for (src_n, dst_n) in [(1, 1), (2, 2), (3, 2), (2, 7), (7, 5)] {
+                let kinds = |n: usize| {
+                    let mut uneven = vec![0u64; n];
+                    uneven[n / 2] = len / 3;
+                    uneven[n - 1] += len - len / 3;
+                    vec![
+                        Distribution::Block,
+                        Distribution::Cyclic,
+                        Distribution::Concentrated(n - 1),
+                        Distribution::Irregular(uneven),
+                        Distribution::BlockCyclic(3),
+                        Distribution::BlockCyclic(5),
+                        Distribution::BlockCyclic(64),
+                    ]
+                };
+                for src in kinds(src_n) {
+                    for dst in kinds(dst_n) {
+                        check_against_oracle(len, &src, src_n, &dst, dst_n).unwrap();
                     }
                 }
             }
         }
     }
-}
 
-#[test]
-fn plan_cache_eviction_respects_configured_cap() {
-    // Shrink the process-wide cap, stream in far more distinct shapes than
-    // it can hold, and check the FIFO eviction keeps the cache bounded.
-    // Lengths are offset into a range no other test uses so concurrent
-    // suites sharing the process-wide cache cannot mask an eviction bug.
-    set_plan_cache_cap(8);
-    for len in 100_001..=100_050u64 {
-        let _ = plan_transfer_cached(len, &Distribution::Block, 3, &Distribution::Cyclic, 2);
+    /// Descriptor count is a function of thread counts and block sizes
+    /// only: at lengths where every block boundary of both templates
+    /// realigns, `len` and `16 * len` plan to the same number of
+    /// descriptors (the element-wise plan grew 16-fold).
+    #[test]
+    fn descriptor_count_is_independent_of_len() {
+        for (src, src_n, dst, dst_n) in [
+            (Distribution::Block, 2, Distribution::Cyclic, 2),
+            (Distribution::Cyclic, 3, Distribution::Block, 4),
+            (Distribution::Cyclic, 2, Distribution::Cyclic, 3),
+            (Distribution::BlockCyclic(3), 2, Distribution::BlockCyclic(5), 2),
+            (Distribution::BlockCyclic(4), 3, Distribution::Block, 2),
+            (Distribution::Concentrated(1), 2, Distribution::BlockCyclic(2), 5),
+        ] {
+            // A multiple of both periods and both thread counts.
+            let unit = 3 * 2 * 5 * 2 * 4 * 3 * 5;
+            let count = |len: u64| plan_transfer(len, &src, src_n, &dst, dst_n).len();
+            assert_eq!(count(unit), count(16 * unit), "{src:?}/{src_n} -> {dst:?}/{dst_n}");
+            assert!(count(16 * unit) <= 64, "{src:?}/{src_n} -> {dst:?}/{dst_n}");
+        }
+        // And at any length at all the count is bounded by the shape.
+        for len in [1u64, 7, 100, 4_096, 65_536, 1 << 33] {
+            let plan = plan_transfer(len, &Distribution::Block, 2, &Distribution::Cyclic, 2);
+            assert!(plan.len() <= 4, "len {len}: {} descriptors", plan.len());
+        }
     }
-    assert!(plan_cache_len() <= 8, "cache holds {} plans, cap is 8", plan_cache_len());
-    // The most recent shape survived the churn.
-    let again = plan_transfer_cached(100_050, &Distribution::Block, 3, &Distribution::Cyclic, 2);
-    assert_eq!(again.iter().map(|p| p.count).sum::<u64>(), 100_050);
-    // Restore the default so other suites keep their expected capacity.
-    set_plan_cache_cap(64);
+
+    fn check_against_oracle(
+        len: u64,
+        src: &Distribution,
+        src_n: usize,
+        dst: &Distribution,
+        dst_n: usize,
+    ) -> Result<(), TestCaseError> {
+        if src.validate(len, src_n).is_err() || dst.validate(len, dst_n).is_err() {
+            return Ok(());
+        }
+        let plan = plan_transfer(len, src, src_n, dst, dst_n);
+        let mut expanded: Vec<ElemPiece> = plan
+            .iter()
+            .flat_map(|p| {
+                p.set.runs().map(|r| ElemPiece {
+                    start: r.start,
+                    count: r.count,
+                    src: p.src,
+                    dst: p.dst,
+                })
+            })
+            .collect();
+        expanded.sort_unstable();
+        prop_assert_eq!(
+            &expanded,
+            &plan_elementwise(len, src, src_n, dst, dst_n),
+            "{:?}/{} -> {:?}/{} at len {}",
+            src,
+            src_n,
+            dst,
+            dst_n,
+            len
+        );
+        // Plan order: by (src, dst), ascending first index within a pair.
+        for w in plan.windows(2) {
+            prop_assert!(
+                (w[0].src, w[0].dst, w[0].set.start) < (w[1].src, w[1].dst, w[1].set.start)
+            );
+        }
+        for p in &plan {
+            for (dist, n, t) in [(src, src_n, p.src), (dst, dst_n, p.dst)] {
+                let (lo, lstride) = p.set.localize(len, dist, n, t).expect("owned by its thread");
+                for k in 0..p.set.count {
+                    for j in 0..p.set.block {
+                        let global = p.set.start + k * p.set.stride + j;
+                        prop_assert_eq!(
+                            dist.global_to_local(len, n, global),
+                            (t, lo + k * lstride + j),
+                            "{:?} on {:?}/{}",
+                            p,
+                            dist,
+                            n
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }

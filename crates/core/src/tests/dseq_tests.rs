@@ -89,7 +89,7 @@ impl DecodeFrom for f64 {
 }
 
 #[test]
-#[should_panic(expected = "encode_range asked for global index")]
+#[should_panic(expected = "is not local to thread 0")]
 fn encode_range_rejects_remote_elements() {
     let full: Vec<f64> = (0..8).map(|i| i as f64).collect();
     let ds = DSequence::distribute(&full, Distribution::Block, 2, 0);

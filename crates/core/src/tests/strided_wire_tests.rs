@@ -1,0 +1,458 @@
+//! What strided transfers put on the wire, and what a receiver does with
+//! frames it cannot trust: contiguous pairs keep the plain `Fragment` frame
+//! byte for byte, strided pairs travel as one `Strided` frame each, and no
+//! malformed piece gets past `assemble` as anything but a typed error.
+
+use crate::dist::Distribution;
+use crate::error::OrbError;
+use crate::object::{BindingId, ClientId, ObjectKey, ObjectKind, ObjectRef, ServerId};
+use crate::orb::{ObjectMeta, ServerRecord};
+use crate::protocol::*;
+use crate::repository::DEFAULT_REPOSITORY;
+use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
+use crate::strided::{pair_plan, Piece, Strided};
+use crate::{ClientGroup, DSequence, DistPolicy, Orb, OrbResult, ServerGroup};
+use bytes::Bytes;
+use pardis_cdr::{ByteOrder, CdrCodec, Encoder};
+use pardis_netsim::{Link, Network, TimeScale};
+use pardis_rts::{MpiRts, Rts, World};
+use std::sync::Arc;
+use std::time::Duration;
+
+fn head(arg: u32, dir: ArgDir, start: u64, count: u64, dst: u32, src: u32) -> FragmentMsg {
+    FragmentMsg {
+        req_id: 0,
+        binding: BindingId(0),
+        arg,
+        dir,
+        start,
+        count,
+        dst_thread: dst,
+        src_thread: src,
+        data: Bytes::new(),
+    }
+}
+
+fn encode_elems<T: CdrCodec>(items: &[T]) -> Bytes {
+    let mut e = Encoder::new(ByteOrder::native());
+    T::encode_elems(items, &mut e);
+    e.finish()
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+}
+
+/// Frames produced by the parent commit's `encode_fragment_frame` and
+/// `Message::Reply(..).encode()` for these exact inputs (little-endian
+/// host): the plain fragment and the reply encodings did not move.
+#[cfg(target_endian = "little")]
+#[test]
+fn plain_fragment_and_reply_frames_match_golden_bytes() {
+    let golden_fragment = unhex(concat!(
+        "5052445301010200",
+        "0807060504030201",
+        "1817161514131211",
+        "03000000",
+        "01000000",
+        "2800000000000000",
+        "0200000000000000",
+        "01000000",
+        "02000000",
+        "10000000",
+        "000102030405060708090a0b0c0d0e0f",
+    ));
+    let head = FragmentMsg {
+        req_id: 0x0102030405060708,
+        binding: BindingId(0x1112131415161718),
+        arg: 3,
+        dir: ArgDir::Out,
+        start: 40,
+        count: 2,
+        dst_thread: 1,
+        src_thread: 2,
+        data: Bytes::new(),
+    };
+    let payload: Vec<u8> = (0u8..16).collect();
+    assert_eq!(encode_fragment_frame(&head, &payload)[..], golden_fragment[..]);
+    let msg = Message::Fragment(FragmentMsg { data: Bytes::from(payload), ..head });
+    assert_eq!(msg.encode()[..], golden_fragment[..]);
+
+    let golden_reply = unhex(concat!(
+        "5052445301010100",
+        "0500000000000000",
+        "0600000000000000",
+        "00000000",
+        "01000000",
+        "02000000",
+        "0708",
+        "0000",
+        "01000000",
+        "00000000",
+        "0900000000000000",
+    ));
+    let reply = Message::Reply(ReplyMsg {
+        req_id: 5,
+        binding: BindingId(6),
+        status: ReplyStatus::Ok,
+        outs: vec![Bytes::from(vec![7u8, 8])],
+        dout_lens: vec![9],
+    });
+    assert_eq!(reply.encode()[..], golden_reply[..]);
+}
+
+#[test]
+fn strided_frame_roundtrips_and_borrows_the_wire() {
+    for dist in [
+        Distribution::Cyclic,
+        Distribution::BlockCyclic(5),
+        Distribution::Irregular(vec![1, 2, 3, 4, 5, 6, 7, 8, 9]),
+    ] {
+        let payload = vec![0xabu8; 1000];
+        let wire = encode_strided_frame(&head(1, ArgDir::Out, 3, 125, 0, 2), &dist, 9, &payload);
+        assert_eq!(wire[6], 6, "strided type tag");
+        let decoded = Message::decode(&wire).unwrap();
+        assert_eq!(decoded.kind(), "strided");
+        let Message::Strided(f, tmpl) = &decoded else { panic!("strided expected") };
+        assert_eq!((f.arg, f.start, f.count, f.dst_thread, f.src_thread), (1, 3, 125, 0, 2));
+        assert_eq!(*tmpl, SrcTemplate { dist: dist.clone(), nthreads: 9 });
+        assert_eq!(f.data[..], payload[..]);
+        let (lo, plo) = (wire.as_ptr() as usize, f.data.as_ptr() as usize);
+        assert!(plo >= lo && plo + f.data.len() <= lo + wire.len(), "payload was copied");
+        assert_eq!(decoded.encode(), wire, "Message::encode agrees with the frame helper");
+    }
+}
+
+/// A two-endpoint server that executes nothing: it only lets a real client
+/// bind, launch, and show what it put on the wire.
+fn fake_spmd_server(
+    orb: &Orb,
+    host: pardis_netsim::HostId,
+    name: &str,
+    policy: DistPolicy,
+) -> Vec<crossbeam::channel::Receiver<crate::orb::Envelope>> {
+    let server = ServerId(orb.alloc_id());
+    let (endpoints, inboxes): (Vec<_>, Vec<_>) =
+        (0..2).map(|_| orb.register_endpoint(host)).unzip();
+    orb.inner
+        .servers
+        .write()
+        .insert(server, ServerRecord { host, nthreads: 2, endpoints, name: name.to_string() });
+    let oref = ObjectRef {
+        key: ObjectKey(orb.alloc_id()),
+        interface: "fake".into(),
+        server,
+        host,
+        nthreads: 2,
+        kind: ObjectKind::Spmd,
+    };
+    orb.register_object(DEFAULT_REPOSITORY, name, ObjectMeta { oref, policy });
+    inboxes
+}
+
+/// Launch one `op(x)` from a 2-thread client holding `x` in Block and
+/// return the bulk-data frames each fake server endpoint received.
+fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes)>> {
+    let net = Network::new(TimeScale::off());
+    let (ch, sh) = (net.add_host("client"), net.add_host("server"));
+    net.connect(ch, sh, Link::free());
+    let orb = Orb::new(net);
+    let policy = DistPolicy::new().with("op", 0, server_dist);
+    let inboxes = fake_spmd_server(&orb, sh, "fake", policy);
+
+    let full: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
+    let client = ClientGroup::create(&orb, ch, 2);
+    World::run(2, |rank| {
+        let t = rank.rank();
+        let rts: Arc<dyn Rts> = Arc::new(MpiRts::new(rank));
+        let ct = client.attach(t, Some(rts));
+        let proxy = ct.spmd_bind("fake").unwrap();
+        let x = DSequence::distribute(&full, Distribution::Block, 2, t);
+        proxy.call("op").dseq_in(&x).invoke_nb().unwrap().cancel();
+    });
+    inboxes
+        .into_iter()
+        .map(|rx| {
+            let mut frames = Vec::new();
+            while let Ok(env) = rx.recv_timeout(Duration::from_millis(200)) {
+                let msg = Message::decode(&env.wire).unwrap();
+                if matches!(msg, Message::Fragment(_) | Message::Strided(..)) {
+                    frames.push((msg, env.wire));
+                }
+            }
+            frames
+        })
+        .collect()
+}
+
+#[test]
+fn client_keeps_the_plain_frame_for_contiguous_pairs() {
+    // Block -> Block over 2x2: client thread t owes server thread t one
+    // run, and the frame is exactly what the element-wise planner's single
+    // piece used to produce.
+    let full: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
+    for (t, frames) in client_in_frames(Distribution::Block).into_iter().enumerate() {
+        assert_eq!(frames.len(), 1, "server thread {t}");
+        let (msg, wire) = &frames[0];
+        let Message::Fragment(f) = msg else { panic!("plain fragment expected, got {msg:?}") };
+        let old_head = FragmentMsg {
+            req_id: f.req_id,
+            binding: f.binding,
+            ..head(0, ArgDir::In, 32 * t as u64, 32, t as u32, t as u32)
+        };
+        let payload = encode_elems(&full[32 * t..32 * (t + 1)]);
+        assert_eq!(*wire, encode_fragment_frame(&old_head, &payload), "server thread {t}");
+    }
+}
+
+#[test]
+fn client_sends_one_strided_frame_per_thread_pair() {
+    // Block -> Cyclic over 2x2: every pair shares 16 interleaved elements.
+    let full: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
+    for (d, frames) in client_in_frames(Distribution::Cyclic).into_iter().enumerate() {
+        assert_eq!(frames.len(), 2, "one frame from each client thread at server thread {d}");
+        for (msg, _) in frames {
+            let Message::Strided(f, tmpl) = msg else { panic!("strided frame expected") };
+            let s = f.src_thread as usize;
+            assert_eq!(tmpl, SrcTemplate { dist: Distribution::Block, nthreads: 2 });
+            assert_eq!((f.start, f.count), (32 * s as u64 + d as u64, 16));
+            let want: Vec<f64> = (0..16).map(|k| full[32 * s + d + 2 * k]).collect();
+            assert_eq!(f.data, encode_elems(&want), "packed in ascending global order");
+        }
+    }
+}
+
+/// Echoes its distributed in-argument back in the server's template.
+struct Echo;
+
+impl Servant for Echo {
+    fn interface(&self) -> &str {
+        "echo"
+    }
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        let x: DSequence<f64> = req.dseq(0).map_err(|e| e.to_string())?;
+        let mut rep = ServerReply::new();
+        rep.push_dseq(x);
+        Ok(rep)
+    }
+}
+
+#[test]
+fn poa_keeps_the_plain_frame_for_contiguous_pairs() {
+    // A hand-driven single-thread client against a real single-thread POA:
+    // Concentrated -> Block over 1x1 is one run each way, so the
+    // out-fragment must be the old frame, bytes and all.
+    let net = Network::new(TimeScale::off());
+    let (ch, sh) = (net.add_host("client"), net.add_host("server"));
+    net.connect(ch, sh, Link::free());
+    let orb = Orb::new(net);
+    let group = ServerGroup::create(&orb, "echo-server", sh, 1);
+    let g = group.clone();
+    let server = std::thread::spawn(move || {
+        let mut poa = g.attach(0, None);
+        poa.activate_spmd("echo", Arc::new(Echo), DistPolicy::new());
+        poa.impl_is_ready();
+    });
+    let obj = orb.resolve(DEFAULT_REPOSITORY, "echo").unwrap();
+    let server_ep = orb.server_endpoints(group.id()).unwrap()[0];
+    let (reply_ep, reply_rx) = orb.register_endpoint(ch);
+
+    let elems = [1.5f64, -2.0, 8.25];
+    let payload = encode_elems(&elems);
+    let dargs = vec![
+        DArgDesc { dir: ArgDir::In, len: 3, client_dist: Distribution::Concentrated(0) },
+        DArgDesc { dir: ArgDir::Out, len: 0, client_dist: Distribution::Block },
+    ];
+    let request = Message::Request(RequestMsg {
+        req_id: 4,
+        binding: BindingId(77),
+        entity: 77,
+        client_seq: 0,
+        client: ClientId(9),
+        object: obj.key,
+        op: "echo".into(),
+        oneway: false,
+        funneled: false,
+        reply_to: vec![reply_ep],
+        client_threads: 1,
+        client_host: ch.raw(),
+        ins: vec![],
+        dargs,
+    });
+    let in_head =
+        FragmentMsg { req_id: 4, binding: BindingId(77), ..head(0, ArgDir::In, 0, 3, 0, 0) };
+    orb.send_wire(ch, server_ep, request.encode()).unwrap();
+    orb.send_wire(ch, server_ep, encode_fragment_frame(&in_head, &payload)).unwrap();
+
+    let out_head = FragmentMsg { arg: 1, dir: ArgDir::Out, ..in_head };
+    let first = reply_rx.recv_timeout(Duration::from_secs(10)).expect("out-fragment").wire;
+    assert_eq!(first, encode_fragment_frame(&out_head, &payload));
+    let second = reply_rx.recv_timeout(Duration::from_secs(10)).expect("reply").wire;
+    assert!(matches!(Message::decode(&second).unwrap(), Message::Reply(_)));
+
+    group.shutdown();
+    server.join().unwrap();
+}
+
+/// `ServerRequest::dseq` over hand-built pieces, as server thread `t` of 2
+/// expecting 12 elements under `dist`.
+fn assemble_at<T: CdrCodec + Clone>(
+    dist: &Distribution,
+    t: usize,
+    pieces: Vec<Piece>,
+) -> OrbResult<Vec<T>> {
+    let din = DInLocal {
+        desc: DArgDesc { dir: ArgDir::In, len: 12, client_dist: Distribution::Block },
+        server_dist: dist.clone(),
+        pieces,
+    };
+    let ctx = ServantCtx { thread: t, nthreads: 2, client_threads: 2, rts: None };
+    let req = ServerRequest { op: "op", ins: &[], dins: &[din], ctx: &ctx };
+    req.dseq::<T>(0).map(|ds| ds.local().to_vec())
+}
+
+fn piece(start: u64, count: u64, src: u32, template: Option<SrcTemplate>, elems: &[f64]) -> Piece {
+    Piece { start, count, src_thread: src, template, data: encode_elems(elems) }
+}
+
+fn block_of_2() -> Option<SrcTemplate> {
+    Some(SrcTemplate { dist: Distribution::Block, nthreads: 2 })
+}
+
+#[test]
+fn assemble_places_strided_and_plain_pieces() {
+    // Server thread 0 of a Cyclic pair owns 0,2,..,10: client thread 0
+    // (Block: 0..6) sends 0,2,4 strided, client thread 1 sends 6,8,10.
+    let c = Distribution::Cyclic;
+    let got = assemble_at::<f64>(
+        &c,
+        0,
+        vec![
+            piece(6, 3, 1, block_of_2(), &[6.0, 8.0, 10.0]),
+            piece(0, 3, 0, block_of_2(), &[0.0, 2.0, 4.0]),
+        ],
+    );
+    assert_eq!(got.unwrap(), vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]);
+    // Plain pieces in any order, Block thread 1 owning 6..12.
+    let b = Distribution::Block;
+    let got = assemble_at::<f64>(
+        &b,
+        1,
+        vec![piece(9, 3, 1, None, &[9.0, 10.0, 11.0]), piece(6, 3, 0, None, &[6.0, 7.0, 8.0])],
+    );
+    assert_eq!(got.unwrap(), vec![6.0, 7.0, 8.0, 9.0, 10.0, 11.0]);
+}
+
+#[test]
+fn assemble_rejects_every_malformed_piece_with_a_typed_error() {
+    let c = Distribution::Cyclic;
+    let b = Distribution::Block;
+    let good = |src: u32| piece(6 * src as u64, 3, src, block_of_2(), &[0.0; 3]);
+    let tmpl = |dist: Distribution, nthreads: u32| Some(SrcTemplate { dist, nthreads });
+    let cases: Vec<(&str, &Distribution, Vec<Piece>)> = vec![
+        ("missing source", &c, vec![good(0)]),
+        ("count larger than payload", &b, vec![piece(0, 6, 0, None, &[0.0; 3])]),
+        ("count * width overflows", &b, vec![piece(0, u64::MAX, 0, None, &[0.0; 3])]),
+        ("range past len", &b, vec![piece(9, 6, 0, None, &[0.0; 6])]),
+        ("start past len", &b, vec![piece(u64::MAX - 1, 6, 0, None, &[0.0; 6])]),
+        ("wrong owner", &b, vec![piece(6, 6, 0, None, &[0.0; 6])]),
+        ("run across cyclic owners", &c, vec![piece(0, 6, 0, None, &[0.0; 6])]),
+        (
+            "overlapping sources",
+            &b,
+            vec![piece(0, 4, 0, None, &[0.0; 4]), piece(2, 2, 1, None, &[0.0; 2])],
+        ),
+        (
+            "zero-stride template",
+            &c,
+            vec![piece(0, 3, 0, tmpl(Distribution::BlockCyclic(0), 2), &[0.0; 3]), good(1)],
+        ),
+        (
+            "zero-thread template",
+            &c,
+            vec![piece(0, 3, 0, tmpl(Distribution::Block, 0), &[0.0; 3]), good(1)],
+        ),
+        ("source thread out of range", &c, vec![piece(0, 3, 7, block_of_2(), &[0.0; 3]), good(1)]),
+        (
+            "irregular template of the wrong length",
+            &c,
+            vec![piece(0, 3, 0, tmpl(Distribution::Irregular(vec![5, 5]), 2), &[0.0; 3]), good(1)],
+        ),
+        (
+            "irregular template that overflows",
+            &c,
+            vec![
+                piece(0, 3, 0, tmpl(Distribution::Irregular(vec![u64::MAX, 13]), 2), &[0.0; 3]),
+                good(1),
+            ],
+        ),
+        ("start not the plan's", &c, vec![piece(2, 3, 0, block_of_2(), &[0.0; 3]), good(1)]),
+        (
+            "count not the plan's",
+            &c,
+            vec![piece(0, 2, 0, block_of_2(), &[0.0; 2]), piece(6, 4, 1, block_of_2(), &[0.0; 4])],
+        ),
+        (
+            "templates that disagree",
+            &c,
+            // Thread 0 of Block/2 and thread 0 of Concentrated(0)/1 both
+            // claim element 0.
+            vec![good(0), piece(0, 6, 0, tmpl(Distribution::Concentrated(0), 1), &[0.0; 6])],
+        ),
+    ];
+    for (what, dist, pieces) in cases {
+        let t = 0;
+        match assemble_at::<f64>(dist, t, pieces) {
+            Err(OrbError::Protocol(_)) => {}
+            other => panic!("{what}: expected a protocol error, got {other:?}"),
+        }
+    }
+    // A payload cut short mid-element is the decoder's error (a fixed-width
+    // payload cannot be: its size is checked against the count up front).
+    let words: Vec<String> = (0..6).map(|i| format!("word-{i}")).collect();
+    let data = encode_elems(&words);
+    let whole = Piece { start: 0, count: 6, src_thread: 0, template: None, data: data.clone() };
+    assert_eq!(assemble_at::<String>(&b, 0, vec![whole.clone()]).unwrap(), words);
+    let short = Piece { data: data.slice(0..data.len() - 3), ..whole };
+    assert!(matches!(assemble_at::<String>(&b, 0, vec![short]), Err(OrbError::Marshal(_))));
+}
+
+#[test]
+fn mutated_strided_frames_never_panic() {
+    // Flip every byte of a valid strided frame through a few values and
+    // truncate it at every length: decoding yields a message or an error,
+    // and whatever decodes is assembled or refused — never a panic, never
+    // an allocation the payload does not back.
+    let mut sets = Vec::new();
+    pair_plan(12, &Distribution::Block, 2, 0, &Distribution::Cyclic, 2, 0, &mut sets);
+    assert_eq!(sets, vec![Strided { start: 0, stride: 2, block: 1, count: 3 }]);
+    let payload = encode_elems(&[0.0f64, 2.0, 4.0]);
+    let wire =
+        encode_strided_frame(&head(0, ArgDir::In, 0, 3, 0, 0), &Distribution::Block, 2, &payload);
+    let other = piece(6, 3, 1, block_of_2(), &[6.0, 8.0, 10.0]);
+    let try_frame = |bytes: Vec<u8>| {
+        let Ok(Message::Strided(f, template)) = Message::decode(&Bytes::from(bytes)) else {
+            return;
+        };
+        let p = Piece::from_frame(f, Some(template));
+        let _ = assemble_at::<f64>(&Distribution::Cyclic, 0, vec![p, other.clone()]);
+    };
+    for cut in 0..wire.len() {
+        try_frame(wire[..cut].to_vec());
+    }
+    for at in 8..wire.len() {
+        for value in [0x00, 0x01, 0x7f, 0x80, 0xff] {
+            let mut bytes = wire.to_vec();
+            bytes[at] = value;
+            try_frame(bytes);
+        }
+    }
+    // The untouched frame does assemble.
+    try_frame(wire.to_vec());
+    let Ok(Message::Strided(f, template)) = Message::decode(&wire) else { panic!() };
+    let p = Piece::from_frame(f, Some(template));
+    assert_eq!(
+        assemble_at::<f64>(&Distribution::Cyclic, 0, vec![p, other]).unwrap(),
+        vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+    );
+}

@@ -1,10 +1,9 @@
 //! Pins the zero-copy invariants of the marshaling path: decoded fragment
 //! payloads borrow the wire frame, the funneled N-way fan-out delivers one
 //! shared wire allocation (not N copies), `DSequence::take_local` moves the
-//! storage when it is the sole owner, and transfer plans are served from the
-//! bounded cache.
+//! storage when it is the sole owner.
 
-use crate::dist::{plan_cache_len, plan_transfer, plan_transfer_cached, Distribution};
+use crate::dist::Distribution;
 use crate::object::BindingId;
 use crate::protocol::{ArgDir, FragmentMsg, Message};
 use crate::servant::{Servant, ServerReply, ServerRequest};
@@ -151,39 +150,4 @@ fn take_local_clones_only_when_shared() {
     let taken = ds.take_local();
     assert_ne!(taken.as_ptr(), before, "shared storage must be cloned, not stolen");
     assert_eq!(taken, *handle);
-}
-
-#[test]
-fn cached_plans_match_fresh_computation() {
-    let pairs: Vec<(Distribution, usize, Distribution, usize)> = vec![
-        (Distribution::Block, 3, Distribution::Cyclic, 4),
-        (Distribution::Cyclic, 4, Distribution::Block, 3),
-        (Distribution::Block, 2, Distribution::Concentrated(1), 2),
-        (Distribution::Concentrated(0), 3, Distribution::Irregular(vec![10, 20, 71]), 3),
-        (Distribution::Irregular(vec![50, 51]), 2, Distribution::BlockCyclic(7), 5),
-        (Distribution::BlockCyclic(3), 4, Distribution::Block, 4),
-    ];
-    for (src, src_n, dst, dst_n) in pairs {
-        let len = 101;
-        let fresh = plan_transfer(len, &src, src_n, &dst, dst_n);
-        // Twice: a miss (insert) and a hit must both equal the fresh plan.
-        for _ in 0..2 {
-            let cached = plan_transfer_cached(len, &src, src_n, &dst, dst_n);
-            assert_eq!(*cached, fresh, "{src:?}/{src_n} -> {dst:?}/{dst_n}");
-        }
-    }
-}
-
-#[test]
-fn plan_cache_hits_share_and_eviction_is_bounded() {
-    // A hit returns the same Arc, not a recomputation.
-    let a = plan_transfer_cached(4242, &Distribution::Block, 3, &Distribution::Cyclic, 3);
-    let b = plan_transfer_cached(4242, &Distribution::Block, 3, &Distribution::Cyclic, 3);
-    assert!(Arc::ptr_eq(&a, &b), "cache hit must return the shared plan handle");
-
-    // A hostile stream of distinct shapes stays bounded by the FIFO cap.
-    for len in 1..=300u64 {
-        let _ = plan_transfer_cached(len, &Distribution::Block, 2, &Distribution::Block, 4);
-    }
-    assert!(plan_cache_len() <= 64, "plan cache grew past its cap: {}", plan_cache_len());
 }

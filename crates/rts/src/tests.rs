@@ -376,6 +376,42 @@ mod windows {
     }
 
     #[test]
+    fn get_strided_reads_blocks_in_entry_order() {
+        let (_w, ranks) = World::new(2);
+        let data: Vec<u8> = (0..32).collect();
+        let id = ranks[0].windows().expose(0, data).expect("expose");
+        let w = ranks[1].windows();
+        // 3 blocks of 2 bytes 8 apart from 1, then one plain span, then an
+        // empty entry: the same bytes a span-per-block vectored get returns.
+        let strided = w.get_strided_nb(id, &[(1, 8, 2, 3), (30, 2, 2, 1), (0, 1, 1, 0)]);
+        let spans = w.get_vec_nb(id, &[(1, 2), (9, 2), (17, 2), (30, 2)]);
+        let got = strided.expect("get").wait();
+        assert_eq!(&got[..], &[1, 2, 9, 10, 17, 18, 30, 31]);
+        assert_eq!(got, spans.expect("get").wait());
+    }
+
+    #[test]
+    fn get_strided_bounds_are_overflow_safe() {
+        let (_w, ranks) = World::new(2);
+        let id = ranks[0].windows().expose(0, vec![0u8; 32]).expect("expose");
+        let w = ranks[1].windows();
+        for entry in [
+            (0, 8, 2, 5),               // last block ends at 34
+            (31, 1, 2, 1),              // single block past the end
+            (0, u64::MAX, 1, 3),        // (count - 1) * stride overflows
+            (0, u64::MAX / 2, 1, 3),    // reach overflows on the add
+            (u64::MAX, 1, 1, 1),        // offset + reach overflows
+            (0, 0, u64::MAX, u64::MAX), // byte total overflows
+        ] {
+            assert!(
+                matches!(w.get_strided_nb(id, &[entry]), Err(RtsError::OutOfBounds { .. })),
+                "{entry:?}"
+            );
+        }
+        assert_eq!(w.pending_ops(), 0, "a refused get starts nothing");
+    }
+
+    #[test]
     fn fence_drains_inflight_ops() {
         let (_w, ranks) = World::new(2);
         let id = ranks[0].windows().expose(0, vec![0u8; 64]).expect("expose");

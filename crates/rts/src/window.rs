@@ -9,9 +9,11 @@
 //!
 //! Key properties of this implementation:
 //!
-//! * **Lock-free lookups** — the window table is a [`Published`] snapshot
-//!   map, so the per-operation lookup in `put_nb`/`get_nb` acquires no lock;
-//!   only [`Windows::expose`] / [`Windows::deregister`] republish.
+//! * **Read-locked lookups** — the window table is a reader-writer-locked
+//!   map: the per-operation lookup in `put_nb`/`get_nb` shares a read lock,
+//!   only [`Windows::expose`] / [`Windows::deregister`] write. Not a
+//!   [`Published`] snapshot: that keeps every version it is ever given, and
+//!   this table changes twice per redistribution and per halo exchange.
 //! * **Non-blocking with completion handles** — operations return a
 //!   [`Completion`] / [`GetHandle`] immediately; `fence` drains everything
 //!   this rank initiated; [`Windows::put_nb_notify`] additionally enqueues a
@@ -163,10 +165,9 @@ struct RankState {
 /// endpoints into it.
 pub struct WindowShared {
     size: usize,
-    /// Window table: lock-free snapshot loads on the put/get hot path.
-    map: Published<HashMap<WindowId, Arc<WindowCell>>>,
-    /// Serialises expose/deregister republishing.
-    mutate: Mutex<()>,
+    /// Window table: read-locked on the put/get path, write-locked only by
+    /// expose/deregister, so a withdrawn window's entry is freed at once.
+    map: RwLock<HashMap<WindowId, Arc<WindowCell>>>,
     /// Optional modelled-network binding (set once by `attach`).
     net: Published<Option<NetBinding>>,
     ranks: Vec<RankState>,
@@ -177,8 +178,7 @@ impl WindowShared {
     pub fn new(size: usize) -> Arc<WindowShared> {
         Arc::new(WindowShared {
             size,
-            map: Published::new(HashMap::new()),
-            mutate: Mutex::new(()),
+            map: RwLock::new(HashMap::new()),
             net: Published::new(None),
             ranks: (0..size)
                 .map(|_| RankState {
@@ -209,7 +209,7 @@ impl WindowShared {
     }
 
     fn lookup(&self, id: WindowId) -> Result<Arc<WindowCell>, RtsError> {
-        self.map.load().get(&id).cloned().ok_or(RtsError::UnknownWindow(id))
+        self.map.read().get(&id).cloned().ok_or(RtsError::UnknownWindow(id))
     }
 }
 
@@ -348,9 +348,8 @@ impl Windows {
     pub fn expose(&self, base: u64, data: Vec<u8>) -> Result<WindowId, RtsError> {
         let id = WindowId { owner: self.rank, base };
         let len = data.len() as u64;
-        let _g = self.shared.mutate.lock();
-        let cur = self.shared.map.load();
-        for (wid, cell) in cur.iter().filter(|(w, _)| w.owner == self.rank) {
+        let mut map = self.shared.map.write();
+        for (wid, cell) in map.iter().filter(|(w, _)| w.owner == self.rank) {
             let clash = if len == 0 || cell.len == 0 {
                 wid.base == base
             } else {
@@ -361,9 +360,8 @@ impl Windows {
                 return Err(RtsError::WindowOverlap { base, len, existing: *wid });
             }
         }
-        let mut next = (*cur).clone();
-        next.insert(id, Arc::new(WindowCell { len: data.len(), data: RwLock::new(data) }));
-        self.shared.map.store(next);
+        map.insert(id, Arc::new(WindowCell { len: data.len(), data: RwLock::new(data) }));
+        drop(map);
         if pardis_obs::enabled() {
             pardis_obs::counter("rts.win.exposed").inc();
         }
@@ -378,12 +376,7 @@ impl Windows {
         if id.owner != self.rank {
             return Err(RtsError::NotOwner { window: id, rank: self.rank });
         }
-        let _g = self.shared.mutate.lock();
-        let cur = self.shared.map.load();
-        let cell = cur.get(&id).cloned().ok_or(RtsError::UnknownWindow(id))?;
-        let mut next = (*cur).clone();
-        next.remove(&id);
-        self.shared.map.store(next);
+        let cell = self.shared.map.write().remove(&id).ok_or(RtsError::UnknownWindow(id))?;
         let taken = std::mem::take(&mut *cell.data.write());
         Ok(taken)
     }
@@ -472,38 +465,62 @@ impl Windows {
 
     /// Non-blocking one-sided read of `[offset, offset+len)` from a window.
     pub fn get_nb(&self, id: WindowId, offset: u64, len: u64) -> Result<GetHandle, RtsError> {
-        self.get_vec_nb(id, &[(offset, len)])
+        self.get_strided_nb(id, &[(offset, len, len, 1)])
     }
 
     /// Vectored get: read several `(offset, len)` spans of one window in a
     /// single operation — one request frame, one reply frame carrying the
-    /// concatenated spans. This is what makes pulling many plan pieces from
-    /// one source pay the per-message overhead once instead of per piece.
+    /// concatenated spans.
     pub fn get_vec_nb(&self, id: WindowId, spans: &[(u64, u64)]) -> Result<GetHandle, RtsError> {
+        let spans: Vec<_> = spans.iter().map(|&(offset, len)| (offset, len, len, 1)).collect();
+        self.get_strided_nb(id, &spans)
+    }
+
+    /// Strided get: each `(offset, stride, block, count)` entry names
+    /// `count` spans of `block` bytes, `stride` bytes apart, from `offset` —
+    /// a whole strided transfer-plan set in one entry instead of one
+    /// `(offset, len)` span per block. One request frame, one reply frame
+    /// carrying every span concatenated in entry order, blocks ascending
+    /// within an entry: the per-message overhead is paid once per source,
+    /// not per block.
+    pub fn get_strided_nb(
+        &self,
+        id: WindowId,
+        spans: &[(u64, u64, u64, u64)],
+    ) -> Result<GetHandle, RtsError> {
         let cell = self.shared.lookup(id)?;
         let mut total = 0usize;
-        for &(offset, len) in spans {
-            if out_of_bounds(offset, len, cell.len) {
-                return Err(RtsError::OutOfBounds {
-                    window: id,
-                    offset,
-                    len,
-                    size: cell.len as u64,
-                });
+        for &(offset, stride, block, count) in spans.iter().filter(|s| s.3 > 0) {
+            // The last block must end inside the window; overflow anywhere
+            // on the way there is out of bounds too.
+            let reach = (count - 1).checked_mul(stride).and_then(|last| last.checked_add(block));
+            let bytes = block.checked_mul(count).and_then(|b| total.checked_add(b as usize));
+            match (reach, bytes) {
+                (Some(len), Some(sum)) if !out_of_bounds(offset, len, cell.len) => total = sum,
+                _ => {
+                    return Err(RtsError::OutOfBounds {
+                        window: id,
+                        offset,
+                        len: reach.unwrap_or(u64::MAX),
+                        size: cell.len as u64,
+                    })
+                }
             }
-            total += len as usize;
         }
         if pardis_obs::enabled() {
             pardis_obs::counter("rts.win.gets").inc();
             pardis_obs::counter("rts.win.get.bytes").add(total as u64);
         }
         let core = OpCore::new(&self.shared, self.rank);
-        let spans: Arc<[(u64, u64)]> = spans.into();
+        let spans: Arc<[(u64, u64, u64, u64)]> = spans.into();
         let read = move || {
             let buf = cell.data.read();
             let mut out = BytesMut::with_capacity(total);
-            for &(offset, len) in spans.iter() {
-                out.extend_from_slice(&buf[offset as usize..(offset + len) as usize]);
+            for &(offset, stride, block, count) in spans.iter() {
+                for k in 0..count {
+                    let at = (offset + k * stride) as usize;
+                    out.extend_from_slice(&buf[at..at + block as usize]);
+                }
             }
             out.freeze()
         };

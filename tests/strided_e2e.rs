@@ -1,0 +1,182 @@
+//! End-to-end checks of strided transfer plans: whatever the two templates,
+//! a distributed argument crosses the wire as at most one frame per
+//! (client thread, server thread) pair per direction, under both transfer
+//! strategies and for fixed- and variable-width elements alike.
+
+use pardis::cdr::CdrCodec;
+use pardis::core::{
+    ClientGroup, DSequence, DistPolicy, Distribution, Orb, Servant, ServerGroup, ServerReply,
+    ServerRequest, TransferStrategy,
+};
+use pardis::netsim::{Network, TimeScale};
+use pardis::rts::{MpiRts, Rts, World};
+use std::sync::Arc;
+
+/// Applies `f` to every element of the in-argument and returns the result in
+/// the server's own template.
+struct MapEach<T>(fn(&T) -> T);
+
+impl<T: CdrCodec + Clone + Send + Sync + 'static> Servant for MapEach<T> {
+    fn interface(&self) -> &str {
+        "mapeach"
+    }
+
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        let x: DSequence<T> = req.dseq(0).map_err(|e| e.to_string())?;
+        let y: Vec<T> = x.local().iter().map(self.0).collect();
+        let mut rep = ServerReply::new();
+        rep.push_dseq(DSequence::from_local(
+            y,
+            x.len(),
+            x.dist().clone(),
+            x.nthreads(),
+            x.thread(),
+        ));
+        Ok(rep)
+    }
+}
+
+const INVOCATIONS: u64 = 3;
+
+/// Run [`INVOCATIONS`] collective `map` calls of `full` from a
+/// `pc`-thread client holding `client_dist` to a `ps`-thread server wanting
+/// `server_dist`; check every reply against `f` and return the frames one
+/// invocation put on the wire.
+fn frames_per_invocation<T>(
+    full: Vec<T>,
+    f: fn(&T) -> T,
+    (pc, client_dist): (usize, Distribution),
+    (ps, server_dist): (usize, Distribution),
+    strategy: TransferStrategy,
+) -> u64
+where
+    T: CdrCodec + Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static,
+{
+    let net = Network::paper_atm_testbed(TimeScale::off());
+    let client_host = net.host_by_name("HOST_1").unwrap();
+    let server_host = net.host_by_name("HOST_2").unwrap();
+    let orb = Orb::new(net);
+    orb.set_transfer_strategy(strategy);
+
+    let group = ServerGroup::create(&orb, "mapeach-server", server_host, ps);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let server = {
+        let group = group.clone();
+        let policy = DistPolicy::new().with("map", 0, server_dist.clone());
+        std::thread::spawn(move || {
+            World::run(ps, |rank| {
+                let t = rank.rank();
+                let rts: Arc<dyn Rts> = Arc::new(MpiRts::new(rank));
+                let mut poa = group.attach(t, Some(rts));
+                poa.activate_spmd("mapeach", Arc::new(MapEach(f)), policy.clone());
+                ready_tx.send(()).unwrap();
+                poa.impl_is_ready();
+            });
+        })
+    };
+    for _ in 0..ps {
+        ready_rx.recv().unwrap();
+    }
+
+    let expected: Vec<T> = full.iter().map(f).collect();
+    let client = ClientGroup::create(&orb, client_host, pc);
+    let before = orb.traffic().0;
+    World::run(pc, |rank| {
+        let t = rank.rank();
+        let rts: Arc<dyn Rts> = Arc::new(MpiRts::new(rank));
+        let ct = client.attach(t, Some(rts));
+        let proxy = ct.spmd_bind("mapeach").unwrap();
+        let mine = DSequence::distribute(&full, client_dist.clone(), pc, t);
+        let want = DSequence::distribute(&expected, client_dist.clone(), pc, t);
+        for _ in 0..INVOCATIONS {
+            let reply =
+                proxy.call("map").dseq_in(&mine).dseq_out(client_dist.clone()).invoke().unwrap();
+            let got: DSequence<T> = reply.dseq(0).unwrap();
+            assert_eq!(
+                got.local(),
+                want.local(),
+                "{strategy:?} {client_dist:?}/{pc} <-> {server_dist:?}/{ps}, client thread {t}"
+            );
+        }
+    });
+    let frames = orb.traffic().0 - before;
+    group.shutdown();
+    server.join().unwrap();
+    assert_eq!(frames % INVOCATIONS, 0, "every invocation costs the same frames");
+    frames / INVOCATIONS
+}
+
+/// The client/server template pairs of the issue's checklist, valid for
+/// `len` elements over `pc` client and `ps` server threads.
+fn shapes(len: u64, pc: usize) -> Vec<(Distribution, Distribution)> {
+    let mut uneven = vec![1u64; pc];
+    uneven[pc - 1] = len - (pc as u64 - 1);
+    vec![
+        (Distribution::Block, Distribution::Cyclic),
+        (Distribution::Cyclic, Distribution::Block),
+        (Distribution::BlockCyclic(3), Distribution::BlockCyclic(5)),
+        (Distribution::BlockCyclic(5), Distribution::BlockCyclic(3)),
+        (Distribution::Irregular(uneven), Distribution::Cyclic),
+    ]
+}
+
+fn check_all<T>(full: Vec<T>, f: fn(&T) -> T)
+where
+    T: CdrCodec + Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static,
+{
+    for (pc, ps) in [(2usize, 2usize), (3, 2)] {
+        for (client_dist, server_dist) in shapes(full.len() as u64, pc) {
+            for strategy in [TransferStrategy::Parallel, TransferStrategy::Funneled] {
+                let frames = frames_per_invocation(
+                    full.clone(),
+                    f,
+                    (pc, client_dist.clone()),
+                    (ps, server_dist.clone()),
+                    strategy,
+                );
+                // Parallel: one request per server thread, one reply per
+                // client thread. Funneled: one of each, through thread 0.
+                let controls = match strategy {
+                    TransferStrategy::Parallel => (ps + pc) as u64,
+                    TransferStrategy::Funneled => 2,
+                };
+                let per_direction = (pc * ps) as u64;
+                assert!(
+                    frames <= controls + 2 * per_direction,
+                    "{strategy:?} {client_dist:?}/{pc} <-> {server_dist:?}/{ps}: \
+                     {frames} frames per invocation, allowed {controls} controls + \
+                     {per_direction} fragments each way"
+                );
+                assert!(frames > controls, "the argument did cross the wire");
+            }
+        }
+    }
+}
+
+#[test]
+fn f64_elements_cost_one_frame_per_thread_pair() {
+    let full: Vec<f64> = (0..211).map(|i| (i as f64 - 7.5) * 0.25).collect();
+    check_all(full, |v| 2.0 * v + 1.0);
+}
+
+#[test]
+fn string_elements_cost_one_frame_per_thread_pair() {
+    let full: Vec<String> = (0..53).map(|i| format!("elem-{i}-{}", "x".repeat(i % 7))).collect();
+    check_all(full, |s| format!("<{s}>"));
+}
+
+/// The count the benchmark's `dseq_cyclic` workload pays: 4 096 doubles,
+/// Block on a 2-thread client, Cyclic on a 2-thread server — 12 frames, not
+/// 8 158.
+#[test]
+fn block_to_cyclic_4096_is_twelve_frames() {
+    let full: Vec<f64> = (0..4096).map(|i| i as f64).collect();
+    let frames = frames_per_invocation(
+        full,
+        |v| 2.0 * v + 1.0,
+        (2, Distribution::Block),
+        (2, Distribution::Cyclic),
+        TransferStrategy::Parallel,
+    );
+    assert_eq!(frames, 12, "2 requests + 4 in-fragments + 4 out-fragments + 2 replies");
+}
