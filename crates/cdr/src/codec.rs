@@ -1,7 +1,7 @@
 //! [`CdrCodec`] implementations for the IDL primitive mappings and the
 //! standard constructed types.
 
-use crate::{CdrCodec, CdrError, Decoder, Encoder, TypeCode};
+use crate::{CdrCodec, CdrError, Decoder, ElemSink, Encoder, TypeCode};
 
 macro_rules! prim_codec {
     ($ty:ty, $tc:expr, $write:ident, $read:ident, $wire:expr) => {
@@ -70,6 +70,9 @@ impl CdrCodec for f64 {
     }
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {
         d.read_f64_elems(n)
+    }
+    fn decode_elems_into(d: &mut Decoder, out: &mut ElemSink<'_, Self>) -> Result<(), CdrError> {
+        d.read_f64_into(out)
     }
     fn fixed_wire_size() -> Option<usize> {
         Some(8)

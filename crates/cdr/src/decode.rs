@@ -2,10 +2,77 @@
 
 use crate::{ByteOrder, CdrError};
 use bytes::Bytes;
+use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 
 /// Largest single allocation a decoder will make for one length field.
 /// Corrupt or hostile streams cannot force absurd allocations.
 const MAX_ALLOC: u64 = 1 << 32;
+
+/// Uninitialised element slots being filled front to back: the destination
+/// [`crate::CdrCodec::decode_elems_into`] decodes into. The sink, not the
+/// codec, counts what has been initialised, so a caller may rely on
+/// [`ElemSink::filled`] for memory safety whatever a codec does.
+pub struct ElemSink<'a, T> {
+    slots: &'a mut [MaybeUninit<T>],
+    /// `slots[..filled]` are initialised.
+    filled: usize,
+    /// Makes the type invariant in `'a`, so that a codec holding
+    /// `&mut ElemSink<'a, T>` cannot assign a sink over some longer-lived
+    /// buffer of its own — and that sink's count — in place of this one.
+    _invariant: PhantomData<fn(&'a ()) -> &'a ()>,
+}
+
+impl<'a, T> ElemSink<'a, T> {
+    /// A sink over `slots`, none of which is taken to hold a value.
+    pub fn new(slots: &'a mut [MaybeUninit<T>]) -> Self {
+        ElemSink { slots, filled: 0, _invariant: PhantomData }
+    }
+
+    /// Leading slots initialised so far.
+    pub fn filled(&self) -> usize {
+        self.filled
+    }
+
+    /// Slots still empty.
+    pub fn remaining(&self) -> usize {
+        self.slots.len() - self.filled
+    }
+
+    /// Store `v` in the next empty slot.
+    ///
+    /// # Panics
+    /// Panics if every slot is already filled.
+    pub fn push(&mut self, v: T) {
+        self.slots[self.filled].write(v);
+        self.filled += 1;
+    }
+}
+
+/// Copy `dst.len()` doubles out of `raw` (exactly `8 * dst.len()` bytes in
+/// `order`, possibly unaligned): one `memcpy` in native order, a
+/// byte-swapping loop otherwise. Every slot of `dst` is initialised on
+/// return.
+fn fill_f64(order: ByteOrder, raw: &[u8], dst: &mut [MaybeUninit<f64>]) {
+    assert_eq!(raw.len(), dst.len() * 8, "one double per slot");
+    if order == ByteOrder::native() {
+        // SAFETY: source and destination are both exactly `raw.len()` bytes
+        // (asserted above) and cannot overlap (`dst` is a unique borrow),
+        // every bit pattern is a valid f64, and the byte-wise copy
+        // tolerates an unaligned source.
+        unsafe {
+            std::ptr::copy_nonoverlapping(raw.as_ptr(), dst.as_mut_ptr().cast::<u8>(), raw.len());
+        }
+        return;
+    }
+    for (slot, chunk) in dst.iter_mut().zip(raw.chunks_exact(8)) {
+        let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
+        slot.write(f64::from_bits(match order {
+            ByteOrder::Big => u64::from_be_bytes(bytes),
+            ByteOrder::Little => u64::from_le_bytes(bytes),
+        }));
+    }
+}
 
 /// A cursor over a CDR stream, recomputing the encoder's alignment padding.
 #[derive(Debug, Clone)]
@@ -198,30 +265,29 @@ impl Decoder {
         }
         self.align(8);
         let order = self.order;
-        let raw = self.take(n * 8)?;
+        // `n` is trusted for the allocation only once the stream has been
+        // seen to hold that many doubles.
+        let raw = self.take(n.saturating_mul(8))?;
         let mut out: Vec<f64> = Vec::with_capacity(n);
-        if order == ByteOrder::native() {
-            // SAFETY: `raw` holds exactly n*8 bytes, the destination has
-            // capacity for n doubles, every bit pattern is a valid f64, and
-            // the byte-wise copy tolerates an unaligned source.
-            unsafe {
-                std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr().cast::<u8>(), n * 8);
-                out.set_len(n);
-            }
-        } else {
-            match order {
-                ByteOrder::Big => {
-                    for chunk in raw.chunks_exact(8) {
-                        out.push(f64::from_bits(u64::from_be_bytes(chunk.try_into().unwrap())));
-                    }
-                }
-                ByteOrder::Little => {
-                    for chunk in raw.chunks_exact(8) {
-                        out.push(f64::from_bits(u64::from_le_bytes(chunk.try_into().unwrap())));
-                    }
-                }
-            }
-        }
+        fill_f64(order, raw, &mut out.spare_capacity_mut()[..n]);
+        // SAFETY: `fill_f64` initialised the first `n` slots of the spare
+        // capacity, which is at least `n`.
+        unsafe { out.set_len(n) };
         Ok(out)
+    }
+
+    /// [`Decoder::read_f64_elems`] straight into the empty slots of `sink`
+    /// (as many doubles as it has room for), with no vector in between.
+    pub fn read_f64_into(&mut self, sink: &mut ElemSink<'_, f64>) -> Result<(), CdrError> {
+        let n = sink.remaining();
+        if n == 0 {
+            return Ok(());
+        }
+        self.align(8);
+        let order = self.order;
+        let raw = self.take(n.saturating_mul(8))?;
+        fill_f64(order, raw, &mut sink.slots[sink.filled..]);
+        sink.filled += n;
+        Ok(())
     }
 }

@@ -2,17 +2,6 @@
 
 use crate::ByteOrder;
 use bytes::Bytes;
-use std::cell::RefCell;
-
-/// Buffers kept per thread for [`Encoder::pooled`]; bounded so a burst of
-/// large encodes cannot pin memory forever.
-const POOL_MAX_BUFFERS: usize = 16;
-/// Buffers above this capacity are dropped instead of recycled.
-const POOL_MAX_CAPACITY: usize = 1 << 20;
-
-thread_local! {
-    static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-}
 
 /// An append-only CDR stream.
 ///
@@ -23,7 +12,9 @@ thread_local! {
 pub struct Encoder {
     buf: Vec<u8>,
     order: ByteOrder,
-    pooled: bool,
+    /// Buffer offset alignment is measured from: 0, except while
+    /// [`Encoder::write_byte_seq_with`] encodes a nested stream in place.
+    origin: usize,
 }
 
 macro_rules! write_prim {
@@ -48,27 +39,7 @@ impl Encoder {
     /// A fresh stream with preallocated capacity (use when the encoded size
     /// is roughly known; bulk sequence marshaling benefits measurably).
     pub fn with_capacity(order: ByteOrder, cap: usize) -> Self {
-        Encoder { buf: Vec::with_capacity(cap), order, pooled: false }
-    }
-
-    /// A stream drawing its buffer from a per-thread pool. Dropping the
-    /// encoder without [`Encoder::finish`]ing it returns the (cleared)
-    /// buffer to the pool, so scratch encodes on hot paths reuse warmed-up
-    /// capacity instead of reallocating; [`Encoder::finish`] hands the
-    /// accumulated allocation to the returned [`Bytes`] as usual.
-    pub fn pooled(order: ByteOrder) -> Self {
-        let buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_else(|| Vec::with_capacity(256));
-        debug_assert!(buf.is_empty(), "pooled buffers are cleared before reuse");
-        Encoder { buf, order, pooled: true }
-    }
-
-    /// Explicitly return a pooled scratch buffer (equivalent to dropping).
-    pub fn recycle(self) {}
-
-    /// Reset the stream to empty, keeping the allocation. Lets one scratch
-    /// encoder serve a whole loop of independent encodes.
-    pub fn clear(&mut self) {
-        self.buf.clear();
+        Encoder { buf: Vec::with_capacity(cap), order, origin: 0 }
     }
 
     /// The stream's byte order.
@@ -86,8 +57,7 @@ impl Encoder {
         self.buf.is_empty()
     }
 
-    /// The encoded bytes so far (scratch encoders copy from here before
-    /// being recycled).
+    /// The encoded bytes so far.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
@@ -95,7 +65,7 @@ impl Encoder {
     /// Insert padding so the next write lands on an `n`-byte boundary.
     pub fn align(&mut self, n: usize) {
         debug_assert!(n.is_power_of_two() && n <= 8);
-        let misalign = self.buf.len() & (n - 1);
+        let misalign = (self.buf.len() - self.origin) & (n - 1);
         if misalign != 0 {
             for _ in 0..(n - misalign) {
                 self.buf.push(0);
@@ -160,6 +130,28 @@ impl Encoder {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Append a byte sequence whose octets are themselves a CDR stream,
+    /// encoded in place by `fill` (which must only append): the ULong count
+    /// is reserved, `fill` runs with alignment measured from the first
+    /// octet of the sequence, then the count is patched. The bytes equal
+    /// [`Encoder::write_byte_seq`] of what `fill` would have produced in a
+    /// fresh encoder of the same byte order — which is how a receiver that
+    /// decodes the sequence from offset 0 reads it — without staging the
+    /// nested stream in a buffer of its own.
+    pub fn write_byte_seq_with(&mut self, fill: impl FnOnce(&mut Encoder)) {
+        self.write_u32(0);
+        let start = self.buf.len();
+        let outer = std::mem::replace(&mut self.origin, start);
+        fill(self);
+        self.origin = outer;
+        let count = (self.buf.len() - start) as u32;
+        let word = match self.order {
+            ByteOrder::Big => count.to_be_bytes(),
+            ByteOrder::Little => count.to_le_bytes(),
+        };
+        self.buf[start - 4..start].copy_from_slice(&word);
+    }
+
     /// Bulk-append a `f64` slice: ULong count then aligned doubles. This is
     /// the hot path for distributed-sequence fragments: in native order the
     /// payload is one `memcpy`; only the foreign order pays the per-element
@@ -204,25 +196,7 @@ impl Encoder {
     }
 
     /// Finish the stream and take the buffer.
-    pub fn finish(mut self) -> Bytes {
-        Bytes::from(std::mem::take(&mut self.buf))
-    }
-}
-
-impl Drop for Encoder {
-    fn drop(&mut self) {
-        // Finished encoders gave their buffer away (capacity 0): nothing to
-        // recycle. Unfinished pooled scratch buffers go back, cleared so the
-        // next user can never observe prior contents.
-        if self.pooled && self.buf.capacity() > 0 && self.buf.capacity() <= POOL_MAX_CAPACITY {
-            let mut buf = std::mem::take(&mut self.buf);
-            buf.clear();
-            POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                if pool.len() < POOL_MAX_BUFFERS {
-                    pool.push(buf);
-                }
-            });
-        }
+    pub fn finish(self) -> Bytes {
+        Bytes::from(self.buf)
     }
 }

@@ -26,7 +26,7 @@ mod error;
 mod typecode;
 
 pub use any::{Any, Value};
-pub use decode::Decoder;
+pub use decode::{Decoder, ElemSink};
 pub use encode::Encoder;
 pub use error::CdrError;
 pub use typecode::TypeCode;
@@ -101,6 +101,17 @@ pub trait CdrCodec: Sized {
             out.push(Self::decode(d)?);
         }
         Ok(out)
+    }
+
+    /// Read elements back-to-back into the empty slots of `out` until it is
+    /// full — [`CdrCodec::decode_elems`] without the vector, for a caller
+    /// that already owns the destination. On an error the elements decoded
+    /// before it stay in the sink ([`ElemSink::filled`] says how many).
+    fn decode_elems_into(d: &mut Decoder, out: &mut ElemSink<'_, Self>) -> Result<(), CdrError> {
+        while out.remaining() > 0 {
+            out.push(Self::decode(d)?);
+        }
+        Ok(())
     }
 
     /// Encoded size of one element when every element occupies the same

@@ -482,39 +482,38 @@ mod bulk {
         use proptest::prelude::*;
 
         proptest! {
-            /// A recycled pool buffer must never leak a previous encoding
-            /// into a later one: encode `a`, recycle, encode `b`, and the
-            /// result is exactly what a fresh encoder produces for `b`.
+            /// A nested stream encoded in place is the byte sequence of the
+            /// same stream encoded on its own: its padding is measured from
+            /// its own first octet wherever the sequence lands, and the outer
+            /// stream's alignment resumes after it.
             #[test]
-            fn pooled_buffer_reuse_never_leaks(
-                a in proptest::collection::vec(any::<u8>(), 0..128),
-                b in proptest::collection::vec(any::<u8>(), 0..128),
+            fn byte_seq_encoded_in_place_matches_a_staged_one(
+                lead in 0usize..9,
+                tag in any::<u8>(),
+                xs in proptest::collection::vec(any::<f64>(), 0..16),
+                word in "[a-z]{0,9}",
+                big in any::<bool>(),
             ) {
-                let mut e1 = Encoder::pooled(ByteOrder::native());
-                a.encode(&mut e1);
-                e1.recycle();
-                let mut e2 = Encoder::pooled(ByteOrder::native());
-                b.encode(&mut e2);
-                let out = e2.finish();
-                let mut reference = Encoder::new(ByteOrder::native());
-                b.encode(&mut reference);
-                prop_assert_eq!(&out[..], &reference.finish()[..]);
-            }
-
-            /// `clear()` reuse inside a loop is equally hermetic.
-            #[test]
-            fn cleared_encoder_reuse_matches_fresh(
-                a in proptest::collection::vec(any::<f64>(), 0..32),
-                b in proptest::collection::vec(any::<f64>(), 0..32),
-            ) {
-                let mut e = Encoder::pooled(ByteOrder::native());
-                a.encode(&mut e);
-                e.clear();
-                b.encode(&mut e);
-                let mut reference = Encoder::new(ByteOrder::native());
-                b.encode(&mut reference);
-                prop_assert_eq!(e.as_slice(), &reference.finish()[..]);
-                e.recycle();
+                let order = if big { ByteOrder::Big } else { ByteOrder::Little };
+                let nested = |e: &mut Encoder| {
+                    e.write_u8(tag);
+                    f64::encode_elems(&xs, e);
+                    word.encode(e);
+                    e.write_u64(7);
+                };
+                let mut staged = Encoder::new(order);
+                nested(&mut staged);
+                let mut reference = Encoder::new(order);
+                let mut in_place = Encoder::new(order);
+                for e in [&mut reference, &mut in_place] {
+                    e.write_raw(&vec![0xee; lead]);
+                }
+                reference.write_byte_seq(staged.as_slice());
+                in_place.write_byte_seq_with(nested);
+                for e in [&mut reference, &mut in_place] {
+                    e.write_u64(9);
+                }
+                prop_assert_eq!(&in_place.finish()[..], &reference.finish()[..]);
             }
         }
     }

@@ -21,7 +21,7 @@ use crate::protocol::{
     RequestMsg, SrcTemplate,
 };
 use crate::servant::{ServantCtx, ServerRequest};
-use crate::strided::{assemble, cut_fragments, PackFn, Piece};
+use crate::strided::{assemble, cut_fragments, Pack, Piece};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
@@ -429,7 +429,9 @@ pub struct InvocationState {
     /// Frames this thread must re-send to nudge the server if the reply
     /// does not arrive: the request control plus this thread's fragments,
     /// pre-encoded with their destination endpoints. Empty for oneways and
-    /// collocated bypass calls (nothing to retry).
+    /// collocated bypass calls (nothing to retry), and again once the
+    /// invocation completes (nothing left to retry: whoever still holds the
+    /// results must not also pin the request's bulk frames).
     replay: AuditMutex<Vec<(EndpointId, Bytes)>>,
     /// An `client.invoke` trace span was opened for this invocation and
     /// must be closed exactly once (at unregistration).
@@ -492,13 +494,15 @@ impl InvocationState {
                 Message::Strided(f, template) => inner.absorb_fragment(f, Some(template)),
                 _ => {}
             }
-            completed = self.has_permit.load(Ordering::Relaxed) && self.complete_locked(&inner);
+            completed = self.complete_locked(&inner);
         }
         if completed {
             // The server answered in full: free the admission slot now so
             // the next launcher gets in while this reply waits to be
-            // harvested.
+            // harvested, and let go of the frames no retransmission will
+            // ever need again.
             self.release_permit();
+            self.replay.lock().clear();
         }
     }
 
@@ -736,7 +740,7 @@ impl Proxy {
 }
 
 enum DArgEntry {
-    In { len: u64, client_dist: Distribution, pack: PackFn },
+    In { len: u64, client_dist: Distribution, share: Box<dyn Pack> },
     Out { expected_dist: Distribution },
 }
 
@@ -774,11 +778,10 @@ impl<'p> CallBuilder<'p> {
         mut self,
         ds: &DSequence<T>,
     ) -> Self {
-        let captured = ds.clone();
         self.dargs.push(DArgEntry::In {
             len: ds.len(),
             client_dist: ds.dist().clone(),
-            pack: Box::new(move |sets, e| captured.pack_into(sets, e)),
+            share: Box::new(ds.clone()),
         });
         self
     }
@@ -1100,12 +1103,12 @@ impl<'p> CallBuilder<'p> {
         // this thread owes elements to.
         let mut my_frames: Vec<Bytes> = Vec::new();
         for (i, entry) in self.dargs.iter().enumerate() {
-            let DArgEntry::In { len, client_dist, pack } = entry else { continue };
+            let DArgEntry::In { len, client_dist, share } = entry else { continue };
             let server_dist = proxy.policy.get(&self.op, i as u32);
             let head =
                 FragmentMsg::head(req_id, proxy.binding, i as u32, ArgDir::In, cthread as u32);
             let (src, dst) = ((client_dist, cthreads), (&server_dist, proxy.obj.nthreads));
-            cut_fragments(head, *len, src, dst, &**pack, |f, wire| {
+            cut_fragments(head, *len, src, dst, &**share, |f, wire| {
                 if trace_on {
                     pardis_obs::instant(
                         "client",
@@ -1159,7 +1162,13 @@ impl<'p> CallBuilder<'p> {
             }
         }
         if !oneway {
-            *state.replay.lock() = replay;
+            // Checked under the lock `absorb` clears through: a reply that
+            // completed the invocation while the frames were still leaving
+            // either sees them here and drops them, or is seen here first.
+            let mut slot = state.replay.lock();
+            if !state.is_complete() {
+                *slot = replay;
+            }
         }
 
         Ok(((state, core.clone()), key))
@@ -1423,6 +1432,22 @@ impl ReplyData {
     /// view.
     pub fn dseq<T: CdrCodec + Clone>(&self, ordinal: usize) -> OrbResult<DSequence<T>> {
         self.state.dseq(ordinal)
+    }
+}
+
+#[cfg(test)]
+impl InvocationHandle {
+    /// Request frames still held for retransmission.
+    pub(crate) fn replay_frames(&self) -> usize {
+        self.state.replay.lock().len()
+    }
+}
+
+#[cfg(test)]
+impl ReplyData {
+    /// Request frames still held for retransmission.
+    pub(crate) fn replay_frames(&self) -> usize {
+        self.state.replay.lock().len()
     }
 }
 

@@ -21,7 +21,7 @@
 //!   through the run-time system interface.
 
 use crate::dist::{Distribution, Run};
-use crate::strided::{pair_plan, Assembler, Strided};
+use crate::strided::{pair_plan, Assembler, Pack, Strided};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
 use pardis_rts::{tags, Rts};
@@ -411,6 +411,16 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         rts.barrier();
         w.deregister(my_window).expect("window exposed above");
         new_local
+    }
+}
+
+impl<T: CdrCodec + Clone + Send + Sync> Pack for DSequence<T> {
+    fn payload_len(&self, elems: u64) -> usize {
+        elems as usize * T::fixed_wire_size().unwrap_or(8)
+    }
+
+    fn pack_into(&self, sets: &[Strided], e: &mut Encoder) {
+        DSequence::pack_into(self, sets, e);
     }
 }
 

@@ -106,6 +106,7 @@ fn feed_orb_metrics(orb: &Orb) {
     set_counter("orb.frames_sent", frames);
     set_counter("orb.bytes_sent", bytes);
     set_counter("orb.retransmits", orb.retransmits());
+    set_counter("poa.reply_cache_bytes", orb.reply_cache_bytes());
     let net = orb.network();
     let fs = net.fault_stats();
     set_counter("net.fault.delivered", fs.delivered);

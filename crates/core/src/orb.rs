@@ -187,6 +187,8 @@ pub(crate) struct OrbInner {
     /// on a lossless network — asserted by the e2e suites as the
     /// pay-nothing proof.
     pub retransmits: AtomicU64,
+    /// Reply-frame bytes the server's adapters retain for replay.
+    pub(crate) reply_cache_bytes: AtomicU64,
 }
 
 /// The Object Request Broker. Cheap to clone; all clones share state.
@@ -218,6 +220,7 @@ impl Orb {
                 frames_sent: AtomicU64::new(0),
                 bytes_sent: AtomicU64::new(0),
                 retransmits: AtomicU64::new(0),
+                reply_cache_bytes: AtomicU64::new(0),
             }),
         }
     }
@@ -381,6 +384,13 @@ impl Orb {
 
     pub(crate) fn note_retransmit(&self) {
         self.inner.retransmits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Reply-frame bytes retained for replay across every live adapter of
+    /// this ORB (each adapter thread keeps its own share under a fixed
+    /// budget); exported as `poa.reply_cache_bytes`.
+    pub fn reply_cache_bytes(&self) -> u64 {
+        self.inner.reply_cache_bytes.load(Ordering::Relaxed)
     }
 
     /// Frames and bytes moved so far (diagnostics).

@@ -24,6 +24,7 @@ use pardis_netsim::{HostId, Published};
 use pardis_rts::{tags, Rts};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -183,15 +184,27 @@ impl PendingReq {
 /// Every `(endpoint, frame)` one thread sent in reply to one invocation.
 type ReplyFrames = Vec<(EndpointId, Bytes)>;
 
+/// Reply-frame bytes one adapter thread retains for replay before it starts
+/// evicting the oldest replies. A constant, not a knob: it only has to cover
+/// the replies a client can still ask for again, which is its pipeline depth,
+/// not its history.
+pub(crate) const REPLY_CACHE_BYTES: usize = 16 << 20;
+
+/// Newest entries the byte budget never evicts, so that a pipeline of
+/// replies each larger than the budget's share stays replayable.
+pub(crate) const REPLY_CACHE_MIN_ENTRIES: usize = 8;
+
 /// At-most-once memory: which invocations this thread has accepted for
 /// dispatch, and the reply frames it sent for them. A retransmitted request
 /// for a known key never reaches the servant again — it either replays the
 /// cached reply frames verbatim or (while the original is still executing)
 /// is silently dropped, leaving the client to retry into the cache later.
 ///
-/// Bounded to `cap` entries ([`crate::OrbConfig::reply_cache_cap`]), FIFO
-/// evicted. A client retransmits only while its invocation is in flight, so
-/// only the most recent keys ever need suppressing.
+/// Bounded twice, evicted oldest-first: to `cap` entries
+/// ([`crate::OrbConfig::reply_cache_cap`]), which is what bounds small
+/// replies, and to [`REPLY_CACHE_BYTES`] of retained frames, which is what
+/// bounds bulk ones. A client retransmits only while its invocation is in
+/// flight, so only the most recent keys ever need suppressing.
 struct RecentInvocations {
     /// `None` while the original dispatch is still executing (or deferred);
     /// `Some(frames)` once the reply left, recording every (endpoint,
@@ -199,12 +212,48 @@ struct RecentInvocations {
     seen: HashMap<(BindingId, u64), Option<ReplyFrames>>,
     order: VecDeque<(BindingId, u64)>,
     cap: usize,
+    /// Frame bytes of every retained reply.
+    bytes: usize,
 }
 
 impl RecentInvocations {
     fn new(cap: usize) -> Self {
-        RecentInvocations { seen: HashMap::new(), order: VecDeque::new(), cap }
+        RecentInvocations { seen: HashMap::new(), order: VecDeque::new(), cap, bytes: 0 }
     }
+
+    /// Evict oldest-first while there are more than `cap` entries, or more
+    /// than the byte budget in more than the guaranteed newest entries.
+    /// Byte pressure stops at an entry whose reply has not left yet: it
+    /// retains nothing, and its mark is all that keeps a duplicate from
+    /// re-executing while the original runs.
+    fn trim(&mut self) {
+        while let Some(&old) = self.order.front() {
+            let over_cap = self.order.len() > self.cap;
+            let over_budget = self.bytes > REPLY_CACHE_BYTES
+                && self.order.len() > REPLY_CACHE_MIN_ENTRIES
+                && !matches!(self.seen.get(&old), Some(None));
+            if !over_cap && !over_budget {
+                break;
+            }
+            self.order.pop_front();
+            if let Some(Some(frames)) = self.seen.remove(&old) {
+                self.bytes -= frame_bytes(&frames);
+            }
+            if pardis_obs::enabled() {
+                pardis_obs::counter("poa.reply_cache_evictions").inc();
+                pardis_obs::instant(
+                    "poa",
+                    "poa.reply_cache_evict",
+                    Some((old.0 .0, old.1)),
+                    vec![],
+                );
+            }
+        }
+    }
+}
+
+fn frame_bytes(frames: &ReplyFrames) -> usize {
+    frames.iter().map(|(_, wire)| wire.len()).sum()
 }
 
 /// One computing thread's object adapter.
@@ -691,42 +740,43 @@ impl Poa {
         true
     }
 
+    /// Change the at-most-once memory through `f`, evict what that pushed
+    /// over a bound, and carry the change in retained bytes over to the
+    /// ORB-wide total ([`Orb::reply_cache_bytes`]).
+    fn update_recent(&self, f: impl FnOnce(&mut RecentInvocations)) {
+        let mut recent = self.recent.lock();
+        pardis_audit::access_write(&REPLY_CACHE, &self.recent as *const _ as usize);
+        let before = recent.bytes;
+        f(&mut recent);
+        recent.trim();
+        // Wrapping: a net release is the two's complement of its size.
+        let delta = (recent.bytes as u64).wrapping_sub(before as u64);
+        self.orb.inner.reply_cache_bytes.fetch_add(delta, Ordering::Relaxed);
+    }
+
     /// Mark an invocation accepted *before* its servant runs, closing the
     /// window in which a duplicate arriving mid-execution would re-execute.
     fn mark_accepted(&self, key: (BindingId, u64)) {
-        let mut recent = self.recent.lock();
-        pardis_audit::access_write(&REPLY_CACHE, &self.recent as *const _ as usize);
-        if recent.seen.insert(key, None).is_none() {
-            if pardis_obs::enabled() {
-                pardis_obs::counter("poa.reply_cache_misses").inc();
-            }
-            recent.order.push_back(key);
-            let cap = recent.cap;
-            while recent.order.len() > cap {
-                if let Some(old) = recent.order.pop_front() {
-                    recent.seen.remove(&old);
-                    if pardis_obs::enabled() {
-                        pardis_obs::counter("poa.reply_cache_evictions").inc();
-                        pardis_obs::instant(
-                            "poa",
-                            "poa.reply_cache_evict",
-                            Some((old.0 .0, old.1)),
-                            vec![],
-                        );
-                    }
+        self.update_recent(|recent| {
+            if recent.seen.insert(key, None).is_none() {
+                if pardis_obs::enabled() {
+                    pardis_obs::counter("poa.reply_cache_misses").inc();
                 }
+                recent.order.push_back(key);
             }
-        }
+        });
     }
 
     /// Attach the sent reply frames to an accepted invocation so future
     /// duplicates replay them.
-    fn record_reply(&self, key: (BindingId, u64), frames: Vec<(EndpointId, Bytes)>) {
-        let mut recent = self.recent.lock();
-        pardis_audit::access_write(&REPLY_CACHE, &self.recent as *const _ as usize);
-        if let Some(slot) = recent.seen.get_mut(&key) {
-            *slot = Some(frames);
-        }
+    fn record_reply(&self, key: (BindingId, u64), frames: ReplyFrames) {
+        self.update_recent(|recent| {
+            if let Some(slot) = recent.seen.get_mut(&key) {
+                let added = frame_bytes(&frames);
+                let replaced = slot.replace(frames).map_or(0, |old| frame_bytes(&old));
+                recent.bytes = recent.bytes + added - replaced;
+            }
+        });
     }
 
     fn dispatch(
@@ -841,7 +891,7 @@ impl Poa {
 
         // Every frame this thread ships is also recorded so a retransmitted
         // request can be answered from the cache without re-execution.
-        let mut sent: Vec<(EndpointId, Bytes)> = Vec::new();
+        let mut sent: ReplyFrames = Vec::new();
 
         let (status, outs, dout_lens) = match &result {
             Ok(reply) if reply.raised.is_some() => {
@@ -873,8 +923,7 @@ impl Poa {
                         self.thread as u32,
                     );
                     let (src, dst) = ((&dout.dist, self.nthreads), (&desc.client_dist, m));
-                    let pack = |sets: &[_], e: &mut _| dout.pack_into(sets, e);
-                    let _ = cut_fragments(head, dout.len, src, dst, &pack, |f, wire| {
+                    let _ = cut_fragments(head, dout.len, src, dst, &*dout.share, |f, wire| {
                         if funneled {
                             my_frames.push(wire);
                         } else {
@@ -956,5 +1005,10 @@ impl Poa {
 impl Drop for Poa {
     fn drop(&mut self) {
         self.deactivate_all();
+        self.update_recent(|recent| {
+            recent.seen.clear();
+            recent.order.clear();
+            recent.bytes = 0;
+        });
     }
 }

@@ -288,10 +288,8 @@ impl Message {
         // dwarfs the header, and a good hint avoids the doubling reallocs
         // (and their copies) while the payload streams in.
         let hint = match self {
-            Message::Fragment(f) => return frame_fragment(f, None, &f.data),
-            Message::Strided(f, t) => {
-                return frame_fragment(f, Some((&t.dist, t.nthreads)), &f.data)
-            }
+            Message::Fragment(f) => return encode_fragment_frame(f, &f.data),
+            Message::Strided(f, t) => return encode_strided_frame(f, &t.dist, t.nthreads, &f.data),
             Message::Request(r) => 96 + r.ins.iter().map(|b| b.len() + 8).sum::<usize>(),
             Message::Reply(r) => 96 + r.outs.iter().map(|b| b.len() + 8).sum::<usize>(),
             Message::Batch(fs) => 16 + fs.iter().map(|f| f.len() + 8).sum::<usize>(),
@@ -589,14 +587,17 @@ fn encode_fragment_fields(f: &FragmentMsg, e: &mut Encoder) {
     e.write_u32(f.src_thread);
 }
 
-/// Frame one bulk-data message: a plain `Fragment` (type 2) without a
-/// template, a `Strided` (type 6) with one. `head.data` is ignored; the
-/// payload travels separately so hot paths can stage it in a pooled scratch
-/// buffer.
-fn frame_fragment(
+/// Frame one bulk-data message in a single buffer: a plain `Fragment`
+/// (type 2) without a template, a `Strided` (type 6) with one. `head.data`
+/// is ignored; `pack` appends the payload — about `payload_len` bytes of it
+/// — straight into the frame, after the length word and under an alignment
+/// origin of its own ([`Encoder::write_byte_seq_with`]): the receiver
+/// decodes the payload as a stream that starts at its first byte.
+pub(crate) fn frame_fragment(
     head: &FragmentMsg,
     template: Option<(&Distribution, u32)>,
-    payload: &[u8],
+    payload_len: usize,
+    pack: impl FnOnce(&mut Encoder),
 ) -> Bytes {
     let order = ByteOrder::native();
     let ctx = pardis_obs::current_ctx();
@@ -607,7 +608,7 @@ fn frame_fragment(
         Some((Distribution::Irregular(counts), _)) => 24 + 8 * counts.len(),
         Some(_) => 24,
     };
-    let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + slack + payload.len();
+    let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + slack + payload_len;
     let mut e = Encoder::with_capacity(order, cap);
     write_header(&mut e, order, if template.is_some() { 6 } else { 2 }, ctx);
     encode_fragment_fields(head, &mut e);
@@ -615,17 +616,16 @@ fn frame_fragment(
         e.write_u32(nthreads);
         dist.encode(&mut e);
     }
-    e.write_byte_seq(payload);
+    e.write_byte_seq_with(pack);
     e.finish()
 }
 
 /// Frame one contiguous fragment whose payload is supplied separately as
 /// already-encoded element bytes. Byte-identical to
 /// `Message::Fragment(..).encode()` with `data = payload` (`head.data` is
-/// ignored and expected to be empty).
+/// ignored).
 pub fn encode_fragment_frame(head: &FragmentMsg, payload: &[u8]) -> Bytes {
-    debug_assert!(head.data.is_empty(), "payload travels separately");
-    frame_fragment(head, None, payload)
+    frame_fragment(head, None, payload.len(), |e| e.write_raw(payload))
 }
 
 /// Frame one strided fragment ([`Message::Strided`]): `payload` packs the
@@ -636,8 +636,7 @@ pub fn encode_strided_frame(
     nthreads: u32,
     payload: &[u8],
 ) -> Bytes {
-    debug_assert!(head.data.is_empty(), "payload travels separately");
-    frame_fragment(head, Some((dist, nthreads)), payload)
+    frame_fragment(head, Some((dist, nthreads)), payload.len(), |e| e.write_raw(payload))
 }
 
 /// Byte size of an *untraced* plain fragment frame ahead of its payload,

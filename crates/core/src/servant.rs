@@ -10,7 +10,7 @@ use crate::dist::Distribution;
 use crate::dseq::DSequence;
 use crate::error::{OrbError, OrbResult};
 use crate::protocol::DArgDesc;
-use crate::strided::{assemble, PackFn, Piece, Strided};
+use crate::strided::{assemble, Pack, Piece};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
 use pardis_rts::Rts;
@@ -112,15 +112,7 @@ pub struct DOutArg {
     pub thread: usize,
     /// Server thread count.
     pub nthreads: usize,
-    pack: PackFn,
-}
-
-impl DOutArg {
-    /// Pack the elements of the given index sets (owned by the producing
-    /// thread) into an encoder, in order.
-    pub fn pack_into(&self, sets: &[Strided], e: &mut Encoder) {
-        (self.pack)(sets, e);
-    }
+    pub(crate) share: Box<dyn Pack>,
 }
 
 impl<T: CdrCodec + Clone + Send + Sync + 'static> From<DSequence<T>> for DOutArg {
@@ -129,13 +121,7 @@ impl<T: CdrCodec + Clone + Send + Sync + 'static> From<DSequence<T>> for DOutArg
         let dist = ds.dist().clone();
         let thread = ds.thread();
         let nthreads = ds.nthreads();
-        DOutArg {
-            len,
-            dist,
-            thread,
-            nthreads,
-            pack: Box::new(move |sets, e| ds.pack_into(sets, e)),
-        }
+        DOutArg { len, dist, thread, nthreads, share: Box::new(ds) }
     }
 }
 

@@ -21,9 +21,9 @@
 
 use crate::dist::{Distribution, Run};
 use crate::error::{OrbError, OrbResult};
-use crate::protocol::{encode_fragment_frame, encode_strided_frame, FragmentMsg, SrcTemplate};
+use crate::protocol::{frame_fragment, FragmentMsg, SrcTemplate};
 use bytes::Bytes;
-use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
+use pardis_cdr::{ByteOrder, CdrCodec, Decoder, ElemSink, Encoder};
 use std::mem::{ManuallyDrop, MaybeUninit};
 
 /// A strided set of global indices: block `k` (of `count`) covers
@@ -324,40 +324,46 @@ impl Piece {
     }
 }
 
-/// Packs the elements of the given index sets, in order, into an encoder;
-/// the capture owns (or shares) the sequence storage.
-pub(crate) type PackFn = Box<dyn Fn(&[Strided], &mut Encoder) + Send>;
+/// One thread's share of a distributed argument with the element type
+/// erased: what [`cut_fragments`] needs of a [`crate::DSequence`], which
+/// owns (or shares) the storage.
+pub(crate) trait Pack: Send {
+    /// Encoded size of `elems` packed elements: exact for fixed-width
+    /// element types, a first guess for the rest.
+    fn payload_len(&self, elems: u64) -> usize;
+    /// Append the elements of the given index sets, in order, to `e`.
+    fn pack_into(&self, sets: &[Strided], e: &mut Encoder);
+}
 
 /// Cut thread `head.src_thread`'s share of one distributed argument into one
 /// frame per destination thread and hand each to `emit`. `head` carries what
 /// every frame shares (request, argument, direction, source thread). A pair
 /// that exchanges one contiguous run travels as a plain `Fragment` frame;
 /// anything else as a `Strided` frame naming the source-side template.
+/// Either way the elements are packed straight into the frame: one buffer
+/// and one copy per destination.
 pub(crate) fn cut_fragments(
     mut head: FragmentMsg,
     len: u64,
     (src_dist, src_n): (&Distribution, usize),
     (dst_dist, dst_n): (&Distribution, usize),
-    pack: &dyn Fn(&[Strided], &mut Encoder),
+    share: &dyn Pack,
     mut emit: impl FnMut(&FragmentMsg, Bytes) -> OrbResult<()>,
 ) -> OrbResult<()> {
-    let mut scratch = Encoder::pooled(ByteOrder::native());
     let mut sets = Vec::new();
     let me = head.src_thread as usize;
     for dst in 0..dst_n {
         sets.clear();
         pair_plan(len, src_dist, src_n, me, dst_dist, dst_n, dst, &mut sets);
         let Some(first) = sets.first() else { continue };
-        scratch.clear();
-        pack(&sets, &mut scratch);
         head.start = first.start;
         head.count = sets.iter().map(Strided::total).sum();
         head.dst_thread = dst as u32;
-        let wire = if sets.len() == 1 && first.count == 1 {
-            encode_fragment_frame(&head, scratch.as_slice())
-        } else {
-            encode_strided_frame(&head, src_dist, src_n as u32, scratch.as_slice())
-        };
+        let contiguous = sets.len() == 1 && first.count == 1;
+        let template = (!contiguous).then_some((src_dist, src_n as u32));
+        let wire = frame_fragment(&head, template, share.payload_len(head.count), |e| {
+            share.pack_into(&sets, e)
+        });
         emit(&head, wire)?;
     }
     Ok(())
@@ -392,26 +398,30 @@ impl<T> Slots<T> {
         })
     }
 
-    /// Store `vals` in consecutive slots from `lo`. Refused, with nothing
-    /// stored, when the run leaves the vector or touches a slot that
-    /// already holds a value.
-    fn put_run(&mut self, lo: usize, vals: impl ExactSizeIterator<Item = T>) -> Result<(), ()> {
-        let hi = lo.checked_add(vals.len()).filter(|&hi| hi <= self.buf.len()).ok_or(())?;
+    /// Let `fill` store values in the `n` consecutive slots from `lo`,
+    /// front to back, and return what it returns. Refused, with `fill` not
+    /// run and nothing stored, when the run leaves the vector or touches a
+    /// slot that already holds a value.
+    fn fill_run<R>(
+        &mut self,
+        lo: usize,
+        n: usize,
+        fill: impl FnOnce(&mut ElemSink<'_, T>) -> R,
+    ) -> Result<R, ()> {
+        let hi = lo.checked_add(n).filter(|&hi| hi <= self.buf.len()).ok_or(())?;
         if Self::words(lo, hi).any(|(w, mask)| self.set[w] & mask != 0) {
             return Err(());
         }
-        // Bits follow the writes, and only as far as the iterator really
-        // went: a set bit always means an initialised slot.
-        let mut end = lo;
-        for (slot, v) in self.buf[lo..hi].iter_mut().zip(vals) {
-            slot.write(v);
-            end += 1;
-        }
+        let mut sink = ElemSink::new(&mut self.buf[lo..hi]);
+        let out = fill(&mut sink);
+        // Bits follow the writes, and only as far as the sink says they
+        // really went: a set bit always means an initialised slot.
+        let end = lo + sink.filled();
         for (w, mask) in Self::words(lo, end) {
             self.set[w] |= mask;
         }
         self.filled += end - lo;
-        Ok(())
+        Ok(out)
     }
 
     /// The finished vector, or the first slot that never got a value.
@@ -421,9 +431,9 @@ impl<T> Slots<T> {
             return Err(word * 64 + self.set[word].trailing_ones() as usize);
         }
         let mut buf = ManuallyDrop::new(std::mem::take(&mut self.buf));
-        // SAFETY: `put_run` sets (and counts) exactly the previously clear
-        // bits of the slots it wrote, so `filled == len` means all `len`
-        // slots are initialised. `MaybeUninit<T>` has the layout of
+        // SAFETY: `fill_run` sets (and counts) exactly the previously clear
+        // bits of the slots its sink initialised, so `filled == len` means
+        // all `len` slots are initialised. `MaybeUninit<T>` has the layout of
         // `T`, and the allocation is handed over whole (the `ManuallyDrop`
         // keeps the old handle from freeing it).
         Ok(unsafe { Vec::from_raw_parts(buf.as_mut_ptr().cast::<T>(), buf.len(), buf.capacity()) })
@@ -437,18 +447,17 @@ impl<T> Drop for Slots<T> {
         }
         for (i, slot) in self.buf.iter_mut().enumerate() {
             if self.set[i / 64] & (1 << (i % 64)) != 0 {
-                // SAFETY: the bit is set only after `put_run` initialised
-                // the slot, and nothing reads the slot after this drop.
+                // SAFETY: the bit is set only after `fill_run` saw the slot
+                // initialised, and nothing reads the slot after this drop.
                 unsafe { slot.assume_init_drop() };
             }
         }
     }
 }
 
-/// Blocks at least this long are decoded with the bulk
-/// [`CdrCodec::decode_elems`] hook (one `memcpy` for native-order
-/// primitives, at the price of a temporary vector); shorter ones element by
-/// element.
+/// Blocks at least this long are decoded by the bulk
+/// [`CdrCodec::decode_elems_into`] hook, straight into their slots (one
+/// `memcpy` for native-order doubles); shorter ones element by element.
 const BULK_DECODE_MIN: u64 = 16;
 
 /// The one scatter helper behind `ServerRequest::dseq`, the client's
@@ -482,10 +491,16 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
         })
     }
 
-    fn put_run(&mut self, lo: u64, vals: impl ExactSizeIterator<Item = T>) -> OrbResult<()> {
-        let n = vals.len() as u64;
-        self.slots.put_run(lo as usize, vals).map_err(|()| {
-            OrbError::Protocol(format!("local elements {lo}..{} delivered twice", lo + n))
+    /// [`Slots::fill_run`] over local elements `lo..lo + n`, a refusal
+    /// reported as the protocol error it is.
+    fn fill_run(
+        &mut self,
+        lo: u64,
+        n: u64,
+        fill: impl FnOnce(&mut ElemSink<'_, T>) -> OrbResult<()>,
+    ) -> OrbResult<()> {
+        self.slots.fill_run(lo as usize, n as usize, fill).unwrap_or_else(|()| {
+            Err(OrbError::Protocol(format!("local elements {lo}..{} delivered twice", lo + n)))
         })
     }
 
@@ -494,11 +509,14 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
         let (mut lo, lstride) = self.locate(set)?;
         for _ in 0..set.count {
             if set.block >= BULK_DECODE_MIN {
-                self.put_run(lo, T::decode_elems(d, set.block as usize)?.into_iter())?;
+                self.fill_run(lo, set.block, |slots| Ok(T::decode_elems_into(d, slots)?))?;
             } else {
                 for k in 0..set.block {
                     let v = T::decode(d)?;
-                    self.put_run(lo + k, std::iter::once(v))?;
+                    self.fill_run(lo + k, 1, |slot| {
+                        slot.push(v);
+                        Ok(())
+                    })?;
                 }
             }
             lo += lstride;
@@ -517,7 +535,12 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
             .localize(self.len, from, self.n, self.t)
             .ok_or_else(|| OrbError::Protocol("local share not owned at its source".into()))?;
         for _ in 0..set.count {
-            self.put_run(lo, local[src as usize..(src + set.block) as usize].iter().cloned())?;
+            self.fill_run(lo, set.block, |slots| {
+                for v in &local[src as usize..(src + set.block) as usize] {
+                    slots.push(v.clone());
+                }
+                Ok(())
+            })?;
             lo += lstride;
             src += src_stride;
         }

@@ -1,6 +1,7 @@
 //! The scatter helper's write-once slots: runs that straddle bitmap words,
 //! refusal of overlap and of out-of-range runs, the missing-element report,
-//! and clean teardown of a half-filled vector of heap-owning elements.
+//! clean teardown of a half-filled vector of heap-owning elements, and
+//! bulk decoding straight into the slots.
 
 use crate::dist::Distribution;
 use crate::error::OrbError;
@@ -88,4 +89,93 @@ fn truncated_payload_tears_down_cleanly() {
     // Nothing at all placed, zero-length sequences included.
     assert!(Assembler::<String>::new(64, &WHOLE, 1, 0).finish().is_err());
     assert_eq!(Assembler::<String>::new(0, &WHOLE, 1, 0).finish().unwrap(), Vec::<String>::new());
+}
+
+thread_local! {
+    /// `Counted` values decoded and dropped on this test's thread.
+    static MADE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static DROPPED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A string that counts its decodes and its drops.
+#[derive(Debug, Clone, PartialEq)]
+struct Counted(String);
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        DROPPED.with(|n| n.set(n.get() + 1));
+    }
+}
+
+impl CdrCodec for Counted {
+    fn encode(&self, e: &mut Encoder) {
+        self.0.encode(e);
+    }
+    fn decode(d: &mut Decoder) -> Result<Self, pardis_cdr::CdrError> {
+        let s = String::decode(d)?;
+        MADE.with(|n| n.set(n.get() + 1));
+        Ok(Counted(s))
+    }
+    fn type_code() -> pardis_cdr::TypeCode {
+        String::type_code()
+    }
+}
+
+#[test]
+fn bulk_decode_into_place_keeps_exactly_what_it_decoded() {
+    // A 40-element run (the bulk hook's side of `BULK_DECODE_MIN`) whose
+    // payload ends after 25: a typed error, and the 25 stay in their slots.
+    let all = words(0..40);
+    let mut asm = Assembler::<Counted>::new(40, &WHOLE, 1, 0);
+    let err = asm.decode(&Strided::run(0, 40), &mut payload(&all[..25]));
+    assert!(matches!(err, Err(OrbError::Marshal(_))), "{err:?}");
+    assert_eq!((MADE.get(), DROPPED.get()), (25, 0));
+    // A second delivery over the decoded prefix and a run past the end are
+    // refused before anything is read, let alone written.
+    for set in [Strided::run(0, 25), Strided::run(10, 20), Strided::run(30, 20)] {
+        let mut d = payload(&all[..set.total() as usize]);
+        let err = asm.decode(&set, &mut d);
+        assert!(matches!(err, Err(OrbError::Protocol(_))), "{set:?}: {err:?}");
+        assert_eq!(d.position(), 0, "{set:?} was read");
+    }
+    assert_eq!((MADE.get(), DROPPED.get()), (25, 0));
+    // The slots the failed decode never reached are still free.
+    asm.decode(&Strided::run(25, 15), &mut payload(&all[25..])).unwrap();
+    let done = asm.finish().unwrap();
+    assert_eq!(done.iter().map(|c| c.0.clone()).collect::<Vec<_>>(), all);
+    assert_eq!((MADE.get(), DROPPED.get()), (40, 0));
+    drop(done);
+    assert_eq!(DROPPED.get(), 40);
+
+    // Torn down half-filled, the prefix is dropped once and only once.
+    let mut asm = Assembler::<Counted>::new(40, &WHOLE, 1, 0);
+    assert!(asm.decode(&Strided::run(0, 40), &mut payload(&all[..25])).is_err());
+    drop(asm);
+    assert_eq!((MADE.get(), DROPPED.get()), (65, 65));
+}
+
+#[test]
+fn foreign_order_doubles_decode_in_bulk_as_they_do_one_by_one() {
+    let foreign = match ByteOrder::native() {
+        ByteOrder::Big => ByteOrder::Little,
+        ByteOrder::Little => ByteOrder::Big,
+    };
+    let values: Vec<f64> = (0..64).map(|i| (i as f64 - 20.5).exp()).collect();
+    for order in [foreign, ByteOrder::native()] {
+        // A leading octet leaves the doubles unaligned in the buffer.
+        let mut e = Encoder::new(order);
+        e.write_u8(1);
+        f64::encode_elems(&values, &mut e);
+        let wire = e.finish();
+        let mut one_by_one = Decoder::new(wire.clone(), order);
+        one_by_one.read_u8().unwrap();
+        let want: Vec<f64> = (0..64).map(|_| f64::decode(&mut one_by_one).unwrap()).collect();
+        assert_eq!(want, values);
+        let mut d = Decoder::new(wire, order);
+        d.read_u8().unwrap();
+        let mut asm = Assembler::<f64>::new(64, &WHOLE, 1, 0);
+        asm.decode(&Strided::run(0, 64), &mut d).unwrap();
+        assert_eq!(d.remaining(), 0);
+        assert_eq!(asm.finish().unwrap(), want, "{order:?}");
+    }
 }

@@ -1,5 +1,6 @@
-//! The bounded reply cache: replay while cached, FIFO eviction at the cap,
-//! and — once evicted — exactly one re-execution of a duplicate request.
+//! The bounded reply cache: replay while cached, FIFO eviction at the entry
+//! cap and at the byte budget, and — once evicted — exactly one re-execution
+//! of a duplicate request.
 //!
 //! These tests drive the POA with handcrafted wire frames, because a real
 //! client never *voluntarily* resends: duplicates only arise from timeouts
@@ -7,6 +8,7 @@
 //! state.
 
 use crate::object::{BindingId, ClientId};
+use crate::poa::{REPLY_CACHE_BYTES, REPLY_CACHE_MIN_ENTRIES};
 use crate::protocol::{Message, ReplyStatus, RequestMsg};
 use crate::repository::DEFAULT_REPOSITORY;
 use crate::servant::{Servant, ServerReply, ServerRequest};
@@ -174,4 +176,169 @@ fn zero_reply_cache_cap_is_rejected() {
     net.add_host("solo");
     let orb = Orb::new(net);
     orb.set_reply_cache_cap(0);
+}
+
+/// Counts its executions and answers each with `len` octets of `x`.
+struct Blob {
+    hits: Arc<AtomicU64>,
+    len: usize,
+}
+
+impl Servant for Blob {
+    fn interface(&self) -> &str {
+        "blob"
+    }
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        self.hits.fetch_add(1, Ordering::SeqCst);
+        let x: i64 = req.scalar(0).map_err(|e| e.to_string())?;
+        let mut rep = ServerReply::new();
+        rep.push_scalar(&vec![x as u8; self.len]);
+        Ok(rep)
+    }
+}
+
+/// A single-thread server of [`Blob`]s driven by handcrafted requests,
+/// request `i` on a binding (and client entity) of its own.
+struct BlobRig {
+    orb: Orb,
+    hits: Arc<AtomicU64>,
+    group: ServerGroup,
+    server: Option<std::thread::JoinHandle<()>>,
+    object: crate::ObjectKey,
+    hosts: (pardis_netsim::HostId, pardis_netsim::HostId),
+    reply: (crate::EndpointId, crossbeam::channel::Receiver<crate::orb::Envelope>),
+}
+
+impl BlobRig {
+    fn new(reply_len: usize, entry_cap: usize) -> BlobRig {
+        let net = Network::new(TimeScale::off());
+        let hosts = (net.add_host("client"), net.add_host("server"));
+        net.connect(hosts.0, hosts.1, Link::free());
+        let orb = Orb::new(net);
+        orb.set_reply_cache_cap(entry_cap);
+        let hits = Arc::new(AtomicU64::new(0));
+        let group = ServerGroup::create(&orb, "blobs", hosts.1, 1);
+        let (g, h) = (group.clone(), hits.clone());
+        let server = std::thread::spawn(move || {
+            let mut poa = g.attach(0, None);
+            poa.activate_single("blob", Arc::new(Blob { hits: h, len: reply_len }));
+            poa.impl_is_ready();
+        });
+        let object = orb.resolve(DEFAULT_REPOSITORY, "blob").unwrap().key;
+        let reply = orb.register_endpoint(hosts.0);
+        BlobRig { orb, hits, group, server: Some(server), object, hosts, reply }
+    }
+
+    /// Deliver request `i` (again) and return the reply frame's length.
+    fn call(&self, i: u64) -> usize {
+        let request = Message::Request(RequestMsg {
+            req_id: 1,
+            binding: BindingId(i),
+            entity: i,
+            client_seq: 0,
+            client: ClientId(9000),
+            object: self.object,
+            op: "blob".into(),
+            oneway: false,
+            funneled: false,
+            reply_to: vec![self.reply.0],
+            client_threads: 1,
+            client_host: self.hosts.0.raw(),
+            ins: vec![encode_i64(i as i64)],
+            dargs: vec![],
+        });
+        let server_ep = self.orb.server_endpoints(self.group.id()).unwrap()[0];
+        self.orb.send_wire(self.hosts.0, server_ep, request.encode()).unwrap();
+        let env = self.reply.1.recv_timeout(Duration::from_secs(10)).expect("reply arrives");
+        match Message::decode(&env.wire).unwrap() {
+            Message::Reply(rep) => assert_eq!(rep.status, ReplyStatus::Ok),
+            other => panic!("expected a reply, got {other:?}"),
+        }
+        env.wire.len()
+    }
+
+    fn hits(&self) -> u64 {
+        self.hits.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for BlobRig {
+    fn drop(&mut self) {
+        self.group.shutdown();
+        let joined = self.server.take().expect("joined once").join();
+        if !std::thread::panicking() {
+            joined.unwrap();
+        }
+    }
+}
+
+#[test]
+fn bulk_replies_are_retained_by_weight() {
+    // 1 MiB replies against a 16 MiB budget: the entry cap (1 024) is far
+    // away, so every eviction here is the byte budget's.
+    let rig = BlobRig::new(1 << 20, 1024);
+    let calls = 40;
+    let mut frame = 0;
+    for i in 0..calls {
+        frame = rig.call(i);
+        assert!(frame > 1 << 20);
+        // The adapter records a reply after sending it, so this read may
+        // miss the newest one — never see more than the bound.
+        let retained = rig.orb.reply_cache_bytes() as usize;
+        assert!(retained <= REPLY_CACHE_BYTES + frame, "{retained} bytes after call {i}");
+    }
+    assert_eq!(rig.hits(), calls);
+    // The newest reply is retained: its duplicate replays. (The adapter is
+    // one thread, so by now it has recorded everything it sent.)
+    rig.call(calls - 1);
+    assert_eq!(rig.hits(), calls, "a retained reply must replay");
+    let retained = rig.orb.reply_cache_bytes() as usize;
+    assert!(retained <= REPLY_CACHE_BYTES, "{retained} bytes at rest");
+    assert!(retained + frame > REPLY_CACHE_BYTES, "evicted further than the budget asks");
+    // The oldest went long ago: its duplicate re-executes, exactly once.
+    rig.call(0);
+    assert_eq!(rig.hits(), calls + 1, "an evicted reply must re-execute");
+    rig.call(0);
+    assert_eq!(rig.hits(), calls + 1, "and is retained again afterwards");
+}
+
+#[test]
+fn the_newest_replies_outlive_the_byte_budget() {
+    // Replies so large that the guaranteed newest entries alone weigh more
+    // than the budget: they all stay replayable, and nothing older does.
+    let keep = REPLY_CACHE_MIN_ENTRIES as u64;
+    let reply_len = REPLY_CACHE_BYTES / (REPLY_CACHE_MIN_ENTRIES - 2);
+    let rig = BlobRig::new(reply_len, 1024);
+    let calls = keep + 4;
+    for i in 0..calls {
+        rig.call(i);
+    }
+    assert!(rig.orb.reply_cache_bytes() as usize > REPLY_CACHE_BYTES);
+    for i in calls - keep..calls {
+        rig.call(i);
+    }
+    assert_eq!(rig.hits(), calls, "the newest {keep} replies replay");
+    rig.call(calls - keep - 1);
+    assert_eq!(rig.hits(), calls + 1, "the one before them was evicted");
+}
+
+#[test]
+fn small_replies_are_still_bounded_by_the_entry_cap() {
+    let cap = 5;
+    let rig = BlobRig::new(100, cap);
+    let calls = 60;
+    let mut frame = 0;
+    for i in 0..calls {
+        frame = rig.call(i);
+    }
+    // Replaying the newest waits until the adapter has recorded it.
+    rig.call(calls - 1);
+    assert_eq!(rig.hits(), calls);
+    assert_eq!(rig.orb.reply_cache_bytes() as usize, cap * frame);
+    rig.call(calls - 1 - cap as u64);
+    assert_eq!(rig.hits(), calls + 1, "the entry before the newest {cap} was evicted");
+    // Adapters give their share of the total back when they go.
+    let orb = rig.orb.clone();
+    drop(rig);
+    assert_eq!(orb.reply_cache_bytes(), 0);
 }

@@ -126,6 +126,29 @@ fn spmd_scale_block_to_block() {
 }
 
 #[test]
+fn completed_invocation_lets_go_of_its_request_frames() {
+    // The control and in-fragment frames are kept for retransmission only
+    // while a retransmission can still happen: holding the results of a
+    // finished call must not pin a copy of its arguments.
+    let (orb, host) = Orb::single_host();
+    let (group, handle) = spawn_vec_server(&orb, host, "vec-replay", 2, DistPolicy::new());
+    let full: Vec<f64> = (0..64).map(|i| i as f64).collect();
+    run_client(&orb, host, 2, |ct| {
+        let proxy = ct.spmd_bind("vec-replay").unwrap();
+        let v = DSequence::distribute(&full, Distribution::Block, 2, ct.thread());
+        let call = proxy.call("scale").arg(&2.0f64).dseq_in(&v).dseq_out(Distribution::Block);
+        let pending = call.invoke_nb().unwrap();
+        // Two controls (one per server thread) and this thread's fragment.
+        assert_eq!(pending.replay_frames(), 3);
+        let reply = pending.wait().unwrap();
+        assert_eq!(reply.replay_frames(), 0);
+        assert_eq!(reply.dseq::<f64>(0).unwrap().local().len(), 32);
+    });
+    group.shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
 fn spmd_scale_cyclic_client_distribution() {
     let (orb, host) = Orb::single_host();
     let (group, handle) = spawn_vec_server(&orb, host, "vec2", 2, DistPolicy::new());

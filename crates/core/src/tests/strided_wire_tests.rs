@@ -456,3 +456,98 @@ fn mutated_strided_frames_never_panic() {
         vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     );
 }
+
+/// `cut_fragments` packs each pair's elements straight into the frame. The
+/// bytes must be those of the two-step path it replaced — pack the payload
+/// on its own from stream offset 0, then frame it — or a receiver, which
+/// decodes the payload as a stream of its own, would see different padding.
+mod in_place {
+    use super::*;
+    use crate::strided::cut_fragments;
+    use proptest::prelude::*;
+
+    fn template(kind: u8, b: u64, cuts: &[u64], len: u64, n: usize) -> Distribution {
+        match kind {
+            0 => Distribution::Block,
+            1 => Distribution::Cyclic,
+            2 => Distribution::BlockCyclic(b),
+            _ => {
+                // `n - 1` cut points split `0..len` into `n` counts.
+                let mut ends: Vec<u64> = cuts[..n - 1].iter().map(|c| c % (len + 1)).collect();
+                ends.sort_unstable();
+                ends.push(len);
+                let starts = std::iter::once(0).chain(ends.iter().copied());
+                Distribution::Irregular(starts.zip(&ends).map(|(lo, hi)| hi - lo).collect())
+            }
+        }
+    }
+
+    /// Every frame cut from `full` on its way `src` -> `dst`, against the
+    /// frame helpers applied to the separately packed payload.
+    fn check<T: CdrCodec + Clone + Send + Sync + 'static>(
+        full: Vec<T>,
+        src: (&Distribution, usize),
+        dst: (&Distribution, usize),
+    ) -> Result<(), TestCaseError> {
+        let len = full.len() as u64;
+        for s in 0..src.1 {
+            let ds = DSequence::distribute(&full, src.0.clone(), src.1, s);
+            let mut frames = Vec::new();
+            let head = FragmentMsg::head(9, BindingId(3), 1, ArgDir::In, s as u32);
+            cut_fragments(head, len, src, dst, &ds, |f, wire| {
+                frames.push((f.clone(), wire));
+                Ok(())
+            })
+            .unwrap();
+            let mut sent = 0;
+            for (f, wire) in frames {
+                let mut sets = Vec::new();
+                pair_plan(len, src.0, src.1, s, dst.0, dst.1, f.dst_thread as usize, &mut sets);
+                let mut payload = Encoder::new(ByteOrder::native());
+                ds.pack_into(&sets, &mut payload);
+                let payload = payload.finish();
+                let want = if sets.len() == 1 && sets[0].count == 1 {
+                    encode_fragment_frame(&f, &payload)
+                } else {
+                    encode_strided_frame(&f, src.0, src.1 as u32, &payload)
+                };
+                prop_assert_eq!(&wire[..], &want[..], "thread {} -> {}", s, f.dst_thread);
+                sent += f.count;
+            }
+            prop_assert_eq!(sent, ds.local().len() as u64, "thread {} sent its whole share", s);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn frames_equal_the_staged_encoding(
+            len in 0u64..300,
+            src_n in 1usize..5,
+            dst_n in 1usize..5,
+            src_kind in 0u8..4,
+            dst_kind in 0u8..4,
+            src_b in 1u64..7,
+            dst_b in 1u64..7,
+            cuts in proptest::collection::vec(any::<u64>(), 8),
+            traced in any::<bool>(),
+        ) {
+            let src_dist = template(src_kind, src_b, &cuts[..4], len, src_n);
+            let dst_dist = template(dst_kind, dst_b, &cuts[4..], len, dst_n);
+            let (src, dst) = ((&src_dist, src_n), (&dst_dist, dst_n));
+            // A traced header is 16 bytes longer: both sides of the
+            // comparison stamp the same ambient context.
+            let _ctx = traced.then(|| {
+                pardis_obs::enter_ctx(pardis_obs::TraceCtx { trace_id: 0x1111, span_id: 0x2222 })
+            });
+            check((0..len).map(|i| i as f64 * 0.25).collect(), src, dst)?;
+            check((0..len).map(|i| i as u8).collect(), src, dst)?;
+            check((0..len).map(|i| "x".repeat(i as usize % 7)).collect(), src, dst)?;
+            // One octet then a double: seven bytes of padding per element,
+            // placed by the payload's own origin and not the frame's.
+            check((0..len).map(|i| (i as u8, i as f64)).collect(), src, dst)?;
+        }
+    }
+}
