@@ -157,7 +157,7 @@ fn main() {
         }
 
         // The same distributed-servers client on the blocking wire
-        // (`PARDIS_TRANSPORT=sync`): the sender's thread pays every
+        // (`TransportMode::Sync`): the sender's thread pays every
         // transfer in full, so nothing the non-blocking invocation could
         // hide is hidden.
         let sync_net = Network::paper_atm_testbed_with(TimeScale::new(scale), TransportMode::Sync);

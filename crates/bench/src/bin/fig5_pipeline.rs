@@ -89,7 +89,7 @@ fn main() {
         }
 
         // The full metaapplication once more on the blocking wire
-        // (`PARDIS_TRANSPORT=sync`): every visualizer/gradient send pays
+        // (`TransportMode::Sync`): every visualizer/gradient send pays
         // its transfer on the sender's thread, so the pipeline overlaps
         // nothing.
         let net = Network::paper_ethernet_testbed_with(TimeScale::new(scale), TransportMode::Sync);

@@ -7,17 +7,16 @@
 //! communication thread) against one single-threaded server over the
 //! Ethernet10 netsim link. Per concurrency level the harness reports wall
 //! and virtual-clock request throughput plus wall p50/p99 invocation
-//! latency, for four request-core configurations:
+//! latency, for three request-core configurations:
 //!
-//! * `mono`    — one router shard, no batching: the pre-sharding core.
-//! * `sharded` — 16 router shards, no batching.
-//! * `batched` — 16 shards + adaptive same-destination coalescing.
+//! * `sharded` — the default core: sharded reply router, no batching.
+//! * `batched` — adaptive same-destination coalescing.
 //! * `capped`  — batched + a 64-deep per-endpoint in-flight cap.
 //!
 //! The virtual-clock series is where the LogGP-style win shows: coalescing
 //! N small frames into one envelope pays the per-frame software overhead
 //! once instead of N times, so `batched_virt_rps` runs away from
-//! `mono_virt_rps` as the client count grows.
+//! `sharded_virt_rps` as the client count grows.
 //!
 //! ```text
 //! cargo run --release -p pardis-bench --bin fig_load
@@ -54,16 +53,14 @@ impl Servant for Load {
 #[derive(Clone, Copy)]
 struct Mode {
     name: &'static str,
-    shards: usize,
     batch: BatchMode,
     cap: usize,
 }
 
-const MODES: [Mode; 4] = [
-    Mode { name: "mono", shards: 1, batch: BatchMode::Off, cap: 0 },
-    Mode { name: "sharded", shards: 16, batch: BatchMode::Off, cap: 0 },
-    Mode { name: "batched", shards: 16, batch: BatchMode::Adaptive, cap: 0 },
-    Mode { name: "capped", shards: 16, batch: BatchMode::Adaptive, cap: 64 },
+const MODES: [Mode; 3] = [
+    Mode { name: "sharded", batch: BatchMode::Off, cap: 0 },
+    Mode { name: "batched", batch: BatchMode::Adaptive, cap: 0 },
+    Mode { name: "capped", batch: BatchMode::Adaptive, cap: 64 },
 ];
 
 struct LevelOut {
@@ -89,7 +86,6 @@ fn run_level(mode: Mode, clients: usize) -> LevelOut {
     let sh = net.add_host("server");
     net.connect(ch, sh, LinkPreset::Ethernet10.link());
     let orb = Orb::new(net);
-    orb.set_router_shards(mode.shards);
     orb.set_batch_mode(mode.batch);
     orb.set_inflight_cap(mode.cap);
 
@@ -175,7 +171,7 @@ fn main() {
     json.param_usize("pipeline_depth", DEPTH);
     json.columns(&levels.iter().map(|&l| l as f64).collect::<Vec<_>>());
 
-    println!("fig_load: {} clients sweep, modes: mono/sharded/batched/capped", levels.len());
+    println!("fig_load: {} clients sweep, modes: sharded/batched/capped", levels.len());
     println!("{}", row("clients", &levels.iter().map(|&l| l as f64).collect::<Vec<_>>()));
     for mode in MODES {
         let outs: Vec<LevelOut> = levels.iter().map(|&l| run_level(mode, l)).collect();

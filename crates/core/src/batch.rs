@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Request-batching mode (`PARDIS_BATCH`, [`crate::Orb::set_batch_mode`]).
+/// Request-batching mode ([`crate::Orb::set_batch_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
     /// No batching: every frame is sent as it is produced, byte-identical
@@ -44,21 +44,6 @@ pub enum BatchMode {
     /// Flush whenever `n` frames are queued for a destination (size and
     /// deadline triggers still apply).
     Fixed(u32),
-}
-
-impl BatchMode {
-    /// Parse a `PARDIS_BATCH` value: `off`, `adaptive`, or a frame count.
-    pub fn parse(s: &str) -> Option<BatchMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "" => Some(BatchMode::Off),
-            "adaptive" | "on" => Some(BatchMode::Adaptive),
-            n => n.parse::<u32>().ok().map(|n| BatchMode::Fixed(n.max(1))),
-        }
-    }
-
-    pub(crate) fn from_env() -> BatchMode {
-        std::env::var("PARDIS_BATCH").ok().and_then(|v| BatchMode::parse(&v)).unwrap_or_default()
-    }
 }
 
 /// Batcher configuration, published as an immutable snapshot (the PR-5
@@ -76,13 +61,12 @@ pub(crate) struct BatchParams {
     pub max_delay: Duration,
 }
 
-pub(crate) fn batch_delay_from_env() -> Duration {
-    let us = std::env::var("PARDIS_BATCH_DELAY_US")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(100);
-    Duration::from_micros(us.max(1))
-}
+/// Coalescing ceiling of one envelope the ORB's batcher builds, and the
+/// size at or above which a frame bypasses coalescing.
+pub(crate) const BATCH_MAX_BYTES: usize = 16 * 1024;
+
+/// Default flush deadline ([`crate::OrbConfig::batch_delay`]).
+pub(crate) const BATCH_DELAY: Duration = Duration::from_micros(100);
 
 /// Ceiling of the adaptive per-destination batch target.
 const ADAPTIVE_MAX: u32 = 64;

@@ -118,7 +118,7 @@ impl ClientGroup {
                 reply_eps: self.reply_eps.clone(),
                 rx,
                 rts,
-                router: ShardedRouter::new(self.orb.config().router_shards),
+                router: ShardedRouter::new(),
                 collective_seq: AtomicU64::new(0),
                 single_seq: AtomicU64::new(0),
             }),
@@ -176,29 +176,34 @@ struct RouterShard {
     done: DoneSet,
 }
 
-/// The reply router, split into power-of-two shards keyed by invocation id
-/// ([`crate::OrbConfig::router_shards`]): concurrent waiters and pumps hash
-/// to different locks instead of serialising on one.
+/// Shard count of each client thread's reply router (a power of two).
+const ROUTER_SHARDS: usize = 16;
+
+/// The shard a reply-router key hashes to.
+pub(crate) fn router_shard_of(key: (BindingId, u64)) -> usize {
+    ((mix64(key.0 .0) ^ mix64(key.1)) & (ROUTER_SHARDS as u64 - 1)) as usize
+}
+
+/// The reply router, split into [`ROUTER_SHARDS`] shards keyed by
+/// invocation id: concurrent waiters and pumps hash to different locks
+/// instead of serialising on one.
 struct ShardedRouter {
     shards: Box<[AuditMutex<RouterShard>]>,
-    mask: u64,
 }
 
 impl ShardedRouter {
-    fn new(n: usize) -> ShardedRouter {
-        let n = n.clamp(1, 1024).next_power_of_two();
-        let shards = (0..n)
+    fn new() -> ShardedRouter {
+        let shards = (0..ROUTER_SHARDS)
             .map(|_| {
                 AuditMutex::new(lock_site!("client: reply router shard"), RouterShard::default())
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        ShardedRouter { shards, mask: (n - 1) as u64 }
+        ShardedRouter { shards }
     }
 
     fn shard(&self, key: (BindingId, u64)) -> &AuditMutex<RouterShard> {
-        let h = mix64(key.0 .0) ^ mix64(key.1);
-        &self.shards[(h & self.mask) as usize]
+        &self.shards[router_shard_of(key)]
     }
 
     fn iter(&self) -> std::slice::Iter<'_, AuditMutex<RouterShard>> {

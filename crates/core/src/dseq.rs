@@ -260,31 +260,29 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     /// thread-to-thread through the run-time system. Must be called by all
     /// threads with the same `new_dist`.
     ///
-    /// Two wire strategies, same plan and identical results:
+    /// Two wire strategies, same plan and identical results; the RTS and
+    /// the element type pick one, nothing else does:
     ///
-    /// * **pull** (default) — when the RTS exposes one-sided windows
-    ///   ([`Rts::windows`]), one-sided transfers are enabled
-    ///   (`PARDIS_ONESIDED`), and the element type has a fixed wire size,
+    /// * **pull** — when the RTS exposes one-sided windows
+    ///   ([`Rts::windows`]) and the element type has a fixed wire size,
     ///   each thread exposes its CDR-encoded local in a window and every
     ///   destination `get`s exactly the strided byte spans its plan names —
     ///   one strided get per remote source, no rendezvous handshake and no
     ///   receive matching;
-    /// * **push** — otherwise, the classic two-sided exchange: one packed
-    ///   message per destination matched by a tagged receive. FIFO per
-    ///   (source, tag) channel plus a deterministic plan means no extra
-    ///   sequencing is needed even across repeated redistributions.
+    /// * **push** — on a purely two-sided RTS or for variable-width
+    ///   elements, the classic two-sided exchange: one packed message per
+    ///   destination matched by a tagged receive. FIFO per (source, tag)
+    ///   channel plus a deterministic plan means no extra sequencing is
+    ///   needed even across repeated redistributions.
     pub fn redistribute(&mut self, rts: &dyn Rts, new_dist: Distribution) {
         assert_eq!(rts.size(), self.nthreads, "redistribute over a mismatched RTS world");
         assert_eq!(rts.rank(), self.thread, "redistribute called from the wrong thread");
         new_dist.validate(self.global_len, self.nthreads).expect("invalid target distribution");
-        // All threads see identical gate inputs (the knob, the trait object's
-        // window support, T's wire size), so the branch itself is collective.
-        let windows = (self.nthreads > 1
-            && self.global_len > 0
-            && pardis_rts::one_sided_enabled()
-            && T::fixed_wire_size().is_some())
-        .then(|| rts.windows())
-        .flatten();
+        // All threads see identical gate inputs (the trait object's window
+        // support, T's wire size), so the branch itself is collective.
+        let windows = (self.nthreads > 1 && self.global_len > 0 && T::fixed_wire_size().is_some())
+            .then(|| rts.windows())
+            .flatten();
         let new_local = match windows {
             Some(w) => self.redistribute_pull(rts, w, &new_dist),
             None => self.redistribute_push(rts, &new_dist),

@@ -62,22 +62,22 @@
 //! ```
 
 pub mod dist;
-pub mod dseq;
-pub mod error;
-pub mod future;
-pub mod interface_repo;
-pub mod object;
-pub mod obs;
-pub mod orb;
-pub mod poa;
 pub mod protocol;
-pub mod repository;
-pub mod servant;
-pub mod strided;
 
 mod backpressure;
 mod batch;
 mod client;
+mod dseq;
+mod error;
+mod future;
+mod interface_repo;
+mod object;
+mod obs;
+mod orb;
+mod poa;
+mod repository;
+mod servant;
+mod strided;
 
 pub use batch::BatchMode;
 pub use client::{

@@ -7,7 +7,7 @@
 //! (transfer strategy, local bypass, timeouts).
 
 use crate::backpressure::GateTable;
-use crate::batch::{batch_delay_from_env, BatchMode, Batcher, FlushReason};
+use crate::batch::{BatchMode, Batcher, FlushReason, BATCH_DELAY, BATCH_MAX_BYTES};
 use crate::error::{OrbError, OrbResult};
 use crate::interface_repo::InterfaceRepository;
 use crate::object::{ClientId, DistPolicy, EndpointId, ObjectKey, ObjectRef, ServerId};
@@ -16,7 +16,7 @@ use crate::repository::{ActivationMode, ImplementationRepository, ObjectReposito
 use crate::servant::Servant;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use pardis_audit::{lock_site, AuditMutex, AuditRwLock};
-use pardis_netsim::{HostId, Network, Published, TimeScale, TransportMode, Verdict};
+use pardis_netsim::{HostId, Network, Published, TimeScale};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,22 +69,15 @@ pub struct OrbConfig {
     /// in virtual milliseconds; an entry whose heartbeats stop lapses after
     /// this much simulated time.
     pub registry_ttl_ms: u64,
-    /// Shard count of each client thread's reply router (rounded up to a
-    /// power of two; takes effect for threads attached after the change).
-    /// Default 16, overridable with `PARDIS_SHARDS`.
-    pub router_shards: usize,
-    /// Request-batching mode (`PARDIS_BATCH`): coalesce small
-    /// same-destination frames into one wire envelope. Default off.
+    /// Request-batching mode: coalesce small same-destination frames into
+    /// one wire envelope. Default off.
     pub batch: BatchMode,
-    /// Coalescing ceiling of one batch envelope, and the size at or above
-    /// which a frame bypasses coalescing (still FIFO with its batch).
-    pub batch_max_bytes: usize,
     /// Deadline after which a queued frame is flushed even under zero
-    /// follow-on traffic (`PARDIS_BATCH_DELAY_US`, default 100µs).
+    /// follow-on traffic. Default 100µs.
     pub batch_delay: Duration,
-    /// Per-endpoint in-flight invocation cap (`PARDIS_INFLIGHT`); `0`
-    /// disables admission control (the default). A launch over the cap
-    /// pumps-and-waits, bumping `orb.backpressure.waits`.
+    /// Per-endpoint in-flight invocation cap; `0` disables admission
+    /// control (the default). A launch over the cap pumps-and-waits,
+    /// bumping `orb.backpressure.waits`.
     pub inflight_cap: usize,
 }
 
@@ -101,37 +94,18 @@ impl Default for OrbConfig {
             reply_cache_cap: 1024,
             failover_limit: 3,
             registry_ttl_ms: 5_000,
-            router_shards: env_usize("PARDIS_SHARDS", 16),
-            batch: BatchMode::from_env(),
-            batch_max_bytes: 16 * 1024,
-            batch_delay: batch_delay_from_env(),
-            inflight_cap: env_usize("PARDIS_INFLIGHT", 0),
+            batch: BatchMode::Off,
+            batch_delay: BATCH_DELAY,
+            inflight_cap: 0,
         }
     }
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-/// A transport delivery: the wire frame plus the sending host (for reply
-/// cost accounting and diagnostics).
+/// A transport delivery: one wire frame.
 #[derive(Debug, Clone)]
 pub struct Envelope {
-    /// Host the frame came from.
-    pub from_host: HostId,
     /// Encoded [`Message`] frame.
     pub wire: bytes::Bytes,
-}
-
-pub(crate) struct ServerRecord {
-    #[allow(dead_code)]
-    pub host: HostId,
-    #[allow(dead_code)]
-    pub nthreads: usize,
-    pub endpoints: Vec<EndpointId>,
-    #[allow(dead_code)]
-    pub name: String,
 }
 
 /// Registered object metadata (what the repository hands to binders).
@@ -167,7 +141,8 @@ pub(crate) struct OrbInner {
     endpoints: Published<EndpointTable>,
     /// Serialises endpoint table read-modify-publish cycles.
     ep_lock: AuditMutex<()>,
-    pub servers: AuditRwLock<HashMap<ServerId, ServerRecord>>,
+    /// Each registered server's request endpoints, in thread order.
+    pub servers: AuditRwLock<HashMap<ServerId, Vec<EndpointId>>>,
     pub objects: AuditRwLock<HashMap<ObjectKey, ObjectMeta>>,
     pub names: ObjectRepository,
     pub impls: ImplementationRepository,
@@ -201,7 +176,7 @@ impl Orb {
     /// An ORB over an existing simulated network.
     pub fn new(network: Network) -> Orb {
         let cfg = OrbConfig::default();
-        let batcher = Batcher::new(cfg.batch, cfg.batch_max_bytes, cfg.batch_delay);
+        let batcher = Batcher::new(cfg.batch, BATCH_MAX_BYTES, cfg.batch_delay);
         Orb {
             inner: Arc::new(OrbInner {
                 network,
@@ -315,22 +290,16 @@ impl Orb {
         self.inner.config.write().registry_ttl_ms = ttl_ms;
     }
 
-    /// Set the client reply-router shard count (rounded up to a power of
-    /// two). Takes effect for client threads attached after the call.
-    pub fn set_router_shards(&self, n: usize) {
-        self.inner.config.write().router_shards = n.max(1);
-    }
-
-    /// Set the request-batching mode ([`BatchMode`], `PARDIS_BATCH`).
-    /// Takes effect immediately for subsequent sends; frames already queued
-    /// drain under the old grouping.
+    /// Set the request-batching mode ([`BatchMode`]). Takes effect
+    /// immediately for subsequent sends; frames already queued drain under
+    /// the old grouping.
     pub fn set_batch_mode(&self, mode: BatchMode) {
-        let (max_bytes, max_delay) = {
+        let max_delay = {
             let mut cfg = self.inner.config.write();
             cfg.batch = mode;
-            (cfg.batch_max_bytes, cfg.batch_delay)
+            cfg.batch_delay
         };
-        self.inner.batcher.set_params(mode, max_bytes, max_delay);
+        self.inner.batcher.set_params(mode, BATCH_MAX_BYTES, max_delay);
         if mode != BatchMode::Off {
             self.ensure_flusher();
         } else {
@@ -339,25 +308,14 @@ impl Orb {
         }
     }
 
-    /// Set the batch coalescing ceiling (bytes per envelope; frames at or
-    /// above it bypass coalescing).
-    pub fn set_batch_max_bytes(&self, bytes: usize) {
-        let (mode, max_delay) = {
-            let mut cfg = self.inner.config.write();
-            cfg.batch_max_bytes = bytes.max(64);
-            (cfg.batch, cfg.batch_delay)
-        };
-        self.inner.batcher.set_params(mode, bytes.max(64), max_delay);
-    }
-
-    /// Set the batch flush deadline (`PARDIS_BATCH_DELAY_US`).
+    /// Set the batch flush deadline.
     pub fn set_batch_delay(&self, delay: Duration) {
-        let (mode, max_bytes) = {
+        let mode = {
             let mut cfg = self.inner.config.write();
             cfg.batch_delay = delay;
-            (cfg.batch, cfg.batch_max_bytes)
+            cfg.batch
         };
-        self.inner.batcher.set_params(mode, max_bytes, delay);
+        self.inner.batcher.set_params(mode, BATCH_MAX_BYTES, delay);
     }
 
     /// Set the per-endpoint in-flight invocation cap (`0` = admission
@@ -532,7 +490,15 @@ impl Orb {
     /// network topology are both immutable published snapshots, and under
     /// the overlapped engine the sender pays only the link's software
     /// overhead before returning — wire time elapses on the link's own
-    /// timeline ([`Network::transmit`]).
+    /// timeline ([`Network::transmit`], which under
+    /// [`pardis_netsim::TransportMode::Sync`] charges the whole transfer
+    /// and releases inline instead).
+    ///
+    /// The only error is an endpoint the ORB has never heard of. A frame
+    /// the network drops, or one whose receiver has gone away, is
+    /// indistinguishable from a frame arriving at a dead host: the send
+    /// returns `Ok` in either transport mode, and recovery is the client
+    /// pump's job.
     fn transmit_frame(
         &self,
         from_host: HostId,
@@ -551,28 +517,9 @@ impl Orb {
         };
         self.inner.frames_sent.fetch_add(1, Ordering::Relaxed);
         self.inner.bytes_sent.fetch_add(wire.len() as u64, Ordering::Relaxed);
-        if self.inner.network.transport_mode() == TransportMode::Sync {
-            let verdict = self.inner.network.deliver(from_host, to_host, wire.len());
-            return match verdict {
-                // A drop is invisible to the sender: the send "succeeds" but
-                // the frame never arrives. Recovery is the client pump's job.
-                Verdict::Dropped => Ok(()),
-                Verdict::Delivered => {
-                    tx.send(Envelope { from_host, wire }).map_err(|_| OrbError::Disconnected)
-                }
-                Verdict::Duplicated => {
-                    tx.send(Envelope { from_host, wire: wire.clone() })
-                        .map_err(|_| OrbError::Disconnected)?;
-                    tx.send(Envelope { from_host, wire }).map_err(|_| OrbError::Disconnected)
-                }
-            };
-        }
-        // Overlapped engine: `release` runs once per arriving copy. A send
-        // to an endpoint whose receiver has gone away behaves like a frame
-        // arriving at a dead host — indistinguishable from a drop, so it
-        // does not fail the send.
+        // `release` runs once per arriving copy.
         self.inner.network.transmit(from_host, to_host, wire.len(), move || {
-            let _ = tx.send(Envelope { from_host, wire: wire.clone() });
+            let _ = tx.send(Envelope { wire: wire.clone() });
         });
         Ok(())
     }
@@ -634,12 +581,7 @@ impl Orb {
 
     /// Look up the request endpoints of an object's server, in thread order.
     pub(crate) fn server_endpoints(&self, server: ServerId) -> OrbResult<Vec<EndpointId>> {
-        self.inner
-            .servers
-            .read()
-            .get(&server)
-            .map(|r| r.endpoints.clone())
-            .ok_or(OrbError::Disconnected)
+        self.inner.servers.read().get(&server).cloned().ok_or(OrbError::Disconnected)
     }
 
     /// Register a servant for the collocated direct-call path.

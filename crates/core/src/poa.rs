@@ -11,7 +11,7 @@ use crate::error::OrbResult;
 use crate::object::{
     BindingId, DistPolicy, EndpointId, ObjectKey, ObjectKind, ObjectRef, ServerId,
 };
-use crate::orb::{Envelope, ObjectMeta, Orb, ServerRecord};
+use crate::orb::{Envelope, ObjectMeta, Orb};
 use crate::protocol::{
     ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg, ReplyStatus, RequestMsg, SrcTemplate,
 };
@@ -63,8 +63,10 @@ static REPLY_CACHE: pardis_audit::Site = pardis_audit::Site {
 };
 
 impl ServerGroup {
-    /// Register a server of `nthreads` computing threads on `host`.
-    pub fn create(orb: &Orb, name: &str, host: HostId, nthreads: usize) -> ServerGroup {
+    /// Register a server of `nthreads` computing threads on `host`. The
+    /// name labels the server in the caller's code only; the ORB keeps no
+    /// copy (objects are found by the names they are activated under).
+    pub fn create(orb: &Orb, _name: &str, host: HostId, nthreads: usize) -> ServerGroup {
         assert!(nthreads > 0, "server needs at least one computing thread");
         let id = ServerId(orb.alloc_id());
         let mut endpoints = Vec::with_capacity(nthreads);
@@ -74,10 +76,7 @@ impl ServerGroup {
             endpoints.push(ep);
             inboxes.push(Some(rx));
         }
-        orb.inner.servers.write().insert(
-            id,
-            ServerRecord { host, nthreads, endpoints: endpoints.clone(), name: name.to_string() },
-        );
+        orb.inner.servers.write().insert(id, endpoints.clone());
         ServerGroup {
             orb: orb.clone(),
             id,

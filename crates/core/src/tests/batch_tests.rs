@@ -192,8 +192,6 @@ fn orphan_stash_eviction_regression() {
     let net = Network::new(TimeScale::off());
     let host = net.add_host("localhost");
     let orb = Orb::new(net);
-    // One shard so the cap applies to one stash and the count is exact.
-    orb.set_router_shards(1);
 
     let group = ServerGroup::create(&orb, "echo-server", host, 1);
     let g2 = group.clone();
@@ -206,12 +204,18 @@ fn orphan_stash_eviction_regression() {
     let client = ClientGroup::create(&orb, host, 1).attach(0, None);
     let before = pardis_obs::counter("client.orphans.evicted").get();
 
+    // Every stray key hashes to one router shard, so the cap applies to
+    // one stash and the count is exact.
     let cap = crate::client::PUMP_MEMORY_CAP;
     let extra = 10usize;
-    for i in 0..(cap + extra) {
+    let strays = (0u64..)
+        .map(|i| (BindingId(0xDEAD_0000_0000 | i), i))
+        .filter(|&key| crate::client::router_shard_of(key) == 0)
+        .take(cap + extra);
+    for (binding, req_id) in strays {
         let stray = Message::Reply(ReplyMsg {
-            req_id: i as u64,
-            binding: BindingId(0xDEAD_0000_0000 | i as u64),
+            req_id,
+            binding,
             status: ReplyStatus::Ok,
             outs: Vec::new(),
             dout_lens: Vec::new(),

@@ -6,7 +6,7 @@
 use crate::dist::Distribution;
 use crate::error::OrbError;
 use crate::object::{BindingId, ClientId, ObjectKey, ObjectKind, ObjectRef, ServerId};
-use crate::orb::{ObjectMeta, ServerRecord};
+use crate::orb::ObjectMeta;
 use crate::protocol::*;
 use crate::repository::DEFAULT_REPOSITORY;
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
@@ -134,10 +134,7 @@ fn fake_spmd_server(
     let server = ServerId(orb.alloc_id());
     let (endpoints, inboxes): (Vec<_>, Vec<_>) =
         (0..2).map(|_| orb.register_endpoint(host)).unzip();
-    orb.inner
-        .servers
-        .write()
-        .insert(server, ServerRecord { host, nthreads: 2, endpoints, name: name.to_string() });
+    orb.inner.servers.write().insert(server, endpoints);
     let oref = ObjectRef {
         key: ObjectKey(orb.alloc_id()),
         interface: "fake".into(),

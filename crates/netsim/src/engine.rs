@@ -38,30 +38,11 @@ pub enum TransportMode {
     #[default]
     Overlapped,
     /// The legacy synchronous path: the sender's thread pays the full
-    /// modelled transfer and the virtual clock sums every transfer. Selected
-    /// with `PARDIS_TRANSPORT=sync`; accounting is bit-for-bit identical to
-    /// the pre-engine simulator.
+    /// modelled transfer and the virtual clock sums every transfer. Chosen
+    /// explicitly ([`crate::Network::with_transport`]) by the paper's
+    /// "(blocking)" series; accounting is bit-for-bit identical to the
+    /// pre-engine simulator.
     Sync,
-}
-
-impl TransportMode {
-    /// Parse a `PARDIS_TRANSPORT` value; anything but `sync`/`blocking`
-    /// means the engine.
-    pub fn parse(value: &str) -> TransportMode {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "sync" | "blocking" => TransportMode::Sync,
-            _ => TransportMode::Overlapped,
-        }
-    }
-
-    /// Read the mode from the `PARDIS_TRANSPORT` environment variable
-    /// (unset → [`TransportMode::Overlapped`]).
-    pub fn from_env() -> TransportMode {
-        match std::env::var("PARDIS_TRANSPORT") {
-            Ok(v) => TransportMode::parse(&v),
-            Err(_) => TransportMode::Overlapped,
-        }
-    }
 }
 
 /// Update an `f64` stored as bits in an `AtomicU64`; returns `(old, new)`.

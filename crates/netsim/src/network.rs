@@ -198,14 +198,13 @@ impl Default for Network {
 
 impl Network {
     /// Create an empty network with the given time scale for delay
-    /// injection. The transport mode comes from `PARDIS_TRANSPORT`
-    /// (`sync` selects the legacy synchronous accounting; the default is
-    /// the event-driven overlapped engine).
+    /// injection, on the event-driven overlapped engine.
     pub fn new(scale: TimeScale) -> Self {
-        Self::with_transport(scale, TransportMode::from_env())
+        Self::with_transport(scale, TransportMode::Overlapped)
     }
 
-    /// Create an empty network with an explicit transport mode.
+    /// Create an empty network with an explicit transport mode
+    /// ([`TransportMode::Sync`] for the paper's blocking accounting).
     pub fn with_transport(scale: TimeScale, mode: TransportMode) -> Self {
         Network {
             topo: Arc::new(Published::new(Topology::empty(LinkPreset::Ethernet10.link()))),
@@ -230,7 +229,7 @@ impl Network {
     /// processors) and `HOST_2` (10-node SGI PowerChallenge, faster
     /// processors) joined by a dedicated ATM OC-3 link.
     pub fn paper_atm_testbed(scale: TimeScale) -> Self {
-        Self::paper_atm_testbed_with(scale, TransportMode::from_env())
+        Self::paper_atm_testbed_with(scale, TransportMode::Overlapped)
     }
 
     /// [`Network::paper_atm_testbed`] with an explicit transport mode.
@@ -246,7 +245,7 @@ impl Network {
     /// and the IBM SP/2 (gradient), communicating over Ethernet; an SGI Indy
     /// workstation runs the gradient's visualizer.
     pub fn paper_ethernet_testbed(scale: TimeScale) -> Self {
-        Self::paper_ethernet_testbed_with(scale, TransportMode::from_env())
+        Self::paper_ethernet_testbed_with(scale, TransportMode::Overlapped)
     }
 
     /// [`Network::paper_ethernet_testbed`] with an explicit transport mode.

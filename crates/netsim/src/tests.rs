@@ -513,13 +513,15 @@ mod engine {
     use std::sync::Arc;
 
     #[test]
-    fn transport_mode_parses() {
-        assert_eq!(TransportMode::parse("sync"), TransportMode::Sync);
-        assert_eq!(TransportMode::parse("SYNC"), TransportMode::Sync);
-        assert_eq!(TransportMode::parse(" blocking "), TransportMode::Sync);
-        assert_eq!(TransportMode::parse("overlapped"), TransportMode::Overlapped);
-        assert_eq!(TransportMode::parse(""), TransportMode::Overlapped);
+    fn constructors_default_to_the_engine() {
+        let off = TimeScale::off;
         assert_eq!(TransportMode::default(), TransportMode::Overlapped);
+        assert_eq!(Network::new(off()).transport_mode(), TransportMode::Overlapped);
+        assert_eq!(Network::paper_atm_testbed(off()).transport_mode(), TransportMode::Overlapped);
+        let eth = Network::paper_ethernet_testbed(off());
+        assert_eq!(eth.transport_mode(), TransportMode::Overlapped);
+        let sync = Network::paper_atm_testbed_with(off(), TransportMode::Sync);
+        assert_eq!(sync.transport_mode(), TransportMode::Sync);
     }
 
     #[test]

@@ -95,10 +95,11 @@ impl Field2D {
     /// Collective: every thread must call. Single-thread worlds are a
     /// no-op.
     ///
-    /// When the RTS has one-sided windows and `PARDIS_ONESIDED` is enabled,
-    /// each thread *puts* its boundary strips straight into its neighbours'
+    /// The RTS decides the path: when it has one-sided windows, each
+    /// thread *puts* its boundary strips straight into its neighbours'
     /// exposed landing windows (notify-on-delivery replaces receive
-    /// matching); otherwise the classic send/recv exchange runs.
+    /// matching); on a purely two-sided RTS the classic send/recv exchange
+    /// runs.
     pub fn exchange_guards(&mut self, rts: &dyn Rts) {
         let n = self.layout.nthreads;
         debug_assert_eq!(rts.size(), n, "field layout does not match the RTS world");
@@ -106,11 +107,9 @@ impl Field2D {
         if n == 1 {
             return;
         }
-        if pardis_rts::one_sided_enabled() {
-            if let Some(w) = rts.windows() {
-                self.exchange_guards_one_sided(rts, w);
-                return;
-            }
+        if let Some(w) = rts.windows() {
+            self.exchange_guards_one_sided(rts, w);
+            return;
         }
         let nx = self.layout.nx;
         let t = self.thread;

@@ -32,8 +32,7 @@ pub use msg::Msg;
 pub use rts_trait::{MpiRts, ReduceOp, Rts};
 pub use tulip::{Region, RegionId, TulipRts, TulipWorld};
 pub use window::{
-    one_sided_enabled, set_one_sided, Completion, GetHandle, Notice, RtsError, WindowId,
-    WindowShared, Windows, CTRL_FRAME_BYTES,
+    Completion, GetHandle, Notice, RtsError, WindowId, WindowShared, Windows, CTRL_FRAME_BYTES,
 };
 pub use world::{Rank, World};
 

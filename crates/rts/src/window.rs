@@ -27,16 +27,17 @@
 //!   the frame's modelled arrival. With no network attached the operations
 //!   complete inline at zero modelled cost (plain shared-memory semantics).
 //!
-//! The `PARDIS_ONESIDED` environment knob (see [`one_sided_enabled`])
-//! gates the *users* of this layer — pull-based `dseq` redistribution and
-//! `pooma-rs` halo exchange — so `PARDIS_ONESIDED=off` preserves the legacy
-//! two-sided paths byte-for-byte.
+//! The *users* of this layer — pull-based `dseq` redistribution and
+//! `pooma-rs` halo exchange — take the one-sided path exactly when their
+//! RTS offers windows ([`crate::Rts::windows`] returns `Some`). A purely
+//! two-sided RTS returns `None` and gets the send/recv paths; there is no
+//! process-wide switch.
 
 use bytes::{Bytes, BytesMut};
 use pardis_netsim::{HostId, Network, Published};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of an exposed window: the owning rank plus the window's base
@@ -608,33 +609,4 @@ impl std::fmt::Debug for Windows {
 /// Overflow-safe `[offset, offset+len) ⊄ [0, size)` check.
 fn out_of_bounds(offset: u64, len: u64, size: usize) -> bool {
     offset.checked_add(len).is_none_or(|end| end > size as u64)
-}
-
-/// `PARDIS_ONESIDED` resolution: 0 = unresolved, 1 = on, 2 = off.
-static ONESIDED: AtomicU8 = AtomicU8::new(0);
-
-/// Is the one-sided fast path enabled? Defaults to on; `PARDIS_ONESIDED=off`
-/// (or `0`) selects the legacy two-sided emulation everywhere the one-sided
-/// layer would otherwise be used (pull redistribution, halo puts).
-pub fn one_sided_enabled() -> bool {
-    match ONESIDED.load(Ordering::Relaxed) {
-        0 => {
-            let on = !std::env::var("PARDIS_ONESIDED")
-                .map(|v| {
-                    let v = v.to_ascii_lowercase();
-                    v == "off" || v == "0" || v == "false"
-                })
-                .unwrap_or(false);
-            ONESIDED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-        1 => true,
-        _ => false,
-    }
-}
-
-/// Override the `PARDIS_ONESIDED` resolution at runtime (benches and
-/// cross-mode tests flip this between measurements).
-pub fn set_one_sided(on: bool) {
-    ONESIDED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }

@@ -10,7 +10,7 @@
 
 use pardis::audit;
 use pardis::core::{ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest};
-use pardis::netsim::{FaultPlan, Link, Network, TimeScale, TransportMode};
+use pardis::netsim::{FaultPlan, Link, Network, TimeScale};
 use pardis::registry::{BindingPolicy, GroupProxy, RegistryClient, RegistryServer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,7 +58,7 @@ impl Servant for Bumper {
 #[test]
 fn chaos_workload_under_audit_reports_zero_findings() {
     let _g = audited();
-    let net = Network::with_transport(TimeScale::off(), TransportMode::from_env());
+    let net = Network::new(TimeScale::off());
     let ch = net.add_host("client");
     let sh = net.add_host("server");
     net.connect(ch, sh, Link::free());
@@ -101,7 +101,7 @@ fn chaos_workload_under_audit_reports_zero_findings() {
 #[test]
 fn registry_failover_under_audit_reports_zero_findings() {
     let _g = audited();
-    let net = Network::with_transport(TimeScale::off(), TransportMode::from_env());
+    let net = Network::new(TimeScale::off());
     let ch = net.add_host("client");
     let hreg = net.add_host("registry");
     net.connect(ch, hreg, Link::free());

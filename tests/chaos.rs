@@ -77,7 +77,7 @@ impl Servant for Bumper {
 /// determinism check needs: the replies, the servant's effect count, the
 /// network's fault counters, and the client's retransmission count.
 fn counting_workload(seed: u64, calls: i64) -> (Vec<i64>, u64, FaultStats, u64) {
-    counting_workload_with(TransportMode::from_env(), seed, calls)
+    counting_workload_with(TransportMode::Overlapped, seed, calls)
 }
 
 fn counting_workload_with(

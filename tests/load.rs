@@ -3,7 +3,7 @@
 //! Four guarantees, end to end over the simulated network:
 //!
 //! * **Cross-mode equivalence** — the same workload produces the same
-//!   results under `PARDIS_BATCH=off`, `adaptive`, and a fixed count, and
+//!   results with batching off, `adaptive`, and a fixed count, and
 //!   batching strictly reduces the number of wire frames.
 //! * **Concurrent correctness** — many client threads hammering one server
 //!   through the sharded reply router all get their own answers back.

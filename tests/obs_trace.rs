@@ -42,7 +42,7 @@ impl Servant for Bumper {
 /// between the client and server threads, so the exact stamp an event gets
 /// can race; only the zero-latency trace is byte-reproducible.
 fn traced_workload(seed: u64, calls: i64, latency: f64) -> (Vec<i64>, TraceReport) {
-    traced_workload_with(TransportMode::from_env(), seed, calls, latency)
+    traced_workload_with(TransportMode::Overlapped, seed, calls, latency)
 }
 
 fn traced_workload_with(

@@ -1,33 +1,92 @@
-//! Cross-mode end-to-end suite for the one-sided RTS layer.
+//! End-to-end suite for the one-sided RTS layer.
 //!
-//! Every test runs its workload under both `PARDIS_ONESIDED` modes (the
-//! pull/put paths and the legacy two-sided push paths) and asserts
-//! bit-for-bit identical outcomes, so the escape hatch provably reproduces
-//! today's behaviour. The mode knob is process-wide, so all tests in this
-//! binary serialise on one lock and restore the default before releasing
-//! it.
+//! Whether a redistribution pulls through windows or pushes through
+//! send/recv — and whether a halo exchange puts or sends — is decided by
+//! the RTS alone: one that offers windows gets the one-sided path, one
+//! whose `windows()` is `None` gets the two-sided path. Every test runs its
+//! workload on a windowed RTS and on the same RTS wrapped in [`TwoSided`],
+//! and asserts bit-for-bit identical outcomes; redistributions are also
+//! checked against the target distribution sliced straight out of the
+//! global vector.
 
 use pardis::core::{DSequence, Distribution};
 use pardis::netsim::{LinkPreset, Network, TimeScale, TransportMode};
 use pardis::pooma::{Field2D, Layout2D, PoomaComm};
-use pardis::rts::{set_one_sided, MpiRts, Rts, TulipWorld, World};
-use std::sync::Mutex;
+use pardis::rts::{Bytes, MpiRts, Msg, ReduceOp, Rts, TulipWorld, Windows, World};
+use std::time::Duration;
 
-/// Serialises tests that flip the process-wide one-sided knob. A poisoned
-/// lock (a prior test panicked mid-flip) is recovered and the default
-/// restored, so one failure does not cascade.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+/// A purely two-sided view of an RTS: forwards every call except
+/// `windows()`, which returns `None`, so callers take their send/recv
+/// paths.
+struct TwoSided<R: Rts>(R);
 
-fn with_mode<R>(one_sided: bool, f: impl FnOnce() -> R) -> R {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    set_one_sided(one_sided);
-    let out = f();
-    set_one_sided(true);
-    out
+impl<R: Rts> Rts for TwoSided<R> {
+    fn rank(&self) -> usize {
+        self.0.rank()
+    }
+    fn size(&self) -> usize {
+        self.0.size()
+    }
+    fn send(&self, to: usize, tag: u64, data: Bytes) {
+        self.0.send(to, tag, data)
+    }
+    fn recv(&self, from: Option<usize>, tag: u64) -> Msg {
+        self.0.recv(from, tag)
+    }
+    fn recv_timeout(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
+        self.0.recv_timeout(from, tag, timeout)
+    }
+    fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
+        self.0.try_recv(from, tag)
+    }
+    fn barrier(&self) {
+        self.0.barrier()
+    }
+    fn broadcast(&self, root: usize, data: Option<Bytes>) -> Bytes {
+        self.0.broadcast(root, data)
+    }
+    fn gather(&self, root: usize, part: Bytes) -> Option<Vec<Bytes>> {
+        self.0.gather(root, part)
+    }
+    fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
+        self.0.scatter(root, parts)
+    }
+    fn windows(&self) -> Option<&Windows> {
+        None
+    }
+    fn all_gather(&self, part: Bytes) -> Vec<Bytes> {
+        self.0.all_gather(part)
+    }
+    fn all_reduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
+        self.0.all_reduce_f64(value, op)
+    }
 }
 
-/// Gathered global contents after redistributing `len` f64 elements from
-/// `src` to `dst` over `n` ranks, as raw bits per element.
+/// Run `f` on `rts` as it is (one-sided) or behind [`TwoSided`].
+fn on_path<R: Rts, T>(one_sided: bool, rts: R, f: impl FnOnce(&dyn Rts) -> T) -> T {
+    if one_sided {
+        assert!(rts.windows().is_some(), "the one-sided leg needs a windowed RTS");
+        f(&rts)
+    } else {
+        f(&TwoSided(rts))
+    }
+}
+
+/// The elements thread `t` owns under `dist`, in global-index order, picked
+/// element by element with [`Distribution::owner`].
+fn expected_local<T: Clone>(full: &[T], dist: &Distribution, n: usize, t: usize) -> Vec<T> {
+    let len = full.len() as u64;
+    (0..len).filter(|&i| dist.owner(len, n, i) == t).map(|i| full[i as usize].clone()).collect()
+}
+
+/// Deterministic but non-trivial payload (negative, fractional values) so
+/// byte-level mix-ups cannot cancel out.
+fn payload(len: usize) -> Vec<f64> {
+    (0..len).map(|i| (i as f64 - 3.25) * 1.000_000_1).collect()
+}
+
+/// Per-rank local contents, as raw bits, after redistributing `len` f64
+/// elements from `src` to `dst` over `n` ranks.
 fn redistribute_bits(
     one_sided: bool,
     len: usize,
@@ -35,18 +94,24 @@ fn redistribute_bits(
     src: Distribution,
     dst: Distribution,
 ) -> Vec<Vec<u64>> {
-    with_mode(one_sided, || {
-        // Deterministic but non-trivial payload (negative, fractional,
-        // denormal-adjacent values) so byte-level mix-ups cannot cancel out.
-        let full: Vec<f64> = (0..len).map(|i| (i as f64 - 3.25) * 1.000_000_1).collect();
-        World::run(n, move |rank| {
-            let t = rank.rank();
-            let rts = MpiRts::new(rank);
+    let full = payload(len);
+    World::run(n, move |rank| {
+        let t = rank.rank();
+        on_path(one_sided, MpiRts::new(rank), |rts| {
             let mut ds = DSequence::distribute(&full, src.clone(), n, t);
-            ds.redistribute(&rts, dst.clone());
-            ds.gather(&rts).into_iter().map(f64::to_bits).collect::<Vec<u64>>()
+            ds.redistribute(rts, dst.clone());
+            ds.local().iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
         })
     })
+}
+
+/// What [`redistribute_bits`] must return: the target distribution sliced
+/// out of the global vector.
+fn expected_bits(len: usize, n: usize, dst: &Distribution) -> Vec<Vec<u64>> {
+    let full = payload(len);
+    (0..n)
+        .map(|t| expected_local(&full, dst, n, t).into_iter().map(f64::to_bits).collect())
+        .collect()
 }
 
 #[test]
@@ -60,92 +125,100 @@ fn redistribution_identical_across_modes() {
         (1, 2, Distribution::Block, Distribution::Cyclic),
     ];
     for (len, n, src, dst) in shapes {
+        let expected = expected_bits(len, n, &dst);
         let pull = redistribute_bits(true, len, n, src.clone(), dst.clone());
         let push = redistribute_bits(false, len, n, src.clone(), dst.clone());
-        assert_eq!(pull, push, "modes diverged for len={len} n={n} {src:?}->{dst:?}");
+        assert_eq!(pull, expected, "pull wrong for len={len} n={n} {src:?}->{dst:?}");
+        assert_eq!(push, expected, "push wrong for len={len} n={n} {src:?}->{dst:?}");
     }
 }
 
 #[test]
 fn repeated_redistributions_identical_across_modes() {
+    let full: Vec<f64> = (0..50).map(|i| (i * i) as f64 / 7.0).collect();
     let run = |one_sided: bool| {
-        with_mode(one_sided, || {
-            let full: Vec<f64> = (0..50).map(|i| (i * i) as f64 / 7.0).collect();
-            World::run(3, move |rank| {
-                let t = rank.rank();
-                let rts = MpiRts::new(rank);
+        let full = full.clone();
+        World::run(3, move |rank| {
+            let t = rank.rank();
+            on_path(one_sided, MpiRts::new(rank), |rts| {
                 let mut ds = DSequence::distribute(&full, Distribution::Block, 3, t);
-                ds.redistribute(&rts, Distribution::Cyclic);
-                ds.redistribute(&rts, Distribution::BlockCyclic(4));
-                ds.redistribute(&rts, Distribution::Block);
-                ds.local().iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+                ds.redistribute(rts, Distribution::Cyclic);
+                ds.redistribute(rts, Distribution::BlockCyclic(4));
+                ds.redistribute(rts, Distribution::Block);
+                ds.local().to_vec()
             })
         })
     };
-    assert_eq!(run(true), run(false));
+    let expected: Vec<Vec<f64>> =
+        (0..3).map(|t| expected_local(&full, &Distribution::Block, 3, t)).collect();
+    assert_eq!(run(true), expected);
+    assert_eq!(run(false), expected);
 }
 
-/// Variable-width elements have no fixed wire size, so the pull gate must
-/// fall back to push in both modes — and keep working.
+/// Variable-width elements have no fixed wire size, so a windowed RTS
+/// still falls back to push — and keeps working.
 #[test]
 fn string_redistribution_identical_across_modes() {
+    let full: Vec<String> = (0..13).map(|i| format!("elem-{i}-{}", "x".repeat(i))).collect();
     let run = |one_sided: bool| {
-        with_mode(one_sided, || {
-            let full: Vec<String> =
-                (0..13).map(|i| format!("elem-{i}-{}", "x".repeat(i))).collect();
-            World::run(3, move |rank| {
-                let t = rank.rank();
-                let rts = MpiRts::new(rank);
+        let full = full.clone();
+        World::run(3, move |rank| {
+            let t = rank.rank();
+            on_path(one_sided, MpiRts::new(rank), |rts| {
                 let mut ds = DSequence::distribute(&full, Distribution::Block, 3, t);
-                ds.redistribute(&rts, Distribution::Cyclic);
-                ds.gather(&rts)
+                ds.redistribute(rts, Distribution::Cyclic);
+                ds.gather(rts)
             })
         })
     };
-    assert_eq!(run(true), run(false));
+    let windowed = run(true);
+    assert_eq!(windowed, run(false));
+    assert!(windowed.iter().all(|g| *g == full));
 }
 
 /// The Tulip RTS port drives the same pull path through its own window
 /// layer.
 #[test]
 fn tulip_redistribution_identical_across_modes() {
+    let full: Vec<i64> = (0..37).map(|i| i * 31 - 400).collect();
     let run = |one_sided: bool| {
-        with_mode(one_sided, || {
-            let full: Vec<i64> = (0..37).map(|i| i * 31 - 400).collect();
-            let (_tw, endpoints) = TulipWorld::new(4);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = endpoints
-                    .into_iter()
-                    .map(|ep| {
-                        let full = full.clone();
-                        scope.spawn(move || {
-                            let t = ep.rank();
+        let (_tw, endpoints) = TulipWorld::new(4);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = endpoints
+                .into_iter()
+                .map(|ep| {
+                    let full = full.clone();
+                    scope.spawn(move || {
+                        let t = ep.rank();
+                        on_path(one_sided, ep, |rts| {
                             let mut ds = DSequence::distribute(&full, Distribution::Cyclic, 4, t);
-                            ds.redistribute(&ep, Distribution::Block);
-                            ds.gather(&ep)
+                            ds.redistribute(rts, Distribution::Block);
+                            ds.local().to_vec()
                         })
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-            })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
         })
     };
-    assert_eq!(run(true), run(false));
+    let expected: Vec<Vec<i64>> =
+        (0..4).map(|t| expected_local(&full, &Distribution::Block, 4, t)).collect();
+    assert_eq!(run(true), expected);
+    assert_eq!(run(false), expected);
 }
 
 /// Stencil iteration over the POOMA field: the one-sided halo exchange must
 /// produce bit-identical fields to the send/recv exchange.
 fn stencil_bits(one_sided: bool) -> Vec<Vec<u64>> {
-    with_mode(one_sided, || {
-        let layout = Layout2D::new(12, 17, 3);
-        World::run(3, move |rank| {
-            let t = rank.rank();
-            let comm = PoomaComm::new(rank);
+    let layout = Layout2D::new(12, 17, 3);
+    World::run(3, move |rank| {
+        let t = rank.rank();
+        on_path(one_sided, PoomaComm::new(rank), |rts| {
             let mut field =
                 Field2D::from_fn(layout.clone(), t, |i, j| ((i * 7 + j * 3) % 11) as f64 / 3.0);
             for _ in 0..5 {
-                field.stencil9(0.05, &comm);
-                field.stencil5(0.1, &comm);
+                field.stencil9(0.05, rts);
+                field.stencil5(0.1, rts);
             }
             field.interior().into_iter().map(f64::to_bits).collect::<Vec<u64>>()
         })
@@ -157,41 +230,43 @@ fn pooma_stencil_identical_across_modes() {
     assert_eq!(stencil_bits(true), stencil_bits(false));
 }
 
-/// Both modes also agree with an engine-mode network attached (transfers
+/// Both paths also agree with an engine-mode network attached (transfers
 /// charged on modelled lanes), and one-sided traffic books strictly less
 /// virtual wire time than the rendezvous-based push.
 #[test]
 fn networked_redistribution_agrees_and_pull_is_cheaper() {
+    let full: Vec<f64> = (0..96).map(|i| i as f64 * 0.5).collect();
     let run = |one_sided: bool| {
-        with_mode(one_sided, || {
-            let net = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
-            net.set_default_link(LinkPreset::AtmOc3.link());
-            let hosts: Vec<_> = (0..4).map(|r| net.add_host(&format!("h{r}"))).collect();
-            let full: Vec<f64> = (0..96).map(|i| i as f64 * 0.5).collect();
-            let (world, ranks) = World::new(4);
-            world.attach_network(net.clone(), hosts);
-            let out = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranks
-                    .into_iter()
-                    .map(|rank| {
-                        let full = full.clone();
-                        scope.spawn(move || {
-                            let t = rank.rank();
-                            let rts = MpiRts::new(rank);
+        let net = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
+        net.set_default_link(LinkPreset::AtmOc3.link());
+        let hosts: Vec<_> = (0..4).map(|r| net.add_host(&format!("h{r}"))).collect();
+        let (world, ranks) = World::new(4);
+        world.attach_network(net.clone(), hosts);
+        let out = std::thread::scope(|scope| {
+            let handles: Vec<_> = ranks
+                .into_iter()
+                .map(|rank| {
+                    let full = full.clone();
+                    scope.spawn(move || {
+                        let t = rank.rank();
+                        on_path(one_sided, MpiRts::new(rank), |rts| {
                             let mut ds = DSequence::distribute(&full, Distribution::Block, 4, t);
-                            ds.redistribute(&rts, Distribution::BlockCyclic(2));
-                            ds.local().iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+                            ds.redistribute(rts, Distribution::BlockCyclic(2));
+                            ds.local().to_vec()
                         })
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-            });
-            (out, net.makespan())
-        })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
+        });
+        (out, net.makespan())
     };
     let (pull, pull_time) = run(true);
     let (push, push_time) = run(false);
-    assert_eq!(pull, push, "networked modes diverged");
+    let expected: Vec<Vec<f64>> =
+        (0..4).map(|t| expected_local(&full, &Distribution::BlockCyclic(2), 4, t)).collect();
+    assert_eq!(pull, expected, "networked pull wrong");
+    assert_eq!(push, expected, "networked push wrong");
     assert!(
         pull_time < push_time,
         "pull should beat rendezvous push on the virtual clock: pull={pull_time:.6}s push={push_time:.6}s"
@@ -216,7 +291,8 @@ mod property {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Pull and push agree bit-for-bit on random (len, src, dst) grids.
+        /// Pull and push both land exactly the target slice of the global
+        /// vector on random (len, src, dst) grids.
         #[test]
         fn pull_matches_push(
             len in 1usize..80,
@@ -228,9 +304,11 @@ mod property {
         ) {
             let src = dist_from(src_kind, src_param, n);
             let dst = dist_from(dst_kind, dst_param, n);
+            let expected = expected_bits(len, n, &dst);
             let pull = redistribute_bits(true, len, n, src.clone(), dst.clone());
             let push = redistribute_bits(false, len, n, src.clone(), dst.clone());
-            prop_assert_eq!(pull, push, "len={} n={} {:?}->{:?}", len, n, src, dst);
+            prop_assert_eq!(&pull, &expected, "pull: len={} n={} {:?}->{:?}", len, n, src, dst);
+            prop_assert_eq!(&push, &expected, "push: len={} n={} {:?}->{:?}", len, n, src, dst);
         }
     }
 }

@@ -19,7 +19,7 @@ use pardis::core::{
     ClientGroup, ClientThread, ObjectRef, Orb, OrbError, Servant, ServerGroup, ServerReply,
     ServerRequest, TraceReport, TraceSession, DEFAULT_REPOSITORY,
 };
-use pardis::netsim::{HostId, Link, Network, TimeScale, TransportMode};
+use pardis::netsim::{HostId, Link, Network, TimeScale};
 use pardis::obs::{ArgVal, Event, Phase};
 use pardis::registry::{BindingPolicy, GroupProxy, RegistryClient, RegistryServer};
 use std::collections::{HashMap, HashSet};
@@ -99,12 +99,7 @@ struct Fleet {
 /// server is spawned and *waited for* (its name resolves) before the next —
 /// so id allocation and obs ring registration cannot interleave differently
 /// between runs; that is what makes the traced run byte-reproducible.
-fn spawn_fleet(
-    mode: TransportMode,
-    reg_latency: f64,
-    replica_latencies: &[f64],
-    trace: bool,
-) -> Fleet {
+fn spawn_fleet(reg_latency: f64, replica_latencies: &[f64], trace: bool) -> Fleet {
     let link = |latency: f64| {
         if latency > 0.0 {
             Link::new(latency, 1.0e9, 0.0)
@@ -112,7 +107,7 @@ fn spawn_fleet(
             Link::free()
         }
     };
-    let net = Network::with_transport(TimeScale::off(), mode);
+    let net = Network::new(TimeScale::off());
     let ch = net.add_host("client");
     let hreg = net.add_host("registry");
     net.connect(ch, hreg, link(reg_latency));
@@ -193,7 +188,7 @@ impl Fleet {
 #[test]
 fn failover_completes_against_survivor_mid_kill() {
     let _guard = serial();
-    let fleet = spawn_fleet(TransportMode::from_env(), 0.0, &[0.0, 0.0, 0.0], false);
+    let fleet = spawn_fleet(0.0, &[0.0, 0.0, 0.0], false);
     let admin = RegistryClient::bind(&fleet.client, "registry").unwrap();
     fleet.register_all(&admin, "bumpers");
 
@@ -252,7 +247,7 @@ fn no_replica_available_only_when_group_is_gone() {
     let _guard = serial();
     // 1 ms of modelled latency per frame: invocations advance the virtual
     // clock, and charge_virtual below can walk it past the TTL.
-    let fleet = spawn_fleet(TransportMode::from_env(), 0.001, &[0.001, 0.001], false);
+    let fleet = spawn_fleet(0.001, &[0.001, 0.001], false);
     fleet.orb.set_registry_ttl_ms(400);
     let admin = RegistryClient::bind(&fleet.client, "registry").unwrap();
     fleet.register_all(&admin, "bumpers");
@@ -318,7 +313,7 @@ fn no_replica_available_only_when_group_is_gone() {
 #[test]
 fn heartbeat_liveness_runs_on_the_virtual_clock() {
     let _guard = serial();
-    let fleet = spawn_fleet(TransportMode::from_env(), 0.001, &[0.001], false);
+    let fleet = spawn_fleet(0.001, &[0.001], false);
     fleet.orb.set_registry_ttl_ms(400);
     let admin = RegistryClient::bind(&fleet.client, "registry").unwrap();
     let r0 = &fleet.replicas[0];
@@ -378,7 +373,7 @@ fn binding_policies_pick_the_advertised_replica() {
 
     // Least-loaded: three equal replicas, loads 5/1/9 → every call lands on
     // r1 until its load report changes.
-    let fleet = spawn_fleet(TransportMode::from_env(), 0.0, &[0.0, 0.0, 0.0], false);
+    let fleet = spawn_fleet(0.0, &[0.0, 0.0, 0.0], false);
     let admin = RegistryClient::bind(&fleet.client, "registry").unwrap();
     fleet.register_all(&admin, "bumpers");
     for (member, load) in [("r0", 5u64), ("r1", 1), ("r2", 9)] {
@@ -399,7 +394,7 @@ fn binding_policies_pick_the_advertised_replica() {
 
     // Locality: the cheapest modelled link wins — r1 at 0.1 ms beats r2 at
     // 5 ms and r0 at 10 ms from the client's host.
-    let fleet = spawn_fleet(TransportMode::from_env(), 0.0, &[0.010, 0.000_1, 0.005], false);
+    let fleet = spawn_fleet(0.0, &[0.010, 0.000_1, 0.005], false);
     let admin = RegistryClient::bind(&fleet.client, "registry").unwrap();
     fleet.register_all(&admin, "bumpers");
     let group =
@@ -415,7 +410,7 @@ fn binding_policies_pick_the_advertised_replica() {
 /// A traced failover run: same seed → byte-identical Chrome trace, with the
 /// rebind visible as an event and the counters agreeing with the network.
 fn traced_failover(seed: u64) -> (Vec<i64>, TraceReport) {
-    let mut fleet = spawn_fleet(TransportMode::from_env(), 0.0, &[0.0, 0.0, 0.0], true);
+    let mut fleet = spawn_fleet(0.0, &[0.0, 0.0, 0.0], true);
     let admin = RegistryClient::bind(&fleet.client, "registry").unwrap();
     fleet.register_all(&admin, "bumpers");
 

@@ -1,14 +1,14 @@
-//! Transport-mode end-to-end guarantees: `PARDIS_TRANSPORT=sync` reproduces
-//! the legacy synchronous accounting, the overlapped engine agrees with it
-//! exactly on serial workloads (causality chains make the makespan equal the
-//! sum), and beats it on concurrent ones (independent transfer chains
-//! overlap instead of summing).
+//! Transport-mode end-to-end guarantees: an explicit `TransportMode::Sync`
+//! network reproduces the legacy synchronous accounting, the overlapped
+//! engine agrees with it exactly on serial workloads (causality chains make
+//! the makespan equal the sum), and beats it on concurrent ones
+//! (independent transfer chains overlap instead of summing).
 //!
-//! One test mutates the `PARDIS_TRANSPORT` environment variable, so the
+//! Each test resets the process-wide concurrency auditor on entry, so the
 //! whole binary serialises on a mutex.
 
 use pardis::core::{ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest};
-use pardis::netsim::{Link, LinkPreset, Network, TimeScale, TransportMode};
+use pardis::netsim::{FaultPlan, Link, LinkPreset, Network, TimeScale, TransportMode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -189,16 +189,43 @@ fn engine_reports_per_link_usage_sync_does_not() {
     assert_eq!(usage[0].1.bytes, 1024);
 }
 
+/// An ORB over an explicitly Sync network delivers every frame through
+/// the same `Network::transmit` path as the engine: with every frame
+/// duplicated, each call still executes once and answers correctly, the
+/// duplicates are counted, and no lane is fed.
 #[test]
-fn pardis_transport_env_selects_sync() {
+fn sync_orb_delivers_duplicates_through_transmit() {
     let _guard = serial();
-    assert_eq!(TransportMode::parse("sync"), TransportMode::Sync);
-    assert_eq!(TransportMode::parse("blocking"), TransportMode::Sync);
-    assert_eq!(TransportMode::parse("overlapped"), TransportMode::Overlapped);
-    std::env::set_var("PARDIS_TRANSPORT", "sync");
-    let net = Network::new(TimeScale::off());
-    std::env::remove_var("PARDIS_TRANSPORT");
-    assert_eq!(net.transport_mode(), TransportMode::Sync);
-    let net = Network::new(TimeScale::off());
-    assert_eq!(net.transport_mode(), TransportMode::Overlapped);
+    let net = Network::with_transport(TimeScale::off(), TransportMode::Sync);
+    let ch = net.add_host("client");
+    let sh = net.add_host("server");
+    net.connect(ch, sh, LinkPreset::AtmOc3.link());
+    net.set_fault_plan(Some(FaultPlan::new(7).with_dup(1.0)));
+    let orb = Orb::new(net);
+    assert_eq!(orb.network().transport_mode(), TransportMode::Sync);
+
+    let hits = Arc::new(AtomicU64::new(0));
+    let group = ServerGroup::create(&orb, "counter", sh, 1);
+    let g = group.clone();
+    let h = hits.clone();
+    let server = std::thread::spawn(move || {
+        let mut poa = g.attach(0, None);
+        poa.activate_single("bump_sync", Arc::new(Bumper { hits: h }));
+        poa.impl_is_ready();
+    });
+    let client = ClientGroup::create(&orb, ch, 1).attach(0, None);
+    let proxy = client.bind("bump_sync").unwrap();
+    let calls = 6;
+    for i in 0..calls {
+        let reply = proxy.call("bump").arg(&i).invoke().unwrap();
+        assert_eq!(reply.scalar::<i64>(0).unwrap(), 2 * i);
+    }
+    assert_eq!(hits.load(Ordering::SeqCst), calls as u64, "duplicates never re-execute");
+    let stats = orb.network().fault_stats();
+    assert!(stats.duplicated >= 2 * calls as u64, "request and reply both doubled: {stats:?}");
+    assert_eq!(stats.dropped, 0);
+    assert!(orb.network().per_link_usage().is_empty(), "sync transport does not feed lanes");
+    assert!(orb.network().clock().now() > 0.0);
+    group.shutdown();
+    server.join().unwrap();
 }
