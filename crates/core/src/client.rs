@@ -17,8 +17,8 @@ use crate::object::{BindingId, ClientId, DistPolicy, EndpointId, ObjectKind, Obj
 use crate::orb::{Envelope, Orb, OrbConfig, TransferStrategy};
 use crate::poa::FORWARD_TAG;
 use crate::protocol::{
-    frame_list, unframe_list, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg, ReplyStatus,
-    RequestMsg, SrcTemplate,
+    batch_depth_allowed, frame_list, unframe_list, ArgDir, DArgDesc, FragmentMsg, Message,
+    ReplyMsg, ReplyStatus, RequestMsg, SrcTemplate,
 };
 use crate::servant::{ServantCtx, ServerRequest};
 use crate::strided::{assemble, cut_fragments, Pack, Piece};
@@ -295,12 +295,12 @@ impl PumpCore {
         let mut progressed = false;
         while let Ok(env) = self.rx.try_recv() {
             pardis_audit::chan_recv(self.reply_eps[self.thread].0);
-            self.ingest_wire(&env.wire);
+            self.ingest_wire(&env.wire, 0);
             progressed = true;
         }
         if let Some(rts) = &self.rts {
             while let Some(msg) = rts.try_recv(None, FORWARD_TAG) {
-                self.ingest_wire(&msg.data);
+                self.ingest_wire(&msg.data, 0);
                 progressed = true;
             }
         }
@@ -312,7 +312,7 @@ impl PumpCore {
                 self.orb.flush_batches();
                 if let Ok(env) = self.rx.recv_timeout(timeout) {
                     pardis_audit::chan_recv(self.reply_eps[self.thread].0);
-                    self.ingest_wire(&env.wire);
+                    self.ingest_wire(&env.wire, 0);
                     progressed = true;
                 }
             }
@@ -320,16 +320,20 @@ impl PumpCore {
         progressed
     }
 
-    fn ingest_wire(&self, wire: &Bytes) {
+    /// Ingest one frame that sits inside `depth` batch envelopes.
+    fn ingest_wire(&self, wire: &Bytes, depth: usize) {
         let Ok(msg) = Message::decode(wire) else {
             debug_assert!(false, "malformed frame at client");
             return;
         };
-        // A batch envelope from a coalescing POA: each sub-frame is a
-        // complete wire frame — unpack and ingest recursively.
+        // A batch envelope (a coalescing POA, or a reply riding with an
+        // out-fragment): each sub-frame is a complete wire frame — unpack
+        // and ingest recursively, to a bounded depth.
         if let Message::Batch(frames) = &msg {
-            for frame in frames {
-                self.ingest_wire(frame);
+            if batch_depth_allowed(depth) {
+                for frame in frames {
+                    self.ingest_wire(frame, depth + 1);
+                }
             }
             return;
         }
@@ -1055,7 +1059,7 @@ impl<'p> CallBuilder<'p> {
         });
 
         // Control message — sent by the lead thread of the call.
-        let control = Message::Request(RequestMsg {
+        let control_wire = Message::Request(RequestMsg {
             req_id,
             binding: proxy.binding,
             entity,
@@ -1065,42 +1069,50 @@ impl<'p> CallBuilder<'p> {
             op: self.op.clone(),
             oneway,
             funneled,
-            reply_to: reply_to.clone(),
+            reply_to,
             client_threads: cthreads as u32,
             client_host: core.host.raw(),
-            ins: self.ins.clone(),
-            dargs: descs.clone(),
-        });
-        let control_wire = control.encode();
-        let control_eps: Vec<EndpointId> = match proxy.obj.kind {
-            ObjectKind::Single { thread } => vec![endpoints[thread]],
-            ObjectKind::Spmd if funneled => vec![endpoints[0]],
-            ObjectKind::Spmd => endpoints.clone(),
+            ins: self.ins,
+            dargs: descs,
+        })
+        .encode();
+        let control_eps: &[EndpointId] = match proxy.obj.kind {
+            ObjectKind::Single { thread } => &endpoints[thread..=thread],
+            ObjectKind::Spmd if funneled => &endpoints[..1],
+            ObjectKind::Spmd => &endpoints,
         };
         let lead = !proxy.collective || core.thread == 0;
-        if lead {
-            if trace_on {
-                pardis_obs::instant(
-                    "client",
-                    "client.send_control",
-                    Some((key.0 .0, key.1)),
-                    vec![
-                        ("endpoints", control_eps.len().into()),
-                        ("bytes", control_wire.len().into()),
-                    ],
-                );
-            }
-            for ep in &control_eps {
-                core.orb.send_wire(core.host, *ep, control_wire.clone())?;
-            }
+        if lead && trace_on {
+            pardis_obs::instant(
+                "client",
+                "client.send_control",
+                Some((key.0 .0, key.1)),
+                vec![("endpoints", control_eps.len().into()), ("bytes", control_wire.len().into())],
+            );
         }
-        // Every thread (lead or not) keeps the control frames for replay: a
-        // retransmitted control from any thread nudges the server, which
-        // deduplicates by (binding, req_id) and re-sends the cached reply.
+        // On the parallel strategy the lead's control to each server thread
+        // rides in the first in-fragment frame it owes that thread
+        // (`riders`, indexed by server thread: only SPMD objects take
+        // distributed arguments, and their controls go to every thread; a
+        // call without in-arguments has nothing to ride in).
+        // Every thread keeps the control frames for replay, the lead as
+        // part of its merged frames: a retransmitted control from any thread
+        // nudges the server, which deduplicates by (binding, req_id) and
+        // re-sends the cached reply.
+        let merge =
+            lead && !funneled && self.dargs.iter().any(|d| matches!(d, DArgEntry::In { .. }));
+        let mut riders: Vec<Option<Bytes>> = Vec::new();
         let mut replay: Vec<(EndpointId, Bytes)> = Vec::new();
-        if !oneway {
-            for ep in &control_eps {
-                replay.push((*ep, control_wire.clone()));
+        if merge {
+            riders = vec![Some(control_wire); control_eps.len()];
+        } else {
+            for ep in control_eps {
+                if lead {
+                    core.orb.send_wire(core.host, *ep, control_wire.clone())?;
+                }
+                if !oneway {
+                    replay.push((*ep, control_wire.clone()));
+                }
             }
         }
 
@@ -1113,7 +1125,7 @@ impl<'p> CallBuilder<'p> {
             let head =
                 FragmentMsg::head(req_id, proxy.binding, i as u32, ArgDir::In, cthread as u32);
             let (src, dst) = ((client_dist, cthreads), (&server_dist, proxy.obj.nthreads));
-            cut_fragments(head, *len, src, dst, &**share, |f, wire| {
+            cut_fragments(head, *len, src, dst, &**share, &mut riders, |f, wire| {
                 if trace_on {
                     pardis_obs::instant(
                         "client",
@@ -1138,6 +1150,16 @@ impl<'p> CallBuilder<'p> {
                 }
                 Ok(())
             })?;
+        }
+        // Controls to server threads this thread owes no elements leave on
+        // their own.
+        for (ep, rider) in control_eps.iter().zip(riders) {
+            if let Some(wire) = rider {
+                core.orb.send_wire(core.host, *ep, wire.clone())?;
+                if !oneway {
+                    replay.push((*ep, wire));
+                }
+            }
         }
         if funneled {
             if proxy.collective && cthreads > 1 {

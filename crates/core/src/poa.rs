@@ -13,7 +13,8 @@ use crate::object::{
 };
 use crate::orb::{Envelope, ObjectMeta, Orb};
 use crate::protocol::{
-    ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg, ReplyStatus, RequestMsg, SrcTemplate,
+    batch_depth_allowed, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg, ReplyStatus, RequestMsg,
+    SrcTemplate,
 };
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
 use crate::strided::{cut_fragments, Piece};
@@ -426,12 +427,12 @@ impl Poa {
         loop {
             let mut progressed = false;
             while let Ok(env) = self.inbox.try_recv() {
-                self.handle_wire(&env.wire);
+                self.handle_wire(&env.wire, 0);
                 progressed = true;
             }
             if let Some(rts) = self.rts.clone() {
                 while let Some(msg) = rts.try_recv(None, FORWARD_TAG) {
-                    self.handle_wire(&msg.data);
+                    self.handle_wire(&msg.data, 0);
                     progressed = true;
                 }
             }
@@ -445,15 +446,16 @@ impl Poa {
             // Block briefly on the inbox; RTS forwards are re-checked each
             // slice.
             if let Ok(env) = self.inbox.recv_timeout(Duration::from_micros(200)) {
-                self.handle_wire(&env.wire);
+                self.handle_wire(&env.wire, 0);
                 got_any = true;
             }
         }
     }
 
-    fn handle_wire(&mut self, wire: &Bytes) {
+    /// Handle one frame that sits inside `depth` batch envelopes.
+    fn handle_wire(&mut self, wire: &Bytes, depth: usize) {
         match Message::decode_traced(wire) {
-            Ok((msg, ctx)) => self.handle(msg, wire, ctx),
+            Ok((msg, ctx)) => self.handle(msg, wire, ctx, depth),
             Err(e) => {
                 // A malformed frame cannot be answered (no parseable reply
                 // address); drop it loudly in debug builds.
@@ -462,18 +464,27 @@ impl Poa {
         }
     }
 
-    fn handle(&mut self, msg: Message, wire: &Bytes, ctx: Option<pardis_obs::TraceCtx>) {
+    fn handle(
+        &mut self,
+        msg: Message,
+        wire: &Bytes,
+        ctx: Option<pardis_obs::TraceCtx>,
+        depth: usize,
+    ) {
         // The sender's context is ambient while the frame is handled, so
         // reassembly/forwarding instants (and any re-sent frames' transit
         // events) stamp into the originating invocation's trace.
         let _ctx_guard = ctx.map(pardis_obs::enter_ctx);
         match msg {
-            // A batch envelope from a coalescing client: each sub-frame is a
-            // complete wire frame carrying its own header and trace context —
-            // unpack and handle in order.
+            // A batch envelope (a coalescing client, or a request riding
+            // with an in-fragment): each sub-frame is a complete wire frame
+            // carrying its own header and trace context — unpack and handle
+            // in order, to a bounded depth.
             Message::Batch(frames) => {
-                for frame in frames {
-                    self.handle_wire(&frame);
+                if batch_depth_allowed(depth) {
+                    for frame in frames {
+                        self.handle_wire(&frame, depth + 1);
+                    }
                 }
             }
             Message::Request(req) => {
@@ -877,29 +888,21 @@ impl Poa {
     /// over the run-time system and leave through a single wire connection
     /// to the client's thread-0 endpoint — the "only one computing thread
     /// visible to the ORB" model.
+    ///
+    /// On the parallel strategy the reply control rides in the first
+    /// out-fragment frame the responsible thread owes each client thread;
+    /// client threads it owes no elements get the reply on its own.
     fn send_reply(&self, req: &RequestMsg, result: Result<ServerReply, String>) {
         let m = req.client_threads as usize;
         let funneled = req.funneled;
-        let is_spmd = matches!(
-            self.orb.object_meta(req.object).map(|meta| meta.oref.kind),
-            Some(ObjectKind::Spmd)
-        );
+        let kind = self.orb.object_meta(req.object).map(|meta| meta.oref.kind);
 
         let out_descs: Vec<(usize, &DArgDesc)> =
             req.dargs.iter().enumerate().filter(|(_, d)| d.dir == ArgDir::Out).collect();
-
-        // Every frame this thread ships is also recorded so a retransmitted
-        // request can be answered from the cache without re-execution.
-        let mut sent: ReplyFrames = Vec::new();
-
-        let (status, outs, dout_lens) = match &result {
-            Ok(reply) if reply.raised.is_some() => {
-                let raised = reply.raised.as_ref().expect("checked");
-                (
-                    ReplyStatus::UserException { id: raised.id.clone(), data: raised.data.clone() },
-                    Vec::new(),
-                    Vec::new(),
-                )
+        // `douts` is `None` when no out-fragment phase runs at all.
+        let (status, outs, douts) = match result {
+            Ok(ServerReply { raised: Some(raised), .. }) => {
+                (ReplyStatus::UserException { id: raised.id, data: raised.data }, Vec::new(), None)
             }
             Ok(reply) => {
                 debug_assert_eq!(
@@ -909,63 +912,19 @@ impl Poa {
                     reply.douts.len(),
                     out_descs.len()
                 );
-                // Cut each distributed out argument into one frame per
-                // client thread this thread owes elements to.
-                let mut my_frames: Vec<Bytes> = Vec::new();
-                for (ordinal, dout) in reply.douts.iter().enumerate() {
-                    let (wire_idx, desc) = out_descs[ordinal];
-                    let head = FragmentMsg::head(
-                        req.req_id,
-                        req.binding,
-                        wire_idx as u32,
-                        ArgDir::Out,
-                        self.thread as u32,
-                    );
-                    let (src, dst) = ((&dout.dist, self.nthreads), (&desc.client_dist, m));
-                    let _ = cut_fragments(head, dout.len, src, dst, &*dout.share, |f, wire| {
-                        if funneled {
-                            my_frames.push(wire);
-                        } else {
-                            let to = req.reply_to[f.dst_thread as usize];
-                            let _ = self.send_raw(to, wire.clone());
-                            sent.push((to, wire));
-                        }
-                        Ok(())
-                    });
-                }
-                if funneled && is_spmd && self.nthreads > 1 {
-                    // Collective: funnel everyone's fragments through thread
-                    // 0's wire connection.
-                    let rts = self.rts.as_ref().expect("parallel server has an RTS");
-                    let gathered = rts.gather(0, crate::protocol::frame_list(&my_frames));
-                    if let Some(lists) = gathered {
-                        for list in lists {
-                            for frame in
-                                crate::protocol::unframe_list(&list).expect("self-framed list")
-                            {
-                                let _ = self.send_raw(req.reply_to[0], frame.clone());
-                                sent.push((req.reply_to[0], frame));
-                            }
-                        }
-                    }
-                } else if funneled {
-                    for frame in my_frames {
-                        let _ = self.send_raw(req.reply_to[0], frame.clone());
-                        sent.push((req.reply_to[0], frame));
-                    }
-                }
-                (ReplyStatus::Ok, reply.outs.clone(), reply.douts.iter().map(|d| d.len).collect())
+                (ReplyStatus::Ok, reply.outs, Some(reply.douts))
             }
-            Err(msg) => (ReplyStatus::Exception(msg.clone()), Vec::new(), Vec::new()),
+            Err(msg) => (ReplyStatus::Exception(msg), Vec::new(), None),
         };
 
         // The reply control is sent once: by the owning thread for single
-        // objects, by thread 0 for SPMD objects.
-        let am_responsible = match self.orb.object_meta(req.object).map(|meta| meta.oref.kind) {
+        // objects, by thread 0 for SPMD objects. It is encoded before any
+        // fragment is cut, so that it can ride in one.
+        let am_responsible = match kind {
             Some(ObjectKind::Single { thread }) => thread == self.thread,
             _ => self.thread == 0,
         };
-        if am_responsible {
+        let reply_wire = am_responsible.then(|| {
             if pardis_obs::enabled() {
                 pardis_obs::instant(
                     "poa",
@@ -974,22 +933,83 @@ impl Poa {
                     vec![("op", req.op.clone().into())],
                 );
             }
-            let reply = Message::Reply(ReplyMsg {
+            Message::Reply(ReplyMsg {
                 req_id: req.req_id,
                 binding: req.binding,
                 status,
                 outs,
-                dout_lens,
-            });
-            let wire = reply.encode();
-            if funneled {
-                let _ = self.send_raw(req.reply_to[0], wire.clone());
-                sent.push((req.reply_to[0], wire));
-            } else {
-                for ep in &req.reply_to {
-                    let _ = self.send_raw(*ep, wire.clone());
-                    sent.push((*ep, wire.clone()));
+                dout_lens: douts.iter().flatten().map(|d| d.len).collect(),
+            })
+            .encode()
+        });
+        // One rider slot per client thread, on the parallel strategy only.
+        let mut riders: Vec<Option<Bytes>> = match (&reply_wire, &douts) {
+            (Some(wire), Some(douts)) if !funneled && !douts.is_empty() => {
+                vec![Some(wire.clone()); m]
+            }
+            _ => Vec::new(),
+        };
+
+        // Every frame this thread ships is also recorded so a retransmitted
+        // request can be answered from the cache without re-execution.
+        let mut sent: ReplyFrames = Vec::new();
+
+        if let Some(douts) = &douts {
+            // Cut each distributed out argument into one frame per client
+            // thread this thread owes elements to.
+            let mut my_frames: Vec<Bytes> = Vec::new();
+            for (dout, (wire_idx, desc)) in douts.iter().zip(out_descs) {
+                let head = FragmentMsg::head(
+                    req.req_id,
+                    req.binding,
+                    wire_idx as u32,
+                    ArgDir::Out,
+                    self.thread as u32,
+                );
+                let (src, dst) = ((&dout.dist, self.nthreads), (&desc.client_dist, m));
+                let share = &*dout.share;
+                let _ = cut_fragments(head, dout.len, src, dst, share, &mut riders, |f, wire| {
+                    if funneled {
+                        my_frames.push(wire);
+                    } else {
+                        let to = req.reply_to[f.dst_thread as usize];
+                        let _ = self.send_raw(to, wire.clone());
+                        sent.push((to, wire));
+                    }
+                    Ok(())
+                });
+            }
+            if funneled && matches!(kind, Some(ObjectKind::Spmd)) && self.nthreads > 1 {
+                // Collective: funnel everyone's fragments through thread
+                // 0's wire connection.
+                let rts = self.rts.as_ref().expect("parallel server has an RTS");
+                let gathered = rts.gather(0, crate::protocol::frame_list(&my_frames));
+                if let Some(lists) = gathered {
+                    for list in lists {
+                        for frame in crate::protocol::unframe_list(&list).expect("self-framed list")
+                        {
+                            let _ = self.send_raw(req.reply_to[0], frame.clone());
+                            sent.push((req.reply_to[0], frame));
+                        }
+                    }
                 }
+            } else if funneled {
+                for frame in my_frames {
+                    let _ = self.send_raw(req.reply_to[0], frame.clone());
+                    sent.push((req.reply_to[0], frame));
+                }
+            }
+        }
+
+        if let Some(wire) = reply_wire {
+            let reply_eps = if funneled { &req.reply_to[..1] } else { &req.reply_to[..] };
+            for (c, ep) in reply_eps.iter().enumerate() {
+                // A reply that rode with a fragment has left already.
+                if riders.get(c).is_some_and(Option::is_none) {
+                    continue;
+                }
+                let _ = self.send_raw(*ep, wire.clone());
+                sent.push((*ep, wire.clone()));
             }
         }
         self.record_reply((req.binding, req.req_id), sent);

@@ -27,6 +27,21 @@ pub const MAGIC: [u8; 4] = *b"PRDS";
 pub const VERSION: u8 = 1;
 /// Header flag: a 16-byte trace context follows the 8-byte header.
 pub const FLAG_TRACE_CTX: u8 = 1;
+/// How deep [`Message::Batch`] envelopes may nest: a merged control and
+/// fragment inside a batcher envelope. A receiver drops a deeper envelope
+/// unread and counts it on `orb.frames_refused`, so a crafted frame cannot
+/// recurse through its stack.
+pub(crate) const MAX_BATCH_DEPTH: usize = 2;
+
+/// May a receiver unpack a [`Message::Batch`] that sits inside `depth`
+/// other envelopes? Counts a refusal.
+pub(crate) fn batch_depth_allowed(depth: usize) -> bool {
+    if depth < MAX_BATCH_DEPTH {
+        return true;
+    }
+    pardis_obs::counter("orb.frames_refused").inc();
+    false
+}
 
 /// Write the 8-byte frame header plus the optional trace-context extension.
 fn write_header(
@@ -240,11 +255,14 @@ pub enum Message {
     },
     /// Orderly connection shutdown; a POA loop returns when it sees this.
     Close,
-    /// Several independently encoded frames coalesced into one wire frame
-    /// (the request batcher, [`crate::BatchMode`]). Each element is a
-    /// complete PRDS frame with its own header — and its own trace-context
-    /// extension, so every batched request keeps its sub-span. The envelope
-    /// itself carries no context.
+    /// Several independently encoded frames coalesced into one wire frame.
+    /// Two producers build it: the request batcher ([`crate::BatchMode`]),
+    /// and the transfer path, which sends an invocation's request or reply
+    /// in the same frame as the first fragment its sender owes that
+    /// endpoint. Each element is a complete PRDS frame with its own header —
+    /// and its own trace-context extension, so every sub-frame keeps its
+    /// sub-span. The envelope itself carries no context. Receivers unpack
+    /// envelopes at most two deep and drop deeper ones unread.
     Batch(Vec<Bytes>),
     /// Bulk data of a thread pair whose share is not one contiguous run:
     /// `start` is the pair's first global index, `count` its element total,
@@ -593,10 +611,17 @@ fn encode_fragment_fields(f: &FragmentMsg, e: &mut Encoder) {
 /// — straight into the frame, after the length word and under an alignment
 /// origin of its own ([`Encoder::write_byte_seq_with`]): the receiver
 /// decodes the payload as a stream that starts at its first byte.
+///
+/// With a `rider` — an already-encoded frame bound for the same endpoint —
+/// the result is a two-frame [`Message::Batch`] envelope `[rider,
+/// fragment]`. The fragment is still built in place, as the envelope's
+/// second sub-frame under an origin of its own, so it is byte-identical to
+/// the frame this function returns without a rider.
 pub(crate) fn frame_fragment(
     head: &FragmentMsg,
     template: Option<(&Distribution, u32)>,
     payload_len: usize,
+    rider: Option<&Bytes>,
     pack: impl FnOnce(&mut Encoder),
 ) -> Bytes {
     let order = ByteOrder::native();
@@ -609,14 +634,28 @@ pub(crate) fn frame_fragment(
         Some(_) => 24,
     };
     let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + slack + payload_len;
-    let mut e = Encoder::with_capacity(order, cap);
-    write_header(&mut e, order, if template.is_some() { 6 } else { 2 }, ctx);
-    encode_fragment_fields(head, &mut e);
-    if let Some((dist, nthreads)) = template {
-        e.write_u32(nthreads);
-        dist.encode(&mut e);
+    // An envelope adds its header, a count, two length words and at most
+    // three bytes of padding after the rider.
+    let envelope = rider.map_or(0, |r| r.len() + 24);
+    let mut e = Encoder::with_capacity(order, cap + envelope);
+    let fragment = |e: &mut Encoder| {
+        write_header(e, order, if template.is_some() { 6 } else { 2 }, ctx);
+        encode_fragment_fields(head, e);
+        if let Some((dist, nthreads)) = template {
+            e.write_u32(nthreads);
+            dist.encode(e);
+        }
+        e.write_byte_seq_with(pack);
+    };
+    match rider {
+        None => fragment(&mut e),
+        Some(rider) => {
+            write_header(&mut e, order, 5, None); // 5 = Message::Batch type tag
+            e.write_u32(2);
+            e.write_byte_seq(rider);
+            e.write_byte_seq_with(fragment);
+        }
     }
-    e.write_byte_seq_with(pack);
     e.finish()
 }
 
@@ -625,7 +664,7 @@ pub(crate) fn frame_fragment(
 /// `Message::Fragment(..).encode()` with `data = payload` (`head.data` is
 /// ignored).
 pub fn encode_fragment_frame(head: &FragmentMsg, payload: &[u8]) -> Bytes {
-    frame_fragment(head, None, payload.len(), |e| e.write_raw(payload))
+    frame_fragment(head, None, payload.len(), None, |e| e.write_raw(payload))
 }
 
 /// Frame one strided fragment ([`Message::Strided`]): `payload` packs the
@@ -636,7 +675,7 @@ pub fn encode_strided_frame(
     nthreads: u32,
     payload: &[u8],
 ) -> Bytes {
-    frame_fragment(head, Some((dist, nthreads)), payload.len(), |e| e.write_raw(payload))
+    frame_fragment(head, Some((dist, nthreads)), payload.len(), None, |e| e.write_raw(payload))
 }
 
 /// Byte size of an *untraced* plain fragment frame ahead of its payload,

@@ -342,12 +342,18 @@ pub(crate) trait Pack: Send {
 /// anything else as a `Strided` frame naming the source-side template.
 /// Either way the elements are packed straight into the frame: one buffer
 /// and one copy per destination.
+///
+/// `riders[d]` is a frame the sender owes destination thread `d` anyway (a
+/// request or a reply): the first frame cut for `d` takes it and leaves as
+/// a [`crate::protocol::Message::Batch`] `[rider, fragment]`, saving `d` a
+/// frame. Destinations past the end of `riders` take none.
 pub(crate) fn cut_fragments(
     mut head: FragmentMsg,
     len: u64,
     (src_dist, src_n): (&Distribution, usize),
     (dst_dist, dst_n): (&Distribution, usize),
     share: &dyn Pack,
+    riders: &mut [Option<Bytes>],
     mut emit: impl FnMut(&FragmentMsg, Bytes) -> OrbResult<()>,
 ) -> OrbResult<()> {
     let mut sets = Vec::new();
@@ -361,7 +367,9 @@ pub(crate) fn cut_fragments(
         head.dst_thread = dst as u32;
         let contiguous = sets.len() == 1 && first.count == 1;
         let template = (!contiguous).then_some((src_dist, src_n as u32));
-        let wire = frame_fragment(&head, template, share.payload_len(head.count), |e| {
+        let rider = riders.get_mut(dst).and_then(Option::take);
+        let payload_len = share.payload_len(head.count);
+        let wire = frame_fragment(&head, template, payload_len, rider.as_ref(), |e| {
             share.pack_into(&sets, e)
         });
         emit(&head, wire)?;

@@ -1,13 +1,16 @@
 //! Request batcher and sharded-router tests: off-mode wire identity,
-//! coalescing, flush invariants (property-based), deadline flushes, and the
-//! orphan-stash eviction regression.
+//! coalescing, flush invariants (property-based), deadline flushes, the
+//! orphan-stash eviction regression, and the bound on nested envelopes.
 
 use crate::batch::{BatchMode, Batcher, FlushReason};
 use crate::object::{BindingId, EndpointId};
-use crate::protocol::{Message, ReplyMsg, ReplyStatus, MAGIC};
+use crate::protocol::{
+    encode_batch_frame, Message, ReplyMsg, ReplyStatus, MAGIC, MAX_BATCH_DEPTH, VERSION,
+};
 use crate::*;
 use bytes::Bytes;
-use pardis_netsim::{Network, TimeScale};
+use pardis_cdr::ByteOrder;
+use pardis_netsim::{Link, Network, TimeScale};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -234,4 +237,65 @@ fn orphan_stash_eviction_regression() {
 
     group.shutdown();
     server.join().unwrap();
+}
+
+/// `inner` inside `depth` single-frame batch envelopes, built in one pass:
+/// every envelope is a 16-byte head (header, count, length word) followed by
+/// the next one in.
+fn nested_in_batches(inner: &Bytes, depth: usize) -> Bytes {
+    let mut out = Vec::with_capacity(16 * depth + inner.len());
+    for level in 0..depth {
+        let len = 16 * (depth - level - 1) + inner.len();
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&[VERSION, ByteOrder::native().flag(), 5, 0]);
+        out.extend_from_slice(&1u32.to_ne_bytes());
+        out.extend_from_slice(&(len as u32).to_ne_bytes());
+    }
+    out.extend_from_slice(inner);
+    Bytes::from(out)
+}
+
+/// Receivers unpack envelopes two deep (a merged control and fragment
+/// inside a batcher envelope) and drop anything deeper unread, counting it
+/// on `orb.frames_refused`: a crafted frame of 100 000 nested envelopes
+/// (1.6 MB) must not walk either side down its stack, and both the POA and
+/// the client pump go on serving.
+#[test]
+fn nested_batch_envelopes_are_refused_past_the_depth_bound() {
+    // A cancel for an unknown invocation: harmless wherever it lands.
+    let stray = Message::Cancel { binding: BindingId(0xBAD), req_id: 1 }.encode();
+    assert_eq!(nested_in_batches(&stray, 1), encode_batch_frame(std::slice::from_ref(&stray)));
+    let twice = encode_batch_frame(&[encode_batch_frame(std::slice::from_ref(&stray))]);
+    assert_eq!(nested_in_batches(&stray, 2), twice);
+
+    let net = Network::new(TimeScale::off());
+    let (ch, sh) = (net.add_host("client"), net.add_host("server"));
+    net.connect(ch, sh, Link::free());
+    let orb = Orb::new(net);
+    let group = ServerGroup::create(&orb, "echo-server", sh, 1);
+    let g2 = group.clone();
+    let server = std::thread::spawn(move || {
+        let mut poa = g2.attach(0, None);
+        poa.activate_single("echo-deep", std::sync::Arc::new(Echo));
+        poa.impl_is_ready();
+    });
+    let client = ClientGroup::create(&orb, ch, 1).attach(0, None);
+    let proxy = client.bind("echo-deep").unwrap();
+    let server_ep = orb.server_endpoints(group.id()).unwrap()[0];
+    let refused = || pardis_obs::counter("orb.frames_refused").get();
+    let before = refused();
+
+    for depth in [MAX_BATCH_DEPTH, MAX_BATCH_DEPTH + 1, 100_000] {
+        let frame = nested_in_batches(&stray, depth);
+        orb.send_wire(ch, server_ep, frame.clone()).unwrap();
+        let reply = proxy.call("shout").arg(&format!("{depth}")).invoke().unwrap();
+        assert_eq!(reply.scalar::<String>(0).unwrap(), format!("echo: {depth}"));
+        orb.send_wire(sh, client.test_reply_ep(), frame).unwrap();
+        client.drain_pending();
+    }
+
+    group.shutdown();
+    server.join().unwrap();
+    // The two deeper frames, once at each side; the two-deep ones unpacked.
+    assert_eq!(refused() - before, 4);
 }

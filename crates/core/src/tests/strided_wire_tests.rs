@@ -148,8 +148,9 @@ fn fake_spmd_server(
 }
 
 /// Launch one `op(x)` from a 2-thread client holding `x` in Block and
-/// return the bulk-data frames each fake server endpoint received.
-fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes)>> {
+/// return the bulk-data frames each fake server endpoint received, each
+/// flagged with whether it rode behind the request in a `Batch` envelope.
+fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes, bool)>> {
     let net = Network::new(TimeScale::off());
     let (ch, sh) = (net.add_host("client"), net.add_host("server"));
     net.connect(ch, sh, Link::free());
@@ -172,9 +173,21 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes)>> {
         .map(|rx| {
             let mut frames = Vec::new();
             while let Ok(env) = rx.recv_timeout(Duration::from_millis(200)) {
-                let msg = Message::decode(&env.wire).unwrap();
-                if matches!(msg, Message::Fragment(_) | Message::Strided(..)) {
-                    frames.push((msg, env.wire));
+                let subs = match Message::decode(&env.wire).unwrap() {
+                    Message::Batch(subs) => {
+                        assert_eq!(subs.len(), 2, "[request, fragment]");
+                        let first = Message::decode(&subs[0]).unwrap();
+                        assert!(matches!(first, Message::Request(_)), "got {first:?}");
+                        subs
+                    }
+                    _ => vec![env.wire],
+                };
+                let merged = subs.len() > 1;
+                for wire in subs {
+                    let msg = Message::decode(&wire).unwrap();
+                    if matches!(msg, Message::Fragment(_) | Message::Strided(..)) {
+                        frames.push((msg, wire, merged));
+                    }
                 }
             }
             frames
@@ -186,11 +199,13 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes)>> {
 fn client_keeps_the_plain_frame_for_contiguous_pairs() {
     // Block -> Block over 2x2: client thread t owes server thread t one
     // run, and the frame is exactly what the element-wise planner's single
-    // piece used to produce.
+    // piece used to produce — on its own, or (from the lead thread) as the
+    // sub-frame that follows the request.
     let full: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
     for (t, frames) in client_in_frames(Distribution::Block).into_iter().enumerate() {
         assert_eq!(frames.len(), 1, "server thread {t}");
-        let (msg, wire) = &frames[0];
+        let (msg, wire, merged) = &frames[0];
+        assert_eq!(*merged, t == 0, "only the lead's fragment carries the request");
         let Message::Fragment(f) = msg else { panic!("plain fragment expected, got {msg:?}") };
         let old_head = FragmentMsg {
             req_id: f.req_id,
@@ -208,9 +223,10 @@ fn client_sends_one_strided_frame_per_thread_pair() {
     let full: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
     for (d, frames) in client_in_frames(Distribution::Cyclic).into_iter().enumerate() {
         assert_eq!(frames.len(), 2, "one frame from each client thread at server thread {d}");
-        for (msg, _) in frames {
+        for (msg, _, merged) in frames {
             let Message::Strided(f, tmpl) = msg else { panic!("strided frame expected") };
             let s = f.src_thread as usize;
+            assert_eq!(merged, s == 0, "the lead's frame carries the request");
             assert_eq!(tmpl, SrcTemplate { dist: Distribution::Block, nthreads: 2 });
             assert_eq!((f.start, f.count), (32 * s as u64 + d as u64, 16));
             let want: Vec<f64> = (0..16).map(|k| full[32 * s + d + 2 * k]).collect();
@@ -281,11 +297,18 @@ fn poa_keeps_the_plain_frame_for_contiguous_pairs() {
     orb.send_wire(ch, server_ep, request.encode()).unwrap();
     orb.send_wire(ch, server_ep, encode_fragment_frame(&in_head, &payload)).unwrap();
 
+    // The reply rides in the out-fragment's frame: one envelope, reply
+    // first, the fragment sub-frame byte for byte the standalone frame.
     let out_head = FragmentMsg { arg: 1, dir: ArgDir::Out, ..in_head };
-    let first = reply_rx.recv_timeout(Duration::from_secs(10)).expect("out-fragment").wire;
-    assert_eq!(first, encode_fragment_frame(&out_head, &payload));
-    let second = reply_rx.recv_timeout(Duration::from_secs(10)).expect("reply").wire;
-    assert!(matches!(Message::decode(&second).unwrap(), Message::Reply(_)));
+    let wire = reply_rx.recv_timeout(Duration::from_secs(10)).expect("reply frame").wire;
+    let Message::Batch(subs) = Message::decode(&wire).unwrap() else {
+        panic!("expected one [reply, out-fragment] envelope")
+    };
+    assert_eq!(subs.len(), 2);
+    let Message::Reply(reply) = Message::decode(&subs[0]).unwrap() else { panic!("reply first") };
+    assert_eq!((reply.req_id, reply.binding, reply.dout_lens), (4, BindingId(77), vec![3]));
+    assert_eq!(subs[1], encode_fragment_frame(&out_head, &payload));
+    assert!(reply_rx.recv_timeout(Duration::from_millis(200)).is_err(), "nothing else");
 
     group.shutdown();
     server.join().unwrap();
@@ -479,8 +502,21 @@ mod in_place {
         }
     }
 
+    /// A reply frame `d % 5` bytes of scalar data long.
+    fn rider(d: usize) -> Bytes {
+        Message::Reply(ReplyMsg {
+            req_id: 9,
+            binding: BindingId(3),
+            status: ReplyStatus::Ok,
+            outs: vec![Bytes::from(vec![7u8; d % 5])],
+            dout_lens: vec![],
+        })
+        .encode()
+    }
+
     /// Every frame cut from `full` on its way `src` -> `dst`, against the
-    /// frame helpers applied to the separately packed payload.
+    /// frame helpers applied to the separately packed payload — alone, and
+    /// as the second sub-frame of an envelope that carries a rider.
     fn check<T: CdrCodec + Clone + Send + Sync + 'static>(
         full: Vec<T>,
         src: (&Distribution, usize),
@@ -489,13 +525,34 @@ mod in_place {
         let len = full.len() as u64;
         for s in 0..src.1 {
             let ds = DSequence::distribute(&full, src.0.clone(), src.1, s);
-            let mut frames = Vec::new();
             let head = FragmentMsg::head(9, BindingId(3), 1, ArgDir::In, s as u32);
-            cut_fragments(head, len, src, dst, &ds, |f, wire| {
-                frames.push((f.clone(), wire));
-                Ok(())
-            })
-            .unwrap();
+            let cut = |riders: &mut [Option<Bytes>]| {
+                let mut frames = Vec::new();
+                cut_fragments(head.clone(), len, src, dst, &ds, riders, |f, wire| {
+                    frames.push((f.clone(), wire));
+                    Ok(())
+                })
+                .unwrap();
+                frames
+            };
+            let frames = cut(&mut []);
+            // A rider of a different length per destination, so the padding
+            // after it varies: each merged frame is the envelope around the
+            // rider and the very frame cut without one.
+            let riders: Vec<Bytes> = (0..dst.1).map(rider).collect();
+            let mut slots: Vec<Option<Bytes>> = riders.iter().cloned().map(Some).collect();
+            let merged = cut(&mut slots);
+            prop_assert_eq!(merged.len(), frames.len());
+            for ((f, plain), (_, wire)) in frames.iter().zip(&merged) {
+                let d = f.dst_thread as usize;
+                prop_assert!(slots[d].is_none(), "thread {} -> {} kept its rider", s, d);
+                let Ok(Message::Batch(subs)) = Message::decode(wire) else {
+                    return Err(TestCaseError::fail("merged frame is not a batch"));
+                };
+                prop_assert_eq!(&subs, &vec![riders[d].clone(), plain.clone()]);
+                let envelope = wire.len() - riders[d].len() - plain.len();
+                prop_assert!((20..=23).contains(&envelope), "{} envelope bytes", envelope);
+            }
             let mut sent = 0;
             for (f, wire) in frames {
                 let mut sets = Vec::new();

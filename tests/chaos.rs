@@ -8,7 +8,8 @@
 //! perturbing the frame-level counters the determinism tests compare.
 
 use pardis::core::{
-    ClientGroup, DSequence, Distribution, Orb, Servant, ServerGroup, ServerReply, ServerRequest,
+    ClientGroup, DSequence, DistPolicy, Distribution, Orb, Servant, ServerGroup, ServerReply,
+    ServerRequest, TraceSession,
 };
 use pardis::generated::dna::{DnaDbProxy, ListServerProxy, Status};
 use pardis::generated::solvers::{DirectProxy, IterativeProxy};
@@ -363,6 +364,108 @@ fn pipeline_metaapplication_survives_chaos() {
     grad.shutdown();
     vis_d.shutdown();
     vis_g.shutdown();
+}
+
+/// Counts its executions per server thread and returns its distributed
+/// argument plus one, in the server's own template.
+struct CountingIncrement {
+    hits: Arc<Vec<AtomicU64>>,
+}
+
+impl Servant for CountingIncrement {
+    fn interface(&self) -> &str {
+        "counting_increment"
+    }
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        self.hits[req.ctx.thread].fetch_add(1, Ordering::SeqCst);
+        let x: DSequence<f64> = req.dseq(0).map_err(|e| e.to_string())?;
+        let y: Vec<f64> = x.local().iter().map(|v| v + 1.0).collect();
+        let mut rep = ServerReply::new();
+        rep.push_dseq(DSequence::from_local(
+            y,
+            x.len(),
+            x.dist().clone(),
+            x.nthreads(),
+            x.thread(),
+        ));
+        Ok(rep)
+    }
+}
+
+/// On the parallel strategy a request travels inside the lead thread's
+/// in-fragment frame and a reply inside server thread 0's out-fragment
+/// frame. Lose and duplicate those merged frames: every server thread still
+/// runs each request once, every reply is right, and retransmissions were
+/// answered by replaying cached (merged) reply frames.
+#[test]
+fn merged_control_frames_keep_at_most_once_under_loss() {
+    let _guard = serial();
+    let seed = 0x3E_46ED;
+    let net = Network::new(TimeScale::off());
+    let ch = net.add_host("client");
+    let sh = net.add_host("server");
+    net.connect(ch, sh, Link::free());
+    net.set_fault_plan(Some(FaultPlan::new(seed).with_drop(0.2).with_dup(0.05)));
+    let orb = Orb::new(net);
+    orb.set_retry_limit(20);
+    orb.set_retry_base(Duration::from_millis(5));
+    orb.set_retry_seed(seed);
+    let session = TraceSession::start(&orb);
+
+    let hits = Arc::new(vec![AtomicU64::new(0), AtomicU64::new(0)]);
+    let group = ServerGroup::create(&orb, "counting-increment", sh, 2);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let server = {
+        let (group, hits) = (group.clone(), hits.clone());
+        let policy = DistPolicy::new().with("inc", 0, Distribution::Cyclic);
+        std::thread::spawn(move || {
+            World::run(2, |rank| {
+                let t = rank.rank();
+                let mut poa = group.attach(t, Some(Arc::new(MpiRts::new(rank))));
+                let servant = CountingIncrement { hits: hits.clone() };
+                poa.activate_spmd("counting_increment", Arc::new(servant), policy.clone());
+                ready_tx.send(()).unwrap();
+                poa.impl_is_ready();
+            });
+        })
+    };
+    for _ in 0..2 {
+        ready_rx.recv().unwrap();
+    }
+
+    let calls = 200;
+    let full: Vec<f64> = (0..64).map(|i| i as f64).collect();
+    let client = ClientGroup::create(&orb, ch, 2);
+    let chk = pardis::check::for_world(2);
+    World::run(2, |rank| {
+        let t = rank.rank();
+        let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
+        let ct = client.attach(t, Some(rts));
+        let proxy = ct.spmd_bind("counting_increment").unwrap();
+        let mut x = DSequence::distribute(&full, Distribution::Block, 2, t);
+        for _ in 0..calls {
+            let reply =
+                proxy.call("inc").dseq_in(&x).dseq_out(Distribution::Block).invoke().unwrap();
+            x = reply.dseq(0).unwrap();
+        }
+        let want: Vec<f64> = full.iter().map(|v| v + calls as f64).collect();
+        assert_eq!(x.local(), DSequence::distribute(&want, Distribution::Block, 2, t).local());
+    });
+    pardis::check::enforce(&chk);
+    orb.network().quiesce();
+    let report = session.finish();
+
+    for (t, h) in hits.iter().enumerate() {
+        assert_eq!(h.load(Ordering::SeqCst), calls, "server thread {t} ran each request once");
+    }
+    let stats = orb.network().fault_stats();
+    assert!(stats.dropped > 0 && stats.duplicated > 0, "the plan must bite: {stats:?}");
+    let replays = report.counter("poa.reply_cache_hits").unwrap_or(0);
+    assert!(replays > 0, "no retransmission was answered from the reply cache");
+
+    orb.network().set_fault_plan(None);
+    group.shutdown();
+    server.join().unwrap();
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! End-to-end checks of strided transfer plans: whatever the two templates,
 //! a distributed argument crosses the wire as at most one frame per
 //! (client thread, server thread) pair per direction, under both transfer
-//! strategies and for fixed- and variable-width elements alike.
+//! strategies and for fixed- and variable-width elements alike; on the
+//! parallel strategy the requests and replies ride in those frames.
 
 use pardis::cdr::CdrCodec;
 use pardis::core::{
@@ -125,7 +126,9 @@ where
     T: CdrCodec + Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static,
 {
     for (pc, ps) in [(2usize, 2usize), (3, 2)] {
-        for (client_dist, server_dist) in shapes(full.len() as u64, pc) {
+        for (shape, (client_dist, server_dist)) in
+            shapes(full.len() as u64, pc).into_iter().enumerate()
+        {
             for strategy in [TransferStrategy::Parallel, TransferStrategy::Funneled] {
                 let frames = frames_per_invocation(
                     full.clone(),
@@ -134,24 +137,33 @@ where
                     (ps, server_dist.clone()),
                     strategy,
                 );
-                // Parallel: one request per server thread, one reply per
-                // client thread. Funneled: one of each, through thread 0.
-                let controls = match strategy {
-                    TransferStrategy::Parallel => (ps + pc) as u64,
-                    TransferStrategy::Funneled => 2,
+                let what = format!("{strategy:?} {client_dist:?}/{pc} <-> {server_dist:?}/{ps}");
+                let sweep = usize::from(pc == 3);
+                let want = match strategy {
+                    TransferStrategy::Parallel => PARALLEL_FRAMES[sweep][shape],
+                    TransferStrategy::Funneled => FUNNELED_FRAMES[sweep][shape],
                 };
-                let per_direction = (pc * ps) as u64;
-                assert!(
-                    frames <= controls + 2 * per_direction,
-                    "{strategy:?} {client_dist:?}/{pc} <-> {server_dist:?}/{ps}: \
-                     {frames} frames per invocation, allowed {controls} controls + \
-                     {per_direction} fragments each way"
-                );
-                assert!(frames > controls, "the argument did cross the wire");
+                assert_eq!(frames, want, "{what}");
             }
         }
     }
 }
+
+/// Frames per funneled invocation of each [`shapes`] entry, for the 2x2 and
+/// the 3x2 sweep: one request and one reply through thread 0 plus one frame
+/// per thread pair with elements to move, each way (every pair has some,
+/// except those touching the one-element shares of `Irregular`). The counts
+/// the funneled path paid before controls rode in fragment frames, which it
+/// does not do.
+const FUNNELED_FRAMES: [[u64; 5]; 2] = [[10, 10, 10, 10, 8], [14, 14, 14, 14, 10]];
+
+/// Frames per parallel invocation: a request per server thread, a reply per
+/// client thread and the same fragments as funneled, less one frame for each
+/// server thread client thread 0 owes elements (its request rides there) and
+/// for each client thread server thread 0 owes elements (its reply rides
+/// there). 2x2: 4 + 8 - 4, and 4 + 6 - 3 for `Irregular`; 3x2: 5 + 12 - 5,
+/// and 5 + 8 - 3.
+const PARALLEL_FRAMES: [[u64; 5]; 2] = [[8, 8, 8, 8, 7], [12, 12, 12, 12, 10]];
 
 #[test]
 fn f64_elements_cost_one_frame_per_thread_pair() {
@@ -166,10 +178,10 @@ fn string_elements_cost_one_frame_per_thread_pair() {
 }
 
 /// The count the benchmark's `dseq_cyclic` workload pays: 4 096 doubles,
-/// Block on a 2-thread client, Cyclic on a 2-thread server — 12 frames, not
+/// Block on a 2-thread client, Cyclic on a 2-thread server — 8 frames, not
 /// 8 158.
 #[test]
-fn block_to_cyclic_4096_is_twelve_frames() {
+fn block_to_cyclic_4096_is_eight_frames() {
     let full: Vec<f64> = (0..4096).map(|i| i as f64).collect();
     let frames = frames_per_invocation(
         full,
@@ -178,5 +190,86 @@ fn block_to_cyclic_4096_is_twelve_frames() {
         (2, Distribution::Cyclic),
         TransferStrategy::Parallel,
     );
-    assert_eq!(frames, 12, "2 requests + 4 in-fragments + 4 out-fragments + 2 replies");
+    assert_eq!(
+        frames, 8,
+        "4 in-fragments (2 carrying the requests) + 4 out-fragments (2 carrying the replies)"
+    );
+}
+
+/// Block to Block over 2x2 moves one run per direction between threads of
+/// equal index: the lead's request rides to server thread 0 only, and server
+/// thread 0's reply to client thread 0 only.
+#[test]
+fn block_to_block_2x2_is_six_frames() {
+    let full: Vec<f64> = (0..4096).map(|i| i as f64).collect();
+    let frames = frames_per_invocation(
+        full,
+        |v| 2.0 * v + 1.0,
+        (2, Distribution::Block),
+        (2, Distribution::Block),
+        TransferStrategy::Parallel,
+    );
+    assert_eq!(frames, 6, "2 in-fragments, 2 out-fragments, 1 lone request, 1 lone reply");
+}
+
+/// Returns twice its scalar argument.
+struct Twice;
+
+impl Servant for Twice {
+    fn interface(&self) -> &str {
+        "twice"
+    }
+
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        let x: i64 = req.scalar(0).map_err(|e| e.to_string())?;
+        let mut rep = ServerReply::new();
+        rep.push_scalar(&(2 * x));
+        Ok(rep)
+    }
+}
+
+/// Without a distributed argument nothing rides: a scalar-only SPMD call
+/// costs one request per server thread and one reply per client thread.
+#[test]
+fn scalar_only_spmd_call_is_one_frame_per_control() {
+    for (pc, ps) in [(1usize, 1usize), (2, 2)] {
+        let net = Network::paper_atm_testbed(TimeScale::off());
+        let client_host = net.host_by_name("HOST_1").unwrap();
+        let server_host = net.host_by_name("HOST_2").unwrap();
+        let orb = Orb::new(net);
+        let group = ServerGroup::create(&orb, "twice-server", server_host, ps);
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let server = {
+            let group = group.clone();
+            std::thread::spawn(move || {
+                World::run(ps, |rank| {
+                    let t = rank.rank();
+                    let rts: Arc<dyn Rts> = Arc::new(MpiRts::new(rank));
+                    let mut poa = group.attach(t, Some(rts));
+                    poa.activate_spmd("twice", Arc::new(Twice), DistPolicy::new());
+                    ready_tx.send(()).unwrap();
+                    poa.impl_is_ready();
+                });
+            })
+        };
+        for _ in 0..ps {
+            ready_rx.recv().unwrap();
+        }
+        let client = ClientGroup::create(&orb, client_host, pc);
+        let before = orb.traffic().0;
+        World::run(pc, |rank| {
+            let t = rank.rank();
+            let rts: Arc<dyn Rts> = Arc::new(MpiRts::new(rank));
+            let ct = client.attach(t, Some(rts));
+            let proxy = ct.spmd_bind("twice").unwrap();
+            for x in 0..INVOCATIONS as i64 {
+                let reply = proxy.call("twice").arg(&x).invoke().unwrap();
+                assert_eq!(reply.scalar::<i64>(0).unwrap(), 2 * x);
+            }
+        });
+        let frames = orb.traffic().0 - before;
+        group.shutdown();
+        server.join().unwrap();
+        assert_eq!(frames, INVOCATIONS * (pc + ps) as u64, "{pc}x{ps}");
+    }
 }
