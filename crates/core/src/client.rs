@@ -30,7 +30,7 @@ use pardis_netsim::{HostId, Published};
 use pardis_rts::Rts;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// A (possibly parallel) client registered with the ORB. Clone into each
@@ -674,7 +674,7 @@ impl ClientThread {
             policy,
             binding,
             collective: true,
-            req_seq: AtomicU64::new(0),
+            launches: Launches::new(),
         })
     }
 
@@ -710,7 +710,7 @@ impl ClientThread {
             policy,
             binding,
             collective: false,
-            req_seq: AtomicU64::new(0),
+            launches: Launches::new(),
         })
     }
 }
@@ -723,7 +723,65 @@ pub struct Proxy {
     policy: DistPolicy,
     binding: BindingId,
     collective: bool,
-    req_seq: AtomicU64,
+    launches: AuditMutex<Launches>,
+}
+
+/// A proxy's request ids, and the two-way invocations it launched under
+/// them that may still be open, oldest first.
+struct Launches {
+    next_id: u64,
+    open: VecDeque<(u64, Weak<InvocationState>)>,
+    /// Length at which finished invocations behind an open one are swept
+    /// out, so that one invocation left open for good pins no others.
+    sweep_at: usize,
+}
+
+/// The smallest length at which [`Launches`] sweeps.
+const LAUNCH_SWEEP_MIN: usize = 64;
+
+impl Launches {
+    fn new() -> AuditMutex<Launches> {
+        let launches = Launches { next_id: 0, open: VecDeque::new(), sweep_at: LAUNCH_SWEEP_MIN };
+        AuditMutex::new(lock_site!("client: proxy launches"), launches)
+    }
+
+    /// Take the next request id, `build` the invocation's state under it,
+    /// and record the state when the invocation is `two_way`. Returns the
+    /// state and the acknowledgement lag its in-fragments carry: with
+    /// `oldest` the oldest id still open (this one, if nothing older is),
+    /// the lag is `id - oldest + 1`, so the server reads `id - lag` as
+    /// "every request up to here has completed". 0 acknowledges nothing:
+    /// when `oldest` is 0, or when the lag would not fit.
+    ///
+    /// An invocation is finished once complete or dropped: either way
+    /// nothing retransmits it again ([`retransmit`] skips complete ones).
+    fn launch(
+        &mut self,
+        two_way: bool,
+        build: impl FnOnce(u64) -> Arc<InvocationState>,
+    ) -> (Arc<InvocationState>, u16) {
+        fn finished(state: &Weak<InvocationState>) -> bool {
+            state.upgrade().is_none_or(|s| s.is_complete())
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let state = build(id);
+        while self.open.front().is_some_and(|(_, s)| finished(s)) {
+            self.open.pop_front();
+        }
+        if self.open.len() >= self.sweep_at {
+            self.open.retain(|(_, s)| !finished(s));
+            self.sweep_at = LAUNCH_SWEEP_MIN.max(2 * self.open.len());
+        }
+        if two_way {
+            self.open.push_back((id, Arc::downgrade(&state)));
+        }
+        let lag = match self.open.front().map_or(id, |&(oldest, _)| oldest) {
+            0 => 0,
+            oldest => u16::try_from(id - oldest + 1).unwrap_or(0),
+        };
+        (state, lag)
+    }
 }
 
 impl Proxy {
@@ -870,8 +928,6 @@ impl<'p> CallBuilder<'p> {
             && proxy.obj.kind == ObjectKind::Spmd
             && (cthreads > 1 || proxy.obj.nthreads > 1);
 
-        let req_id = proxy.req_seq.fetch_add(1, Ordering::Relaxed);
-        let key = (proxy.binding, req_id);
         // Sequencing identity: which client entity this request belongs to,
         // and its position in that entity's invocation order.
         let (entity, client_seq) = if proxy.collective {
@@ -921,6 +977,32 @@ impl<'p> CallBuilder<'p> {
             Some(parent) => parent.child(pardis_obs::mix64(entity) ^ client_seq),
             None => pardis_obs::TraceCtx::root(pardis_obs::derive_trace_id(entity, client_seq)),
         });
+        // The request id is taken, and the state recorded under it, in one
+        // critical section: the proxy's launch log stays in id order however
+        // many threads share the proxy.
+        let (state, ack_lag) = proxy.launches.lock().launch(!oneway, |req_id| {
+            Arc::new(InvocationState {
+                funneled,
+                client_threads: cthreads,
+                thread: cthread,
+                key: (proxy.binding, req_id),
+                server: proxy.obj.server,
+                out_wire_idx,
+                out_dists,
+                inner: AuditMutex::new(lock_site!("client: invocation state"), InvInner::default()),
+                replay: AuditMutex::new(lock_site!("client: retransmit frames"), Vec::new()),
+                span_open: std::sync::atomic::AtomicBool::new(trace_on && !oneway),
+                permit: AuditMutex::new(lock_site!("client: backpressure permit"), None),
+                has_permit: AtomicBool::new(false),
+                obs: ctx.map(|ctx| InvObs {
+                    ctx,
+                    op: self.op.clone(),
+                    start_us: pardis_obs::now_micros(),
+                }),
+            })
+        });
+        let key = state.key;
+        let req_id = key.1;
         if let Some(ctx) = ctx {
             let mut args = vec![
                 ("op", self.op.clone().into()),
@@ -940,25 +1022,6 @@ impl<'p> CallBuilder<'p> {
         // parent itself): marshal/fragment instants, frame encodes and the
         // netsim transit events all stamp this invocation's context.
         let _ctx_guard = ctx.map(pardis_obs::enter_ctx);
-        let state = Arc::new(InvocationState {
-            funneled,
-            client_threads: cthreads,
-            thread: cthread,
-            key,
-            server: proxy.obj.server,
-            out_wire_idx,
-            out_dists,
-            inner: AuditMutex::new(lock_site!("client: invocation state"), InvInner::default()),
-            replay: AuditMutex::new(lock_site!("client: retransmit frames"), Vec::new()),
-            span_open: std::sync::atomic::AtomicBool::new(trace_on && !oneway),
-            permit: AuditMutex::new(lock_site!("client: backpressure permit"), None),
-            has_permit: AtomicBool::new(false),
-            obs: ctx.map(|ctx| InvObs {
-                ctx,
-                op: self.op.clone(),
-                start_us: pardis_obs::now_micros(),
-            }),
-        });
         if !oneway {
             core.register(key, state.clone());
         }
@@ -1125,7 +1188,7 @@ impl<'p> CallBuilder<'p> {
             let head =
                 FragmentMsg::head(req_id, proxy.binding, i as u32, ArgDir::In, cthread as u32);
             let (src, dst) = ((client_dist, cthreads), (&server_dist, proxy.obj.nthreads));
-            cut_fragments(head, *len, src, dst, &**share, &mut riders, |f, wire| {
+            cut_fragments(head, ack_lag, *len, src, dst, &**share, &mut riders, |f, wire| {
                 if trace_on {
                     pardis_obs::instant(
                         "client",

@@ -181,13 +181,15 @@ impl PendingReq {
     }
 }
 
-/// Every `(endpoint, frame)` one thread sent in reply to one invocation.
-type ReplyFrames = Vec<(EndpointId, Bytes)>;
+/// Every frame one thread sent in reply to one invocation: the client
+/// thread whose acknowledgement lets go of it (`None`: none does), the
+/// endpoint it went to, and the frame.
+type ReplyFrames = Vec<(Option<u32>, EndpointId, Bytes)>;
 
 /// Reply-frame bytes one adapter thread retains for replay before it starts
-/// evicting the oldest replies. A constant, not a knob: it only has to cover
-/// the replies a client can still ask for again, which is its pipeline depth,
-/// not its history.
+/// evicting the oldest replies. A constant, not a knob: acknowledgements
+/// keep the cache at the clients' pipeline depth, and the budget only
+/// bounds the frames nobody acknowledges.
 pub(crate) const REPLY_CACHE_BYTES: usize = 16 << 20;
 
 /// Newest entries the byte budget never evicts, so that a pipeline of
@@ -200,42 +202,185 @@ pub(crate) const REPLY_CACHE_MIN_ENTRIES: usize = 8;
 /// cached reply frames verbatim or (while the original is still executing)
 /// is silently dropped, leaving the client to retry into the cache later.
 ///
+/// A client thread acknowledges in every in-fragment it sends: every
+/// request of its binding up to some id has completed there, so it will
+/// never ask for those replies again. The frames kept for that thread up to
+/// that id go when the next reply is recorded; the marks stay, so a late
+/// duplicate still cannot re-execute.
+///
 /// Bounded twice, evicted oldest-first: to `cap` entries
 /// ([`crate::OrbConfig::reply_cache_cap`]), which is what bounds small
 /// replies, and to [`REPLY_CACHE_BYTES`] of retained frames, which is what
-/// bounds bulk ones. A client retransmits only while its invocation is in
-/// flight, so only the most recent keys ever need suppressing.
+/// bounds bulk ones nobody acknowledges. A client retransmits only while its
+/// invocation is in flight, so only the most recent keys ever need
+/// suppressing.
 struct RecentInvocations {
     /// `None` while the original dispatch is still executing (or deferred);
-    /// `Some(frames)` once the reply left, recording every (endpoint,
-    /// frame) this thread sent for it.
+    /// `Some(frames)` once the reply left, recording every frame this thread
+    /// sent for it that no acknowledgement has let go of yet.
     seen: HashMap<(BindingId, u64), Option<ReplyFrames>>,
     order: VecDeque<(BindingId, u64)>,
     cap: usize,
     /// Frame bytes of every retained reply.
     bytes: usize,
+    acks: AckTable,
+    /// The (binding, client thread) pairs whose acknowledgement advanced
+    /// since the last reply was recorded.
+    due: Vec<(BindingId, u32)>,
+}
+
+/// What one client thread of one binding has acknowledged.
+#[derive(Default)]
+struct Acks {
+    /// The highest id through which every request has completed.
+    through: Option<u64>,
+    /// Ids that retain frames for this thread, in the order their replies
+    /// left: request order, but for deferred replies, which an
+    /// acknowledgement then reaches one later.
+    held: VecDeque<u64>,
+}
+
+impl Acks {
+    fn acknowledged(&self, id: u64) -> bool {
+        self.through.is_some_and(|t| id <= t)
+    }
+}
+
+/// [`Acks`] per (binding, client thread): at most `cap` of them, the oldest
+/// forgotten first, as are the ids beyond `cap` in one `held` list. What is
+/// forgotten is only an index: its frames stay until the cache's own bounds
+/// evict them.
+struct AckTable {
+    threads: HashMap<(BindingId, u32), Acks>,
+    order: VecDeque<(BindingId, u32)>,
+    cap: usize,
+}
+
+impl AckTable {
+    fn get(&mut self, key: (BindingId, u32)) -> &mut Acks {
+        if !self.threads.contains_key(&key) {
+            if self.order.len() >= self.cap {
+                if let Some(old) = self.order.pop_front() {
+                    self.threads.remove(&old);
+                }
+            }
+            self.order.push_back(key);
+        }
+        self.threads.entry(key).or_default()
+    }
+
+    /// Index `id` as retaining frames for `key`'s thread.
+    fn hold(&mut self, key: (BindingId, u32), id: u64) {
+        let cap = self.cap;
+        let held = &mut self.get(key).held;
+        if held.back() != Some(&id) {
+            held.push_back(id);
+        }
+        if held.len() > cap {
+            held.pop_front();
+        }
+    }
 }
 
 impl RecentInvocations {
     fn new(cap: usize) -> Self {
-        RecentInvocations { seen: HashMap::new(), order: VecDeque::new(), cap, bytes: 0 }
+        RecentInvocations {
+            seen: HashMap::new(),
+            order: VecDeque::new(),
+            cap,
+            bytes: 0,
+            acks: AckTable { threads: HashMap::new(), order: VecDeque::new(), cap },
+            due: Vec::new(),
+        }
+    }
+
+    /// Attach the frames sent for an accepted invocation — all but those for
+    /// a client thread that has already acknowledged it — then let go of
+    /// what was acknowledged since the last reply. Returns how many frames
+    /// went.
+    ///
+    /// Letting go only now, after the new reply's frames exist, is for the
+    /// allocator: freed first, the acknowledged frames leave it a free top
+    /// of heap to hand back to the kernel, and the very next reply faults
+    /// the same pages in again.
+    fn record(&mut self, key: (BindingId, u64), mut frames: ReplyFrames) -> usize {
+        if let Some(slot) = self.seen.get_mut(&key) {
+            let (binding, id) = key;
+            frames.retain(|(by, ..)| {
+                by.is_none_or(|c| !self.acks.get((binding, c)).acknowledged(id))
+            });
+            for &(by, ..) in &frames {
+                if let Some(c) = by {
+                    self.acks.hold((binding, c), id);
+                }
+            }
+            let added = frame_bytes(&frames);
+            let replaced = slot.replace(frames).map_or(0, |old| frame_bytes(&old));
+            self.bytes = self.bytes + added - replaced;
+        }
+        let mut due = std::mem::take(&mut self.due);
+        let released: usize =
+            due.drain(..).map(|(binding, thread)| self.release(binding, thread)).sum();
+        self.due = due;
+        released
+    }
+
+    /// Client thread `thread` of `binding` completed every request up to
+    /// `through`. The frames kept for it up to there go when the next reply
+    /// is recorded.
+    fn acknowledge(&mut self, binding: BindingId, thread: u32, through: u64) {
+        let acks = self.acks.get((binding, thread));
+        if !acks.acknowledged(through) {
+            acks.through = Some(through);
+            if !self.due.contains(&(binding, thread)) {
+                self.due.push((binding, thread));
+            }
+        }
+    }
+
+    /// Let go of the frames kept for `thread` of `binding` up to its
+    /// acknowledgement. Returns how many went.
+    fn release(&mut self, binding: BindingId, thread: u32) -> usize {
+        let acks = self.acks.get((binding, thread));
+        let mut released = 0;
+        while let Some(&id) = acks.held.front() {
+            if !acks.acknowledged(id) {
+                break;
+            }
+            acks.held.pop_front();
+            if let Some(Some(frames)) = self.seen.get_mut(&(binding, id)) {
+                frames.retain(|(by, _, wire)| {
+                    let mine = *by == Some(thread);
+                    if mine {
+                        self.bytes -= wire.len();
+                        released += 1;
+                    }
+                    !mine
+                });
+            }
+        }
+        released
     }
 
     /// Evict oldest-first while there are more than `cap` entries, or more
     /// than the byte budget in more than the guaranteed newest entries.
-    /// Byte pressure stops at an entry whose reply has not left yet: it
+    /// Byte pressure passes over an entry whose reply has not left yet: it
     /// retains nothing, and its mark is all that keeps a duplicate from
     /// re-executing while the original runs.
     fn trim(&mut self) {
-        while let Some(&old) = self.order.front() {
+        let mut at = 0;
+        while let Some(&old) = self.order.get(at) {
             let over_cap = self.order.len() > self.cap;
-            let over_budget = self.bytes > REPLY_CACHE_BYTES
-                && self.order.len() > REPLY_CACHE_MIN_ENTRIES
-                && !matches!(self.seen.get(&old), Some(None));
+            let over_budget =
+                self.bytes > REPLY_CACHE_BYTES && self.order.len() > REPLY_CACHE_MIN_ENTRIES;
             if !over_cap && !over_budget {
                 break;
             }
-            self.order.pop_front();
+            if !over_cap && matches!(self.seen.get(&old), Some(None)) {
+                at += 1;
+                continue;
+            }
+            self.order.remove(at);
             if let Some(Some(frames)) = self.seen.remove(&old) {
                 self.bytes -= frame_bytes(&frames);
             }
@@ -253,7 +398,7 @@ impl RecentInvocations {
 }
 
 fn frame_bytes(frames: &ReplyFrames) -> usize {
-    frames.iter().map(|(_, wire)| wire.len()).sum()
+    frames.iter().map(|(.., wire)| wire.len()).sum()
 }
 
 /// One computing thread's object adapter.
@@ -455,7 +600,7 @@ impl Poa {
     /// Handle one frame that sits inside `depth` batch envelopes.
     fn handle_wire(&mut self, wire: &Bytes, depth: usize) {
         match Message::decode_traced(wire) {
-            Ok((msg, ctx)) => self.handle(msg, wire, ctx, depth),
+            Ok((msg, ctx, ack_lag)) => self.handle(msg, wire, ctx, ack_lag, depth),
             Err(e) => {
                 // A malformed frame cannot be answered (no parseable reply
                 // address); drop it loudly in debug builds.
@@ -469,6 +614,7 @@ impl Poa {
         msg: Message,
         wire: &Bytes,
         ctx: Option<pardis_obs::TraceCtx>,
+        ack_lag: u16,
         depth: usize,
     ) {
         // The sender's context is ambient while the frame is handled, so
@@ -511,9 +657,9 @@ impl Poa {
                 entry.control = Some(req);
                 entry.ctx = entry.ctx.or(ctx);
             }
-            Message::Fragment(frag) => self.handle_fragment(frag, None, wire, ctx),
+            Message::Fragment(frag) => self.handle_fragment(frag, None, wire, ctx, ack_lag),
             Message::Strided(frag, template) => {
-                self.handle_fragment(frag, Some(template), wire, ctx)
+                self.handle_fragment(frag, Some(template), wire, ctx, ack_lag)
             }
             Message::Cancel { binding, req_id } => {
                 self.pending.remove(&(binding, req_id));
@@ -527,15 +673,23 @@ impl Poa {
         }
     }
 
-    /// Reassemble (or, on the funneled entry thread, forward) one bulk-data
-    /// frame of either encoding.
+    /// Take the sending client thread's acknowledgement from one bulk-data
+    /// frame of either encoding, then reassemble (or, on the funneled entry
+    /// thread, forward) it.
     fn handle_fragment(
         &mut self,
         frag: FragmentMsg,
         template: Option<SrcTemplate>,
         wire: &Bytes,
         ctx: Option<pardis_obs::TraceCtx>,
+        ack_lag: u16,
     ) {
+        // Lag 0 acknowledges nothing. The lag is the wire's word: one that
+        // reaches below id 0 is ignored.
+        let acked = frag.req_id.checked_sub(u64::from(ack_lag)).filter(|_| ack_lag != 0);
+        if let Some(through) = acked {
+            self.acknowledge(frag.binding, frag.src_thread, through);
+        }
         let key = (frag.binding, frag.req_id);
         let accepted = {
             let recent = self.recent.lock();
@@ -744,7 +898,7 @@ impl Poa {
                 vec![("frames", frames.len().into())],
             );
         }
-        for (ep, wire) in frames {
+        for (_, ep, wire) in frames {
             let _ = self.orb.send_wire(self.host, ep, wire);
         }
         true
@@ -780,13 +934,17 @@ impl Poa {
     /// Attach the sent reply frames to an accepted invocation so future
     /// duplicates replay them.
     fn record_reply(&self, key: (BindingId, u64), frames: ReplyFrames) {
-        self.update_recent(|recent| {
-            if let Some(slot) = recent.seen.get_mut(&key) {
-                let added = frame_bytes(&frames);
-                let replaced = slot.replace(frames).map_or(0, |old| frame_bytes(&old));
-                recent.bytes = recent.bytes + added - replaced;
-            }
-        });
+        let mut released = 0;
+        self.update_recent(|recent| released = recent.record(key, frames));
+        if released > 0 && pardis_obs::enabled() {
+            pardis_obs::counter("poa.reply_frames_acked").add(released as u64);
+        }
+    }
+
+    /// Client thread `thread` of `binding` completed every request up to
+    /// `through`, so it will never ask for those replies again.
+    fn acknowledge(&self, binding: BindingId, thread: u32, through: u64) {
+        self.update_recent(|recent| recent.acknowledge(binding, thread, through));
     }
 
     fn dispatch(
@@ -951,8 +1109,13 @@ impl Poa {
         };
 
         // Every frame this thread ships is also recorded so a retransmitted
-        // request can be answered from the cache without re-execution.
+        // request can be answered from the cache without re-execution, each
+        // until the client thread it went to acknowledges it. Funneled
+        // frames all go to client thread 0, which can complete before a
+        // sibling's frame it relays has arrived: no acknowledgement lets go
+        // of those.
         let mut sent: ReplyFrames = Vec::new();
+        let ack_by = |c: u32| (!funneled).then_some(c);
 
         if let Some(douts) = &douts {
             // Cut each distributed out argument into one frame per client
@@ -968,16 +1131,17 @@ impl Poa {
                 );
                 let (src, dst) = ((&dout.dist, self.nthreads), (&desc.client_dist, m));
                 let share = &*dout.share;
-                let _ = cut_fragments(head, dout.len, src, dst, share, &mut riders, |f, wire| {
-                    if funneled {
-                        my_frames.push(wire);
-                    } else {
-                        let to = req.reply_to[f.dst_thread as usize];
-                        let _ = self.send_raw(to, wire.clone());
-                        sent.push((to, wire));
-                    }
-                    Ok(())
-                });
+                let _ =
+                    cut_fragments(head, 0, dout.len, src, dst, share, &mut riders, |f, wire| {
+                        if funneled {
+                            my_frames.push(wire);
+                        } else {
+                            let to = req.reply_to[f.dst_thread as usize];
+                            let _ = self.send_raw(to, wire.clone());
+                            sent.push((ack_by(f.dst_thread), to, wire));
+                        }
+                        Ok(())
+                    });
             }
             if funneled && matches!(kind, Some(ObjectKind::Spmd)) && self.nthreads > 1 {
                 // Collective: funnel everyone's fragments through thread
@@ -989,14 +1153,14 @@ impl Poa {
                         for frame in crate::protocol::unframe_list(&list).expect("self-framed list")
                         {
                             let _ = self.send_raw(req.reply_to[0], frame.clone());
-                            sent.push((req.reply_to[0], frame));
+                            sent.push((None, req.reply_to[0], frame));
                         }
                     }
                 }
             } else if funneled {
                 for frame in my_frames {
                     let _ = self.send_raw(req.reply_to[0], frame.clone());
-                    sent.push((req.reply_to[0], frame));
+                    sent.push((None, req.reply_to[0], frame));
                 }
             }
         }
@@ -1009,7 +1173,7 @@ impl Poa {
                     continue;
                 }
                 let _ = self.send_raw(*ep, wire.clone());
-                sent.push((*ep, wire.clone()));
+                sent.push((ack_by(c as u32), *ep, wire.clone()));
             }
         }
         self.record_reply((req.binding, req.req_id), sent);
@@ -1024,10 +1188,6 @@ impl Poa {
 impl Drop for Poa {
     fn drop(&mut self) {
         self.deactivate_all();
-        self.update_recent(|recent| {
-            recent.seen.clear();
-            recent.order.clear();
-            recent.bytes = 0;
-        });
+        self.update_recent(|recent| *recent = RecentInvocations::new(recent.cap));
     }
 }

@@ -329,16 +329,21 @@ impl Message {
         e.finish()
     }
 
-    /// Parse a frame, discarding any header trace context.
+    /// Parse a frame, discarding any header trace context and
+    /// acknowledgement lag.
     pub fn decode(frame: &Bytes) -> Result<Message, CdrError> {
-        Self::decode_traced(frame).map(|(msg, _)| msg)
+        Self::decode_traced(frame).map(|(msg, ..)| msg)
     }
 
-    /// Parse a frame together with the sender's trace context, when the
-    /// header carries one ([`FLAG_TRACE_CTX`]).
+    /// Parse a frame together with what travels beside the message: the
+    /// sender's trace context, when the header carries one
+    /// ([`FLAG_TRACE_CTX`]), and a bulk-data frame's acknowledgement lag
+    /// `lag` — the sending client thread has completed every request of the
+    /// binding up to `req_id - lag` (0: no acknowledgement, as on every frame
+    /// that is not bulk data).
     pub fn decode_traced(
         frame: &Bytes,
-    ) -> Result<(Message, Option<pardis_obs::TraceCtx>), CdrError> {
+    ) -> Result<(Message, Option<pardis_obs::TraceCtx>, u16), CdrError> {
         // Peek the header with a throwaway decoder to learn the byte order.
         if frame.len() < 8 {
             return Err(CdrError::Truncated { needed: 8, remaining: frame.len() });
@@ -365,11 +370,13 @@ impl Message {
         } else {
             None
         };
+        let mut ack_lag = 0;
         let msg = match ty {
             0 => Message::Request(decode_request(&mut d)?),
             1 => Message::Reply(decode_reply(&mut d)?),
             2 => {
-                let mut head = decode_fragment_fields(&mut d)?;
+                let (mut head, lag) = decode_fragment_fields(&mut d)?;
+                ack_lag = lag;
                 head.data = d.read_byte_seq_bytes()?;
                 Message::Fragment(head)
             }
@@ -384,7 +391,8 @@ impl Message {
                 Message::Batch(frames)
             }
             6 => {
-                let mut head = decode_fragment_fields(&mut d)?;
+                let (mut head, lag) = decode_fragment_fields(&mut d)?;
+                ack_lag = lag;
                 let nthreads = d.read_u32()?;
                 let template = SrcTemplate { dist: Distribution::decode(&mut d)?, nthreads };
                 head.data = d.read_byte_seq_bytes()?;
@@ -395,7 +403,7 @@ impl Message {
                 value: other as u32,
             })?,
         };
-        Ok((msg, ctx))
+        Ok((msg, ctx, ack_lag))
     }
 }
 
@@ -593,12 +601,16 @@ pub fn encode_batch_frame(frames: &[Bytes]) -> Bytes {
     e.finish()
 }
 
-/// The fixed-width fields every bulk-data frame starts with.
-fn encode_fragment_fields(f: &FragmentMsg, e: &mut Encoder) {
+/// The fixed-width fields every bulk-data frame starts with. `ack_lag`
+/// fills two of the three alignment bytes between the `dir` octet and the
+/// 8-aligned `start`, so it costs no frame any length, and a frame with lag
+/// 0 is the one a lag-less encoder wrote.
+fn encode_fragment_fields(f: &FragmentMsg, ack_lag: u16, e: &mut Encoder) {
     e.write_u64(f.req_id);
     f.binding.encode(e);
     e.write_u32(f.arg);
     f.dir.encode(e);
+    e.write_u16(ack_lag);
     e.write_u64(f.start);
     e.write_u64(f.count);
     e.write_u32(f.dst_thread);
@@ -617,11 +629,15 @@ fn encode_fragment_fields(f: &FragmentMsg, e: &mut Encoder) {
 /// fragment]`. The fragment is still built in place, as the envelope's
 /// second sub-frame under an origin of its own, so it is byte-identical to
 /// the frame this function returns without a rider.
+///
+/// `ack_lag` is the sending client thread's acknowledgement
+/// ([`Message::decode_traced`]); out-fragments carry 0.
 pub(crate) fn frame_fragment(
     head: &FragmentMsg,
     template: Option<(&Distribution, u32)>,
     payload_len: usize,
     rider: Option<&Bytes>,
+    ack_lag: u16,
     pack: impl FnOnce(&mut Encoder),
 ) -> Bytes {
     let order = ByteOrder::native();
@@ -640,7 +656,7 @@ pub(crate) fn frame_fragment(
     let mut e = Encoder::with_capacity(order, cap + envelope);
     let fragment = |e: &mut Encoder| {
         write_header(e, order, if template.is_some() { 6 } else { 2 }, ctx);
-        encode_fragment_fields(head, e);
+        encode_fragment_fields(head, ack_lag, e);
         if let Some((dist, nthreads)) = template {
             e.write_u32(nthreads);
             dist.encode(e);
@@ -662,9 +678,9 @@ pub(crate) fn frame_fragment(
 /// Frame one contiguous fragment whose payload is supplied separately as
 /// already-encoded element bytes. Byte-identical to
 /// `Message::Fragment(..).encode()` with `data = payload` (`head.data` is
-/// ignored).
+/// ignored); neither acknowledges anything.
 pub fn encode_fragment_frame(head: &FragmentMsg, payload: &[u8]) -> Bytes {
-    frame_fragment(head, None, payload.len(), None, |e| e.write_raw(payload))
+    frame_fragment(head, None, payload.len(), None, 0, |e| e.write_raw(payload))
 }
 
 /// Frame one strided fragment ([`Message::Strided`]): `payload` packs the
@@ -675,7 +691,7 @@ pub fn encode_strided_frame(
     nthreads: u32,
     payload: &[u8],
 ) -> Bytes {
-    frame_fragment(head, Some((dist, nthreads)), payload.len(), None, |e| e.write_raw(payload))
+    frame_fragment(head, Some((dist, nthreads)), payload.len(), None, 0, |e| e.write_raw(payload))
 }
 
 /// Byte size of an *untraced* plain fragment frame ahead of its payload,
@@ -687,24 +703,29 @@ fn fragment_frame_overhead() -> usize {
     *OVERHEAD.get_or_init(|| {
         let mut e = Encoder::new(ByteOrder::native());
         write_header(&mut e, ByteOrder::native(), 2, None);
-        encode_fragment_fields(&FragmentMsg::head(0, BindingId(0), 0, ArgDir::In, 0), &mut e);
+        encode_fragment_fields(&FragmentMsg::head(0, BindingId(0), 0, ArgDir::In, 0), 0, &mut e);
         e.write_byte_seq(&[]);
         e.len()
     })
 }
 
-/// Decode the fixed-width fields of a bulk-data frame; the payload (and, in
-/// a strided frame, the template before it) follows.
-fn decode_fragment_fields(d: &mut Decoder) -> Result<FragmentMsg, CdrError> {
-    Ok(FragmentMsg {
-        req_id: d.read_u64()?,
-        binding: BindingId::decode(d)?,
-        arg: d.read_u32()?,
-        dir: ArgDir::decode(d)?,
+/// Decode the fixed-width fields of a bulk-data frame and its
+/// acknowledgement lag; the payload (and, in a strided frame, the template
+/// before it) follows.
+fn decode_fragment_fields(d: &mut Decoder) -> Result<(FragmentMsg, u16), CdrError> {
+    let (req_id, binding, arg, dir) =
+        (d.read_u64()?, BindingId::decode(d)?, d.read_u32()?, ArgDir::decode(d)?);
+    let ack_lag = d.read_u16()?;
+    let head = FragmentMsg {
+        req_id,
+        binding,
+        arg,
+        dir,
         start: d.read_u64()?,
         count: d.read_u64()?,
         dst_thread: d.read_u32()?,
         src_thread: d.read_u32()?,
         data: Bytes::new(),
-    })
+    };
+    Ok((head, ack_lag))
 }

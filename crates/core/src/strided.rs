@@ -346,9 +346,12 @@ pub(crate) trait Pack: Send {
 /// `riders[d]` is a frame the sender owes destination thread `d` anyway (a
 /// request or a reply): the first frame cut for `d` takes it and leaves as
 /// a [`crate::protocol::Message::Batch`] `[rider, fragment]`, saving `d` a
-/// frame. Destinations past the end of `riders` take none.
+/// frame. Destinations past the end of `riders` take none. Every frame
+/// carries `ack_lag` ([`crate::protocol::Message::decode_traced`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn cut_fragments(
     mut head: FragmentMsg,
+    ack_lag: u16,
     len: u64,
     (src_dist, src_n): (&Distribution, usize),
     (dst_dist, dst_n): (&Distribution, usize),
@@ -369,7 +372,7 @@ pub(crate) fn cut_fragments(
         let template = (!contiguous).then_some((src_dist, src_n as u32));
         let rider = riders.get_mut(dst).and_then(Option::take);
         let payload_len = share.payload_len(head.count);
-        let wire = frame_fragment(&head, template, payload_len, rider.as_ref(), |e| {
+        let wire = frame_fragment(&head, template, payload_len, rider.as_ref(), ack_lag, |e| {
             share.pack_into(&sets, e)
         });
         emit(&head, wire)?;

@@ -73,6 +73,51 @@ fn fragment_roundtrip() {
     assert_eq!(Message::decode(&wire).unwrap(), msg);
 }
 
+/// A fragment frame's acknowledgement lag: decoded beside the message,
+/// alone or riding behind a request, traced or not, at no cost in length;
+/// `Message::decode` drops it, and no other frame carries one.
+#[test]
+fn fragment_ack_lag_roundtrips_at_no_length() {
+    let frag = FragmentMsg {
+        req_id: 5,
+        binding: BindingId(6),
+        arg: 2,
+        dir: ArgDir::In,
+        start: 128,
+        count: 64,
+        dst_thread: 3,
+        src_thread: 1,
+        data: Bytes::from((0..200u8).collect::<Vec<u8>>()),
+    };
+    let request = Message::Request(sample_request()).encode();
+    let frame = |rider: Option<&Bytes>, lag| {
+        frame_fragment(&frag, None, frag.data.len(), rider, lag, |e| e.write_raw(&frag.data))
+    };
+    for traced in [false, true] {
+        let _ctx = traced.then(|| {
+            pardis_obs::enter_ctx(pardis_obs::TraceCtx { trace_id: 0x1111, span_id: 0x2222 })
+        });
+        let plain = Message::Fragment(frag.clone()).encode();
+        for lag in [0u16, 1, 0x1234, u16::MAX] {
+            let wire = frame(None, lag);
+            assert_eq!(wire.len(), plain.len(), "lag {lag}");
+            let (msg, ctx, got) = Message::decode_traced(&wire).unwrap();
+            assert_eq!((msg, ctx.is_some(), got), (Message::Fragment(frag.clone()), traced, lag));
+            assert_eq!(Message::decode(&wire).unwrap(), Message::Fragment(frag.clone()));
+
+            let merged = frame(Some(&request), lag);
+            assert_eq!(Message::decode_traced(&merged).unwrap().2, 0, "the envelope has no lag");
+            let Message::Batch(subs) = Message::decode(&merged).unwrap() else { panic!("batch") };
+            assert_eq!(subs, vec![request.clone(), wire.clone()]);
+            assert_eq!(Message::decode_traced(&subs[1]).unwrap().2, lag);
+        }
+        assert_eq!(frame(None, 0), plain, "lag 0 is the plain frame");
+    }
+    for msg in sample_messages().into_iter().filter(|m| m.kind() != "fragment") {
+        assert_eq!(Message::decode_traced(&msg.encode()).unwrap().2, 0, "{}", msg.kind());
+    }
+}
+
 #[test]
 fn cancel_and_close_roundtrip() {
     for msg in [Message::Cancel { binding: BindingId(1), req_id: 9 }, Message::Close] {
@@ -161,9 +206,10 @@ mod property {
             arg in any::<u32>(),
             start in any::<u64>(),
             count in any::<u64>(),
+            ack_lag in any::<u16>(),
             data in proptest::collection::vec(any::<u8>(), 0..256),
         ) {
-            let msg = Message::Fragment(FragmentMsg {
+            let frag = FragmentMsg {
                 req_id,
                 binding: BindingId(1),
                 arg,
@@ -173,8 +219,13 @@ mod property {
                 dst_thread: 0,
                 src_thread: 0,
                 data: Bytes::from(data),
+            };
+            let msg = Message::Fragment(frag.clone());
+            prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg.clone());
+            let wire = frame_fragment(&frag, None, frag.data.len(), None, ack_lag, |e| {
+                e.write_raw(&frag.data)
             });
-            prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
+            prop_assert_eq!(Message::decode_traced(&wire).unwrap(), (msg, None, ack_lag));
         }
 
         #[test]

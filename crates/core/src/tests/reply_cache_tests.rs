@@ -1,18 +1,22 @@
 //! The bounded reply cache: replay while cached, FIFO eviction at the entry
 //! cap and at the byte budget, and — once evicted — exactly one re-execution
-//! of a duplicate request.
+//! of a duplicate request; frames let go of once their client thread
+//! acknowledges them, marks kept.
 //!
 //! These tests drive the POA with handcrafted wire frames, because a real
 //! client never *voluntarily* resends: duplicates only arise from timeouts
 //! or network duplication, neither of which can target a specific cache
 //! state.
 
+use crate::dist::Distribution;
 use crate::object::{BindingId, ClientId};
 use crate::poa::{REPLY_CACHE_BYTES, REPLY_CACHE_MIN_ENTRIES};
-use crate::protocol::{Message, ReplyStatus, RequestMsg};
+use crate::protocol::{
+    frame_fragment, ArgDir, DArgDesc, FragmentMsg, Message, ReplyStatus, RequestMsg,
+};
 use crate::repository::DEFAULT_REPOSITORY;
-use crate::servant::{Servant, ServerReply, ServerRequest};
-use crate::{ClientGroup, Orb, ServerGroup};
+use crate::servant::{DispatchResult, Servant, ServerReply, ServerRequest};
+use crate::{ClientGroup, DSequence, DistPolicy, Orb, ServerGroup};
 use pardis_cdr::{ByteOrder, CdrCodec, Encoder};
 use pardis_netsim::{Link, Network, TimeScale};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,10 +182,12 @@ fn zero_reply_cache_cap_is_rejected() {
     orb.set_reply_cache_cap(0);
 }
 
-/// Counts its executions and answers each with `len` octets of `x`.
+/// Counts its executions and answers each with `len` octets of `x` — except
+/// the call for `park`, which it defers and never answers.
 struct Blob {
     hits: Arc<AtomicU64>,
     len: usize,
+    park: Option<i64>,
 }
 
 impl Servant for Blob {
@@ -194,6 +200,13 @@ impl Servant for Blob {
         let mut rep = ServerReply::new();
         rep.push_scalar(&vec![x as u8; self.len]);
         Ok(rep)
+    }
+    fn dispatch_deferred(&self, req: ServerRequest<'_>) -> Result<DispatchResult, String> {
+        if self.park.is_some() && req.scalar::<i64>(0).ok() == self.park {
+            self.hits.fetch_add(1, Ordering::SeqCst);
+            return Ok(DispatchResult::Defer);
+        }
+        self.dispatch(req).map(DispatchResult::Reply)
     }
 }
 
@@ -211,6 +224,11 @@ struct BlobRig {
 
 impl BlobRig {
     fn new(reply_len: usize, entry_cap: usize) -> BlobRig {
+        BlobRig::parking(reply_len, entry_cap, None)
+    }
+
+    /// A rig whose servant parks request `park` for good.
+    fn parking(reply_len: usize, entry_cap: usize, park: Option<i64>) -> BlobRig {
         let net = Network::new(TimeScale::off());
         let hosts = (net.add_host("client"), net.add_host("server"));
         net.connect(hosts.0, hosts.1, Link::free());
@@ -221,7 +239,7 @@ impl BlobRig {
         let (g, h) = (group.clone(), hits.clone());
         let server = std::thread::spawn(move || {
             let mut poa = g.attach(0, None);
-            poa.activate_single("blob", Arc::new(Blob { hits: h, len: reply_len }));
+            poa.activate_single("blob", Arc::new(Blob { hits: h, len: reply_len, park }));
             poa.impl_is_ready();
         });
         let object = orb.resolve(DEFAULT_REPOSITORY, "blob").unwrap().key;
@@ -231,6 +249,17 @@ impl BlobRig {
 
     /// Deliver request `i` (again) and return the reply frame's length.
     fn call(&self, i: u64) -> usize {
+        self.send(i);
+        let env = self.reply.1.recv_timeout(Duration::from_secs(10)).expect("reply arrives");
+        match Message::decode(&env.wire).unwrap() {
+            Message::Reply(rep) => assert_eq!(rep.status, ReplyStatus::Ok),
+            other => panic!("expected a reply, got {other:?}"),
+        }
+        env.wire.len()
+    }
+
+    /// Deliver request `i` (again) without waiting for a reply.
+    fn send(&self, i: u64) {
         let request = Message::Request(RequestMsg {
             req_id: 1,
             binding: BindingId(i),
@@ -249,12 +278,6 @@ impl BlobRig {
         });
         let server_ep = self.orb.server_endpoints(self.group.id()).unwrap()[0];
         self.orb.send_wire(self.hosts.0, server_ep, request.encode()).unwrap();
-        let env = self.reply.1.recv_timeout(Duration::from_secs(10)).expect("reply arrives");
-        match Message::decode(&env.wire).unwrap() {
-            Message::Reply(rep) => assert_eq!(rep.status, ReplyStatus::Ok),
-            other => panic!("expected a reply, got {other:?}"),
-        }
-        env.wire.len()
     }
 
     fn hits(&self) -> u64 {
@@ -341,4 +364,233 @@ fn small_replies_are_still_bounded_by_the_entry_cap() {
     let orb = rig.orb.clone();
     drop(rig);
     assert_eq!(orb.reply_cache_bytes(), 0);
+}
+
+#[test]
+fn a_parked_call_does_not_pin_the_byte_budget() {
+    // Request 0 is deferred and never answered: its mark sits at the front
+    // of the cache, executing, while 40 MiB of replies pass behind it.
+    let rig = BlobRig::parking(1 << 20, 1024, Some(0));
+    rig.send(0);
+    for i in 1..=40 {
+        let frame = rig.call(i);
+        let retained = rig.orb.reply_cache_bytes() as usize;
+        assert!(retained <= REPLY_CACHE_BYTES + frame, "{retained} bytes after call {i}");
+    }
+    // The parked call keeps its mark: its duplicate is dropped, not run.
+    rig.send(0);
+    rig.call(40);
+    assert_eq!(rig.hits(), 41, "a parked call's duplicate must not re-execute");
+}
+
+/// Echoes its distributed in-argument back, counting executions.
+struct CountingEcho {
+    hits: Arc<AtomicU64>,
+}
+
+impl Servant for CountingEcho {
+    fn interface(&self) -> &str {
+        "echo"
+    }
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        self.hits.fetch_add(1, Ordering::SeqCst);
+        let x: DSequence<f64> = req.dseq(0).map_err(|e| e.to_string())?;
+        let mut rep = ServerReply::new();
+        rep.push_dseq(x);
+        Ok(rep)
+    }
+}
+
+/// Elements of the echoed sequence each client thread holds.
+const HALF: u64 = 512;
+
+/// A one-thread server of a [`CountingEcho`] SPMD object, driven by a
+/// handcrafted two-thread client on one binding. Request `id` carries
+/// `2 * HALF` doubles in Block: one in-fragment from each client thread,
+/// each with an acknowledgement lag of its own. Each client thread gets one
+/// frame back: the reply riding with its half of the echo.
+struct AckRig {
+    orb: Orb,
+    hits: Arc<AtomicU64>,
+    group: ServerGroup,
+    server: Option<std::thread::JoinHandle<()>>,
+    object: crate::ObjectKey,
+    hosts: (pardis_netsim::HostId, pardis_netsim::HostId),
+    replies: Vec<(crate::EndpointId, crossbeam::channel::Receiver<crate::orb::Envelope>)>,
+}
+
+impl AckRig {
+    fn new() -> AckRig {
+        let net = Network::new(TimeScale::off());
+        let hosts = (net.add_host("client"), net.add_host("server"));
+        net.connect(hosts.0, hosts.1, Link::free());
+        let orb = Orb::new(net);
+        let hits = Arc::new(AtomicU64::new(0));
+        let group = ServerGroup::create(&orb, "echoes", hosts.1, 1);
+        let (g, h) = (group.clone(), hits.clone());
+        let server = std::thread::spawn(move || {
+            let mut poa = g.attach(0, None);
+            poa.activate_spmd("echo", Arc::new(CountingEcho { hits: h }), DistPolicy::new());
+            poa.impl_is_ready();
+        });
+        let object = orb.resolve(DEFAULT_REPOSITORY, "echo").unwrap().key;
+        let replies = (0..2).map(|_| orb.register_endpoint(hosts.0)).collect();
+        AckRig { orb, hits, group, server: Some(server), object, hosts, replies }
+    }
+
+    fn send(&self, wire: bytes::Bytes) {
+        let server_ep = self.orb.server_endpoints(self.group.id()).unwrap()[0];
+        self.orb.send_wire(self.hosts.0, server_ep, wire).unwrap();
+    }
+
+    fn send_request(&self, id: u64) {
+        let dargs = vec![
+            DArgDesc { dir: ArgDir::In, len: 2 * HALF, client_dist: Distribution::Block },
+            DArgDesc { dir: ArgDir::Out, len: 0, client_dist: Distribution::Block },
+        ];
+        self.send(
+            Message::Request(RequestMsg {
+                req_id: id,
+                binding: BindingId(77),
+                entity: 77,
+                client_seq: id,
+                client: ClientId(9000),
+                object: self.object,
+                op: "echo".into(),
+                oneway: false,
+                funneled: false,
+                reply_to: self.replies.iter().map(|r| r.0).collect(),
+                client_threads: 2,
+                client_host: self.hosts.0.raw(),
+                ins: vec![],
+                dargs,
+            })
+            .encode(),
+        );
+    }
+
+    /// Client thread `thread`'s in-fragment of request `id`.
+    fn send_fragment(&self, id: u64, thread: u32, ack_lag: u16) {
+        let head = FragmentMsg {
+            start: thread as u64 * HALF,
+            count: HALF,
+            ..FragmentMsg::head(id, BindingId(77), 0, ArgDir::In, thread)
+        };
+        let mut payload = Encoder::new(ByteOrder::native());
+        f64::encode_elems(&vec![id as f64; HALF as usize], &mut payload);
+        let payload = payload.finish();
+        self.send(frame_fragment(&head, None, payload.len(), None, ack_lag, |e| {
+            e.write_raw(&payload)
+        }));
+    }
+
+    /// The frame client thread `thread` got back for request `id`, if one
+    /// arrives: its length.
+    fn recv(&self, thread: usize, id: u64) -> Option<usize> {
+        let env = self.replies[thread].1.recv_timeout(Duration::from_secs(10)).ok()?;
+        let Message::Batch(subs) = Message::decode(&env.wire).unwrap() else {
+            panic!("expected a [reply, out-fragment] envelope")
+        };
+        let Message::Reply(reply) = Message::decode(&subs[0]).unwrap() else { panic!("reply") };
+        assert_eq!((reply.req_id, reply.status), (id, ReplyStatus::Ok));
+        Some(env.wire.len())
+    }
+
+    /// Nothing more arrives at client thread `thread`.
+    fn quiet(&self, thread: usize) -> bool {
+        self.replies[thread].1.recv_timeout(Duration::from_millis(200)).is_err()
+    }
+
+    /// Deliver request `id` whole, client thread `c` acknowledging with
+    /// `lags[c]`, and return the length of the frame each got back.
+    fn invoke(&self, id: u64, lags: [u16; 2]) -> [usize; 2] {
+        self.send_request(id);
+        self.send_fragment(id, 0, lags[0]);
+        self.send_fragment(id, 1, lags[1]);
+        [self.recv(0, id).expect("thread 0's frame"), self.recv(1, id).expect("thread 1's frame")]
+    }
+
+    /// Replay request `id` to both client threads, which also waits until
+    /// the adapter has recorded everything it sent before.
+    fn settle(&self, id: u64) {
+        self.send_request(id);
+        self.recv(0, id).expect("replayed to thread 0");
+        self.recv(1, id).expect("replayed to thread 1");
+    }
+
+    fn bytes(&self) -> usize {
+        self.orb.reply_cache_bytes() as usize
+    }
+
+    fn hits(&self) -> u64 {
+        self.hits.load(Ordering::SeqCst)
+    }
+}
+
+impl Drop for AckRig {
+    fn drop(&mut self) {
+        self.group.shutdown();
+        let joined = self.server.take().expect("joined once").join();
+        if !std::thread::panicking() {
+            joined.unwrap();
+        }
+    }
+}
+
+#[test]
+fn an_acknowledgement_lets_go_of_exactly_that_threads_frames() {
+    let rig = AckRig::new();
+    let sent: Vec<[usize; 2]> = (0..3).map(|id| rig.invoke(id, [0, 0])).collect();
+    rig.settle(2);
+    let unacked: usize = sent.iter().flatten().sum();
+    assert_eq!(rig.bytes(), unacked, "lag 0 acknowledges nothing");
+
+    // Request 3: client thread 0 has completed everything through 1.
+    let third = rig.invoke(3, [2, 0]);
+    rig.settle(3);
+    assert_eq!(rig.bytes(), unacked + third[0] + third[1] - sent[0][0] - sent[1][0]);
+
+    // A late duplicate of request 0 does not run again, and replays only
+    // what client thread 1, which has not acknowledged it, may still need.
+    rig.send_request(0);
+    assert_eq!(rig.recv(1, 0), Some(sent[0][1]));
+    assert!(rig.quiet(0), "client thread 0 acknowledged request 0");
+    assert_eq!(rig.hits(), 4, "an acknowledged request must not re-execute");
+
+    // The adapter gives its share of the total back when it goes.
+    let orb = rig.orb.clone();
+    drop(rig);
+    assert_eq!(orb.reply_cache_bytes(), 0);
+}
+
+#[test]
+fn a_lag_reaching_below_request_zero_is_ignored() {
+    let rig = AckRig::new();
+    let first = rig.invoke(0, [0, 0]);
+    // Request 1 claims a lag of 5: it cannot have launched 5 requests.
+    let second = rig.invoke(1, [5, 0]);
+    rig.settle(1);
+    assert_eq!(rig.bytes(), first[0] + first[1] + second[0] + second[1]);
+    // A lag of exactly the request id acknowledges request 0.
+    let third = rig.invoke(2, [2, 0]);
+    rig.settle(2);
+    assert_eq!(rig.bytes(), first[1] + second[0] + second[1] + third[0] + third[1]);
+}
+
+#[test]
+fn an_acknowledgement_ahead_of_its_reply_still_applies() {
+    let rig = AckRig::new();
+    // Client thread 0's fragment of request 1, acknowledging request 0,
+    // arrives before request 0 itself.
+    rig.send_fragment(1, 0, 1);
+    let first = rig.invoke(0, [0, 0]);
+    rig.send_request(0);
+    assert_eq!(rig.recv(1, 0), Some(first[1]));
+    assert!(rig.quiet(0), "nothing was kept for client thread 0");
+    assert_eq!(rig.bytes(), first[1]);
+    // Request 1 completes as usual.
+    rig.send_request(1);
+    rig.send_fragment(1, 1, 0);
+    assert!(rig.recv(0, 1).is_some() && rig.recv(1, 1).is_some());
+    assert_eq!(rig.hits(), 2);
 }

@@ -75,7 +75,14 @@ fn plain_fragment_and_reply_frames_match_golden_bytes() {
     };
     let payload: Vec<u8> = (0u8..16).collect();
     assert_eq!(encode_fragment_frame(&head, &payload)[..], golden_fragment[..]);
-    let msg = Message::Fragment(FragmentMsg { data: Bytes::from(payload), ..head });
+    let lagged =
+        |lag| frame_fragment(&head, None, payload.len(), None, lag, |e| e.write_raw(&payload));
+    assert_eq!(lagged(0)[..], golden_fragment[..], "lag 0 acknowledges nothing, byte for byte");
+    // A lag fills two of the three padding bytes after `dir`, nothing else.
+    let mut golden_lagged = golden_fragment.clone();
+    golden_lagged[30..32].copy_from_slice(&0xbeefu16.to_le_bytes());
+    assert_eq!(lagged(0xbeef)[..], golden_lagged[..]);
+    let msg = Message::Fragment(FragmentMsg { data: Bytes::from(payload.clone()), ..head });
     assert_eq!(msg.encode()[..], golden_fragment[..]);
 
     let golden_reply = unhex(concat!(
@@ -123,6 +130,28 @@ fn strided_frame_roundtrips_and_borrows_the_wire() {
     }
 }
 
+#[test]
+fn strided_frame_carries_its_ack_lag_at_no_length() {
+    let (dist, head) = (Distribution::BlockCyclic(5), head(1, ArgDir::In, 3, 125, 0, 2));
+    let payload = vec![0xabu8; 1000];
+    for traced in [false, true] {
+        let _ctx = traced.then(|| {
+            pardis_obs::enter_ctx(pardis_obs::TraceCtx { trace_id: 0x1111, span_id: 0x2222 })
+        });
+        let plain = encode_strided_frame(&head, &dist, 9, &payload);
+        for lag in [0u16, 1, 0x1234, u16::MAX] {
+            let wire = frame_fragment(&head, Some((&dist, 9)), payload.len(), None, lag, |e| {
+                e.write_raw(&payload)
+            });
+            assert_eq!(wire.len(), plain.len(), "lag {lag}");
+            let (msg, ctx, got) = Message::decode_traced(&wire).unwrap();
+            assert_eq!(got, lag);
+            assert_eq!(ctx.is_some(), traced);
+            assert_eq!(msg, Message::decode(&plain).unwrap(), "the lag is all that differs");
+        }
+    }
+}
+
 /// A two-endpoint server that executes nothing: it only lets a real client
 /// bind, launch, and show what it put on the wire.
 fn fake_spmd_server(
@@ -147,9 +176,11 @@ fn fake_spmd_server(
     inboxes
 }
 
-/// Launch one `op(x)` from a 2-thread client holding `x` in Block and
-/// return the bulk-data frames each fake server endpoint received, each
-/// flagged with whether it rode behind the request in a `Batch` envelope.
+/// Launch `op(x)` twice from a 2-thread client holding `x` in Block,
+/// cancelling each, and return the bulk-data frames of the second that each
+/// fake server endpoint received, each flagged with whether it rode behind
+/// the request in a `Batch` envelope. The first is gone by then, so the
+/// second's frames acknowledge it.
 fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes, bool)>> {
     let net = Network::new(TimeScale::off());
     let (ch, sh) = (net.add_host("client"), net.add_host("server"));
@@ -166,7 +197,9 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes, bool)
         let ct = client.attach(t, Some(rts));
         let proxy = ct.spmd_bind("fake").unwrap();
         let x = DSequence::distribute(&full, Distribution::Block, 2, t);
-        proxy.call("op").dseq_in(&x).invoke_nb().unwrap().cancel();
+        for _ in 0..2 {
+            proxy.call("op").dseq_in(&x).invoke_nb().unwrap().cancel();
+        }
     });
     inboxes
         .into_iter()
@@ -184,9 +217,12 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes, bool)
                 };
                 let merged = subs.len() > 1;
                 for wire in subs {
-                    let msg = Message::decode(&wire).unwrap();
-                    if matches!(msg, Message::Fragment(_) | Message::Strided(..)) {
-                        frames.push((msg, wire, merged));
+                    match Message::decode(&wire).unwrap() {
+                        Message::Fragment(f) | Message::Strided(f, _) if f.req_id == 0 => {}
+                        msg @ (Message::Fragment(_) | Message::Strided(..)) => {
+                            frames.push((msg, wire, merged))
+                        }
+                        _ => {}
                     }
                 }
             }
@@ -199,8 +235,9 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes, bool)
 fn client_keeps_the_plain_frame_for_contiguous_pairs() {
     // Block -> Block over 2x2: client thread t owes server thread t one
     // run, and the frame is exactly what the element-wise planner's single
-    // piece used to produce — on its own, or (from the lead thread) as the
-    // sub-frame that follows the request.
+    // piece used to produce, carrying the thread's acknowledgement — on its
+    // own, or (from the lead thread) as the sub-frame that follows the
+    // request.
     let full: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
     for (t, frames) in client_in_frames(Distribution::Block).into_iter().enumerate() {
         assert_eq!(frames.len(), 1, "server thread {t}");
@@ -212,8 +249,12 @@ fn client_keeps_the_plain_frame_for_contiguous_pairs() {
             binding: f.binding,
             ..head(0, ArgDir::In, 32 * t as u64, 32, t as u32, t as u32)
         };
+        let (_, _, lag) = Message::decode_traced(wire).unwrap();
+        assert_eq!(lag, 1, "request 1 acknowledges request 0");
         let payload = encode_elems(&full[32 * t..32 * (t + 1)]);
-        assert_eq!(*wire, encode_fragment_frame(&old_head, &payload), "server thread {t}");
+        let want =
+            frame_fragment(&old_head, None, payload.len(), None, lag, |e| e.write_raw(&payload));
+        assert_eq!(*wire, want, "server thread {t}");
     }
 }
 
@@ -223,7 +264,8 @@ fn client_sends_one_strided_frame_per_thread_pair() {
     let full: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
     for (d, frames) in client_in_frames(Distribution::Cyclic).into_iter().enumerate() {
         assert_eq!(frames.len(), 2, "one frame from each client thread at server thread {d}");
-        for (msg, _, merged) in frames {
+        for (msg, wire, merged) in frames {
+            assert_eq!(Message::decode_traced(&wire).unwrap().2, 1, "request 1 acknowledges 0");
             let Message::Strided(f, tmpl) = msg else { panic!("strided frame expected") };
             let s = f.src_thread as usize;
             assert_eq!(merged, s == 0, "the lead's frame carries the request");
@@ -308,6 +350,7 @@ fn poa_keeps_the_plain_frame_for_contiguous_pairs() {
     let Message::Reply(reply) = Message::decode(&subs[0]).unwrap() else { panic!("reply first") };
     assert_eq!((reply.req_id, reply.binding, reply.dout_lens), (4, BindingId(77), vec![3]));
     assert_eq!(subs[1], encode_fragment_frame(&out_head, &payload));
+    assert_eq!(Message::decode_traced(&subs[1]).unwrap().2, 0, "out-fragments acknowledge nothing");
     assert!(reply_rx.recv_timeout(Duration::from_millis(200)).is_err(), "nothing else");
 
     group.shutdown();
@@ -514,13 +557,15 @@ mod in_place {
         .encode()
     }
 
-    /// Every frame cut from `full` on its way `src` -> `dst`, against the
-    /// frame helpers applied to the separately packed payload — alone, and
-    /// as the second sub-frame of an envelope that carries a rider.
+    /// Every frame cut from `full` on its way `src` -> `dst` with `ack_lag`,
+    /// against the frame helper applied to the separately packed payload —
+    /// alone, and as the second sub-frame of an envelope that carries a
+    /// rider.
     fn check<T: CdrCodec + Clone + Send + Sync + 'static>(
         full: Vec<T>,
         src: (&Distribution, usize),
         dst: (&Distribution, usize),
+        ack_lag: u16,
     ) -> Result<(), TestCaseError> {
         let len = full.len() as u64;
         for s in 0..src.1 {
@@ -528,7 +573,7 @@ mod in_place {
             let head = FragmentMsg::head(9, BindingId(3), 1, ArgDir::In, s as u32);
             let cut = |riders: &mut [Option<Bytes>]| {
                 let mut frames = Vec::new();
-                cut_fragments(head.clone(), len, src, dst, &ds, riders, |f, wire| {
+                cut_fragments(head.clone(), ack_lag, len, src, dst, &ds, riders, |f, wire| {
                     frames.push((f.clone(), wire));
                     Ok(())
                 })
@@ -550,6 +595,7 @@ mod in_place {
                     return Err(TestCaseError::fail("merged frame is not a batch"));
                 };
                 prop_assert_eq!(&subs, &vec![riders[d].clone(), plain.clone()]);
+                prop_assert_eq!(Message::decode_traced(&subs[1]).unwrap().2, ack_lag);
                 let envelope = wire.len() - riders[d].len() - plain.len();
                 prop_assert!((20..=23).contains(&envelope), "{} envelope bytes", envelope);
             }
@@ -560,12 +606,13 @@ mod in_place {
                 let mut payload = Encoder::new(ByteOrder::native());
                 ds.pack_into(&sets, &mut payload);
                 let payload = payload.finish();
-                let want = if sets.len() == 1 && sets[0].count == 1 {
-                    encode_fragment_frame(&f, &payload)
-                } else {
-                    encode_strided_frame(&f, src.0, src.1 as u32, &payload)
-                };
+                let contiguous = sets.len() == 1 && sets[0].count == 1;
+                let template = (!contiguous).then_some((src.0, src.1 as u32));
+                let want = frame_fragment(&f, template, payload.len(), None, ack_lag, |e| {
+                    e.write_raw(&payload)
+                });
                 prop_assert_eq!(&wire[..], &want[..], "thread {} -> {}", s, f.dst_thread);
+                prop_assert_eq!(Message::decode_traced(&wire).unwrap().2, ack_lag);
                 sent += f.count;
             }
             prop_assert_eq!(sent, ds.local().len() as u64, "thread {} sent its whole share", s);
@@ -587,6 +634,7 @@ mod in_place {
             dst_b in 1u64..7,
             cuts in proptest::collection::vec(any::<u64>(), 8),
             traced in any::<bool>(),
+            lag in any::<u16>(),
         ) {
             let src_dist = template(src_kind, src_b, &cuts[..4], len, src_n);
             let dst_dist = template(dst_kind, dst_b, &cuts[4..], len, dst_n);
@@ -596,12 +644,12 @@ mod in_place {
             let _ctx = traced.then(|| {
                 pardis_obs::enter_ctx(pardis_obs::TraceCtx { trace_id: 0x1111, span_id: 0x2222 })
             });
-            check((0..len).map(|i| i as f64 * 0.25).collect(), src, dst)?;
-            check((0..len).map(|i| i as u8).collect(), src, dst)?;
-            check((0..len).map(|i| "x".repeat(i as usize % 7)).collect(), src, dst)?;
+            check((0..len).map(|i| i as f64 * 0.25).collect(), src, dst, lag)?;
+            check((0..len).map(|i| i as u8).collect(), src, dst, lag)?;
+            check((0..len).map(|i| "x".repeat(i as usize % 7)).collect(), src, dst, lag)?;
             // One octet then a double: seven bytes of padding per element,
             // placed by the payload's own origin and not the frame's.
-            check((0..len).map(|i| (i as u8, i as f64)).collect(), src, dst)?;
+            check((0..len).map(|i| (i as u8, i as f64)).collect(), src, dst, lag)?;
         }
     }
 }

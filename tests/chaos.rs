@@ -8,12 +8,12 @@
 //! perturbing the frame-level counters the determinism tests compare.
 
 use pardis::core::{
-    ClientGroup, DSequence, DistPolicy, Distribution, Orb, Servant, ServerGroup, ServerReply,
-    ServerRequest, TraceSession,
+    ClientGroup, DSequence, DistPolicy, Distribution, InvocationHandle, Orb, Servant, ServerGroup,
+    ServerReply, ServerRequest, TraceSession,
 };
 use pardis::generated::dna::{DnaDbProxy, ListServerProxy, Status};
 use pardis::generated::solvers::{DirectProxy, IterativeProxy};
-use pardis::netsim::{FaultPlan, FaultStats, Link, Network, TimeScale, TransportMode};
+use pardis::netsim::{FaultPlan, FaultStats, HostId, Link, Network, TimeScale, TransportMode};
 use pardis::rts::{MpiRts, World};
 use pardis_apps::dna::{
     classify, derivatives, gen_database, spawn_dna_server, DnaServerConfig, Placement, LIST_NAMES,
@@ -392,15 +392,14 @@ impl Servant for CountingIncrement {
     }
 }
 
-/// On the parallel strategy a request travels inside the lead thread's
-/// in-fragment frame and a reply inside server thread 0's out-fragment
-/// frame. Lose and duplicate those merged frames: every server thread still
-/// runs each request once, every reply is right, and retransmissions were
-/// answered by replaying cached (merged) reply frames.
-#[test]
-fn merged_control_frames_keep_at_most_once_under_loss() {
-    let _guard = serial();
-    let seed = 0x3E_46ED;
+/// A lossy (20% drop, 5% duplication) two-host ORB for `seed`, retrying
+/// every 5 ms, and a two-thread [`CountingIncrement`] server on it that
+/// wants its in-argument in `server_dist`: the ORB, the client host, the
+/// server group, its per-thread execution counts and its join handle.
+fn lossy_counting_increment(
+    seed: u64,
+    server_dist: Distribution,
+) -> (Orb, HostId, ServerGroup, Arc<Vec<AtomicU64>>, std::thread::JoinHandle<()>) {
     let net = Network::new(TimeScale::off());
     let ch = net.add_host("client");
     let sh = net.add_host("server");
@@ -410,14 +409,13 @@ fn merged_control_frames_keep_at_most_once_under_loss() {
     orb.set_retry_limit(20);
     orb.set_retry_base(Duration::from_millis(5));
     orb.set_retry_seed(seed);
-    let session = TraceSession::start(&orb);
 
     let hits = Arc::new(vec![AtomicU64::new(0), AtomicU64::new(0)]);
     let group = ServerGroup::create(&orb, "counting-increment", sh, 2);
     let (ready_tx, ready_rx) = std::sync::mpsc::channel();
     let server = {
         let (group, hits) = (group.clone(), hits.clone());
-        let policy = DistPolicy::new().with("inc", 0, Distribution::Cyclic);
+        let policy = DistPolicy::new().with("inc", 0, server_dist);
         std::thread::spawn(move || {
             World::run(2, |rank| {
                 let t = rank.rank();
@@ -432,6 +430,19 @@ fn merged_control_frames_keep_at_most_once_under_loss() {
     for _ in 0..2 {
         ready_rx.recv().unwrap();
     }
+    (orb, ch, group, hits, server)
+}
+
+/// On the parallel strategy a request travels inside the lead thread's
+/// in-fragment frame and a reply inside server thread 0's out-fragment
+/// frame. Lose and duplicate those merged frames: every server thread still
+/// runs each request once, every reply is right, and retransmissions were
+/// answered by replaying cached (merged) reply frames.
+#[test]
+fn merged_control_frames_keep_at_most_once_under_loss() {
+    let _guard = serial();
+    let (orb, ch, group, hits, server) = lossy_counting_increment(0x3E_46ED, Distribution::Cyclic);
+    let session = TraceSession::start(&orb);
 
     let calls = 200;
     let full: Vec<f64> = (0..64).map(|i| i as f64).collect();
@@ -466,6 +477,77 @@ fn merged_control_frames_keep_at_most_once_under_loss() {
     orb.network().set_fault_plan(None);
     group.shutdown();
     server.join().unwrap();
+}
+
+/// Each client thread acknowledges in its in-fragments how far it has
+/// completed, and the server lets go of the reply frames it kept for that
+/// thread up to there. Keep 4 invocations in flight across a lossy link,
+/// Block to Block (server thread 0 hears acknowledgements from client
+/// thread 0 only) and Block to Cyclic (from both): at-most-once holds, every
+/// reply is right, retransmissions are still answered from the cache, and
+/// the cache never holds more than 8 replies per adapter thread.
+#[test]
+fn acknowledged_replies_stay_within_the_pipeline_under_loss() {
+    let _guard = serial();
+    const LEN: usize = 8192;
+    const CALLS: u64 = 300;
+    const DEPTH: u64 = 4;
+    // What one adapter thread sends per invocation: its half of the result,
+    // plus headroom for the frame headers and the reply control.
+    let reply_bytes = LEN / 2 * 8 + 512;
+    let bound = 2 * 8 * reply_bytes;
+    for (seed, server_dist) in [(0xAC_B10C, Distribution::Block), (0xAC_C1C1, Distribution::Cyclic)]
+    {
+        let (orb, ch, group, hits, server) = lossy_counting_increment(seed, server_dist.clone());
+        let session = TraceSession::start(&orb);
+        let full: Vec<f64> = (0..LEN).map(|i| i as f64).collect();
+        let plus_one: Vec<f64> = full.iter().map(|v| v + 1.0).collect();
+        let client = ClientGroup::create(&orb, ch, 2);
+        let chk = pardis::check::for_world(2);
+        let peaks = World::run(2, |rank| {
+            let t = rank.rank();
+            let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
+            let ct = client.attach(t, Some(rts));
+            let proxy = ct.spmd_bind("counting_increment").unwrap();
+            let x = DSequence::distribute(&full, Distribution::Block, 2, t);
+            let want = DSequence::distribute(&plus_one, Distribution::Block, 2, t);
+            let mut inflight = std::collections::VecDeque::<InvocationHandle>::new();
+            let mut peak = 0;
+            for i in 0..CALLS + DEPTH {
+                if i >= DEPTH {
+                    let reply = inflight.pop_front().unwrap().wait().unwrap();
+                    let y: DSequence<f64> = reply.dseq(0).unwrap();
+                    assert_eq!(y.local(), want.local(), "{server_dist:?}, client thread {t}");
+                    peak = peak.max(orb.reply_cache_bytes() as usize);
+                }
+                if i < CALLS {
+                    let call = proxy.call("inc").dseq_in(&x).dseq_out(Distribution::Block);
+                    inflight.push_back(call.invoke_nb().unwrap());
+                }
+            }
+            peak
+        });
+        pardis::check::enforce(&chk);
+        orb.network().quiesce();
+        let report = session.finish();
+
+        let what = format!("Block -> {server_dist:?}");
+        for (t, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::SeqCst), CALLS, "{what}: server thread {t} ran each once");
+        }
+        let stats = orb.network().fault_stats();
+        assert!(stats.dropped > 0 && stats.duplicated > 0, "{what}: the plan must bite: {stats:?}");
+        let replays = report.counter("poa.reply_cache_hits").unwrap_or(0);
+        assert!(replays > 0, "{what}: no retransmission was answered from the reply cache");
+        assert!(report.counter("poa.reply_frames_acked").unwrap_or(0) > 0, "{what}: no acks");
+        for (t, peak) in peaks.into_iter().enumerate() {
+            assert!(peak <= bound, "{what}: {peak} bytes cached at a completion on thread {t}");
+        }
+
+        orb.network().set_fault_plan(None);
+        group.shutdown();
+        server.join().unwrap();
+    }
 }
 
 #[test]

@@ -2,14 +2,15 @@
 //! a distributed argument crosses the wire as at most one frame per
 //! (client thread, server thread) pair per direction, under both transfer
 //! strategies and for fixed- and variable-width elements alike; on the
-//! parallel strategy the requests and replies ride in those frames.
+//! parallel strategy the requests and replies ride in those frames, and the
+//! in-fragments carry the acknowledgements that bound the reply cache.
 
 use pardis::cdr::CdrCodec;
 use pardis::core::{
-    ClientGroup, DSequence, DistPolicy, Distribution, Orb, Servant, ServerGroup, ServerReply,
-    ServerRequest, TransferStrategy,
+    ClientGroup, DSequence, DistPolicy, Distribution, InvocationHandle, Orb, Servant, ServerGroup,
+    ServerReply, ServerRequest, TransferStrategy,
 };
-use pardis::netsim::{Network, TimeScale};
+use pardis::netsim::{Link, Network, TimeScale};
 use pardis::rts::{MpiRts, Rts, World};
 use std::sync::Arc;
 
@@ -271,5 +272,75 @@ fn scalar_only_spmd_call_is_one_frame_per_control() {
         group.shutdown();
         server.join().unwrap();
         assert_eq!(frames, INVOCATIONS * (pc + ps) as u64, "{pc}x{ps}");
+    }
+}
+
+/// The reply cache follows the client's pipeline, not its history: each
+/// client thread acknowledges in its in-fragments how far it has completed,
+/// so over 2 000 invocations kept 4 deep, each of 256 KiB replies per server
+/// thread, the cache holds at most 8 replies per adapter thread at any
+/// completion (without acknowledgements it holds 16 MiB, 64 of them).
+#[test]
+fn reply_cache_follows_the_pipeline_not_the_history() {
+    const LEN: usize = 65_536;
+    const CALLS: u64 = 2_000;
+    const DEPTH: u64 = 4;
+    let bound = 2 * 8 * (LEN / 2 * 8 + 512);
+
+    let net = Network::new(TimeScale::off());
+    let client_host = net.add_host("client");
+    let server_host = net.add_host("server");
+    net.connect(client_host, server_host, Link::free());
+    let orb = Orb::new(net);
+    let group = ServerGroup::create(&orb, "mapeach-server", server_host, 2);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let server = {
+        let group = group.clone();
+        std::thread::spawn(move || {
+            World::run(2, |rank| {
+                let t = rank.rank();
+                let rts: Arc<dyn Rts> = Arc::new(MpiRts::new(rank));
+                let mut poa = group.attach(t, Some(rts));
+                let servant = MapEach::<f64>(|v| 2.0 * v + 1.0);
+                poa.activate_spmd("mapeach", Arc::new(servant), DistPolicy::new());
+                ready_tx.send(()).unwrap();
+                poa.impl_is_ready();
+            });
+        })
+    };
+    for _ in 0..2 {
+        ready_rx.recv().unwrap();
+    }
+
+    let full: Vec<f64> = (0..LEN).map(|i| i as f64).collect();
+    let expected: Vec<f64> = full.iter().map(|v| 2.0 * v + 1.0).collect();
+    let client = ClientGroup::create(&orb, client_host, 2);
+    let peaks = World::run(2, |rank| {
+        let t = rank.rank();
+        let rts: Arc<dyn Rts> = Arc::new(MpiRts::new(rank));
+        let ct = client.attach(t, Some(rts));
+        let proxy = ct.spmd_bind("mapeach").unwrap();
+        let x = DSequence::distribute(&full, Distribution::Block, 2, t);
+        let want = DSequence::distribute(&expected, Distribution::Block, 2, t);
+        let mut inflight = std::collections::VecDeque::<InvocationHandle>::new();
+        let mut peak = 0;
+        for i in 0..CALLS + DEPTH {
+            if i >= DEPTH {
+                let reply = inflight.pop_front().unwrap().wait().unwrap();
+                let y: DSequence<f64> = reply.dseq(0).unwrap();
+                assert!(y.local() == want.local(), "client thread {t}, invocation {}", i - DEPTH);
+                peak = peak.max(orb.reply_cache_bytes() as usize);
+            }
+            if i < CALLS {
+                let call = proxy.call("map").dseq_in(&x).dseq_out(Distribution::Block);
+                inflight.push_back(call.invoke_nb().unwrap());
+            }
+        }
+        peak
+    });
+    group.shutdown();
+    server.join().unwrap();
+    for (t, peak) in peaks.into_iter().enumerate() {
+        assert!(peak <= bound, "{peak} bytes cached at a completion on client thread {t}");
     }
 }
