@@ -7,11 +7,10 @@
 //! communication thread) against one single-threaded server over the
 //! Ethernet10 netsim link. Per concurrency level the harness reports wall
 //! and virtual-clock request throughput plus wall p50/p99 invocation
-//! latency, for three request-core configurations:
+//! latency, for two request-core configurations:
 //!
 //! * `sharded` — the default core: sharded reply router, no batching.
 //! * `batched` — adaptive same-destination coalescing.
-//! * `capped`  — batched + a 64-deep per-endpoint in-flight cap.
 //!
 //! The virtual-clock series is where the LogGP-style win shows: coalescing
 //! N small frames into one envelope pays the per-frame software overhead
@@ -54,13 +53,11 @@ impl Servant for Load {
 struct Mode {
     name: &'static str,
     batch: BatchMode,
-    cap: usize,
 }
 
-const MODES: [Mode; 3] = [
-    Mode { name: "sharded", batch: BatchMode::Off, cap: 0 },
-    Mode { name: "batched", batch: BatchMode::Adaptive, cap: 0 },
-    Mode { name: "capped", batch: BatchMode::Adaptive, cap: 64 },
+const MODES: [Mode; 2] = [
+    Mode { name: "sharded", batch: BatchMode::Off },
+    Mode { name: "batched", batch: BatchMode::Adaptive },
 ];
 
 struct LevelOut {
@@ -87,7 +84,6 @@ fn run_level(mode: Mode, clients: usize) -> LevelOut {
     net.connect(ch, sh, LinkPreset::Ethernet10.link());
     let orb = Orb::new(net);
     orb.set_batch_mode(mode.batch);
-    orb.set_inflight_cap(mode.cap);
 
     let group = ServerGroup::create(&orb, "load-server", sh, 1);
     let g = group.clone();
@@ -171,7 +167,7 @@ fn main() {
     json.param_usize("pipeline_depth", DEPTH);
     json.columns(&levels.iter().map(|&l| l as f64).collect::<Vec<_>>());
 
-    println!("fig_load: {} clients sweep, modes: sharded/batched/capped", levels.len());
+    println!("fig_load: {} clients sweep, modes: sharded/batched", levels.len());
     println!("{}", row("clients", &levels.iter().map(|&l| l as f64).collect::<Vec<_>>()));
     for mode in MODES {
         let outs: Vec<LevelOut> = levels.iter().map(|&l| run_level(mode, l)).collect();

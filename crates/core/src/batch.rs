@@ -15,7 +15,7 @@
 //! * **No frame straddles two envelopes.** A sub-frame is an indivisible
 //!   element of exactly one batch envelope (or leaves raw).
 //! * **Bounded delay.** A queued frame leaves within roughly
-//!   [`BatchParams::max_delay`] even under zero follow-on traffic: the lazy
+//!   [`BATCH_DELAY`] even under zero follow-on traffic: the lazy
 //!   flusher thread ([`crate::Orb`] spawns it on first use) sweeps aged
 //!   destinations, and client/POA pumps flush before blocking.
 //!
@@ -56,16 +56,13 @@ pub(crate) struct BatchParams {
     /// size ride the queue as passthrough entries (FIFO kept, no copy into
     /// an envelope).
     pub max_bytes: usize,
-    /// Deadline after which a queued frame is flushed regardless of
-    /// traffic.
-    pub max_delay: Duration,
 }
 
 /// Coalescing ceiling of one envelope the ORB's batcher builds, and the
 /// size at or above which a frame bypasses coalescing.
 pub(crate) const BATCH_MAX_BYTES: usize = 16 * 1024;
 
-/// Default flush deadline ([`crate::OrbConfig::batch_delay`]).
+/// Deadline after which a queued frame is flushed regardless of traffic.
 pub(crate) const BATCH_DELAY: Duration = Duration::from_micros(100);
 
 /// Ceiling of the adaptive per-destination batch target.
@@ -110,10 +107,10 @@ pub(crate) struct Batcher {
 }
 
 impl Batcher {
-    pub(crate) fn new(mode: BatchMode, max_bytes: usize, max_delay: Duration) -> Batcher {
+    pub(crate) fn new(mode: BatchMode, max_bytes: usize) -> Batcher {
         Batcher {
             active: AtomicBool::new(mode != BatchMode::Off),
-            params: Published::new(BatchParams { mode, max_bytes, max_delay }),
+            params: Published::new(BatchParams { mode, max_bytes }),
             pending: AuditMutex::new(lock_site!("orb: batch queues"), HashMap::new()),
             flusher_spawned: AtomicBool::new(false),
         }
@@ -128,8 +125,8 @@ impl Batcher {
         self.params.load()
     }
 
-    pub(crate) fn set_params(&self, mode: BatchMode, max_bytes: usize, max_delay: Duration) {
-        self.params.store(BatchParams { mode, max_bytes, max_delay });
+    pub(crate) fn set_params(&self, mode: BatchMode, max_bytes: usize) {
+        self.params.store(BatchParams { mode, max_bytes });
         self.active.store(mode != BatchMode::Off, Ordering::Relaxed);
     }
 
@@ -173,13 +170,12 @@ impl Batcher {
     /// Destinations whose oldest queued frame has aged past the deadline
     /// (for the flusher thread).
     pub(crate) fn aged_keys(&self) -> Vec<(HostId, EndpointId)> {
-        let p = self.params.load();
         let now = Instant::now();
         self.pending
             .lock()
             .iter()
             .filter(|(_, e)| {
-                !e.items.is_empty() && !e.sending && now.duration_since(e.oldest) >= p.max_delay
+                !e.items.is_empty() && !e.sending && now.duration_since(e.oldest) >= BATCH_DELAY
             })
             .map(|(k, _)| *k)
             .collect()

@@ -9,7 +9,6 @@
 //! futures ([`CallBuilder::invoke_nb`]) or oneway
 //! ([`CallBuilder::invoke_oneway`]).
 
-use crate::backpressure::Permit;
 use crate::dist::Distribution;
 use crate::dseq::DSequence;
 use crate::error::{OrbError, OrbResult};
@@ -85,14 +84,10 @@ impl ClientGroup {
     }
 
     /// Resolve names in a different repository namespace.
-    pub fn with_namespace(self, ns: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_namespace(self, ns: &str) -> Self {
         self.namespace.store(ns.to_string());
         self
-    }
-
-    /// Number of computing threads.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
     }
 
     /// Claim computing thread `thread`'s client endpoint. `rts` is required
@@ -251,11 +246,9 @@ impl PumpCore {
             state
         };
         if let Some(state) = state {
-            // Teardown's slow half runs outside the shard lock: free the
-            // admission slot (timeout/cancel paths may still hold it) and
-            // close the invoke span opened at launch (exactly once, even if
-            // tracing was toggled in between).
-            state.release_permit();
+            // Teardown's slow half runs outside the shard lock: close the
+            // invoke span opened at launch (exactly once, even if tracing
+            // was toggled in between).
             if state.span_open.swap(false, Ordering::Relaxed) {
                 let mut args = Vec::new();
                 if let Some(obs) = &state.obs {
@@ -282,6 +275,7 @@ impl PumpCore {
 
     /// Completion check without pumping — only meaningful when a
     /// communication thread (or another caller) is draining the endpoint.
+    #[cfg(test)]
     pub(crate) fn peek_complete(&self, key: (BindingId, u64)) -> bool {
         let shard = self.router.shard(key);
         let s = shard.lock();
@@ -426,11 +420,12 @@ impl PumpCore {
 
 /// Client-side record of one in-flight invocation; the rendezvous point
 /// between the pump and the futures.
-pub struct InvocationState {
+pub(crate) struct InvocationState {
     pub(crate) funneled: bool,
     pub(crate) client_threads: usize,
     pub(crate) thread: usize,
     key: (BindingId, u64),
+    #[cfg(test)]
     server: crate::object::ServerId,
     out_wire_idx: Vec<u32>,
     out_dists: Vec<Distribution>,
@@ -444,13 +439,7 @@ pub struct InvocationState {
     replay: AuditMutex<Vec<(EndpointId, Bytes)>>,
     /// An `client.invoke` trace span was opened for this invocation and
     /// must be closed exactly once (at unregistration).
-    span_open: std::sync::atomic::AtomicBool,
-    /// Backpressure admission slot, released when the reply completes (not
-    /// at unregistration — a non-blocking pipeline would deadlock waiting
-    /// for permits its own unharvested futures hold). `has_permit` keeps
-    /// the common no-cap path to one relaxed load.
-    permit: AuditMutex<Option<Permit>>,
-    has_permit: AtomicBool,
+    span_open: AtomicBool,
     /// Tracing sidecar captured at launch (only while tracing): the
     /// invocation's causal context, operation name, and virtual-clock start
     /// for the per-op/per-binding latency histograms.
@@ -506,25 +495,15 @@ impl InvocationState {
             completed = self.complete_locked(&inner);
         }
         if completed {
-            // The server answered in full: free the admission slot now so
-            // the next launcher gets in while this reply waits to be
-            // harvested, and let go of the frames no retransmission will
-            // ever need again.
-            self.release_permit();
+            // The server answered in full: let go of the frames no
+            // retransmission will ever need again.
             self.replay.lock().clear();
-        }
-    }
-
-    /// Drop the backpressure permit, if still held.
-    fn release_permit(&self) {
-        if self.has_permit.swap(false, Ordering::Relaxed) {
-            self.permit.lock().take();
         }
     }
 
     /// Reply present and, on success, every expected local out-element
     /// arrived. (All futures of one invocation resolve together, §3.3.)
-    fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         let inner = self.inner.lock();
         self.complete_locked(&inner)
     }
@@ -561,7 +540,7 @@ impl InvocationState {
         }
     }
 
-    fn scalar<T: CdrCodec>(&self, slot: usize) -> OrbResult<T> {
+    pub(crate) fn scalar<T: CdrCodec>(&self, slot: usize) -> OrbResult<T> {
         self.check_status()?;
         let inner = self.inner.lock();
         let reply = inner.reply.as_ref().expect("checked");
@@ -585,7 +564,7 @@ impl InvocationState {
         Ok(Any::decode_value(tc, &mut d)?)
     }
 
-    fn dseq<T: CdrCodec + Clone>(&self, ordinal: usize) -> OrbResult<DSequence<T>> {
+    pub(crate) fn dseq<T: CdrCodec + Clone>(&self, ordinal: usize) -> OrbResult<DSequence<T>> {
         self.check_status()?;
         let inner = self.inner.lock();
         let reply = inner.reply.as_ref().expect("checked");
@@ -631,11 +610,6 @@ impl ClientThread {
     /// observability counters so they get counted instead of lingering.
     pub fn drain_pending(&self) {
         self.core.pump_step(None);
-    }
-
-    /// The client's computing-thread count.
-    pub fn nthreads(&self) -> usize {
-        self.core.nthreads
     }
 
     /// This thread's reply endpoint (tests inject stray frames through it).
@@ -786,18 +760,9 @@ impl Launches {
 
 impl Proxy {
     /// The bound object's reference.
-    pub fn object(&self) -> &ObjectRef {
+    #[cfg(test)]
+    pub(crate) fn object(&self) -> &ObjectRef {
         &self.obj
-    }
-
-    /// Was this proxy produced by `spmd_bind`?
-    pub fn is_collective(&self) -> bool {
-        self.collective
-    }
-
-    /// The binding id (request sequencing is per binding).
-    pub fn binding(&self) -> BindingId {
-        self.binding
     }
 
     /// Begin an invocation of `op`.
@@ -986,14 +951,13 @@ impl<'p> CallBuilder<'p> {
                 client_threads: cthreads,
                 thread: cthread,
                 key: (proxy.binding, req_id),
+                #[cfg(test)]
                 server: proxy.obj.server,
                 out_wire_idx,
                 out_dists,
                 inner: AuditMutex::new(lock_site!("client: invocation state"), InvInner::default()),
                 replay: AuditMutex::new(lock_site!("client: retransmit frames"), Vec::new()),
-                span_open: std::sync::atomic::AtomicBool::new(trace_on && !oneway),
-                permit: AuditMutex::new(lock_site!("client: backpressure permit"), None),
-                has_permit: AtomicBool::new(false),
+                span_open: AtomicBool::new(trace_on && !oneway),
                 obs: ctx.map(|ctx| InvObs {
                     ctx,
                     op: self.op.clone(),
@@ -1076,39 +1040,6 @@ impl<'p> CallBuilder<'p> {
         }
 
         let endpoints = core.orb.server_endpoints(proxy.obj.server)?;
-
-        // Bounded in-flight admission: with a cap configured, a two-way
-        // invocation takes a permit against its primary control endpoint
-        // before any frame leaves. A full gate is pumped through — draining
-        // our own replies is what completes the invocations holding the
-        // permits we wait for.
-        if cfg.inflight_cap > 0 && !oneway {
-            let primary = match proxy.obj.kind {
-                ObjectKind::Single { thread } => endpoints[thread],
-                _ => endpoints[0],
-            };
-            let gate = core.orb.endpoint_gate(primary, cfg.inflight_cap);
-            let mut permit = gate.try_acquire();
-            if permit.is_none() {
-                pardis_obs::counter("orb.backpressure.waits").inc();
-                let deadline = Instant::now() + cfg.timeout;
-                loop {
-                    core.pump_step(Some(Duration::from_micros(200)));
-                    if let Some(p) = gate.try_acquire() {
-                        permit = Some(p);
-                        break;
-                    }
-                    if Instant::now() >= deadline {
-                        core.unregister(key);
-                        return Err(OrbError::Timeout {
-                            waiting_for: "backpressure admission".into(),
-                        });
-                    }
-                }
-            }
-            *state.permit.lock() = permit;
-            state.has_permit.store(true, Ordering::Relaxed);
-        }
 
         // Marshal-and-send phase of the invoke span: control encode, fragment
         // cutting, wire sends (and the funneled gather when in play).
@@ -1337,7 +1268,9 @@ fn retransmit(core: &Arc<PumpCore>, state: &Arc<InvocationState>) -> OrbResult<(
     Ok(())
 }
 
-fn wait_complete(
+/// Block until `state` completes, retransmitting on the configured
+/// schedule; blocking invocations and futures both wait here.
+pub(crate) fn wait_complete(
     core: &Arc<PumpCore>,
     state: &Arc<InvocationState>,
     timeout: Duration,
@@ -1442,7 +1375,8 @@ impl InvocationHandle {
 
     /// Completion check without pumping: observes progress made by a
     /// [`CommThread`] (or any concurrent pump) only.
-    pub fn peek(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn peek(&self) -> bool {
         self.core.peek_complete(self.key)
     }
 
@@ -1468,7 +1402,8 @@ impl InvocationHandle {
 
     /// Best-effort cancel: tells the server to drop the request if it has
     /// not been dispatched yet.
-    pub fn cancel(self) {
+    #[cfg(test)]
+    pub(crate) fn cancel(self) {
         if let Ok(endpoints) = self.core.orb.server_endpoints(self.state.server) {
             let msg = Message::Cancel { binding: self.key.0, req_id: self.key.1 };
             for ep in endpoints {
@@ -1548,9 +1483,8 @@ impl ReplyData {
 /// own work instead of waiting for it to poll.
 ///
 /// The thread drains this client thread's reply endpoint continuously;
-/// futures then resolve in the background ([`InvocationHandle::peek`]
-/// observes this without pumping). Stop it by dropping the handle or
-/// calling [`CommThread::stop`]. As the paper anticipates, it contends for
+/// futures then resolve in the background. Stop it by dropping the handle
+/// or calling [`CommThread::stop`]. As the paper anticipates, it contends for
 /// a processor with the computing threads — that is the trade-off being
 /// studied.
 ///
@@ -1589,35 +1523,5 @@ impl CommThread {
 impl Drop for CommThread {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Internal accessors shared with the future module.
-pub(crate) mod internal {
-    use super::*;
-
-    pub fn complete(state: &InvocationState) -> bool {
-        state.is_complete()
-    }
-
-    /// Retry-aware wait shared with the future module, so a blocked
-    /// `PFuture::get` retransmits exactly like a blocking `invoke`.
-    pub fn wait(
-        core: &Arc<PumpCore>,
-        state: &Arc<InvocationState>,
-        timeout: Duration,
-    ) -> OrbResult<()> {
-        wait_complete(core, state, timeout)
-    }
-
-    pub fn scalar<T: CdrCodec>(state: &InvocationState, slot: usize) -> OrbResult<T> {
-        state.scalar(slot)
-    }
-
-    pub fn dseq<T: CdrCodec + Clone>(
-        state: &InvocationState,
-        ordinal: usize,
-    ) -> OrbResult<DSequence<T>> {
-        state.dseq(ordinal)
     }
 }

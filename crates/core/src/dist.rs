@@ -97,7 +97,7 @@ impl Distribution {
     }
 
     /// The number of elements thread `t` owns.
-    pub fn local_len(&self, len: u64, n: usize, t: usize) -> u64 {
+    pub(crate) fn local_len(&self, len: u64, n: usize, t: usize) -> u64 {
         assert!(t < n, "thread {t} out of range for {n} threads");
         match self {
             Distribution::Block => {
@@ -147,7 +147,7 @@ impl Distribution {
     /// block/concentrated/irregular templates, a strided body (stride `n`
     /// block 1 for cyclic, stride `n*b` block `b` for block-cyclic) plus at
     /// most one short tail block otherwise. Its size never depends on `len`.
-    pub fn owned(&self, len: u64, n: usize, t: usize) -> Owned {
+    pub(crate) fn owned(&self, len: u64, n: usize, t: usize) -> Owned {
         assert!(t < n, "thread {t} out of range for {n} threads");
         if len == 0 {
             return Owned::default();
@@ -179,7 +179,7 @@ impl Distribution {
 
     /// The maximal runs of global indices thread `t` owns, in ascending
     /// order.
-    pub fn runs(&self, len: u64, n: usize, t: usize) -> Vec<Run> {
+    pub(crate) fn runs(&self, len: u64, n: usize, t: usize) -> Vec<Run> {
         self.owned(len, n, t).iter().flat_map(Strided::runs).collect()
     }
 
@@ -201,7 +201,7 @@ impl Distribution {
     ///
     /// # Panics
     /// Panics if `idx` is out of range.
-    pub fn global_to_local(&self, len: u64, n: usize, idx: u64) -> (usize, u64) {
+    pub(crate) fn global_to_local(&self, len: u64, n: usize, idx: u64) -> (usize, u64) {
         let owner = self.owner(len, n, idx);
         let local = match self {
             Distribution::Block | Distribution::Irregular(_) | Distribution::Concentrated(_) => {
@@ -217,7 +217,8 @@ impl Distribution {
     }
 
     /// Map a thread-local offset back to the global index.
-    pub fn local_to_global(&self, len: u64, n: usize, t: usize, local: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn local_to_global(&self, len: u64, n: usize, t: usize, local: u64) -> u64 {
         match self {
             Distribution::Cyclic => t as u64 + local * n as u64,
             Distribution::BlockCyclic(b) => {
@@ -237,7 +238,7 @@ impl Distribution {
 
     /// Validate this template against a length and thread count, returning a
     /// human-readable complaint rather than panicking.
-    pub fn validate(&self, len: u64, n: usize) -> Result<(), String> {
+    pub(crate) fn validate(&self, len: u64, n: usize) -> Result<(), String> {
         if n == 0 {
             return Err("distribution over zero threads".into());
         }

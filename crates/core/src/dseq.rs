@@ -14,9 +14,9 @@
 //!   ([`DSequence::from_shared`]) and access to owned data
 //!   ([`DSequence::local`], [`DSequence::take_local`]) let programmers build
 //!   cheap conversions to and from their package's native structures;
-//! * `operator[]` location transparency is exposed as [`DSequence::get`]
-//!   for locally-owned elements plus the collective [`DSequence::gather`]
-//!   for whole-sequence access;
+//! * `operator[]` location transparency is exposed as
+//!   [`DSequence::local_iter`] (each local element with its global index)
+//!   plus the collective [`DSequence::gather`] for whole-sequence access;
 //! * [`DSequence::redistribute`] applies a new template, exchanging elements
 //!   through the run-time system interface.
 
@@ -32,7 +32,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct DSequence<T> {
     global_len: u64,
-    bound: Option<u32>,
     dist: Distribution,
     nthreads: usize,
     thread: usize,
@@ -50,7 +49,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         for r in dist.owned(len, nthreads, thread).iter().flat_map(Strided::runs) {
             local.extend_from_slice(&full[r.start as usize..(r.start + r.count) as usize]);
         }
-        DSequence { global_len: len, bound: None, dist, nthreads, thread, local: Arc::new(local) }
+        DSequence { global_len: len, dist, nthreads, thread, local: Arc::new(local) }
     }
 
     /// Wrap this thread's already-local elements (`local.len()` must equal
@@ -69,7 +68,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     ///
     /// # Panics
     /// Panics if the shared storage length does not match the template.
-    pub fn from_shared(
+    pub(crate) fn from_shared(
         local: Arc<Vec<T>>,
         global_len: u64,
         dist: Distribution,
@@ -84,7 +83,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
             "local storage holds {} elements but the template assigns {expect} to thread {thread}",
             local.len()
         );
-        DSequence { global_len, bound: None, dist, nthreads, thread, local }
+        DSequence { global_len, dist, nthreads, thread, local }
     }
 
     /// A non-distributed (single-threaded) sequence holding all elements —
@@ -93,23 +92,11 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         let len = full.len() as u64;
         DSequence {
             global_len: len,
-            bound: None,
             dist: Distribution::Concentrated(0),
             nthreads: 1,
             thread: 0,
             local: Arc::new(full),
         }
-    }
-
-    /// Attach an IDL bound (checked on marshal).
-    pub fn with_bound(mut self, bound: u32) -> Self {
-        assert!(
-            self.global_len <= bound as u64,
-            "sequence of {} elements exceeds bound {bound}",
-            self.global_len
-        );
-        self.bound = Some(bound);
-        self
     }
 
     /// Global element count.
@@ -120,11 +107,6 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     /// True if globally empty.
     pub fn is_empty(&self) -> bool {
         self.global_len == 0
-    }
-
-    /// The IDL bound, if any.
-    pub fn bound(&self) -> Option<u32> {
-        self.bound
     }
 
     /// The distribution template.
@@ -147,13 +129,6 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         &self.local
     }
 
-    /// Shared handle to the local storage (cheap; this is what makes
-    /// future instantiation inexpensive — futures and sequences are handles
-    /// to the data, §4.1).
-    pub fn share_local(&self) -> Arc<Vec<T>> {
-        self.local.clone()
-    }
-
     /// Take the local elements out (clones only if the storage is shared).
     pub fn take_local(mut self) -> Vec<T> {
         if Arc::get_mut(&mut self.local).is_some() {
@@ -166,25 +141,9 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         }
     }
 
-    /// Mutable access to the local elements (copy-on-write if shared).
-    pub fn local_mut(&mut self) -> &mut Vec<T> {
-        Arc::make_mut(&mut self.local)
-    }
-
     /// The maximal global index runs owned by this thread.
     pub fn my_runs(&self) -> Vec<Run> {
         self.dist.runs(self.global_len, self.nthreads, self.thread)
-    }
-
-    /// Location-transparent element access: `Some(&elem)` when the element
-    /// lives on this thread, `None` otherwise (a remote fetch would require
-    /// the collective [`DSequence::gather`]).
-    pub fn get(&self, global_idx: u64) -> Option<&T> {
-        if global_idx >= self.global_len {
-            return None;
-        }
-        let (owner, local) = self.dist.global_to_local(self.global_len, self.nthreads, global_idx);
-        (owner == self.thread).then(|| &self.local[local as usize])
     }
 
     /// Iterate this thread's elements with their global indices.
@@ -211,7 +170,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
 
     /// Streaming form of [`DSequence::encode_range`]: append the range's
     /// elements to an existing encoder.
-    pub fn encode_range_into(&self, start: u64, count: u64, e: &mut Encoder) {
+    pub(crate) fn encode_range_into(&self, start: u64, count: u64, e: &mut Encoder) {
         if count > 0 {
             self.pack_into(&[Strided::run(start, count)], e);
         }
@@ -224,7 +183,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     ///
     /// # Panics
     /// Panics if any set is not wholly owned by this thread.
-    pub fn pack_into(&self, sets: &[Strided], e: &mut Encoder) {
+    pub(crate) fn pack_into(&self, sets: &[Strided], e: &mut Encoder) {
         for set in sets {
             let (mut lo, lstride) = set
                 .localize(self.global_len, &self.dist, self.nthreads, self.thread)

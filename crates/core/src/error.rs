@@ -85,54 +85,14 @@ impl From<CdrError> for OrbError {
     }
 }
 
-/// The transport-level failures hiding inside an [`OrbError`] — the ones a
-/// reliability layer is allowed to retry, as opposed to semantic failures
-/// (bad operation, user exception) that would repeat identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportError {
-    /// The reply (or part of it) did not arrive within the deadline; the
-    /// frames may have been dropped in transit.
-    Timeout,
-    /// The peer endpoint went away mid-conversation.
-    Disconnected,
-}
-
-impl fmt::Display for TransportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportError::Timeout => write!(f, "transport timeout"),
-            TransportError::Disconnected => write!(f, "transport disconnected"),
-        }
-    }
-}
-
-impl std::error::Error for TransportError {}
-
-impl From<TransportError> for OrbError {
-    fn from(e: TransportError) -> Self {
-        match e {
-            TransportError::Timeout => OrbError::Timeout { waiting_for: "transport".into() },
-            TransportError::Disconnected => OrbError::Disconnected,
-        }
-    }
-}
-
 impl OrbError {
-    /// The transport-level failure inside this error, if that is what it is.
-    pub fn transport(&self) -> Option<TransportError> {
-        match self {
-            OrbError::Timeout { .. } => Some(TransportError::Timeout),
-            OrbError::Disconnected => Some(TransportError::Disconnected),
-            _ => None,
-        }
-    }
-
     /// Whether re-issuing the invocation could plausibly succeed. True only
-    /// for transport-level failures (the request or reply may simply have
-    /// been lost); semantic errors — unknown operation, user exception,
-    /// marshaling, protocol misuse — would fail identically on retry.
+    /// for transport-level failures — a timeout or a vanished peer (the
+    /// request or reply may simply have been lost); semantic errors —
+    /// unknown operation, user exception, marshaling, protocol misuse —
+    /// would fail identically on retry.
     pub fn is_retryable(&self) -> bool {
-        self.transport().is_some()
+        matches!(self, OrbError::Timeout { .. } | OrbError::Disconnected)
     }
 }
 

@@ -9,20 +9,12 @@
 //! cheap handle semantics (futures are handles to shared state, so
 //! instantiation is inexpensive, §4.1).
 
-use crate::client::{internal, InvocationState, PumpCore};
+use crate::client::{wait_complete, InvocationState, PumpCore};
 use crate::dseq::DSequence;
 use crate::error::OrbResult;
 use pardis_cdr::CdrCodec;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Block until the invocation completes, delegating to the client pump's
-/// retry-aware wait so futures ride the same retransmission machinery as
-/// blocking invocations.
-fn wait(core: &Arc<PumpCore>, state: &Arc<InvocationState>, timeout: Duration) -> OrbResult<()> {
-    internal::wait(core, state, timeout)
-}
 
 /// A future of a scalar result (return value or non-distributed out
 /// argument).
@@ -41,7 +33,7 @@ impl<T: CdrCodec> PFuture<T> {
     /// Poll: has the result been delivered? (Pumps pending messages first.)
     pub fn resolved(&self) -> bool {
         self.core.pump_step(None);
-        internal::complete(&self.state)
+        self.state.is_complete()
     }
 
     /// Read the value, blocking until the future resolves. A server
@@ -49,21 +41,14 @@ impl<T: CdrCodec> PFuture<T> {
     ///
     /// [`OrbError::ServerException`]: crate::error::OrbError::ServerException
     pub fn get(&self) -> OrbResult<T> {
-        let timeout = self.core.orb.config().timeout;
-        wait(&self.core, &self.state, timeout)?;
-        internal::scalar(&self.state, self.slot)
-    }
-
-    /// Read with an explicit deadline.
-    pub fn get_timeout(&self, timeout: Duration) -> OrbResult<T> {
-        wait(&self.core, &self.state, timeout)?;
-        internal::scalar(&self.state, self.slot)
+        wait_complete(&self.core, &self.state, self.core.orb.config().timeout)?;
+        self.state.scalar(self.slot)
     }
 }
 
 impl<T> std::fmt::Debug for PFuture<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PFuture(slot {}, resolved: {})", self.slot, internal::complete(&self.state))
+        write!(f, "PFuture(slot {}, resolved: {})", self.slot, self.state.is_complete())
     }
 }
 
@@ -81,28 +66,15 @@ impl<T: CdrCodec + Clone> DSeqFuture<T> {
         DSeqFuture { core, state, ordinal, _marker: PhantomData }
     }
 
-    /// Poll: has the result been delivered?
-    pub fn resolved(&self) -> bool {
-        self.core.pump_step(None);
-        internal::complete(&self.state)
-    }
-
     /// Assemble the local view, blocking until the future resolves.
     pub fn get(&self) -> OrbResult<DSequence<T>> {
-        let timeout = self.core.orb.config().timeout;
-        wait(&self.core, &self.state, timeout)?;
-        internal::dseq(&self.state, self.ordinal)
-    }
-
-    /// Assemble with an explicit deadline.
-    pub fn get_timeout(&self, timeout: Duration) -> OrbResult<DSequence<T>> {
-        wait(&self.core, &self.state, timeout)?;
-        internal::dseq(&self.state, self.ordinal)
+        wait_complete(&self.core, &self.state, self.core.orb.config().timeout)?;
+        self.state.dseq(self.ordinal)
     }
 }
 
 impl<T> std::fmt::Debug for DSeqFuture<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DSeqFuture(out {}, resolved: {})", self.ordinal, internal::complete(&self.state))
+        write!(f, "DSeqFuture(out {}, resolved: {})", self.ordinal, self.state.is_complete())
     }
 }

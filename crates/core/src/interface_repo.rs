@@ -81,7 +81,7 @@ impl Default for InterfaceRepository {
 
 impl InterfaceRepository {
     /// Empty repository.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InterfaceRepository {
             defs: AuditRwLock::new(lock_site!("interface-repo: definitions"), HashMap::new()),
         }
@@ -93,12 +93,13 @@ impl InterfaceRepository {
     }
 
     /// Fetch a definition.
-    pub fn lookup(&self, id: &str) -> Option<InterfaceDef> {
+    pub(crate) fn lookup(&self, id: &str) -> Option<InterfaceDef> {
         self.defs.read().get(id).cloned()
     }
 
     /// Is the interface known?
-    pub fn has(&self, id: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has(&self, id: &str) -> bool {
         self.defs.read().contains_key(id)
     }
 

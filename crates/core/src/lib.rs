@@ -61,10 +61,11 @@
 //! server.join().unwrap();
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod dist;
 pub mod protocol;
 
-mod backpressure;
 mod batch;
 mod client;
 mod dseq;
@@ -85,7 +86,7 @@ pub use client::{
 };
 pub use dist::{Distribution, Run};
 pub use dseq::DSequence;
-pub use error::{OrbError, OrbResult, TransportError};
+pub use error::{OrbError, OrbResult};
 pub use future::{DSeqFuture, PFuture};
 pub use interface_repo::{InterfaceDef, InterfaceRepository, OpSig, ParamMode, ParamSig};
 pub use object::{
@@ -94,13 +95,11 @@ pub use object::{
 pub use obs::{finish_env_trace, quiesce_endpoints, trace_from_env, TraceReport, TraceSession};
 pub use orb::{Orb, OrbConfig, TransferStrategy};
 pub use poa::{DeferredCall, Poa, ServerGroup};
-pub use repository::{
-    ActivationMode, ImplementationRepository, Launcher, ObjectRepository, DEFAULT_REPOSITORY,
-};
+pub use repository::{ActivationMode, DEFAULT_REPOSITORY};
 pub use servant::{
     DInLocal, DOutArg, DispatchResult, Raised, Servant, ServantCtx, ServerReply, ServerRequest,
 };
-pub use strided::{pair_plan, plan_transfer, Piece, PlanPiece, Strided};
+pub use strided::{plan_transfer, Piece, PlanPiece, Strided};
 
 /// The concurrency auditor the ORB core is instrumented with — re-exported
 /// so embedders can flip the gate, pull an [`pardis_audit::AuditReport`]

@@ -140,7 +140,7 @@ impl DistPolicy {
     }
 
     /// The distribution for (op, arg), defaulting to BLOCK.
-    pub fn get(&self, op: &str, arg: u32) -> Distribution {
+    pub(crate) fn get(&self, op: &str, arg: u32) -> Distribution {
         self.in_dists.get(&(op.to_string(), arg)).cloned().unwrap_or(Distribution::Block)
     }
 }

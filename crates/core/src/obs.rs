@@ -14,16 +14,11 @@
 
 use crate::client::ClientThread;
 use crate::orb::Orb;
-use pardis_audit::{lock_site, AuditMutex};
 use pardis_obs::{MetricSnapshot, ThreadTrace};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One labelled point-in-time metrics capture: `(label, virtual-clock
-/// micros, snapshot)`.
-pub type MetricsCapture = (String, u64, Vec<(String, MetricSnapshot)>);
 
 /// An active tracing window over one ORB's workload.
 ///
@@ -33,7 +28,6 @@ pub type MetricsCapture = (String, u64, Vec<(String, MetricSnapshot)>);
 /// recording and returns the collected [`TraceReport`].
 pub struct TraceSession {
     orb: Orb,
-    snapshots: AuditMutex<Vec<MetricsCapture>>,
 }
 
 impl TraceSession {
@@ -43,30 +37,16 @@ impl TraceSession {
         let clock = orb.network().clock().clone();
         pardis_obs::set_clock_micros(Arc::new(move || (clock.now() * 1e6) as u64));
         pardis_obs::enable();
-        TraceSession {
-            orb: orb.clone(),
-            snapshots: AuditMutex::new(lock_site!("obs: trace snapshots"), Vec::new()),
-        }
+        TraceSession { orb: orb.clone() }
     }
 
-    /// Settle in-flight traffic before a snapshot or [`finish`]: see
+    /// Settle in-flight traffic before [`finish`]: see
     /// [`quiesce_endpoints`]. Replaces the hand-rolled quiesce/sleep/drain
     /// loops the e2e suites used to carry.
     ///
     /// [`finish`]: TraceSession::finish
     pub fn quiesce(&self, clients: &[&ClientThread]) {
         quiesce_endpoints(&self.orb, clients);
-    }
-
-    /// Capture a labelled metrics snapshot at the current virtual-clock
-    /// reading, folding the ORB's and network's externally-accumulated
-    /// statistics in first. Deterministic for deterministic workloads: the
-    /// label, the timestamp and the snapshot all derive from modelled time.
-    /// The captures ride along in the report's JSON exposition.
-    pub fn snapshot(&self, label: &str) {
-        feed_orb_metrics(&self.orb);
-        let ts_us = pardis_obs::now_micros();
-        self.snapshots.lock().push((label.to_string(), ts_us, pardis_obs::metrics_snapshot()));
     }
 
     /// Stop recording and collect everything: per-thread events plus a
@@ -76,11 +56,7 @@ impl TraceSession {
     pub fn finish(self) -> TraceReport {
         pardis_obs::disable();
         feed_orb_metrics(&self.orb);
-        TraceReport {
-            threads: pardis_obs::drain(),
-            metrics: pardis_obs::metrics_snapshot(),
-            snapshots: self.snapshots.into_inner(),
-        }
+        TraceReport { threads: pardis_obs::drain(), metrics: pardis_obs::metrics_snapshot() }
     }
 }
 
@@ -150,9 +126,6 @@ pub struct TraceReport {
     pub threads: Vec<ThreadTrace>,
     /// Metrics snapshot, sorted by name.
     pub metrics: Vec<(String, MetricSnapshot)>,
-    /// Periodic labelled captures taken with [`TraceSession::snapshot`], in
-    /// capture order.
-    pub snapshots: Vec<MetricsCapture>,
 }
 
 impl TraceReport {
@@ -166,52 +139,12 @@ impl TraceReport {
         pardis_obs::summary_table(&self.threads, &self.metrics)
     }
 
-    /// The Prometheus text exposition of the final metrics snapshot
-    /// (histogram families with cumulative buckets plus p50/p95/p99 gauges).
-    pub fn prometheus(&self) -> String {
-        pardis_obs::render_prometheus(&self.metrics)
-    }
-
-    /// The JSON metrics exposition: the final snapshot plus any periodic
-    /// captures.
-    pub fn metrics_json(&self) -> String {
-        pardis_obs::metrics_json_with_snapshots(&self.metrics, &self.snapshots)
-    }
-
-    /// Write the Chrome trace to `path`.
-    pub fn write_chrome(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.chrome_json())
-    }
-
-    /// Write the metrics expositions beside a trace file: `<path>.prom`
-    /// (Prometheus text) and `<path>.metrics.json`. Returns both paths.
-    pub fn write_expositions(
-        &self,
-        trace_path: impl AsRef<Path>,
-    ) -> std::io::Result<(PathBuf, PathBuf)> {
-        let trace_path = trace_path.as_ref();
-        let mut prom = trace_path.as_os_str().to_owned();
-        prom.push(".prom");
-        let prom = PathBuf::from(prom);
-        let mut json = trace_path.as_os_str().to_owned();
-        json.push(".metrics.json");
-        let json = PathBuf::from(json);
-        std::fs::write(&prom, self.prometheus())?;
-        std::fs::write(&json, self.metrics_json())?;
-        Ok((prom, json))
-    }
-
     /// Look a counter metric up by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.metrics.iter().find_map(|(n, s)| match s {
             MetricSnapshot::Counter(v) if n == name => Some(*v),
             _ => None,
         })
-    }
-
-    /// Total events recorded across all threads.
-    pub fn event_count(&self) -> usize {
-        self.threads.iter().map(|t| t.events.len()).sum()
     }
 }
 
@@ -244,7 +177,15 @@ pub fn finish_env_trace(session: TraceSession) -> std::io::Result<PathBuf> {
         }
     }
     let report = session.finish();
-    report.write_chrome(&path)?;
-    report.write_expositions(&path)?;
+    std::fs::write(&path, report.chrome_json())?;
+    // Prometheus text (histogram families with cumulative buckets plus
+    // p50/p95/p99 gauges) and the JSON metrics exposition.
+    let beside = |ext: &str| {
+        let mut p = path.as_os_str().to_owned();
+        p.push(ext);
+        PathBuf::from(p)
+    };
+    std::fs::write(beside(".prom"), pardis_obs::render_prometheus(&report.metrics))?;
+    std::fs::write(beside(".metrics.json"), pardis_obs::metrics_json(&report.metrics))?;
     Ok(path)
 }

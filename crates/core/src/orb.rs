@@ -6,7 +6,6 @@
 //! the collocated-call optimisation), and the global configuration knobs
 //! (transfer strategy, local bypass, timeouts).
 
-use crate::backpressure::GateTable;
 use crate::batch::{BatchMode, Batcher, FlushReason, BATCH_DELAY, BATCH_MAX_BYTES};
 use crate::error::{OrbError, OrbResult};
 use crate::interface_repo::InterfaceRepository;
@@ -72,13 +71,6 @@ pub struct OrbConfig {
     /// Request-batching mode: coalesce small same-destination frames into
     /// one wire envelope. Default off.
     pub batch: BatchMode,
-    /// Deadline after which a queued frame is flushed even under zero
-    /// follow-on traffic. Default 100µs.
-    pub batch_delay: Duration,
-    /// Per-endpoint in-flight invocation cap; `0` disables admission
-    /// control (the default). A launch over the cap pumps-and-waits,
-    /// bumping `orb.backpressure.waits`.
-    pub inflight_cap: usize,
 }
 
 impl Default for OrbConfig {
@@ -95,15 +87,13 @@ impl Default for OrbConfig {
             failover_limit: 3,
             registry_ttl_ms: 5_000,
             batch: BatchMode::Off,
-            batch_delay: BATCH_DELAY,
-            inflight_cap: 0,
         }
     }
 }
 
 /// A transport delivery: one wire frame.
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Encoded [`Message`] frame.
     pub wire: bytes::Bytes,
 }
@@ -153,8 +143,6 @@ pub(crate) struct OrbInner {
     /// The request batcher ([`crate::BatchMode`]); inert unless batching is
     /// on.
     pub(crate) batcher: Batcher,
-    /// Per-endpoint admission gates ([`OrbConfig::inflight_cap`]).
-    pub(crate) gates: GateTable,
     /// Total frames and bytes moved (for benches and EXPERIMENTS.md).
     pub frames_sent: AtomicU64,
     pub bytes_sent: AtomicU64,
@@ -176,7 +164,7 @@ impl Orb {
     /// An ORB over an existing simulated network.
     pub fn new(network: Network) -> Orb {
         let cfg = OrbConfig::default();
-        let batcher = Batcher::new(cfg.batch, BATCH_MAX_BYTES, cfg.batch_delay);
+        let batcher = Batcher::new(cfg.batch, BATCH_MAX_BYTES);
         Orb {
             inner: Arc::new(OrbInner {
                 network,
@@ -191,7 +179,6 @@ impl Orb {
                 servants: AuditRwLock::new(lock_site!("orb: servant table"), HashMap::new()),
                 config: AuditRwLock::new(lock_site!("orb: config"), cfg),
                 batcher,
-                gates: GateTable::new(),
                 frames_sent: AtomicU64::new(0),
                 bytes_sent: AtomicU64::new(0),
                 retransmits: AtomicU64::new(0),
@@ -213,13 +200,9 @@ impl Orb {
         &self.inner.network
     }
 
-    /// The object repository (naming).
-    pub fn names(&self) -> &ObjectRepository {
-        &self.inner.names
-    }
-
     /// The implementation repository (activation).
-    pub fn impls(&self) -> &ImplementationRepository {
+    #[cfg(test)]
+    pub(crate) fn impls(&self) -> &ImplementationRepository {
         &self.inner.impls
     }
 
@@ -244,7 +227,8 @@ impl Orb {
     }
 
     /// Configure the activation agent.
-    pub fn set_activation(&self, mode: ActivationMode) {
+    #[cfg(test)]
+    pub(crate) fn set_activation(&self, mode: ActivationMode) {
         self.inner.config.write().activation = mode;
     }
 
@@ -274,7 +258,8 @@ impl Orb {
     ///
     /// # Panics
     /// Panics if `cap` is 0 (a cacheless POA cannot suppress duplicates).
-    pub fn set_reply_cache_cap(&self, cap: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_reply_cache_cap(&self, cap: usize) {
         assert!(cap > 0, "reply cache cap must be positive");
         self.inner.config.write().reply_cache_cap = cap;
     }
@@ -294,45 +279,14 @@ impl Orb {
     /// immediately for subsequent sends; frames already queued drain under
     /// the old grouping.
     pub fn set_batch_mode(&self, mode: BatchMode) {
-        let max_delay = {
-            let mut cfg = self.inner.config.write();
-            cfg.batch = mode;
-            cfg.batch_delay
-        };
-        self.inner.batcher.set_params(mode, BATCH_MAX_BYTES, max_delay);
+        self.inner.config.write().batch = mode;
+        self.inner.batcher.set_params(mode, BATCH_MAX_BYTES);
         if mode != BatchMode::Off {
             self.ensure_flusher();
         } else {
             // Nothing new will queue; push out whatever is still pending.
             self.flush_batches_inner(true);
         }
-    }
-
-    /// Set the batch flush deadline.
-    pub fn set_batch_delay(&self, delay: Duration) {
-        let mode = {
-            let mut cfg = self.inner.config.write();
-            cfg.batch_delay = delay;
-            cfg.batch
-        };
-        self.inner.batcher.set_params(mode, BATCH_MAX_BYTES, delay);
-    }
-
-    /// Set the per-endpoint in-flight invocation cap (`0` = admission
-    /// control off). Existing gates are reset so the new cap takes effect
-    /// for subsequent launches.
-    pub fn set_inflight_cap(&self, cap: usize) {
-        self.inner.config.write().inflight_cap = cap;
-        self.inner.gates.reset();
-    }
-
-    /// The admission gate for `ep`, created with `cap` on first use.
-    pub(crate) fn endpoint_gate(
-        &self,
-        ep: EndpointId,
-        cap: usize,
-    ) -> std::sync::Arc<crate::backpressure::EndpointGate> {
-        self.inner.gates.gate_for(ep, cap)
     }
 
     /// Retransmission rounds performed so far (0 on a lossless network).
@@ -379,7 +333,7 @@ impl Orb {
         (id, rx)
     }
 
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub(crate) fn unregister_endpoint(&self, id: EndpointId) {
         let _guard = self.inner.ep_lock.lock();
         pardis_audit::access_write(
@@ -445,7 +399,7 @@ impl Orb {
     /// and POA pumps call this before blocking so a waiter never sleeps on
     /// its own unflushed request; it is also safe (and cheap) to call when
     /// batching is off.
-    pub fn flush_batches(&self) {
+    pub(crate) fn flush_batches(&self) {
         self.flush_batches_inner(false);
     }
 
@@ -471,7 +425,6 @@ impl Orb {
             loop {
                 let Some(inner) = weak.upgrade() else { return };
                 let orb = Orb { inner };
-                let delay = orb.inner.batcher.params().max_delay;
                 for (from, to) in orb.inner.batcher.aged_keys() {
                     if pardis_obs::enabled() {
                         pardis_obs::counter("orb.batch.deadline_flushes").inc();
@@ -479,7 +432,7 @@ impl Orb {
                     orb.flush_dest(from, to, FlushReason::Deadline);
                 }
                 drop(orb); // hold no strong ref across the sleep
-                std::thread::sleep(delay.max(Duration::from_micros(20)) / 2);
+                std::thread::sleep(BATCH_DELAY / 2);
             }
         });
     }
@@ -573,7 +526,7 @@ impl Orb {
 
     /// The server-side distribution policy of an object (what the client
     /// plans in-argument transfers against).
-    pub fn dist_policy(&self, key: ObjectKey) -> OrbResult<DistPolicy> {
+    pub(crate) fn dist_policy(&self, key: ObjectKey) -> OrbResult<DistPolicy> {
         self.object_meta(key)
             .map(|m| m.policy)
             .ok_or_else(|| OrbError::ObjectNotFound(format!("key {}", key.0)))

@@ -91,24 +91,16 @@ impl ServerGroup {
 
     /// Use a different object-repository namespace for this server's
     /// registrations (namespace splitting, §2.2).
-    pub fn with_namespace(self, ns: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_namespace(self, ns: &str) -> Self {
         self.namespace.store(ns.to_string());
         self
     }
 
     /// The server id.
-    pub fn id(&self) -> ServerId {
+    #[cfg(test)]
+    pub(crate) fn id(&self) -> ServerId {
         self.id
-    }
-
-    /// The host this server runs on.
-    pub fn host(&self) -> HostId {
-        self.host
-    }
-
-    /// Number of computing threads.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
     }
 
     /// Claim computing thread `thread`'s adapter. `rts` is required when
@@ -427,39 +419,15 @@ pub struct DeferredCall {
     ctx: Option<pardis_obs::TraceCtx>,
 }
 
+#[cfg(test)]
 impl DeferredCall {
     /// The operation name of the parked request.
-    pub fn op(&self) -> &str {
+    pub(crate) fn op(&self) -> &str {
         &self.req.op
-    }
-
-    /// The binding the request arrived on.
-    pub fn binding(&self) -> BindingId {
-        self.req.binding
-    }
-
-    /// The request id within its binding.
-    pub fn req_id(&self) -> u64 {
-        self.req.req_id
     }
 }
 
 impl Poa {
-    /// This adapter's computing-thread index.
-    pub fn thread(&self) -> usize {
-        self.thread
-    }
-
-    /// The server's computing-thread count.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
-    /// The ORB.
-    pub fn orb(&self) -> &Orb {
-        &self.orb
-    }
-
     /// Collectively activate an SPMD object. Every computing thread must
     /// call this with the same name and policy, in the same order relative
     /// to other activations (instantiation "is collective with respect to
@@ -531,7 +499,7 @@ impl Poa {
 
     /// Deactivate: unregister this thread's servants. (Thread 0 removes the
     /// repository entries.)
-    pub fn deactivate_all(&mut self) {
+    pub(crate) fn deactivate_all(&mut self) {
         for key in self.servants.keys() {
             if self.thread == 0 {
                 self.orb.unregister_object(*key);

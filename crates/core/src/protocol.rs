@@ -8,7 +8,7 @@
 //! 'P' 'R' 'D' 'S'  version  byte-order-flag  msg-type  flags  [trace-ctx]  body...
 //! ```
 //!
-//! `flags` bit 0 ([`FLAG_TRACE_CTX`]) marks an optional 16-byte causal
+//! `flags` bit 0 (`FLAG_TRACE_CTX`) marks an optional 16-byte causal
 //! trace context (trace id + parent span id, [`pardis_obs::TraceCtx`])
 //! between header and body. The sender stamps its ambient context
 //! ([`pardis_obs::current_ctx`]) at encode time; contexts are only ambient
@@ -22,11 +22,11 @@ use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, CdrError, Decoder, Encoder};
 
 /// Protocol magic.
-pub const MAGIC: [u8; 4] = *b"PRDS";
+pub(crate) const MAGIC: [u8; 4] = *b"PRDS";
 /// Protocol version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Header flag: a 16-byte trace context follows the 8-byte header.
-pub const FLAG_TRACE_CTX: u8 = 1;
+pub(crate) const FLAG_TRACE_CTX: u8 = 1;
 /// How deep [`Message::Batch`] envelopes may nest: a merged control and
 /// fragment inside a batcher envelope. A receiver drops a deeper envelope
 /// unread and counts it on `orb.frames_refused`, so a crafted frame cannot
@@ -211,7 +211,13 @@ impl FragmentMsg {
     /// The header every fragment of one argument from one sending thread
     /// shares; `start`, `count` and `dst_thread` are filled in per
     /// destination, the payload travels separately.
-    pub fn head(req_id: u64, binding: BindingId, arg: u32, dir: ArgDir, src_thread: u32) -> Self {
+    pub(crate) fn head(
+        req_id: u64,
+        binding: BindingId,
+        arg: u32,
+        dir: ArgDir,
+        src_thread: u32,
+    ) -> Self {
         FragmentMsg {
             req_id,
             binding,
@@ -228,7 +234,7 @@ impl FragmentMsg {
 
 /// The sending side's shape of a distributed argument, carried by a
 /// [`Message::Strided`] frame so the receiver can recompute the pair's
-/// transfer plan ([`crate::strided::pair_plan`]) without being told it.
+/// transfer plan (`pair_plan`) without being told it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SrcTemplate {
     /// Distribution template on the sending side.
@@ -284,8 +290,9 @@ impl Message {
         }
     }
 
-    /// Stable human label of the frame type (trace events, diagnostics).
-    pub fn kind(&self) -> &'static str {
+    /// Stable human label of the frame type (test diagnostics).
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Message::Request(_) => "request",
             Message::Reply(_) => "reply",
@@ -341,7 +348,7 @@ impl Message {
     /// `lag` — the sending client thread has completed every request of the
     /// binding up to `req_id - lag` (0: no acknowledgement, as on every frame
     /// that is not bulk data).
-    pub fn decode_traced(
+    pub(crate) fn decode_traced(
         frame: &Bytes,
     ) -> Result<(Message, Option<pardis_obs::TraceCtx>, u16), CdrError> {
         // Peek the header with a throwaway decoder to learn the byte order.
@@ -592,7 +599,7 @@ fn encode_batch_body(frames: &[Bytes], e: &mut Encoder) {
 /// envelope is pure transport — each sub-frame already carries its own
 /// header (and context), and a flush may run on a thread unrelated to any
 /// of the batched invocations.
-pub fn encode_batch_frame(frames: &[Bytes]) -> Bytes {
+pub(crate) fn encode_batch_frame(frames: &[Bytes]) -> Bytes {
     let order = ByteOrder::native();
     let cap = 12 + frames.iter().map(|f| f.len() + 8).sum::<usize>();
     let mut e = Encoder::with_capacity(order, cap);
@@ -685,7 +692,7 @@ pub fn encode_fragment_frame(head: &FragmentMsg, payload: &[u8]) -> Bytes {
 
 /// Frame one strided fragment ([`Message::Strided`]): `payload` packs the
 /// pair's elements in plan order under the sender's `(dist, nthreads)`.
-pub fn encode_strided_frame(
+pub(crate) fn encode_strided_frame(
     head: &FragmentMsg,
     dist: &Distribution,
     nthreads: u32,

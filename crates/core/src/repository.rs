@@ -16,41 +16,42 @@ use std::sync::Arc;
 pub const DEFAULT_REPOSITORY: &str = "default";
 
 /// Name → object key bindings, partitioned into namespaces.
-pub struct ObjectRepository {
+pub(crate) struct ObjectRepository {
     spaces: AuditRwLock<HashMap<String, HashMap<String, ObjectKey>>>,
-}
-
-impl Default for ObjectRepository {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ObjectRepository {
     /// Empty repository set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ObjectRepository {
             spaces: AuditRwLock::new(lock_site!("repository: object namespaces"), HashMap::new()),
         }
     }
 
     /// Register `name` in `namespace`, returning any displaced key.
-    pub fn register(&self, namespace: &str, name: &str, key: ObjectKey) -> Option<ObjectKey> {
+    pub(crate) fn register(
+        &self,
+        namespace: &str,
+        name: &str,
+        key: ObjectKey,
+    ) -> Option<ObjectKey> {
         self.spaces.write().entry(namespace.to_string()).or_default().insert(name.to_string(), key)
     }
 
     /// Look a name up.
-    pub fn lookup(&self, namespace: &str, name: &str) -> Option<ObjectKey> {
+    pub(crate) fn lookup(&self, namespace: &str, name: &str) -> Option<ObjectKey> {
         self.spaces.read().get(namespace)?.get(name).copied()
     }
 
     /// Remove a binding; returns the key if it existed.
-    pub fn unregister(&self, namespace: &str, name: &str) -> Option<ObjectKey> {
+    #[cfg(test)]
+    pub(crate) fn unregister(&self, namespace: &str, name: &str) -> Option<ObjectKey> {
         self.spaces.write().get_mut(namespace)?.remove(name)
     }
 
     /// All names registered in a namespace, sorted.
-    pub fn list(&self, namespace: &str) -> Vec<String> {
+    #[cfg(test)]
+    pub(crate) fn list(&self, namespace: &str) -> Vec<String> {
         let mut names: Vec<String> = self
             .spaces
             .read()
@@ -62,7 +63,8 @@ impl ObjectRepository {
     }
 
     /// All namespaces in use, sorted.
-    pub fn namespaces(&self) -> Vec<String> {
+    #[cfg(test)]
+    pub(crate) fn namespaces(&self) -> Vec<String> {
         let mut spaces: Vec<String> = self.spaces.read().keys().cloned().collect();
         spaces.sort();
         spaces
@@ -71,7 +73,7 @@ impl ObjectRepository {
 
 /// A launcher: starts the server that implements an object (spawning its
 /// computing threads) when an activating agent decides to.
-pub type Launcher = Arc<dyn Fn() + Send + Sync>;
+pub(crate) type Launcher = Arc<dyn Fn() + Send + Sync>;
 
 /// How an activation agent behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,26 +93,21 @@ struct ImplRecord {
 }
 
 /// Registered server implementations, keyed by (namespace, object name).
-pub struct ImplementationRepository {
+pub(crate) struct ImplementationRepository {
     records: AuditRwLock<HashMap<(String, String), ImplRecord>>,
-}
-
-impl Default for ImplementationRepository {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ImplementationRepository {
     /// Empty repository.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ImplementationRepository {
             records: AuditRwLock::new(lock_site!("repository: impl records"), HashMap::new()),
         }
     }
 
     /// Register how to activate the server providing `name`.
-    pub fn register(&self, namespace: &str, name: &str, launcher: Launcher) {
+    #[cfg(test)]
+    pub(crate) fn register(&self, namespace: &str, name: &str, launcher: Launcher) {
         self.records.write().insert(
             (namespace.to_string(), name.to_string()),
             ImplRecord { launcher, launched: false },
@@ -118,13 +115,14 @@ impl ImplementationRepository {
     }
 
     /// Is an implementation registered?
-    pub fn has(&self, namespace: &str, name: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has(&self, namespace: &str, name: &str) -> bool {
         self.records.read().contains_key(&(namespace.to_string(), name.to_string()))
     }
 
     /// Launch the implementation if present and not yet launched. Returns
     /// true if a launch happened now.
-    pub fn launch_once(&self, namespace: &str, name: &str) -> bool {
+    pub(crate) fn launch_once(&self, namespace: &str, name: &str) -> bool {
         let launcher = {
             let mut records = self.records.write();
             match records.get_mut(&(namespace.to_string(), name.to_string())) {
@@ -140,7 +138,8 @@ impl ImplementationRepository {
     }
 
     /// Forget launch state (lets a test or a restart re-activate).
-    pub fn reset_launch_state(&self, namespace: &str, name: &str) {
+    #[cfg(test)]
+    pub(crate) fn reset_launch_state(&self, namespace: &str, name: &str) {
         if let Some(rec) = self.records.write().get_mut(&(namespace.to_string(), name.to_string()))
         {
             rec.launched = false;

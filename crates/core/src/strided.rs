@@ -47,7 +47,7 @@ pub struct Strided {
 
 impl Strided {
     /// The contiguous run `[start, start + count)`.
-    pub fn run(start: u64, count: u64) -> Strided {
+    pub(crate) fn run(start: u64, count: u64) -> Strided {
         Strided { start, stride: count, block: count, count: 1 }
     }
 
@@ -65,12 +65,12 @@ impl Strided {
     }
 
     /// Number of indices in the set.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.block * self.count
     }
 
     /// One past the last index of the set.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.block_start(self.count - 1) + self.block
     }
 
@@ -87,7 +87,7 @@ impl Strided {
     }
 
     /// The set's maximal runs, ascending.
-    pub fn runs(&self) -> impl Iterator<Item = Run> {
+    pub(crate) fn runs(&self) -> impl Iterator<Item = Run> {
         let set = *self;
         (0..set.count).map(move |k| Run { start: set.block_start(k), count: set.block })
     }
@@ -101,7 +101,7 @@ impl Strided {
     /// product.
     ///
     /// `dist` must already be valid for `(len, n)`.
-    pub fn localize(
+    pub(crate) fn localize(
         &self,
         len: u64,
         dist: &Distribution,
@@ -138,11 +138,11 @@ impl Strided {
 /// The index set one thread owns: at most a strided body plus one short
 /// tail block (block-cyclic only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Owned(pub(crate) [Option<Strided>; 2]);
+pub(crate) struct Owned(pub(crate) [Option<Strided>; 2]);
 
 impl Owned {
     /// The non-empty sets, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = &Strided> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Strided> {
         self.0.iter().flatten()
     }
 }
@@ -235,7 +235,7 @@ fn intersect_periodic(a: &Strided, b: &Strided, emit: &mut impl FnMut(Strided)) 
 /// Client and server compute identical plans independently — no negotiation
 /// round-trip is needed.
 #[allow(clippy::too_many_arguments)]
-pub fn pair_plan(
+pub(crate) fn pair_plan(
     len: u64,
     src_dist: &Distribution,
     src_n: usize,
@@ -270,7 +270,7 @@ pub struct PlanPiece {
 }
 
 /// The whole plan for moving `len` elements from `src_dist` over `src_n`
-/// threads to `dst_dist` over `dst_n` threads: [`pair_plan`] of every thread
+/// threads to `dst_dist` over `dst_n` threads: `pair_plan` of every thread
 /// pair, ordered by `(src, dst, first index)`.
 pub fn plan_transfer(
     len: u64,
@@ -302,7 +302,7 @@ pub struct Piece {
     /// Sending thread.
     pub src_thread: u32,
     /// `None`: `data` is the contiguous run `[start, start + count)`.
-    /// `Some`: `data` is the sender's [`pair_plan`] share for this thread
+    /// `Some`: `data` is the sender's `pair_plan` share for this thread
     /// under the given source-side template.
     pub template: Option<SrcTemplate>,
     /// CDR-encoded elements in plan order (a zero-copy slice of the frame).
@@ -313,7 +313,7 @@ impl Piece {
     /// The piece a received bulk-data frame carries (`template` is `Some`
     /// for a `Strided` frame). `frame.data` is a zero-copy slice of the
     /// wire frame; keeping it keeps the frame alive instead of copying.
-    pub fn from_frame(frame: FragmentMsg, template: Option<SrcTemplate>) -> Piece {
+    pub(crate) fn from_frame(frame: FragmentMsg, template: Option<SrcTemplate>) -> Piece {
         Piece {
             start: frame.start,
             count: frame.count,
@@ -486,7 +486,7 @@ pub(crate) struct Assembler<'a, T> {
 impl<'a, T: CdrCodec> Assembler<'a, T> {
     /// Assemble thread `t`'s local part of `len` elements under `dist`
     /// (which must be valid for `(len, n)`).
-    pub fn new(len: u64, dist: &'a Distribution, n: usize, t: usize) -> Self {
+    pub(crate) fn new(len: u64, dist: &'a Distribution, n: usize, t: usize) -> Self {
         let slots = Slots::new(dist.local_len(len, n, t) as usize);
         Assembler { len, dist, n, t, slots }
     }
@@ -516,7 +516,7 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
     }
 
     /// Decode the elements of `set`, in order, from `d` into their slots.
-    pub fn decode(&mut self, set: &Strided, d: &mut Decoder) -> OrbResult<()> {
+    pub(crate) fn decode(&mut self, set: &Strided, d: &mut Decoder) -> OrbResult<()> {
         let (mut lo, lstride) = self.locate(set)?;
         for _ in 0..set.count {
             if set.block >= BULK_DECODE_MIN {
@@ -537,7 +537,7 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
 
     /// Clone the elements of `set` out of `local`, the storage of the same
     /// thread under `from` — the share of a redistribution that stays put.
-    pub fn copy(&mut self, set: &Strided, local: &[T], from: &Distribution) -> OrbResult<()>
+    pub(crate) fn copy(&mut self, set: &Strided, local: &[T], from: &Distribution) -> OrbResult<()>
     where
         T: Clone,
     {
@@ -560,7 +560,7 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
 
     /// The assembled local vector; an error names the first element no
     /// payload covered.
-    pub fn finish(self) -> OrbResult<Vec<T>> {
+    pub(crate) fn finish(self) -> OrbResult<Vec<T>> {
         self.slots
             .finish()
             .map_err(|i| OrbError::Protocol(format!("local element {i} never arrived")))

@@ -99,7 +99,6 @@ fn fixed_mode_coalesces_preserving_frames() {
 #[test]
 fn deadline_flush_fires_without_follow_on_traffic() {
     let (orb, host, ep, rx) = orb_with_tap();
-    orb.set_batch_delay(Duration::from_millis(1));
     // A huge fixed target: no demand trigger will ever fire.
     orb.set_batch_mode(BatchMode::Fixed(1_000_000));
     let f = small_frame(1);
@@ -156,7 +155,7 @@ proptest! {
     ) {
         let net = Network::new(TimeScale::off());
         let host = net.add_host("prop-host");
-        let b = Batcher::new(BatchMode::Adaptive, max_bytes, Duration::from_secs(3600));
+        let b = Batcher::new(BatchMode::Adaptive, max_bytes);
         let mut expected: HashMap<u64, Vec<Bytes>> = HashMap::new();
         let mut shipped: HashMap<u64, Vec<Bytes>> = HashMap::new();
         for (i, (dest, len)) in ops.iter().enumerate() {

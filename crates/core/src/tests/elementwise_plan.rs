@@ -7,7 +7,7 @@ use crate::dist::Distribution;
 
 /// Elements `[start, start + count)` move from thread `src` to thread `dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ElemPiece {
+pub(crate) struct ElemPiece {
     pub start: u64,
     pub count: u64,
     pub src: usize,
@@ -15,7 +15,7 @@ pub struct ElemPiece {
 }
 
 /// The plan as maximal runs, ascending by global index.
-pub fn plan_elementwise(
+pub(crate) fn plan_elementwise(
     len: u64,
     src_dist: &Distribution,
     src_n: usize,

@@ -145,9 +145,9 @@ fn take_local_moves_storage_when_solely_owned() {
 fn take_local_clones_only_when_shared() {
     let full: Vec<f64> = (0..32).map(|i| i as f64).collect();
     let ds = DSequence::distribute(&full, Distribution::Block, 1, 0);
-    let handle = ds.share_local(); // second owner forces the clone path
+    let handle = ds.clone(); // second owner forces the clone path
     let before = ds.local().as_ptr();
     let taken = ds.take_local();
     assert_ne!(taken.as_ptr(), before, "shared storage must be cloned, not stolen");
-    assert_eq!(taken, *handle);
+    assert_eq!(taken, handle.local());
 }

@@ -436,9 +436,13 @@ fn traced_failover(seed: u64) -> (Vec<i64>, TraceReport) {
     // Nothing is in flight (the dead host's frames were dropped, not
     // delayed), but drain the endpoint anyway before snapshotting.
     fleet.client.drain_pending();
-    let report = fleet.session.take().expect("fleet was spawned traced").finish();
+    // Snapshot only once every adapter has made its last record: a POA
+    // records a reply in its cache (the `poa.reply_cache_bytes` gauge) after
+    // the frame has left, so the client can hold the reply before the gauge
+    // counts it. Joining the server threads orders each record first.
+    let session = fleet.session.take().expect("fleet was spawned traced");
     fleet.teardown();
-    (results, report)
+    (results, session.finish())
 }
 
 #[test]
