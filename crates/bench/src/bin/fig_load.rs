@@ -1,5 +1,5 @@
-//! Load & concurrency sweep — the sharded, batching request core under
-//! 1 → 10k synthetic clients.
+//! Load & concurrency sweep — the sharded request core under 1 → 10k
+//! synthetic clients.
 //!
 //! Each synthetic client is an independent binding with its own pipeline of
 //! non-blocking invocations; clients are multiplexed over a small pool of
@@ -7,15 +7,11 @@
 //! communication thread) against one single-threaded server over the
 //! Ethernet10 netsim link. Per concurrency level the harness reports wall
 //! and virtual-clock request throughput plus wall p50/p99 invocation
-//! latency, for two request-core configurations:
+//! latency of the default core (sharded reply router, every frame sent as
+//! it is made), under the `sharded_*` series names.
 //!
-//! * `sharded` — the default core: sharded reply router, no batching.
-//! * `batched` — adaptive same-destination coalescing.
-//!
-//! The virtual-clock series is where the LogGP-style win shows: coalescing
-//! N small frames into one envelope pays the per-frame software overhead
-//! once instead of N times, so `batched_virt_rps` runs away from
-//! `sharded_virt_rps` as the client count grows.
+//! Every frame holds the shared Ethernet segment for its software overhead
+//! and its bytes, so `sharded_virt_rps` is the same at every client count.
 //!
 //! ```text
 //! cargo run --release -p pardis-bench --bin fig_load
@@ -23,7 +19,7 @@
 //! ... -- --compare results/BENCH_load.json   (regression gate)
 //! ```
 
-use pardis::core::{BatchMode, ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest};
+use pardis::core::{ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest};
 use pardis::netsim::{LinkPreset, Network, TimeScale};
 use pardis_bench::util::{quick, row, BenchJson};
 use std::collections::VecDeque;
@@ -49,17 +45,6 @@ impl Servant for Load {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Mode {
-    name: &'static str,
-    batch: BatchMode,
-}
-
-const MODES: [Mode; 2] = [
-    Mode { name: "sharded", batch: BatchMode::Off },
-    Mode { name: "batched", batch: BatchMode::Adaptive },
-];
-
 struct LevelOut {
     rps: f64,
     virt_rps: f64,
@@ -76,14 +61,13 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// One (mode, level) measurement.
-fn run_level(mode: Mode, clients: usize) -> LevelOut {
+/// One level's measurement.
+fn run_level(clients: usize) -> LevelOut {
     let net = Network::new(TimeScale::off());
     let ch = net.add_host("clients");
     let sh = net.add_host("server");
     net.connect(ch, sh, LinkPreset::Ethernet10.link());
     let orb = Orb::new(net);
-    orb.set_batch_mode(mode.batch);
 
     let group = ServerGroup::create(&orb, "load-server", sh, 1);
     let g = group.clone();
@@ -167,25 +151,20 @@ fn main() {
     json.param_usize("pipeline_depth", DEPTH);
     json.columns(&levels.iter().map(|&l| l as f64).collect::<Vec<_>>());
 
-    println!("fig_load: {} clients sweep, modes: sharded/batched", levels.len());
+    println!("fig_load: {} clients sweep", levels.len());
     println!("{}", row("clients", &levels.iter().map(|&l| l as f64).collect::<Vec<_>>()));
-    for mode in MODES {
-        let outs: Vec<LevelOut> = levels.iter().map(|&l| run_level(mode, l)).collect();
-        let rps: Vec<f64> = outs.iter().map(|o| o.rps).collect();
-        let virt: Vec<f64> = outs.iter().map(|o| o.virt_rps).collect();
-        let p50: Vec<f64> = outs.iter().map(|o| o.p50_us).collect();
-        let p99: Vec<f64> = outs.iter().map(|o| o.p99_us).collect();
-        let frames: Vec<f64> = outs.iter().map(|o| o.frames as f64).collect();
-        println!("{}", row(&format!("{}_rps", mode.name), &rps));
-        println!("{}", row(&format!("{}_virt_rps", mode.name), &virt));
-        println!("{}", row(&format!("{}_p50_us", mode.name), &p50));
-        println!("{}", row(&format!("{}_p99_us", mode.name), &p99));
-        println!("{}", row(&format!("{}_frames", mode.name), &frames));
-        json.series(&format!("{}_rps", mode.name), &rps);
-        json.series(&format!("{}_virt_rps", mode.name), &virt);
-        json.series(&format!("{}_p50_us", mode.name), &p50);
-        json.series(&format!("{}_p99_us", mode.name), &p99);
+    let outs: Vec<LevelOut> = levels.iter().map(|&l| run_level(l)).collect();
+    let series = |f: fn(&LevelOut) -> f64| outs.iter().map(f).collect::<Vec<f64>>();
+    for (name, values) in [
+        ("sharded_rps", series(|o| o.rps)),
+        ("sharded_virt_rps", series(|o| o.virt_rps)),
+        ("sharded_p50_us", series(|o| o.p50_us)),
+        ("sharded_p99_us", series(|o| o.p99_us)),
+    ] {
+        println!("{}", row(name, &values));
+        json.series(name, &values);
     }
+    println!("{}", row("sharded_frames", &series(|o| o.frames as f64)));
 
     match json.write() {
         Ok(path) => println!("wrote {}", path.display()),

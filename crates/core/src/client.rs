@@ -16,8 +16,8 @@ use crate::object::{BindingId, ClientId, DistPolicy, EndpointId, ObjectKind, Obj
 use crate::orb::{Envelope, Orb, OrbConfig, TransferStrategy};
 use crate::poa::FORWARD_TAG;
 use crate::protocol::{
-    batch_depth_allowed, frame_list, unframe_list, ArgDir, DArgDesc, FragmentMsg, Message,
-    ReplyMsg, ReplyStatus, RequestMsg, SrcTemplate,
+    batch_depth_allowed, frame_list, refuse_frame, unframe_list, ArgDir, DArgDesc, FragmentMsg,
+    Message, ReplyMsg, ReplyStatus, RequestMsg, SrcTemplate,
 };
 use crate::servant::{ServantCtx, ServerRequest};
 use crate::strided::{assemble, cut_fragments, Pack, Piece};
@@ -300,10 +300,6 @@ impl PumpCore {
         }
         if !progressed {
             if let Some(timeout) = wait {
-                // About to block: push out anything the batcher is still
-                // holding for us, or the reply we wait on may never be
-                // provoked.
-                self.orb.flush_batches();
                 if let Ok(env) = self.rx.recv_timeout(timeout) {
                     pardis_audit::chan_recv(self.reply_eps[self.thread].0);
                     self.ingest_wire(&env.wire, 0);
@@ -317,12 +313,12 @@ impl PumpCore {
     /// Ingest one frame that sits inside `depth` batch envelopes.
     fn ingest_wire(&self, wire: &Bytes, depth: usize) {
         let Ok(msg) = Message::decode(wire) else {
-            debug_assert!(false, "malformed frame at client");
+            refuse_frame();
             return;
         };
-        // A batch envelope (a coalescing POA, or a reply riding with an
-        // out-fragment): each sub-frame is a complete wire frame — unpack
-        // and ingest recursively, to a bounded depth.
+        // A batch envelope (a reply riding with an out-fragment): each
+        // sub-frame is a complete wire frame — unpack and ingest
+        // recursively, to a bounded depth.
         if let Message::Batch(frames) = &msg {
             if batch_depth_allowed(depth) {
                 for frame in frames {
@@ -337,10 +333,11 @@ impl PumpCore {
             Message::Fragment(f) | Message::Strided(f, _)
                 if f.dst_thread as usize != self.thread =>
             {
-                if let Some(rts) = &self.rts {
-                    rts.send(f.dst_thread as usize, FORWARD_TAG, wire.clone());
-                } else {
-                    debug_assert!(false, "fragment for thread {} at single client", f.dst_thread);
+                match &self.rts {
+                    Some(rts) if (f.dst_thread as usize) < self.nthreads => {
+                        rts.send(f.dst_thread as usize, FORWARD_TAG, wire.clone())
+                    }
+                    _ => refuse_frame(),
                 }
                 return;
             }

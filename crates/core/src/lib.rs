@@ -66,7 +66,6 @@
 pub mod dist;
 pub mod protocol;
 
-mod batch;
 mod client;
 mod dseq;
 mod error;
@@ -80,7 +79,6 @@ mod repository;
 mod servant;
 mod strided;
 
-pub use batch::BatchMode;
 pub use client::{
     CallBuilder, ClientGroup, ClientThread, CommThread, InvocationHandle, Proxy, ReplyData,
 };

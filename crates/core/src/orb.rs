@@ -6,7 +6,6 @@
 //! the collocated-call optimisation), and the global configuration knobs
 //! (transfer strategy, local bypass, timeouts).
 
-use crate::batch::{BatchMode, Batcher, FlushReason, BATCH_DELAY, BATCH_MAX_BYTES};
 use crate::error::{OrbError, OrbResult};
 use crate::interface_repo::InterfaceRepository;
 use crate::object::{ClientId, DistPolicy, EndpointId, ObjectKey, ObjectRef, ServerId};
@@ -68,9 +67,6 @@ pub struct OrbConfig {
     /// in virtual milliseconds; an entry whose heartbeats stop lapses after
     /// this much simulated time.
     pub registry_ttl_ms: u64,
-    /// Request-batching mode: coalesce small same-destination frames into
-    /// one wire envelope. Default off.
-    pub batch: BatchMode,
 }
 
 impl Default for OrbConfig {
@@ -86,7 +82,6 @@ impl Default for OrbConfig {
             reply_cache_cap: 1024,
             failover_limit: 3,
             registry_ttl_ms: 5_000,
-            batch: BatchMode::Off,
         }
     }
 }
@@ -140,9 +135,6 @@ pub(crate) struct OrbInner {
     #[allow(clippy::type_complexity)]
     pub servants: AuditRwLock<HashMap<(ServerId, usize, ObjectKey), Arc<dyn Servant>>>,
     pub config: AuditRwLock<OrbConfig>,
-    /// The request batcher ([`crate::BatchMode`]); inert unless batching is
-    /// on.
-    pub(crate) batcher: Batcher,
     /// Total frames and bytes moved (for benches and EXPERIMENTS.md).
     pub frames_sent: AtomicU64,
     pub bytes_sent: AtomicU64,
@@ -163,8 +155,6 @@ pub struct Orb {
 impl Orb {
     /// An ORB over an existing simulated network.
     pub fn new(network: Network) -> Orb {
-        let cfg = OrbConfig::default();
-        let batcher = Batcher::new(cfg.batch, BATCH_MAX_BYTES);
         Orb {
             inner: Arc::new(OrbInner {
                 network,
@@ -177,8 +167,7 @@ impl Orb {
                 impls: ImplementationRepository::new(),
                 interfaces: InterfaceRepository::new(),
                 servants: AuditRwLock::new(lock_site!("orb: servant table"), HashMap::new()),
-                config: AuditRwLock::new(lock_site!("orb: config"), cfg),
-                batcher,
+                config: AuditRwLock::new(lock_site!("orb: config"), OrbConfig::default()),
                 frames_sent: AtomicU64::new(0),
                 bytes_sent: AtomicU64::new(0),
                 retransmits: AtomicU64::new(0),
@@ -275,20 +264,6 @@ impl Orb {
         self.inner.config.write().registry_ttl_ms = ttl_ms;
     }
 
-    /// Set the request-batching mode ([`BatchMode`]). Takes effect
-    /// immediately for subsequent sends; frames already queued drain under
-    /// the old grouping.
-    pub fn set_batch_mode(&self, mode: BatchMode) {
-        self.inner.config.write().batch = mode;
-        self.inner.batcher.set_params(mode, BATCH_MAX_BYTES);
-        if mode != BatchMode::Off {
-            self.ensure_flusher();
-        } else {
-            // Nothing new will queue; push out whatever is still pending.
-            self.flush_batches_inner(true);
-        }
-    }
-
     /// Retransmission rounds performed so far (0 on a lossless network).
     pub fn retransmits(&self) -> u64 {
         self.inner.retransmits.load(Ordering::Relaxed)
@@ -353,91 +328,8 @@ impl Orb {
         self.send_wire(from_host, to, msg.encode())
     }
 
-    /// Route an already-encoded frame: straight to the wire when batching
-    /// is off (the steady-state zero-lock path), through the per-destination
-    /// batch queues otherwise.
-    pub(crate) fn send_wire(
-        &self,
-        from_host: HostId,
-        to: EndpointId,
-        wire: bytes::Bytes,
-    ) -> OrbResult<()> {
-        if self.inner.batcher.is_active() {
-            return self.send_batched(from_host, to, wire);
-        }
-        self.transmit_frame(from_host, to, wire)
-    }
-
-    /// Queue a frame for batching, draining the destination when a flush
-    /// trigger fires. Frames at or above the coalescing ceiling — and
-    /// control-plane `Close` frames, whose latency is a shutdown path — ride
-    /// the queue as passthrough entries: FIFO is kept, the payload is never
-    /// copied into an envelope, and their arrival flushes the queue.
-    fn send_batched(&self, from_host: HostId, to: EndpointId, wire: bytes::Bytes) -> OrbResult<()> {
-        // Fail unknown destinations eagerly, as the direct path would.
-        if !self.inner.endpoints.load().contains_key(&to) {
-            return Err(OrbError::Disconnected);
-        }
-        self.ensure_flusher();
-        let passthrough =
-            wire.len() >= self.inner.batcher.params().max_bytes || wire.get(6) == Some(&4u8); // type tag 4 = Message::Close
-        if self.inner.batcher.enqueue((from_host, to), wire, passthrough) {
-            self.flush_dest(from_host, to, FlushReason::Demand);
-        }
-        Ok(())
-    }
-
-    fn flush_dest(&self, from_host: HostId, to: EndpointId, reason: FlushReason) {
-        self.inner.batcher.drain((from_host, to), reason, &mut |frame| {
-            // A destination unregistered between enqueue and flush behaves
-            // like a frame arriving at a dead host: dropped.
-            let _ = self.transmit_frame(from_host, to, frame);
-        });
-    }
-
-    /// Flush every queued batch immediately — the explicit barrier. Client
-    /// and POA pumps call this before blocking so a waiter never sleeps on
-    /// its own unflushed request; it is also safe (and cheap) to call when
-    /// batching is off.
-    pub(crate) fn flush_batches(&self) {
-        self.flush_batches_inner(false);
-    }
-
-    fn flush_batches_inner(&self, force: bool) {
-        if !force && !self.inner.batcher.is_active() {
-            return;
-        }
-        for (from, to) in self.inner.batcher.pending_keys() {
-            self.flush_dest(from, to, FlushReason::Demand);
-        }
-    }
-
-    /// Spawn the lazy deadline flusher on first batched send: it sweeps
-    /// aged destinations so the deadline flush fires even under zero
-    /// follow-on traffic, holds only a `Weak` to the ORB, and exits when
-    /// the last `Orb` clone drops.
-    fn ensure_flusher(&self) {
-        if self.inner.batcher.flusher_spawned.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let weak = Arc::downgrade(&self.inner);
-        let _ = std::thread::Builder::new().name("pardis-batch-flush".into()).spawn(move || {
-            loop {
-                let Some(inner) = weak.upgrade() else { return };
-                let orb = Orb { inner };
-                for (from, to) in orb.inner.batcher.aged_keys() {
-                    if pardis_obs::enabled() {
-                        pardis_obs::counter("orb.batch.deadline_flushes").inc();
-                    }
-                    orb.flush_dest(from, to, FlushReason::Deadline);
-                }
-                drop(orb); // hold no strong ref across the sleep
-                std::thread::sleep(BATCH_DELAY / 2);
-            }
-        });
-    }
-
-    /// Put one frame on the wire.
+    /// Put one already-encoded frame on the wire, as it is made: the ORB's
+    /// only send path.
     ///
     /// Steady-state this acquires no lock: the endpoint table and the
     /// network topology are both immutable published snapshots, and under
@@ -452,7 +344,7 @@ impl Orb {
     /// indistinguishable from a frame arriving at a dead host: the send
     /// returns `Ok` in either transport mode, and recovery is the client
     /// pump's job.
-    fn transmit_frame(
+    pub(crate) fn send_wire(
         &self,
         from_host: HostId,
         to: EndpointId,

@@ -13,8 +13,8 @@ use crate::object::{
 };
 use crate::orb::{Envelope, ObjectMeta, Orb};
 use crate::protocol::{
-    batch_depth_allowed, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg, ReplyStatus, RequestMsg,
-    SrcTemplate,
+    batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg,
+    ReplyStatus, RequestMsg, SrcTemplate,
 };
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
 use crate::strided::{cut_fragments, Piece};
@@ -553,9 +553,6 @@ impl Poa {
             if !block || got_any || self.closed {
                 return;
             }
-            // About to block: push out any replies the batcher still holds —
-            // the clients they complete are what produce our next requests.
-            self.orb.flush_batches();
             // Block briefly on the inbox; RTS forwards are re-checked each
             // slice.
             if let Ok(env) = self.inbox.recv_timeout(Duration::from_micros(200)) {
@@ -569,11 +566,9 @@ impl Poa {
     fn handle_wire(&mut self, wire: &Bytes, depth: usize) {
         match Message::decode_traced(wire) {
             Ok((msg, ctx, ack_lag)) => self.handle(msg, wire, ctx, ack_lag, depth),
-            Err(e) => {
-                // A malformed frame cannot be answered (no parseable reply
-                // address); drop it loudly in debug builds.
-                debug_assert!(false, "malformed frame: {e}");
-            }
+            // A malformed frame cannot be answered: it has no parseable
+            // reply address.
+            Err(_) => refuse_frame(),
         }
     }
 
@@ -590,10 +585,9 @@ impl Poa {
         // events) stamp into the originating invocation's trace.
         let _ctx_guard = ctx.map(pardis_obs::enter_ctx);
         match msg {
-            // A batch envelope (a coalescing client, or a request riding
-            // with an in-fragment): each sub-frame is a complete wire frame
-            // carrying its own header and trace context — unpack and handle
-            // in order, to a bounded depth.
+            // A batch envelope (a request riding with an in-fragment): each
+            // sub-frame is a complete wire frame carrying its own header and
+            // trace context — unpack and handle in order, to a bounded depth.
             Message::Batch(frames) => {
                 if batch_depth_allowed(depth) {
                     for frame in frames {
@@ -635,15 +629,14 @@ impl Poa {
             Message::Close => {
                 self.closed = true;
             }
-            Message::Reply(_) => {
-                debug_assert!(false, "server received a Reply frame");
-            }
+            Message::Reply(_) => refuse_frame(),
         }
     }
 
     /// Take the sending client thread's acknowledgement from one bulk-data
     /// frame of either encoding, then reassemble (or, on the funneled entry
-    /// thread, forward) it.
+    /// thread, forward) it. A frame for a thread this server does not have
+    /// is refused unread.
     fn handle_fragment(
         &mut self,
         frag: FragmentMsg,
@@ -652,6 +645,10 @@ impl Poa {
         ctx: Option<pardis_obs::TraceCtx>,
         ack_lag: u16,
     ) {
+        if frag.dst_thread as usize >= self.nthreads {
+            refuse_frame();
+            return;
+        }
         // Lag 0 acknowledges nothing. The lag is the wire's word: one that
         // reaches below id 0 is ignored.
         let acked = frag.req_id.checked_sub(u64::from(ack_lag)).filter(|_| ack_lag != 0);

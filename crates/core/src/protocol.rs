@@ -27,11 +27,20 @@ pub(crate) const MAGIC: [u8; 4] = *b"PRDS";
 pub(crate) const VERSION: u8 = 1;
 /// Header flag: a 16-byte trace context follows the 8-byte header.
 pub(crate) const FLAG_TRACE_CTX: u8 = 1;
-/// How deep [`Message::Batch`] envelopes may nest: a merged control and
-/// fragment inside a batcher envelope. A receiver drops a deeper envelope
-/// unread and counts it on `orb.frames_refused`, so a crafted frame cannot
-/// recurse through its stack.
-pub(crate) const MAX_BATCH_DEPTH: usize = 2;
+/// How deep [`Message::Batch`] envelopes may nest. The only envelope a
+/// sender builds is [`frame_fragment`]'s `[rider, fragment]`, which never
+/// nests, so a receiver drops any envelope inside another unread and counts
+/// it on `orb.frames_refused`: a crafted frame cannot recurse through its
+/// stack.
+pub(crate) const MAX_BATCH_DEPTH: usize = 1;
+
+/// Count one frame a receiver drops unread because no sender of this
+/// protocol builds it: malformed, addressed to a thread the receiver does
+/// not have, of a kind the receiver never takes, or nested too deep. Such a
+/// frame must not panic an adapter or a pump.
+pub(crate) fn refuse_frame() {
+    pardis_obs::counter("orb.frames_refused").inc();
+}
 
 /// May a receiver unpack a [`Message::Batch`] that sits inside `depth`
 /// other envelopes? Counts a refusal.
@@ -39,7 +48,7 @@ pub(crate) fn batch_depth_allowed(depth: usize) -> bool {
     if depth < MAX_BATCH_DEPTH {
         return true;
     }
-    pardis_obs::counter("orb.frames_refused").inc();
+    refuse_frame();
     false
 }
 
@@ -262,13 +271,13 @@ pub enum Message {
     /// Orderly connection shutdown; a POA loop returns when it sees this.
     Close,
     /// Several independently encoded frames coalesced into one wire frame.
-    /// Two producers build it: the request batcher ([`crate::BatchMode`]),
-    /// and the transfer path, which sends an invocation's request or reply
-    /// in the same frame as the first fragment its sender owes that
-    /// endpoint. Each element is a complete PRDS frame with its own header —
-    /// and its own trace-context extension, so every sub-frame keeps its
-    /// sub-span. The envelope itself carries no context. Receivers unpack
-    /// envelopes at most two deep and drop deeper ones unread.
+    /// One producer builds it: the transfer path, which sends an
+    /// invocation's request or reply in the same frame as the first
+    /// fragment its sender owes that endpoint. Each element is a complete
+    /// PRDS frame with its own header — and its own trace-context
+    /// extension, so every sub-frame keeps its sub-span. The envelope itself
+    /// carries no context. Receivers unpack one envelope level and drop an
+    /// envelope nested inside another unread.
     Batch(Vec<Bytes>),
     /// Bulk data of a thread pair whose share is not one contiguous run:
     /// `start` is the pair's first global index, `count` its element total,
@@ -597,8 +606,8 @@ fn encode_batch_body(frames: &[Bytes], e: &mut Encoder) {
 /// Frame a batch envelope around already-encoded sub-frames. Unlike
 /// [`Message::encode`] this never stamps an ambient trace context: the
 /// envelope is pure transport — each sub-frame already carries its own
-/// header (and context), and a flush may run on a thread unrelated to any
-/// of the batched invocations.
+/// header (and context).
+#[cfg(test)]
 pub(crate) fn encode_batch_frame(frames: &[Bytes]) -> Bytes {
     let order = ByteOrder::native();
     let cap = 12 + frames.iter().map(|f| f.len() + 8).sum::<usize>();
