@@ -1,6 +1,7 @@
 //! [`CdrCodec`] implementations for the IDL primitive mappings and the
 //! standard constructed types.
 
+use crate::encode::ulong_len;
 use crate::{CdrCodec, CdrError, Decoder, ElemSink, Encoder, TypeCode};
 
 macro_rules! prim_codec {
@@ -68,6 +69,9 @@ impl CdrCodec for f64 {
     fn encode_elems(items: &[Self], e: &mut Encoder) {
         e.write_f64_elems(items);
     }
+    fn encode_strided(items: &[Self], block: usize, stride: usize, e: &mut Encoder) {
+        e.write_f64_strided(items, block, stride);
+    }
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {
         d.read_f64_elems(n)
     }
@@ -103,7 +107,7 @@ impl CdrCodec for () {
 
 impl<T: CdrCodec> CdrCodec for Vec<T> {
     fn encode(&self, e: &mut Encoder) {
-        e.write_u32(self.len() as u32);
+        e.write_u32(ulong_len(self.len()));
         T::encode_elems(self, e);
     }
     fn decode(d: &mut Decoder) -> Result<Self, CdrError> {

@@ -10,13 +10,23 @@ use std::mem::MaybeUninit;
 const MAX_ALLOC: u64 = 1 << 32;
 
 /// Uninitialised element slots being filled front to back: the destination
-/// [`crate::CdrCodec::decode_elems_into`] decodes into. The sink, not the
-/// codec, counts what has been initialised, so a caller may rely on
-/// [`ElemSink::filled`] for memory safety whatever a codec does.
+/// [`crate::CdrCodec::decode_elems_into`] decodes into. The slots are laid
+/// out in blocks of `block` consecutive slots, `stride` apart; a contiguous
+/// sink is one block. The sink, not the codec, counts what has been
+/// initialised, so a caller may rely on [`ElemSink::filled`] for memory
+/// safety whatever a codec does: the first `filled` slots *in layout order*
+/// hold values, and no other slot was written.
 pub struct ElemSink<'a, T> {
     slots: &'a mut [MaybeUninit<T>],
-    /// `slots[..filled]` are initialised.
+    block: usize,
+    stride: usize,
+    /// Slots in the layout.
+    total: usize,
+    /// The first `filled` slots in layout order are initialised.
     filled: usize,
+    /// Index in `slots` of the next empty slot, and the end of its block.
+    at: usize,
+    block_end: usize,
     /// Makes the type invariant in `'a`, so that a codec holding
     /// `&mut ElemSink<'a, T>` cannot assign a sink over some longer-lived
     /// buffer of its own — and that sink's count — in place of this one.
@@ -24,19 +34,46 @@ pub struct ElemSink<'a, T> {
 }
 
 impl<'a, T> ElemSink<'a, T> {
-    /// A sink over `slots`, none of which is taken to hold a value.
+    /// A sink over all of `slots`, none of which is taken to hold a value.
     pub fn new(slots: &'a mut [MaybeUninit<T>]) -> Self {
-        ElemSink { slots, filled: 0, _invariant: PhantomData }
+        let n = slots.len();
+        ElemSink::strided(slots, n.max(1), n.max(1))
     }
 
-    /// Leading slots initialised so far.
+    /// A sink over the blocks of `block` slots that start every `stride`
+    /// slots of `slots`, the last block ending where `slots` ends.
+    ///
+    /// # Panics
+    /// Panics unless `0 < block <= stride` and `slots` is empty or ends at a
+    /// block end.
+    pub fn strided(slots: &'a mut [MaybeUninit<T>], block: usize, stride: usize) -> Self {
+        assert!(0 < block && block <= stride, "blocks of {block} slots every {stride}");
+        let blocks = match slots.len().checked_sub(block) {
+            None if slots.is_empty() => 0,
+            Some(past) if past % stride == 0 => past / stride + 1,
+            _ => panic!("{} slots do not end at a block of {block} every {stride}", slots.len()),
+        };
+        let total = blocks * block;
+        ElemSink {
+            slots,
+            block,
+            stride,
+            total,
+            filled: 0,
+            at: 0,
+            block_end: block,
+            _invariant: PhantomData,
+        }
+    }
+
+    /// Slots initialised so far, counted in layout order.
     pub fn filled(&self) -> usize {
         self.filled
     }
 
     /// Slots still empty.
     pub fn remaining(&self) -> usize {
-        self.slots.len() - self.filled
+        self.total - self.filled
     }
 
     /// Store `v` in the next empty slot.
@@ -44,34 +81,46 @@ impl<'a, T> ElemSink<'a, T> {
     /// # Panics
     /// Panics if every slot is already filled.
     pub fn push(&mut self, v: T) {
-        self.slots[self.filled].write(v);
+        assert!(self.filled < self.total, "every slot of the sink is filled");
+        if self.at == self.block_end {
+            // The current block is full and another one follows.
+            self.at += self.stride - self.block;
+            self.block_end = self.at + self.block;
+        }
+        self.slots[self.at].write(v);
+        self.at += 1;
         self.filled += 1;
+    }
+
+    /// Store the next of `values` in every empty slot, in layout order:
+    /// the rest of the current block, then each later block, in one tight
+    /// loop.
+    ///
+    /// # Panics
+    /// Panics if `values` runs out first. The count then stays where it
+    /// was: the slots written so far are leaked, never taken to hold values.
+    fn fill_from(&mut self, mut values: impl Iterator<Item = T>) {
+        let len = self.slots.len();
+        let (mut lo, mut hi) = (self.at, self.block_end);
+        while hi <= len {
+            for slot in &mut self.slots[lo..hi] {
+                slot.write(values.next().expect("a value for every empty slot"));
+            }
+            lo = hi.saturating_add(self.stride - self.block);
+            hi = lo.saturating_add(self.block);
+        }
+        (self.filled, self.at, self.block_end) = (self.total, len, len);
     }
 }
 
-/// Copy `dst.len()` doubles out of `raw` (exactly `8 * dst.len()` bytes in
-/// `order`, possibly unaligned): one `memcpy` in native order, a
-/// byte-swapping loop otherwise. Every slot of `dst` is initialised on
-/// return.
-fn fill_f64(order: ByteOrder, raw: &[u8], dst: &mut [MaybeUninit<f64>]) {
-    assert_eq!(raw.len(), dst.len() * 8, "one double per slot");
-    if order == ByteOrder::native() {
-        // SAFETY: source and destination are both exactly `raw.len()` bytes
-        // (asserted above) and cannot overlap (`dst` is a unique borrow),
-        // every bit pattern is a valid f64, and the byte-wise copy
-        // tolerates an unaligned source.
-        unsafe {
-            std::ptr::copy_nonoverlapping(raw.as_ptr(), dst.as_mut_ptr().cast::<u8>(), raw.len());
-        }
-        return;
-    }
-    for (slot, chunk) in dst.iter_mut().zip(raw.chunks_exact(8)) {
-        let bytes: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
-        slot.write(f64::from_bits(match order {
-            ByteOrder::Big => u64::from_be_bytes(bytes),
-            ByteOrder::Little => u64::from_le_bytes(bytes),
-        }));
-    }
+/// The doubles in `raw`, eight bytes each as `from` reads them, possibly
+/// unaligned. In native order each is one plain load: no `memcpy` call per
+/// run, so a run of one costs what an element costs.
+fn doubles<'a>(
+    raw: &'a [u8],
+    from: impl Fn([u8; 8]) -> f64 + 'a,
+) -> impl Iterator<Item = f64> + 'a {
+    raw.chunks_exact(8).map(move |chunk| from(chunk.try_into().expect("chunks_exact(8)")))
 }
 
 /// A cursor over a CDR stream, recomputing the encoder's alignment padding.
@@ -247,9 +296,10 @@ impl Decoder {
     }
 
     /// Bulk-read an `f64` slice written by
-    /// [`crate::Encoder::write_f64_slice`]: one `memcpy` in native order
-    /// (the wire source may be unaligned; the destination `Vec<f64>` is
-    /// aligned by construction), per-element byte swap otherwise.
+    /// [`crate::Encoder::write_f64_slice`]: one tight copy loop into a
+    /// vector reserved once (the wire source may be unaligned; the
+    /// destination `Vec<f64>` is aligned by construction), with a byte swap
+    /// per element in foreign order.
     pub fn read_f64_vec(&mut self) -> Result<Vec<f64>, CdrError> {
         let n = self.read_seq_len(None)?;
         self.read_f64_elems(n)
@@ -268,16 +318,15 @@ impl Decoder {
         // `n` is trusted for the allocation only once the stream has been
         // seen to hold that many doubles.
         let raw = self.take(n.saturating_mul(8))?;
-        let mut out: Vec<f64> = Vec::with_capacity(n);
-        fill_f64(order, raw, &mut out.spare_capacity_mut()[..n]);
-        // SAFETY: `fill_f64` initialised the first `n` slots of the spare
-        // capacity, which is at least `n`.
-        unsafe { out.set_len(n) };
-        Ok(out)
+        Ok(match order {
+            ByteOrder::Big => doubles(raw, f64::from_be_bytes).collect(),
+            ByteOrder::Little => doubles(raw, f64::from_le_bytes).collect(),
+        })
     }
 
     /// [`Decoder::read_f64_elems`] straight into the empty slots of `sink`
-    /// (as many doubles as it has room for), with no vector in between.
+    /// (as many doubles as it has room for), with no vector in between: all
+    /// or nothing, in one pass over a strided sink's blocks.
     pub fn read_f64_into(&mut self, sink: &mut ElemSink<'_, f64>) -> Result<(), CdrError> {
         let n = sink.remaining();
         if n == 0 {
@@ -286,8 +335,10 @@ impl Decoder {
         self.align(8);
         let order = self.order;
         let raw = self.take(n.saturating_mul(8))?;
-        fill_f64(order, raw, &mut sink.slots[sink.filled..]);
-        sink.filled += n;
+        match order {
+            ByteOrder::Big => sink.fill_from(doubles(raw, f64::from_be_bytes)),
+            ByteOrder::Little => sink.fill_from(doubles(raw, f64::from_le_bytes)),
+        }
         Ok(())
     }
 }

@@ -3,6 +3,15 @@
 use crate::ByteOrder;
 use bytes::Bytes;
 
+/// `n` as the ULong length word CDR carries it in.
+///
+/// # Panics
+/// Panics if `n` does not fit in 32 bits: a wrapped count over correct
+/// bytes would make the receiver misread everything after it.
+pub(crate) fn ulong_len(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| panic!("CDR length {n} does not fit in a ULong"))
+}
+
 /// An append-only CDR stream.
 ///
 /// Primitives are aligned to their natural size measured from the beginning
@@ -113,8 +122,13 @@ impl Encoder {
 
     /// Append a CORBA string: ULong length *including* the terminating NUL,
     /// then the bytes, then NUL.
+    ///
+    /// # Panics
+    /// Panics if the length with its NUL does not fit in a ULong.
     pub fn write_string(&mut self, s: &str) {
-        self.write_u32(s.len() as u32 + 1);
+        // A `str` is at most `isize::MAX` bytes, so counting the NUL in
+        // `usize` cannot overflow; `ulong_len` refuses what exceeds a ULong.
+        self.write_u32(ulong_len(s.len() + 1));
         self.buf.extend_from_slice(s.as_bytes());
         self.buf.push(0);
     }
@@ -125,8 +139,11 @@ impl Encoder {
     }
 
     /// Append a byte sequence: ULong count then the octets.
+    ///
+    /// # Panics
+    /// Panics if the count does not fit in a ULong.
     pub fn write_byte_seq(&mut self, bytes: &[u8]) {
-        self.write_u32(bytes.len() as u32);
+        self.write_u32(ulong_len(bytes.len()));
         self.buf.extend_from_slice(bytes);
     }
 
@@ -138,13 +155,16 @@ impl Encoder {
     /// fresh encoder of the same byte order — which is how a receiver that
     /// decodes the sequence from offset 0 reads it — without staging the
     /// nested stream in a buffer of its own.
+    ///
+    /// # Panics
+    /// Panics if the nested stream's length does not fit in a ULong.
     pub fn write_byte_seq_with(&mut self, fill: impl FnOnce(&mut Encoder)) {
         self.write_u32(0);
         let start = self.buf.len();
         let outer = std::mem::replace(&mut self.origin, start);
         fill(self);
         self.origin = outer;
-        let count = (self.buf.len() - start) as u32;
+        let count = ulong_len(self.buf.len() - start);
         let word = match self.order {
             ByteOrder::Big => count.to_be_bytes(),
             ByteOrder::Little => count.to_le_bytes(),
@@ -156,8 +176,11 @@ impl Encoder {
     /// the hot path for distributed-sequence fragments: in native order the
     /// payload is one `memcpy`; only the foreign order pays the per-element
     /// byte swap.
+    ///
+    /// # Panics
+    /// Panics if the count does not fit in a ULong.
     pub fn write_f64_slice(&mut self, values: &[f64]) {
-        self.write_u32(values.len() as u32);
+        self.write_u32(ulong_len(values.len()));
         self.write_f64_elems(values);
     }
 
@@ -195,8 +218,51 @@ impl Encoder {
         }
     }
 
+    /// The blocks of `block` doubles that start every `stride` doubles of
+    /// `values`, back to back — byte-for-byte [`Encoder::write_f64_elems`]
+    /// of each block in turn. Aligns and grows the buffer once, then stores
+    /// each double in one tight loop over the blocks: no `memcpy` call per
+    /// block, so a block of one costs what an element costs.
+    ///
+    /// # Panics
+    /// Panics unless `0 < block <= stride`; `values` must be empty or end at
+    /// a block end, and a short last block panics.
+    pub fn write_f64_strided(&mut self, values: &[f64], block: usize, stride: usize) {
+        assert!(0 < block && block <= stride, "blocks of {block} doubles every {stride}");
+        if values.is_empty() {
+            return;
+        }
+        self.align(8);
+        let start = self.buf.len();
+        self.buf.resize(start + values.chunks(stride).len() * block * 8, 0);
+        let out = &mut self.buf[start..];
+        match self.order {
+            ByteOrder::Big => scatter_f64(out, values, block, stride, f64::to_be_bytes),
+            ByteOrder::Little => scatter_f64(out, values, block, stride, f64::to_le_bytes),
+        }
+    }
+
     /// Finish the stream and take the buffer.
     pub fn finish(self) -> Bytes {
         Bytes::from(self.buf)
+    }
+}
+
+/// Store the doubles of `values`' blocks (of `block`, every `stride`) one
+/// after another into `out`, eight bytes each as `bytes` lays them out.
+fn scatter_f64(
+    out: &mut [u8],
+    values: &[f64],
+    block: usize,
+    stride: usize,
+    bytes: impl Fn(f64) -> [u8; 8],
+) {
+    let mut words = out.chunks_exact_mut(8);
+    for blk in values.chunks(stride) {
+        // The block leads the zip: it runs out first, before a word is
+        // taken that it has no double for.
+        for (v, word) in blk[..block].iter().zip(words.by_ref()) {
+            word.copy_from_slice(&bytes(*v));
+        }
     }
 }

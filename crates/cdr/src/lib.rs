@@ -93,6 +93,19 @@ pub trait CdrCodec: Sized {
         }
     }
 
+    /// Append the blocks of `block` items that start every `stride` items
+    /// of `items` (the last block ends where `items` ends), back to back —
+    /// [`CdrCodec::encode_elems`] of each block in turn, in one call.
+    /// Overrides must stay byte-identical to the default.
+    ///
+    /// The caller keeps `0 < block <= stride`, and `items` empty or ending
+    /// at a block end; a short last block panics.
+    fn encode_strided(items: &[Self], block: usize, stride: usize, e: &mut Encoder) {
+        for blk in items.chunks(stride) {
+            Self::encode_elems(&blk[..block], e);
+        }
+    }
+
     /// Read `n` elements back-to-back (count already consumed) — the decode
     /// half of the [`CdrCodec::encode_elems`] bulk hook.
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {

@@ -372,6 +372,58 @@ mod bulk {
         e.finish()
     }
 
+    /// After `lead` octets, the blocks of `block` doubles every `stride` of
+    /// `v` (cut to end at a block end) go through `encode_strided` and must
+    /// equal the per-element encoding of the same doubles. They are read
+    /// back into a strided sink of sentinel-filled slots: the first `pre`
+    /// one by one through `push`, the rest in one `read_f64_into`. Exactly
+    /// the layout's slots take the values.
+    fn strided_roundtrip(
+        order: ByteOrder,
+        lead: usize,
+        v: &[f64],
+        (block, stride): (usize, usize),
+    ) {
+        let items = &v[..(v.len() - block) / stride * stride + block];
+        let mine: Vec<usize> = (0..items.len()).filter(|i| i % stride < block).collect();
+        let mut bulk = Encoder::new(order);
+        let mut reference = Encoder::new(order);
+        for e in [&mut bulk, &mut reference] {
+            e.write_raw(&vec![0xab; lead]);
+        }
+        f64::encode_strided(items, block, stride, &mut bulk);
+        for &i in &mine {
+            reference.write_f64(items[i]);
+        }
+        let wire = bulk.finish();
+        let what = format!("{order:?}, lead {lead}, blocks of {block} every {stride}");
+        assert_eq!(&wire[..], &reference.finish()[..], "{what}");
+
+        let sentinel = -0.125;
+        let mut slots = vec![std::mem::MaybeUninit::new(sentinel); items.len()];
+        let mut d = Decoder::new(wire, order);
+        d.read_raw(lead).unwrap();
+        let mut sink = ElemSink::strided(&mut slots, block, stride);
+        let pre = (block + 2).min(mine.len());
+        for _ in 0..pre {
+            sink.push(d.read_f64().unwrap());
+        }
+        assert_eq!(sink.remaining(), mine.len() - pre, "{what}");
+        d.read_f64_into(&mut sink).unwrap();
+        assert_eq!((sink.filled(), sink.remaining(), d.remaining()), (mine.len(), 0, 0), "{what}");
+        // SAFETY: every slot was created initialised (`MaybeUninit::new`),
+        // and the sink only ever overwrites slots with values.
+        let back: Vec<f64> = slots.iter().map(|s| unsafe { s.assume_init() }).collect();
+        for (i, (got, want)) in back.iter().zip(items).enumerate() {
+            let expect = if i % stride < block { *want } else { sentinel };
+            assert_eq!(got.to_bits(), expect.to_bits(), "{what}: slot {i}");
+        }
+    }
+
+    /// Blocks of one, short and long blocks, blocks that touch (one run),
+    /// and gaps wider than the blocks.
+    const LAYOUTS: [(usize, usize); 5] = [(1, 3), (5, 8), (16, 17), (3, 3), (40, 100)];
+
     #[test]
     fn f64_bulk_encoding_matches_per_element_in_both_orders() {
         // 257 elements: large enough to exercise the memcpy path, odd enough
@@ -385,6 +437,9 @@ mod bulk {
             let mut d = Decoder::new(bulk, order);
             assert_eq!(Vec::<f64>::decode(&mut d).unwrap(), v);
             assert_eq!(d.remaining(), 0);
+            for layout in LAYOUTS {
+                strided_roundtrip(order, 0, &v, layout);
+            }
         }
     }
 
@@ -426,7 +481,23 @@ mod bulk {
                     d.read_u8().unwrap();
                 }
                 assert_eq!(Vec::<f64>::decode(&mut d).unwrap(), v, "lead {lead}");
+                let many: Vec<f64> = (0..120).map(|i| i as f64 - 0.75).collect();
+                for layout in LAYOUTS {
+                    strided_roundtrip(order, lead, &many, layout);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn length_words_fit_a_ulong_or_panic() {
+        assert_eq!(crate::encode::ulong_len(0), 0);
+        assert_eq!(crate::encode::ulong_len(u32::MAX as usize), u32::MAX);
+        #[cfg(target_pointer_width = "64")]
+        {
+            let wrapped =
+                std::panic::catch_unwind(|| crate::encode::ulong_len(u32::MAX as usize + 1));
+            assert!(wrapped.is_err(), "a length past u32::MAX must not wrap");
         }
     }
 

@@ -177,20 +177,25 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     }
 
     /// Pack the elements of the given index sets, in order, into `e`: one
-    /// tight strided loop over the local slice per set, each block through
-    /// the bulk [`CdrCodec::encode_elems`] hook (a `memcpy` for native-order
-    /// primitives, per-element `encode` otherwise).
+    /// codec call per set. A set whose local image is dense is one run
+    /// through the bulk [`CdrCodec::encode_elems`] hook (a `memcpy` for
+    /// native-order primitives), a strided one goes through
+    /// [`CdrCodec::encode_strided`] (one tight loop over the blocks for
+    /// doubles).
     ///
     /// # Panics
     /// Panics if any set is not wholly owned by this thread.
     pub(crate) fn pack_into(&self, sets: &[Strided], e: &mut Encoder) {
         for set in sets {
-            let (mut lo, lstride) = set
-                .localize(self.global_len, &self.dist, self.nthreads, self.thread)
+            let (at, span) = set
+                .layout(self.global_len, &self.dist, self.nthreads, self.thread)
+                .and_then(|at| Some((at, at.span()?)))
                 .unwrap_or_else(|| panic!("{set:?} is not local to thread {}", self.thread));
-            for _ in 0..set.count {
-                T::encode_elems(&self.local[lo as usize..(lo + set.block) as usize], e);
-                lo += lstride;
+            let items = &self.local[span];
+            if at.count == 1 {
+                T::encode_elems(items, e);
+            } else {
+                T::encode_strided(items, at.block, at.stride, e);
             }
         }
     }

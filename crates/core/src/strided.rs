@@ -14,6 +14,14 @@
 //! [`crate::DSequence::pack_into`] and scattered into the destination's by
 //! the crate-internal `Assembler`.
 //!
+//! Each side moves a set with **one codec call**, whatever its block
+//! length. The set's image in local storage is again strided (a
+//! [`Layout`]); a dense image is one run. The packer hands the layout to
+//! [`CdrCodec::encode_strided`] and the assembler to
+//! [`CdrCodec::decode_elems_into`] through a strided [`ElemSink`], so
+//! doubles move in one loop over the blocks and nothing outside the codec
+//! walks the set element by element.
+//!
 //! Both sides compute the plan independently from `(len, distribution,
 //! thread count)` of each side, so no descriptor ever travels: a receiver
 //! that does not know the sender's template is told the template
@@ -132,6 +140,96 @@ impl Strided {
         let lstride = owned_at(self.start + self.stride)?.checked_sub(first)?;
         let expect_last = first + (self.count - 1) * lstride + (self.block - 1);
         (owned_at(last)? == expect_last).then_some((first, lstride))
+    }
+
+    /// [`Strided::localize`] as the [`Layout`] the set's elements move
+    /// through: a dense local image (`lstride == block`, always so for a
+    /// single block) is one run of [`Strided::total`] elements.
+    pub(crate) fn layout(
+        &self,
+        len: u64,
+        dist: &Distribution,
+        n: usize,
+        t: usize,
+    ) -> Option<Layout> {
+        let (lo, lstride) = self.localize(len, dist, n, t)?;
+        let lo = lo as usize;
+        Some(if lstride == self.block {
+            let total = self.total() as usize;
+            Layout { lo, block: total, stride: total, count: 1 }
+        } else {
+            Layout {
+                lo,
+                block: self.block as usize,
+                stride: lstride as usize,
+                count: self.count as usize,
+            }
+        })
+    }
+}
+
+/// Where a set's elements sit in one thread's local storage: `count` blocks
+/// of `block` slots, `stride` apart, from slot `lo`. A contiguous run is
+/// `block == stride`. Each side moves a whole layout in one codec call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    pub(crate) lo: usize,
+    pub(crate) block: usize,
+    pub(crate) stride: usize,
+    pub(crate) count: usize,
+}
+
+impl Layout {
+    /// The slots from the first element to the end of the last block;
+    /// `None` when that range overflows or the layout is empty or
+    /// overlapping.
+    pub(crate) fn span(&self) -> Option<std::ops::Range<usize>> {
+        if self.block == 0 || self.stride < self.block {
+            return None;
+        }
+        let end = self.count.checked_sub(1)?.checked_mul(self.stride)?.checked_add(self.block)?;
+        Some(self.lo..self.lo.checked_add(end)?)
+    }
+
+    /// Call `f(w, mask)` for each 64-slot bitmap word that the layout's
+    /// first `n` slots (at most all of them, and the layout inside its
+    /// [`Layout::span`]) touch, in order and once per word, with the mask of
+    /// those slots' bits in it. Bits of consecutive blocks are gathered per
+    /// word, so a word is read or written once, not once per block.
+    fn for_words(&self, n: usize, mut f: impl FnMut(usize, u64)) {
+        // The first word touched is `lo`'s, so a word change always has
+        // bits to hand over.
+        let (mut cur, mut acc) = (self.lo / 64, 0u64);
+        let mut put = |w: usize, mask: u64| {
+            if w != cur {
+                f(cur, acc);
+                (cur, acc) = (w, 0);
+            }
+            acc |= mask;
+        };
+        let mut run = |lo: usize, len: usize| {
+            let bit = lo % 64;
+            if bit + len <= 64 {
+                // Inside one word, as every short block mostly is.
+                return put(lo / 64, u64::MAX >> (64 - len) << bit);
+            }
+            let last = (lo + len - 1) / 64;
+            put(lo / 64, u64::MAX << bit);
+            for w in lo / 64 + 1..last {
+                put(w, u64::MAX);
+            }
+            put(last, u64::MAX >> (63 - (lo + len - 1) % 64));
+        };
+        let (whole, part) = (n / self.block, n % self.block);
+        for k in 0..whole {
+            run(self.lo + k * self.stride, self.block);
+        }
+        if part > 0 {
+            run(self.lo + whole * self.stride, part);
+        }
+        if acc != 0 {
+            f(cur, acc);
+        }
     }
 }
 
@@ -399,39 +497,29 @@ impl<T> Slots<T> {
         Slots { buf, set: vec![0; n.div_ceil(64)], filled: 0 }
     }
 
-    /// The bitmap words overlapping slots `lo..hi`, each with the mask of
-    /// the bits inside the range.
-    fn words(lo: usize, hi: usize) -> impl Iterator<Item = (usize, u64)> {
-        (lo / 64..hi.div_ceil(64)).map(move |w| {
-            let (from, to) = (lo.max(w * 64) - w * 64, hi.min(w * 64 + 64) - w * 64);
-            let width = to - from;
-            (w, if width == 64 { u64::MAX } else { ((1u64 << width) - 1) << from })
-        })
-    }
-
-    /// Let `fill` store values in the `n` consecutive slots from `lo`,
-    /// front to back, and return what it returns. Refused, with `fill` not
-    /// run and nothing stored, when the run leaves the vector or touches a
-    /// slot that already holds a value.
-    fn fill_run<R>(
+    /// Let `fill` store values in the slots of layout `at`, front to back
+    /// in layout order, and return what it returns. Refused, with `fill`
+    /// not run and nothing stored, when the layout is malformed, leaves the
+    /// vector or touches a slot that already holds a value.
+    fn fill<R>(
         &mut self,
-        lo: usize,
-        n: usize,
+        at: Layout,
         fill: impl FnOnce(&mut ElemSink<'_, T>) -> R,
     ) -> Result<R, ()> {
-        let hi = lo.checked_add(n).filter(|&hi| hi <= self.buf.len()).ok_or(())?;
-        if Self::words(lo, hi).any(|(w, mask)| self.set[w] & mask != 0) {
+        let span = at.span().filter(|span| span.end <= self.buf.len()).ok_or(())?;
+        let mut taken = 0;
+        at.for_words(at.block * at.count, |w, mask| taken |= self.set[w] & mask);
+        if taken != 0 {
             return Err(());
         }
-        let mut sink = ElemSink::new(&mut self.buf[lo..hi]);
+        let mut sink = ElemSink::strided(&mut self.buf[span], at.block, at.stride);
         let out = fill(&mut sink);
         // Bits follow the writes, and only as far as the sink says they
         // really went: a set bit always means an initialised slot.
-        let end = lo + sink.filled();
-        for (w, mask) in Self::words(lo, end) {
-            self.set[w] |= mask;
-        }
-        self.filled += end - lo;
+        let filled = sink.filled();
+        let set = &mut self.set;
+        at.for_words(filled, |w, mask| set[w] |= mask);
+        self.filled += filled;
         Ok(out)
     }
 
@@ -442,9 +530,10 @@ impl<T> Slots<T> {
             return Err(word * 64 + self.set[word].trailing_ones() as usize);
         }
         let mut buf = ManuallyDrop::new(std::mem::take(&mut self.buf));
-        // SAFETY: `fill_run` sets (and counts) exactly the previously clear
-        // bits of the slots its sink initialised, so `filled == len` means
-        // all `len` slots are initialised. `MaybeUninit<T>` has the layout of
+        // SAFETY: `fill` sets (and counts) exactly the previously clear
+        // bits of the slots its sink initialised (the sink's first `filled`
+        // slots in layout order, which are the slots `Layout::for_words`
+        // marks), so `filled == len` means all `len` slots are initialised. `MaybeUninit<T>` has the layout of
         // `T`, and the allocation is handed over whole (the `ManuallyDrop`
         // keeps the old handle from freeing it).
         Ok(unsafe { Vec::from_raw_parts(buf.as_mut_ptr().cast::<T>(), buf.len(), buf.capacity()) })
@@ -458,18 +547,13 @@ impl<T> Drop for Slots<T> {
         }
         for (i, slot) in self.buf.iter_mut().enumerate() {
             if self.set[i / 64] & (1 << (i % 64)) != 0 {
-                // SAFETY: the bit is set only after `fill_run` saw the slot
+                // SAFETY: the bit is set only after `fill` saw the slot
                 // initialised, and nothing reads the slot after this drop.
                 unsafe { slot.assume_init_drop() };
             }
         }
     }
 }
-
-/// Blocks at least this long are decoded by the bulk
-/// [`CdrCodec::decode_elems_into`] hook, straight into their slots (one
-/// `memcpy` for native-order doubles); shorter ones element by element.
-const BULK_DECODE_MIN: u64 = 16;
 
 /// The one scatter helper behind `ServerRequest::dseq`, the client's
 /// out-argument assembly, `DSequence::gather` and `redistribute`: decodes
@@ -491,8 +575,8 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
         Assembler { len, dist, n, t, slots }
     }
 
-    fn locate(&self, set: &Strided) -> OrbResult<(u64, u64)> {
-        set.localize(self.len, self.dist, self.n, self.t).ok_or_else(|| {
+    fn locate(&self, set: &Strided) -> OrbResult<Layout> {
+        set.layout(self.len, self.dist, self.n, self.t).ok_or_else(|| {
             OrbError::Protocol(format!(
                 "elements {}..{} do not belong to thread {}",
                 set.start,
@@ -502,37 +586,27 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
         })
     }
 
-    /// [`Slots::fill_run`] over local elements `lo..lo + n`, a refusal
-    /// reported as the protocol error it is.
-    fn fill_run(
+    /// [`Slots::fill`] over the local slots of `set`, a refusal reported as
+    /// the protocol error it is.
+    fn fill(
         &mut self,
-        lo: u64,
-        n: u64,
+        set: &Strided,
         fill: impl FnOnce(&mut ElemSink<'_, T>) -> OrbResult<()>,
     ) -> OrbResult<()> {
-        self.slots.fill_run(lo as usize, n as usize, fill).unwrap_or_else(|()| {
-            Err(OrbError::Protocol(format!("local elements {lo}..{} delivered twice", lo + n)))
+        let at = self.locate(set)?;
+        self.slots.fill(at, fill).unwrap_or_else(|()| {
+            Err(OrbError::Protocol(format!(
+                "local elements of {set:?} (from {}) delivered twice",
+                at.lo
+            )))
         })
     }
 
-    /// Decode the elements of `set`, in order, from `d` into their slots.
+    /// Decode the elements of `set`, in order, from `d` into their slots:
+    /// one bulk [`CdrCodec::decode_elems_into`] call whatever the set's
+    /// shape (for doubles, one loop over the local blocks).
     pub(crate) fn decode(&mut self, set: &Strided, d: &mut Decoder) -> OrbResult<()> {
-        let (mut lo, lstride) = self.locate(set)?;
-        for _ in 0..set.count {
-            if set.block >= BULK_DECODE_MIN {
-                self.fill_run(lo, set.block, |slots| Ok(T::decode_elems_into(d, slots)?))?;
-            } else {
-                for k in 0..set.block {
-                    let v = T::decode(d)?;
-                    self.fill_run(lo + k, 1, |slot| {
-                        slot.push(v);
-                        Ok(())
-                    })?;
-                }
-            }
-            lo += lstride;
-        }
-        Ok(())
+        self.fill(set, |sink| Ok(T::decode_elems_into(d, sink)?))
     }
 
     /// Clone the elements of `set` out of `local`, the storage of the same
@@ -541,21 +615,18 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
     where
         T: Clone,
     {
-        let (mut lo, lstride) = self.locate(set)?;
-        let (mut src, src_stride) = set
-            .localize(self.len, from, self.n, self.t)
+        let (src, span) = set
+            .layout(self.len, from, self.n, self.t)
+            .and_then(|src| Some((src, src.span()?)))
             .ok_or_else(|| OrbError::Protocol("local share not owned at its source".into()))?;
-        for _ in 0..set.count {
-            self.fill_run(lo, set.block, |slots| {
-                for v in &local[src as usize..(src + set.block) as usize] {
-                    slots.push(v.clone());
+        self.fill(set, |sink| {
+            for blk in local[span].chunks(src.stride) {
+                for v in &blk[..src.block] {
+                    sink.push(v.clone());
                 }
-                Ok(())
-            })?;
-            lo += lstride;
-            src += src_stride;
-        }
-        Ok(())
+            }
+            Ok(())
+        })
     }
 
     /// The assembled local vector; an error names the first element no

@@ -1,7 +1,8 @@
 //! The scatter helper's write-once slots: runs that straddle bitmap words,
-//! refusal of overlap and of out-of-range runs, the missing-element report,
-//! clean teardown of a half-filled vector of heap-owning elements, and
-//! bulk decoding straight into the slots.
+//! refusal of overlap and of out-of-range runs before anything is read,
+//! the missing-element report, clean teardown of a half-filled vector of
+//! heap-owning elements, and every set — contiguous or strided, any block
+//! length — decoded in one bulk call straight into its slots.
 
 use crate::dist::Distribution;
 use crate::error::OrbError;
@@ -23,8 +24,8 @@ fn words(indices: impl Iterator<Item = u64>) -> Vec<String> {
 #[test]
 fn runs_across_word_boundaries_assemble_in_place() {
     // 200 slots = 3 full bitmap words and a partial one. Evens arrive as
-    // one strided set decoded element by element, odds are cloned in one at
-    // a time, so every word is filled through single-bit masks.
+    // one strided set of one-slot blocks in one decode call, odds are cloned
+    // in one at a time, so every word is filled through single-bit masks.
     let len = 200u64;
     let all = words(0..len);
     let mut asm = Assembler::<String>::new(len, &WHOLE, 1, 0);
@@ -59,13 +60,22 @@ fn overlap_out_of_range_and_gaps_are_typed_errors() {
         ("overlap at the back", Strided::run(69, 4)),
         ("overlap inside, bulk", Strided::run(20, 30)),
         ("overlap across a word", Strided { start: 60, stride: 8, block: 1, count: 3 }),
+        // Free slots first, then one taken: nothing is read or stored.
+        ("strided, last slot taken", Strided { start: 1, stride: 9, block: 1, count: 2 }),
+        ("strided blocks, last taken", Strided { start: 0, stride: 10, block: 5, count: 2 }),
     ] {
         let n = set.total() as usize;
-        let err = asm.decode(&set, &mut payload(&all[..n])).unwrap_err();
+        let mut d = payload(&all[..n]);
+        let err = asm.decode(&set, &mut d).unwrap_err();
         assert!(matches!(err, OrbError::Protocol(_)), "{what}: {err:?}");
+        assert_eq!(d.position(), 0, "{what} was read");
     }
     let err = asm.decode(&Strided::run(90, 20), &mut payload(&all[..20])).unwrap_err();
     assert!(matches!(err, OrbError::Protocol(_)), "past the end: {err:?}");
+    // The refused deliveries stored nothing: the free slots are still free.
+    asm.decode(&Strided::run(0, 10), &mut payload(&all[..10])).unwrap();
+    asm.decode(&Strided::run(70, 30), &mut payload(&all[70..])).unwrap();
+    assert_eq!(asm.finish().unwrap(), all);
     // The report names the first slot nothing covered.
     let mut asm = Assembler::<String>::new(100, &WHOLE, 1, 0);
     asm.decode(&Strided::run(0, 70), &mut payload(&all[..70])).unwrap();
@@ -123,8 +133,8 @@ impl CdrCodec for Counted {
 
 #[test]
 fn bulk_decode_into_place_keeps_exactly_what_it_decoded() {
-    // A 40-element run (the bulk hook's side of `BULK_DECODE_MIN`) whose
-    // payload ends after 25: a typed error, and the 25 stay in their slots.
+    // A 40-element run, decoded by one bulk hook call, whose payload ends
+    // after 25: a typed error, and the 25 stay in their slots.
     let all = words(0..40);
     let mut asm = Assembler::<Counted>::new(40, &WHOLE, 1, 0);
     let err = asm.decode(&Strided::run(0, 40), &mut payload(&all[..25]));
@@ -152,6 +162,35 @@ fn bulk_decode_into_place_keeps_exactly_what_it_decoded() {
     assert!(asm.decode(&Strided::run(0, 40), &mut payload(&all[..25])).is_err());
     drop(asm);
     assert_eq!((MADE.get(), DROPPED.get()), (65, 65));
+
+    // A strided set — one slot per block, or blocks of 5 — whose payload
+    // runs dry inside a block keeps exactly the elements it decoded, each
+    // in its strided slot: every other slot still takes an element, every
+    // decoded one refuses a second without reading it.
+    for block in [1u64, 5] {
+        let set = Strided { start: 0, stride: 3 * block, block, count: 8 };
+        let len = set.end();
+        let all = words(0..len);
+        let mine: Vec<u64> = set.runs().flat_map(|r| r.start..r.start + r.count).collect();
+        let decoded = mine.len() - 3;
+        let sent: Vec<String> = mine[..decoded].iter().map(|&i| all[i as usize].clone()).collect();
+        let (made, dropped) = (MADE.get(), DROPPED.get());
+        let mut asm = Assembler::<Counted>::new(len, &WHOLE, 1, 0);
+        let err = asm.decode(&set, &mut payload(&sent));
+        assert!(matches!(err, Err(OrbError::Marshal(_))), "block {block}: {err:?}");
+        assert_eq!((MADE.get() - made, DROPPED.get() - dropped), (decoded, 0), "block {block}");
+        for i in 0..len {
+            let mut d = payload(&all[i as usize..=i as usize]);
+            let taken = mine[..decoded].contains(&i);
+            assert_eq!(asm.decode(&Strided::run(i, 1), &mut d).is_err(), taken, "slot {i}");
+            assert_eq!(d.position() == 0, taken, "block {block}, slot {i}");
+        }
+        let done = asm.finish().unwrap();
+        assert_eq!(done.iter().map(|c| c.0.clone()).collect::<Vec<_>>(), all, "block {block}");
+        assert_eq!((MADE.get() - made, DROPPED.get() - dropped), (len as usize, 0));
+        drop(done);
+        assert_eq!(DROPPED.get() - dropped, len as usize);
+    }
 }
 
 #[test]
@@ -161,21 +200,36 @@ fn foreign_order_doubles_decode_in_bulk_as_they_do_one_by_one() {
         ByteOrder::Little => ByteOrder::Big,
     };
     let values: Vec<f64> = (0..64).map(|i| (i as f64 - 20.5).exp()).collect();
-    for order in [foreign, ByteOrder::native()] {
+    let sets = [
+        Strided::run(0, 64),
+        Strided { start: 1, stride: 3, block: 1, count: 21 },
+        Strided { start: 2, stride: 7, block: 4, count: 9 },
+    ];
+    for (order, set) in
+        [foreign, ByteOrder::native()].into_iter().flat_map(|o| sets.map(|s| (o, s)))
+    {
+        let mine: Vec<usize> =
+            set.runs().flat_map(|r| r.start as usize..(r.start + r.count) as usize).collect();
         // A leading octet leaves the doubles unaligned in the buffer.
         let mut e = Encoder::new(order);
         e.write_u8(1);
-        f64::encode_elems(&values, &mut e);
+        for &i in &mine {
+            values[i].encode(&mut e);
+        }
         let wire = e.finish();
         let mut one_by_one = Decoder::new(wire.clone(), order);
         one_by_one.read_u8().unwrap();
-        let want: Vec<f64> = (0..64).map(|_| f64::decode(&mut one_by_one).unwrap()).collect();
-        assert_eq!(want, values);
+        let want: Vec<f64> = mine.iter().map(|_| f64::decode(&mut one_by_one).unwrap()).collect();
+        assert_eq!(want, mine.iter().map(|&i| values[i]).collect::<Vec<_>>());
         let mut d = Decoder::new(wire, order);
         d.read_u8().unwrap();
         let mut asm = Assembler::<f64>::new(64, &WHOLE, 1, 0);
-        asm.decode(&Strided::run(0, 64), &mut d).unwrap();
+        asm.decode(&set, &mut d).unwrap();
         assert_eq!(d.remaining(), 0);
-        assert_eq!(asm.finish().unwrap(), want, "{order:?}");
+        // The slots between the blocks are still free, and take the rest.
+        for i in (0..64).filter(|i| !mine.contains(i)) {
+            asm.copy(&Strided::run(i as u64, 1), &values, &WHOLE).unwrap();
+        }
+        assert_eq!(asm.finish().unwrap(), values, "{order:?} {set:?}");
     }
 }

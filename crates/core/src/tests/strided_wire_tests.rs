@@ -606,6 +606,21 @@ mod in_place {
                 let mut payload = Encoder::new(ByteOrder::native());
                 ds.pack_into(&sets, &mut payload);
                 let payload = payload.finish();
+                // The packed payload is the plan's elements encoded one by
+                // one, global index by global index.
+                let mut oracle = Encoder::new(ByteOrder::native());
+                for r in sets.iter().flat_map(Strided::runs) {
+                    for i in r.start..r.start + r.count {
+                        full[i as usize].encode(&mut oracle);
+                    }
+                }
+                prop_assert_eq!(
+                    &payload[..],
+                    &oracle.finish()[..],
+                    "thread {} -> {}",
+                    s,
+                    f.dst_thread
+                );
                 let contiguous = sets.len() == 1 && sets[0].count == 1;
                 let template = (!contiguous).then_some((src.0, src.1 as u32));
                 let want = frame_fragment(&f, template, payload.len(), None, ack_lag, |e| {
@@ -630,8 +645,9 @@ mod in_place {
             dst_n in 1usize..5,
             src_kind in 0u8..4,
             dst_kind in 0u8..4,
-            src_b in 1u64..7,
-            dst_b in 1u64..7,
+            // Block-cyclic blocks from one element to 39, short and long.
+            src_b in 1u64..40,
+            dst_b in 1u64..40,
             cuts in proptest::collection::vec(any::<u64>(), 8),
             traced in any::<bool>(),
             lag in any::<u16>(),
