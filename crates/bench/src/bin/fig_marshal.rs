@@ -5,8 +5,7 @@
 //! `results/BENCH_marshal.json`:
 //!
 //! * large-sequence CDR marshal/unmarshal throughput (`Vec<f64>`),
-//! * fragment frame encode/decode throughput (the POA funneling unit),
-//! * funneled fan-out: unframe + decode a thread-0 gather of N fragments,
+//! * fragment frame encode/decode throughput (the ORB's bulk-data unit),
 //! * redistribution latency across distribution-template pairs.
 //!
 //! ```text
@@ -20,14 +19,13 @@
 //! ```
 
 use pardis::cdr::{ByteOrder, CdrCodec, Encoder};
-use pardis::core::protocol::{frame_list, unframe_list, ArgDir, FragmentMsg, Message};
+use pardis::core::protocol::{ArgDir, FragmentMsg, Message};
 use pardis::core::{BindingId, DSequence, Distribution};
 use pardis::rts::{MpiRts, Rts, World};
 use pardis_bench::util::{env_usize, quick, row, BenchJson};
 use std::time::Instant;
 
 const THREADS: usize = 4;
-const FANOUT: usize = 8;
 
 /// Best-of-`reps` wall time of `f`, in seconds (one untimed warmup call).
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -101,7 +99,6 @@ fn measure() -> Measured {
     let mut dec = Vec::new();
     let mut frag_enc = Vec::new();
     let mut frag_dec = Vec::new();
-    let mut fanout = Vec::new();
     let mut r_b2c = Vec::new();
     let mut r_b2k = Vec::new();
     let mut r_c2b = Vec::new();
@@ -145,25 +142,6 @@ fn measure() -> Measured {
                 }),
         );
 
-        // Funneled fan-out: thread 0 receives one gathered buffer holding a
-        // fragment per destination thread and must unframe + decode each to
-        // route it onward.
-        let chunk: Vec<f64> = values[..n / FANOUT].to_vec();
-        let chunk_payload = pardis::cdr::to_bytes(&chunk).to_vec();
-        let frames: Vec<_> =
-            (0..FANOUT).map(|_| fragment((n / FANOUT) as u64, &chunk_payload).encode()).collect();
-        let gathered = frame_list(&frames);
-        fanout.push(
-            mb(n)
-                / best_of(reps, || {
-                    for sub in unframe_list(&gathered).expect("frame list") {
-                        match Message::decode(&sub).expect("fragment") {
-                            Message::Fragment(f) => sink ^= f.data.len(),
-                            other => panic!("unexpected {other:?}"),
-                        }
-                    }
-                }),
-        );
         assert_ne!(sink, usize::MAX, "keep the measured work observable");
 
         // Redistribution latency across template pairs.
@@ -180,7 +158,6 @@ fn measure() -> Measured {
             ("seq_decode_mb_s", dec),
             ("frag_encode_mb_s", frag_enc),
             ("frag_decode_mb_s", frag_dec),
-            ("fanout_decode_mb_s", fanout),
             ("redist_block_cyclic_ms", r_b2c),
             ("redist_block_conc_ms", r_b2k),
             ("redist_cyclic_block_ms", r_c2b),
@@ -198,7 +175,6 @@ fn main() {
 
     let mut json = BenchJson::new("marshal", "Marshaling & transfer performance");
     json.param_usize("threads", THREADS);
-    json.param_usize("fanout", FANOUT);
     json.columns(&m.columns);
     for (name, vals) in &m.series {
         json.series(name, vals);

@@ -78,10 +78,8 @@ fn orb_tags_pass_the_tag_check() {
     let chk = Checker::new(2);
     checked_world(2, &chk, |rts| {
         if rts.rank() == 0 {
-            rts.send(1, tags::ORB_FORWARD, b("orb"));
             rts.send(1, tags::ORB_REDIST, b("orb"));
         } else {
-            rts.recv(Some(0), tags::ORB_FORWARD);
             rts.recv(Some(0), tags::ORB_REDIST);
         }
     });

@@ -14,13 +14,12 @@ use crate::dseq::DSequence;
 use crate::error::{OrbError, OrbResult};
 use crate::object::{BindingId, ClientId, DistPolicy, EndpointId, ObjectKind, ObjectRef};
 use crate::orb::{Envelope, Orb, OrbConfig, TransferStrategy};
-use crate::poa::FORWARD_TAG;
 use crate::protocol::{
-    batch_depth_allowed, frame_list, refuse_frame, unframe_list, ArgDir, DArgDesc, FragmentMsg,
-    Message, ReplyMsg, ReplyStatus, RequestMsg, SrcTemplate,
+    batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg,
+    ReplyStatus, RequestMsg, SrcTemplate,
 };
 use crate::servant::{ServantCtx, ServerRequest};
-use crate::strided::{assemble, cut_fragments, Pack, Piece};
+use crate::strided::{assemble, cut_fragments, wire_template, Pack, Piece};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
@@ -292,12 +291,6 @@ impl PumpCore {
             self.ingest_wire(&env.wire, 0);
             progressed = true;
         }
-        if let Some(rts) = &self.rts {
-            while let Some(msg) = rts.try_recv(None, FORWARD_TAG) {
-                self.ingest_wire(&msg.data, 0);
-                progressed = true;
-            }
-        }
         if !progressed {
             if let Some(timeout) = wait {
                 if let Ok(env) = self.rx.recv_timeout(timeout) {
@@ -327,37 +320,14 @@ impl PumpCore {
             }
             return;
         }
-        // Funneled forwarding at the client edge: thread 0 relays frames
-        // destined for siblings over the run-time system.
-        match &msg {
-            Message::Fragment(f) | Message::Strided(f, _)
-                if f.dst_thread as usize != self.thread =>
-            {
-                match &self.rts {
-                    Some(rts) if (f.dst_thread as usize) < self.nthreads => {
-                        rts.send(f.dst_thread as usize, FORWARD_TAG, wire.clone())
-                    }
-                    _ => refuse_frame(),
-                }
+        // A fragment for another thread is a frame no sender builds. This
+        // thread is thread 0 of the invocations of its own bindings.
+        if let Message::Fragment(f) | Message::Strided(f, _) = &msg {
+            let me = if f.binding.0 & SINGLE_BINDING != 0 { 0 } else { self.thread };
+            if f.dst_thread as usize != me {
+                refuse_frame();
                 return;
             }
-            Message::Reply(r) => {
-                let key = (r.binding, r.req_id);
-                let fan_out = {
-                    let s = self.router.shard(key).lock();
-                    s.router
-                        .get(&key)
-                        .map(|st| st.funneled && st.client_threads > 1 && self.thread == 0)
-                        .unwrap_or(false)
-                };
-                if fan_out {
-                    let rts = self.rts.as_ref().expect("parallel client has an RTS");
-                    for t in 1..self.nthreads {
-                        rts.send(t, FORWARD_TAG, wire.clone());
-                    }
-                }
-            }
-            _ => {}
         }
         self.route(msg);
     }
@@ -418,14 +388,15 @@ impl PumpCore {
 /// Client-side record of one in-flight invocation; the rendezvous point
 /// between the pump and the futures.
 pub(crate) struct InvocationState {
-    pub(crate) funneled: bool,
-    pub(crate) client_threads: usize,
-    pub(crate) thread: usize,
+    client_threads: usize,
+    thread: usize,
     key: (BindingId, u64),
     #[cfg(test)]
     server: crate::object::ServerId,
     out_wire_idx: Vec<u32>,
-    out_dists: Vec<Distribution>,
+    /// Per distributed out-argument: the distribution it crosses the wire
+    /// in, and the one the caller expects it in.
+    out_dists: Vec<(Distribution, Distribution)>,
     inner: AuditMutex<InvInner>,
     /// Frames this thread must re-send to nudge the server if the reply
     /// does not arrive: the request control plus this thread's fragments,
@@ -513,7 +484,7 @@ impl InvocationState {
         for (ordinal, wire_idx) in self.out_wire_idx.iter().enumerate() {
             let Some(len) = reply.dout_lens.get(ordinal) else { return false };
             let expected =
-                self.out_dists[ordinal].local_len(*len, self.client_threads, self.thread);
+                self.out_dists[ordinal].0.local_len(*len, self.client_threads, self.thread);
             let arrived: u64 =
                 inner.frags.get(wire_idx).map(|fs| fs.iter().map(|p| p.count).sum()).unwrap_or(0);
             if arrived < expected {
@@ -561,23 +532,35 @@ impl InvocationState {
         Ok(Any::decode_value(tc, &mut d)?)
     }
 
-    pub(crate) fn dseq<T: CdrCodec + Clone>(&self, ordinal: usize) -> OrbResult<DSequence<T>> {
+    /// Distributed out-argument `ordinal` in the expected distribution.
+    /// Collective over `rts` when it crossed the wire in another one.
+    pub(crate) fn dseq<T: CdrCodec + Clone>(
+        &self,
+        ordinal: usize,
+        rts: Option<&dyn Rts>,
+    ) -> OrbResult<DSequence<T>> {
         self.check_status()?;
-        let inner = self.inner.lock();
-        let reply = inner.reply.as_ref().expect("checked");
         let wire_idx = *self
             .out_wire_idx
             .get(ordinal)
             .ok_or_else(|| OrbError::Protocol(format!("no distributed out-arg {ordinal}")))?;
-        let len = *reply
-            .dout_lens
-            .get(ordinal)
-            .ok_or_else(|| OrbError::Protocol("reply missing dout length".into()))?;
-        let dist = self.out_dists[ordinal].clone();
-        let (n, t) = (self.client_threads, self.thread);
-        let pieces = inner.frags.get(&wire_idx).map(Vec::as_slice).unwrap_or_default();
-        let local = assemble(len, &dist, n, t, pieces)?;
-        Ok(DSequence::from_local(local, len, dist, n, t))
+        let (wire_dist, expected) = &self.out_dists[ordinal];
+        let mut ds = {
+            let inner = self.inner.lock();
+            let reply = inner.reply.as_ref().expect("checked");
+            let len = *reply
+                .dout_lens
+                .get(ordinal)
+                .ok_or_else(|| OrbError::Protocol("reply missing dout length".into()))?;
+            let (n, t) = (self.client_threads, self.thread);
+            let pieces = inner.frags.get(&wire_idx).map(Vec::as_slice).unwrap_or_default();
+            let local = assemble(len, wire_dist, n, t, pieces)?;
+            DSequence::from_local(local, len, wire_dist.clone(), n, t)
+        };
+        if wire_dist != expected {
+            ds.redistribute(rts.expect("parallel client has an RTS"), expected.clone());
+        }
+        Ok(ds)
     }
 }
 
@@ -637,7 +620,7 @@ impl ClientThread {
     pub fn spmd_bind_object(&self, obj: &ObjectRef) -> OrbResult<Proxy> {
         let obj = obj.clone();
         let policy = self.core.orb.dist_policy(obj.key)?;
-        let seq = self.spmd_bind_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = binding_seq(&self.spmd_bind_seq, SINGLE_BINDING)?;
         let binding = BindingId((self.core.client.0 << 24) | seq);
         Ok(Proxy {
             core: self.core.clone(),
@@ -671,9 +654,12 @@ impl ClientThread {
     pub fn bind_object(&self, obj: &ObjectRef) -> OrbResult<Proxy> {
         let obj = obj.clone();
         let policy = self.core.orb.dist_policy(obj.key)?;
-        let seq = self.single_bind_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = binding_seq(&self.single_bind_seq, 1 << 16)?;
         let binding = BindingId(
-            (self.core.client.0 << 24) | (1 << 23) | ((self.core.thread as u64 & 0x7f) << 16) | seq,
+            (self.core.client.0 << 24)
+                | SINGLE_BINDING
+                | ((self.core.thread as u64 & 0x7f) << 16)
+                | seq,
         );
         Ok(Proxy {
             core: self.core.clone(),
@@ -684,6 +670,21 @@ impl ClientThread {
             launches: Launches::new(),
         })
     }
+}
+
+/// The bit that marks a binding as one thread's own ([`ClientThread::bind`])
+/// rather than the whole group's.
+const SINGLE_BINDING: u64 = 1 << 23;
+
+/// The next binding sequence number from `counter`, which must stay below
+/// `limit`, the lowest bit of the binding-id field above it: past that it
+/// would read as another thread's or kind's binding.
+pub(crate) fn binding_seq(counter: &AtomicU64, limit: u64) -> OrbResult<u64> {
+    let seq = counter.fetch_add(1, Ordering::Relaxed);
+    if seq >= limit {
+        return Err(OrbError::Protocol(format!("binding ids used up: {limit} bindings made")));
+    }
+    Ok(seq)
 }
 
 /// A bound object proxy. Generated typed proxies wrap this; it can also be
@@ -766,6 +767,15 @@ impl Proxy {
     pub fn call(&self, op: &str) -> CallBuilder<'_> {
         CallBuilder { proxy: self, op: op.to_string(), ins: Vec::new(), dargs: Vec::new() }
     }
+
+    /// Do this proxy's calls take the funneled path under `cfg`? Only SPMD
+    /// objects with more than one thread on some side do.
+    fn funneled(&self, cfg: &OrbConfig) -> bool {
+        let cthreads = if self.collective { self.core.nthreads } else { 1 };
+        cfg.transfer_strategy == TransferStrategy::Funneled
+            && self.obj.kind == ObjectKind::Spmd
+            && (cthreads > 1 || self.obj.nthreads > 1)
+    }
 }
 
 enum DArgEntry {
@@ -842,7 +852,7 @@ impl<'p> CallBuilder<'p> {
         core.unregister(key);
         result?;
         state.check_status()?;
-        Ok(ReplyData { state })
+        Ok(ReplyData { state, rts: core.rts.clone() })
     }
 
     /// Non-blocking invocation: returns immediately after the request has
@@ -855,8 +865,19 @@ impl<'p> CallBuilder<'p> {
 
     /// Oneway invocation: no reply at all (§4.3 discusses the cost of
     /// non-blocking invocations *not* being oneway).
+    ///
+    /// Under the funneled strategy the call still returns no results, but
+    /// it waits for the server's reply like [`CallBuilder::invoke`]: every
+    /// server thread runs a funneled call collectively, so its control must
+    /// reach each of them, and only the reply says it has.
     pub fn invoke_oneway(self) -> OrbResult<()> {
-        let (_state, _key) = self.launch(true)?;
+        let funneled = self.proxy.funneled(&self.proxy.core.orb.config());
+        let ((state, core), key) = self.launch(!funneled)?;
+        if funneled {
+            let result = wait_complete(&core, &state, core.orb.config().timeout);
+            core.unregister(key);
+            result?;
+        }
         Ok(())
     }
 
@@ -864,7 +885,7 @@ impl<'p> CallBuilder<'p> {
     /// router key.
     #[allow(clippy::type_complexity)]
     fn launch(
-        self,
+        mut self,
         oneway: bool,
     ) -> OrbResult<((Arc<InvocationState>, Arc<PumpCore>), (BindingId, u64))> {
         let proxy = self.proxy;
@@ -886,9 +907,7 @@ impl<'p> CallBuilder<'p> {
             (1usize, 0usize, vec![core.reply_eps[core.thread]])
         };
 
-        let funneled = cfg.transfer_strategy == TransferStrategy::Funneled
-            && proxy.obj.kind == ObjectKind::Spmd
-            && (cthreads > 1 || proxy.obj.nthreads > 1);
+        let funneled = proxy.funneled(&cfg);
 
         // Sequencing identity: which client entity this request belongs to,
         // and its position in that entity's invocation order.
@@ -901,14 +920,22 @@ impl<'p> CallBuilder<'p> {
             )
         };
 
-        // Wire descriptors.
+        // Wire descriptors. Under the funneled strategy every distributed
+        // argument crosses the wire in `Concentrated(0)`: a parallel client
+        // redistributes its in-arguments there now (collective, as the call
+        // is), and its out-arguments from there on assembly.
         let mut descs = Vec::with_capacity(self.dargs.len());
         let mut out_wire_idx = Vec::new();
         let mut out_dists = Vec::new();
-        for (i, entry) in self.dargs.iter().enumerate() {
+        for (i, entry) in self.dargs.iter_mut().enumerate() {
             match entry {
-                DArgEntry::In { len, client_dist, .. } => {
+                DArgEntry::In { len, client_dist, share } => {
                     client_dist.validate(*len, cthreads).map_err(OrbError::Protocol)?;
+                    let wire_dist = wire_template(funneled, cthreads, client_dist);
+                    if wire_dist != *client_dist {
+                        *share = share.concentrate(core.rts.as_deref().expect("parallel client"));
+                        *client_dist = wire_dist;
+                    }
                     descs.push(DArgDesc {
                         dir: ArgDir::In,
                         len: *len,
@@ -916,13 +943,14 @@ impl<'p> CallBuilder<'p> {
                     });
                 }
                 DArgEntry::Out { expected_dist } => {
+                    let wire_dist = wire_template(funneled, cthreads, expected_dist);
                     out_wire_idx.push(i as u32);
-                    out_dists.push(expected_dist.clone());
                     descs.push(DArgDesc {
                         dir: ArgDir::Out,
                         len: 0,
-                        client_dist: expected_dist.clone(),
+                        client_dist: wire_dist.clone(),
                     });
+                    out_dists.push((wire_dist, expected_dist.clone()));
                 }
             }
         }
@@ -944,7 +972,6 @@ impl<'p> CallBuilder<'p> {
         // many threads share the proxy.
         let (state, ack_lag) = proxy.launches.lock().launch(!oneway, |req_id| {
             Arc::new(InvocationState {
-                funneled,
                 client_threads: cthreads,
                 thread: cthread,
                 key: (proxy.binding, req_id),
@@ -1039,7 +1066,7 @@ impl<'p> CallBuilder<'p> {
         let endpoints = core.orb.server_endpoints(proxy.obj.server)?;
 
         // Marshal-and-send phase of the invoke span: control encode, fragment
-        // cutting, wire sends (and the funneled gather when in play).
+        // cutting, wire sends.
         let _marshal_span = trace_on.then(|| {
             pardis_obs::Span::open(
                 "client",
@@ -1069,7 +1096,6 @@ impl<'p> CallBuilder<'p> {
         .encode();
         let control_eps: &[EndpointId] = match proxy.obj.kind {
             ObjectKind::Single { thread } => &endpoints[thread..=thread],
-            ObjectKind::Spmd if funneled => &endpoints[..1],
             ObjectKind::Spmd => &endpoints,
         };
         let lead = !proxy.collective || core.thread == 0;
@@ -1081,8 +1107,8 @@ impl<'p> CallBuilder<'p> {
                 vec![("endpoints", control_eps.len().into()), ("bytes", control_wire.len().into())],
             );
         }
-        // On the parallel strategy the lead's control to each server thread
-        // rides in the first in-fragment frame it owes that thread
+        // The lead's control to each server thread rides in the first
+        // in-fragment frame it owes that thread
         // (`riders`, indexed by server thread: only SPMD objects take
         // distributed arguments, and their controls go to every thread; a
         // call without in-arguments has nothing to ride in).
@@ -1090,8 +1116,7 @@ impl<'p> CallBuilder<'p> {
         // part of its merged frames: a retransmitted control from any thread
         // nudges the server, which deduplicates by (binding, req_id) and
         // re-sends the cached reply.
-        let merge =
-            lead && !funneled && self.dargs.iter().any(|d| matches!(d, DArgEntry::In { .. }));
+        let merge = lead && self.dargs.iter().any(|d| matches!(d, DArgEntry::In { .. }));
         let mut riders: Vec<Option<Bytes>> = Vec::new();
         let mut replay: Vec<(EndpointId, Bytes)> = Vec::new();
         if merge {
@@ -1109,10 +1134,10 @@ impl<'p> CallBuilder<'p> {
 
         // Distributed in-argument fragments: one frame per server thread
         // this thread owes elements to.
-        let mut my_frames: Vec<Bytes> = Vec::new();
         for (i, entry) in self.dargs.iter().enumerate() {
             let DArgEntry::In { len, client_dist, share } = entry else { continue };
-            let server_dist = proxy.policy.get(&self.op, i as u32);
+            let policy_dist = proxy.policy.get(&self.op, i as u32);
+            let server_dist = wire_template(funneled, proxy.obj.nthreads, &policy_dist);
             let head =
                 FragmentMsg::head(req_id, proxy.binding, i as u32, ArgDir::In, cthread as u32);
             let (src, dst) = ((client_dist, cthreads), (&server_dist, proxy.obj.nthreads));
@@ -1130,14 +1155,10 @@ impl<'p> CallBuilder<'p> {
                         ],
                     );
                 }
-                if funneled {
-                    my_frames.push(wire);
-                } else {
-                    let to = endpoints[f.dst_thread as usize];
-                    core.orb.send_wire(core.host, to, wire.clone())?;
-                    if !oneway {
-                        replay.push((to, wire));
-                    }
+                let to = endpoints[f.dst_thread as usize];
+                core.orb.send_wire(core.host, to, wire.clone())?;
+                if !oneway {
+                    replay.push((to, wire));
                 }
                 Ok(())
             })?;
@@ -1149,33 +1170,6 @@ impl<'p> CallBuilder<'p> {
                 core.orb.send_wire(core.host, *ep, wire.clone())?;
                 if !oneway {
                     replay.push((*ep, wire));
-                }
-            }
-        }
-        if funneled {
-            if proxy.collective && cthreads > 1 {
-                // Funnel all threads' fragments through thread 0's wire
-                // connection, gathered over the run-time system. Thread 0
-                // keeps the gathered frames for replay — a retransmission
-                // must not re-run the gather.
-                let rts = core.rts.as_ref().expect("parallel client has an RTS");
-                let gathered = rts.gather(0, frame_list(&my_frames));
-                if let Some(lists) = gathered {
-                    for list in lists {
-                        for frame in unframe_list(&list).expect("self-framed list") {
-                            core.orb.send_wire(core.host, endpoints[0], frame.clone())?;
-                            if !oneway {
-                                replay.push((endpoints[0], frame));
-                            }
-                        }
-                    }
-                }
-            } else {
-                for frame in my_frames {
-                    core.orb.send_wire(core.host, endpoints[0], frame.clone())?;
-                    if !oneway {
-                        replay.push((endpoints[0], frame));
-                    }
                 }
             }
         }
@@ -1383,7 +1377,7 @@ impl InvocationHandle {
         wait_complete(&self.core, &self.state, timeout)?;
         self.core.unregister(self.key);
         self.state.check_status()?;
-        Ok(ReplyData { state: self.state })
+        Ok(ReplyData { state: self.state, rts: self.core.rts.clone() })
     }
 
     /// Mint a future for scalar out slot `slot` (slot 0 is the return value
@@ -1414,6 +1408,8 @@ impl InvocationHandle {
 /// The results of a completed invocation.
 pub struct ReplyData {
     state: Arc<InvocationState>,
+    /// The client thread's RTS, for out-arguments that redistribute.
+    rts: Option<Arc<dyn Rts>>,
 }
 
 impl std::fmt::Debug for ReplyData {
@@ -1452,8 +1448,13 @@ impl ReplyData {
 
     /// Assemble distributed out-argument `ordinal` into this thread's local
     /// view.
+    ///
+    /// Under the funneled strategy a parallel client receives the argument
+    /// whole at thread 0 and this call redistributes it over the client's
+    /// RTS, so every thread of the collective call must make it, in the same
+    /// order — as launching the call already has them do.
     pub fn dseq<T: CdrCodec + Clone>(&self, ordinal: usize) -> OrbResult<DSequence<T>> {
-        self.state.dseq(ordinal)
+        self.state.dseq(ordinal, self.rts.as_deref())
     }
 }
 
@@ -1484,9 +1485,6 @@ impl ReplyData {
 /// or calling [`CommThread::stop`]. As the paper anticipates, it contends for
 /// a processor with the computing threads — that is the trade-off being
 /// studied.
-///
-/// Not supported together with the funneled transfer strategy (forwarding
-/// to sibling threads needs the computing thread's RTS endpoint).
 pub struct CommThread {
     stop: Arc<std::sync::atomic::AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,

@@ -224,8 +224,8 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     /// thread-to-thread through the run-time system. Must be called by all
     /// threads with the same `new_dist`.
     ///
-    /// Two wire strategies, same plan and identical results; the RTS and
-    /// the element type pick one, nothing else does:
+    /// Two wire strategies, same plan and identical results; the RTS, the
+    /// element type and the templates pick one, nothing else does:
     ///
     /// * **pull** — when the RTS exposes one-sided windows
     ///   ([`Rts::windows`]) and the element type has a fixed wire size,
@@ -233,20 +233,29 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     ///   destination `get`s exactly the strided byte spans its plan names —
     ///   one strided get per remote source, no rendezvous handshake and no
     ///   receive matching;
-    /// * **push** — on a purely two-sided RTS or for variable-width
-    ///   elements, the classic two-sided exchange: one packed message per
+    /// * **push** — on a purely two-sided RTS, for variable-width elements,
+    ///   or to or from a `Concentrated` template: one packed message per
     ///   destination matched by a tagged receive. FIFO per (source, tag)
     ///   channel plus a deterministic plan means no extra sequencing is
-    ///   needed even across repeated redistributions.
+    ///   needed even across repeated redistributions. A gather to one
+    ///   thread or a scatter from it has one message per peer, and only
+    ///   the receivers wait; pull would hold every thread at its two
+    ///   barriers, which cost a funneled call most of its time.
     pub fn redistribute(&mut self, rts: &dyn Rts, new_dist: Distribution) {
         assert_eq!(rts.size(), self.nthreads, "redistribute over a mismatched RTS world");
         assert_eq!(rts.rank(), self.thread, "redistribute called from the wrong thread");
         new_dist.validate(self.global_len, self.nthreads).expect("invalid target distribution");
         // All threads see identical gate inputs (the trait object's window
-        // support, T's wire size), so the branch itself is collective.
-        let windows = (self.nthreads > 1 && self.global_len > 0 && T::fixed_wire_size().is_some())
-            .then(|| rts.windows())
-            .flatten();
+        // support, T's wire size, both templates), so the branch itself is
+        // collective.
+        let one_end = |d: &Distribution| matches!(d, Distribution::Concentrated(_));
+        let windows = (self.nthreads > 1
+            && self.global_len > 0
+            && T::fixed_wire_size().is_some()
+            && !one_end(&self.dist)
+            && !one_end(&new_dist))
+        .then(|| rts.windows())
+        .flatten();
         let new_local = match windows {
             Some(w) => self.redistribute_pull(rts, w, &new_dist),
             None => self.redistribute_push(rts, &new_dist),
@@ -376,13 +385,19 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     }
 }
 
-impl<T: CdrCodec + Clone + Send + Sync> Pack for DSequence<T> {
+impl<T: CdrCodec + Clone + Send + Sync + 'static> Pack for DSequence<T> {
     fn payload_len(&self, elems: u64) -> usize {
         elems as usize * T::fixed_wire_size().unwrap_or(8)
     }
 
     fn pack_into(&self, sets: &[Strided], e: &mut Encoder) {
         DSequence::pack_into(self, sets, e);
+    }
+
+    fn concentrate(&self, rts: &dyn Rts) -> Box<dyn Pack> {
+        let mut whole = self.clone();
+        whole.redistribute(rts, Distribution::Concentrated(0));
+        Box::new(whole)
     }
 }
 

@@ -66,10 +66,12 @@ impl<T: CdrCodec + Clone> DSeqFuture<T> {
         DSeqFuture { core, state, ordinal, _marker: PhantomData }
     }
 
-    /// Assemble the local view, blocking until the future resolves.
+    /// Assemble the local view, blocking until the future resolves. Under
+    /// the funneled strategy this is collective over a parallel client's
+    /// RTS, like [`crate::ReplyData::dseq`].
     pub fn get(&self) -> OrbResult<DSequence<T>> {
         wait_complete(&self.core, &self.state, self.core.orb.config().timeout)?;
-        self.state.dseq(self.ordinal)
+        self.state.dseq(self.ordinal, self.core.rts.as_deref())
     }
 }
 

@@ -29,7 +29,9 @@ pub enum TransferStrategy {
     #[default]
     Parallel,
     /// Everything funnels through thread 0 on both sides — models an ORB to
-    /// which only one computing thread of the SPMD program is visible.
+    /// which only one computing thread of the SPMD program is visible. The
+    /// same path with `Concentrated(0)` as both wire templates: each side
+    /// redistributes to and from its own template over its RTS.
     Funneled,
 }
 

@@ -17,22 +17,17 @@ use crate::protocol::{
     ReplyStatus, RequestMsg, SrcTemplate,
 };
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
-use crate::strided::{cut_fragments, Piece};
+use crate::strided::{cut_fragments, wire_template, Piece};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
 use pardis_netsim::{HostId, Published};
-use pardis_rts::{tags, Rts};
+use pardis_rts::Rts;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// RTS tag used to forward ORB frames between sibling computing threads
-/// (the funneled path and collective control distribution). Aliased from the
-/// shared reserved-band registry in `pardis_rts::tags`.
-pub(crate) const FORWARD_TAG: u64 = tags::ORB_FORWARD;
 
 /// Salt deriving a dispatch span's id from its parent invoke span (xor'd
 /// with the shifted thread index so collective dispatches stay distinct).
@@ -132,6 +127,7 @@ impl ServerGroup {
             inbox,
             servants: HashMap::new(),
             pending: HashMap::new(),
+            funneled_next: HashMap::new(),
             recent: AuditMutex::new(
                 lock_site!("poa: reply cache"),
                 RecentInvocations::new(self.orb.config().reply_cache_cap),
@@ -154,13 +150,6 @@ struct PendingReq {
     control: Option<RequestMsg>,
     /// Fragments per wire darg index, one per sending client thread.
     frags: HashMap<u32, Vec<Piece>>,
-    /// Sibling-bound fragments already forwarded over the RTS, per wire darg
-    /// index: (start, count, src_thread, dst_thread). Thread 0 of a funneled
-    /// SPMD dispatch is the only forwarder; once it enters the (blocking,
-    /// collective) servant it stops pumping, so it must not dispatch until
-    /// every sibling's fragment has passed through — the siblings would
-    /// otherwise wait forever on data stranded in thread 0's inbox.
-    fwd: HashMap<u32, Vec<(u64, u64, u32, u32)>>,
     /// Originating invocation's trace context, lifted from the first traced
     /// frame of the request (control or fragment): the dispatch span and
     /// everything under it parents into the client's trace.
@@ -169,14 +158,14 @@ struct PendingReq {
 
 impl PendingReq {
     fn new() -> Self {
-        PendingReq { control: None, frags: HashMap::new(), fwd: HashMap::new(), ctx: None }
+        PendingReq { control: None, frags: HashMap::new(), ctx: None }
     }
 }
 
 /// Every frame one thread sent in reply to one invocation: the client
-/// thread whose acknowledgement lets go of it (`None`: none does), the
-/// endpoint it went to, and the frame.
-type ReplyFrames = Vec<(Option<u32>, EndpointId, Bytes)>;
+/// thread it went to, whose acknowledgement lets go of it, the endpoint,
+/// and the frame.
+type ReplyFrames = Vec<(u32, EndpointId, Bytes)>;
 
 /// Reply-frame bytes one adapter thread retains for replay before it starts
 /// evicting the oldest replies. A constant, not a knob: acknowledgements
@@ -298,13 +287,9 @@ impl RecentInvocations {
     fn record(&mut self, key: (BindingId, u64), mut frames: ReplyFrames) -> usize {
         if let Some(slot) = self.seen.get_mut(&key) {
             let (binding, id) = key;
-            frames.retain(|(by, ..)| {
-                by.is_none_or(|c| !self.acks.get((binding, c)).acknowledged(id))
-            });
+            frames.retain(|&(by, ..)| !self.acks.get((binding, by)).acknowledged(id));
             for &(by, ..) in &frames {
-                if let Some(c) = by {
-                    self.acks.hold((binding, c), id);
-                }
+                self.acks.hold((binding, by), id);
             }
             let added = frame_bytes(&frames);
             let replaced = slot.replace(frames).map_or(0, |old| frame_bytes(&old));
@@ -342,7 +327,7 @@ impl RecentInvocations {
             acks.held.pop_front();
             if let Some(Some(frames)) = self.seen.get_mut(&(binding, id)) {
                 frames.retain(|(by, _, wire)| {
-                    let mine = *by == Some(thread);
+                    let mine = *by == thread;
                     if mine {
                         self.bytes -= wire.len();
                         released += 1;
@@ -405,6 +390,9 @@ pub struct Poa {
     inbox: Receiver<Envelope>,
     servants: HashMap<ObjectKey, Arc<dyn Servant>>,
     pending: HashMap<(BindingId, u64), PendingReq>,
+    /// The request id of each binding's next funneled request (see
+    /// [`Poa::dispatch_ready`]).
+    funneled_next: HashMap<BindingId, u64>,
     /// Duplicate-suppression state; a `Mutex` only because replies are sent
     /// from `&self` methods — the adapter itself is single-threaded.
     recent: AuditMutex<RecentInvocations>,
@@ -543,18 +531,11 @@ impl Poa {
                 self.handle_wire(&env.wire, 0);
                 progressed = true;
             }
-            if let Some(rts) = self.rts.clone() {
-                while let Some(msg) = rts.try_recv(None, FORWARD_TAG) {
-                    self.handle_wire(&msg.data, 0);
-                    progressed = true;
-                }
-            }
             got_any |= progressed;
             if !block || got_any || self.closed {
                 return;
             }
-            // Block briefly on the inbox; RTS forwards are re-checked each
-            // slice.
+            // Block briefly on the inbox, re-checking `closed` each slice.
             if let Ok(env) = self.inbox.recv_timeout(Duration::from_micros(200)) {
                 self.handle_wire(&env.wire, 0);
                 got_any = true;
@@ -565,7 +546,7 @@ impl Poa {
     /// Handle one frame that sits inside `depth` batch envelopes.
     fn handle_wire(&mut self, wire: &Bytes, depth: usize) {
         match Message::decode_traced(wire) {
-            Ok((msg, ctx, ack_lag)) => self.handle(msg, wire, ctx, ack_lag, depth),
+            Ok((msg, ctx, ack_lag)) => self.handle(msg, ctx, ack_lag, depth),
             // A malformed frame cannot be answered: it has no parseable
             // reply address.
             Err(_) => refuse_frame(),
@@ -575,14 +556,13 @@ impl Poa {
     fn handle(
         &mut self,
         msg: Message,
-        wire: &Bytes,
         ctx: Option<pardis_obs::TraceCtx>,
         ack_lag: u16,
         depth: usize,
     ) {
         // The sender's context is ambient while the frame is handled, so
-        // reassembly/forwarding instants (and any re-sent frames' transit
-        // events) stamp into the originating invocation's trace.
+        // reassembly instants (and any re-sent frames' transit events)
+        // stamp into the originating invocation's trace.
         let _ctx_guard = ctx.map(pardis_obs::enter_ctx);
         match msg {
             // A batch envelope (a request riding with an in-fragment): each
@@ -600,28 +580,16 @@ impl Poa {
                 // A retransmitted request for an already-accepted invocation
                 // must not reach the servant again (at-most-once): replay
                 // the cached reply, or drop it while the original executes.
-                if self.replay_if_seen(key) {
+                if self.replay_if_seen(key) || self.funneled_turn(&req).is_lt() {
                     return;
-                }
-                let duplicate_control =
-                    self.pending.get(&key).map(|p| p.control.is_some()).unwrap_or(false);
-                // Funneled control arrives only at thread 0; fan it out to
-                // the siblings through the run-time system. (SPMD objects
-                // only — single-object requests go straight to the owner.)
-                // Duplicates are not re-fanned: the RTS is reliable.
-                if !duplicate_control && self.is_funneled_entry(&req) {
-                    let rts = self.rts.as_ref().expect("parallel server has an RTS");
-                    for t in 1..self.nthreads {
-                        rts.send(t, FORWARD_TAG, wire.clone());
-                    }
                 }
                 let entry = self.pending.entry(key).or_insert_with(PendingReq::new);
                 entry.control = Some(req);
                 entry.ctx = entry.ctx.or(ctx);
             }
-            Message::Fragment(frag) => self.handle_fragment(frag, None, wire, ctx, ack_lag),
+            Message::Fragment(frag) => self.handle_fragment(frag, None, ctx, ack_lag),
             Message::Strided(frag, template) => {
-                self.handle_fragment(frag, Some(template), wire, ctx, ack_lag)
+                self.handle_fragment(frag, Some(template), ctx, ack_lag)
             }
             Message::Cancel { binding, req_id } => {
                 self.pending.remove(&(binding, req_id));
@@ -634,18 +602,16 @@ impl Poa {
     }
 
     /// Take the sending client thread's acknowledgement from one bulk-data
-    /// frame of either encoding, then reassemble (or, on the funneled entry
-    /// thread, forward) it. A frame for a thread this server does not have
-    /// is refused unread.
+    /// frame of either encoding, then reassemble it. A frame for another
+    /// thread is one no sender builds, and is refused unread.
     fn handle_fragment(
         &mut self,
         frag: FragmentMsg,
         template: Option<SrcTemplate>,
-        wire: &Bytes,
         ctx: Option<pardis_obs::TraceCtx>,
         ack_lag: u16,
     ) {
-        if frag.dst_thread as usize >= self.nthreads {
+        if frag.dst_thread as usize != self.thread {
             refuse_frame();
             return;
         }
@@ -661,27 +627,6 @@ impl Poa {
             pardis_audit::access_read(&REPLY_CACHE, &self.recent as *const _ as usize);
             recent.seen.contains_key(&key)
         };
-        if frag.dst_thread as usize != self.thread {
-            // Funneled data: forward to the true owner over the RTS.
-            let rts = self.rts.as_ref().expect("parallel server has an RTS");
-            rts.send(frag.dst_thread as usize, FORWARD_TAG, wire.clone());
-            if pardis_obs::enabled() {
-                pardis_obs::counter("poa.fragments_forwarded").inc();
-            }
-            if !accepted {
-                // Count the forward toward dispatch readiness
-                // (idempotently — a retransmitted fragment must not
-                // double-count).
-                let entry = self.pending.entry(key).or_insert_with(PendingReq::new);
-                entry.ctx = entry.ctx.or(ctx);
-                let rec = (frag.start, frag.count, frag.src_thread, frag.dst_thread);
-                let slot = entry.fwd.entry(frag.arg).or_default();
-                if !slot.contains(&rec) {
-                    slot.push(rec);
-                }
-            }
-            return;
-        }
         if accepted {
             // Fragment of an already-dispatched invocation
             // (retransmission by-product): ignore.
@@ -712,15 +657,6 @@ impl Poa {
         }
     }
 
-    /// Does this request use the funneled path and need fan-out from thread
-    /// 0?
-    fn is_funneled_entry(&self, req: &RequestMsg) -> bool {
-        if self.thread != 0 || self.nthreads == 1 || !req.funneled {
-            return false;
-        }
-        matches!(self.orb.object_meta(req.object).map(|m| m.oref.kind), Some(ObjectKind::Spmd))
-    }
-
     /// Dispatch every pending request that is complete and next in its
     /// client entity's invocation sequence. Returns the number dispatched.
     ///
@@ -734,6 +670,16 @@ impl Poa {
     /// ordered by entity id once both are visible; as in the original
     /// system, truly simultaneous arrival from distinct clients relies on
     /// the clients synchronising themselves.)
+    ///
+    /// A funneled request is dispatched only in its binding's request-id
+    /// order, which is dense from 0. Its servant call redistributes its
+    /// distributed arguments collectively, and controls go to each thread
+    /// on its own link: a lost control must not let the next request
+    /// overtake it on one thread while its sibling dispatches it. The wait
+    /// ends because the client retransmits the missing control: a funneled
+    /// call is always two-way, and its reply leaves only once every thread
+    /// has run it ([`Poa::send_reply`]'s barrier), so no client completes
+    /// a funneled call that one of these threads never saw.
     fn dispatch_ready(&mut self) -> usize {
         // For each client entity, only its lowest-sequence pending request
         // is eligible; among eligible requests, dispatch in global
@@ -767,7 +713,7 @@ impl Poa {
                 .get(&key)
                 .map(|p| {
                     let req = p.control.as_ref().expect("queued with control");
-                    self.request_complete(req, p)
+                    self.funneled_turn(req).is_eq() && self.request_complete(req, p)
                 })
                 .unwrap_or(false);
             if !complete {
@@ -786,24 +732,29 @@ impl Poa {
         dispatched
     }
 
-    /// All in-fragments for this thread arrived? On the funneled entry
-    /// thread this additionally means every sibling-bound fragment has been
-    /// forwarded: SPMD dispatch is collective and blocks this thread inside
-    /// the servant, after which nothing would pump the funnel.
+    /// A funneled request's id against its binding's next: equal may
+    /// dispatch, less is a stale copy of one already dispatched. Any other
+    /// request is always equal.
+    fn funneled_turn(&self, req: &RequestMsg) -> std::cmp::Ordering {
+        if !req.funneled {
+            return std::cmp::Ordering::Equal;
+        }
+        req.req_id.cmp(self.funneled_next.get(&req.binding).unwrap_or(&0))
+    }
+
+    /// All in-fragments for this thread arrived, counted in the template
+    /// they cross the wire in?
     fn request_complete(&self, req: &RequestMsg, pending: &PendingReq) -> bool {
         let Some(meta) = self.orb.object_meta(req.object) else {
             return true; // dispatch will answer with an exception
         };
-        let funnel_entry = req.funneled
-            && self.thread == 0
-            && self.nthreads > 1
-            && matches!(meta.oref.kind, ObjectKind::Spmd);
         for (i, desc) in req.dargs.iter().enumerate() {
             if desc.dir != ArgDir::In {
                 continue;
             }
-            let server_dist = meta.policy.get(&req.op, i as u32);
-            let expected = server_dist.local_len(desc.len, self.nthreads, self.thread);
+            let dist = meta.policy.get(&req.op, i as u32);
+            let wire_dist = wire_template(req.funneled, self.nthreads, &dist);
+            let expected = wire_dist.local_len(desc.len, self.nthreads, self.thread);
             let arrived: u64 = pending
                 .frags
                 .get(&(i as u32))
@@ -811,19 +762,6 @@ impl Poa {
                 .unwrap_or(0);
             if arrived < expected {
                 return false;
-            }
-            if funnel_entry {
-                let sibling_expected: u64 = (1..self.nthreads)
-                    .map(|t| server_dist.local_len(desc.len, self.nthreads, t))
-                    .sum();
-                let forwarded: u64 = pending
-                    .fwd
-                    .get(&(i as u32))
-                    .map(|fs| fs.iter().map(|f| f.1).sum())
-                    .unwrap_or(0);
-                if forwarded < sibling_expected {
-                    return false;
-                }
             }
         }
         true
@@ -919,6 +857,12 @@ impl Poa {
         ctx: Option<pardis_obs::TraceCtx>,
     ) {
         self.mark_accepted((req.binding, req.req_id));
+        // Every dispatch of a funneled binding moves its next id, so a
+        // strategy switched back and forth between its calls leaves no gap.
+        if req.funneled || self.funneled_next.contains_key(&req.binding) {
+            let next = self.funneled_next.entry(req.binding).or_default();
+            *next = (*next).max(req.req_id + 1);
+        }
         // The dispatch span is a child of the client's invoke span: its
         // begin event parents under the request's wire context (ambient
         // first), then the child context becomes ambient for the servant and
@@ -953,9 +897,11 @@ impl Poa {
                     if desc.dir != ArgDir::In {
                         continue;
                     }
+                    let server_dist = meta.policy.get(&req.op, i as u32);
                     dins.push(DInLocal {
                         desc: desc.clone(),
-                        server_dist: meta.policy.get(&req.op, i as u32),
+                        wire_dist: wire_template(req.funneled, self.nthreads, &server_dist),
+                        server_dist,
                         pieces: frags.remove(&(i as u32)).unwrap_or_default(),
                     });
                 }
@@ -1005,25 +951,24 @@ impl Poa {
     /// Ship out-fragments and (from the responsible thread) the reply
     /// control.
     ///
-    /// With the parallel strategy each server thread sends its fragments
-    /// straight to the owning client thread's endpoint. With the funneled
-    /// strategy every thread's fragments are gathered at server thread 0
-    /// over the run-time system and leave through a single wire connection
-    /// to the client's thread-0 endpoint — the "only one computing thread
+    /// Each server thread sends its fragments straight to the owning client
+    /// thread's endpoint. Under the funneled strategy every distributed out
+    /// argument is first redistributed to `Concentrated(0)` over the
+    /// run-time system (collective, as the dispatch is), so only thread 0
+    /// sends data, to client thread 0 — the "only one computing thread
     /// visible to the ORB" model.
     ///
-    /// On the parallel strategy the reply control rides in the first
-    /// out-fragment frame the responsible thread owes each client thread;
-    /// client threads it owes no elements get the reply on its own.
+    /// The reply control rides in the first out-fragment frame the
+    /// responsible thread owes each client thread; client threads it owes
+    /// no elements get the reply on its own.
     fn send_reply(&self, req: &RequestMsg, result: Result<ServerReply, String>) {
         let m = req.client_threads as usize;
-        let funneled = req.funneled;
         let kind = self.orb.object_meta(req.object).map(|meta| meta.oref.kind);
 
         let out_descs: Vec<(usize, &DArgDesc)> =
             req.dargs.iter().enumerate().filter(|(_, d)| d.dir == ArgDir::Out).collect();
         // `douts` is `None` when no out-fragment phase runs at all.
-        let (status, outs, douts) = match result {
+        let (status, outs, mut douts) = match result {
             Ok(ServerReply { raised: Some(raised), .. }) => {
                 (ReplyStatus::UserException { id: raised.id, data: raised.data }, Vec::new(), None)
             }
@@ -1039,6 +984,21 @@ impl Poa {
             }
             Err(msg) => (ReplyStatus::Exception(msg), Vec::new(), None),
         };
+        for dout in douts.iter_mut().flatten() {
+            let wire_dist = wire_template(req.funneled, self.nthreads, &dout.dist);
+            if wire_dist != dout.dist {
+                let rts = self.rts.as_deref().expect("parallel server has an RTS");
+                dout.share = dout.share.concentrate(rts);
+                dout.dist = wire_dist;
+            }
+        }
+        // A funneled reply leaves only once every thread has run the call,
+        // whatever its arguments and outcome: a client holding it then
+        // knows no thread still waits for the control (see
+        // [`Poa::dispatch_ready`]).
+        if req.funneled && self.nthreads > 1 && kind == Some(ObjectKind::Spmd) {
+            self.rts.as_deref().expect("parallel server has an RTS").barrier();
+        }
 
         // The reply control is sent once: by the owning thread for single
         // objects, by thread 0 for SPMD objects. It is encoded before any
@@ -1065,27 +1025,20 @@ impl Poa {
             })
             .encode()
         });
-        // One rider slot per client thread, on the parallel strategy only.
+        // One rider slot per client thread.
         let mut riders: Vec<Option<Bytes>> = match (&reply_wire, &douts) {
-            (Some(wire), Some(douts)) if !funneled && !douts.is_empty() => {
-                vec![Some(wire.clone()); m]
-            }
+            (Some(wire), Some(douts)) if !douts.is_empty() => vec![Some(wire.clone()); m],
             _ => Vec::new(),
         };
 
         // Every frame this thread ships is also recorded so a retransmitted
         // request can be answered from the cache without re-execution, each
-        // until the client thread it went to acknowledges it. Funneled
-        // frames all go to client thread 0, which can complete before a
-        // sibling's frame it relays has arrived: no acknowledgement lets go
-        // of those.
+        // until the client thread it went to acknowledges it.
         let mut sent: ReplyFrames = Vec::new();
-        let ack_by = |c: u32| (!funneled).then_some(c);
 
         if let Some(douts) = &douts {
             // Cut each distributed out argument into one frame per client
             // thread this thread owes elements to.
-            let mut my_frames: Vec<Bytes> = Vec::new();
             for (dout, (wire_idx, desc)) in douts.iter().zip(out_descs) {
                 let head = FragmentMsg::head(
                     req.req_id,
@@ -1098,47 +1051,22 @@ impl Poa {
                 let share = &*dout.share;
                 let _ =
                     cut_fragments(head, 0, dout.len, src, dst, share, &mut riders, |f, wire| {
-                        if funneled {
-                            my_frames.push(wire);
-                        } else {
-                            let to = req.reply_to[f.dst_thread as usize];
-                            let _ = self.send_raw(to, wire.clone());
-                            sent.push((ack_by(f.dst_thread), to, wire));
-                        }
+                        let to = req.reply_to[f.dst_thread as usize];
+                        let _ = self.send_raw(to, wire.clone());
+                        sent.push((f.dst_thread, to, wire));
                         Ok(())
                     });
-            }
-            if funneled && matches!(kind, Some(ObjectKind::Spmd)) && self.nthreads > 1 {
-                // Collective: funnel everyone's fragments through thread
-                // 0's wire connection.
-                let rts = self.rts.as_ref().expect("parallel server has an RTS");
-                let gathered = rts.gather(0, crate::protocol::frame_list(&my_frames));
-                if let Some(lists) = gathered {
-                    for list in lists {
-                        for frame in crate::protocol::unframe_list(&list).expect("self-framed list")
-                        {
-                            let _ = self.send_raw(req.reply_to[0], frame.clone());
-                            sent.push((None, req.reply_to[0], frame));
-                        }
-                    }
-                }
-            } else if funneled {
-                for frame in my_frames {
-                    let _ = self.send_raw(req.reply_to[0], frame.clone());
-                    sent.push((None, req.reply_to[0], frame));
-                }
             }
         }
 
         if let Some(wire) = reply_wire {
-            let reply_eps = if funneled { &req.reply_to[..1] } else { &req.reply_to[..] };
-            for (c, ep) in reply_eps.iter().enumerate() {
+            for (c, ep) in req.reply_to.iter().enumerate() {
                 // A reply that rode with a fragment has left already.
                 if riders.get(c).is_some_and(Option::is_none) {
                     continue;
                 }
                 let _ = self.send_raw(*ep, wire.clone());
-                sent.push((ack_by(c as u32), *ep, wire.clone()));
+                sent.push((c as u32, *ep, wire.clone()));
             }
         }
         self.record_reply((req.binding, req.req_id), sent);

@@ -86,7 +86,7 @@ fn ctx_ext_len(ctx: &Option<pardis_obs::TraceCtx>) -> usize {
 /// `pardis-rts` (the single source of truth) so protocol-level code can name
 /// the range without a direct rts dependency path of its own.
 pub use pardis_rts::tags::{
-    is_reserved as is_reserved_tag, ORB_FORWARD, ORB_REDIST, ORB_TAGS, RESERVED_TAG_RANGE,
+    is_reserved as is_reserved_tag, ORB_REDIST, ORB_TAGS, RESERVED_TAG_RANGE,
 };
 
 /// Direction of a distributed argument.
@@ -136,8 +136,9 @@ pub struct RequestMsg {
     /// True for non-blocking "send and forget" style delivery of the
     /// request (the invocation still produces a reply unless `oneway`).
     pub oneway: bool,
-    /// True when the invocation uses the funneled transfer strategy (all
-    /// traffic enters/leaves through thread 0 on both sides).
+    /// True when the invocation uses the funneled transfer strategy: every
+    /// distributed argument crosses the wire in `Concentrated(0)` on both
+    /// sides, so only thread 0 of each side moves data.
     pub funneled: bool,
     /// Reply endpoints of the client's computing threads, in thread order.
     pub reply_to: Vec<EndpointId>,
@@ -206,8 +207,8 @@ pub struct FragmentMsg {
     pub start: u64,
     /// Element count.
     pub count: u64,
-    /// Destination thread on the receiving side (lets edge threads forward
-    /// funneled fragments to their true owner over the RTS).
+    /// Destination thread on the receiving side. A frame always goes to
+    /// that thread's own endpoint, which refuses any other.
     pub dst_thread: u32,
     /// Sending thread.
     pub src_thread: u32,
@@ -570,30 +571,6 @@ fn decode_reply(d: &mut Decoder) -> Result<ReplyMsg, CdrError> {
     }
     let dout_lens = Vec::<u64>::decode(d)?;
     Ok(ReplyMsg { req_id, binding, status, outs, dout_lens })
-}
-
-/// Frame a list of wire messages into one buffer (used when funneling
-/// several frames through a single RTS gather).
-pub fn frame_list(frames: &[Bytes]) -> Bytes {
-    let cap = 8 + frames.iter().map(|f| f.len() + 8).sum::<usize>();
-    let mut e = Encoder::with_capacity(ByteOrder::native(), cap);
-    e.write_u32(frames.len() as u32);
-    for f in frames {
-        e.write_byte_seq(f);
-    }
-    e.finish()
-}
-
-/// Inverse of [`frame_list`]. Each returned frame is a zero-copy slice of
-/// `buf`, so unbundling a funneled gather is allocation-free.
-pub fn unframe_list(buf: &Bytes) -> Result<Vec<Bytes>, CdrError> {
-    let mut d = Decoder::new(buf.clone(), ByteOrder::native());
-    let n = d.read_seq_len(None)?;
-    let mut out = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        out.push(d.read_byte_seq_bytes()?);
-    }
-    Ok(out)
 }
 
 fn encode_batch_body(frames: &[Bytes], e: &mut Encoder) {

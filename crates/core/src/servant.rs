@@ -57,8 +57,11 @@ pub struct DInLocal {
     pub desc: DArgDesc,
     /// The server-side distribution resolved from the object's policy.
     pub server_dist: Distribution,
-    /// The fragments covering this thread's local part, one per sending
-    /// thread, in arrival order.
+    /// The distribution the pieces were cut for: `server_dist`, or
+    /// `Concentrated(0)` under the funneled strategy.
+    pub(crate) wire_dist: Distribution,
+    /// The fragments covering this thread's local part under `wire_dist`,
+    /// one per sending thread, in arrival order.
     pub pieces: Vec<Piece>,
 }
 
@@ -88,14 +91,23 @@ impl ServerRequest<'_> {
     /// Assemble distributed in-argument `ordinal` (0-based over the `in`
     /// dargs) into this thread's local [`DSequence`] under the server-side
     /// distribution.
+    ///
+    /// Under the funneled strategy the argument arrives whole at thread 0
+    /// and this call redistributes it over [`ServantCtx::rts`], so every
+    /// computing thread must make it, in the same order — as the collective
+    /// SPMD dispatch already has them do.
     pub fn dseq<T: CdrCodec + Clone>(&self, ordinal: usize) -> OrbResult<DSequence<T>> {
         let din = self
             .dins
             .get(ordinal)
             .ok_or_else(|| OrbError::Protocol(format!("no distributed in-arg {ordinal}")))?;
         let (len, n, t) = (din.desc.len, self.ctx.nthreads, self.ctx.thread);
-        let local = assemble(len, &din.server_dist, n, t, &din.pieces)?;
-        Ok(DSequence::from_local(local, len, din.server_dist.clone(), n, t))
+        let local = assemble(len, &din.wire_dist, n, t, &din.pieces)?;
+        let mut ds = DSequence::from_local(local, len, din.wire_dist.clone(), n, t);
+        if din.wire_dist != din.server_dist {
+            ds.redistribute(&**self.ctx.rts(), din.server_dist.clone());
+        }
+        Ok(ds)
     }
 }
 

@@ -32,6 +32,7 @@ use crate::error::{OrbError, OrbResult};
 use crate::protocol::{frame_fragment, FragmentMsg, SrcTemplate};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, ElemSink, Encoder};
+use pardis_rts::Rts;
 use std::mem::{ManuallyDrop, MaybeUninit};
 
 /// A strided set of global indices: block `k` (of `count`) covers
@@ -431,6 +432,21 @@ pub(crate) trait Pack: Send {
     fn payload_len(&self, elems: u64) -> usize;
     /// Append the elements of the given index sets, in order, to `e`.
     fn pack_into(&self, sets: &[Strided], e: &mut Encoder);
+    /// Collective over `rts`: this share redistributed to
+    /// `Concentrated(0)`, the wire template of the funneled strategy.
+    fn concentrate(&self, rts: &dyn Rts) -> Box<dyn Pack>;
+}
+
+/// The template a distributed argument crosses the wire in on a side of `n`
+/// threads that holds it in `dist`. The funneled strategy is the template
+/// `Concentrated(0)` on both ends: only thread 0 of each side moves data,
+/// and each side redistributes to and from its own template over its RTS.
+pub(crate) fn wire_template(funneled: bool, n: usize, dist: &Distribution) -> Distribution {
+    if funneled && n > 1 {
+        Distribution::Concentrated(0)
+    } else {
+        dist.clone()
+    }
 }
 
 /// Cut thread `head.src_thread`'s share of one distributed argument into one

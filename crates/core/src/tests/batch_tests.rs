@@ -1,7 +1,7 @@
 //! Batch-envelope and router tests: the envelope round trip, the
 //! orphan-stash eviction regression, and the frames a receiver refuses
 //! unread — envelopes nested past the depth bound and frames no sender
-//! builds.
+//! builds, such as a fragment for a sibling thread.
 
 use crate::object::BindingId;
 use crate::protocol::{
@@ -12,6 +12,8 @@ use crate::*;
 use bytes::Bytes;
 use pardis_cdr::ByteOrder;
 use pardis_netsim::{Link, Network, TimeScale};
+use pardis_rts::{MpiRts, World};
+use std::sync::Arc;
 
 /// A minimal echo servant for the end-to-end legs.
 struct Echo;
@@ -181,4 +183,76 @@ fn nested_batch_envelopes_are_refused_past_the_depth_bound() {
 
     group.shutdown();
     server.join().unwrap();
+}
+
+/// A fragment addressed to the other thread of a 2-thread POA or a 2-thread
+/// client is a frame no sender builds: every fragment goes to its own
+/// thread's endpoint. The endpoint it reaches refuses it unread, on
+/// `orb.frames_refused`, and goes on serving.
+#[test]
+fn fragments_for_a_sibling_thread_are_refused() {
+    let for_thread_1 = {
+        let mut head = FragmentMsg::head(1, BindingId(0xBAD), 0, ArgDir::In, 0);
+        head.dst_thread = 1;
+        encode_fragment_frame(&head, &[0; 8])
+    };
+
+    let net = Network::new(TimeScale::off());
+    let (ch, sh) = (net.add_host("client"), net.add_host("server"));
+    net.connect(ch, sh, Link::free());
+    let orb = Orb::new(net);
+    let group = ServerGroup::create(&orb, "echo-server", sh, 2);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let server = {
+        let group = group.clone();
+        std::thread::spawn(move || {
+            World::run(2, |rank| {
+                let t = rank.rank();
+                let mut poa = group.attach(t, Some(Arc::new(MpiRts::new(rank))));
+                poa.activate_spmd("echo-sibling", Arc::new(Echo), DistPolicy::new());
+                ready_tx.send(()).unwrap();
+                poa.impl_is_ready();
+            });
+        })
+    };
+    for _ in 0..2 {
+        ready_rx.recv().unwrap();
+    }
+    let server_ep = orb.server_endpoints(group.id()).unwrap()[0];
+    let refused = || pardis_obs::counter("orb.frames_refused").get();
+
+    let client = ClientGroup::create(&orb, ch, 2);
+    World::run(2, |rank| {
+        let t = rank.rank();
+        let ct = client.attach(t, Some(Arc::new(MpiRts::new(rank))));
+        let proxy = ct.spmd_bind("echo-sibling").unwrap();
+        for at_server in [true, false] {
+            let name = if at_server { "at server thread 0" } else { "at client thread 0" };
+            let before = refused();
+            if t == 0 {
+                let (from, to) = if at_server { (ch, server_ep) } else { (sh, ct.test_reply_ep()) };
+                orb.send_wire(from, to, for_thread_1.clone()).unwrap();
+            }
+            let reply = proxy.call("shout").arg(&name.to_string()).invoke().unwrap();
+            assert_eq!(reply.scalar::<String>(0).unwrap(), format!("echo: {name}"));
+            ct.drain_pending();
+            if t == 0 {
+                assert_eq!(refused() - before, 1, "{name}");
+            }
+        }
+    });
+
+    group.shutdown();
+    server.join().unwrap();
+}
+
+/// The refusal above reads a binding's kind from its `SINGLE_BINDING` bit,
+/// so a binding's sequence number must never reach that bit: minting the
+/// first one past its field fails instead.
+#[test]
+fn binding_sequence_numbers_stay_inside_their_field() {
+    let limit = 1 << 23;
+    let counter = std::sync::atomic::AtomicU64::new(limit - 1);
+    assert_eq!(crate::client::binding_seq(&counter, limit).unwrap(), limit - 1);
+    assert!(crate::client::binding_seq(&counter, limit).is_err());
 }

@@ -1,6 +1,7 @@
 //! Communication threads (the §6 future-work experiment).
 
 use crate::*;
+use pardis_rts::{MpiRts, World};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,6 +99,77 @@ fn comm_thread_and_owner_pumping_coexist() {
     comm.stop();
     group.shutdown();
     join.join().unwrap();
+}
+
+/// Negates its distributed argument and returns it in the server's template.
+struct Negate;
+
+impl Servant for Negate {
+    fn interface(&self) -> &str {
+        "negate"
+    }
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        let x: DSequence<f64> = req.dseq(0).map_err(|e| e.to_string())?;
+        let y = x.local().iter().map(|v| -v).collect();
+        let mut rep = ServerReply::new();
+        rep.push_dseq(DSequence::from_local(
+            y,
+            x.len(),
+            x.dist().clone(),
+            x.nthreads(),
+            x.thread(),
+        ));
+        Ok(rep)
+    }
+}
+
+#[test]
+fn comm_threads_serve_funneled_distributed_calls() {
+    // Funneled, the pumps only ingest frames: the redistributions to and
+    // from thread 0 run on the computing threads, so a comm thread per
+    // client thread drains its endpoint as on the parallel strategy.
+    let (orb, host) = Orb::single_host();
+    orb.set_local_bypass(false);
+    orb.set_transfer_strategy(TransferStrategy::Funneled);
+    let group = ServerGroup::create(&orb, "negate", host, 2);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let server = {
+        let group = group.clone();
+        let policy = DistPolicy::new().with("neg", 0, Distribution::Cyclic);
+        std::thread::spawn(move || {
+            World::run(2, |rank| {
+                let t = rank.rank();
+                let mut poa = group.attach(t, Some(Arc::new(MpiRts::new(rank))));
+                poa.activate_spmd("neg1", Arc::new(Negate), policy.clone());
+                ready_tx.send(()).unwrap();
+                poa.impl_is_ready();
+            });
+        })
+    };
+    for _ in 0..2 {
+        ready_rx.recv().unwrap();
+    }
+
+    let full: Vec<f64> = (0..37).map(|i| i as f64 * 0.5).collect();
+    let negated: Vec<f64> = full.iter().map(|v| -v).collect();
+    let client = ClientGroup::create(&orb, host, 2);
+    World::run(2, |rank| {
+        let t = rank.rank();
+        let ct = client.attach(t, Some(Arc::new(MpiRts::new(rank))));
+        let comm = ct.start_comm_thread();
+        let proxy = ct.spmd_bind("neg1").unwrap();
+        let x = DSequence::distribute(&full, Distribution::Block, 2, t);
+        let want = DSequence::distribute(&negated, Distribution::Block, 2, t);
+        for i in 0..20 {
+            let inv =
+                proxy.call("neg").dseq_in(&x).dseq_out(Distribution::Block).invoke_nb().unwrap();
+            let got: DSequence<f64> = inv.dseq_future(0).get().unwrap();
+            assert_eq!(got.local(), want.local(), "call {i}, client thread {t}");
+        }
+        comm.stop();
+    });
+    group.shutdown();
+    server.join().unwrap();
 }
 
 #[test]

@@ -185,14 +185,6 @@ fn sample_messages() -> Vec<Message> {
     ]
 }
 
-#[test]
-fn frame_list_roundtrip() {
-    let frames = vec![Bytes::from_static(b"alpha"), Bytes::new(), Bytes::from(vec![0u8; 100])];
-    let framed = frame_list(&frames);
-    assert_eq!(unframe_list(&framed).unwrap(), frames);
-    assert_eq!(unframe_list(&frame_list(&[])).unwrap(), Vec::<Bytes>::new());
-}
-
 mod property {
     use super::*;
     use proptest::prelude::*;
@@ -272,14 +264,13 @@ mod property {
 
 #[test]
 fn orb_message_tags_are_inside_the_reserved_range() {
-    // The constants the ORB actually sends with (poa FORWARD_TAG, dseq
-    // REDIST_TAG) are re-exported here from pardis-rts; assert the re-export
-    // is live and each falls inside the shared reserved band.
+    // The constant the ORB actually sends with (dseq REDIST_TAG) is
+    // re-exported here from pardis-rts; assert the re-export is live and it
+    // falls inside the shared reserved band.
     assert_eq!(RESERVED_TAG_RANGE, pardis_rts::tags::RESERVED_TAG_RANGE);
     for tag in ORB_TAGS {
         assert!(RESERVED_TAG_RANGE.contains(&tag), "{tag:#x} escaped the reserved band");
         assert!(is_reserved_tag(tag));
     }
-    assert_eq!(ORB_FORWARD, pardis_rts::tags::PARDIS_BASE | 0xF0);
     assert_eq!(ORB_REDIST, pardis_rts::tags::PARDIS_BASE | 0x5344);
 }

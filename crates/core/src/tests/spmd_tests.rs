@@ -2,6 +2,7 @@
 
 use crate::*;
 use pardis_rts::{MpiRts, ReduceOp, Rts, World};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// SPMD vector servant: scale (dseq in → dseq out), sum (collective
@@ -247,6 +248,63 @@ fn funneled_strategy_gives_same_answers() {
     assert_eq!(out[1], expect[13..].to_vec());
     group.shutdown();
     handle.join().unwrap();
+}
+
+/// Counts the calls each server thread ran.
+struct Tally(Arc<Vec<AtomicU64>>);
+
+impl Servant for Tally {
+    fn interface(&self) -> &str {
+        "tally"
+    }
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        self.0[req.ctx.thread].fetch_add(1, Ordering::SeqCst);
+        Ok(ServerReply::new())
+    }
+}
+
+#[test]
+fn funneled_binding_order_survives_oneway_calls_and_strategy_switches() {
+    // Funneled, a reply leaves only once every server thread has run the
+    // call, and a oneway call waits for that reply: when it returns, its
+    // control has reached every thread.
+    let (orb, host) = Orb::single_host();
+    orb.set_transfer_strategy(TransferStrategy::Funneled);
+    let tally = Arc::new((0..3).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
+    let group = ServerGroup::create(&orb, "tally-server", host, 3);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let server = {
+        let (group, tally) = (group.clone(), tally.clone());
+        std::thread::spawn(move || {
+            World::run(3, |rank| {
+                let t = rank.rank();
+                let mut poa = group.attach(t, Some(Arc::new(MpiRts::new(rank))));
+                poa.activate_spmd("tally1", Arc::new(Tally(tally.clone())), DistPolicy::new());
+                ready_tx.send(()).unwrap();
+                poa.impl_is_ready();
+            });
+        })
+    };
+    for _ in 0..3 {
+        ready_rx.recv().unwrap();
+    }
+    run_client(&orb, host, 1, |ct| {
+        let proxy = ct.spmd_bind("tally1").unwrap();
+        for i in 1..=3 {
+            proxy.call("hit").invoke_oneway().unwrap();
+            let ran: Vec<u64> = tally.iter().map(|h| h.load(Ordering::SeqCst)).collect();
+            assert_eq!(ran, [i; 3], "after oneway call {i}");
+        }
+        // A binding's parallel calls between its funneled ones leave no gap
+        // in the request ids its funneled calls wait for.
+        orb.set_timeout(std::time::Duration::from_secs(5));
+        for strategy in [TransferStrategy::Parallel, TransferStrategy::Funneled] {
+            orb.set_transfer_strategy(strategy);
+            proxy.call("hit").invoke().unwrap();
+        }
+    });
+    group.shutdown();
+    server.join().unwrap();
 }
 
 #[test]

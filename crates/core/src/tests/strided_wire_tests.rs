@@ -367,6 +367,7 @@ fn assemble_at<T: CdrCodec + Clone>(
     let din = DInLocal {
         desc: DArgDesc { dir: ArgDir::In, len: 12, client_dist: Distribution::Block },
         server_dist: dist.clone(),
+        wire_dist: dist.clone(),
         pieces,
     };
     let ctx = ServantCtx { thread: t, nthreads: 2, client_threads: 2, rts: None };

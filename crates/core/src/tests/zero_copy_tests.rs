@@ -1,7 +1,7 @@
 //! Pins the zero-copy invariants of the marshaling path: decoded fragment
-//! payloads borrow the wire frame, the funneled N-way fan-out delivers one
-//! shared wire allocation (not N copies), `DSequence::take_local` moves the
-//! storage when it is the sole owner.
+//! payloads borrow the wire frame, the lead's N per-thread control sends
+//! deliver one shared wire allocation (not N copies), `DSequence::take_local`
+//! moves the storage when it is the sole owner.
 
 use crate::dist::Distribution;
 use crate::object::BindingId;
@@ -21,8 +21,7 @@ fn alloc_range(b: &Bytes) -> (usize, usize) {
 #[test]
 fn fragment_payload_borrows_the_wire_buffer() {
     // Decoding a Fragment must slice the payload out of the frame by
-    // reference; a copy here would put the funneled path back to O(bytes)
-    // per hop.
+    // reference; a copy here would cost O(bytes) per hop.
     let msg = Message::Fragment(FragmentMsg {
         req_id: 1,
         binding: BindingId(2),
@@ -73,7 +72,7 @@ fn request_in_args_borrow_the_wire_buffer() {
 }
 
 /// Records the backing pointer of the first scalar in-arg blob each time it
-/// is dispatched — one entry per server thread on a funneled fan-out.
+/// is dispatched — one entry per server thread of an SPMD call.
 struct PtrProbe {
     seen: Arc<Mutex<Vec<usize>>>,
 }
@@ -92,13 +91,15 @@ impl Servant for PtrProbe {
 }
 
 #[test]
-fn funneled_fan_out_shares_one_wire_allocation() {
-    // A funneled request entering at server thread 0 is forwarded to every
-    // other computing thread. All `n` dispatches must see in-arg blobs
-    // backed by the *same* allocation: the fan-out is a refcount bump per
-    // destination, not a deep copy per destination.
+fn lead_control_sends_share_one_wire_allocation() {
+    // The lead sends its request control to every server thread. All `n`
+    // dispatches must see in-arg blobs backed by the *same* allocation: each
+    // send is a refcount bump of the one encoded frame, not a deep copy per
+    // destination.
     let n = 4;
     let (orb, host) = Orb::single_host();
+    // Funneled, the reply leaves only once every server thread has run the
+    // call, so all `n` have dispatched by the time it returns.
     orb.set_transfer_strategy(TransferStrategy::Funneled);
     let seen = Arc::new(Mutex::new(Vec::new()));
 
@@ -124,10 +125,10 @@ fn funneled_fan_out_shares_one_wire_allocation() {
     server.join().unwrap();
 
     let ptrs = seen.lock().clone();
-    assert_eq!(ptrs.len(), n, "every server thread dispatches the funneled request");
+    assert_eq!(ptrs.len(), n, "every server thread dispatches the request");
     assert!(
         ptrs.iter().all(|p| *p == ptrs[0]),
-        "fan-out deep-copied the wire: in-arg pointers differ across threads {ptrs:?}"
+        "control sends deep-copied the wire: in-arg pointers differ across threads {ptrs:?}"
     );
 }
 

@@ -54,13 +54,11 @@ pub mod tags {
     /// `pardis_core::protocol` so ORB code and checkers agree on the range.
     pub const RESERVED_TAG_RANGE: core::ops::Range<u64> = PARDIS_BASE..u64::MAX;
 
-    /// Tag of the ORB's request-forwarding channel (POA dispatch traffic).
-    pub const ORB_FORWARD: u64 = PARDIS_BASE | 0xF0;
     /// Tag of the ORB's distributed-sequence redistribution channel.
     pub const ORB_REDIST: u64 = PARDIS_BASE | 0x5344;
     /// Every point-to-point tag the ORB itself uses inside the reserved band.
     /// (Collectives use the separate [`COLLECTIVE_BASE`] band.)
-    pub const ORB_TAGS: [u64; 2] = [ORB_FORWARD, ORB_REDIST];
+    pub const ORB_TAGS: [u64; 1] = [ORB_REDIST];
 
     /// Build a PARDIS-band tag from a small discriminator.
     pub fn pardis(n: u64) -> u64 {

@@ -9,7 +9,7 @@
 
 use pardis::core::{
     ClientGroup, DSequence, DistPolicy, Distribution, InvocationHandle, Orb, Servant, ServerGroup,
-    ServerReply, ServerRequest, TraceSession,
+    ServerReply, ServerRequest, TraceSession, TransferStrategy,
 };
 use pardis::generated::dna::{DnaDbProxy, ListServerProxy, Status};
 use pardis::generated::solvers::{DirectProxy, IterativeProxy};
@@ -393,12 +393,14 @@ impl Servant for CountingIncrement {
 }
 
 /// A lossy (20% drop, 5% duplication) two-host ORB for `seed`, retrying
-/// every 5 ms, and a two-thread [`CountingIncrement`] server on it that
-/// wants its in-argument in `server_dist`: the ORB, the client host, the
-/// server group, its per-thread execution counts and its join handle.
+/// every 5 ms and moving distributed arguments by `strategy`, and a
+/// two-thread [`CountingIncrement`] server on it that wants its in-argument
+/// in `server_dist`: the ORB, the client host, the server group, its
+/// per-thread execution counts and its join handle.
 fn lossy_counting_increment(
     seed: u64,
     server_dist: Distribution,
+    strategy: TransferStrategy,
 ) -> (Orb, HostId, ServerGroup, Arc<Vec<AtomicU64>>, std::thread::JoinHandle<()>) {
     let net = Network::new(TimeScale::off());
     let ch = net.add_host("client");
@@ -409,6 +411,7 @@ fn lossy_counting_increment(
     orb.set_retry_limit(20);
     orb.set_retry_base(Duration::from_millis(5));
     orb.set_retry_seed(seed);
+    orb.set_transfer_strategy(strategy);
 
     let hits = Arc::new(vec![AtomicU64::new(0), AtomicU64::new(0)]);
     let group = ServerGroup::create(&orb, "counting-increment", sh, 2);
@@ -441,7 +444,8 @@ fn lossy_counting_increment(
 #[test]
 fn merged_control_frames_keep_at_most_once_under_loss() {
     let _guard = serial();
-    let (orb, ch, group, hits, server) = lossy_counting_increment(0x3E_46ED, Distribution::Cyclic);
+    let (orb, ch, group, hits, server) =
+        lossy_counting_increment(0x3E_46ED, Distribution::Cyclic, TransferStrategy::Parallel);
     let session = TraceSession::start(&orb);
 
     let calls = 200;
@@ -483,9 +487,16 @@ fn merged_control_frames_keep_at_most_once_under_loss() {
 /// completed, and the server lets go of the reply frames it kept for that
 /// thread up to there. Keep 4 invocations in flight across a lossy link,
 /// Block to Block (server thread 0 hears acknowledgements from client
-/// thread 0 only) and Block to Cyclic (from both): at-most-once holds, every
-/// reply is right, retransmissions are still answered from the cache, and
-/// the cache never holds more than 8 replies per adapter thread.
+/// thread 0 only), Block to Cyclic (from both) and funneled: at-most-once
+/// holds, every reply is right, retransmissions are still answered from the
+/// cache, and the cache never holds more than 8 data-carrying replies per
+/// adapter thread.
+///
+/// Funneled, server thread 0 sends the whole result to client thread 0,
+/// which acknowledges it, and a lone reply control to client thread 1. That
+/// thread sends no in-data, so nothing carries its acknowledgement: those
+/// ~100-byte controls stay until the cache's own bounds evict them, and the
+/// funneled bound leaves room for all of them.
 #[test]
 fn acknowledged_replies_stay_within_the_pipeline_under_loss() {
     let _guard = serial();
@@ -495,10 +506,19 @@ fn acknowledged_replies_stay_within_the_pipeline_under_loss() {
     // What one adapter thread sends per invocation: its half of the result,
     // plus headroom for the frame headers and the reply control.
     let reply_bytes = LEN / 2 * 8 + 512;
-    let bound = 2 * 8 * reply_bytes;
-    for (seed, server_dist) in [(0xAC_B10C, Distribution::Block), (0xAC_C1C1, Distribution::Cyclic)]
-    {
-        let (orb, ch, group, hits, server) = lossy_counting_increment(seed, server_dist.clone());
+    let parallel_bound = 2 * 8 * reply_bytes;
+    let funneled_bound = 8 * (LEN * 8 + 512) + CALLS as usize * 128;
+    for (seed, server_dist, strategy) in [
+        (0xAC_B10C, Distribution::Block, TransferStrategy::Parallel),
+        (0xAC_C1C1, Distribution::Cyclic, TransferStrategy::Parallel),
+        (0xAC_F0E1, Distribution::Block, TransferStrategy::Funneled),
+    ] {
+        let bound = match strategy {
+            TransferStrategy::Parallel => parallel_bound,
+            TransferStrategy::Funneled => funneled_bound,
+        };
+        let (orb, ch, group, hits, server) =
+            lossy_counting_increment(seed, server_dist.clone(), strategy);
         let session = TraceSession::start(&orb);
         let full: Vec<f64> = (0..LEN).map(|i| i as f64).collect();
         let plus_one: Vec<f64> = full.iter().map(|v| v + 1.0).collect();
@@ -517,7 +537,7 @@ fn acknowledged_replies_stay_within_the_pipeline_under_loss() {
                 if i >= DEPTH {
                     let reply = inflight.pop_front().unwrap().wait().unwrap();
                     let y: DSequence<f64> = reply.dseq(0).unwrap();
-                    assert_eq!(y.local(), want.local(), "{server_dist:?}, client thread {t}");
+                    assert_eq!(y.local(), want.local(), "{strategy:?}, client thread {t}");
                     peak = peak.max(orb.reply_cache_bytes() as usize);
                 }
                 if i < CALLS {
@@ -531,7 +551,7 @@ fn acknowledged_replies_stay_within_the_pipeline_under_loss() {
         orb.network().quiesce();
         let report = session.finish();
 
-        let what = format!("Block -> {server_dist:?}");
+        let what = format!("{strategy:?} Block -> {server_dist:?}");
         for (t, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::SeqCst), CALLS, "{what}: server thread {t} ran each once");
         }
@@ -548,6 +568,55 @@ fn acknowledged_replies_stay_within_the_pipeline_under_loss() {
         group.shutdown();
         server.join().unwrap();
     }
+}
+
+/// Funneled, each server thread gets a call's control on its own link and
+/// runs a binding's calls in id order, so a control lost on one link holds
+/// that thread until the client retransmits it. Lose and duplicate frames
+/// under a oneway call, a call that raises on every server thread and a
+/// two-way call with distributed arguments, round after round: each runs
+/// once on every server thread and the next call still completes. The
+/// retransmission comes because a funneled reply leaves only once every
+/// server thread ran the call, and a funneled oneway call waits for it.
+#[test]
+fn funneled_calls_reach_every_server_thread_under_loss() {
+    let _guard = serial();
+    const ROUNDS: u64 = 40;
+    let (orb, ch, group, hits, server) =
+        lossy_counting_increment(0xF0_0E5E, Distribution::Block, TransferStrategy::Funneled);
+    let full: Vec<f64> = (0..64).map(|i| i as f64).collect();
+    let plus_one: Vec<f64> = full.iter().map(|v| v + 1.0).collect();
+    let client = ClientGroup::create(&orb, ch, 2);
+    let chk = pardis::check::for_world(2);
+    World::run(2, |rank| {
+        let t = rank.rank();
+        let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
+        let ct = client.attach(t, Some(rts));
+        let proxy = ct.spmd_bind("counting_increment").unwrap();
+        let x = DSequence::distribute(&full, Distribution::Block, 2, t);
+        let want = DSequence::distribute(&plus_one, Distribution::Block, 2, t);
+        for i in 0..ROUNDS {
+            let oneway = proxy.call("inc").dseq_in(&x).dseq_out(Distribution::Block);
+            oneway.invoke_oneway().unwrap();
+            // No distributed argument to read: every server thread raises.
+            assert!(proxy.call("inc").invoke().is_err(), "round {i}, client thread {t}");
+            let call = proxy.call("inc").dseq_in(&x).dseq_out(Distribution::Block);
+            let y: DSequence<f64> = call.invoke().unwrap().dseq(0).unwrap();
+            assert_eq!(y.local(), want.local(), "round {i}, client thread {t}");
+        }
+    });
+    pardis::check::enforce(&chk);
+    orb.network().quiesce();
+
+    for (t, h) in hits.iter().enumerate() {
+        assert_eq!(h.load(Ordering::SeqCst), 3 * ROUNDS, "server thread {t} ran each call once");
+    }
+    let stats = orb.network().fault_stats();
+    assert!(stats.dropped > 0 && stats.duplicated > 0, "the plan must bite: {stats:?}");
+
+    orb.network().set_fault_plan(None);
+    group.shutdown();
+    server.join().unwrap();
 }
 
 #[test]

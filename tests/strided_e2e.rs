@@ -1,9 +1,10 @@
 //! End-to-end checks of strided transfer plans: whatever the two templates,
 //! a distributed argument crosses the wire as at most one frame per
-//! (client thread, server thread) pair per direction, under both transfer
-//! strategies and for fixed- and variable-width elements alike; on the
-//! parallel strategy the requests and replies ride in those frames, and the
-//! in-fragments carry the acknowledgements that bound the reply cache.
+//! (client thread, server thread) pair per direction, for fixed- and
+//! variable-width elements alike; the requests and replies ride in those
+//! frames, and the in-fragments carry the acknowledgements that bound the
+//! reply cache. The funneled strategy is the template `Concentrated(0)` on
+//! both ends of the same path, so only thread 0 of each side moves data.
 
 use pardis::cdr::CdrCodec;
 use pardis::core::{
@@ -139,10 +140,9 @@ where
                     strategy,
                 );
                 let what = format!("{strategy:?} {client_dist:?}/{pc} <-> {server_dist:?}/{ps}");
-                let sweep = usize::from(pc == 3);
                 let want = match strategy {
-                    TransferStrategy::Parallel => PARALLEL_FRAMES[sweep][shape],
-                    TransferStrategy::Funneled => FUNNELED_FRAMES[sweep][shape],
+                    TransferStrategy::Parallel => PARALLEL_FRAMES[usize::from(pc == 3)][shape],
+                    TransferStrategy::Funneled => (pc + ps) as u64,
                 };
                 assert_eq!(frames, want, "{what}");
             }
@@ -150,20 +150,18 @@ where
     }
 }
 
-/// Frames per funneled invocation of each [`shapes`] entry, for the 2x2 and
-/// the 3x2 sweep: one request and one reply through thread 0 plus one frame
-/// per thread pair with elements to move, each way (every pair has some,
-/// except those touching the one-element shares of `Irregular`). The counts
-/// the funneled path paid before controls rode in fragment frames, which it
-/// does not do.
-const FUNNELED_FRAMES: [[u64; 5]; 2] = [[10, 10, 10, 10, 8], [14, 14, 14, 14, 10]];
-
-/// Frames per parallel invocation: a request per server thread, a reply per
-/// client thread and the same fragments as funneled, less one frame for each
-/// server thread client thread 0 owes elements (its request rides there) and
-/// for each client thread server thread 0 owes elements (its reply rides
-/// there). 2x2: 4 + 8 - 4, and 4 + 6 - 3 for `Irregular`; 3x2: 5 + 12 - 5,
-/// and 5 + 8 - 3.
+/// Frames per parallel invocation of each [`shapes`] entry, for the 2x2 and
+/// the 3x2 sweep: a request per server thread, a reply per client thread and
+/// one frame per thread pair with elements to move, each way (every pair has
+/// some, except those touching the one-element shares of `Irregular`), less
+/// one frame for each server thread client thread 0 owes elements (its
+/// request rides there) and for each client thread server thread 0 owes
+/// elements (its reply rides there). 2x2: 4 + 8 - 4, and 4 + 6 - 3 for
+/// `Irregular`; 3x2: 5 + 12 - 5, and 5 + 8 - 3.
+///
+/// A funneled invocation costs `pc + ps` frames whatever the shape, the same
+/// as a scalar-only call: the one pair that moves data, thread 0 to thread
+/// 0, carries the request one way and the reply the other.
 const PARALLEL_FRAMES: [[u64; 5]; 2] = [[8, 8, 8, 8, 7], [12, 12, 12, 12, 10]];
 
 #[test]
