@@ -4,8 +4,28 @@
 use crate::encode::ulong_len;
 use crate::{CdrCodec, CdrError, Decoder, ElemSink, Encoder, TypeCode};
 
+/// The memory of `items`, byte for byte.
+///
+/// Only for the fixed-width numbers: no padding, every byte initialised.
+fn memory_image<T: Copy>(items: &[T]) -> &[u8] {
+    // SAFETY: `T` is a primitive number (every caller below), so the slice
+    // is `size_of_val(items)` initialised bytes with no padding, borrowed
+    // for as long as `items` is.
+    unsafe { std::slice::from_raw_parts(items.as_ptr().cast::<u8>(), std::mem::size_of_val(items)) }
+}
+
 macro_rules! prim_codec {
+    ($ty:ty, $tc:expr, $write:ident, $read:ident, $wire:expr, native) => {
+        prim_codec!($ty, $tc, $write, $read, $wire, {
+            fn native_image(items: &[Self]) -> Option<&[u8]> {
+                Some(memory_image(items))
+            }
+        });
+    };
     ($ty:ty, $tc:expr, $write:ident, $read:ident, $wire:expr) => {
+        prim_codec!($ty, $tc, $write, $read, $wire, {});
+    };
+    ($ty:ty, $tc:expr, $write:ident, $read:ident, $wire:expr, { $($extra:item)* }) => {
         impl CdrCodec for $ty {
             fn encode(&self, e: &mut Encoder) {
                 e.$write(*self);
@@ -19,6 +39,7 @@ macro_rules! prim_codec {
             fn fixed_wire_size() -> Option<usize> {
                 Some($wire)
             }
+            $($extra)*
         }
     };
 }
@@ -38,6 +59,9 @@ impl CdrCodec for u8 {
     fn encode_elems(items: &[Self], e: &mut Encoder) {
         e.write_raw(items);
     }
+    fn native_image(items: &[Self]) -> Option<&[u8]> {
+        Some(items)
+    }
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {
         d.read_raw(n)
     }
@@ -45,12 +69,12 @@ impl CdrCodec for u8 {
         Some(1)
     }
 }
-prim_codec!(i16, TypeCode::Short, write_i16, read_i16, 2);
-prim_codec!(u16, TypeCode::UShort, write_u16, read_u16, 2);
-prim_codec!(i32, TypeCode::Long, write_i32, read_i32, 4);
-prim_codec!(u32, TypeCode::ULong, write_u32, read_u32, 4);
-prim_codec!(i64, TypeCode::LongLong, write_i64, read_i64, 8);
-prim_codec!(u64, TypeCode::ULongLong, write_u64, read_u64, 8);
+prim_codec!(i16, TypeCode::Short, write_i16, read_i16, 2, native);
+prim_codec!(u16, TypeCode::UShort, write_u16, read_u16, 2, native);
+prim_codec!(i32, TypeCode::Long, write_i32, read_i32, 4, native);
+prim_codec!(u32, TypeCode::ULong, write_u32, read_u32, 4, native);
+prim_codec!(i64, TypeCode::LongLong, write_i64, read_i64, 8, native);
+prim_codec!(u64, TypeCode::ULongLong, write_u64, read_u64, 8, native);
 prim_codec!(f32, TypeCode::Float, write_f32, read_f32, 4);
 // An IDL char marshals as a code point in a 4-byte slot (see
 // `Encoder::write_char`), so its wire footprint is that of a u32.
@@ -71,6 +95,9 @@ impl CdrCodec for f64 {
     }
     fn encode_strided(items: &[Self], block: usize, stride: usize, e: &mut Encoder) {
         e.write_f64_strided(items, block, stride);
+    }
+    fn native_image(items: &[Self]) -> Option<&[u8]> {
+        Some(memory_image(items))
     }
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {
         d.read_f64_elems(n)

@@ -156,15 +156,19 @@ impl Encoder {
     /// decodes the sequence from offset 0 reads it — without staging the
     /// nested stream in a buffer of its own.
     ///
+    /// `tail` more octets of the sequence travel outside this stream, right
+    /// after it: the count includes them. With a tail, this is the last
+    /// write to the stream (and to every stream it is nested in).
+    ///
     /// # Panics
     /// Panics if the nested stream's length does not fit in a ULong.
-    pub fn write_byte_seq_with(&mut self, fill: impl FnOnce(&mut Encoder)) {
+    pub fn write_byte_seq_with(&mut self, tail: usize, fill: impl FnOnce(&mut Encoder)) {
         self.write_u32(0);
         let start = self.buf.len();
         let outer = std::mem::replace(&mut self.origin, start);
         fill(self);
         self.origin = outer;
-        let count = ulong_len(self.buf.len() - start);
+        let count = ulong_len(self.buf.len() - start + tail);
         let word = match self.order {
             ByteOrder::Big => count.to_be_bytes(),
             ByteOrder::Little => count.to_le_bytes(),

@@ -106,6 +106,16 @@ pub trait CdrCodec: Sized {
         }
     }
 
+    /// `items` as the bytes [`CdrCodec::encode_elems`] appends for them in
+    /// native byte order at a position aligned to the element size, when
+    /// those bytes are the slice's own memory: `Some` for `f64` and the
+    /// fixed-width integers, whose memory image is their native CDR
+    /// encoding, `None` (the default) for everything else. A sender may then hand the
+    /// storage itself to the transport instead of encoding a copy of it.
+    fn native_image(_items: &[Self]) -> Option<&[u8]> {
+        None
+    }
+
     /// Read `n` elements back-to-back (count already consumed) — the decode
     /// half of the [`CdrCodec::encode_elems`] bulk hook.
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {

@@ -580,11 +580,33 @@ mod bulk {
                     e.write_raw(&vec![0xee; lead]);
                 }
                 reference.write_byte_seq(staged.as_slice());
-                in_place.write_byte_seq_with(nested);
+                in_place.write_byte_seq_with(0, nested);
                 for e in [&mut reference, &mut in_place] {
                     e.write_u64(9);
                 }
                 prop_assert_eq!(&in_place.finish()[..], &reference.finish()[..]);
+            }
+
+            /// A nested stream whose last octets travel outside the encoder
+            /// as a tail is, followed by the tail, the sequence encoded
+            /// whole.
+            #[test]
+            fn byte_seq_with_a_tail_counts_the_tail(
+                lead in 0usize..9,
+                head in proptest::collection::vec(any::<u8>(), 0..12),
+                tail in proptest::collection::vec(any::<u8>(), 0..24),
+                big in any::<bool>(),
+            ) {
+                let order = if big { ByteOrder::Big } else { ByteOrder::Little };
+                let mut reference = Encoder::new(order);
+                let mut split = Encoder::new(order);
+                for e in [&mut reference, &mut split] {
+                    e.write_raw(&vec![0xee; lead]);
+                }
+                reference.write_byte_seq(&[&head[..], &tail[..]].concat());
+                split.write_byte_seq_with(tail.len(), |e| e.write_raw(&head));
+                let joined = [&split.finish()[..], &tail[..]].concat();
+                prop_assert_eq!(&joined[..], &reference.finish()[..]);
             }
         }
     }
@@ -625,6 +647,40 @@ mod fixed_wire_size {
         dense(vec![1.5f32, -2.5, 3.5, 4.5]);
         dense(vec![1.5f64, -2.5, 3.5, 4.5]);
         dense(vec!['a', 'ü', '☃', 'z']);
+    }
+
+    /// `encode_elems` of `items` from an aligned position, in native order.
+    fn encoded<T: CdrCodec>(items: &[T]) -> Vec<u8> {
+        let mut e = Encoder::new(ByteOrder::native());
+        T::encode_elems(items, &mut e);
+        e.finish().to_vec()
+    }
+
+    fn image_is_encoding<T: CdrCodec>(items: Vec<T>) {
+        let image = T::native_image(&items).expect("a fixed-width number");
+        assert_eq!(image, &encoded(&items)[..]);
+        assert_eq!(image.as_ptr(), items.as_ptr().cast::<u8>(), "the slice's own memory");
+        assert_eq!(T::native_image(&items[..0]), Some(&[][..]));
+    }
+
+    #[test]
+    fn native_images_are_the_native_encoding() {
+        image_is_encoding(vec![1u8, 2, 255]);
+        image_is_encoding(vec![-3i16, 9, i16::MIN]);
+        image_is_encoding(vec![7u16, 8, u16::MAX]);
+        image_is_encoding(vec![-5i32, 6, i32::MAX]);
+        image_is_encoding(vec![5u32, 6, u32::MAX]);
+        image_is_encoding(vec![-9i64, 10, i64::MIN]);
+        image_is_encoding(vec![9u64, 10, u64::MAX]);
+        image_is_encoding(vec![1.5f64, -0.0, f64::INFINITY, f64::MIN_POSITIVE]);
+    }
+
+    #[test]
+    fn types_without_a_native_image_report_none() {
+        assert_eq!(String::native_image(&["ab".to_string()]), None);
+        assert_eq!(bool::native_image(&[true]), None);
+        assert_eq!(char::native_image(&['a']), None);
+        assert_eq!(<Vec<f64>>::native_image(&[vec![1.0]]), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::object::{BindingId, ClientId, DistPolicy, EndpointId, ObjectKind, Obj
 use crate::orb::{Envelope, Orb, OrbConfig, TransferStrategy};
 use crate::protocol::{
     batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg,
-    ReplyStatus, RequestMsg, SrcTemplate,
+    ReplyStatus, RequestMsg, SrcTemplate, Wire,
 };
 use crate::servant::{ServantCtx, ServerRequest};
 use crate::strided::{assemble, cut_fragments, wire_template, Pack, Piece};
@@ -304,8 +304,8 @@ impl PumpCore {
     }
 
     /// Ingest one frame that sits inside `depth` batch envelopes.
-    fn ingest_wire(&self, wire: &Bytes, depth: usize) {
-        let Ok(msg) = Message::decode(wire) else {
+    fn ingest_wire(&self, wire: &Wire, depth: usize) {
+        let Ok((msg, ..)) = Message::decode_traced(wire) else {
             refuse_frame();
             return;
         };
@@ -404,7 +404,7 @@ pub(crate) struct InvocationState {
     /// collocated bypass calls (nothing to retry), and again once the
     /// invocation completes (nothing left to retry: whoever still holds the
     /// results must not also pin the request's bulk frames).
-    replay: AuditMutex<Vec<(EndpointId, Bytes)>>,
+    replay: AuditMutex<Vec<(EndpointId, Wire)>>,
     /// An `client.invoke` trace span was opened for this invocation and
     /// must be closed exactly once (at unregistration).
     span_open: AtomicBool,
@@ -1116,18 +1116,22 @@ impl<'p> CallBuilder<'p> {
         // part of its merged frames: a retransmitted control from any thread
         // nudges the server, which deduplicates by (binding, req_id) and
         // re-sends the cached reply.
-        let merge = lead && self.dargs.iter().any(|d| matches!(d, DArgEntry::In { .. }));
+        let in_args = self.dargs.iter().filter(|d| matches!(d, DArgEntry::In { .. })).count();
+        let merge = lead && in_args > 0;
         let mut riders: Vec<Option<Bytes>> = Vec::new();
-        let mut replay: Vec<(EndpointId, Bytes)> = Vec::new();
+        // At most one frame per control endpoint and one per (in-argument,
+        // server thread), merged or not.
+        let frames = if oneway { 0 } else { control_eps.len() + in_args * proxy.obj.nthreads };
+        let mut replay: Vec<(EndpointId, Wire)> = Vec::with_capacity(frames);
         if merge {
             riders = vec![Some(control_wire); control_eps.len()];
         } else {
             for ep in control_eps {
                 if lead {
-                    core.orb.send_wire(core.host, *ep, control_wire.clone())?;
+                    core.orb.send_wire(core.host, *ep, control_wire.clone().into())?;
                 }
                 if !oneway {
-                    replay.push((*ep, control_wire.clone()));
+                    replay.push((*ep, control_wire.clone().into()));
                 }
             }
         }
@@ -1167,9 +1171,9 @@ impl<'p> CallBuilder<'p> {
         // their own.
         for (ep, rider) in control_eps.iter().zip(riders) {
             if let Some(wire) = rider {
-                core.orb.send_wire(core.host, *ep, wire.clone())?;
+                core.orb.send_wire(core.host, *ep, wire.clone().into())?;
                 if !oneway {
-                    replay.push((*ep, wire));
+                    replay.push((*ep, wire.into()));
                 }
             }
         }
@@ -1435,6 +1439,15 @@ impl std::fmt::Debug for InvocationHandle {
 }
 
 impl ReplyData {
+    /// Where the received pieces of distributed out-argument `ordinal`
+    /// keep their payloads.
+    #[cfg(test)]
+    pub(crate) fn piece_ptrs(&self, ordinal: usize) -> Vec<usize> {
+        let wire_idx = self.state.out_wire_idx[ordinal];
+        let inner = self.state.inner.lock();
+        inner.frags[&wire_idx].iter().map(|p| p.data.as_ptr() as usize).collect()
+    }
+
     /// Decode scalar out slot `slot` (slot 0 is the return value of a
     /// non-void operation).
     pub fn scalar<T: CdrCodec>(&self, slot: usize) -> OrbResult<T> {

@@ -394,10 +394,32 @@ impl<T: CdrCodec + Clone + Send + Sync + 'static> Pack for DSequence<T> {
         DSequence::pack_into(self, sets, e);
     }
 
+    fn body(&self, sets: &[Strided]) -> Option<Bytes> {
+        let [set] = sets else { return None };
+        let at = set.layout(self.global_len, &self.dist, self.nthreads, self.thread)?;
+        let span = at.span().filter(|_| at.count == 1)?;
+        let part = T::native_image(&self.local[span])?;
+        let whole = Bytes::from_owner(Image(self.local.clone()));
+        let lo = part.as_ptr() as usize - whole.as_ptr() as usize;
+        Some(whole.slice(lo..lo + part.len()))
+    }
+
     fn concentrate(&self, rts: &dyn Rts) -> Box<dyn Pack> {
         let mut whole = self.clone();
         whole.redistribute(rts, Distribution::Concentrated(0));
         Box::new(whole)
+    }
+}
+
+/// A sequence's storage seen as the bytes of its native image
+/// ([`CdrCodec::native_image`]): the owner of a frame body, which keeps the
+/// storage alive while the frame is in flight or kept for replay. The
+/// storage never changes while shared, so the bytes do not either.
+struct Image<T>(Arc<Vec<T>>);
+
+impl<T: CdrCodec> AsRef<[u8]> for Image<T> {
+    fn as_ref(&self) -> &[u8] {
+        T::native_image(&self.0).unwrap_or_default()
     }
 }
 

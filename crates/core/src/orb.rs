@@ -9,7 +9,7 @@
 use crate::error::{OrbError, OrbResult};
 use crate::interface_repo::InterfaceRepository;
 use crate::object::{ClientId, DistPolicy, EndpointId, ObjectKey, ObjectRef, ServerId};
-use crate::protocol::Message;
+use crate::protocol::{Message, Wire};
 use crate::repository::{ActivationMode, ImplementationRepository, ObjectRepository};
 use crate::servant::Servant;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -92,7 +92,7 @@ impl Default for OrbConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct Envelope {
     /// Encoded [`Message`] frame.
-    pub wire: bytes::Bytes,
+    pub wire: Wire,
 }
 
 /// Registered object metadata (what the repository hands to binders).
@@ -327,11 +327,12 @@ impl Orb {
     /// paper's non-blocking invocations were not "oneway", so clients pay
     /// the send time; §4.3 leans on exactly this).
     pub(crate) fn send(&self, from_host: HostId, to: EndpointId, msg: &Message) -> OrbResult<()> {
-        self.send_wire(from_host, to, msg.encode())
+        self.send_wire(from_host, to, msg.encode().into())
     }
 
     /// Put one already-encoded frame on the wire, as it is made: the ORB's
-    /// only send path.
+    /// only send path. A frame's body ([`Wire::body`]) travels, and is
+    /// charged for, with its head, as the storage it is.
     ///
     /// Steady-state this acquires no lock: the endpoint table and the
     /// network topology are both immutable published snapshots, and under
@@ -346,12 +347,7 @@ impl Orb {
     /// indistinguishable from a frame arriving at a dead host: the send
     /// returns `Ok` in either transport mode, and recovery is the client
     /// pump's job.
-    pub(crate) fn send_wire(
-        &self,
-        from_host: HostId,
-        to: EndpointId,
-        wire: bytes::Bytes,
-    ) -> OrbResult<()> {
+    pub(crate) fn send_wire(&self, from_host: HostId, to: EndpointId, wire: Wire) -> OrbResult<()> {
         // Hazard hook: any audited lock still held here is held across the
         // wire (its hold time would include modelled network latency), and
         // the happens-before edge to the receiving pump rides the frame.

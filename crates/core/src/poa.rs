@@ -14,7 +14,7 @@ use crate::object::{
 use crate::orb::{Envelope, ObjectMeta, Orb};
 use crate::protocol::{
     batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg,
-    ReplyStatus, RequestMsg, SrcTemplate,
+    ReplyStatus, RequestMsg, SrcTemplate, Wire,
 };
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
 use crate::strided::{cut_fragments, wire_template, Piece};
@@ -165,7 +165,7 @@ impl PendingReq {
 /// Every frame one thread sent in reply to one invocation: the client
 /// thread it went to, whose acknowledgement lets go of it, the endpoint,
 /// and the frame.
-type ReplyFrames = Vec<(u32, EndpointId, Bytes)>;
+type ReplyFrames = Vec<(u32, EndpointId, Wire)>;
 
 /// Reply-frame bytes one adapter thread retains for replay before it starts
 /// evicting the oldest replies. A constant, not a knob: acknowledgements
@@ -195,7 +195,7 @@ pub(crate) const REPLY_CACHE_MIN_ENTRIES: usize = 8;
 /// bounds bulk ones nobody acknowledges. A client retransmits only while its
 /// invocation is in flight, so only the most recent keys ever need
 /// suppressing.
-struct RecentInvocations {
+pub(crate) struct RecentInvocations {
     /// `None` while the original dispatch is still executing (or deferred);
     /// `Some(frames)` once the reply left, recording every frame this thread
     /// sent for it that no acknowledgement has let go of yet.
@@ -264,7 +264,7 @@ impl AckTable {
 }
 
 impl RecentInvocations {
-    fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         RecentInvocations {
             seen: HashMap::new(),
             order: VecDeque::new(),
@@ -273,6 +273,22 @@ impl RecentInvocations {
             acks: AckTable { threads: HashMap::new(), order: VecDeque::new(), cap },
             due: Vec::new(),
         }
+    }
+
+    /// Mark `key` accepted, retaining nothing yet. False when it already
+    /// was.
+    pub(crate) fn accept(&mut self, key: (BindingId, u64)) -> bool {
+        let new = self.seen.insert(key, None).is_none();
+        if new {
+            self.order.push_back(key);
+        }
+        new
+    }
+
+    /// Frames kept for `key`, and the room its frame list holds.
+    #[cfg(test)]
+    pub(crate) fn retained(&self, key: (BindingId, u64)) -> Option<(usize, usize)> {
+        self.seen.get(&key)?.as_ref().map(|frames| (frames.len(), frames.capacity()))
     }
 
     /// Attach the frames sent for an accepted invocation — all but those for
@@ -284,7 +300,7 @@ impl RecentInvocations {
     /// allocator: freed first, the acknowledged frames leave it a free top
     /// of heap to hand back to the kernel, and the very next reply faults
     /// the same pages in again.
-    fn record(&mut self, key: (BindingId, u64), mut frames: ReplyFrames) -> usize {
+    pub(crate) fn record(&mut self, key: (BindingId, u64), mut frames: ReplyFrames) -> usize {
         if let Some(slot) = self.seen.get_mut(&key) {
             let (binding, id) = key;
             frames.retain(|&(by, ..)| !self.acks.get((binding, by)).acknowledged(id));
@@ -305,7 +321,7 @@ impl RecentInvocations {
     /// Client thread `thread` of `binding` completed every request up to
     /// `through`. The frames kept for it up to there go when the next reply
     /// is recorded.
-    fn acknowledge(&mut self, binding: BindingId, thread: u32, through: u64) {
+    pub(crate) fn acknowledge(&mut self, binding: BindingId, thread: u32, through: u64) {
         let acks = self.acks.get((binding, thread));
         if !acks.acknowledged(through) {
             acks.through = Some(through);
@@ -334,6 +350,11 @@ impl RecentInvocations {
                     }
                     !mine
                 });
+                // An emptied list keeps no capacity: up to `cap` entries
+                // outlive their frames as marks.
+                if frames.is_empty() {
+                    *frames = Vec::new();
+                }
             }
         }
         released
@@ -544,7 +565,7 @@ impl Poa {
     }
 
     /// Handle one frame that sits inside `depth` batch envelopes.
-    fn handle_wire(&mut self, wire: &Bytes, depth: usize) {
+    fn handle_wire(&mut self, wire: &Wire, depth: usize) {
         match Message::decode_traced(wire) {
             Ok((msg, ctx, ack_lag)) => self.handle(msg, ctx, ack_lag, depth),
             // A malformed frame cannot be answered: it has no parseable
@@ -825,11 +846,8 @@ impl Poa {
     /// window in which a duplicate arriving mid-execution would re-execute.
     fn mark_accepted(&self, key: (BindingId, u64)) {
         self.update_recent(|recent| {
-            if recent.seen.insert(key, None).is_none() {
-                if pardis_obs::enabled() {
-                    pardis_obs::counter("poa.reply_cache_misses").inc();
-                }
-                recent.order.push_back(key);
+            if recent.accept(key) && pardis_obs::enabled() {
+                pardis_obs::counter("poa.reply_cache_misses").inc();
             }
         });
     }
@@ -1034,7 +1052,10 @@ impl Poa {
         // Every frame this thread ships is also recorded so a retransmitted
         // request can be answered from the cache without re-execution, each
         // until the client thread it went to acknowledges it.
-        let mut sent: ReplyFrames = Vec::new();
+        // At most one frame per (out-argument, client thread), plus the
+        // reply control to each client thread.
+        let outs = douts.as_ref().map_or(0, Vec::len);
+        let mut sent: ReplyFrames = Vec::with_capacity((outs + 1) * m);
 
         if let Some(douts) = &douts {
             // Cut each distributed out argument into one frame per client
@@ -1060,6 +1081,7 @@ impl Poa {
         }
 
         if let Some(wire) = reply_wire {
+            let wire = Wire::from(wire);
             for (c, ep) in req.reply_to.iter().enumerate() {
                 // A reply that rode with a fragment has left already.
                 if riders.get(c).is_some_and(Option::is_none) {
@@ -1073,7 +1095,7 @@ impl Poa {
     }
 
     /// Send an already-encoded frame (charging the network for its size).
-    fn send_raw(&self, to: EndpointId, frame: Bytes) -> OrbResult<()> {
+    fn send_raw(&self, to: EndpointId, frame: Wire) -> OrbResult<()> {
         self.orb.send_wire(self.host, to, frame)
     }
 }

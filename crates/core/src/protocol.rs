@@ -15,6 +15,10 @@
 //! while tracing is enabled, so untraced frames are byte-identical to the
 //! pre-v2 layout (the byte was an always-zero pad) and the network cost
 //! model sees unchanged frame sizes whenever tracing is off.
+//!
+//! A frame travels as a [`Wire`]: `head ++ body`. The body is empty but for
+//! a bulk-data frame whose payload is the sender's own storage, which then
+//! follows the head as it is instead of being copied into it.
 
 use crate::dist::Distribution;
 use crate::object::{BindingId, ClientId, EndpointId, ObjectKey};
@@ -50,6 +54,50 @@ pub(crate) fn batch_depth_allowed(depth: usize) -> bool {
     }
     refuse_frame();
     false
+}
+
+/// One frame as it travels: the bytes of `head` followed by those of
+/// `body`. The body is empty but for a bulk-data frame whose payload is one
+/// run of the sender's storage in its native image: `head` then ends with
+/// the payload's length word (and, in a batch envelope, the last
+/// sub-frame's), and `body` is that storage itself, not a copy of it.
+/// Either way the bytes are those of the same frame built in one buffer.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Wire {
+    /// Everything up to and including the last byte sequence's length word
+    /// when there is a body; the whole frame when there is none.
+    pub head: Bytes,
+    /// The frame's last bytes, shared with the storage they came from.
+    pub body: Bytes,
+}
+
+impl Wire {
+    /// Frame length in bytes: what the network carries.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+
+    /// True for a frame of no bytes (no sender builds one).
+    pub fn is_empty(&self) -> bool {
+        self.head.is_empty() && self.body.is_empty()
+    }
+
+    /// The frame in one buffer: `head` itself without a body, else a copy
+    /// of both.
+    #[cfg(test)]
+    pub(crate) fn to_bytes(&self) -> Bytes {
+        if self.body.is_empty() {
+            self.head.clone()
+        } else {
+            Bytes::from([&self.head[..], &self.body[..]].concat())
+        }
+    }
+}
+
+impl From<Bytes> for Wire {
+    fn from(head: Bytes) -> Wire {
+        Wire { head, body: Bytes::new() }
+    }
 }
 
 /// Write the 8-byte frame header plus the optional trace-context extension.
@@ -278,8 +326,9 @@ pub enum Message {
     /// PRDS frame with its own header — and its own trace-context
     /// extension, so every sub-frame keeps its sub-span. The envelope itself
     /// carries no context. Receivers unpack one envelope level and drop an
-    /// envelope nested inside another unread.
-    Batch(Vec<Bytes>),
+    /// envelope nested inside another unread. Only the last sub-frame, a
+    /// bulk-data one, may have a body: the envelope's.
+    Batch(Vec<Wire>),
     /// Bulk data of a thread pair whose share is not one contiguous run:
     /// `start` is the pair's first global index, `count` its element total,
     /// and `data` packs the elements in the order of the pair's transfer
@@ -349,7 +398,7 @@ impl Message {
     /// Parse a frame, discarding any header trace context and
     /// acknowledgement lag.
     pub fn decode(frame: &Bytes) -> Result<Message, CdrError> {
-        Self::decode_traced(frame).map(|(msg, ..)| msg)
+        Self::decode_parts(frame, &Bytes::new()).map(|(msg, ..)| msg)
     }
 
     /// Parse a frame together with what travels beside the message: the
@@ -358,8 +407,21 @@ impl Message {
     /// `lag` — the sending client thread has completed every request of the
     /// binding up to `req_id - lag` (0: no acknowledgement, as on every frame
     /// that is not bulk data).
+    ///
+    /// A body is accepted only as the frame's last byte sequence: the
+    /// payload of a `Fragment` or `Strided` frame, or the last sub-frame of
+    /// a `Batch` envelope, which must then be bulk data itself. The head
+    /// must end with that sequence's length word, and the word must count
+    /// the body.
     pub(crate) fn decode_traced(
+        wire: &Wire,
+    ) -> Result<(Message, Option<pardis_obs::TraceCtx>, u16), CdrError> {
+        Self::decode_parts(&wire.head, &wire.body)
+    }
+
+    fn decode_parts(
         frame: &Bytes,
+        body: &Bytes,
     ) -> Result<(Message, Option<pardis_obs::TraceCtx>, u16), CdrError> {
         // Peek the header with a throwaway decoder to learn the byte order.
         if frame.len() < 8 {
@@ -380,6 +442,12 @@ impl Message {
         let order = ByteOrder::from_flag(frame[5])?;
         let ty = frame[6];
         let flags = frame[7];
+        if !body.is_empty() && !matches!(ty, 2 | 5 | 6) {
+            return Err(CdrError::TypeMismatch {
+                expected: "no body behind a frame that is not bulk data".into(),
+                found: format!("{} body bytes behind frame type {ty}", body.len()),
+            });
+        }
         let mut d = Decoder::new(frame.clone(), order);
         d.read_raw(8)?; // skip header
         let ctx = if flags & FLAG_TRACE_CTX != 0 {
@@ -394,7 +462,7 @@ impl Message {
             2 => {
                 let (mut head, lag) = decode_fragment_fields(&mut d)?;
                 ack_lag = lag;
-                head.data = d.read_byte_seq_bytes()?;
+                head.data = payload(&mut d, frame, body)?;
                 Message::Fragment(head)
             }
             3 => Message::Cancel { binding: BindingId::decode(&mut d)?, req_id: d.read_u64()? },
@@ -402,8 +470,25 @@ impl Message {
             5 => {
                 let n = d.read_seq_len(None)?;
                 let mut frames = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    frames.push(d.read_byte_seq_bytes()?);
+                for i in 1..=n {
+                    if i < n || body.is_empty() {
+                        frames.push(Wire::from(d.read_byte_seq_bytes()?));
+                        continue;
+                    }
+                    let last = last_byte_seq(&mut d, frame, body)?;
+                    if !matches!(last.head.get(6), Some(2 | 6)) {
+                        return Err(CdrError::TypeMismatch {
+                            expected: "a bulk-data sub-frame before an envelope's body".into(),
+                            found: format!("sub-frame type {:?}", last.head.get(6)),
+                        });
+                    }
+                    frames.push(last);
+                }
+                if n == 0 && !body.is_empty() {
+                    return Err(CdrError::TypeMismatch {
+                        expected: "a sub-frame to carry the envelope's body".into(),
+                        found: "an empty envelope".into(),
+                    });
                 }
                 Message::Batch(frames)
             }
@@ -412,7 +497,7 @@ impl Message {
                 ack_lag = lag;
                 let nthreads = d.read_u32()?;
                 let template = SrcTemplate { dist: Distribution::decode(&mut d)?, nthreads };
-                head.data = d.read_byte_seq_bytes()?;
+                head.data = payload(&mut d, frame, body)?;
                 Message::Strided(head, template)
             }
             other => Err(CdrError::InvalidEnumDiscriminant {
@@ -422,6 +507,38 @@ impl Message {
         };
         Ok((msg, ctx, ack_lag))
     }
+}
+
+/// The byte sequence that ends a frame whose `body` is not empty: its
+/// length word is the last thing `d` holds, and it counts what is left of
+/// `frame` plus the whole body.
+fn last_byte_seq(d: &mut Decoder, frame: &Bytes, body: &Bytes) -> Result<Wire, CdrError> {
+    let len = d.read_u32()? as usize;
+    let rest = d.remaining();
+    if rest.checked_add(body.len()) != Some(len) {
+        return Err(CdrError::TypeMismatch {
+            expected: format!("a sequence of {len} bytes"),
+            found: format!("{rest} in the head and {} in the body", body.len()),
+        });
+    }
+    let head = frame.slice(d.position()..);
+    d.read_bytes(rest)?;
+    Ok(Wire { head, body: body.clone() })
+}
+
+/// A bulk-data frame's payload: read from the frame, or its whole body.
+fn payload(d: &mut Decoder, frame: &Bytes, body: &Bytes) -> Result<Bytes, CdrError> {
+    if body.is_empty() {
+        return d.read_byte_seq_bytes();
+    }
+    let seq = last_byte_seq(d, frame, body)?;
+    if !seq.head.is_empty() {
+        return Err(CdrError::TypeMismatch {
+            expected: "a payload wholly in the body".into(),
+            found: format!("{} payload bytes in the head", seq.head.len()),
+        });
+    }
+    Ok(seq.body)
 }
 
 impl ArgDir {
@@ -573,10 +690,12 @@ fn decode_reply(d: &mut Decoder) -> Result<ReplyMsg, CdrError> {
     Ok(ReplyMsg { req_id, binding, status, outs, dout_lens })
 }
 
-fn encode_batch_body(frames: &[Bytes], e: &mut Encoder) {
+fn encode_batch_body(frames: &[Wire], e: &mut Encoder) {
     e.write_u32(frames.len() as u32);
     for f in frames {
-        e.write_byte_seq(f);
+        e.write_u32(f.len() as u32);
+        e.write_raw(&f.head);
+        e.write_raw(&f.body);
     }
 }
 
@@ -585,7 +704,7 @@ fn encode_batch_body(frames: &[Bytes], e: &mut Encoder) {
 /// envelope is pure transport — each sub-frame already carries its own
 /// header (and context).
 #[cfg(test)]
-pub(crate) fn encode_batch_frame(frames: &[Bytes]) -> Bytes {
+pub(crate) fn encode_batch_frame(frames: &[Wire]) -> Bytes {
     let order = ByteOrder::native();
     let cap = 12 + frames.iter().map(|f| f.len() + 8).sum::<usize>();
     let mut e = Encoder::with_capacity(order, cap);
@@ -610,29 +729,40 @@ fn encode_fragment_fields(f: &FragmentMsg, ack_lag: u16, e: &mut Encoder) {
     e.write_u32(f.src_thread);
 }
 
-/// Frame one bulk-data message in a single buffer: a plain `Fragment`
-/// (type 2) without a template, a `Strided` (type 6) with one. `head.data`
-/// is ignored; `pack` appends the payload — about `payload_len` bytes of it
-/// — straight into the frame, after the length word and under an alignment
-/// origin of its own ([`Encoder::write_byte_seq_with`]): the receiver
-/// decodes the payload as a stream that starts at its first byte.
+/// What a bulk-data frame carries after its payload's length word.
+pub(crate) enum Payload<F> {
+    /// About `len` bytes that `F` appends straight into the frame.
+    Packed(usize, F),
+    /// Bytes that travel as they are, as the frame's body.
+    Body(Bytes),
+}
+
+/// Frame one bulk-data message: a plain `Fragment` (type 2) without a
+/// template, a `Strided` (type 6) with one. `head.data` is ignored.
+///
+/// A [`Payload::Packed`] payload is appended straight into the frame,
+/// after the length word and under an alignment origin of its own
+/// ([`Encoder::write_byte_seq_with`]): the receiver decodes the payload as
+/// a stream that starts at its first byte. A [`Payload::Body`] is the
+/// frame's [`Wire::body`]: the head ends with the length word that counts
+/// it, and the bytes on the wire are those of the same payload packed.
 ///
 /// With a `rider` — an already-encoded frame bound for the same endpoint —
 /// the result is a two-frame [`Message::Batch`] envelope `[rider,
 /// fragment]`. The fragment is still built in place, as the envelope's
 /// second sub-frame under an origin of its own, so it is byte-identical to
-/// the frame this function returns without a rider.
+/// the frame this function returns without a rider, and a body stays the
+/// envelope's.
 ///
 /// `ack_lag` is the sending client thread's acknowledgement
 /// ([`Message::decode_traced`]); out-fragments carry 0.
 pub(crate) fn frame_fragment(
     head: &FragmentMsg,
     template: Option<(&Distribution, u32)>,
-    payload_len: usize,
     rider: Option<&Bytes>,
     ack_lag: u16,
-    pack: impl FnOnce(&mut Encoder),
-) -> Bytes {
+    payload: Payload<impl FnOnce(&mut Encoder)>,
+) -> Wire {
     let order = ByteOrder::native();
     let ctx = pardis_obs::current_ctx();
     // Exact for a plain fragment (its fields are all fixed-width); a
@@ -642,11 +772,16 @@ pub(crate) fn frame_fragment(
         Some((Distribution::Irregular(counts), _)) => 24 + 8 * counts.len(),
         Some(_) => 24,
     };
-    let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + slack + payload_len;
+    let (packed, pack, body) = match payload {
+        Payload::Packed(len, pack) => (len, Some(pack), Bytes::new()),
+        Payload::Body(body) => (0, None, body),
+    };
+    let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + slack + packed;
     // An envelope adds its header, a count, two length words and at most
     // three bytes of padding after the rider.
     let envelope = rider.map_or(0, |r| r.len() + 24);
     let mut e = Encoder::with_capacity(order, cap + envelope);
+    let tail = body.len();
     let fragment = |e: &mut Encoder| {
         write_header(e, order, if template.is_some() { 6 } else { 2 }, ctx);
         encode_fragment_fields(head, ack_lag, e);
@@ -654,7 +789,7 @@ pub(crate) fn frame_fragment(
             e.write_u32(nthreads);
             dist.encode(e);
         }
-        e.write_byte_seq_with(pack);
+        e.write_byte_seq_with(tail, |e| pack.map_or((), |pack| pack(e)));
     };
     match rider {
         None => fragment(&mut e),
@@ -662,10 +797,15 @@ pub(crate) fn frame_fragment(
             write_header(&mut e, order, 5, None); // 5 = Message::Batch type tag
             e.write_u32(2);
             e.write_byte_seq(rider);
-            e.write_byte_seq_with(fragment);
+            e.write_byte_seq_with(tail, fragment);
         }
     }
-    e.finish()
+    Wire { head: e.finish(), body }
+}
+
+/// [`Payload::Packed`] from already-encoded bytes.
+pub(crate) fn packed(payload: &[u8]) -> Payload<impl FnOnce(&mut Encoder) + '_> {
+    Payload::Packed(payload.len(), move |e: &mut Encoder| e.write_raw(payload))
 }
 
 /// Frame one contiguous fragment whose payload is supplied separately as
@@ -673,7 +813,7 @@ pub(crate) fn frame_fragment(
 /// `Message::Fragment(..).encode()` with `data = payload` (`head.data` is
 /// ignored); neither acknowledges anything.
 pub fn encode_fragment_frame(head: &FragmentMsg, payload: &[u8]) -> Bytes {
-    frame_fragment(head, None, payload.len(), None, 0, |e| e.write_raw(payload))
+    frame_fragment(head, None, None, 0, packed(payload)).head
 }
 
 /// Frame one strided fragment ([`Message::Strided`]): `payload` packs the
@@ -684,7 +824,7 @@ pub(crate) fn encode_strided_frame(
     nthreads: u32,
     payload: &[u8],
 ) -> Bytes {
-    frame_fragment(head, Some((dist, nthreads)), payload.len(), None, 0, |e| e.write_raw(payload))
+    frame_fragment(head, Some((dist, nthreads)), None, 0, packed(payload)).head
 }
 
 /// Byte size of an *untraced* plain fragment frame ahead of its payload,

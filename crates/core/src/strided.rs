@@ -29,7 +29,7 @@
 
 use crate::dist::{Distribution, Run};
 use crate::error::{OrbError, OrbResult};
-use crate::protocol::{frame_fragment, FragmentMsg, SrcTemplate};
+use crate::protocol::{frame_fragment, FragmentMsg, Payload, SrcTemplate, Wire};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, ElemSink, Encoder};
 use pardis_rts::Rts;
@@ -234,6 +234,27 @@ impl Layout {
     }
 }
 
+/// The 64-slot bitmap words a run of slots `lo..lo + n` (`n > 0`) covers:
+/// the first and last word with the mask of the run's bits in each (one
+/// word, twice, when the run fits in it), and the whole words between them.
+struct RunWords {
+    edges: [(usize, u64); 2],
+    whole: std::ops::Range<usize>,
+}
+
+impl RunWords {
+    fn new(lo: usize, n: usize) -> RunWords {
+        let (first, last) = (lo / 64, (lo + n - 1) / 64);
+        let head = u64::MAX << (lo % 64);
+        let tail = u64::MAX >> (63 - (lo + n - 1) % 64);
+        if first == last {
+            RunWords { edges: [(first, head & tail); 2], whole: first..first }
+        } else {
+            RunWords { edges: [(first, head), (last, tail)], whole: first + 1..last }
+        }
+    }
+}
+
 /// The index set one thread owns: at most a strided body plus one short
 /// tail block (block-cyclic only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -432,6 +453,11 @@ pub(crate) trait Pack: Send {
     fn payload_len(&self, elems: u64) -> usize;
     /// Append the elements of the given index sets, in order, to `e`.
     fn pack_into(&self, sets: &[Strided], e: &mut Encoder);
+    /// The packed elements of `sets` as this share's own storage, when they
+    /// are one run of it whose memory image is their native encoding
+    /// ([`CdrCodec::native_image`]): what `pack_into` would append from an
+    /// aligned position, without the copy.
+    fn body(&self, sets: &[Strided]) -> Option<Bytes>;
     /// Collective over `rts`: this share redistributed to
     /// `Concentrated(0)`, the wire template of the funneled strategy.
     fn concentrate(&self, rts: &dyn Rts) -> Box<dyn Pack>;
@@ -454,8 +480,10 @@ pub(crate) fn wire_template(funneled: bool, n: usize, dist: &Distribution) -> Di
 /// every frame shares (request, argument, direction, source thread). A pair
 /// that exchanges one contiguous run travels as a plain `Fragment` frame;
 /// anything else as a `Strided` frame naming the source-side template.
-/// Either way the elements are packed straight into the frame: one buffer
-/// and one copy per destination.
+/// When the pair's elements are one run of the sender's storage in their
+/// native image ([`Pack::body`]), that storage is the frame's body;
+/// otherwise they are packed straight into the frame. Either way a frame
+/// costs one buffer, and at most one copy, per destination.
 ///
 /// `riders[d]` is a frame the sender owes destination thread `d` anyway (a
 /// request or a reply): the first frame cut for `d` takes it and leaves as
@@ -471,7 +499,7 @@ pub(crate) fn cut_fragments(
     (dst_dist, dst_n): (&Distribution, usize),
     share: &dyn Pack,
     riders: &mut [Option<Bytes>],
-    mut emit: impl FnMut(&FragmentMsg, Bytes) -> OrbResult<()>,
+    mut emit: impl FnMut(&FragmentMsg, Wire) -> OrbResult<()>,
 ) -> OrbResult<()> {
     let mut sets = Vec::new();
     let me = head.src_thread as usize;
@@ -485,10 +513,13 @@ pub(crate) fn cut_fragments(
         let contiguous = sets.len() == 1 && first.count == 1;
         let template = (!contiguous).then_some((src_dist, src_n as u32));
         let rider = riders.get_mut(dst).and_then(Option::take);
-        let payload_len = share.payload_len(head.count);
-        let wire = frame_fragment(&head, template, payload_len, rider.as_ref(), ack_lag, |e| {
-            share.pack_into(&sets, e)
-        });
+        let payload = match share.body(&sets) {
+            Some(body) => Payload::Body(body),
+            None => Payload::Packed(share.payload_len(head.count), |e: &mut Encoder| {
+                share.pack_into(&sets, e)
+            }),
+        };
+        let wire = frame_fragment(&head, template, rider.as_ref(), ack_lag, payload);
         emit(&head, wire)?;
     }
     Ok(())
@@ -523,9 +554,19 @@ impl<T> Slots<T> {
         fill: impl FnOnce(&mut ElemSink<'_, T>) -> R,
     ) -> Result<R, ()> {
         let span = at.span().filter(|span| span.end <= self.buf.len()).ok_or(())?;
-        let mut taken = 0;
-        at.for_words(at.block * at.count, |w, mask| taken |= self.set[w] & mask);
-        if taken != 0 {
+        // A dense layout is one run: its whole words are checked and marked
+        // as slices, not word by word.
+        let dense = at.count == 1;
+        let taken = if dense {
+            let run = RunWords::new(at.lo, at.block);
+            self.set[run.whole].iter().any(|&w| w != 0)
+                || run.edges.iter().any(|&(w, mask)| self.set[w] & mask != 0)
+        } else {
+            let mut taken = 0;
+            at.for_words(at.block * at.count, |w, mask| taken |= self.set[w] & mask);
+            taken != 0
+        };
+        if taken {
             return Err(());
         }
         let mut sink = ElemSink::strided(&mut self.buf[span], at.block, at.stride);
@@ -534,7 +575,15 @@ impl<T> Slots<T> {
         // really went: a set bit always means an initialised slot.
         let filled = sink.filled();
         let set = &mut self.set;
-        at.for_words(filled, |w, mask| set[w] |= mask);
+        if !dense {
+            at.for_words(filled, |w, mask| set[w] |= mask);
+        } else if filled > 0 {
+            let run = RunWords::new(at.lo, filled);
+            set[run.whole].fill(u64::MAX);
+            for (w, mask) in run.edges {
+                set[w] |= mask;
+            }
+        }
         self.filled += filled;
         Ok(out)
     }

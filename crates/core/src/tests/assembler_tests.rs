@@ -51,6 +51,46 @@ fn long_runs_are_marked_a_word_at_a_time() {
 }
 
 #[test]
+fn dense_runs_mark_edge_words_masked_and_whole_words_at_once() {
+    // Runs of f64 over 512 slots (8 bitmap words) that start or end mid-word
+    // or exactly on a word edge, filling the vector between them. Each run
+    // then refuses a second delivery of its first, last and middle slots,
+    // and the slots just outside it stay free until their own run comes.
+    let len = 512u64;
+    let values: Vec<f64> = (0..len).map(|i| i as f64 * 1.5).collect();
+    let runs = [(0u64, 64u64), (64, 3), (67, 61), (128, 192), (320, 1), (321, 190), (511, 1)];
+    let mut asm = Assembler::<f64>::new(len, &WHOLE, 1, 0);
+    let doubles = |lo: u64, n: u64| {
+        let mut e = Encoder::new(ByteOrder::native());
+        f64::encode_elems(&values[lo as usize..(lo + n) as usize], &mut e);
+        Decoder::new(e.finish(), ByteOrder::native())
+    };
+    for (k, &(start, count)) in runs.iter().enumerate() {
+        if let Some(&(next, _)) = runs.get(k + 1) {
+            assert_eq!(start + count, next, "the runs tile the vector");
+        }
+        asm.decode(&Strided::run(start, count), &mut doubles(start, count)).unwrap();
+        for slot in [start, start + count - 1, start + count / 2] {
+            let mut d = doubles(slot, 1);
+            assert!(asm.decode(&Strided::run(slot, 1), &mut d).is_err(), "slot {slot}");
+            assert_eq!(d.position(), 0, "slot {slot} was read");
+        }
+    }
+    // An overlap found only at a whole word in the middle of the run: the
+    // edges of 100..400 are free, word 3 (slots 192..256) is taken.
+    let mut asm2 = Assembler::<f64>::new(len, &WHOLE, 1, 0);
+    asm2.decode(&Strided::run(192, 64), &mut doubles(192, 64)).unwrap();
+    let mut d = doubles(100, 300);
+    assert!(matches!(asm2.decode(&Strided::run(100, 300), &mut d), Err(OrbError::Protocol(_))));
+    assert_eq!(d.position(), 0, "the refused run was read");
+    for (start, count) in [(0, 192), (256, 256)] {
+        asm2.decode(&Strided::run(start, count), &mut doubles(start, count)).unwrap();
+    }
+    assert_eq!(asm2.finish().unwrap(), values);
+    assert_eq!(asm.finish().unwrap(), values);
+}
+
+#[test]
 fn overlap_out_of_range_and_gaps_are_typed_errors() {
     let all = words(0..100);
     let mut asm = Assembler::<String>::new(100, &WHOLE, 1, 0);

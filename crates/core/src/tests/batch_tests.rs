@@ -3,17 +3,26 @@
 //! unread — envelopes nested past the depth bound and frames no sender
 //! builds, such as a fragment for a sibling thread.
 
+use super::protocol_tests::sample_request;
 use crate::object::BindingId;
 use crate::protocol::{
-    encode_batch_frame, encode_fragment_frame, ArgDir, FragmentMsg, Message, ReplyMsg, ReplyStatus,
-    MAGIC, MAX_BATCH_DEPTH, VERSION,
+    encode_batch_frame, encode_fragment_frame, frame_fragment, ArgDir, FragmentMsg, Message,
+    Payload, ReplyMsg, ReplyStatus, Wire, MAGIC, MAX_BATCH_DEPTH, VERSION,
 };
 use crate::*;
 use bytes::Bytes;
-use pardis_cdr::ByteOrder;
+use pardis_cdr::{ByteOrder, Encoder};
 use pardis_netsim::{Link, Network, TimeScale};
 use pardis_rts::{MpiRts, World};
 use std::sync::Arc;
+
+/// Held by every test that counts `orb.frames_refused`, a process-wide
+/// counter: one test's refusals must not land in another's window.
+static REFUSALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn counting_refusals() -> std::sync::MutexGuard<'static, ()> {
+    REFUSALS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A minimal echo servant for the end-to-end legs.
 struct Echo;
@@ -44,7 +53,7 @@ fn small_frame(i: u64) -> Bytes {
 /// Batch envelopes survive an encode/decode round trip unchanged.
 #[test]
 fn batch_envelope_roundtrip() {
-    let frames: Vec<Bytes> = (0..5).map(small_frame).collect();
+    let frames: Vec<Wire> = (0..5).map(|i| small_frame(i).into()).collect();
     let wire = encode_batch_frame(&frames);
     assert_eq!(wire[0..4], MAGIC);
     assert_eq!(wire[6], 5, "batch type tag");
@@ -131,10 +140,12 @@ fn nested_in_batches(inner: &Bytes, depth: usize) -> Bytes {
 /// pump go on serving.
 #[test]
 fn nested_batch_envelopes_are_refused_past_the_depth_bound() {
+    let _serial = counting_refusals();
     // A cancel for an unknown invocation: harmless wherever it lands.
     let stray = Message::Cancel { binding: BindingId(0xBAD), req_id: 1 }.encode();
-    assert_eq!(nested_in_batches(&stray, 1), encode_batch_frame(std::slice::from_ref(&stray)));
-    let twice = encode_batch_frame(&[encode_batch_frame(std::slice::from_ref(&stray))]);
+    let one = |frame: &Bytes| encode_batch_frame(&[frame.clone().into()]);
+    assert_eq!(nested_in_batches(&stray, 1), one(&stray));
+    let twice = one(&one(&stray));
     assert_eq!(nested_in_batches(&stray, 2), twice);
     let wrong_thread = {
         let mut head = FragmentMsg::head(1, BindingId(0xBAD), 0, ArgDir::In, 0);
@@ -172,13 +183,87 @@ fn nested_batch_envelopes_are_refused_past_the_depth_bound() {
     ];
     for (name, frame, [at_server, at_client]) in cases {
         let before = refused();
-        orb.send_wire(ch, server_ep, frame.clone()).unwrap();
+        orb.send_wire(ch, server_ep, frame.clone().into()).unwrap();
         let reply = proxy.call("shout").arg(&name.to_string()).invoke().unwrap();
         assert_eq!(reply.scalar::<String>(0).unwrap(), format!("echo: {name}"));
         assert_eq!(refused() - before, at_server, "{name} at the server");
-        orb.send_wire(sh, client.test_reply_ep(), frame).unwrap();
+        orb.send_wire(sh, client.test_reply_ep(), frame.into()).unwrap();
         client.drain_pending();
         assert_eq!(refused() - before, at_server + at_client, "{name} at the client");
+    }
+
+    group.shutdown();
+    server.join().unwrap();
+}
+
+/// A frame whose body ([`Wire::body`]) breaks the rule that it is the
+/// frame's last byte sequence, counted by the head's last length word, and
+/// bulk data, decodes to a typed error; the POA and the client pump each
+/// refuse it unread, on `orb.frames_refused`, and go on serving.
+#[test]
+fn malformed_gather_frames_are_refused() {
+    let _serial = counting_refusals();
+    let body = Bytes::from(vec![0x5a; 16]);
+    let fragment = {
+        let head = FragmentMsg::head(1, BindingId(0xBAD), 0, ArgDir::In, 0);
+        frame_fragment(&head, None, None, 0, Payload::<fn(&mut Encoder)>::Body(body.clone()))
+    };
+    assert_eq!(Message::decode_traced(&fragment).unwrap().0.kind(), "fragment");
+    let stray = Message::Cancel { binding: BindingId(0xBAD), req_id: 1 }.encode();
+    let behind = |head: Bytes| Wire { head, body: body.clone() };
+    // A one-frame envelope whose length word counts the body behind a
+    // cancel.
+    let cancel_then_body = {
+        let mut e = Encoder::new(ByteOrder::native());
+        e.write_raw(&MAGIC);
+        e.write_raw(&[VERSION, ByteOrder::native().flag(), 5, 0]);
+        e.write_u32(1);
+        e.write_byte_seq_with(body.len(), |e| e.write_raw(&stray));
+        behind(e.finish())
+    };
+    let cases = [
+        ("a shorter body", Wire { body: body.slice(..8), ..fragment.clone() }),
+        ("a longer body", Wire { body: Bytes::from(vec![0x5a; 17]), ..fragment.clone() }),
+        (
+            "payload bytes in the head",
+            Wire {
+                head: Bytes::from([&fragment.head[..], &body[..4]].concat()),
+                body: body.slice(4..),
+            },
+        ),
+        ("a body behind a request", behind(Message::Request(sample_request()).encode())),
+        ("a body behind a reply", behind(small_frame(1))),
+        ("a body behind a cancel", behind(stray.clone())),
+        ("a body behind a close", behind(Message::Close.encode())),
+        ("a body after a cancel in an envelope", cancel_then_body),
+    ];
+
+    let net = Network::new(TimeScale::off());
+    let (ch, sh) = (net.add_host("client"), net.add_host("server"));
+    net.connect(ch, sh, Link::free());
+    let orb = Orb::new(net);
+    let group = ServerGroup::create(&orb, "echo-server", sh, 1);
+    let g2 = group.clone();
+    let server = std::thread::spawn(move || {
+        let mut poa = g2.attach(0, None);
+        poa.activate_single("echo-gather", std::sync::Arc::new(Echo));
+        poa.impl_is_ready();
+    });
+    let client = ClientGroup::create(&orb, ch, 1).attach(0, None);
+    let proxy = client.bind("echo-gather").unwrap();
+    let server_ep = orb.server_endpoints(group.id()).unwrap()[0];
+    let refused = || pardis_obs::counter("orb.frames_refused").get();
+
+    for (name, wire) in cases {
+        assert!(Message::decode_traced(&wire).is_err(), "{name} decodes");
+        let before = refused();
+        orb.send_wire(ch, server_ep, wire.clone()).unwrap();
+        let reply = proxy.call("shout").arg(&name.to_string()).invoke().unwrap();
+        assert_eq!(reply.scalar::<String>(0).unwrap(), format!("echo: {name}"));
+        assert_eq!(refused() - before, 1, "{name} at the server");
+        orb.send_wire(sh, client.test_reply_ep(), wire).unwrap();
+        client.drain_pending();
+        assert_eq!(refused() - before, 2, "{name} at the client");
     }
 
     group.shutdown();
@@ -191,6 +276,7 @@ fn nested_batch_envelopes_are_refused_past_the_depth_bound() {
 /// `orb.frames_refused`, and goes on serving.
 #[test]
 fn fragments_for_a_sibling_thread_are_refused() {
+    let _serial = counting_refusals();
     let for_thread_1 = {
         let mut head = FragmentMsg::head(1, BindingId(0xBAD), 0, ArgDir::In, 0);
         head.dst_thread = 1;
@@ -231,7 +317,7 @@ fn fragments_for_a_sibling_thread_are_refused() {
             let before = refused();
             if t == 0 {
                 let (from, to) = if at_server { (ch, server_ep) } else { (sh, ct.test_reply_ep()) };
-                orb.send_wire(from, to, for_thread_1.clone()).unwrap();
+                orb.send_wire(from, to, for_thread_1.clone().into()).unwrap();
             }
             let reply = proxy.call("shout").arg(&name.to_string()).invoke().unwrap();
             assert_eq!(reply.scalar::<String>(0).unwrap(), format!("echo: {name}"));

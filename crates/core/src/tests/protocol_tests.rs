@@ -3,7 +3,7 @@ use crate::object::{BindingId, ClientId, EndpointId, ObjectKey};
 use crate::protocol::*;
 use bytes::Bytes;
 
-fn sample_request() -> RequestMsg {
+pub(super) fn sample_request() -> RequestMsg {
     RequestMsg {
         req_id: 42,
         binding: BindingId(7),
@@ -90,9 +90,8 @@ fn fragment_ack_lag_roundtrips_at_no_length() {
         data: Bytes::from((0..200u8).collect::<Vec<u8>>()),
     };
     let request = Message::Request(sample_request()).encode();
-    let frame = |rider: Option<&Bytes>, lag| {
-        frame_fragment(&frag, None, frag.data.len(), rider, lag, |e| e.write_raw(&frag.data))
-    };
+    let frame =
+        |rider: Option<&Bytes>, lag| frame_fragment(&frag, None, rider, lag, packed(&frag.data));
     for traced in [false, true] {
         let _ctx = traced.then(|| {
             pardis_obs::enter_ctx(pardis_obs::TraceCtx { trace_id: 0x1111, span_id: 0x2222 })
@@ -103,18 +102,20 @@ fn fragment_ack_lag_roundtrips_at_no_length() {
             assert_eq!(wire.len(), plain.len(), "lag {lag}");
             let (msg, ctx, got) = Message::decode_traced(&wire).unwrap();
             assert_eq!((msg, ctx.is_some(), got), (Message::Fragment(frag.clone()), traced, lag));
-            assert_eq!(Message::decode(&wire).unwrap(), Message::Fragment(frag.clone()));
+            assert_eq!(Message::decode(&wire.head).unwrap(), Message::Fragment(frag.clone()));
 
             let merged = frame(Some(&request), lag);
             assert_eq!(Message::decode_traced(&merged).unwrap().2, 0, "the envelope has no lag");
-            let Message::Batch(subs) = Message::decode(&merged).unwrap() else { panic!("batch") };
-            assert_eq!(subs, vec![request.clone(), wire.clone()]);
+            let Message::Batch(subs) = Message::decode(&merged.head).unwrap() else {
+                panic!("batch")
+            };
+            assert_eq!(subs, vec![request.clone().into(), wire.clone()]);
             assert_eq!(Message::decode_traced(&subs[1]).unwrap().2, lag);
         }
-        assert_eq!(frame(None, 0), plain, "lag 0 is the plain frame");
+        assert_eq!(frame(None, 0).head, plain, "lag 0 is the plain frame");
     }
     for msg in sample_messages().into_iter().filter(|m| m.kind() != "fragment") {
-        assert_eq!(Message::decode_traced(&msg.encode()).unwrap().2, 0, "{}", msg.kind());
+        assert_eq!(Message::decode_traced(&msg.encode().into()).unwrap().2, 0, "{}", msg.kind());
     }
 }
 
@@ -214,9 +215,7 @@ mod property {
             };
             let msg = Message::Fragment(frag.clone());
             prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg.clone());
-            let wire = frame_fragment(&frag, None, frag.data.len(), None, ack_lag, |e| {
-                e.write_raw(&frag.data)
-            });
+            let wire = frame_fragment(&frag, None, None, ack_lag, packed(&frag.data));
             prop_assert_eq!(Message::decode_traced(&wire).unwrap(), (msg, None, ack_lag));
         }
 

@@ -9,10 +9,10 @@
 //! state.
 
 use crate::dist::Distribution;
-use crate::object::{BindingId, ClientId};
-use crate::poa::{REPLY_CACHE_BYTES, REPLY_CACHE_MIN_ENTRIES};
+use crate::object::{BindingId, ClientId, EndpointId};
+use crate::poa::{RecentInvocations, REPLY_CACHE_BYTES, REPLY_CACHE_MIN_ENTRIES};
 use crate::protocol::{
-    frame_fragment, ArgDir, DArgDesc, FragmentMsg, Message, ReplyStatus, RequestMsg,
+    frame_fragment, packed, ArgDir, DArgDesc, FragmentMsg, Message, ReplyStatus, RequestMsg, Wire,
 };
 use crate::repository::DEFAULT_REPOSITORY;
 use crate::servant::{DispatchResult, Servant, ServerReply, ServerRequest};
@@ -93,10 +93,10 @@ fn evicted_reply_cache_entry_forces_one_reexecution() {
         })
         .encode()
     };
-    let send = |wire: &bytes::Bytes| orb.send_wire(ch, server_ep, wire.clone()).unwrap();
+    let send = |wire: &bytes::Bytes| orb.send_wire(ch, server_ep, wire.clone().into()).unwrap();
     let recv_reply = || {
         let env = reply_rx.recv_timeout(Duration::from_secs(10)).expect("reply arrives");
-        match Message::decode(&env.wire).unwrap() {
+        match Message::decode_traced(&env.wire).unwrap().0 {
             Message::Reply(rep) => rep,
             other => panic!("expected a reply, got {other:?}"),
         }
@@ -251,7 +251,7 @@ impl BlobRig {
     fn call(&self, i: u64) -> usize {
         self.send(i);
         let env = self.reply.1.recv_timeout(Duration::from_secs(10)).expect("reply arrives");
-        match Message::decode(&env.wire).unwrap() {
+        match Message::decode_traced(&env.wire).unwrap().0 {
             Message::Reply(rep) => assert_eq!(rep.status, ReplyStatus::Ok),
             other => panic!("expected a reply, got {other:?}"),
         }
@@ -277,7 +277,7 @@ impl BlobRig {
             dargs: vec![],
         });
         let server_ep = self.orb.server_endpoints(self.group.id()).unwrap()[0];
-        self.orb.send_wire(self.hosts.0, server_ep, request.encode()).unwrap();
+        self.orb.send_wire(self.hosts.0, server_ep, request.encode().into()).unwrap();
     }
 
     fn hits(&self) -> u64 {
@@ -438,9 +438,9 @@ impl AckRig {
         AckRig { orb, hits, group, server: Some(server), object, hosts, replies }
     }
 
-    fn send(&self, wire: bytes::Bytes) {
+    fn send(&self, wire: impl Into<Wire>) {
         let server_ep = self.orb.server_endpoints(self.group.id()).unwrap()[0];
-        self.orb.send_wire(self.hosts.0, server_ep, wire).unwrap();
+        self.orb.send_wire(self.hosts.0, server_ep, wire.into()).unwrap();
     }
 
     fn send_request(&self, id: u64) {
@@ -479,19 +479,19 @@ impl AckRig {
         let mut payload = Encoder::new(ByteOrder::native());
         f64::encode_elems(&vec![id as f64; HALF as usize], &mut payload);
         let payload = payload.finish();
-        self.send(frame_fragment(&head, None, payload.len(), None, ack_lag, |e| {
-            e.write_raw(&payload)
-        }));
+        self.send(frame_fragment(&head, None, None, ack_lag, packed(&payload)));
     }
 
     /// The frame client thread `thread` got back for request `id`, if one
     /// arrives: its length.
     fn recv(&self, thread: usize, id: u64) -> Option<usize> {
         let env = self.replies[thread].1.recv_timeout(Duration::from_secs(10)).ok()?;
-        let Message::Batch(subs) = Message::decode(&env.wire).unwrap() else {
+        let Message::Batch(subs) = Message::decode_traced(&env.wire).unwrap().0 else {
             panic!("expected a [reply, out-fragment] envelope")
         };
-        let Message::Reply(reply) = Message::decode(&subs[0]).unwrap() else { panic!("reply") };
+        let Message::Reply(reply) = Message::decode_traced(&subs[0]).unwrap().0 else {
+            panic!("reply")
+        };
         assert_eq!((reply.req_id, reply.status), (id, ReplyStatus::Ok));
         Some(env.wire.len())
     }
@@ -593,4 +593,46 @@ fn an_acknowledgement_ahead_of_its_reply_still_applies() {
     rig.send_fragment(1, 1, 0);
     assert!(rig.recv(0, 1).is_some() && rig.recv(1, 1).is_some());
     assert_eq!(rig.hits(), 2);
+}
+
+/// Owns a frame body and counts its drops.
+struct Storage(Vec<u8>, Arc<AtomicU64>);
+
+impl AsRef<[u8]> for Storage {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Drop for Storage {
+    fn drop(&mut self) {
+        self.1.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn an_acknowledged_entry_retains_no_frame_storage() {
+    // Two client threads' frames of one reply, each with a body over the
+    // same storage. Once both threads acknowledge the request, the entry
+    // keeps its mark but neither frames, nor room for them, nor the storage.
+    let drops = Arc::new(AtomicU64::new(0));
+    let body = bytes::Bytes::from_owner(Storage(vec![7; 4096], drops.clone()));
+    let wire = |half: usize| Wire {
+        head: Message::Close.encode(),
+        body: body.slice(half * 2048..(half + 1) * 2048),
+    };
+    let mut recent = RecentInvocations::new(16);
+    let (binding, key) = (BindingId(5), (BindingId(5), 0));
+    assert!(recent.accept(key));
+    recent.record(key, vec![(0, EndpointId(1), wire(0)), (1, EndpointId(2), wire(1))]);
+    drop(body);
+    assert_eq!(recent.retained(key), Some((2, 2)));
+    recent.acknowledge(binding, 0, 0);
+    recent.acknowledge(binding, 1, 0);
+    // Acknowledged frames go when the next reply is recorded.
+    assert!(recent.accept((binding, 1)));
+    assert_eq!(recent.record((binding, 1), Vec::new()), 2);
+    assert_eq!(recent.retained(key), Some((0, 0)), "the emptied list keeps no room");
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "the storage went with its last frame");
+    assert!(!recent.accept(key), "the mark stays");
 }

@@ -33,6 +33,11 @@ fn head(arg: u32, dir: ArgDir, start: u64, count: u64, dst: u32, src: u32) -> Fr
     }
 }
 
+/// The message a received frame holds.
+fn decode(wire: &Wire) -> Message {
+    Message::decode_traced(wire).unwrap().0
+}
+
 fn encode_elems<T: CdrCodec>(items: &[T]) -> Bytes {
     let mut e = Encoder::new(ByteOrder::native());
     T::encode_elems(items, &mut e);
@@ -75,8 +80,7 @@ fn plain_fragment_and_reply_frames_match_golden_bytes() {
     };
     let payload: Vec<u8> = (0u8..16).collect();
     assert_eq!(encode_fragment_frame(&head, &payload)[..], golden_fragment[..]);
-    let lagged =
-        |lag| frame_fragment(&head, None, payload.len(), None, lag, |e| e.write_raw(&payload));
+    let lagged = |lag| frame_fragment(&head, None, None, lag, packed(&payload)).head;
     assert_eq!(lagged(0)[..], golden_fragment[..], "lag 0 acknowledges nothing, byte for byte");
     // A lag fills two of the three padding bytes after `dir`, nothing else.
     let mut golden_lagged = golden_fragment.clone();
@@ -140,9 +144,7 @@ fn strided_frame_carries_its_ack_lag_at_no_length() {
         });
         let plain = encode_strided_frame(&head, &dist, 9, &payload);
         for lag in [0u16, 1, 0x1234, u16::MAX] {
-            let wire = frame_fragment(&head, Some((&dist, 9)), payload.len(), None, lag, |e| {
-                e.write_raw(&payload)
-            });
+            let wire = frame_fragment(&head, Some((&dist, 9)), None, lag, packed(&payload));
             assert_eq!(wire.len(), plain.len(), "lag {lag}");
             let (msg, ctx, got) = Message::decode_traced(&wire).unwrap();
             assert_eq!(got, lag);
@@ -181,7 +183,7 @@ fn fake_spmd_server(
 /// fake server endpoint received, each flagged with whether it rode behind
 /// the request in a `Batch` envelope. The first is gone by then, so the
 /// second's frames acknowledge it.
-fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes, bool)>> {
+fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Wire, bool)>> {
     let net = Network::new(TimeScale::off());
     let (ch, sh) = (net.add_host("client"), net.add_host("server"));
     net.connect(ch, sh, Link::free());
@@ -206,10 +208,10 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes, bool)
         .map(|rx| {
             let mut frames = Vec::new();
             while let Ok(env) = rx.recv_timeout(Duration::from_millis(200)) {
-                let subs = match Message::decode(&env.wire).unwrap() {
+                let subs = match decode(&env.wire) {
                     Message::Batch(subs) => {
                         assert_eq!(subs.len(), 2, "[request, fragment]");
-                        let first = Message::decode(&subs[0]).unwrap();
+                        let first = decode(&subs[0]);
                         assert!(matches!(first, Message::Request(_)), "got {first:?}");
                         subs
                     }
@@ -217,7 +219,7 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Bytes, bool)
                 };
                 let merged = subs.len() > 1;
                 for wire in subs {
-                    match Message::decode(&wire).unwrap() {
+                    match decode(&wire) {
                         Message::Fragment(f) | Message::Strided(f, _) if f.req_id == 0 => {}
                         msg @ (Message::Fragment(_) | Message::Strided(..)) => {
                             frames.push((msg, wire, merged))
@@ -252,9 +254,9 @@ fn client_keeps_the_plain_frame_for_contiguous_pairs() {
         let (_, _, lag) = Message::decode_traced(wire).unwrap();
         assert_eq!(lag, 1, "request 1 acknowledges request 0");
         let payload = encode_elems(&full[32 * t..32 * (t + 1)]);
-        let want =
-            frame_fragment(&old_head, None, payload.len(), None, lag, |e| e.write_raw(&payload));
-        assert_eq!(*wire, want, "server thread {t}");
+        let want = frame_fragment(&old_head, None, None, lag, packed(&payload));
+        assert_eq!(wire.to_bytes(), want.head, "server thread {t}");
+        assert_eq!(wire.body, payload, "a dense run of doubles travels as its storage");
     }
 }
 
@@ -336,20 +338,20 @@ fn poa_keeps_the_plain_frame_for_contiguous_pairs() {
     });
     let in_head =
         FragmentMsg { req_id: 4, binding: BindingId(77), ..head(0, ArgDir::In, 0, 3, 0, 0) };
-    orb.send_wire(ch, server_ep, request.encode()).unwrap();
-    orb.send_wire(ch, server_ep, encode_fragment_frame(&in_head, &payload)).unwrap();
+    orb.send_wire(ch, server_ep, request.encode().into()).unwrap();
+    orb.send_wire(ch, server_ep, encode_fragment_frame(&in_head, &payload).into()).unwrap();
 
     // The reply rides in the out-fragment's frame: one envelope, reply
     // first, the fragment sub-frame byte for byte the standalone frame.
     let out_head = FragmentMsg { arg: 1, dir: ArgDir::Out, ..in_head };
     let wire = reply_rx.recv_timeout(Duration::from_secs(10)).expect("reply frame").wire;
-    let Message::Batch(subs) = Message::decode(&wire).unwrap() else {
+    let Message::Batch(subs) = decode(&wire) else {
         panic!("expected one [reply, out-fragment] envelope")
     };
     assert_eq!(subs.len(), 2);
-    let Message::Reply(reply) = Message::decode(&subs[0]).unwrap() else { panic!("reply first") };
+    let Message::Reply(reply) = decode(&subs[0]) else { panic!("reply first") };
     assert_eq!((reply.req_id, reply.binding, reply.dout_lens), (4, BindingId(77), vec![3]));
-    assert_eq!(subs[1], encode_fragment_frame(&out_head, &payload));
+    assert_eq!(subs[1].to_bytes(), encode_fragment_frame(&out_head, &payload));
     assert_eq!(Message::decode_traced(&subs[1]).unwrap().2, 0, "out-fragments acknowledge nothing");
     assert!(reply_rx.recv_timeout(Duration::from_millis(200)).is_err(), "nothing else");
 
@@ -521,7 +523,8 @@ fn mutated_strided_frames_never_panic() {
     );
 }
 
-/// `cut_fragments` packs each pair's elements straight into the frame. The
+/// `cut_fragments` packs each pair's elements straight into the frame, or
+/// hands over a dense run of native-image elements as the frame's body. The
 /// bytes must be those of the two-step path it replaced — pack the payload
 /// on its own from stream offset 0, then frame it — or a receiver, which
 /// decodes the payload as a stream of its own, would see different padding.
@@ -535,6 +538,7 @@ mod in_place {
             0 => Distribution::Block,
             1 => Distribution::Cyclic,
             2 => Distribution::BlockCyclic(b),
+            3 => Distribution::Concentrated(b as usize % n),
             _ => {
                 // `n - 1` cut points split `0..len` into `n` counts.
                 let mut ends: Vec<u64> = cuts[..n - 1].iter().map(|c| c % (len + 1)).collect();
@@ -561,7 +565,9 @@ mod in_place {
     /// Every frame cut from `full` on its way `src` -> `dst` with `ack_lag`,
     /// against the frame helper applied to the separately packed payload —
     /// alone, and as the second sub-frame of an envelope that carries a
-    /// rider.
+    /// rider. `head ++ body` is that frame, the body is the sender's storage
+    /// exactly when the pair is one dense run of a native-image type, and
+    /// the split frame decodes as the joined one does.
     fn check<T: CdrCodec + Clone + Send + Sync + 'static>(
         full: Vec<T>,
         src: (&Distribution, usize),
@@ -592,10 +598,16 @@ mod in_place {
             for ((f, plain), (_, wire)) in frames.iter().zip(&merged) {
                 let d = f.dst_thread as usize;
                 prop_assert!(slots[d].is_none(), "thread {} -> {} kept its rider", s, d);
-                let Ok(Message::Batch(subs)) = Message::decode(wire) else {
+                let Ok((Message::Batch(subs), ..)) = Message::decode_traced(wire) else {
                     return Err(TestCaseError::fail("merged frame is not a batch"));
                 };
-                prop_assert_eq!(&subs, &vec![riders[d].clone(), plain.clone()]);
+                prop_assert_eq!(&subs, &vec![riders[d].clone().into(), plain.clone()]);
+                prop_assert_eq!(&wire.body, &plain.body, "the envelope keeps the body");
+                let Ok(Message::Batch(joined)) = Message::decode(&wire.to_bytes()) else {
+                    return Err(TestCaseError::fail("joined frame is not a batch"));
+                };
+                let bytes = |subs: &[Wire]| subs.iter().map(Wire::to_bytes).collect::<Vec<_>>();
+                prop_assert_eq!(bytes(&subs), bytes(&joined));
                 prop_assert_eq!(Message::decode_traced(&subs[1]).unwrap().2, ack_lag);
                 let envelope = wire.len() - riders[d].len() - plain.len();
                 prop_assert!((20..=23).contains(&envelope), "{} envelope bytes", envelope);
@@ -624,11 +636,25 @@ mod in_place {
                 );
                 let contiguous = sets.len() == 1 && sets[0].count == 1;
                 let template = (!contiguous).then_some((src.0, src.1 as u32));
-                let want = frame_fragment(&f, template, payload.len(), None, ack_lag, |e| {
-                    e.write_raw(&payload)
-                });
-                prop_assert_eq!(&wire[..], &want[..], "thread {} -> {}", s, f.dst_thread);
-                prop_assert_eq!(Message::decode_traced(&wire).unwrap().2, ack_lag);
+                let want = frame_fragment(&f, template, None, ack_lag, packed(&payload));
+                prop_assert!(want.body.is_empty());
+                let joined = wire.to_bytes();
+                prop_assert_eq!(&joined[..], &want.head[..], "thread {} -> {}", s, f.dst_thread);
+                let (msg, ctx, lag) = Message::decode_traced(&wire).unwrap();
+                prop_assert_eq!((msg, ctx, lag), Message::decode_traced(&joined.into()).unwrap());
+                prop_assert_eq!(lag, ack_lag);
+                // A body exactly for one dense local run of a type whose
+                // memory image is its encoding, and then it is that memory.
+                let at = sets[0].layout(len, src.0, src.1, s).unwrap();
+                let dense = sets.len() == 1 && at.count == 1;
+                let native = T::native_image(ds.local()).is_some();
+                prop_assert_eq!(!wire.body.is_empty(), dense && native);
+                if !wire.body.is_empty() {
+                    let width = std::mem::size_of::<T>();
+                    let at_ptr = ds.local()[at.lo..].as_ptr() as usize;
+                    prop_assert_eq!(wire.body.as_ptr() as usize, at_ptr);
+                    prop_assert_eq!(wire.body.len(), at.block * width);
+                }
                 sent += f.count;
             }
             prop_assert_eq!(sent, ds.local().len() as u64, "thread {} sent its whole share", s);
@@ -644,8 +670,8 @@ mod in_place {
             len in 0u64..300,
             src_n in 1usize..5,
             dst_n in 1usize..5,
-            src_kind in 0u8..4,
-            dst_kind in 0u8..4,
+            src_kind in 0u8..5,
+            dst_kind in 0u8..5,
             // Block-cyclic blocks from one element to 39, short and long.
             src_b in 1u64..40,
             dst_b in 1u64..40,

@@ -1,7 +1,9 @@
 //! Pins the zero-copy invariants of the marshaling path: decoded fragment
-//! payloads borrow the wire frame, the lead's N per-thread control sends
-//! deliver one shared wire allocation (not N copies), `DSequence::take_local`
-//! moves the storage when it is the sole owner.
+//! payloads borrow the wire frame, a dense run of doubles arrives as the
+//! sender's own storage, the lead's N per-thread control sends deliver one
+//! shared wire allocation (not N copies), `DSequence::take_local` moves the
+//! storage when it is the sole owner — also once a call that sent it has
+//! completed.
 
 use crate::dist::Distribution;
 use crate::object::BindingId;
@@ -151,4 +153,59 @@ fn take_local_clones_only_when_shared() {
     let taken = ds.take_local();
     assert_ne!(taken.as_ptr(), before, "shared storage must be cloned, not stolen");
     assert_eq!(taken, handle.local());
+}
+
+/// Doubles its distributed in-argument into a fresh reply sequence, and
+/// records where the in-payload and the reply's storage live.
+struct Doubler {
+    seen: Arc<Mutex<Vec<(usize, usize)>>>,
+}
+
+impl Servant for Doubler {
+    fn interface(&self) -> &str {
+        "doubler"
+    }
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        let payload = req.dins[0].pieces[0].data.as_ptr() as usize;
+        let x: DSequence<f64> = req.dseq(0).map_err(|e| e.to_string())?;
+        let doubled = x.local().iter().map(|v| v * 2.0).collect();
+        let y = DSequence::from_local(doubled, x.len(), x.dist().clone(), 1, 0);
+        self.seen.lock().push((payload, y.local().as_ptr() as usize));
+        let mut rep = ServerReply::new();
+        rep.push_dseq(y);
+        Ok(rep)
+    }
+}
+
+#[test]
+fn block_payloads_travel_as_the_senders_storage() {
+    let (orb, host) = Orb::single_host();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let group = ServerGroup::create(&orb, "doubler-server", host, 1);
+    let (g, s) = (group.clone(), seen.clone());
+    let server = std::thread::spawn(move || {
+        let mut poa = g.attach(0, None);
+        poa.activate_spmd("doubler", Arc::new(Doubler { seen: s }), DistPolicy::new());
+        poa.impl_is_ready();
+    });
+
+    let client = ClientGroup::create(&orb, host, 1).attach(0, None);
+    let proxy = client.spmd_bind("doubler").unwrap();
+    let full: Vec<f64> = (0..4096).map(|i| i as f64).collect();
+    let x = DSequence::distribute(&full, Distribution::Block, 1, 0);
+    let sent = x.local().as_ptr() as usize;
+    let reply = proxy.call("double").dseq_in(&x).dseq_out(Distribution::Block).invoke().unwrap();
+    let (in_payload, reply_storage) = seen.lock()[0];
+    assert_eq!(in_payload, sent, "the in-payload at the POA is the client's storage");
+    assert_eq!(reply.piece_ptrs(0), vec![reply_storage], "the reply payload is the servant's");
+    let y: DSequence<f64> = reply.dseq(0).unwrap();
+    assert_eq!(y.local(), full.iter().map(|v| v * 2.0).collect::<Vec<_>>());
+    drop(reply);
+
+    // Nothing the call left behind pins the input: not the replay list,
+    // not a reply cache, not a frame in flight.
+    group.shutdown();
+    server.join().unwrap();
+    let taken = x.take_local();
+    assert_eq!(taken.as_ptr() as usize, sent, "take_local moved the storage");
 }
