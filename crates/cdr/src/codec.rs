@@ -14,11 +14,32 @@ fn memory_image<T: Copy>(items: &[T]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(items.as_ptr().cast::<u8>(), std::mem::size_of_val(items)) }
 }
 
+/// The numbers whose memory `bytes` is — the inverse of [`memory_image`]:
+/// `None` unless `bytes` is aligned for `T` and holds a whole number of them.
+///
+/// Only for the fixed-width numbers: every bit pattern is a value.
+fn memory_view<T: Copy>(bytes: &[u8]) -> Option<&[T]> {
+    let size = std::mem::size_of::<T>();
+    if bytes.as_ptr().align_offset(std::mem::align_of::<T>()) != 0
+        || !bytes.len().is_multiple_of(size)
+    {
+        return None;
+    }
+    // SAFETY: `T` is a primitive number (every caller below), so any
+    // `size_of::<T>()` initialised bytes are one valid value; the pointer is
+    // aligned for `T` and the slice covers exactly the borrowed bytes, for
+    // as long as they are borrowed.
+    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / size) })
+}
+
 macro_rules! prim_codec {
     ($ty:ty, $tc:expr, $write:ident, $read:ident, $wire:expr, native) => {
         prim_codec!($ty, $tc, $write, $read, $wire, {
             fn native_image(items: &[Self]) -> Option<&[u8]> {
                 Some(memory_image(items))
+            }
+            fn native_view(bytes: &[u8]) -> Option<&[Self]> {
+                memory_view(bytes)
             }
         });
     };
@@ -62,6 +83,9 @@ impl CdrCodec for u8 {
     fn native_image(items: &[Self]) -> Option<&[u8]> {
         Some(items)
     }
+    fn native_view(bytes: &[u8]) -> Option<&[Self]> {
+        Some(bytes)
+    }
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {
         d.read_raw(n)
     }
@@ -98,6 +122,9 @@ impl CdrCodec for f64 {
     }
     fn native_image(items: &[Self]) -> Option<&[u8]> {
         Some(memory_image(items))
+    }
+    fn native_view(bytes: &[u8]) -> Option<&[Self]> {
+        memory_view(bytes)
     }
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {
         d.read_f64_elems(n)

@@ -250,6 +250,12 @@ impl Encoder {
     pub fn finish(self) -> Bytes {
         Bytes::from(self.buf)
     }
+
+    /// Finish the stream and take the buffer as the vector it was written
+    /// into, for a consumer that wants to own it.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
 }
 
 /// Store the doubles of `values`' blocks (of `block`, every `stride`) one

@@ -116,6 +116,17 @@ pub trait CdrCodec: Sized {
         None
     }
 
+    /// The inverse of [`CdrCodec::native_image`]: `bytes`, the native-order
+    /// encoding of some elements from an aligned position, as those
+    /// elements, borrowed in place. `Some` exactly for the types with a
+    /// native image, and only when `bytes` is aligned for `Self` in memory
+    /// and holds a whole number of elements; `None` (the default) for
+    /// everything else. A receiver may then keep the payload itself as the
+    /// elements instead of decoding a copy of it.
+    fn native_view(_bytes: &[u8]) -> Option<&[Self]> {
+        None
+    }
+
     /// Read `n` elements back-to-back (count already consumed) — the decode
     /// half of the [`CdrCodec::encode_elems`] bulk hook.
     fn decode_elems(d: &mut Decoder, n: usize) -> Result<Vec<Self>, CdrError> {

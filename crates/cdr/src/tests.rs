@@ -675,12 +675,62 @@ mod fixed_wire_size {
         image_is_encoding(vec![1.5f64, -0.0, f64::INFINITY, f64::MIN_POSITIVE]);
     }
 
+    /// `native_view` takes a native image back to the very elements, in
+    /// place, and refuses the image shifted off its alignment or cut
+    /// inside an element.
+    fn view_inverts_image<T: CdrCodec + PartialEq + std::fmt::Debug>(items: Vec<T>) {
+        let image = T::native_image(&items).expect("a fixed-width number");
+        let back = T::native_view(image).expect("an aligned whole image");
+        assert_eq!(back, &items[..]);
+        assert_eq!(back.as_ptr(), items.as_ptr(), "viewed in place");
+        let width = std::mem::size_of::<T>();
+        if width > 1 {
+            // The same bytes one byte off their alignment: at offset 1 of a
+            // buffer of words, which is aligned for every number.
+            let mut raw = vec![0u8];
+            raw.extend_from_slice(image);
+            raw.resize(raw.len().next_multiple_of(8), 0);
+            let words: Vec<u64> =
+                raw.chunks(8).map(|w| u64::from_ne_bytes(w.try_into().unwrap())).collect();
+            let shifted = &u64::native_image(&words).unwrap()[1..=image.len()];
+            assert_eq!(shifted, image);
+            assert_eq!(T::native_view(shifted), None, "misaligned by one byte");
+            assert_eq!(T::native_view(&image[..image.len() - 1]), None, "a cut element");
+        }
+        assert_eq!(T::native_view(&image[..0]), Some(&[][..]));
+    }
+
+    #[test]
+    fn native_views_invert_native_images() {
+        view_inverts_image(vec![1u8, 2, 255]);
+        view_inverts_image(vec![-3i16, 9, i16::MIN]);
+        view_inverts_image(vec![7u16, 8, u16::MAX]);
+        view_inverts_image(vec![-5i32, 6, i32::MAX]);
+        view_inverts_image(vec![5u32, 6, u32::MAX]);
+        view_inverts_image(vec![-9i64, 10, i64::MIN]);
+        view_inverts_image(vec![9u64, 10, u64::MAX]);
+        view_inverts_image(vec![1.5f64, -0.0, f64::INFINITY, f64::MIN_POSITIVE]);
+    }
+
     #[test]
     fn types_without_a_native_image_report_none() {
         assert_eq!(String::native_image(&["ab".to_string()]), None);
         assert_eq!(bool::native_image(&[true]), None);
         assert_eq!(char::native_image(&['a']), None);
         assert_eq!(<Vec<f64>>::native_image(&[vec![1.0]]), None);
+    }
+
+    #[test]
+    fn types_without_a_native_image_have_no_view() {
+        // Sixteen bytes aligned for everything: whole elements of any width.
+        let words = [0x3ff0_0000_0000_0000u64; 2];
+        let bytes = u64::native_image(&words).unwrap();
+        assert_eq!(String::native_view(bytes), None);
+        assert_eq!(bool::native_view(bytes), None);
+        assert_eq!(char::native_view(bytes), None);
+        assert_eq!(f32::native_view(bytes), None);
+        assert_eq!(<Vec<f64>>::native_view(bytes), None);
+        assert_eq!(f64::native_view(bytes), Some(&[1.0, 1.0][..]));
     }
 
     #[test]

@@ -555,7 +555,7 @@ impl InvocationState {
             let (n, t) = (self.client_threads, self.thread);
             let pieces = inner.frags.get(&wire_idx).map(Vec::as_slice).unwrap_or_default();
             let local = assemble(len, wire_dist, n, t, pieces)?;
-            DSequence::from_local(local, len, wire_dist.clone(), n, t)
+            DSequence::from_shared(local, len, wire_dist.clone(), n, t)
         };
         if wire_dist != expected {
             ds.redistribute(rts.expect("parallel client has an RTS"), expected.clone());

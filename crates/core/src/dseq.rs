@@ -10,10 +10,11 @@
 //! Design notes mirroring the paper:
 //!
 //! * the sequence is primarily a **container for argument data** — local
-//!   storage is an `Arc<Vec<T>>`, so the "no-ownership constructor"
-//!   ([`DSequence::from_shared`]) and access to owned data
-//!   ([`DSequence::local`], [`DSequence::take_local`]) let programmers build
-//!   cheap conversions to and from their package's native structures;
+//!   storage is an `Arc<Vec<T>>`, or a received payload adopted in place,
+//!   so the "no-ownership constructor" ([`DSequence::from_shared`]) and
+//!   access to owned data ([`DSequence::local`], [`DSequence::take_local`])
+//!   let programmers build cheap conversions to and from their package's
+//!   native structures;
 //! * `operator[]` location transparency is exposed as
 //!   [`DSequence::local_iter`] (each local element with its global index)
 //!   plus the collective [`DSequence::gather`] for whole-sequence access;
@@ -29,13 +30,47 @@ use std::sync::Arc;
 
 /// A distributed sequence: one computing thread's view of a globally
 /// distributed one-dimensional array.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DSequence<T> {
     global_len: u64,
     dist: Distribution,
     nthreads: usize,
     thread: usize,
-    local: Arc<Vec<T>>,
+    local: Local<T>,
+}
+
+/// Where a sequence's local elements live. Neither form is ever written
+/// through: a clone, a frame body or a replay entry shares the storage, and
+/// the storage outlives the last of them.
+#[derive(Clone)]
+pub(crate) enum Local<T> {
+    /// The sequence's own vector.
+    Owned(Arc<Vec<T>>),
+    /// A received payload that is the elements' native image
+    /// ([`CdrCodec::native_view`] accepts it), kept as the elements instead
+    /// of decoded into a copy — often the sender's storage itself.
+    Adopted(Bytes),
+}
+
+impl<T> From<Arc<Vec<T>>> for Local<T> {
+    fn from(v: Arc<Vec<T>>) -> Self {
+        Local::Owned(v)
+    }
+}
+
+impl<T> From<Vec<T>> for Local<T> {
+    fn from(v: Vec<T>) -> Self {
+        Local::Owned(Arc::new(v))
+    }
+}
+
+impl<T: CdrCodec> Local<T> {
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Local::Owned(v) => v,
+            Local::Adopted(b) => T::native_view(b).expect("adopted only as a native view"),
+        }
+    }
 }
 
 impl<T: CdrCodec + Clone> DSequence<T> {
@@ -49,7 +84,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         for r in dist.owned(len, nthreads, thread).iter().flat_map(Strided::runs) {
             local.extend_from_slice(&full[r.start as usize..(r.start + r.count) as usize]);
         }
-        DSequence { global_len: len, dist, nthreads, thread, local: Arc::new(local) }
+        DSequence { global_len: len, dist, nthreads, thread, local: local.into() }
     }
 
     /// Wrap this thread's already-local elements (`local.len()` must equal
@@ -61,7 +96,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         nthreads: usize,
         thread: usize,
     ) -> Self {
-        Self::from_shared(Arc::new(local), global_len, dist, nthreads, thread)
+        Self::from_shared(local, global_len, dist, nthreads, thread)
     }
 
     /// The no-ownership constructor: share existing storage without copying.
@@ -69,19 +104,19 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     /// # Panics
     /// Panics if the shared storage length does not match the template.
     pub(crate) fn from_shared(
-        local: Arc<Vec<T>>,
+        local: impl Into<Local<T>>,
         global_len: u64,
         dist: Distribution,
         nthreads: usize,
         thread: usize,
     ) -> Self {
+        let local = local.into();
         dist.validate(global_len, nthreads).expect("invalid distribution");
         let expect = dist.local_len(global_len, nthreads, thread);
+        let held = local.as_slice().len();
         assert_eq!(
-            local.len() as u64,
-            expect,
-            "local storage holds {} elements but the template assigns {expect} to thread {thread}",
-            local.len()
+            held as u64, expect,
+            "local storage holds {held} elements but the template assigns {expect} to thread {thread}"
         );
         DSequence { global_len, dist, nthreads, thread, local }
     }
@@ -95,7 +130,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
             dist: Distribution::Concentrated(0),
             nthreads: 1,
             thread: 0,
-            local: Arc::new(full),
+            local: full.into(),
         }
     }
 
@@ -124,20 +159,24 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         self.nthreads
     }
 
-    /// This thread's local elements.
+    /// This thread's local elements. For a sequence assembled from a
+    /// received payload that was the elements' native image, this is that
+    /// payload — often the sender's own storage — viewed in place.
     pub fn local(&self) -> &[T] {
-        &self.local
+        self.local.as_slice()
     }
 
-    /// Take the local elements out (clones only if the storage is shared).
-    pub fn take_local(mut self) -> Vec<T> {
-        if Arc::get_mut(&mut self.local).is_some() {
-            // Sole owner: guaranteed move of the storage, never a copy. (We
-            // hold the only handle, so nothing can clone it from under us
-            // between the check and the unwrap.)
-            Arc::into_inner(self.local).expect("sole ownership just verified")
-        } else {
-            (*self.local).clone()
+    /// Take the local elements out as a vector of their own: a move of the
+    /// storage when this sequence is its sole owner, a copy otherwise — when
+    /// a clone, a frame in flight or a replay entry still shares it, or when
+    /// the elements are a received payload adopted in place (see
+    /// [`DSequence::local`]). That copy is then the only one the elements
+    /// took on their way in.
+    pub fn take_local(self) -> Vec<T> {
+        match self.local {
+            // Sole owner: guaranteed move of the storage, never a copy.
+            Local::Owned(v) => Arc::try_unwrap(v).unwrap_or_else(|v| (*v).clone()),
+            adopted @ Local::Adopted(_) => adopted.as_slice().to_vec(),
         }
     }
 
@@ -154,7 +193,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
             .into_iter()
             .flatten()
             .flat_map(|set| set.runs().flat_map(|r| r.start..r.start + r.count));
-        indices.zip(self.local.iter())
+        indices.zip(self.local().iter())
     }
 
     /// CDR-encode the elements of global range `[start, start+count)`,
@@ -191,7 +230,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
                 .layout(self.global_len, &self.dist, self.nthreads, self.thread)
                 .and_then(|at| Some((at, at.span()?)))
                 .unwrap_or_else(|| panic!("{set:?} is not local to thread {}", self.thread));
-            let items = &self.local[span];
+            let items = &self.local()[span];
             if at.count == 1 {
                 T::encode_elems(items, e);
             } else {
@@ -206,7 +245,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         assert_eq!(rts.size(), self.nthreads, "gather over a mismatched RTS world");
         assert_eq!(rts.rank(), self.thread, "gather called from the wrong thread");
         let mut e = Encoder::new(ByteOrder::native());
-        T::encode_elems(&self.local, &mut e);
+        T::encode_elems(self.local(), &mut e);
         // Each part is its thread's local in local order, which is the order
         // of that thread's owned sets; everything lands on "thread 0 of 1".
         let whole = Distribution::Concentrated(0);
@@ -260,7 +299,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
             Some(w) => self.redistribute_pull(rts, w, &new_dist),
             None => self.redistribute_push(rts, &new_dist),
         };
-        self.local = Arc::new(new_local);
+        self.local = new_local.into();
         self.dist = new_dist;
     }
 
@@ -291,7 +330,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
             self.share(src, new_dist, me, &mut sets);
             if src == me {
                 for set in &sets {
-                    asm.copy(set, &self.local, &self.dist).expect("own share");
+                    asm.copy(set, self.local(), &self.dist).expect("own share");
                 }
             } else if !sets.is_empty() {
                 let data = rts.recv(Some(src), REDIST_TAG).data;
@@ -327,12 +366,11 @@ impl<T: CdrCodec + Clone> DSequence<T> {
 
         // Expose my encoded local. Every thread exposes (possibly empty) so
         // the collective base sequence stays aligned across threads.
-        let mut e = Encoder::with_capacity(ByteOrder::native(), self.local.len() * ws as usize);
-        T::encode_elems(&self.local, &mut e);
+        let mut e = Encoder::with_capacity(ByteOrder::native(), self.local().len() * ws as usize);
+        T::encode_elems(self.local(), &mut e);
         let base = w.collective_window_base();
-        let my_window = w
-            .expose(base, e.finish().to_vec())
-            .expect("collective window bases never collide in-round");
+        let my_window =
+            w.expose(base, e.into_vec()).expect("collective window bases never collide in-round");
         // Windows on every thread must be published before anyone pulls.
         rts.barrier();
 
@@ -365,7 +403,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         let mut asm = Assembler::new(self.global_len, new_dist, self.nthreads, me);
         self.share(me, new_dist, me, &mut sets);
         for set in &sets {
-            asm.copy(set, &self.local, &self.dist).expect("own share");
+            asm.copy(set, self.local(), &self.dist).expect("own share");
         }
         for (src, handle) in pulls {
             self.share(src, new_dist, me, &mut sets);
@@ -398,8 +436,11 @@ impl<T: CdrCodec + Clone + Send + Sync + 'static> Pack for DSequence<T> {
         let [set] = sets else { return None };
         let at = set.layout(self.global_len, &self.dist, self.nthreads, self.thread)?;
         let span = at.span().filter(|_| at.count == 1)?;
-        let part = T::native_image(&self.local[span])?;
-        let whole = Bytes::from_owner(Image(self.local.clone()));
+        let part = T::native_image(&self.local()[span])?;
+        let whole = match &self.local {
+            Local::Owned(v) => Bytes::from_owner(Image(v.clone())),
+            Local::Adopted(b) => b.clone(),
+        };
         let lo = part.as_ptr() as usize - whole.as_ptr() as usize;
         Some(whole.slice(lo..lo + part.len()))
     }
@@ -429,6 +470,18 @@ impl<T: CdrCodec + Clone + PartialEq> PartialEq for DSequence<T> {
             && self.dist == other.dist
             && self.nthreads == other.nthreads
             && self.thread == other.thread
-            && self.local == other.local
+            && self.local() == other.local()
+    }
+}
+
+impl<T: CdrCodec + std::fmt::Debug> std::fmt::Debug for DSequence<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DSequence")
+            .field("global_len", &self.global_len)
+            .field("dist", &self.dist)
+            .field("nthreads", &self.nthreads)
+            .field("thread", &self.thread)
+            .field("local", &self.local.as_slice())
+            .finish()
     }
 }

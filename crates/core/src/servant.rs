@@ -92,6 +92,13 @@ impl ServerRequest<'_> {
     /// dargs) into this thread's local [`DSequence`] under the server-side
     /// distribution.
     ///
+    /// When one received payload is this thread's whole local part, as one
+    /// run in its native image (`f64` and the fixed-width integers, aligned
+    /// in memory), the sequence's local part *is* that payload — often the
+    /// client's own storage — and nothing is copied; otherwise the pieces
+    /// are decoded into a fresh vector. Either way the local part is
+    /// immutable; [`DSequence::take_local`] gives a vector of its own.
+    ///
     /// Under the funneled strategy the argument arrives whole at thread 0
     /// and this call redistributes it over [`ServantCtx::rts`], so every
     /// computing thread must make it, in the same order — as the collective
@@ -103,7 +110,7 @@ impl ServerRequest<'_> {
             .ok_or_else(|| OrbError::Protocol(format!("no distributed in-arg {ordinal}")))?;
         let (len, n, t) = (din.desc.len, self.ctx.nthreads, self.ctx.thread);
         let local = assemble(len, &din.wire_dist, n, t, &din.pieces)?;
-        let mut ds = DSequence::from_local(local, len, din.wire_dist.clone(), n, t);
+        let mut ds = DSequence::from_shared(local, len, din.wire_dist.clone(), n, t);
         if din.wire_dist != din.server_dist {
             ds.redistribute(&**self.ctx.rts(), din.server_dist.clone());
         }

@@ -28,6 +28,7 @@
 //! ([`crate::protocol::SrcTemplate`]) and recomputes the same plan.
 
 use crate::dist::{Distribution, Run};
+use crate::dseq::Local;
 use crate::error::{OrbError, OrbResult};
 use crate::protocol::{frame_fragment, FragmentMsg, Payload, SrcTemplate, Wire};
 use bytes::Bytes;
@@ -709,13 +710,20 @@ impl<'a, T: CdrCodec> Assembler<'a, T> {
 /// cover all `local_len` elements. A [`Piece::template`] is validated and
 /// the pair plan recomputed from it; the piece's `start`/`count` must match
 /// that plan.
+///
+/// A piece that passed all of that and alone is the whole local part, as
+/// one run of it, is adopted rather than copied when its payload is exactly
+/// the elements' native image ([`CdrCodec::native_view`]: a native-image
+/// type, the payload aligned for it in memory). The payload, often the
+/// sender's own storage ([`Pack::body`]), becomes the local part. Anything
+/// else is decoded into a fresh vector.
 pub(crate) fn assemble<T: CdrCodec>(
     len: u64,
     dist: &Distribution,
     n: usize,
     t: usize,
     pieces: &[Piece],
-) -> OrbResult<Vec<T>> {
+) -> OrbResult<Local<T>> {
     dist.validate(len, n).map_err(OrbError::Protocol)?;
     // No allocation is sized by a wire count alone: every element occupies
     // at least one payload byte, so the claimed counts are bounded by bytes
@@ -738,34 +746,49 @@ pub(crate) fn assemble<T: CdrCodec>(
             "fragments carry {claimed} of thread {t}'s {local_len} elements"
         )));
     }
-    let mut asm = Assembler::new(len, dist, n, t);
+    // The slots are reserved only once a piece is to be copied into them.
+    let mut asm = None;
     let mut sets = Vec::new();
     for p in pieces.iter().filter(|p| p.count > 0) {
-        let mut d = Decoder::new(p.data.clone(), ByteOrder::native());
-        let Some(tmpl) = &p.template else {
-            asm.decode(&Strided::run(p.start, p.count), &mut d)?;
-            continue;
-        };
-        let src_n = tmpl.nthreads as usize;
-        tmpl.dist.validate(len, src_n).map_err(OrbError::Protocol)?;
-        if p.src_thread as usize >= src_n {
-            return Err(OrbError::Protocol(format!(
-                "fragment from thread {} of a {src_n}-thread sender",
-                p.src_thread
-            )));
-        }
         sets.clear();
-        pair_plan(len, &tmpl.dist, src_n, p.src_thread as usize, dist, n, t, &mut sets);
-        let planned: u64 = sets.iter().map(Strided::total).sum();
-        if sets.first().map(|s| s.start) != Some(p.start) || planned != p.count {
-            return Err(OrbError::Protocol(format!(
-                "fragment {}+{} from thread {} does not match the transfer plan",
-                p.start, p.count, p.src_thread
-            )));
+        match &p.template {
+            None => sets.push(Strided::run(p.start, p.count)),
+            Some(tmpl) => {
+                let src_n = tmpl.nthreads as usize;
+                tmpl.dist.validate(len, src_n).map_err(OrbError::Protocol)?;
+                if p.src_thread as usize >= src_n {
+                    return Err(OrbError::Protocol(format!(
+                        "fragment from thread {} of a {src_n}-thread sender",
+                        p.src_thread
+                    )));
+                }
+                pair_plan(len, &tmpl.dist, src_n, p.src_thread as usize, dist, n, t, &mut sets);
+                let planned: u64 = sets.iter().map(Strided::total).sum();
+                if sets.first().map(|s| s.start) != Some(p.start) || planned != p.count {
+                    return Err(OrbError::Protocol(format!(
+                        "fragment {}+{} from thread {} does not match the transfer plan",
+                        p.start, p.count, p.src_thread
+                    )));
+                }
+            }
         }
+        // Alone all of the local part (the counts add up to it), as one
+        // run of it, in exactly its native image: the payload is the part.
+        let one_run = |set: &Strided| {
+            matches!(set.layout(len, dist, n, t), Some(Layout { lo: 0, count: 1, .. }))
+        };
+        if p.count == local_len
+            && matches!(&sets[..], [set] if one_run(set))
+            && T::native_view(&p.data).is_some_and(|v| v.len() as u64 == local_len)
+        {
+            return Ok(Local::Adopted(p.data.clone()));
+        }
+        let asm = asm.get_or_insert_with(|| Assembler::new(len, dist, n, t));
+        let mut d = Decoder::new(p.data.clone(), ByteOrder::native());
         for set in &sets {
             asm.decode(set, &mut d)?;
         }
     }
-    asm.finish()
+    let asm = asm.unwrap_or_else(|| Assembler::new(len, dist, n, t));
+    Ok(asm.finish()?.into())
 }

@@ -2,11 +2,16 @@
 //! refusal of overlap and of out-of-range runs before anything is read,
 //! the missing-element report, clean teardown of a half-filled vector of
 //! heap-owning elements, and every set — contiguous or strided, any block
-//! length — decoded in one bulk call straight into its slots.
+//! length — decoded in one bulk call straight into its slots. Then
+//! `assemble`'s choice between adopting a payload that is the whole local
+//! part and copying: the same elements either way, and the same refusals.
 
 use crate::dist::Distribution;
-use crate::error::OrbError;
-use crate::strided::{Assembler, Strided};
+use crate::error::{OrbError, OrbResult};
+use crate::protocol::SrcTemplate;
+use crate::strided::{assemble, pair_plan, Assembler, Pack, Piece, Strided};
+use crate::DSequence;
+use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
 
 const WHOLE: Distribution = Distribution::Concentrated(0);
@@ -271,5 +276,106 @@ fn foreign_order_doubles_decode_in_bulk_as_they_do_one_by_one() {
             asm.copy(&Strided::run(i as u64, 1), &values, &WHOLE).unwrap();
         }
         assert_eq!(asm.finish().unwrap(), values, "{order:?} {set:?}");
+    }
+}
+
+/// `assemble` of doubles as thread `t` of `n` under `dist`: the local part,
+/// and where it lives.
+fn assembled(
+    len: u64,
+    dist: &Distribution,
+    n: usize,
+    t: usize,
+    pieces: &[Piece],
+) -> OrbResult<(Vec<f64>, *const u8)> {
+    let local = assemble::<f64>(len, dist, n, t, pieces)?;
+    let ds = DSequence::from_shared(local, len, dist.clone(), n, t);
+    Ok((ds.local().to_vec(), ds.local().as_ptr().cast()))
+}
+
+/// The same bytes one byte past an odd address: never aligned for a number
+/// wider than a byte.
+pub(super) fn misaligned(data: &Bytes) -> Bytes {
+    let mut raw = vec![0u8];
+    raw.extend_from_slice(data);
+    Bytes::from(raw).slice(1..)
+}
+
+#[test]
+fn a_whole_part_payload_is_adopted_and_anything_else_copied() {
+    let len = 100u64;
+    let values: Vec<f64> = (0..len).map(|i| i as f64 * 0.5 - 7.0).collect();
+    let (b, c) = (Distribution::Block, Distribution::Cyclic);
+    // Thread 1 of a Block pair owns 50..100; a one-thread sender's body for
+    // that run is its own storage, as `cut_fragments` sends it.
+    let mine = values[50..].to_vec();
+    let sender = DSequence::distribute(&values, b.clone(), 1, 0);
+    let body = sender.body(&[Strided::run(50, 50)]).expect("a dense run of doubles");
+    let plain =
+        |start, count, data: Bytes| Piece { start, count, src_thread: 0, template: None, data };
+
+    let (got, at) = assembled(len, &b, 2, 1, &[plain(50, 50, body.clone())]).unwrap();
+    assert_eq!((got, at), (mine.clone(), body.as_ptr()), "adopted in place");
+    // Sent on, an adopted part is a slice of what was received.
+    let local = assemble::<f64>(len, &b, 2, 1, &[plain(50, 50, body.clone())]).unwrap();
+    let adopted = DSequence::from_shared(local, len, b.clone(), 2, 1);
+    let part = adopted.body(&[Strided::run(60, 10)]).expect("a dense run of doubles");
+    assert_eq!(part, body.slice(80..160));
+    assert_eq!(part.as_ptr(), body[80..].as_ptr(), "forwarded without a copy");
+
+    // A strided set whose image on both sides is dense — thread 1 to
+    // thread 1 of two Cyclic pairs — is adopted the same way.
+    let sender_c = DSequence::distribute(&values, c.clone(), 2, 1);
+    let mut sets = Vec::new();
+    pair_plan(len, &c, 2, 1, &c, 2, 1, &mut sets);
+    let odd = sender_c.body(&sets).expect("a dense run of the sender's storage");
+    let cyclic = |start, src_thread, data| Piece {
+        start,
+        count: 50,
+        src_thread,
+        template: Some(SrcTemplate { dist: c.clone(), nthreads: 2 }),
+        data,
+    };
+    let (got, at) = assembled(len, &c, 2, 1, &[cyclic(1, 1, odd.clone())]).unwrap();
+    assert_eq!((got, at), (sender_c.local().to_vec(), odd.as_ptr()));
+
+    // A misaligned payload, the part in two pieces, or a payload longer than
+    // the part: copied, with the same result.
+    let mut longer = values.clone();
+    longer.push(1e9);
+    let longer = DSequence::distribute(&longer, b.clone(), 1, 0);
+    let longer = longer.body(&[Strided::run(50, 51)]).expect("a dense run of doubles");
+    for (what, pieces) in [
+        ("odd offset", vec![plain(50, 50, misaligned(&body))]),
+        ("two pieces", vec![plain(75, 25, body.slice(200..)), plain(50, 25, body.slice(..200))]),
+        ("payload past the part", vec![plain(50, 50, longer)]),
+    ] {
+        let (got, at) = assembled(len, &b, 2, 1, &pieces).unwrap();
+        assert_eq!(got, mine, "{what}");
+        assert!(pieces.iter().all(|p| p.data.as_ptr() != at), "{what} was adopted");
+    }
+    let (got, _) = assembled(len, &c, 2, 1, &[cyclic(1, 1, misaligned(&odd))]).unwrap();
+    assert_eq!(got, sender_c.local());
+
+    // A whole-part piece that is wrong is refused as before, not viewed.
+    for (what, dist, piece) in [
+        ("count short of the part", &b, plain(50, 49, body.clone())),
+        ("payload short of the count", &b, plain(50, 50, body.slice(..392))),
+        ("the part of another thread", &b, plain(0, 50, body.clone())),
+        ("start not the plan's", &c, cyclic(3, 1, odd.clone())),
+        (
+            "plan of another template",
+            &c,
+            Piece {
+                template: Some(SrcTemplate { dist: b.clone(), nthreads: 2 }),
+                ..cyclic(1, 1, odd.clone())
+            },
+        ),
+        ("unknown source thread", &c, cyclic(1, 2, odd.clone())),
+    ] {
+        match assembled(len, dist, 2, 1, &[piece]) {
+            Err(OrbError::Protocol(_)) => {}
+            other => panic!("{what}: expected a protocol error, got {other:?}"),
+        }
     }
 }

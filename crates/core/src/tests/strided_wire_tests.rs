@@ -530,7 +530,8 @@ fn mutated_strided_frames_never_panic() {
 /// decodes the payload as a stream of its own, would see different padding.
 mod in_place {
     use super::*;
-    use crate::strided::cut_fragments;
+    use crate::strided::{assemble, cut_fragments};
+    use crate::tests::assembler_tests::misaligned;
     use proptest::prelude::*;
 
     fn template(kind: u8, b: u64, cuts: &[u64], len: u64, n: usize) -> Distribution {
@@ -567,14 +568,17 @@ mod in_place {
     /// alone, and as the second sub-frame of an envelope that carries a
     /// rider. `head ++ body` is that frame, the body is the sender's storage
     /// exactly when the pair is one dense run of a native-image type, and
-    /// the split frame decodes as the joined one does.
-    fn check<T: CdrCodec + Clone + Send + Sync + 'static>(
+    /// the split frame decodes as the joined one does. Then each receiving
+    /// thread assembles what it got twice, as received and with every
+    /// payload moved off its alignment, into its share of `full` both times.
+    fn check<T: CdrCodec + Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static>(
         full: Vec<T>,
         src: (&Distribution, usize),
         dst: (&Distribution, usize),
         ack_lag: u16,
     ) -> Result<(), TestCaseError> {
         let len = full.len() as u64;
+        let mut received: Vec<Vec<(Piece, bool)>> = vec![Vec::new(); dst.1];
         for s in 0..src.1 {
             let ds = DSequence::distribute(&full, src.0.clone(), src.1, s);
             let head = FragmentMsg::head(9, BindingId(3), 1, ArgDir::In, s as u32);
@@ -640,9 +644,16 @@ mod in_place {
                 prop_assert!(want.body.is_empty());
                 let joined = wire.to_bytes();
                 prop_assert_eq!(&joined[..], &want.head[..], "thread {} -> {}", s, f.dst_thread);
-                let (msg, ctx, lag) = Message::decode_traced(&wire).unwrap();
-                prop_assert_eq!((msg, ctx, lag), Message::decode_traced(&joined.into()).unwrap());
+                let decoded = Message::decode_traced(&wire).unwrap();
+                prop_assert_eq!(&decoded, &Message::decode_traced(&joined.into()).unwrap());
+                let (msg, _, lag) = decoded;
                 prop_assert_eq!(lag, ack_lag);
+                let piece = match msg {
+                    Message::Fragment(f) => Piece::from_frame(f, None),
+                    Message::Strided(f, template) => Piece::from_frame(f, Some(template)),
+                    other => return Err(TestCaseError::fail(format!("{other:?} is no fragment"))),
+                };
+                received[f.dst_thread as usize].push((piece, !wire.body.is_empty()));
                 // A body exactly for one dense local run of a type whose
                 // memory image is its encoding, and then it is that memory.
                 let at = sets[0].layout(len, src.0, src.1, s).unwrap();
@@ -658,6 +669,30 @@ mod in_place {
                 sent += f.count;
             }
             prop_assert_eq!(sent, ds.local().len() as u64, "thread {} sent its whole share", s);
+        }
+        for (d, got) in received.into_iter().enumerate() {
+            let want = DSequence::distribute(&full, dst.0.clone(), dst.1, d);
+            let (pieces, bodies): (Vec<Piece>, Vec<bool>) = got.into_iter().unzip();
+            let local = assemble::<T>(len, dst.0, dst.1, d, &pieces).unwrap();
+            let ds = DSequence::from_shared(local, len, dst.0.clone(), dst.1, d);
+            prop_assert_eq!(ds.local(), want.local(), "thread {} as received", d);
+            // A payload is adopted only when it is the whole part, and then
+            // it is the part; a sender's body that is the whole part always is.
+            let at = ds.local().as_ptr().cast::<u8>();
+            let adopted = pieces.iter().any(|p| p.data.as_ptr() == at && !p.data.is_empty());
+            let whole = pieces.iter().filter(|p| p.count > 0).count() == 1;
+            prop_assert!(!adopted || whole, "thread {} adopted a part of its part", d);
+            prop_assert!(adopted || !(whole && bodies[0]), "thread {} copied a body", d);
+            // Off their alignment, the same pieces are copied (a one-byte
+            // type is aligned everywhere) into the same part.
+            let shifted: Vec<Piece> =
+                pieces.iter().map(|p| Piece { data: misaligned(&p.data), ..p.clone() }).collect();
+            let local = assemble::<T>(len, dst.0, dst.1, d, &shifted).unwrap();
+            let copied = DSequence::from_shared(local, len, dst.0.clone(), dst.1, d);
+            prop_assert_eq!(copied.local(), want.local(), "thread {} copied", d);
+            let at = copied.local().as_ptr().cast::<u8>();
+            let adopted = shifted.iter().any(|p| p.data.as_ptr() == at && !p.data.is_empty());
+            prop_assert!(!adopted || std::mem::size_of::<T>() == 1, "thread {} adopted", d);
         }
         Ok(())
     }

@@ -1,9 +1,10 @@
 //! Pins the zero-copy invariants of the marshaling path: decoded fragment
 //! payloads borrow the wire frame, a dense run of doubles arrives as the
-//! sender's own storage, the lead's N per-thread control sends deliver one
-//! shared wire allocation (not N copies), `DSequence::take_local` moves the
-//! storage when it is the sole owner — also once a call that sent it has
-//! completed.
+//! sender's own storage and is the receiver's argument as it stands (a
+//! strided one is assembled), the lead's N per-thread control sends deliver
+//! one shared wire allocation (not N copies), `DSequence::take_local` moves
+//! the storage when it is the sole owner — also once a call that sent it
+//! has completed.
 
 use crate::dist::Distribution;
 use crate::object::BindingId;
@@ -155,10 +156,19 @@ fn take_local_clones_only_when_shared() {
     assert_eq!(taken, handle.local());
 }
 
+/// Where one server thread saw the call's data: the in-payload it was sent,
+/// the in-argument's local part, and the reply's storage.
+#[derive(Debug, Clone, Copy)]
+struct Seen {
+    payload: usize,
+    arg: usize,
+    reply: usize,
+}
+
 /// Doubles its distributed in-argument into a fresh reply sequence, and
-/// records where the in-payload and the reply's storage live.
+/// records where the in-payload, the in-argument and the reply live.
 struct Doubler {
-    seen: Arc<Mutex<Vec<(usize, usize)>>>,
+    seen: Arc<Mutex<Vec<Seen>>>,
 }
 
 impl Servant for Doubler {
@@ -168,25 +178,41 @@ impl Servant for Doubler {
     fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
         let payload = req.dins[0].pieces[0].data.as_ptr() as usize;
         let x: DSequence<f64> = req.dseq(0).map_err(|e| e.to_string())?;
-        let doubled = x.local().iter().map(|v| v * 2.0).collect();
-        let y = DSequence::from_local(doubled, x.len(), x.dist().clone(), 1, 0);
-        self.seen.lock().push((payload, y.local().as_ptr() as usize));
+        let doubled: Vec<f64> = x.local().iter().map(|v| v * 2.0).collect();
+        // Taking the elements out of a received sequence gives equal data
+        // in storage of its own, whether the sequence adopted its payload
+        // or assembled a copy.
+        let taken = x.clone().take_local();
+        assert_eq!(taken, x.local());
+        assert_ne!(taken.as_ptr(), x.local().as_ptr(), "the payload is shared, not stolen");
+        let (n, t) = (x.nthreads(), x.thread());
+        let y = DSequence::from_local(doubled, x.len(), x.dist().clone(), n, t);
+        let arg = x.local().as_ptr() as usize;
+        self.seen.lock().push(Seen { payload, arg, reply: y.local().as_ptr() as usize });
         let mut rep = ServerReply::new();
         rep.push_dseq(y);
         Ok(rep)
     }
 }
 
-#[test]
-fn block_payloads_travel_as_the_senders_storage() {
+/// One `double` call from a single client thread holding 4 096 doubles in
+/// `Block`, on a server of `server_n` threads that takes the argument in
+/// `server_dist`, checking where each side's data lives.
+fn double_on(server_n: usize, server_dist: Distribution) {
     let (orb, host) = Orb::single_host();
     let seen = Arc::new(Mutex::new(Vec::new()));
-    let group = ServerGroup::create(&orb, "doubler-server", host, 1);
+    let group = ServerGroup::create(&orb, "doubler-server", host, server_n);
     let (g, s) = (group.clone(), seen.clone());
+    let policy = DistPolicy::new().with("double", 0, server_dist);
     let server = std::thread::spawn(move || {
-        let mut poa = g.attach(0, None);
-        poa.activate_spmd("doubler", Arc::new(Doubler { seen: s }), DistPolicy::new());
-        poa.impl_is_ready();
+        World::run(server_n, |rank| {
+            let t = rank.rank();
+            let rts: Arc<dyn Rts> = Arc::new(MpiRts::new(rank));
+            let mut poa = g.attach(t, Some(rts));
+            let servant = Arc::new(Doubler { seen: s.clone() });
+            poa.activate_spmd("doubler", servant, policy.clone());
+            poa.impl_is_ready();
+        });
     });
 
     let client = ClientGroup::create(&orb, host, 1).attach(0, None);
@@ -195,17 +221,46 @@ fn block_payloads_travel_as_the_senders_storage() {
     let x = DSequence::distribute(&full, Distribution::Block, 1, 0);
     let sent = x.local().as_ptr() as usize;
     let reply = proxy.call("double").dseq_in(&x).dseq_out(Distribution::Block).invoke().unwrap();
-    let (in_payload, reply_storage) = seen.lock()[0];
-    assert_eq!(in_payload, sent, "the in-payload at the POA is the client's storage");
-    assert_eq!(reply.piece_ptrs(0), vec![reply_storage], "the reply payload is the servant's");
+    let seen = seen.lock().clone();
+    assert_eq!(seen.len(), server_n, "every server thread dispatched once");
     let y: DSequence<f64> = reply.dseq(0).unwrap();
     assert_eq!(y.local(), full.iter().map(|v| v * 2.0).collect::<Vec<_>>());
-    drop(reply);
+    let storage = sent..sent + 4096 * 8;
+    if server_n == 1 {
+        // One dense run each way: the POA's in-payload and the servant's
+        // in-argument are the client's storage, the client's reply payload
+        // and its out-argument are the servant's.
+        let [only] = seen[..] else { unreachable!() };
+        assert_eq!(only.payload, sent, "the in-payload at the POA is the client's storage");
+        assert_eq!(only.arg, sent, "the servant's in-argument is the client's storage");
+        assert_eq!(reply.piece_ptrs(0), vec![only.reply], "the reply payload is the servant's");
+        assert_eq!(y.local().as_ptr() as usize, only.reply, "the out-argument is the servant's");
+        let taken = y.clone().take_local();
+        assert_eq!(taken, y.local(), "taking an adopted sequence copies it whole");
+    } else {
+        // A strided share is packed into its frame: no server thread's
+        // in-argument is the client's storage.
+        for s in &seen {
+            assert!(!storage.contains(&s.payload), "{s:?} is the client's storage");
+            assert!(!storage.contains(&s.arg), "{s:?} is the client's storage");
+        }
+    }
+    drop((reply, y));
 
     // Nothing the call left behind pins the input: not the replay list,
-    // not a reply cache, not a frame in flight.
+    // not a reply cache, not a frame in flight, not the servant's view.
     group.shutdown();
     server.join().unwrap();
     let taken = x.take_local();
     assert_eq!(taken.as_ptr() as usize, sent, "take_local moved the storage");
+}
+
+#[test]
+fn block_payloads_travel_as_the_senders_storage() {
+    double_on(1, Distribution::Block);
+}
+
+#[test]
+fn cyclic_in_arguments_are_assembled_not_adopted() {
+    double_on(2, Distribution::Cyclic);
 }
