@@ -3,28 +3,28 @@
 use crate::{ByteOrder, CdrError};
 use bytes::Bytes;
 use std::marker::PhantomData;
-use std::mem::MaybeUninit;
 
 /// Largest single allocation a decoder will make for one length field.
 /// Corrupt or hostile streams cannot force absurd allocations.
 const MAX_ALLOC: u64 = 1 << 32;
 
-/// Uninitialised element slots being filled front to back: the destination
+/// Element slots being overwritten front to back: the destination
 /// [`crate::CdrCodec::decode_elems_into`] decodes into. The slots are laid
 /// out in blocks of `block` consecutive slots, `stride` apart; a contiguous
-/// sink is one block. The sink, not the codec, counts what has been
-/// initialised, so a caller may rely on [`ElemSink::filled`] for memory
-/// safety whatever a codec does: the first `filled` slots *in layout order*
-/// hold values, and no other slot was written.
+/// sink is one block. Every slot already holds a value, which a store
+/// replaces (and drops). The sink, not the codec, counts the stores, so a
+/// caller may rely on [`ElemSink::filled`] whatever a codec does: the first
+/// `filled` slots *in layout order* took new values, and no other slot was
+/// written.
 pub struct ElemSink<'a, T> {
-    slots: &'a mut [MaybeUninit<T>],
+    slots: &'a mut [T],
     block: usize,
     stride: usize,
     /// Slots in the layout.
     total: usize,
-    /// The first `filled` slots in layout order are initialised.
+    /// The first `filled` slots in layout order took new values.
     filled: usize,
-    /// Index in `slots` of the next empty slot, and the end of its block.
+    /// Index in `slots` of the next unstored slot, and the end of its block.
     at: usize,
     block_end: usize,
     /// Makes the type invariant in `'a`, so that a codec holding
@@ -34,8 +34,8 @@ pub struct ElemSink<'a, T> {
 }
 
 impl<'a, T> ElemSink<'a, T> {
-    /// A sink over all of `slots`, none of which is taken to hold a value.
-    pub fn new(slots: &'a mut [MaybeUninit<T>]) -> Self {
+    /// A sink over all of `slots`.
+    pub fn new(slots: &'a mut [T]) -> Self {
         let n = slots.len();
         ElemSink::strided(slots, n.max(1), n.max(1))
     }
@@ -46,7 +46,7 @@ impl<'a, T> ElemSink<'a, T> {
     /// # Panics
     /// Panics unless `0 < block <= stride` and `slots` is empty or ends at a
     /// block end.
-    pub fn strided(slots: &'a mut [MaybeUninit<T>], block: usize, stride: usize) -> Self {
+    pub fn strided(slots: &'a mut [T], block: usize, stride: usize) -> Self {
         assert!(0 < block && block <= stride, "blocks of {block} slots every {stride}");
         let blocks = match slots.len().checked_sub(block) {
             None if slots.is_empty() => 0,
@@ -66,17 +66,17 @@ impl<'a, T> ElemSink<'a, T> {
         }
     }
 
-    /// Slots initialised so far, counted in layout order.
+    /// Slots stored so far, counted in layout order.
     pub fn filled(&self) -> usize {
         self.filled
     }
 
-    /// Slots still empty.
+    /// Slots not yet stored.
     pub fn remaining(&self) -> usize {
         self.total - self.filled
     }
 
-    /// Store `v` in the next empty slot.
+    /// Store `v` in the next unstored slot.
     ///
     /// # Panics
     /// Panics if every slot is already filled.
@@ -87,24 +87,24 @@ impl<'a, T> ElemSink<'a, T> {
             self.at += self.stride - self.block;
             self.block_end = self.at + self.block;
         }
-        self.slots[self.at].write(v);
+        self.slots[self.at] = v;
         self.at += 1;
         self.filled += 1;
     }
 
-    /// Store the next of `values` in every empty slot, in layout order:
+    /// Store the next of `values` in every unstored slot, in layout order:
     /// the rest of the current block, then each later block, in one tight
     /// loop.
     ///
     /// # Panics
     /// Panics if `values` runs out first. The count then stays where it
-    /// was: the slots written so far are leaked, never taken to hold values.
+    /// was.
     fn fill_from(&mut self, mut values: impl Iterator<Item = T>) {
         let len = self.slots.len();
         let (mut lo, mut hi) = (self.at, self.block_end);
         while hi <= len {
             for slot in &mut self.slots[lo..hi] {
-                slot.write(values.next().expect("a value for every empty slot"));
+                *slot = values.next().expect("a value for every empty slot");
             }
             lo = hi.saturating_add(self.stride - self.block);
             hi = lo.saturating_add(self.block);
@@ -324,7 +324,7 @@ impl Decoder {
         })
     }
 
-    /// [`Decoder::read_f64_elems`] straight into the empty slots of `sink`
+    /// [`Decoder::read_f64_elems`] straight into the unstored slots of `sink`
     /// (as many doubles as it has room for), with no vector in between: all
     /// or nothing, in one pass over a strided sink's blocks.
     pub fn read_f64_into(&mut self, sink: &mut ElemSink<'_, f64>) -> Result<(), CdrError> {

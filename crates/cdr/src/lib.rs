@@ -137,7 +137,7 @@ pub trait CdrCodec: Sized {
         Ok(out)
     }
 
-    /// Read elements back-to-back into the empty slots of `out` until it is
+    /// Read elements back-to-back into the unstored slots of `out` until it is
     /// full — [`CdrCodec::decode_elems`] without the vector, for a caller
     /// that already owns the destination. On an error the elements decoded
     /// before it stay in the sink ([`ElemSink::filled`] says how many).

@@ -400,7 +400,7 @@ mod bulk {
         assert_eq!(&wire[..], &reference.finish()[..], "{what}");
 
         let sentinel = -0.125;
-        let mut slots = vec![std::mem::MaybeUninit::new(sentinel); items.len()];
+        let mut slots = vec![sentinel; items.len()];
         let mut d = Decoder::new(wire, order);
         d.read_raw(lead).unwrap();
         let mut sink = ElemSink::strided(&mut slots, block, stride);
@@ -411,10 +411,7 @@ mod bulk {
         assert_eq!(sink.remaining(), mine.len() - pre, "{what}");
         d.read_f64_into(&mut sink).unwrap();
         assert_eq!((sink.filled(), sink.remaining(), d.remaining()), (mine.len(), 0, 0), "{what}");
-        // SAFETY: every slot was created initialised (`MaybeUninit::new`),
-        // and the sink only ever overwrites slots with values.
-        let back: Vec<f64> = slots.iter().map(|s| unsafe { s.assume_init() }).collect();
-        for (i, (got, want)) in back.iter().zip(items).enumerate() {
+        for (i, (got, want)) in slots.iter().zip(items).enumerate() {
             let expect = if i % stride < block { *want } else { sentinel };
             assert_eq!(got.to_bits(), expect.to_bits(), "{what}: slot {i}");
         }

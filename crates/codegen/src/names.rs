@@ -51,14 +51,19 @@ pub fn upper(name: &str) -> String {
     snake(name).to_uppercase()
 }
 
-/// Rename identifiers that collide with Rust keywords.
+/// The Rust words an IDL identifier may not be emitted as.
+const KEYWORDS: &[&str] = &[
+    "as", "break", "const", "continue", "crate", "else", "enum", "extern", "false", "fn", "for",
+    "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref", "return",
+    "self", "static", "struct", "super", "trait", "true", "type", "unsafe", "use", "where",
+    "while", "async", "await", "dyn", "box", "try", "yield",
+    // Reserved for future use: no valid item may bear these names either.
+    "abstract", "become", "do", "final", "macro", "override", "priv", "typeof", "unsized",
+    "virtual",
+];
+
+/// Rename identifiers that collide with Rust keywords and reserved words.
 pub fn escape_keyword(name: &str) -> String {
-    const KEYWORDS: &[&str] = &[
-        "as", "break", "const", "continue", "crate", "else", "enum", "extern", "false", "fn",
-        "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
-        "return", "self", "static", "struct", "super", "trait", "true", "type", "unsafe", "use",
-        "where", "while", "async", "await", "dyn", "box", "try", "yield",
-    ];
     if KEYWORDS.contains(&name) {
         format!("{name}_")
     } else {
@@ -100,6 +105,16 @@ mod tests {
         assert_eq!(snake("solve"), "solve");
         assert_eq!(snake("match"), "match_");
         assert_eq!(snake("Type"), "type_");
+    }
+
+    #[test]
+    fn reserved_words_are_escaped() {
+        for word in [
+            "abstract", "become", "do", "final", "macro", "override", "priv", "typeof", "unsized",
+            "virtual",
+        ] {
+            assert_eq!(snake(word), format!("{word}_"));
+        }
     }
 
     #[test]

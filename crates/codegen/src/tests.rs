@@ -160,6 +160,10 @@ fn keyword_identifiers_are_escaped() {
     let rust = gen("interface list_server { void match(in string s, out sequence<string> l); };");
     assert!(rust.contains("pub fn match_("), "{rust}");
     assert!(rust.contains("\"match\""), "wire name keeps the IDL spelling: {rust}");
+    // Reserved words are escaped as keywords are.
+    let rust = gen("interface k { void do(in long final); };");
+    assert!(rust.contains("pub fn do_(") && rust.contains("final_: i32"), "{rust}");
+    assert!(rust.contains("\"do\""), "wire name keeps the IDL spelling: {rust}");
 }
 
 #[test]

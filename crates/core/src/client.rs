@@ -16,10 +16,10 @@ use crate::object::{BindingId, ClientId, DistPolicy, EndpointId, ObjectKind, Obj
 use crate::orb::{Envelope, Orb, OrbConfig, TransferStrategy};
 use crate::protocol::{
     batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg,
-    ReplyStatus, RequestMsg, SrcTemplate, Wire,
+    ReplyStatus, RequestMsg, Wire,
 };
 use crate::servant::{ServantCtx, ServerRequest};
-use crate::strided::{assemble, cut_fragments, wire_template, Pack, Piece};
+use crate::strided::{assemble, cut_fragments, wire_template, Pack};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
@@ -322,7 +322,7 @@ impl PumpCore {
         }
         // A fragment for another thread is a frame no sender builds. This
         // thread is thread 0 of the invocations of its own bindings.
-        if let Message::Fragment(f) | Message::Strided(f, _) = &msg {
+        if let Message::Fragment(f) = &msg {
             let me = if f.binding.0 & SINGLE_BINDING != 0 { 0 } else { self.thread };
             if f.dst_thread as usize != me {
                 refuse_frame();
@@ -335,7 +335,7 @@ impl PumpCore {
     fn route(&self, msg: Message) {
         let key = match &msg {
             Message::Reply(r) => (r.binding, r.req_id),
-            Message::Fragment(f) | Message::Strided(f, _) => (f.binding, f.req_id),
+            Message::Fragment(f) => (f.binding, f.req_id),
             // Close or stray messages at a client endpoint: ignore.
             _ => return,
         };
@@ -424,16 +424,17 @@ struct InvObs {
 #[derive(Default)]
 struct InvInner {
     reply: Option<ReplyMsg>,
-    frags: HashMap<u32, Vec<Piece>>,
-    /// Fragment identities already absorbed — duplicated or retransmitted
-    /// fragments must not double-append elements.
-    frag_seen: HashSet<(u32, u64, u64, u32)>,
+    frags: HashMap<u32, Vec<FragmentMsg>>,
+    /// `(argument, server thread)` of every fragment absorbed: a server
+    /// thread sends each argument one fragment, so a second one is a
+    /// duplicate or a retransmit and must not double-append elements.
+    frag_seen: HashSet<(u32, u32)>,
 }
 
 impl InvInner {
-    fn absorb_fragment(&mut self, f: FragmentMsg, template: Option<SrcTemplate>) {
-        if self.frag_seen.insert((f.arg, f.start, f.count, f.src_thread)) {
-            self.frags.entry(f.arg).or_default().push(Piece::from_frame(f, template));
+    fn absorb_fragment(&mut self, f: FragmentMsg) {
+        if self.frag_seen.insert((f.arg, f.src_thread)) {
+            self.frags.entry(f.arg).or_default().push(f);
         }
     }
 }
@@ -456,8 +457,7 @@ impl InvocationState {
                     }
                     inner.reply = Some(r);
                 }
-                Message::Fragment(f) => inner.absorb_fragment(f, None),
-                Message::Strided(f, template) => inner.absorb_fragment(f, Some(template)),
+                Message::Fragment(f) => inner.absorb_fragment(f),
                 _ => {}
             }
             completed = self.complete_locked(&inner);
@@ -482,9 +482,9 @@ impl InvocationState {
             return true;
         }
         for (ordinal, wire_idx) in self.out_wire_idx.iter().enumerate() {
-            let Some(len) = reply.dout_lens.get(ordinal) else { return false };
+            let Some(out) = reply.douts.get(ordinal) else { return false };
             let expected =
-                self.out_dists[ordinal].0.local_len(*len, self.client_threads, self.thread);
+                self.out_dists[ordinal].0.local_len(out.len, self.client_threads, self.thread);
             let arrived: u64 =
                 inner.frags.get(wire_idx).map(|fs| fs.iter().map(|p| p.count).sum()).unwrap_or(0);
             if arrived < expected {
@@ -548,13 +548,15 @@ impl InvocationState {
         let mut ds = {
             let inner = self.inner.lock();
             let reply = inner.reply.as_ref().expect("checked");
-            let len = *reply
-                .dout_lens
+            let out = reply
+                .douts
                 .get(ordinal)
-                .ok_or_else(|| OrbError::Protocol("reply missing dout length".into()))?;
-            let (n, t) = (self.client_threads, self.thread);
+                .ok_or_else(|| OrbError::Protocol("reply missing dout descriptor".into()))?;
+            let (len, n, t) = (out.len, self.client_threads, self.thread);
             let pieces = inner.frags.get(&wire_idx).map(Vec::as_slice).unwrap_or_default();
-            let local = assemble(len, wire_dist, n, t, pieces)?;
+            // The reply names the template the server cut the pieces from.
+            let src = (&out.dist, out.nthreads as usize);
+            let local = assemble(len, src, (wire_dist, n, t), pieces)?;
             DSequence::from_shared(local, len, wire_dist.clone(), n, t)
         };
         if wire_dist != expected {
@@ -1039,14 +1041,14 @@ impl<'p> CallBuilder<'p> {
                                     data: raised.data,
                                 },
                                 outs: Vec::new(),
-                                dout_lens: Vec::new(),
+                                douts: Vec::new(),
                             },
                             None => ReplyMsg {
                                 req_id,
                                 binding: proxy.binding,
                                 status: ReplyStatus::Ok,
                                 outs: rep.outs,
-                                dout_lens: Vec::new(),
+                                douts: Vec::new(),
                             },
                         },
                         Err(msg) => ReplyMsg {
@@ -1054,7 +1056,7 @@ impl<'p> CallBuilder<'p> {
                             binding: proxy.binding,
                             status: ReplyStatus::Exception(msg),
                             outs: Vec::new(),
-                            dout_lens: Vec::new(),
+                            douts: Vec::new(),
                         },
                     };
                     state.absorb(Message::Reply(reply));

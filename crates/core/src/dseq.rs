@@ -247,14 +247,12 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         let mut e = Encoder::new(ByteOrder::native());
         T::encode_elems(self.local(), &mut e);
         // Each part is its thread's local in local order, which is the order
-        // of that thread's owned sets; everything lands on "thread 0 of 1".
+        // of its share of "thread 0 of 1", where everything lands.
         let whole = Distribution::Concentrated(0);
-        let mut asm = Assembler::new(self.global_len, &whole, 1, 0);
+        let mut asm = Assembler::new(self.global_len, (&self.dist, self.nthreads), (&whole, 1, 0));
         for (src, part) in rts.all_gather(e.finish()).into_iter().enumerate() {
             let mut d = Decoder::new(part, ByteOrder::native());
-            for set in self.dist.owned(self.global_len, self.nthreads, src).iter() {
-                asm.decode(set, &mut d).expect("gathered elements");
-            }
+            asm.take(src, &mut d).expect("gathered elements");
         }
         asm.finish().expect("distribution covers every index")
     }
@@ -325,20 +323,22 @@ impl<T: CdrCodec + Clone> DSequence<T> {
                 rts.send(dst, REDIST_TAG, e.finish());
             }
         }
-        let mut asm = Assembler::new(self.global_len, new_dist, self.nthreads, me);
-        for src in 0..self.nthreads {
-            self.share(src, new_dist, me, &mut sets);
-            if src == me {
-                for set in &sets {
-                    asm.copy(set, self.local(), &self.dist).expect("own share");
+        let n = self.nthreads;
+        let mut asm = Assembler::new(self.global_len, (&self.dist, n), (new_dist, n, me));
+        for src in 0..n {
+            let got = if src == me {
+                asm.copy(self.local())
+            } else {
+                match asm.source(src) {
+                    Ok([]) => Ok(()),
+                    Ok(_) => {
+                        let data = rts.recv(Some(src), REDIST_TAG).data;
+                        asm.decode(&mut Decoder::new(data, ByteOrder::native()))
+                    }
+                    Err(e) => Err(e),
                 }
-            } else if !sets.is_empty() {
-                let data = rts.recv(Some(src), REDIST_TAG).data;
-                let mut d = Decoder::new(data, ByteOrder::native());
-                for set in &sets {
-                    asm.decode(set, &mut d).expect("redistribution elements");
-                }
-            }
+            };
+            got.expect("redistribution elements");
         }
         asm.finish().expect("plan covers every local index")
     }
@@ -400,17 +400,12 @@ impl<T: CdrCodec + Clone> DSequence<T> {
             pulls.push((src, handle));
         }
 
-        let mut asm = Assembler::new(self.global_len, new_dist, self.nthreads, me);
-        self.share(me, new_dist, me, &mut sets);
-        for set in &sets {
-            asm.copy(set, self.local(), &self.dist).expect("own share");
-        }
+        let n = self.nthreads;
+        let mut asm = Assembler::new(self.global_len, (&self.dist, n), (new_dist, n, me));
+        asm.copy(self.local()).expect("own share");
         for (src, handle) in pulls {
-            self.share(src, new_dist, me, &mut sets);
             let mut d = Decoder::new(handle.wait(), ByteOrder::native());
-            for set in &sets {
-                asm.decode(set, &mut d).expect("redistribution elements");
-            }
+            asm.take(src, &mut d).expect("redistribution elements");
         }
         let new_local = asm.finish().expect("plan covers every local index");
 

@@ -97,7 +97,7 @@ pub use repository::{ActivationMode, DEFAULT_REPOSITORY};
 pub use servant::{
     DInLocal, DOutArg, DispatchResult, Raised, Servant, ServantCtx, ServerReply, ServerRequest,
 };
-pub use strided::{plan_transfer, Piece, PlanPiece, Strided};
+pub use strided::{plan_transfer, PlanPiece, Strided};
 
 /// The concurrency auditor the ORB core is instrumented with — re-exported
 /// so embedders can flip the gate, pull an [`pardis_audit::AuditReport`]

@@ -13,11 +13,11 @@ use crate::object::{
 };
 use crate::orb::{Envelope, ObjectMeta, Orb};
 use crate::protocol::{
-    batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg,
-    ReplyStatus, RequestMsg, SrcTemplate, Wire,
+    batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, DOutDesc, FragmentMsg, Message, ReplyMsg,
+    ReplyStatus, RequestMsg, Wire,
 };
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
-use crate::strided::{cut_fragments, wire_template, Piece};
+use crate::strided::{cut_fragments, wire_template};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
@@ -149,7 +149,7 @@ impl ServerGroup {
 struct PendingReq {
     control: Option<RequestMsg>,
     /// Fragments per wire darg index, one per sending client thread.
-    frags: HashMap<u32, Vec<Piece>>,
+    frags: HashMap<u32, Vec<FragmentMsg>>,
     /// Originating invocation's trace context, lifted from the first traced
     /// frame of the request (control or fragment): the dispatch span and
     /// everything under it parents into the client's trace.
@@ -608,10 +608,7 @@ impl Poa {
                 entry.control = Some(req);
                 entry.ctx = entry.ctx.or(ctx);
             }
-            Message::Fragment(frag) => self.handle_fragment(frag, None, ctx, ack_lag),
-            Message::Strided(frag, template) => {
-                self.handle_fragment(frag, Some(template), ctx, ack_lag)
-            }
+            Message::Fragment(frag) => self.handle_fragment(frag, ctx, ack_lag),
             Message::Cancel { binding, req_id } => {
                 self.pending.remove(&(binding, req_id));
             }
@@ -623,12 +620,11 @@ impl Poa {
     }
 
     /// Take the sending client thread's acknowledgement from one bulk-data
-    /// frame of either encoding, then reassemble it. A frame for another
-    /// thread is one no sender builds, and is refused unread.
+    /// frame, then reassemble it. A frame for another thread is one no
+    /// sender builds, and is refused unread.
     fn handle_fragment(
         &mut self,
         frag: FragmentMsg,
-        template: Option<SrcTemplate>,
         ctx: Option<pardis_obs::TraceCtx>,
         ack_lag: u16,
     ) {
@@ -656,11 +652,9 @@ impl Poa {
         let entry = self.pending.entry(key).or_insert_with(PendingReq::new);
         entry.ctx = entry.ctx.or(ctx);
         let slot = entry.frags.entry(frag.arg).or_default();
-        // Idempotent reassembly: a duplicated or retransmitted fragment must
-        // not double-count toward completion.
-        if !slot.iter().any(|p| {
-            p.start == frag.start && p.count == frag.count && p.src_thread == frag.src_thread
-        }) {
+        // Idempotent reassembly: a client thread sends each argument one
+        // fragment, so a second one from it is a duplicate or a retransmit.
+        if !slot.iter().any(|p| p.src_thread == frag.src_thread) {
             if pardis_obs::enabled() {
                 pardis_obs::counter("poa.fragments_reassembled").inc();
                 pardis_obs::instant(
@@ -674,7 +668,7 @@ impl Poa {
                     ],
                 );
             }
-            slot.push(Piece::from_frame(frag, template));
+            slot.push(frag);
         }
     }
 
@@ -871,7 +865,7 @@ impl Poa {
     fn dispatch(
         &mut self,
         req: RequestMsg,
-        mut frags: HashMap<u32, Vec<Piece>>,
+        mut frags: HashMap<u32, Vec<FragmentMsg>>,
         ctx: Option<pardis_obs::TraceCtx>,
     ) {
         self.mark_accepted((req.binding, req.req_id));
@@ -1039,7 +1033,15 @@ impl Poa {
                 binding: req.binding,
                 status,
                 outs,
-                dout_lens: douts.iter().flatten().map(|d| d.len).collect(),
+                douts: douts
+                    .iter()
+                    .flatten()
+                    .map(|d| DOutDesc {
+                        len: d.len,
+                        dist: d.dist.clone(),
+                        nthreads: self.nthreads as u32,
+                    })
+                    .collect(),
             })
             .encode()
         });

@@ -220,7 +220,8 @@ pub enum ReplyStatus {
 }
 
 /// A reply — scalar out-arguments and the return value; distributed
-/// out-arguments travel as [`FragmentMsg`]s.
+/// out-arguments travel as [`FragmentMsg`]s, cut from the template each
+/// one's [`DOutDesc`] names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplyMsg {
     /// Request this answers.
@@ -233,14 +234,29 @@ pub struct ReplyMsg {
     /// scalar out-arguments, one CDR blob per slot (refcounted, see
     /// [`RequestMsg::ins`]).
     pub outs: Vec<Bytes>,
-    /// Authoritative descriptors for the distributed out-arguments
-    /// (actual lengths, server-side distribution not included — the client
-    /// only needs length + its own expected distribution).
-    pub dout_lens: Vec<u64>,
+    /// One descriptor per distributed out-argument, in declaration order.
+    pub douts: Vec<DOutDesc>,
 }
 
-/// A fragment of a distributed argument: the elements of global range
-/// `[start, start+count)` encoded back-to-back.
+/// Wire descriptor of one distributed out-argument of a reply: its actual
+/// length and the server-side template its fragments were cut from. With
+/// the client's own template (the request's [`DArgDesc::client_dist`]) the
+/// client plans every fragment it is owed, so no fragment names a template.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DOutDesc {
+    /// Global element count.
+    pub len: u64,
+    /// The server's wire template: the distribution the fragments were cut
+    /// from (`Concentrated(0)` under the funneled strategy).
+    pub dist: Distribution,
+    /// The server's computing-thread count.
+    pub nthreads: u32,
+}
+
+/// A fragment of a distributed argument: the elements that the transfer
+/// plan of the argument's two templates moves from `src_thread` to
+/// `dst_thread`, encoded back-to-back in plan order. `start` and `count`
+/// restate the plan, and the receiver refuses a fragment that does not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentMsg {
     /// Request this belongs to.
@@ -251,9 +267,9 @@ pub struct FragmentMsg {
     pub arg: u32,
     /// Direction (fragments flow both ways).
     pub dir: ArgDir,
-    /// First global element index.
+    /// First global index of the pair's plan.
     pub start: u64,
-    /// Element count.
+    /// Element count of the pair's plan.
     pub count: u64,
     /// Destination thread on the receiving side. A frame always goes to
     /// that thread's own endpoint, which refuses any other.
@@ -290,17 +306,6 @@ impl FragmentMsg {
     }
 }
 
-/// The sending side's shape of a distributed argument, carried by a
-/// [`Message::Strided`] frame so the receiver can recompute the pair's
-/// transfer plan (`pair_plan`) without being told it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SrcTemplate {
-    /// Distribution template on the sending side.
-    pub dist: Distribution,
-    /// Computing-thread count of the sending side.
-    pub nthreads: u32,
-}
-
 /// All messages the ORB moves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -308,7 +313,8 @@ pub enum Message {
     Request(RequestMsg),
     /// Invocation completion.
     Reply(ReplyMsg),
-    /// Bulk data.
+    /// Bulk data: what one sending thread owes one receiving thread of a
+    /// distributed argument, in the order of the pair's transfer plan.
     Fragment(FragmentMsg),
     /// Cancel a pending request (best effort).
     Cancel {
@@ -329,11 +335,6 @@ pub enum Message {
     /// envelope nested inside another unread. Only the last sub-frame, a
     /// bulk-data one, may have a body: the envelope's.
     Batch(Vec<Wire>),
-    /// Bulk data of a thread pair whose share is not one contiguous run:
-    /// `start` is the pair's first global index, `count` its element total,
-    /// and `data` packs the elements in the order of the pair's transfer
-    /// plan under the given source-side template.
-    Strided(FragmentMsg, SrcTemplate),
 }
 
 impl Message {
@@ -345,7 +346,6 @@ impl Message {
             Message::Cancel { .. } => 3,
             Message::Close => 4,
             Message::Batch(_) => 5,
-            Message::Strided(..) => 6,
         }
     }
 
@@ -359,7 +359,6 @@ impl Message {
             Message::Cancel { .. } => "cancel",
             Message::Close => "close",
             Message::Batch(_) => "batch",
-            Message::Strided(..) => "strided",
         }
     }
 
@@ -373,7 +372,6 @@ impl Message {
         // (and their copies) while the payload streams in.
         let hint = match self {
             Message::Fragment(f) => return encode_fragment_frame(f, &f.data),
-            Message::Strided(f, t) => return encode_strided_frame(f, &t.dist, t.nthreads, &f.data),
             Message::Request(r) => 96 + r.ins.iter().map(|b| b.len() + 8).sum::<usize>(),
             Message::Reply(r) => 96 + r.outs.iter().map(|b| b.len() + 8).sum::<usize>(),
             Message::Batch(fs) => 16 + fs.iter().map(|f| f.len() + 8).sum::<usize>(),
@@ -384,7 +382,7 @@ impl Message {
         match self {
             Message::Request(r) => encode_request(r, &mut e),
             Message::Reply(r) => encode_reply(r, &mut e),
-            Message::Fragment(_) | Message::Strided(..) => unreachable!("framed above"),
+            Message::Fragment(_) => unreachable!("framed above"),
             Message::Cancel { binding, req_id } => {
                 binding.encode(&mut e);
                 e.write_u64(*req_id);
@@ -409,10 +407,10 @@ impl Message {
     /// that is not bulk data).
     ///
     /// A body is accepted only as the frame's last byte sequence: the
-    /// payload of a `Fragment` or `Strided` frame, or the last sub-frame of
-    /// a `Batch` envelope, which must then be bulk data itself. The head
-    /// must end with that sequence's length word, and the word must count
-    /// the body.
+    /// payload of a `Fragment` frame, or the last sub-frame of a `Batch`
+    /// envelope, which must then be a `Fragment` itself. The head must end
+    /// with that sequence's length word, and the word must count the body.
+    /// An unknown frame type is a typed error.
     pub(crate) fn decode_traced(
         wire: &Wire,
     ) -> Result<(Message, Option<pardis_obs::TraceCtx>, u16), CdrError> {
@@ -442,7 +440,7 @@ impl Message {
         let order = ByteOrder::from_flag(frame[5])?;
         let ty = frame[6];
         let flags = frame[7];
-        if !body.is_empty() && !matches!(ty, 2 | 5 | 6) {
+        if !body.is_empty() && !matches!(ty, 2 | 5) {
             return Err(CdrError::TypeMismatch {
                 expected: "no body behind a frame that is not bulk data".into(),
                 found: format!("{} body bytes behind frame type {ty}", body.len()),
@@ -476,7 +474,7 @@ impl Message {
                         continue;
                     }
                     let last = last_byte_seq(&mut d, frame, body)?;
-                    if !matches!(last.head.get(6), Some(2 | 6)) {
+                    if !matches!(last.head.get(6), Some(2)) {
                         return Err(CdrError::TypeMismatch {
                             expected: "a bulk-data sub-frame before an envelope's body".into(),
                             found: format!("sub-frame type {:?}", last.head.get(6)),
@@ -491,14 +489,6 @@ impl Message {
                     });
                 }
                 Message::Batch(frames)
-            }
-            6 => {
-                let (mut head, lag) = decode_fragment_fields(&mut d)?;
-                ack_lag = lag;
-                let nthreads = d.read_u32()?;
-                let template = SrcTemplate { dist: Distribution::decode(&mut d)?, nthreads };
-                head.data = payload(&mut d, frame, body)?;
-                Message::Strided(head, template)
             }
             other => Err(CdrError::InvalidEnumDiscriminant {
                 name: "MessageType".into(),
@@ -664,7 +654,12 @@ fn encode_reply(r: &ReplyMsg, e: &mut Encoder) {
     for blob in &r.outs {
         e.write_byte_seq(blob);
     }
-    r.dout_lens.encode(e);
+    e.write_u32(r.douts.len() as u32);
+    for o in &r.douts {
+        e.write_u64(o.len);
+        e.write_u32(o.nthreads);
+        o.dist.encode(e);
+    }
 }
 
 fn decode_reply(d: &mut Decoder) -> Result<ReplyMsg, CdrError> {
@@ -686,8 +681,13 @@ fn decode_reply(d: &mut Decoder) -> Result<ReplyMsg, CdrError> {
     for _ in 0..n_outs {
         outs.push(d.read_byte_seq_bytes()?);
     }
-    let dout_lens = Vec::<u64>::decode(d)?;
-    Ok(ReplyMsg { req_id, binding, status, outs, dout_lens })
+    let n_douts = d.read_seq_len(None)?;
+    let mut douts = Vec::with_capacity(n_douts.min(1 << 12));
+    for _ in 0..n_douts {
+        let (len, nthreads) = (d.read_u64()?, d.read_u32()?);
+        douts.push(DOutDesc { len, dist: Distribution::decode(d)?, nthreads });
+    }
+    Ok(ReplyMsg { req_id, binding, status, outs, douts })
 }
 
 fn encode_batch_body(frames: &[Wire], e: &mut Encoder) {
@@ -737,8 +737,8 @@ pub(crate) enum Payload<F> {
     Body(Bytes),
 }
 
-/// Frame one bulk-data message: a plain `Fragment` (type 2) without a
-/// template, a `Strided` (type 6) with one. `head.data` is ignored.
+/// Frame one bulk-data message, a `Fragment` (type 2). `head.data` is
+/// ignored.
 ///
 /// A [`Payload::Packed`] payload is appended straight into the frame,
 /// after the length word and under an alignment origin of its own
@@ -758,37 +758,26 @@ pub(crate) enum Payload<F> {
 /// ([`Message::decode_traced`]); out-fragments carry 0.
 pub(crate) fn frame_fragment(
     head: &FragmentMsg,
-    template: Option<(&Distribution, u32)>,
     rider: Option<&Bytes>,
     ack_lag: u16,
     payload: Payload<impl FnOnce(&mut Encoder)>,
 ) -> Wire {
     let order = ByteOrder::native();
     let ctx = pardis_obs::current_ctx();
-    // Exact for a plain fragment (its fields are all fixed-width); a
-    // template adds a few words, more only for an irregular one.
-    let slack = match template {
-        None => 0,
-        Some((Distribution::Irregular(counts), _)) => 24 + 8 * counts.len(),
-        Some(_) => 24,
-    };
     let (packed, pack, body) = match payload {
         Payload::Packed(len, pack) => (len, Some(pack), Bytes::new()),
         Payload::Body(body) => (0, None, body),
     };
-    let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + slack + packed;
+    // Exact: a fragment's fields are all fixed-width.
+    let cap = fragment_frame_overhead() + ctx_ext_len(&ctx) + packed;
     // An envelope adds its header, a count, two length words and at most
     // three bytes of padding after the rider.
     let envelope = rider.map_or(0, |r| r.len() + 24);
     let mut e = Encoder::with_capacity(order, cap + envelope);
     let tail = body.len();
     let fragment = |e: &mut Encoder| {
-        write_header(e, order, if template.is_some() { 6 } else { 2 }, ctx);
+        write_header(e, order, 2, ctx);
         encode_fragment_fields(head, ack_lag, e);
-        if let Some((dist, nthreads)) = template {
-            e.write_u32(nthreads);
-            dist.encode(e);
-        }
         e.write_byte_seq_with(tail, |e| pack.map_or((), |pack| pack(e)));
     };
     match rider {
@@ -808,26 +797,15 @@ pub(crate) fn packed(payload: &[u8]) -> Payload<impl FnOnce(&mut Encoder) + '_> 
     Payload::Packed(payload.len(), move |e: &mut Encoder| e.write_raw(payload))
 }
 
-/// Frame one contiguous fragment whose payload is supplied separately as
+/// Frame one fragment whose payload is supplied separately as
 /// already-encoded element bytes. Byte-identical to
 /// `Message::Fragment(..).encode()` with `data = payload` (`head.data` is
 /// ignored); neither acknowledges anything.
 pub fn encode_fragment_frame(head: &FragmentMsg, payload: &[u8]) -> Bytes {
-    frame_fragment(head, None, None, 0, packed(payload)).head
+    frame_fragment(head, None, 0, packed(payload)).head
 }
 
-/// Frame one strided fragment ([`Message::Strided`]): `payload` packs the
-/// pair's elements in plan order under the sender's `(dist, nthreads)`.
-pub(crate) fn encode_strided_frame(
-    head: &FragmentMsg,
-    dist: &Distribution,
-    nthreads: u32,
-    payload: &[u8],
-) -> Bytes {
-    frame_fragment(head, Some((dist, nthreads)), None, 0, packed(payload)).head
-}
-
-/// Byte size of an *untraced* plain fragment frame ahead of its payload,
+/// Byte size of an *untraced* fragment frame ahead of its payload,
 /// measured once from an empty-payload frame. Fragment fields are all
 /// fixed-width, so `overhead + ctx_ext_len(..) + payload.len()` is the
 /// *exact* frame size.
@@ -843,8 +821,7 @@ fn fragment_frame_overhead() -> usize {
 }
 
 /// Decode the fixed-width fields of a bulk-data frame and its
-/// acknowledgement lag; the payload (and, in a strided frame, the template
-/// before it) follows.
+/// acknowledgement lag; the payload follows.
 fn decode_fragment_fields(d: &mut Decoder) -> Result<(FragmentMsg, u16), CdrError> {
     let (req_id, binding, arg, dir) =
         (d.read_u64()?, BindingId::decode(d)?, d.read_u32()?, ArgDir::decode(d)?);

@@ -9,8 +9,8 @@
 use crate::dist::Distribution;
 use crate::dseq::DSequence;
 use crate::error::{OrbError, OrbResult};
-use crate::protocol::DArgDesc;
-use crate::strided::{assemble, Pack, Piece};
+use crate::protocol::{DArgDesc, FragmentMsg};
+use crate::strided::{assemble, Pack};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
 use pardis_rts::Rts;
@@ -62,7 +62,7 @@ pub struct DInLocal {
     pub(crate) wire_dist: Distribution,
     /// The fragments covering this thread's local part under `wire_dist`,
     /// one per sending thread, in arrival order.
-    pub pieces: Vec<Piece>,
+    pub(crate) pieces: Vec<FragmentMsg>,
 }
 
 /// A dispatch request as seen by a servant.
@@ -109,7 +109,9 @@ impl ServerRequest<'_> {
             .get(ordinal)
             .ok_or_else(|| OrbError::Protocol(format!("no distributed in-arg {ordinal}")))?;
         let (len, n, t) = (din.desc.len, self.ctx.nthreads, self.ctx.thread);
-        let local = assemble(len, &din.wire_dist, n, t, &din.pieces)?;
+        // The request names the template the client cut the pieces from.
+        let src = (&din.desc.client_dist, self.ctx.client_threads);
+        let local = assemble(len, src, (&din.wire_dist, n, t), &din.pieces)?;
         let mut ds = DSequence::from_shared(local, len, din.wire_dist.clone(), n, t);
         if din.wire_dist != din.server_dist {
             ds.redistribute(&**self.ctx.rts(), din.server_dist.clone());

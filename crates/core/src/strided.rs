@@ -23,18 +23,21 @@
 //! walks the set element by element.
 //!
 //! Both sides compute the plan independently from `(len, distribution,
-//! thread count)` of each side, so no descriptor ever travels: a receiver
-//! that does not know the sender's template is told the template
-//! ([`crate::protocol::SrcTemplate`]) and recomputes the same plan.
+//! thread count)` of each side, so no plan ever travels, and neither does a
+//! template in a fragment: the controls name both. A request carries the
+//! client's template ([`crate::protocol::DArgDesc`]) and a reply the
+//! server's ([`crate::protocol::DOutDesc`]). The receiver plans every
+//! fragment from its sender's template and takes it only as exactly that
+//! plan, once per sender. `pair_plan` partitions each thread's part among
+//! the senders, so the plan is the proof that the part is covered.
 
 use crate::dist::{Distribution, Run};
 use crate::dseq::Local;
 use crate::error::{OrbError, OrbResult};
-use crate::protocol::{frame_fragment, FragmentMsg, Payload, SrcTemplate, Wire};
+use crate::protocol::{frame_fragment, FragmentMsg, Payload, Wire};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, ElemSink, Encoder};
 use pardis_rts::Rts;
-use std::mem::{ManuallyDrop, MaybeUninit};
 
 /// A strided set of global indices: block `k` (of `count`) covers
 /// `[start + k*stride, start + k*stride + block)`.
@@ -106,9 +109,8 @@ impl Strided {
     /// the local offset of its first element and the local distance between
     /// consecutive blocks (local offsets of a strided set of owned indices
     /// are themselves strided). `None` when the set reaches past `len` or is
-    /// not owned by `t` — checked exhaustively for a single run (the only
-    /// shape that arrives from a wire), at both ends for a [`pair_plan`]
-    /// product.
+    /// not owned by `t` — checked exhaustively for a single run, at both
+    /// ends for a [`pair_plan`] product.
     ///
     /// `dist` must already be valid for `(len, n)`.
     pub(crate) fn localize(
@@ -191,68 +193,6 @@ impl Layout {
         }
         let end = self.count.checked_sub(1)?.checked_mul(self.stride)?.checked_add(self.block)?;
         Some(self.lo..self.lo.checked_add(end)?)
-    }
-
-    /// Call `f(w, mask)` for each 64-slot bitmap word that the layout's
-    /// first `n` slots (at most all of them, and the layout inside its
-    /// [`Layout::span`]) touch, in order and once per word, with the mask of
-    /// those slots' bits in it. Bits of consecutive blocks are gathered per
-    /// word, so a word is read or written once, not once per block.
-    fn for_words(&self, n: usize, mut f: impl FnMut(usize, u64)) {
-        // The first word touched is `lo`'s, so a word change always has
-        // bits to hand over.
-        let (mut cur, mut acc) = (self.lo / 64, 0u64);
-        let mut put = |w: usize, mask: u64| {
-            if w != cur {
-                f(cur, acc);
-                (cur, acc) = (w, 0);
-            }
-            acc |= mask;
-        };
-        let mut run = |lo: usize, len: usize| {
-            let bit = lo % 64;
-            if bit + len <= 64 {
-                // Inside one word, as every short block mostly is.
-                return put(lo / 64, u64::MAX >> (64 - len) << bit);
-            }
-            let last = (lo + len - 1) / 64;
-            put(lo / 64, u64::MAX << bit);
-            for w in lo / 64 + 1..last {
-                put(w, u64::MAX);
-            }
-            put(last, u64::MAX >> (63 - (lo + len - 1) % 64));
-        };
-        let (whole, part) = (n / self.block, n % self.block);
-        for k in 0..whole {
-            run(self.lo + k * self.stride, self.block);
-        }
-        if part > 0 {
-            run(self.lo + whole * self.stride, part);
-        }
-        if acc != 0 {
-            f(cur, acc);
-        }
-    }
-}
-
-/// The 64-slot bitmap words a run of slots `lo..lo + n` (`n > 0`) covers:
-/// the first and last word with the mask of the run's bits in each (one
-/// word, twice, when the run fits in it), and the whole words between them.
-struct RunWords {
-    edges: [(usize, u64); 2],
-    whole: std::ops::Range<usize>,
-}
-
-impl RunWords {
-    fn new(lo: usize, n: usize) -> RunWords {
-        let (first, last) = (lo / 64, (lo + n - 1) / 64);
-        let head = u64::MAX << (lo % 64);
-        let tail = u64::MAX >> (63 - (lo + n - 1) % 64);
-        if first == last {
-            RunWords { edges: [(first, head & tail); 2], whole: first..first }
-        } else {
-            RunWords { edges: [(first, head), (last, tail)], whole: first + 1..last }
-        }
     }
 }
 
@@ -412,39 +352,6 @@ pub fn plan_transfer(
     plan
 }
 
-/// One received fragment of a distributed argument: the packed elements one
-/// source thread sent to this thread.
-#[derive(Debug, Clone)]
-pub struct Piece {
-    /// First global index of the pair's elements.
-    pub start: u64,
-    /// Number of elements in `data`.
-    pub count: u64,
-    /// Sending thread.
-    pub src_thread: u32,
-    /// `None`: `data` is the contiguous run `[start, start + count)`.
-    /// `Some`: `data` is the sender's `pair_plan` share for this thread
-    /// under the given source-side template.
-    pub template: Option<SrcTemplate>,
-    /// CDR-encoded elements in plan order (a zero-copy slice of the frame).
-    pub data: Bytes,
-}
-
-impl Piece {
-    /// The piece a received bulk-data frame carries (`template` is `Some`
-    /// for a `Strided` frame). `frame.data` is a zero-copy slice of the
-    /// wire frame; keeping it keeps the frame alive instead of copying.
-    pub(crate) fn from_frame(frame: FragmentMsg, template: Option<SrcTemplate>) -> Piece {
-        Piece {
-            start: frame.start,
-            count: frame.count,
-            src_thread: frame.src_thread,
-            template,
-            data: frame.data,
-        }
-    }
-}
-
 /// One thread's share of a distributed argument with the element type
 /// erased: what [`cut_fragments`] needs of a [`crate::DSequence`], which
 /// owns (or shares) the storage.
@@ -478,10 +385,10 @@ pub(crate) fn wire_template(funneled: bool, n: usize, dist: &Distribution) -> Di
 
 /// Cut thread `head.src_thread`'s share of one distributed argument into one
 /// frame per destination thread and hand each to `emit`. `head` carries what
-/// every frame shares (request, argument, direction, source thread). A pair
-/// that exchanges one contiguous run travels as a plain `Fragment` frame;
-/// anything else as a `Strided` frame naming the source-side template.
-/// When the pair's elements are one run of the sender's storage in their
+/// every frame shares (request, argument, direction, source thread). Every
+/// frame is a plain `Fragment` whose `start` and `count` restate the pair's
+/// plan; the receiver knows both templates from the control. When the
+/// pair's elements are one run of the sender's storage in their
 /// native image ([`Pack::body`]), that storage is the frame's body;
 /// otherwise they are packed straight into the frame. Either way a frame
 /// costs one buffer, and at most one copy, per destination.
@@ -511,8 +418,6 @@ pub(crate) fn cut_fragments(
         head.start = first.start;
         head.count = sets.iter().map(Strided::total).sum();
         head.dst_thread = dst as u32;
-        let contiguous = sets.len() == 1 && first.count == 1;
-        let template = (!contiguous).then_some((src_dist, src_n as u32));
         let rider = riders.get_mut(dst).and_then(Option::take);
         let payload = match share.body(&sets) {
             Some(body) => Payload::Body(body),
@@ -520,211 +425,179 @@ pub(crate) fn cut_fragments(
                 share.pack_into(&sets, e)
             }),
         };
-        let wire = frame_fragment(&head, template, rider.as_ref(), ack_lag, payload);
+        let wire = frame_fragment(&head, rider.as_ref(), ack_lag, payload);
         emit(&head, wire)?;
     }
     Ok(())
 }
 
-/// A `Vec<T>` under construction whose elements arrive out of order. One
-/// bit per slot records which slots hold a value: a slot is never written
-/// twice, and [`Slots::finish`] releases the vector only once every bit is
-/// set — the map is the coverage proof, not a per-element `Option`, and a
-/// whole block is checked and marked a word at a time.
-struct Slots<T> {
-    buf: Vec<MaybeUninit<T>>,
-    /// Bit `i` is set exactly when `buf[i]` is initialised.
-    set: Vec<u64>,
-    filled: usize,
-}
-
-impl<T> Slots<T> {
-    fn new(n: usize) -> Self {
-        let mut buf = Vec::with_capacity(n);
-        buf.resize_with(n, MaybeUninit::uninit);
-        Slots { buf, set: vec![0; n.div_ceil(64)], filled: 0 }
-    }
-
-    /// Let `fill` store values in the slots of layout `at`, front to back
-    /// in layout order, and return what it returns. Refused, with `fill`
-    /// not run and nothing stored, when the layout is malformed, leaves the
-    /// vector or touches a slot that already holds a value.
-    fn fill<R>(
-        &mut self,
-        at: Layout,
-        fill: impl FnOnce(&mut ElemSink<'_, T>) -> R,
-    ) -> Result<R, ()> {
-        let span = at.span().filter(|span| span.end <= self.buf.len()).ok_or(())?;
-        // A dense layout is one run: its whole words are checked and marked
-        // as slices, not word by word.
-        let dense = at.count == 1;
-        let taken = if dense {
-            let run = RunWords::new(at.lo, at.block);
-            self.set[run.whole].iter().any(|&w| w != 0)
-                || run.edges.iter().any(|&(w, mask)| self.set[w] & mask != 0)
-        } else {
-            let mut taken = 0;
-            at.for_words(at.block * at.count, |w, mask| taken |= self.set[w] & mask);
-            taken != 0
-        };
-        if taken {
-            return Err(());
-        }
-        let mut sink = ElemSink::strided(&mut self.buf[span], at.block, at.stride);
-        let out = fill(&mut sink);
-        // Bits follow the writes, and only as far as the sink says they
-        // really went: a set bit always means an initialised slot.
-        let filled = sink.filled();
-        let set = &mut self.set;
-        if !dense {
-            at.for_words(filled, |w, mask| set[w] |= mask);
-        } else if filled > 0 {
-            let run = RunWords::new(at.lo, filled);
-            set[run.whole].fill(u64::MAX);
-            for (w, mask) in run.edges {
-                set[w] |= mask;
-            }
-        }
-        self.filled += filled;
-        Ok(out)
-    }
-
-    /// The finished vector, or the first slot that never got a value.
-    fn finish(mut self) -> Result<Vec<T>, usize> {
-        if self.filled != self.buf.len() {
-            let word = self.set.iter().position(|w| *w != u64::MAX).unwrap_or(0);
-            return Err(word * 64 + self.set[word].trailing_ones() as usize);
-        }
-        let mut buf = ManuallyDrop::new(std::mem::take(&mut self.buf));
-        // SAFETY: `fill` sets (and counts) exactly the previously clear
-        // bits of the slots its sink initialised (the sink's first `filled`
-        // slots in layout order, which are the slots `Layout::for_words`
-        // marks), so `filled == len` means all `len` slots are initialised. `MaybeUninit<T>` has the layout of
-        // `T`, and the allocation is handed over whole (the `ManuallyDrop`
-        // keeps the old handle from freeing it).
-        Ok(unsafe { Vec::from_raw_parts(buf.as_mut_ptr().cast::<T>(), buf.len(), buf.capacity()) })
-    }
-}
-
-impl<T> Drop for Slots<T> {
-    fn drop(&mut self) {
-        if !std::mem::needs_drop::<T>() {
-            return;
-        }
-        for (i, slot) in self.buf.iter_mut().enumerate() {
-            if self.set[i / 64] & (1 << (i % 64)) != 0 {
-                // SAFETY: the bit is set only after `fill` saw the slot
-                // initialised, and nothing reads the slot after this drop.
-                unsafe { slot.assume_init_drop() };
-            }
-        }
-    }
-}
-
 /// The one scatter helper behind `ServerRequest::dseq`, the client's
-/// out-argument assembly, `DSequence::gather` and `redistribute`: decodes
-/// packed payloads straight into the strided slots of this thread's new
-/// local vector.
+/// out-argument assembly, `DSequence::gather` and `redistribute`: thread
+/// `t`'s new local vector under the destination template, filled one source
+/// thread at a time with that source's [`pair_plan`] share, each set in one
+/// codec call.
+///
+/// The plan is the coverage proof. `pair_plan` partitions the local part
+/// among the sources, so when each source is taken at most once and the
+/// stores add up to the local length, every slot holds its element. The
+/// vector holds values before anything is decoded into it, so a plan that
+/// were wrong could only cost the result, never memory safety.
 pub(crate) struct Assembler<'a, T> {
     len: u64,
-    dist: &'a Distribution,
-    n: usize,
-    t: usize,
-    slots: Slots<T>,
+    src: (&'a Distribution, usize),
+    dst: (&'a Distribution, usize, usize),
+    /// One mark per source taken: the sources, in the order taken.
+    taken: Vec<usize>,
+    /// The share of the source taken last.
+    sets: Vec<Strided>,
+    /// Empty until the first element arrives, then `local_len` values.
+    local: Vec<T>,
+    local_len: usize,
+    stored: usize,
 }
 
-impl<'a, T: CdrCodec> Assembler<'a, T> {
-    /// Assemble thread `t`'s local part of `len` elements under `dist`
-    /// (which must be valid for `(len, n)`).
-    pub(crate) fn new(len: u64, dist: &'a Distribution, n: usize, t: usize) -> Self {
-        let slots = Slots::new(dist.local_len(len, n, t) as usize);
-        Assembler { len, dist, n, t, slots }
+impl<'a, T: CdrCodec + Clone> Assembler<'a, T> {
+    /// Assemble thread `t` of `n` under `dist` from `len` elements that
+    /// `src_n` source threads hold under `src_dist`. Both templates must be
+    /// valid for their sides.
+    pub(crate) fn new(
+        len: u64,
+        src: (&'a Distribution, usize),
+        (dist, n, t): (&'a Distribution, usize, usize),
+    ) -> Self {
+        Assembler {
+            len,
+            src,
+            dst: (dist, n, t),
+            taken: Vec::new(),
+            sets: Vec::new(),
+            local: Vec::new(),
+            local_len: dist.local_len(len, n, t) as usize,
+            stored: 0,
+        }
     }
 
-    fn locate(&self, set: &Strided) -> OrbResult<Layout> {
-        set.layout(self.len, self.dist, self.n, self.t).ok_or_else(|| {
-            OrbError::Protocol(format!(
-                "elements {}..{} do not belong to thread {}",
-                set.start,
-                set.start.saturating_add(set.block),
-                self.t
-            ))
-        })
+    /// Take source thread `s`: its share of this thread's part, in plan
+    /// order, which the next [`Assembler::decode`] stores. Refused for a
+    /// source the sending side does not have, or one already taken.
+    pub(crate) fn source(&mut self, s: usize) -> OrbResult<&[Strided]> {
+        let (src_dist, src_n) = self.src;
+        if s >= src_n || self.taken.contains(&s) {
+            return Err(OrbError::Protocol(format!(
+                "a second or unknown source thread {s} of {src_n}"
+            )));
+        }
+        self.taken.push(s);
+        self.sets.clear();
+        let (dist, n, t) = self.dst;
+        pair_plan(self.len, src_dist, src_n, s, dist, n, t, &mut self.sets);
+        Ok(&self.sets)
     }
 
-    /// [`Slots::fill`] over the local slots of `set`, a refusal reported as
-    /// the protocol error it is.
-    fn fill(
+    /// A sink over the local slots of `set`. The vector is made on the
+    /// first call, every slot holding `first()`.
+    fn sink(
         &mut self,
         set: &Strided,
-        fill: impl FnOnce(&mut ElemSink<'_, T>) -> OrbResult<()>,
-    ) -> OrbResult<()> {
-        let at = self.locate(set)?;
-        self.slots.fill(at, fill).unwrap_or_else(|()| {
-            Err(OrbError::Protocol(format!(
-                "local elements of {set:?} (from {}) delivered twice",
-                at.lo
-            )))
-        })
+        first: impl FnOnce() -> OrbResult<T>,
+    ) -> OrbResult<ElemSink<'_, T>> {
+        let (dist, n, t) = self.dst;
+        let at = set
+            .layout(self.len, dist, n, t)
+            .and_then(|at| Some((at, at.span()?)))
+            .filter(|(_, span)| span.end <= self.local_len);
+        let Some((at, span)) = at else {
+            return Err(OrbError::Protocol(format!("planned {set:?} is not thread {t}'s")));
+        };
+        if self.local.is_empty() {
+            self.local = vec![first()?; self.local_len];
+        }
+        Ok(ElemSink::strided(&mut self.local[span], at.block, at.stride))
     }
 
-    /// Decode the elements of `set`, in order, from `d` into their slots:
-    /// one bulk [`CdrCodec::decode_elems_into`] call whatever the set's
+    /// Decode the share of the source taken last, in plan order, from `d`:
+    /// one bulk [`CdrCodec::decode_elems_into`] call per set whatever its
     /// shape (for doubles, one loop over the local blocks).
-    pub(crate) fn decode(&mut self, set: &Strided, d: &mut Decoder) -> OrbResult<()> {
-        self.fill(set, |sink| Ok(T::decode_elems_into(d, sink)?))
+    pub(crate) fn decode(&mut self, d: &mut Decoder) -> OrbResult<()> {
+        for k in 0..self.sets.len() {
+            let set = self.sets[k];
+            let mut sink = self.sink(&set, || Ok(T::decode(&mut d.clone())?))?;
+            T::decode_elems_into(d, &mut sink)?;
+            self.stored += sink.filled();
+        }
+        Ok(())
     }
 
-    /// Clone the elements of `set` out of `local`, the storage of the same
-    /// thread under `from` — the share of a redistribution that stays put.
-    pub(crate) fn copy(&mut self, set: &Strided, local: &[T], from: &Distribution) -> OrbResult<()>
-    where
-        T: Clone,
-    {
-        let (src, span) = set
-            .layout(self.len, from, self.n, self.t)
-            .and_then(|src| Some((src, src.span()?)))
-            .ok_or_else(|| OrbError::Protocol("local share not owned at its source".into()))?;
-        self.fill(set, |sink| {
-            for blk in local[span].chunks(src.stride) {
+    /// Take source thread `s` and decode its whole share from `d`.
+    pub(crate) fn take(&mut self, s: usize, d: &mut Decoder) -> OrbResult<()> {
+        self.source(s)?;
+        self.decode(d)
+    }
+
+    /// Take this thread as a source and clone its share out of `local`, its
+    /// storage under the source template — the share of a redistribution
+    /// that stays put.
+    pub(crate) fn copy(&mut self, local: &[T]) -> OrbResult<()> {
+        let ((from, from_n), t) = (self.src, self.dst.2);
+        self.source(t)?;
+        for k in 0..self.sets.len() {
+            let set = self.sets[k];
+            let src = set
+                .layout(self.len, from, from_n, t)
+                .and_then(|src| Some((src, src.span()?)))
+                .filter(|(_, span)| span.end <= local.len());
+            let Some((src, span)) = src else {
+                return Err(OrbError::Protocol("local share not owned at its source".into()));
+            };
+            let items = &local[span];
+            let mut sink = self.sink(&set, || Ok(items[0].clone()))?;
+            for blk in items.chunks(src.stride) {
                 for v in &blk[..src.block] {
                     sink.push(v.clone());
                 }
             }
-            Ok(())
-        })
+            self.stored += sink.filled();
+        }
+        Ok(())
     }
 
-    /// The assembled local vector; an error names the first element no
-    /// payload covered.
+    /// The assembled local vector, once the stores add up to it.
     pub(crate) fn finish(self) -> OrbResult<Vec<T>> {
-        self.slots
-            .finish()
-            .map_err(|i| OrbError::Protocol(format!("local element {i} never arrived")))
+        if self.stored != self.local_len {
+            return Err(OrbError::Protocol(format!(
+                "{} of thread {}'s {} elements arrived",
+                self.stored, self.dst.2, self.local_len
+            )));
+        }
+        Ok(self.local)
     }
 }
 
-/// Assemble thread `t`'s local part from received fragments, trusting
-/// nothing they claim: every piece must fit its own payload, lie inside
-/// this thread's ownership, overlap no other piece, and together they must
-/// cover all `local_len` elements. A [`Piece::template`] is validated and
-/// the pair plan recomputed from it; the piece's `start`/`count` must match
-/// that plan.
+/// Assemble thread `t`'s local part from received fragments, each a
+/// zero-copy slice of its frame, trusting nothing they claim. The source
+/// template `(src_dist, src_n)` comes from the control and is validated
+/// first. Each piece is then planned for its `src_thread`: it must be that
+/// source's whole [`pair_plan`] share (its `start` and `count` are the
+/// plan's), come from a source the sender has, be the only piece from that
+/// source, and fit its own payload; and the pieces' counts must add up to
+/// `local_len`.
 ///
-/// A piece that passed all of that and alone is the whole local part, as
-/// one run of it, is adopted rather than copied when its payload is exactly
-/// the elements' native image ([`CdrCodec::native_view`]: a native-image
-/// type, the payload aligned for it in memory). The payload, often the
-/// sender's own storage ([`Pack::body`]), becomes the local part. Anything
-/// else is decoded into a fresh vector.
-pub(crate) fn assemble<T: CdrCodec>(
+/// A single piece that is the whole local part, as one run of it, is
+/// adopted rather than copied when its payload is exactly the elements'
+/// native image ([`CdrCodec::native_view`]: a native-image type, the payload
+/// aligned for it in memory). The payload, often the sender's own storage
+/// ([`Pack::body`]), becomes the local part. Anything else is decoded into
+/// a fresh vector.
+pub(crate) fn assemble<T: CdrCodec + Clone>(
     len: u64,
-    dist: &Distribution,
-    n: usize,
-    t: usize,
-    pieces: &[Piece],
+    (src_dist, src_n): (&Distribution, usize),
+    (dist, n, t): (&Distribution, usize, usize),
+    pieces: &[FragmentMsg],
 ) -> OrbResult<Local<T>> {
     dist.validate(len, n).map_err(OrbError::Protocol)?;
+    src_dist
+        .validate(len, src_n)
+        .map_err(|e| OrbError::Protocol(format!("source template: {e}")))?;
     // No allocation is sized by a wire count alone: every element occupies
     // at least one payload byte, so the claimed counts are bounded by bytes
     // actually received before `local_len` slots are reserved.
@@ -746,49 +619,29 @@ pub(crate) fn assemble<T: CdrCodec>(
             "fragments carry {claimed} of thread {t}'s {local_len} elements"
         )));
     }
-    // The slots are reserved only once a piece is to be copied into them.
-    let mut asm = None;
-    let mut sets = Vec::new();
-    for p in pieces.iter().filter(|p| p.count > 0) {
-        sets.clear();
-        match &p.template {
-            None => sets.push(Strided::run(p.start, p.count)),
-            Some(tmpl) => {
-                let src_n = tmpl.nthreads as usize;
-                tmpl.dist.validate(len, src_n).map_err(OrbError::Protocol)?;
-                if p.src_thread as usize >= src_n {
-                    return Err(OrbError::Protocol(format!(
-                        "fragment from thread {} of a {src_n}-thread sender",
-                        p.src_thread
-                    )));
-                }
-                pair_plan(len, &tmpl.dist, src_n, p.src_thread as usize, dist, n, t, &mut sets);
-                let planned: u64 = sets.iter().map(Strided::total).sum();
-                if sets.first().map(|s| s.start) != Some(p.start) || planned != p.count {
-                    return Err(OrbError::Protocol(format!(
-                        "fragment {}+{} from thread {} does not match the transfer plan",
-                        p.start, p.count, p.src_thread
-                    )));
-                }
-            }
+    let mut asm = Assembler::new(len, (src_dist, src_n), (dist, n, t));
+    for p in pieces {
+        let sets = asm.source(p.src_thread as usize)?;
+        let planned: u64 = sets.iter().map(Strided::total).sum();
+        if sets.first().map(|s| s.start) != Some(p.start) || planned != p.count {
+            return Err(OrbError::Protocol(format!(
+                "fragment {}+{} from thread {} does not match the transfer plan",
+                p.start, p.count, p.src_thread
+            )));
         }
-        // Alone all of the local part (the counts add up to it), as one
-        // run of it, in exactly its native image: the payload is the part.
+        // Alone all of the local part, as one run of it, in exactly its
+        // native image: the payload is the part.
         let one_run = |set: &Strided| {
             matches!(set.layout(len, dist, n, t), Some(Layout { lo: 0, count: 1, .. }))
         };
-        if p.count == local_len
-            && matches!(&sets[..], [set] if one_run(set))
+        if pieces.len() == 1
+            && p.count == local_len
+            && matches!(sets, [set] if one_run(set))
             && T::native_view(&p.data).is_some_and(|v| v.len() as u64 == local_len)
         {
             return Ok(Local::Adopted(p.data.clone()));
         }
-        let asm = asm.get_or_insert_with(|| Assembler::new(len, dist, n, t));
-        let mut d = Decoder::new(p.data.clone(), ByteOrder::native());
-        for set in &sets {
-            asm.decode(set, &mut d)?;
-        }
+        asm.decode(&mut Decoder::new(p.data.clone(), ByteOrder::native()))?;
     }
-    let asm = asm.unwrap_or_else(|| Assembler::new(len, dist, n, t));
     Ok(asm.finish()?.into())
 }

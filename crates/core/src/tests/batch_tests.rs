@@ -11,7 +11,7 @@ use crate::protocol::{
 };
 use crate::*;
 use bytes::Bytes;
-use pardis_cdr::{ByteOrder, Encoder};
+use pardis_cdr::{ByteOrder, CdrCodec, CdrError, Encoder};
 use pardis_netsim::{Link, Network, TimeScale};
 use pardis_rts::{MpiRts, World};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn small_frame(i: u64) -> Bytes {
         binding: BindingId(0xBAD),
         status: ReplyStatus::Ok,
         outs: Vec::new(),
-        dout_lens: Vec::new(),
+        douts: Vec::new(),
     })
     .encode()
 }
@@ -97,7 +97,7 @@ fn orphan_stash_eviction_regression() {
             binding,
             status: ReplyStatus::Ok,
             outs: Vec::new(),
-            dout_lens: Vec::new(),
+            douts: Vec::new(),
         });
         orb.send(host, client.test_reply_ep(), &stray).unwrap();
     }
@@ -206,7 +206,7 @@ fn malformed_gather_frames_are_refused() {
     let body = Bytes::from(vec![0x5a; 16]);
     let fragment = {
         let head = FragmentMsg::head(1, BindingId(0xBAD), 0, ArgDir::In, 0);
-        frame_fragment(&head, None, None, 0, Payload::<fn(&mut Encoder)>::Body(body.clone()))
+        frame_fragment(&head, None, 0, Payload::<fn(&mut Encoder)>::Body(body.clone()))
     };
     assert_eq!(Message::decode_traced(&fragment).unwrap().0.kind(), "fragment");
     let stray = Message::Cancel { binding: BindingId(0xBAD), req_id: 1 }.encode();
@@ -237,7 +237,40 @@ fn malformed_gather_frames_are_refused() {
         ("a body behind a close", behind(Message::Close.encode())),
         ("a body after a cancel in an envelope", cancel_then_body),
     ];
+    refused_at_both_ends(&cases);
+}
 
+/// A frame of type 6, which once carried a bulk-data pair's source template
+/// between the fragment's fields and its payload. The template travels in
+/// the controls now, so type 6 is an unknown type like any other: a typed
+/// error, refused unread at both ends.
+#[test]
+fn retired_strided_frames_are_refused() {
+    let _serial = counting_refusals();
+    let mut e = Encoder::new(ByteOrder::native());
+    e.write_raw(&MAGIC);
+    e.write_raw(&[VERSION, ByteOrder::native().flag(), 6, 0]);
+    e.write_u64(1); // request
+    e.write_u64(0xBAD); // binding
+    e.write_u32(0); // argument
+    e.write_raw(&[0, 0, 0, 0]); // in, no acknowledgement
+    e.write_u64(0); // start
+    e.write_u64(1); // count
+    e.write_u32(0); // destination thread
+    e.write_u32(0); // source thread
+    e.write_u32(2); // the sender's thread count
+    Distribution::Cyclic.encode(&mut e);
+    e.write_byte_seq(&[0; 8]);
+    let strided = e.finish();
+    let err = Message::decode(&strided).unwrap_err();
+    assert!(matches!(err, CdrError::InvalidEnumDiscriminant { value: 6, .. }), "{err:?}");
+    refused_at_both_ends(&[("a type-6 frame", strided.into())]);
+}
+
+/// Send each frame, which must not decode, to a one-thread POA and to a
+/// client's reply endpoint: each end counts it on `orb.frames_refused` and
+/// goes on serving.
+fn refused_at_both_ends(cases: &[(&str, Wire)]) {
     let net = Network::new(TimeScale::off());
     let (ch, sh) = (net.add_host("client"), net.add_host("server"));
     net.connect(ch, sh, Link::free());
@@ -255,13 +288,13 @@ fn malformed_gather_frames_are_refused() {
     let refused = || pardis_obs::counter("orb.frames_refused").get();
 
     for (name, wire) in cases {
-        assert!(Message::decode_traced(&wire).is_err(), "{name} decodes");
+        assert!(Message::decode_traced(wire).is_err(), "{name} decodes");
         let before = refused();
         orb.send_wire(ch, server_ep, wire.clone()).unwrap();
         let reply = proxy.call("shout").arg(&name.to_string()).invoke().unwrap();
         assert_eq!(reply.scalar::<String>(0).unwrap(), format!("echo: {name}"));
         assert_eq!(refused() - before, 1, "{name} at the server");
-        orb.send_wire(sh, client.test_reply_ep(), wire).unwrap();
+        orb.send_wire(sh, client.test_reply_ep(), wire.clone()).unwrap();
         client.drain_pending();
         assert_eq!(refused() - before, 2, "{name} at the client");
     }

@@ -49,7 +49,11 @@ fn reply_roundtrip_ok_and_exception() {
             binding: BindingId(2),
             status,
             outs: vec![Bytes::from(vec![9, 9])],
-            dout_lens: vec![512],
+            douts: vec![DOutDesc {
+                len: 512,
+                dist: Distribution::Irregular(vec![200, 312]),
+                nthreads: 2,
+            }],
         });
         let wire = msg.encode();
         assert_eq!(Message::decode(&wire).unwrap(), msg);
@@ -90,8 +94,7 @@ fn fragment_ack_lag_roundtrips_at_no_length() {
         data: Bytes::from((0..200u8).collect::<Vec<u8>>()),
     };
     let request = Message::Request(sample_request()).encode();
-    let frame =
-        |rider: Option<&Bytes>, lag| frame_fragment(&frag, None, rider, lag, packed(&frag.data));
+    let frame = |rider: Option<&Bytes>, lag| frame_fragment(&frag, rider, lag, packed(&frag.data));
     for traced in [false, true] {
         let _ctx = traced.then(|| {
             pardis_obs::enter_ctx(pardis_obs::TraceCtx { trace_id: 0x1111, span_id: 0x2222 })
@@ -168,7 +171,11 @@ fn sample_messages() -> Vec<Message> {
             binding: BindingId(2),
             status: ReplyStatus::UserException { id: "overflow".into(), data: vec![1, 2, 3] },
             outs: vec![Bytes::from(vec![9, 9])],
-            dout_lens: vec![512],
+            douts: vec![DOutDesc {
+                len: 512,
+                dist: Distribution::Irregular(vec![200, 312]),
+                nthreads: 2,
+            }],
         }),
         Message::Fragment(FragmentMsg {
             req_id: 5,
@@ -215,7 +222,7 @@ mod property {
             };
             let msg = Message::Fragment(frag.clone());
             prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg.clone());
-            let wire = frame_fragment(&frag, None, None, ack_lag, packed(&frag.data));
+            let wire = frame_fragment(&frag, None, ack_lag, packed(&frag.data));
             prop_assert_eq!(Message::decode_traced(&wire).unwrap(), (msg, None, ack_lag));
         }
 

@@ -479,7 +479,7 @@ impl AckRig {
         let mut payload = Encoder::new(ByteOrder::native());
         f64::encode_elems(&vec![id as f64; HALF as usize], &mut payload);
         let payload = payload.finish();
-        self.send(frame_fragment(&head, None, None, ack_lag, packed(&payload)));
+        self.send(frame_fragment(&head, None, ack_lag, packed(&payload)));
     }
 
     /// The frame client thread `thread` got back for request `id`, if one

@@ -1,7 +1,8 @@
 //! What strided transfers put on the wire, and what a receiver does with
-//! frames it cannot trust: contiguous pairs keep the plain `Fragment` frame
-//! byte for byte, strided pairs travel as one `Strided` frame each, and no
-//! malformed piece gets past `assemble` as anything but a typed error.
+//! frames it cannot trust: every thread pair's share travels as one plain
+//! `Fragment` frame, byte for byte the contiguous frame of old, the reply
+//! names the server's template, and no malformed piece gets past
+//! `assemble` as anything but a typed error.
 
 use crate::dist::Distribution;
 use crate::error::OrbError;
@@ -10,7 +11,8 @@ use crate::orb::ObjectMeta;
 use crate::protocol::*;
 use crate::repository::DEFAULT_REPOSITORY;
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
-use crate::strided::{pair_plan, Piece, Strided};
+use crate::strided::{pair_plan, Strided};
+use crate::tests::assembler_tests::{piece, template};
 use crate::{ClientGroup, DSequence, DistPolicy, Orb, OrbResult, ServerGroup};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Encoder};
@@ -48,9 +50,10 @@ fn unhex(s: &str) -> Vec<u8> {
     (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
 }
 
-/// Frames produced by the parent commit's `encode_fragment_frame` and
-/// `Message::Reply(..).encode()` for these exact inputs (little-endian
-/// host): the plain fragment and the reply encodings did not move.
+/// Frames produced by `encode_fragment_frame` and `Message::Reply(..)
+/// .encode()` for these exact inputs (little-endian host). The fragment is
+/// the frame contiguous pairs have always had; the reply's out-argument
+/// descriptor is its length, the server's thread count and its template.
 #[cfg(target_endian = "little")]
 #[test]
 fn plain_fragment_and_reply_frames_match_golden_bytes() {
@@ -80,7 +83,7 @@ fn plain_fragment_and_reply_frames_match_golden_bytes() {
     };
     let payload: Vec<u8> = (0u8..16).collect();
     assert_eq!(encode_fragment_frame(&head, &payload)[..], golden_fragment[..]);
-    let lagged = |lag| frame_fragment(&head, None, None, lag, packed(&payload)).head;
+    let lagged = |lag| frame_fragment(&head, None, lag, packed(&payload)).head;
     assert_eq!(lagged(0)[..], golden_fragment[..], "lag 0 acknowledges nothing, byte for byte");
     // A lag fills two of the three padding bytes after `dir`, nothing else.
     let mut golden_lagged = golden_fragment.clone();
@@ -101,57 +104,18 @@ fn plain_fragment_and_reply_frames_match_golden_bytes() {
         "01000000",
         "00000000",
         "0900000000000000",
+        "02000000",
+        "01000000",
     ));
     let reply = Message::Reply(ReplyMsg {
         req_id: 5,
         binding: BindingId(6),
         status: ReplyStatus::Ok,
         outs: vec![Bytes::from(vec![7u8, 8])],
-        dout_lens: vec![9],
+        douts: vec![DOutDesc { len: 9, dist: Distribution::Cyclic, nthreads: 2 }],
     });
     assert_eq!(reply.encode()[..], golden_reply[..]);
-}
-
-#[test]
-fn strided_frame_roundtrips_and_borrows_the_wire() {
-    for dist in [
-        Distribution::Cyclic,
-        Distribution::BlockCyclic(5),
-        Distribution::Irregular(vec![1, 2, 3, 4, 5, 6, 7, 8, 9]),
-    ] {
-        let payload = vec![0xabu8; 1000];
-        let wire = encode_strided_frame(&head(1, ArgDir::Out, 3, 125, 0, 2), &dist, 9, &payload);
-        assert_eq!(wire[6], 6, "strided type tag");
-        let decoded = Message::decode(&wire).unwrap();
-        assert_eq!(decoded.kind(), "strided");
-        let Message::Strided(f, tmpl) = &decoded else { panic!("strided expected") };
-        assert_eq!((f.arg, f.start, f.count, f.dst_thread, f.src_thread), (1, 3, 125, 0, 2));
-        assert_eq!(*tmpl, SrcTemplate { dist: dist.clone(), nthreads: 9 });
-        assert_eq!(f.data[..], payload[..]);
-        let (lo, plo) = (wire.as_ptr() as usize, f.data.as_ptr() as usize);
-        assert!(plo >= lo && plo + f.data.len() <= lo + wire.len(), "payload was copied");
-        assert_eq!(decoded.encode(), wire, "Message::encode agrees with the frame helper");
-    }
-}
-
-#[test]
-fn strided_frame_carries_its_ack_lag_at_no_length() {
-    let (dist, head) = (Distribution::BlockCyclic(5), head(1, ArgDir::In, 3, 125, 0, 2));
-    let payload = vec![0xabu8; 1000];
-    for traced in [false, true] {
-        let _ctx = traced.then(|| {
-            pardis_obs::enter_ctx(pardis_obs::TraceCtx { trace_id: 0x1111, span_id: 0x2222 })
-        });
-        let plain = encode_strided_frame(&head, &dist, 9, &payload);
-        for lag in [0u16, 1, 0x1234, u16::MAX] {
-            let wire = frame_fragment(&head, Some((&dist, 9)), None, lag, packed(&payload));
-            assert_eq!(wire.len(), plain.len(), "lag {lag}");
-            let (msg, ctx, got) = Message::decode_traced(&wire).unwrap();
-            assert_eq!(got, lag);
-            assert_eq!(ctx.is_some(), traced);
-            assert_eq!(msg, Message::decode(&plain).unwrap(), "the lag is all that differs");
-        }
-    }
+    assert_eq!(Message::decode(&Bytes::from(golden_reply)).unwrap(), reply);
 }
 
 /// A two-endpoint server that executes nothing: it only lets a real client
@@ -220,10 +184,8 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Wire, bool)>
                 let merged = subs.len() > 1;
                 for wire in subs {
                     match decode(&wire) {
-                        Message::Fragment(f) | Message::Strided(f, _) if f.req_id == 0 => {}
-                        msg @ (Message::Fragment(_) | Message::Strided(..)) => {
-                            frames.push((msg, wire, merged))
-                        }
+                        Message::Fragment(f) if f.req_id == 0 => {}
+                        msg @ Message::Fragment(_) => frames.push((msg, wire, merged)),
                         _ => {}
                     }
                 }
@@ -254,24 +216,25 @@ fn client_keeps_the_plain_frame_for_contiguous_pairs() {
         let (_, _, lag) = Message::decode_traced(wire).unwrap();
         assert_eq!(lag, 1, "request 1 acknowledges request 0");
         let payload = encode_elems(&full[32 * t..32 * (t + 1)]);
-        let want = frame_fragment(&old_head, None, None, lag, packed(&payload));
+        let want = frame_fragment(&old_head, None, lag, packed(&payload));
         assert_eq!(wire.to_bytes(), want.head, "server thread {t}");
         assert_eq!(wire.body, payload, "a dense run of doubles travels as its storage");
     }
 }
 
 #[test]
-fn client_sends_one_strided_frame_per_thread_pair() {
-    // Block -> Cyclic over 2x2: every pair shares 16 interleaved elements.
+fn client_sends_one_plain_frame_per_thread_pair() {
+    // Block -> Cyclic over 2x2: every pair shares 16 interleaved elements,
+    // in one plain fragment that names no template: the request does.
     let full: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
     for (d, frames) in client_in_frames(Distribution::Cyclic).into_iter().enumerate() {
         assert_eq!(frames.len(), 2, "one frame from each client thread at server thread {d}");
         for (msg, wire, merged) in frames {
             assert_eq!(Message::decode_traced(&wire).unwrap().2, 1, "request 1 acknowledges 0");
-            let Message::Strided(f, tmpl) = msg else { panic!("strided frame expected") };
+            let Message::Fragment(f) = msg else { panic!("plain fragment expected, got {msg:?}") };
             let s = f.src_thread as usize;
             assert_eq!(merged, s == 0, "the lead's frame carries the request");
-            assert_eq!(tmpl, SrcTemplate { dist: Distribution::Block, nthreads: 2 });
+            assert_eq!(wire.to_bytes()[6], 2, "fragment type tag");
             assert_eq!((f.start, f.count), (32 * s as u64 + d as u64, 16));
             let want: Vec<f64> = (0..16).map(|k| full[32 * s + d + 2 * k]).collect();
             assert_eq!(f.data, encode_elems(&want), "packed in ascending global order");
@@ -350,7 +313,8 @@ fn poa_keeps_the_plain_frame_for_contiguous_pairs() {
     };
     assert_eq!(subs.len(), 2);
     let Message::Reply(reply) = decode(&subs[0]) else { panic!("reply first") };
-    assert_eq!((reply.req_id, reply.binding, reply.dout_lens), (4, BindingId(77), vec![3]));
+    let out = DOutDesc { len: 3, dist: Distribution::Block, nthreads: 1 };
+    assert_eq!((reply.req_id, reply.binding, reply.douts), (4, BindingId(77), vec![out]));
     assert_eq!(subs[1].to_bytes(), encode_fragment_frame(&out_head, &payload));
     assert_eq!(Message::decode_traced(&subs[1]).unwrap().2, 0, "out-fragments acknowledge nothing");
     assert!(reply_rx.recv_timeout(Duration::from_millis(200)).is_err(), "nothing else");
@@ -360,52 +324,45 @@ fn poa_keeps_the_plain_frame_for_contiguous_pairs() {
 }
 
 /// `ServerRequest::dseq` over hand-built pieces, as server thread `t` of 2
-/// expecting 12 elements under `dist`.
+/// expecting 12 elements under `dist`, from a client that names `client` as
+/// its template.
 fn assemble_at<T: CdrCodec + Clone>(
+    client: (Distribution, usize),
     dist: &Distribution,
     t: usize,
-    pieces: Vec<Piece>,
+    pieces: Vec<FragmentMsg>,
 ) -> OrbResult<Vec<T>> {
     let din = DInLocal {
-        desc: DArgDesc { dir: ArgDir::In, len: 12, client_dist: Distribution::Block },
+        desc: DArgDesc { dir: ArgDir::In, len: 12, client_dist: client.0 },
         server_dist: dist.clone(),
         wire_dist: dist.clone(),
         pieces,
     };
-    let ctx = ServantCtx { thread: t, nthreads: 2, client_threads: 2, rts: None };
+    let ctx = ServantCtx { thread: t, nthreads: 2, client_threads: client.1, rts: None };
     let req = ServerRequest { op: "op", ins: &[], dins: &[din], ctx: &ctx };
     req.dseq::<T>(0).map(|ds| ds.local().to_vec())
 }
 
-fn piece(start: u64, count: u64, src: u32, template: Option<SrcTemplate>, elems: &[f64]) -> Piece {
-    Piece { start, count, src_thread: src, template, data: encode_elems(elems) }
+fn block_of_2() -> (Distribution, usize) {
+    (Distribution::Block, 2)
 }
 
-fn block_of_2() -> Option<SrcTemplate> {
-    Some(SrcTemplate { dist: Distribution::Block, nthreads: 2 })
+fn doubles(start: u64, count: u64, src: u32, elems: &[f64]) -> FragmentMsg {
+    piece(start, count, src, encode_elems(elems))
 }
 
 #[test]
-fn assemble_places_strided_and_plain_pieces() {
+fn assemble_places_every_source_by_its_plan() {
     // Server thread 0 of a Cyclic pair owns 0,2,..,10: client thread 0
-    // (Block: 0..6) sends 0,2,4 strided, client thread 1 sends 6,8,10.
+    // (Block: 0..6) sends 0,2,4, client thread 1 sends 6,8,10.
     let c = Distribution::Cyclic;
-    let got = assemble_at::<f64>(
-        &c,
-        0,
-        vec![
-            piece(6, 3, 1, block_of_2(), &[6.0, 8.0, 10.0]),
-            piece(0, 3, 0, block_of_2(), &[0.0, 2.0, 4.0]),
-        ],
-    );
+    let pieces = vec![doubles(6, 3, 1, &[6.0, 8.0, 10.0]), doubles(0, 3, 0, &[0.0, 2.0, 4.0])];
+    let got = assemble_at::<f64>(block_of_2(), &c, 0, pieces);
     assert_eq!(got.unwrap(), vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]);
-    // Plain pieces in any order, Block thread 1 owning 6..12.
+    // Runs in any order, Block thread 1 owning 6..12.
     let b = Distribution::Block;
-    let got = assemble_at::<f64>(
-        &b,
-        1,
-        vec![piece(9, 3, 1, None, &[9.0, 10.0, 11.0]), piece(6, 3, 0, None, &[6.0, 7.0, 8.0])],
-    );
+    let pieces = vec![doubles(9, 3, 1, &[9.0, 10.0, 11.0]), doubles(6, 3, 0, &[6.0, 7.0, 8.0])];
+    let got = assemble_at::<f64>((Distribution::Irregular(vec![9, 3]), 2), &b, 1, pieces);
     assert_eq!(got.unwrap(), vec![6.0, 7.0, 8.0, 9.0, 10.0, 11.0]);
 }
 
@@ -413,62 +370,42 @@ fn assemble_places_strided_and_plain_pieces() {
 fn assemble_rejects_every_malformed_piece_with_a_typed_error() {
     let c = Distribution::Cyclic;
     let b = Distribution::Block;
-    let good = |src: u32| piece(6 * src as u64, 3, src, block_of_2(), &[0.0; 3]);
-    let tmpl = |dist: Distribution, nthreads: u32| Some(SrcTemplate { dist, nthreads });
-    let cases: Vec<(&str, &Distribution, Vec<Piece>)> = vec![
-        ("missing source", &c, vec![good(0)]),
-        ("count larger than payload", &b, vec![piece(0, 6, 0, None, &[0.0; 3])]),
-        ("count * width overflows", &b, vec![piece(0, u64::MAX, 0, None, &[0.0; 3])]),
-        ("range past len", &b, vec![piece(9, 6, 0, None, &[0.0; 6])]),
-        ("start past len", &b, vec![piece(u64::MAX - 1, 6, 0, None, &[0.0; 6])]),
-        ("wrong owner", &b, vec![piece(6, 6, 0, None, &[0.0; 6])]),
-        ("run across cyclic owners", &c, vec![piece(0, 6, 0, None, &[0.0; 6])]),
+    let good = |src: u32| doubles(6 * src as u64, 3, src, &[0.0; 3]);
+    let whole = |src: u32| doubles(0, 6, src, &[0.0; 6]);
+    let irregular = |counts: Vec<u64>| (Distribution::Irregular(counts), 2);
+    let cases = vec![
+        ("missing source", block_of_2(), &c, vec![good(0)]),
+        ("count larger than payload", block_of_2(), &b, vec![doubles(0, 6, 0, &[0.0; 3])]),
+        ("count * width overflows", block_of_2(), &b, vec![doubles(0, u64::MAX, 0, &[0.0; 3])]),
+        ("range past len", block_of_2(), &b, vec![doubles(9, 6, 0, &[0.0; 6])]),
+        ("start past len", block_of_2(), &b, vec![doubles(u64::MAX - 1, 6, 0, &[0.0; 6])]),
+        ("wrong owner", block_of_2(), &b, vec![doubles(6, 6, 0, &[0.0; 6])]),
+        ("a second piece from one source", block_of_2(), &c, vec![good(0), good(0)]),
+        ("a source with nothing to send", block_of_2(), &b, vec![whole(0), doubles(6, 0, 1, &[])]),
+        ("zero-stride template", (Distribution::BlockCyclic(0), 2), &c, vec![good(0), good(1)]),
+        ("zero-thread template", (b.clone(), 0), &c, vec![good(0), good(1)]),
+        ("concentrated past its threads", (Distribution::Concentrated(2), 2), &b, vec![whole(0)]),
         (
-            "overlapping sources",
-            &b,
-            vec![piece(0, 4, 0, None, &[0.0; 4]), piece(2, 2, 1, None, &[0.0; 2])],
-        ),
-        (
-            "zero-stride template",
+            "source thread out of range",
+            block_of_2(),
             &c,
-            vec![piece(0, 3, 0, tmpl(Distribution::BlockCyclic(0), 2), &[0.0; 3]), good(1)],
+            vec![doubles(0, 3, 7, &[0.0; 3]), good(1)],
         ),
-        (
-            "zero-thread template",
-            &c,
-            vec![piece(0, 3, 0, tmpl(Distribution::Block, 0), &[0.0; 3]), good(1)],
-        ),
-        ("source thread out of range", &c, vec![piece(0, 3, 7, block_of_2(), &[0.0; 3]), good(1)]),
-        (
-            "irregular template of the wrong length",
-            &c,
-            vec![piece(0, 3, 0, tmpl(Distribution::Irregular(vec![5, 5]), 2), &[0.0; 3]), good(1)],
-        ),
-        (
-            "irregular template that overflows",
-            &c,
-            vec![
-                piece(0, 3, 0, tmpl(Distribution::Irregular(vec![u64::MAX, 13]), 2), &[0.0; 3]),
-                good(1),
-            ],
-        ),
-        ("start not the plan's", &c, vec![piece(2, 3, 0, block_of_2(), &[0.0; 3]), good(1)]),
+        ("irregular template of the wrong length", irregular(vec![5, 5]), &c, vec![good(0)]),
+        ("irregular template that overflows", irregular(vec![u64::MAX, 13]), &c, vec![good(0)]),
+        ("start not the plan's", block_of_2(), &c, vec![doubles(2, 3, 0, &[0.0; 3]), good(1)]),
         (
             "count not the plan's",
+            block_of_2(),
             &c,
-            vec![piece(0, 2, 0, block_of_2(), &[0.0; 2]), piece(6, 4, 1, block_of_2(), &[0.0; 4])],
+            vec![doubles(0, 2, 0, &[0.0; 2]), doubles(6, 4, 1, &[0.0; 4])],
         ),
-        (
-            "templates that disagree",
-            &c,
-            // Thread 0 of Block/2 and thread 0 of Concentrated(0)/1 both
-            // claim element 0.
-            vec![good(0), piece(0, 6, 0, tmpl(Distribution::Concentrated(0), 1), &[0.0; 6])],
-        ),
+        // Block/2 sends thread 0 of Block one run; Cyclic/2 would send it
+        // every other element, so the runs are off the plan.
+        ("pieces of another template", (c.clone(), 2), &b, vec![doubles(0, 3, 0, &[0.0; 3])]),
     ];
-    for (what, dist, pieces) in cases {
-        let t = 0;
-        match assemble_at::<f64>(dist, t, pieces) {
+    for (what, client, dist, pieces) in cases {
+        match assemble_at::<f64>(client, dist, 0, pieces) {
             Err(OrbError::Protocol(_)) => {}
             other => panic!("{what}: expected a protocol error, got {other:?}"),
         }
@@ -477,31 +414,31 @@ fn assemble_rejects_every_malformed_piece_with_a_typed_error() {
     // payload cannot be: its size is checked against the count up front).
     let words: Vec<String> = (0..6).map(|i| format!("word-{i}")).collect();
     let data = encode_elems(&words);
-    let whole = Piece { start: 0, count: 6, src_thread: 0, template: None, data: data.clone() };
-    assert_eq!(assemble_at::<String>(&b, 0, vec![whole.clone()]).unwrap(), words);
-    let short = Piece { data: data.slice(0..data.len() - 3), ..whole };
-    assert!(matches!(assemble_at::<String>(&b, 0, vec![short]), Err(OrbError::Marshal(_))));
+    let one = (Distribution::Block, 1);
+    let whole = piece(0, 6, 0, data.clone());
+    assert_eq!(assemble_at::<String>(one.clone(), &b, 0, vec![whole.clone()]).unwrap(), words);
+    let short = FragmentMsg { data: data.slice(0..data.len() - 3), ..whole };
+    assert!(matches!(assemble_at::<String>(one, &b, 0, vec![short]), Err(OrbError::Marshal(_))));
 }
 
 #[test]
-fn mutated_strided_frames_never_panic() {
-    // Flip every byte of a valid strided frame through a few values and
-    // truncate it at every length: decoding yields a message or an error,
-    // and whatever decodes is assembled or refused — never a panic, never
-    // an allocation the payload does not back.
+fn mutated_fragment_frames_never_panic() {
+    // Flip every byte of a valid fragment frame of a strided share through a
+    // few values and truncate it at every length: decoding yields a message
+    // or an error, and whatever decodes is assembled or refused — never a
+    // panic, never an allocation the payload does not back.
     let mut sets = Vec::new();
     pair_plan(12, &Distribution::Block, 2, 0, &Distribution::Cyclic, 2, 0, &mut sets);
     assert_eq!(sets, vec![Strided { start: 0, stride: 2, block: 1, count: 3 }]);
     let payload = encode_elems(&[0.0f64, 2.0, 4.0]);
-    let wire =
-        encode_strided_frame(&head(0, ArgDir::In, 0, 3, 0, 0), &Distribution::Block, 2, &payload);
-    let other = piece(6, 3, 1, block_of_2(), &[6.0, 8.0, 10.0]);
+    let wire = encode_fragment_frame(&head(0, ArgDir::In, 0, 3, 0, 0), &payload);
+    let other = doubles(6, 3, 1, &[6.0, 8.0, 10.0]);
     let try_frame = |bytes: Vec<u8>| {
-        let Ok(Message::Strided(f, template)) = Message::decode(&Bytes::from(bytes)) else {
+        let Ok(Message::Fragment(f)) = Message::decode(&Bytes::from(bytes)) else {
             return;
         };
-        let p = Piece::from_frame(f, Some(template));
-        let _ = assemble_at::<f64>(&Distribution::Cyclic, 0, vec![p, other.clone()]);
+        let pieces = vec![f, other.clone()];
+        let _ = assemble_at::<f64>(block_of_2(), &Distribution::Cyclic, 0, pieces);
     };
     for cut in 0..wire.len() {
         try_frame(wire[..cut].to_vec());
@@ -514,13 +451,61 @@ fn mutated_strided_frames_never_panic() {
         }
     }
     // The untouched frame does assemble.
-    try_frame(wire.to_vec());
-    let Ok(Message::Strided(f, template)) = Message::decode(&wire) else { panic!() };
-    let p = Piece::from_frame(f, Some(template));
+    let Ok(Message::Fragment(f)) = Message::decode(&wire) else { panic!() };
     assert_eq!(
-        assemble_at::<f64>(&Distribution::Cyclic, 0, vec![p, other]).unwrap(),
+        assemble_at::<f64>(block_of_2(), &Distribution::Cyclic, 0, vec![f, other]).unwrap(),
         vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     );
+}
+
+/// Launch `op() -> out` from a one-thread client against a fake two-thread
+/// server, and answer it by hand: a reply naming `named` as the server's
+/// template, then the fragments `Block` over two threads cuts for the
+/// client's `Block`. The client's view of the out-argument.
+fn out_arg_under_reply_template(named: Distribution) -> OrbResult<Vec<f64>> {
+    let net = Network::new(TimeScale::off());
+    let (ch, sh) = (net.add_host("client"), net.add_host("server"));
+    net.connect(ch, sh, Link::free());
+    let orb = Orb::new(net);
+    let inboxes = fake_spmd_server(&orb, sh, "fake", DistPolicy::new());
+    let client = ClientGroup::create(&orb, ch, 1).attach(0, None);
+    let proxy = client.spmd_bind("fake").unwrap();
+    let handle = proxy.call("op").dseq_out(Distribution::Block).invoke_nb().unwrap();
+    let env = inboxes[0].recv_timeout(Duration::from_secs(10)).expect("the request");
+    let Message::Request(req) = decode(&env.wire) else { panic!("a request") };
+    let to = req.reply_to[0];
+    let reply = Message::Reply(ReplyMsg {
+        req_id: req.req_id,
+        binding: req.binding,
+        status: ReplyStatus::Ok,
+        outs: vec![],
+        douts: vec![DOutDesc { len: 8, dist: named, nthreads: 2 }],
+    });
+    orb.send_wire(sh, to, reply.encode().into()).unwrap();
+    let full: Vec<f64> = (0..8).map(|i| i as f64 + 0.5).collect();
+    for s in 0..2u32 {
+        let at = 4 * s as usize;
+        let f = FragmentMsg {
+            req_id: req.req_id,
+            binding: req.binding,
+            ..head(0, ArgDir::Out, at as u64, 4, 0, s)
+        };
+        let frame = encode_fragment_frame(&f, &encode_elems(&full[at..at + 4]));
+        orb.send_wire(sh, to, frame.into()).unwrap();
+    }
+    handle.wait()?.dseq::<f64>(0).map(|ds| ds.local().to_vec())
+}
+
+#[test]
+fn a_reply_whose_template_disagrees_with_its_frames_is_refused() {
+    let full: Vec<f64> = (0..8).map(|i| i as f64 + 0.5).collect();
+    assert_eq!(out_arg_under_reply_template(Distribution::Block).unwrap(), full);
+    // Cyclic/2 would send thread 1's elements 1,3,5,7 from 1; the frame from
+    // server thread 1 starts at 4.
+    match out_arg_under_reply_template(Distribution::Cyclic) {
+        Err(OrbError::Protocol(_)) => {}
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
 }
 
 /// `cut_fragments` packs each pair's elements straight into the frame, or
@@ -534,23 +519,6 @@ mod in_place {
     use crate::tests::assembler_tests::misaligned;
     use proptest::prelude::*;
 
-    fn template(kind: u8, b: u64, cuts: &[u64], len: u64, n: usize) -> Distribution {
-        match kind {
-            0 => Distribution::Block,
-            1 => Distribution::Cyclic,
-            2 => Distribution::BlockCyclic(b),
-            3 => Distribution::Concentrated(b as usize % n),
-            _ => {
-                // `n - 1` cut points split `0..len` into `n` counts.
-                let mut ends: Vec<u64> = cuts[..n - 1].iter().map(|c| c % (len + 1)).collect();
-                ends.sort_unstable();
-                ends.push(len);
-                let starts = std::iter::once(0).chain(ends.iter().copied());
-                Distribution::Irregular(starts.zip(&ends).map(|(lo, hi)| hi - lo).collect())
-            }
-        }
-    }
-
     /// A reply frame `d % 5` bytes of scalar data long.
     fn rider(d: usize) -> Bytes {
         Message::Reply(ReplyMsg {
@@ -558,7 +526,7 @@ mod in_place {
             binding: BindingId(3),
             status: ReplyStatus::Ok,
             outs: vec![Bytes::from(vec![7u8; d % 5])],
-            dout_lens: vec![],
+            douts: vec![],
         })
         .encode()
     }
@@ -578,7 +546,7 @@ mod in_place {
         ack_lag: u16,
     ) -> Result<(), TestCaseError> {
         let len = full.len() as u64;
-        let mut received: Vec<Vec<(Piece, bool)>> = vec![Vec::new(); dst.1];
+        let mut received: Vec<Vec<(FragmentMsg, bool)>> = vec![Vec::new(); dst.1];
         for s in 0..src.1 {
             let ds = DSequence::distribute(&full, src.0.clone(), src.1, s);
             let head = FragmentMsg::head(9, BindingId(3), 1, ArgDir::In, s as u32);
@@ -638,9 +606,7 @@ mod in_place {
                     s,
                     f.dst_thread
                 );
-                let contiguous = sets.len() == 1 && sets[0].count == 1;
-                let template = (!contiguous).then_some((src.0, src.1 as u32));
-                let want = frame_fragment(&f, template, None, ack_lag, packed(&payload));
+                let want = frame_fragment(&f, None, ack_lag, packed(&payload));
                 prop_assert!(want.body.is_empty());
                 let joined = wire.to_bytes();
                 prop_assert_eq!(&joined[..], &want.head[..], "thread {} -> {}", s, f.dst_thread);
@@ -648,12 +614,10 @@ mod in_place {
                 prop_assert_eq!(&decoded, &Message::decode_traced(&joined.into()).unwrap());
                 let (msg, _, lag) = decoded;
                 prop_assert_eq!(lag, ack_lag);
-                let piece = match msg {
-                    Message::Fragment(f) => Piece::from_frame(f, None),
-                    Message::Strided(f, template) => Piece::from_frame(f, Some(template)),
-                    other => return Err(TestCaseError::fail(format!("{other:?} is no fragment"))),
+                let Message::Fragment(got) = msg else {
+                    return Err(TestCaseError::fail(format!("{msg:?} is no fragment")));
                 };
-                received[f.dst_thread as usize].push((piece, !wire.body.is_empty()));
+                received[f.dst_thread as usize].push((got, !wire.body.is_empty()));
                 // A body exactly for one dense local run of a type whose
                 // memory image is its encoding, and then it is that memory.
                 let at = sets[0].layout(len, src.0, src.1, s).unwrap();
@@ -672,8 +636,8 @@ mod in_place {
         }
         for (d, got) in received.into_iter().enumerate() {
             let want = DSequence::distribute(&full, dst.0.clone(), dst.1, d);
-            let (pieces, bodies): (Vec<Piece>, Vec<bool>) = got.into_iter().unzip();
-            let local = assemble::<T>(len, dst.0, dst.1, d, &pieces).unwrap();
+            let (pieces, bodies): (Vec<FragmentMsg>, Vec<bool>) = got.into_iter().unzip();
+            let local = assemble::<T>(len, src, (dst.0, dst.1, d), &pieces).unwrap();
             let ds = DSequence::from_shared(local, len, dst.0.clone(), dst.1, d);
             prop_assert_eq!(ds.local(), want.local(), "thread {} as received", d);
             // A payload is adopted only when it is the whole part, and then
@@ -685,9 +649,11 @@ mod in_place {
             prop_assert!(adopted || !(whole && bodies[0]), "thread {} copied a body", d);
             // Off their alignment, the same pieces are copied (a one-byte
             // type is aligned everywhere) into the same part.
-            let shifted: Vec<Piece> =
-                pieces.iter().map(|p| Piece { data: misaligned(&p.data), ..p.clone() }).collect();
-            let local = assemble::<T>(len, dst.0, dst.1, d, &shifted).unwrap();
+            let shifted: Vec<FragmentMsg> = pieces
+                .iter()
+                .map(|p| FragmentMsg { data: misaligned(&p.data), ..p.clone() })
+                .collect();
+            let local = assemble::<T>(len, src, (dst.0, dst.1, d), &shifted).unwrap();
             let copied = DSequence::from_shared(local, len, dst.0.clone(), dst.1, d);
             prop_assert_eq!(copied.local(), want.local(), "thread {} copied", d);
             let at = copied.local().as_ptr().cast::<u8>();
