@@ -18,6 +18,7 @@ fn main() {
         ("idl/dna.idl", CodegenOptions::default()),
         ("idl/pipeline.idl", CodegenOptions { pooma: true, hpcxx: true }),
         ("idl/bank.idl", CodegenOptions::default()),
+        ("idl/prelude_names.idl", CodegenOptions::default()),
     ];
 
     for (input, opts) in jobs {

@@ -1,9 +1,12 @@
 //! Identifier-case and path utilities.
 
 /// `dna_list` → `DnaList`; `HPCVector` stays `HPCVector`-ish (already
-/// camel segments survive).
+/// camel segments survive). A name that comes out as `Self` or as a type
+/// or trait of Rust's prelude gets a trailing `_`, as keywords do: the
+/// emitted code names those unqualified, so an item of the same name would
+/// shadow them.
 pub fn camel(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
+    let mut out = String::with_capacity(name.len() + 1);
     let mut upper_next = true;
     for ch in name.chars() {
         if ch == '_' {
@@ -15,8 +18,45 @@ pub fn camel(name: &str) -> String {
             out.push(ch);
         }
     }
+    if out == "Self" || PRELUDE_TYPES.contains(&out.as_str()) {
+        out.push('_');
+    }
     out
 }
+
+/// The types and traits Rust's prelude brings into every module.
+const PRELUDE_TYPES: &[&str] = &[
+    "AsMut",
+    "AsRef",
+    "Box",
+    "Clone",
+    "Copy",
+    "Default",
+    "DoubleEndedIterator",
+    "Drop",
+    "Eq",
+    "ExactSizeIterator",
+    "Extend",
+    "Fn",
+    "FnMut",
+    "FnOnce",
+    "From",
+    "Into",
+    "IntoIterator",
+    "Iterator",
+    "Option",
+    "Ord",
+    "PartialEq",
+    "PartialOrd",
+    "Result",
+    "Send",
+    "Sized",
+    "String",
+    "Sync",
+    "ToOwned",
+    "ToString",
+    "Vec",
+];
 
 /// `DnaList` → `dna_list`; keeps already-snake names intact. Leading
 /// underscores (the CORBA `_get_`/`_set_` attribute convention) are
@@ -97,6 +137,20 @@ mod tests {
         assert_eq!(camel("direct"), "Direct");
         assert_eq!(camel("field_operations"), "FieldOperations");
         assert_eq!(camel("x"), "X");
+    }
+
+    #[test]
+    fn self_and_prelude_names_are_escaped() {
+        assert_eq!(camel("self"), "Self_");
+        assert_eq!(camel("Self"), "Self_");
+        for name in ["Result", "Option", "Vec", "String", "Box", "result", "option", "vec", "box"] {
+            assert_eq!(
+                camel(name),
+                format!("{}_", camel(&name.to_lowercase()).trim_end_matches('_'))
+            );
+        }
+        assert_eq!(camel("results"), "Results");
+        assert_eq!(camel("some"), "Some", "a value-only prelude name shadows no type");
     }
 
     #[test]

@@ -12,11 +12,11 @@
 use crate::dist::Distribution;
 use crate::dseq::DSequence;
 use crate::error::{OrbError, OrbResult};
-use crate::object::{BindingId, ClientId, DistPolicy, EndpointId, ObjectKind, ObjectRef};
-use crate::orb::{Envelope, Orb, OrbConfig, TransferStrategy};
+use crate::object::{BindingId, ClientId, EndpointId, ObjectKind, ObjectRef};
+use crate::orb::{Envelope, ObjectMeta, Orb, OrbConfig, TransferStrategy};
 use crate::protocol::{
-    batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, Message, ReplyMsg,
-    ReplyStatus, RequestMsg, Wire,
+    batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, InArgs, Message, ReplyMsg,
+    ReplyStatus, RequestView, Wire,
 };
 use crate::servant::{ServantCtx, ServerRequest};
 use crate::strided::{assemble, cut_fragments, wire_template, Pack};
@@ -24,11 +24,11 @@ use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
 use pardis_cdr::{Any, ByteOrder, CdrCodec, Decoder, Encoder, TypeCode};
-use pardis_netsim::{HostId, Published};
+use pardis_netsim::{HostId, IdMap, IdSet, Published};
 use pardis_rts::Rts;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// A (possibly parallel) client registered with the ORB. Clone into each
@@ -145,7 +145,7 @@ pub(crate) struct PumpCore {
 /// Bounded FIFO memory of finished invocation keys.
 #[derive(Default)]
 struct DoneSet {
-    set: HashSet<(BindingId, u64)>,
+    set: IdSet<(BindingId, u64)>,
     order: VecDeque<(BindingId, u64)>,
 }
 
@@ -161,8 +161,8 @@ pub(crate) const PUMP_MEMORY_CAP: usize = 1024;
 /// reply racing the registration can never strand in the stash.
 #[derive(Default)]
 struct RouterShard {
-    router: HashMap<(BindingId, u64), Arc<InvocationState>>,
-    orphans: HashMap<(BindingId, u64), Vec<Message>>,
+    router: IdMap<(BindingId, u64), Arc<InvocationState>>,
+    orphans: IdMap<(BindingId, u64), Vec<Message>>,
     /// Arrival order of stashed orphan keys, for capped FIFO eviction.
     /// Entries can go stale (register/unregister removed the key); eviction
     /// skips them.
@@ -218,7 +218,12 @@ impl PumpCore {
             // clock, so lock-ordered accesses never read as races.
             pardis_audit::access_write(&REPLY_TABLE, shard as *const _ as usize);
             s.router.insert(key, state);
-            s.orphans.remove(&key)
+            // The stash is almost always empty: skip hashing the key then.
+            if s.orphans.is_empty() {
+                None
+            } else {
+                s.orphans.remove(&key)
+            }
         };
         if let Some(msgs) = stashed {
             for msg in msgs {
@@ -232,7 +237,9 @@ impl PumpCore {
             let shard = self.router.shard(key);
             let mut s = shard.lock();
             pardis_audit::access_write(&REPLY_TABLE, shard as *const _ as usize);
-            s.orphans.remove(&key);
+            if !s.orphans.is_empty() {
+                s.orphans.remove(&key);
+            }
             let state = s.router.remove(&key);
             if s.done.set.insert(key) {
                 s.done.order.push_back(key);
@@ -424,11 +431,11 @@ struct InvObs {
 #[derive(Default)]
 struct InvInner {
     reply: Option<ReplyMsg>,
-    frags: HashMap<u32, Vec<FragmentMsg>>,
+    frags: IdMap<u32, Vec<FragmentMsg>>,
     /// `(argument, server thread)` of every fragment absorbed: a server
     /// thread sends each argument one fragment, so a second one is a
     /// duplicate or a retransmit and must not double-append elements.
-    frag_seen: HashSet<(u32, u32)>,
+    frag_seen: IdSet<(u32, u32)>,
 }
 
 impl InvInner {
@@ -621,13 +628,14 @@ impl ClientThread {
     /// [`spmd_bind`]: ClientThread::spmd_bind
     pub fn spmd_bind_object(&self, obj: &ObjectRef) -> OrbResult<Proxy> {
         let obj = obj.clone();
-        let policy = self.core.orb.dist_policy(obj.key)?;
+        let meta = self.core.orb.bound_meta(obj.key)?;
         let seq = binding_seq(&self.spmd_bind_seq, SINGLE_BINDING)?;
         let binding = BindingId((self.core.client.0 << 24) | seq);
         Ok(Proxy {
             core: self.core.clone(),
             obj,
-            policy,
+            meta,
+            endpoints: OnceLock::new(),
             binding,
             collective: true,
             launches: Launches::new(),
@@ -655,7 +663,7 @@ impl ClientThread {
     /// came from the registry.
     pub fn bind_object(&self, obj: &ObjectRef) -> OrbResult<Proxy> {
         let obj = obj.clone();
-        let policy = self.core.orb.dist_policy(obj.key)?;
+        let meta = self.core.orb.bound_meta(obj.key)?;
         let seq = binding_seq(&self.single_bind_seq, 1 << 16)?;
         let binding = BindingId(
             (self.core.client.0 << 24)
@@ -666,7 +674,8 @@ impl ClientThread {
         Ok(Proxy {
             core: self.core.clone(),
             obj,
-            policy,
+            meta,
+            endpoints: OnceLock::new(),
             binding,
             collective: false,
             launches: Launches::new(),
@@ -694,7 +703,12 @@ pub(crate) fn binding_seq(counter: &AtomicU64, limit: u64) -> OrbResult<u64> {
 pub struct Proxy {
     core: Arc<PumpCore>,
     obj: ObjectRef,
-    policy: DistPolicy,
+    /// What the bind looked up: the server-side distribution policy
+    /// in-arguments are planned against.
+    meta: Arc<ObjectMeta>,
+    /// The object's server endpoints in thread order, looked up on the
+    /// first call that goes to the network.
+    endpoints: OnceLock<Vec<EndpointId>>,
     binding: BindingId,
     collective: bool,
     launches: AuditMutex<Launches>,
@@ -766,8 +780,17 @@ impl Proxy {
     }
 
     /// Begin an invocation of `op`.
-    pub fn call(&self, op: &str) -> CallBuilder<'_> {
-        CallBuilder { proxy: self, op: op.to_string(), ins: Vec::new(), dargs: Vec::new() }
+    pub fn call<'p>(&'p self, op: &'p str) -> CallBuilder<'p> {
+        CallBuilder { proxy: self, op, ins: None, nins: 0, dargs: Vec::new() }
+    }
+
+    /// The object's server endpoints, in thread order.
+    fn endpoints(&self) -> OrbResult<&[EndpointId]> {
+        if let Some(endpoints) = self.endpoints.get() {
+            return Ok(endpoints);
+        }
+        let endpoints = self.core.orb.server_endpoints(self.obj.server)?;
+        Ok(self.endpoints.get_or_init(|| endpoints))
     }
 
     /// Do this proxy's calls take the funneled path under `cfg`? Only SPMD
@@ -790,27 +813,43 @@ enum DArgEntry {
 /// `invoke_oneway`.
 pub struct CallBuilder<'p> {
     proxy: &'p Proxy,
-    op: String,
-    ins: Vec<Bytes>,
+    op: &'p str,
+    /// The scalar in-arguments, framed as the request carries them
+    /// ([`InArgs::Framed`]): one buffer per call, made by the first.
+    ins: Option<Encoder>,
+    nins: u32,
     dargs: Vec<DArgEntry>,
 }
 
 impl<'p> CallBuilder<'p> {
     /// Append a scalar (non-distributed) in-argument.
-    pub fn arg<T: CdrCodec>(mut self, v: &T) -> Self {
-        let mut e = Encoder::new(ByteOrder::native());
-        v.encode(&mut e);
-        self.ins.push(e.finish());
-        self
+    pub fn arg<T: CdrCodec>(self, v: &T) -> Self {
+        self.push_in(|e| v.encode(e))
     }
 
     /// Append a dynamically typed in-argument (dynamic invocation
     /// interface).
-    pub fn any_arg(mut self, a: &Any) -> Self {
-        let mut e = Encoder::new(ByteOrder::native());
-        a.encode_value(&mut e);
-        self.ins.push(e.finish());
+    pub fn any_arg(self, a: &Any) -> Self {
+        self.push_in(|e| a.encode_value(e))
+    }
+
+    /// Append the scalar slot `encode` writes, as a stream of its own.
+    fn push_in(mut self, encode: impl FnOnce(&mut Encoder)) -> Self {
+        let ins = self.ins.get_or_insert_with(|| Encoder::with_capacity(ByteOrder::native(), 32));
+        ins.write_byte_seq_with(0, encode);
+        self.nins += 1;
         self
+    }
+
+    /// The framed scalar in-arguments.
+    fn framed_ins(&self) -> &[u8] {
+        self.ins.as_ref().map_or(&[], Encoder::as_slice)
+    }
+
+    /// The scalar in-arguments one blob per slot, as a servant reads them.
+    fn in_slots(&self) -> OrbResult<Vec<Bytes>> {
+        let mut d = Decoder::new(Bytes::copy_from_slice(self.framed_ins()), ByteOrder::native());
+        (0..self.nins).map(|_| Ok(d.read_byte_seq_bytes()?)).collect()
     }
 
     /// Append a distributed in-argument from this thread's view of the
@@ -846,7 +885,7 @@ impl<'p> CallBuilder<'p> {
     /// Blocking invocation: returns only after the request "has been fully
     /// processed by the server".
     pub fn invoke(self) -> OrbResult<ReplyData> {
-        let timeout = self.proxy.core.orb.config().timeout;
+        let timeout = self.proxy.core.orb.cfg().timeout;
         let (state, key) = self.launch(false)?;
         let core = state.1.clone();
         let state = state.0;
@@ -873,10 +912,10 @@ impl<'p> CallBuilder<'p> {
     /// server thread runs a funneled call collectively, so its control must
     /// reach each of them, and only the reply says it has.
     pub fn invoke_oneway(self) -> OrbResult<()> {
-        let funneled = self.proxy.funneled(&self.proxy.core.orb.config());
+        let funneled = self.proxy.funneled(self.proxy.core.orb.cfg());
         let ((state, core), key) = self.launch(!funneled)?;
         if funneled {
-            let result = wait_complete(&core, &state, core.orb.config().timeout);
+            let result = wait_complete(&core, &state, core.orb.cfg().timeout);
             core.unregister(key);
             result?;
         }
@@ -892,7 +931,7 @@ impl<'p> CallBuilder<'p> {
     ) -> OrbResult<((Arc<InvocationState>, Arc<PumpCore>), (BindingId, u64))> {
         let proxy = self.proxy;
         let core = &proxy.core;
-        let cfg = core.orb.config();
+        let cfg = core.orb.cfg();
 
         // Single objects cannot take distributed arguments (§3.1).
         if matches!(proxy.obj.kind, ObjectKind::Single { .. }) && !self.dargs.is_empty() {
@@ -904,12 +943,12 @@ impl<'p> CallBuilder<'p> {
         // The calling side's shape: collective proxies span the whole client
         // group; per-thread bindings act as a 1-thread client.
         let (cthreads, cthread, reply_to) = if proxy.collective {
-            (core.nthreads, core.thread, core.reply_eps.clone())
+            (core.nthreads, core.thread, &core.reply_eps[..])
         } else {
-            (1usize, 0usize, vec![core.reply_eps[core.thread]])
+            (1usize, 0usize, std::slice::from_ref(&core.reply_eps[core.thread]))
         };
 
-        let funneled = proxy.funneled(&cfg);
+        let funneled = proxy.funneled(cfg);
 
         // Sequencing identity: which client entity this request belongs to,
         // and its position in that entity's invocation order.
@@ -986,7 +1025,7 @@ impl<'p> CallBuilder<'p> {
                 span_open: AtomicBool::new(trace_on && !oneway),
                 obs: ctx.map(|ctx| InvObs {
                     ctx,
-                    op: self.op.clone(),
+                    op: self.op.to_string(),
                     start_us: pardis_obs::now_micros(),
                 }),
             })
@@ -995,7 +1034,7 @@ impl<'p> CallBuilder<'p> {
         let req_id = key.1;
         if let Some(ctx) = ctx {
             let mut args = vec![
-                ("op", self.op.clone().into()),
+                ("op", self.op.to_string().into()),
                 ("entity", entity.into()),
                 ("client_seq", client_seq.into()),
                 ("span", ctx.span_id.into()),
@@ -1030,7 +1069,8 @@ impl<'p> CallBuilder<'p> {
                         client_threads: cthreads,
                         rts: None,
                     };
-                    let sreq = ServerRequest { op: &self.op, ins: &self.ins, dins: &[], ctx: &ctx };
+                    let ins = self.in_slots()?;
+                    let sreq = ServerRequest { op: self.op, ins: &ins, dins: &[], ctx: &ctx };
                     let reply = match servant.dispatch(sreq) {
                         Ok(rep) => match rep.raised {
                             Some(raised) => ReplyMsg {
@@ -1065,7 +1105,7 @@ impl<'p> CallBuilder<'p> {
             }
         }
 
-        let endpoints = core.orb.server_endpoints(proxy.obj.server)?;
+        let endpoints = proxy.endpoints()?;
 
         // Marshal-and-send phase of the invoke span: control encode, fragment
         // cutting, wire sends.
@@ -1078,27 +1118,28 @@ impl<'p> CallBuilder<'p> {
             )
         });
 
-        // Control message — sent by the lead thread of the call.
-        let control_wire = Message::Request(RequestMsg {
+        // Control message — sent by the lead thread of the call, framed
+        // straight from the call's own fields.
+        let control_wire = RequestView {
             req_id,
             binding: proxy.binding,
             entity,
             client_seq,
             client: core.client,
             object: proxy.obj.key,
-            op: self.op.clone(),
+            op: self.op,
             oneway,
             funneled,
             reply_to,
             client_threads: cthreads as u32,
             client_host: core.host.raw(),
-            ins: self.ins,
-            dargs: descs,
-        })
+            ins: InArgs::Framed { count: self.nins, bytes: self.framed_ins() },
+            dargs: &descs,
+        }
         .encode();
         let control_eps: &[EndpointId] = match proxy.obj.kind {
             ObjectKind::Single { thread } => &endpoints[thread..=thread],
-            ObjectKind::Spmd => &endpoints,
+            ObjectKind::Spmd => endpoints,
         };
         let lead = !proxy.collective || core.thread == 0;
         if lead && trace_on {
@@ -1142,8 +1183,8 @@ impl<'p> CallBuilder<'p> {
         // this thread owes elements to.
         for (i, entry) in self.dargs.iter().enumerate() {
             let DArgEntry::In { len, client_dist, share } = entry else { continue };
-            let policy_dist = proxy.policy.get(&self.op, i as u32);
-            let server_dist = wire_template(funneled, proxy.obj.nthreads, &policy_dist);
+            let policy_dist = proxy.meta.policy.get(self.op, i as u32);
+            let server_dist = wire_template(funneled, proxy.obj.nthreads, policy_dist);
             let head =
                 FragmentMsg::head(req_id, proxy.binding, i as u32, ArgDir::In, cthread as u32);
             let (src, dst) = ((client_dist, cthreads), (&server_dist, proxy.obj.nthreads));
@@ -1272,12 +1313,12 @@ pub(crate) fn wait_complete(
     state: &Arc<InvocationState>,
     timeout: Duration,
 ) -> OrbResult<()> {
-    let cfg = core.orb.config();
+    let cfg = core.orb.cfg();
     let deadline = Instant::now() + timeout;
     // Retransmissions are armed only when configured and there is something
     // to replay (not a oneway or collocated call).
     let mut next_retry = if cfg.retry_limit > 0 && !state.replay.lock().is_empty() {
-        let backoff = backoff_delay(&cfg, state.key, 0);
+        let backoff = backoff_delay(cfg, state.key, 0);
         Some((Instant::now() + backoff, backoff))
     } else {
         None
@@ -1345,7 +1386,7 @@ pub(crate) fn wait_complete(
                 // out the deadline — the last retransmission's reply may
                 // still be in flight.
                 next_retry = (attempt < cfg.retry_limit).then(|| {
-                    let backoff = backoff_delay(&cfg, state.key, attempt);
+                    let backoff = backoff_delay(cfg, state.key, attempt);
                     (Instant::now() + backoff, backoff)
                 });
             }
@@ -1379,7 +1420,7 @@ impl InvocationHandle {
 
     /// Block until completion, then hand back the reply.
     pub fn wait(self) -> OrbResult<ReplyData> {
-        let timeout = self.core.orb.config().timeout;
+        let timeout = self.core.orb.cfg().timeout;
         wait_complete(&self.core, &self.state, timeout)?;
         self.core.unregister(self.key);
         self.state.check_status()?;

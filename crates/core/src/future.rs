@@ -41,7 +41,7 @@ impl<T: CdrCodec> PFuture<T> {
     ///
     /// [`OrbError::ServerException`]: crate::error::OrbError::ServerException
     pub fn get(&self) -> OrbResult<T> {
-        wait_complete(&self.core, &self.state, self.core.orb.config().timeout)?;
+        wait_complete(&self.core, &self.state, self.core.orb.cfg().timeout)?;
         self.state.scalar(self.slot)
     }
 }
@@ -70,7 +70,7 @@ impl<T: CdrCodec + Clone> DSeqFuture<T> {
     /// the funneled strategy this is collective over a parallel client's
     /// RTS, like [`crate::ReplyData::dseq`].
     pub fn get(&self) -> OrbResult<DSequence<T>> {
-        wait_complete(&self.core, &self.state, self.core.orb.config().timeout)?;
+        wait_complete(&self.core, &self.state, self.core.orb.cfg().timeout)?;
         self.state.dseq(self.ordinal, self.core.rts.as_deref())
     }
 }

@@ -116,9 +116,11 @@ impl HostRaw {
 /// arguments to its operations prior to object registration").
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistPolicy {
-    /// Map from (operation name, in-darg index) to the server-side
-    /// distribution. Missing entries default to [`Distribution::Block`].
-    pub in_dists: HashMap<(String, u32), Distribution>,
+    /// Per operation name, the in-darg indices set, in ascending order,
+    /// with their server-side distributions. Keyed by the name alone so a
+    /// lookup by `&str` builds no key. Missing entries default to
+    /// [`Distribution::Block`].
+    in_dists: HashMap<String, Vec<(u32, Distribution)>>,
 }
 
 impl DistPolicy {
@@ -129,7 +131,11 @@ impl DistPolicy {
 
     /// Set the server-side distribution of in-darg `arg` of `op`.
     pub fn set(&mut self, op: &str, arg: u32, dist: Distribution) -> &mut Self {
-        self.in_dists.insert((op.to_string(), arg), dist);
+        let args = self.in_dists.entry(op.to_string()).or_default();
+        match args.binary_search_by_key(&arg, |&(a, _)| a) {
+            Ok(at) => args[at].1 = dist,
+            Err(at) => args.insert(at, (arg, dist)),
+        }
         self
     }
 
@@ -140,8 +146,13 @@ impl DistPolicy {
     }
 
     /// The distribution for (op, arg), defaulting to BLOCK.
-    pub(crate) fn get(&self, op: &str, arg: u32) -> Distribution {
-        self.in_dists.get(&(op.to_string(), arg)).cloned().unwrap_or(Distribution::Block)
+    pub(crate) fn get(&self, op: &str, arg: u32) -> &Distribution {
+        const BLOCK: &Distribution = &Distribution::Block;
+        let Some(args) = self.in_dists.get(op) else { return BLOCK };
+        match args.binary_search_by_key(&arg, |&(a, _)| a) {
+            Ok(at) => &args[at].1,
+            Err(_) => BLOCK,
+        }
     }
 }
 

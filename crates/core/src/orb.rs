@@ -14,9 +14,9 @@ use crate::repository::{ActivationMode, ImplementationRepository, ObjectReposito
 use crate::servant::Servant;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use pardis_audit::{lock_site, AuditMutex, AuditRwLock};
-use pardis_netsim::{HostId, Network, Published, TimeScale};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use pardis_netsim::{HostId, IdMap, Network, Published, TimeScale};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,7 +107,7 @@ pub(crate) struct ObjectMeta {
 /// destination without acquiring any lock — together with the network's
 /// lock-free topology snapshot this makes the steady-state send path
 /// zero-lock.
-type EndpointTable = HashMap<EndpointId, (HostId, Sender<Envelope>)>;
+type EndpointTable = IdMap<EndpointId, (HostId, Sender<Envelope>)>;
 
 /// Shared-table identity for the happens-before checker: the endpoint
 /// snapshot's *mutation* path. Writers run under `ep_lock`, so any two
@@ -129,17 +129,22 @@ pub(crate) struct OrbInner {
     /// Serialises endpoint table read-modify-publish cycles.
     ep_lock: AuditMutex<()>,
     /// Each registered server's request endpoints, in thread order.
-    pub servers: AuditRwLock<HashMap<ServerId, Vec<EndpointId>>>,
-    pub objects: AuditRwLock<HashMap<ObjectKey, ObjectMeta>>,
+    pub servers: AuditRwLock<IdMap<ServerId, Vec<EndpointId>>>,
+    /// Shared with the adapters that activated each object, which keep it
+    /// beside the servant.
+    pub objects: AuditRwLock<IdMap<ObjectKey, Arc<ObjectMeta>>>,
     pub names: ObjectRepository,
     pub impls: ImplementationRepository,
     pub interfaces: InterfaceRepository,
     #[allow(clippy::type_complexity)]
-    pub servants: AuditRwLock<HashMap<(ServerId, usize, ObjectKey), Arc<dyn Servant>>>,
-    pub config: AuditRwLock<OrbConfig>,
+    pub servants: AuditRwLock<IdMap<(ServerId, usize, ObjectKey), Arc<dyn Servant>>>,
+    /// Published like the endpoint table: every call reads it without a
+    /// lock, and a `set_*` call takes effect from the next call.
+    config: Published<OrbConfig>,
+    /// Serialises configuration read-modify-publish cycles.
+    config_lock: AuditMutex<()>,
     /// Total frames and bytes moved (for benches and EXPERIMENTS.md).
-    pub frames_sent: AtomicU64,
-    pub bytes_sent: AtomicU64,
+    traffic: Traffic,
     /// Invocation retransmission rounds performed by client pumps. Stays 0
     /// on a lossless network — asserted by the e2e suites as the
     /// pay-nothing proof.
@@ -161,17 +166,17 @@ impl Orb {
             inner: Arc::new(OrbInner {
                 network,
                 next_id: AtomicU64::new(1),
-                endpoints: Published::new(EndpointTable::new()),
+                endpoints: Published::new(EndpointTable::default()),
                 ep_lock: AuditMutex::new(lock_site!("orb: endpoint republish"), ()),
-                servers: AuditRwLock::new(lock_site!("orb: server records"), HashMap::new()),
-                objects: AuditRwLock::new(lock_site!("orb: object metadata"), HashMap::new()),
+                servers: AuditRwLock::new(lock_site!("orb: server records"), IdMap::default()),
+                objects: AuditRwLock::new(lock_site!("orb: object metadata"), IdMap::default()),
                 names: ObjectRepository::new(),
                 impls: ImplementationRepository::new(),
                 interfaces: InterfaceRepository::new(),
-                servants: AuditRwLock::new(lock_site!("orb: servant table"), HashMap::new()),
-                config: AuditRwLock::new(lock_site!("orb: config"), OrbConfig::default()),
-                frames_sent: AtomicU64::new(0),
-                bytes_sent: AtomicU64::new(0),
+                servants: AuditRwLock::new(lock_site!("orb: servant table"), IdMap::default()),
+                config: Published::new(OrbConfig::default()),
+                config_lock: AuditMutex::new(lock_site!("orb: config republish"), ()),
+                traffic: Traffic::default(),
                 retransmits: AtomicU64::new(0),
                 reply_cache_bytes: AtomicU64::new(0),
             }),
@@ -204,44 +209,57 @@ impl Orb {
 
     /// Snapshot of the configuration.
     pub fn config(&self) -> OrbConfig {
-        self.inner.config.read().clone()
+        self.cfg().clone()
+    }
+
+    /// The current configuration, borrowed: what each call reads.
+    pub(crate) fn cfg(&self) -> &OrbConfig {
+        self.inner.config.read()
+    }
+
+    /// Publish the configuration `change` makes of the current one.
+    fn set_config(&self, change: impl FnOnce(&mut OrbConfig)) {
+        let _guard = self.inner.config_lock.lock();
+        let mut cfg = self.cfg().clone();
+        change(&mut cfg);
+        self.inner.config.store(cfg);
     }
 
     /// Set the distributed-argument transfer strategy.
     pub fn set_transfer_strategy(&self, s: TransferStrategy) {
-        self.inner.config.write().transfer_strategy = s;
+        self.set_config(|c| c.transfer_strategy = s);
     }
 
     /// Enable/disable the collocated direct-call optimisation.
     pub fn set_local_bypass(&self, on: bool) {
-        self.inner.config.write().local_bypass = on;
+        self.set_config(|c| c.local_bypass = on);
     }
 
     /// Configure the activation agent.
     #[cfg(test)]
     pub(crate) fn set_activation(&self, mode: ActivationMode) {
-        self.inner.config.write().activation = mode;
+        self.set_config(|c| c.activation = mode);
     }
 
     /// Set the bind/invoke timeout.
     pub fn set_timeout(&self, t: Duration) {
-        self.inner.config.write().timeout = t;
+        self.set_config(|c| c.timeout = t);
     }
 
     /// Set the maximum retransmissions per invocation (`0` = reliability
     /// layer off, the default on a lossless network).
     pub fn set_retry_limit(&self, n: u32) {
-        self.inner.config.write().retry_limit = n;
+        self.set_config(|c| c.retry_limit = n);
     }
 
     /// Set the base delay of the retransmit backoff.
     pub fn set_retry_base(&self, d: Duration) {
-        self.inner.config.write().retry_base = d;
+        self.set_config(|c| c.retry_base = d);
     }
 
     /// Set the seed of the deterministic retransmit jitter.
     pub fn set_retry_seed(&self, seed: u64) {
-        self.inner.config.write().retry_seed = seed;
+        self.set_config(|c| c.retry_seed = seed);
     }
 
     /// Bound each POA's at-most-once reply cache. Takes effect for POAs
@@ -252,18 +270,18 @@ impl Orb {
     #[cfg(test)]
     pub(crate) fn set_reply_cache_cap(&self, cap: usize) {
         assert!(cap > 0, "reply cache cap must be positive");
-        self.inner.config.write().reply_cache_cap = cap;
+        self.set_config(|c| c.reply_cache_cap = cap);
     }
 
     /// Set how many times a replicated-group invocation may fail over to
     /// another replica before surfacing the transport error.
     pub fn set_failover_limit(&self, n: u32) {
-        self.inner.config.write().failover_limit = n;
+        self.set_config(|c| c.failover_limit = n);
     }
 
     /// Set the default registry registration time-to-live (virtual ms).
     pub fn set_registry_ttl_ms(&self, ttl_ms: u64) {
-        self.inner.config.write().registry_ttl_ms = ttl_ms;
+        self.set_config(|c| c.registry_ttl_ms = ttl_ms);
     }
 
     /// Retransmission rounds performed so far (0 on a lossless network).
@@ -284,10 +302,7 @@ impl Orb {
 
     /// Frames and bytes moved so far (diagnostics).
     pub fn traffic(&self) -> (u64, u64) {
-        (
-            self.inner.frames_sent.load(Ordering::Relaxed),
-            self.inner.bytes_sent.load(Ordering::Relaxed),
-        )
+        self.inner.traffic.totals()
     }
 
     pub(crate) fn alloc_id(&self) -> u64 {
@@ -304,7 +319,7 @@ impl Orb {
             &ENDPOINT_SNAPSHOT,
             Arc::as_ptr(&self.inner) as *const () as usize,
         );
-        let mut table = (*self.inner.endpoints.load()).clone();
+        let mut table = self.inner.endpoints.read().clone();
         table.insert(id, (host, tx));
         self.inner.endpoints.store(table);
         (id, rx)
@@ -317,7 +332,7 @@ impl Orb {
             &ENDPOINT_SNAPSHOT,
             Arc::as_ptr(&self.inner) as *const () as usize,
         );
-        let mut table = (*self.inner.endpoints.load()).clone();
+        let mut table = self.inner.endpoints.read().clone();
         table.remove(&id);
         self.inner.endpoints.store(table);
     }
@@ -354,12 +369,11 @@ impl Orb {
         pardis_audit::note_wire_call("Orb::send_wire/Network::transmit");
         pardis_audit::chan_send(to.0);
         let (to_host, tx) = {
-            let eps = self.inner.endpoints.load();
+            let eps = self.inner.endpoints.read();
             let (h, tx) = eps.get(&to).ok_or(OrbError::Disconnected)?;
             (*h, tx.clone())
         };
-        self.inner.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.inner.bytes_sent.fetch_add(wire.len() as u64, Ordering::Relaxed);
+        self.inner.traffic.count(wire.len());
         // `release` runs once per arriving copy.
         self.inner.network.transmit(from_host, to_host, wire.len(), move || {
             let _ = tx.send(Envelope { wire: wire.clone() });
@@ -372,7 +386,7 @@ impl Orb {
         &self,
         namespace: &str,
         name: &str,
-        meta: ObjectMeta,
+        meta: Arc<ObjectMeta>,
     ) -> ObjectRef {
         let oref = meta.oref.clone();
         self.inner.objects.write().insert(oref.key, meta);
@@ -385,7 +399,7 @@ impl Orb {
         self.inner.objects.write().remove(&key);
     }
 
-    pub(crate) fn object_meta(&self, key: ObjectKey) -> Option<ObjectMeta> {
+    pub(crate) fn object_meta(&self, key: ObjectKey) -> Option<Arc<ObjectMeta>> {
         self.inner.objects.read().get(&key).cloned()
     }
 
@@ -398,7 +412,7 @@ impl Orb {
         loop {
             if let Some(key) = self.inner.names.lookup(namespace, name) {
                 if let Some(meta) = self.object_meta(key) {
-                    return Ok(meta.oref);
+                    return Ok(meta.oref.clone());
                 }
             }
             if !activated && cfg.activation == ActivationMode::Activating {
@@ -414,12 +428,10 @@ impl Orb {
         }
     }
 
-    /// The server-side distribution policy of an object (what the client
-    /// plans in-argument transfers against).
-    pub(crate) fn dist_policy(&self, key: ObjectKey) -> OrbResult<DistPolicy> {
-        self.object_meta(key)
-            .map(|m| m.policy)
-            .ok_or_else(|| OrbError::ObjectNotFound(format!("key {}", key.0)))
+    /// A bound object's metadata: the server-side distribution policy the
+    /// client plans in-argument transfers against.
+    pub(crate) fn bound_meta(&self, key: ObjectKey) -> OrbResult<Arc<ObjectMeta>> {
+        self.object_meta(key).ok_or_else(|| OrbError::ObjectNotFound(format!("key {}", key.0)))
     }
 
     /// Look up the request endpoints of an object's server, in thread order.
@@ -454,10 +466,53 @@ impl Orb {
     }
 }
 
+/// Frames and bytes sent, counted in the sending thread's shard: the client
+/// and adapter threads that both send then write no common cache line, and
+/// [`Traffic::totals`] sums every shard, so the totals stay exact.
+#[derive(Default)]
+struct Traffic {
+    shards: [TrafficShard; TRAFFIC_SHARDS],
+}
+
+/// Shards of [`Traffic`] (threads beyond this many share them).
+const TRAFFIC_SHARDS: usize = 8;
+
+#[derive(Default)]
+#[repr(align(64))]
+struct TrafficShard {
+    frames: AtomicU64,
+    bytes: AtomicU64,
+}
+
+impl Traffic {
+    /// Count one frame of `bytes` sent by the calling thread.
+    fn count(&self, bytes: usize) {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+        }
+        let shard = SHARD.with(|s| {
+            if s.get() == usize::MAX {
+                s.set(NEXT.fetch_add(1, Ordering::Relaxed) % TRAFFIC_SHARDS);
+            }
+            s.get()
+        });
+        let shard = &self.shards[shard];
+        shard.frames.fetch_add(1, Ordering::Relaxed);
+        shard.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    fn totals(&self) -> (u64, u64) {
+        self.shards.iter().fold((0, 0), |(f, b), s| {
+            (f + s.frames.load(Ordering::Relaxed), b + s.bytes.load(Ordering::Relaxed))
+        })
+    }
+}
+
 impl std::fmt::Debug for Orb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Orb")
-            .field("endpoints", &self.inner.endpoints.load().len())
+            .field("endpoints", &self.inner.endpoints.read().len())
             .field("servers", &self.inner.servers.read().len())
             .field("objects", &self.inner.objects.read().len())
             .finish()

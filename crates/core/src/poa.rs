@@ -21,10 +21,9 @@ use crate::strided::{cut_fragments, wire_template};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
-use pardis_netsim::{HostId, Published};
+use pardis_netsim::{HostId, IdMap, Published};
 use pardis_rts::Rts;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -125,9 +124,10 @@ impl ServerGroup {
             namespace: (*self.namespace.load()).clone(),
             rts,
             inbox,
-            servants: HashMap::new(),
-            pending: HashMap::new(),
-            funneled_next: HashMap::new(),
+            servants: IdMap::default(),
+            pending: IdMap::default(),
+            order: Vec::new(),
+            funneled_next: IdMap::default(),
             recent: AuditMutex::new(
                 lock_site!("poa: reply cache"),
                 RecentInvocations::new(self.orb.config().reply_cache_cap),
@@ -149,7 +149,7 @@ impl ServerGroup {
 struct PendingReq {
     control: Option<RequestMsg>,
     /// Fragments per wire darg index, one per sending client thread.
-    frags: HashMap<u32, Vec<FragmentMsg>>,
+    frags: IdMap<u32, Vec<FragmentMsg>>,
     /// Originating invocation's trace context, lifted from the first traced
     /// frame of the request (control or fragment): the dispatch span and
     /// everything under it parents into the client's trace.
@@ -158,7 +158,7 @@ struct PendingReq {
 
 impl PendingReq {
     fn new() -> Self {
-        PendingReq { control: None, frags: HashMap::new(), ctx: None }
+        PendingReq { control: None, frags: IdMap::default(), ctx: None }
     }
 }
 
@@ -176,6 +176,9 @@ pub(crate) const REPLY_CACHE_BYTES: usize = 16 << 20;
 /// Newest entries the byte budget never evicts, so that a pipeline of
 /// replies each larger than the budget's share stays replayable.
 pub(crate) const REPLY_CACHE_MIN_ENTRIES: usize = 8;
+
+/// Emptied reply-frame lists an adapter keeps for its next replies.
+const SPARE_FRAME_LISTS: usize = 16;
 
 /// At-most-once memory: which invocations this thread has accepted for
 /// dispatch, and the reply frames it sent for them. A retransmitted request
@@ -199,7 +202,7 @@ pub(crate) struct RecentInvocations {
     /// `None` while the original dispatch is still executing (or deferred);
     /// `Some(frames)` once the reply left, recording every frame this thread
     /// sent for it that no acknowledgement has let go of yet.
-    seen: HashMap<(BindingId, u64), Option<ReplyFrames>>,
+    seen: IdMap<(BindingId, u64), Option<ReplyFrames>>,
     order: VecDeque<(BindingId, u64)>,
     cap: usize,
     /// Frame bytes of every retained reply.
@@ -208,6 +211,9 @@ pub(crate) struct RecentInvocations {
     /// The (binding, client thread) pairs whose acknowledgement advanced
     /// since the last reply was recorded.
     due: Vec<(BindingId, u32)>,
+    /// Frame lists this thread emptied, kept for its next replies: the
+    /// adapter thread that allocates a list is the one that frees it.
+    spare: Vec<ReplyFrames>,
 }
 
 /// What one client thread of one binding has acknowledged.
@@ -232,7 +238,7 @@ impl Acks {
 /// forgotten is only an index: its frames stay until the cache's own bounds
 /// evict them.
 struct AckTable {
-    threads: HashMap<(BindingId, u32), Acks>,
+    threads: IdMap<(BindingId, u32), Acks>,
     order: VecDeque<(BindingId, u32)>,
     cap: usize,
 }
@@ -266,12 +272,22 @@ impl AckTable {
 impl RecentInvocations {
     pub(crate) fn new(cap: usize) -> Self {
         RecentInvocations {
-            seen: HashMap::new(),
+            seen: IdMap::default(),
             order: VecDeque::new(),
             cap,
             bytes: 0,
-            acks: AckTable { threads: HashMap::new(), order: VecDeque::new(), cap },
+            acks: AckTable { threads: IdMap::default(), order: VecDeque::new(), cap },
             due: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Keep an emptied frame list's room in `spare` for a later reply, up
+    /// to [`SPARE_FRAME_LISTS`] of them.
+    fn recycle(spare: &mut Vec<ReplyFrames>, mut frames: ReplyFrames) {
+        frames.clear();
+        if frames.capacity() > 0 && spare.len() < SPARE_FRAME_LISTS {
+            spare.push(frames);
         }
     }
 
@@ -308,8 +324,11 @@ impl RecentInvocations {
                 self.acks.hold((binding, by), id);
             }
             let added = frame_bytes(&frames);
-            let replaced = slot.replace(frames).map_or(0, |old| frame_bytes(&old));
-            self.bytes = self.bytes + added - replaced;
+            if let Some(old) = slot.replace(frames) {
+                self.bytes -= frame_bytes(&old);
+                Self::recycle(&mut self.spare, old);
+            }
+            self.bytes += added;
         }
         let mut due = std::mem::take(&mut self.due);
         let released: usize =
@@ -341,20 +360,19 @@ impl RecentInvocations {
                 break;
             }
             acks.held.pop_front();
-            if let Some(Some(frames)) = self.seen.get_mut(&(binding, id)) {
-                frames.retain(|(by, _, wire)| {
-                    let mine = *by == thread;
-                    if mine {
-                        self.bytes -= wire.len();
-                        released += 1;
-                    }
-                    !mine
-                });
-                // An emptied list keeps no capacity: up to `cap` entries
-                // outlive their frames as marks.
-                if frames.is_empty() {
-                    *frames = Vec::new();
+            let Some(Some(frames)) = self.seen.get_mut(&(binding, id)) else { continue };
+            frames.retain(|(by, _, wire)| {
+                let mine = *by == thread;
+                if mine {
+                    self.bytes -= wire.len();
+                    released += 1;
                 }
+                !mine
+            });
+            // An emptied list keeps no capacity: up to `cap` entries
+            // outlive their frames as marks.
+            if frames.is_empty() {
+                Self::recycle(&mut self.spare, std::mem::take(frames));
             }
         }
         released
@@ -381,6 +399,7 @@ impl RecentInvocations {
             self.order.remove(at);
             if let Some(Some(frames)) = self.seen.remove(&old) {
                 self.bytes -= frame_bytes(&frames);
+                Self::recycle(&mut self.spare, frames);
             }
             if pardis_obs::enabled() {
                 pardis_obs::counter("poa.reply_cache_evictions").inc();
@@ -409,11 +428,16 @@ pub struct Poa {
     namespace: String,
     rts: Option<Arc<dyn Rts>>,
     inbox: Receiver<Envelope>,
-    servants: HashMap<ObjectKey, Arc<dyn Servant>>,
-    pending: HashMap<(BindingId, u64), PendingReq>,
+    servants: IdMap<ObjectKey, Active>,
+    pending: IdMap<(BindingId, u64), PendingReq>,
+    /// Every pending request whose control has arrived, in dispatch order:
+    /// `(entity, client_seq, binding, req_id)`, ascending. Kept as controls
+    /// arrive, so a dispatch round walks it instead of sorting
+    /// [`Poa::pending`] (see [`Poa::dispatch_ready`]).
+    order: Vec<(u64, u64, BindingId, u64)>,
     /// The request id of each binding's next funneled request (see
     /// [`Poa::dispatch_ready`]).
-    funneled_next: HashMap<BindingId, u64>,
+    funneled_next: IdMap<BindingId, u64>,
     /// Duplicate-suppression state; a `Mutex` only because replies are sent
     /// from `&self` methods — the adapter itself is single-threaded.
     recent: AuditMutex<RecentInvocations>,
@@ -421,11 +445,21 @@ pub struct Poa {
     closed: bool,
 }
 
+/// An object this thread activated: its servant beside the metadata it was
+/// registered under (shared with the ORB's table), so that a request looks
+/// its object up once.
+#[derive(Clone)]
+struct Active {
+    servant: Arc<dyn Servant>,
+    meta: Arc<ObjectMeta>,
+}
+
 /// A request whose servant deferred the reply (see
 /// [`crate::servant::DispatchResult::Defer`]).
 pub struct DeferredCall {
     req: RequestMsg,
     ctx: Option<pardis_obs::TraceCtx>,
+    kind: ObjectKind,
 }
 
 #[cfg(test)]
@@ -471,15 +505,12 @@ impl Poa {
             nthreads: self.nthreads,
             kind: ObjectKind::Spmd,
         };
+        let meta = Arc::new(ObjectMeta { oref: oref.clone(), policy });
         if self.thread == 0 {
-            self.orb.register_object(
-                &self.namespace,
-                name,
-                ObjectMeta { oref: oref.clone(), policy },
-            );
+            self.orb.register_object(&self.namespace, name, meta.clone());
         }
         self.orb.register_servant(self.server, self.thread, key, servant.clone());
-        self.servants.insert(key, servant);
+        self.servants.insert(key, Active { servant, meta });
         oref
     }
 
@@ -496,13 +527,10 @@ impl Poa {
             nthreads: self.nthreads,
             kind: ObjectKind::Single { thread: self.thread },
         };
-        self.orb.register_object(
-            &self.namespace,
-            name,
-            ObjectMeta { oref: oref.clone(), policy: DistPolicy::new() },
-        );
+        let meta = Arc::new(ObjectMeta { oref: oref.clone(), policy: DistPolicy::new() });
+        self.orb.register_object(&self.namespace, name, meta.clone());
         self.orb.register_servant(self.server, self.thread, key, servant.clone());
-        self.servants.insert(key, servant);
+        self.servants.insert(key, Active { servant, meta });
         oref
     }
 
@@ -605,12 +633,25 @@ impl Poa {
                     return;
                 }
                 let entry = self.pending.entry(key).or_insert_with(PendingReq::new);
-                entry.control = Some(req);
                 entry.ctx = entry.ctx.or(ctx);
+                // A second copy of a pending control is a retransmission of
+                // the same frame: the first keeps its place.
+                if entry.control.is_none() {
+                    let queued = (req.entity, req.client_seq, req.binding, req.req_id);
+                    let at = self.order.partition_point(|q| *q < queued);
+                    self.order.insert(at, queued);
+                    entry.control = Some(req);
+                }
             }
             Message::Fragment(frag) => self.handle_fragment(frag, ctx, ack_lag),
             Message::Cancel { binding, req_id } => {
-                self.pending.remove(&(binding, req_id));
+                let cancelled = self.pending.remove(&(binding, req_id));
+                if let Some(PendingReq { control: Some(req), .. }) = cancelled {
+                    let queued = (req.entity, req.client_seq, binding, req_id);
+                    if let Ok(at) = self.order.binary_search(&queued) {
+                        self.order.remove(at);
+                    }
+                }
             }
             Message::Close => {
                 self.closed = true;
@@ -696,54 +737,38 @@ impl Poa {
     /// has run it ([`Poa::send_reply`]'s barrier), so no client completes
     /// a funneled call that one of these threads never saw.
     fn dispatch_ready(&mut self) -> usize {
-        // For each client entity, only its lowest-sequence pending request
-        // is eligible; among eligible requests, dispatch in global
-        // (entity, seq) order. Implemented as a heap-merge over per-entity
-        // sorted queues — O(P log P) over the pending set, where the old
-        // full rescan per dispatch was O(P²) and dominated at thousands of
-        // concurrent clients. One completeness check per head is sound:
-        // frames only arrive in `pump`, which cannot run while we dispatch,
-        // and an entity whose head is incomplete is blocked for the round —
-        // its later sequences must wait behind it either way.
-        type SeqQueue = Vec<(u64, (BindingId, u64))>;
-        let mut queues: HashMap<u64, SeqQueue> = HashMap::new();
-        for (key, pending) in &self.pending {
-            let Some(req) = &pending.control else { continue };
-            queues.entry(req.entity).or_default().push((req.client_seq, *key));
-        }
-        // Heap entries are (entity, seq, binding, req_id); min-first via
-        // Reverse. The key is flattened to u64s for Ord.
-        let mut heap: BinaryHeap<Reverse<(u64, u64, u64, u64)>> = BinaryHeap::new();
-        for (entity, q) in queues.iter_mut() {
-            q.sort_unstable_by_key(|e| Reverse(e.0)); // descending: pop() yields lowest seq
-            if let Some((seq, key)) = q.pop() {
-                heap.push(Reverse((*entity, seq, key.0 .0, key.1)));
-            }
-        }
+        // For each client entity only its lowest-sequence pending request
+        // is eligible, and eligible requests go in (entity, seq) order:
+        // a walk of `order`, which is kept in exactly that order. An entity
+        // whose head is incomplete is blocked for the round, and its later
+        // sequences wait behind it. One completeness check per head is
+        // sound: frames only arrive in `pump`, which cannot run while we
+        // dispatch.
+        let mut order = std::mem::take(&mut self.order);
+        let mut blocked = None;
         let mut dispatched = 0;
-        while let Some(Reverse((entity, _seq, binding, req_id))) = heap.pop() {
-            let key = (BindingId(binding), req_id);
-            let complete = self
-                .pending
-                .get(&key)
-                .map(|p| {
-                    let req = p.control.as_ref().expect("queued with control");
-                    self.funneled_turn(req).is_eq() && self.request_complete(req, p)
-                })
-                .unwrap_or(false);
-            if !complete {
-                // Entity blocked on missing fragments: do not advance its
-                // queue — later sequences stay behind the incomplete head.
-                continue;
+        order.retain(|&(entity, _, binding, req_id)| {
+            if blocked == Some(entity) {
+                return true;
             }
-            let pending = self.pending.remove(&key).expect("checked above");
-            let req = pending.control.expect("checked above");
-            self.dispatch(req, pending.frags, pending.ctx);
-            dispatched += 1;
-            if let Some((seq, key)) = queues.get_mut(&entity).and_then(|q| q.pop()) {
-                heap.push(Reverse((entity, seq, key.0 .0, key.1)));
+            let key = (binding, req_id);
+            let Some(pending) = self.pending.get(&key) else { return false };
+            let Some(req) = &pending.control else { return false };
+            // The request's one lookup of its object.
+            let active = self.servants.get(&req.object).cloned();
+            if !self.funneled_turn(req).is_eq()
+                || !self.request_complete(req, pending, active.as_ref())
+            {
+                blocked = Some(entity);
+                return true;
             }
-        }
+            if let Some(PendingReq { control: Some(req), frags, ctx }) = self.pending.remove(&key) {
+                self.dispatch(req, frags, ctx, active);
+                dispatched += 1;
+            }
+            false
+        });
+        self.order = order;
         dispatched
     }
 
@@ -759,16 +784,21 @@ impl Poa {
 
     /// All in-fragments for this thread arrived, counted in the template
     /// they cross the wire in?
-    fn request_complete(&self, req: &RequestMsg, pending: &PendingReq) -> bool {
-        let Some(meta) = self.orb.object_meta(req.object) else {
+    fn request_complete(
+        &self,
+        req: &RequestMsg,
+        pending: &PendingReq,
+        active: Option<&Active>,
+    ) -> bool {
+        let Some(active) = active else {
             return true; // dispatch will answer with an exception
         };
         for (i, desc) in req.dargs.iter().enumerate() {
             if desc.dir != ArgDir::In {
                 continue;
             }
-            let dist = meta.policy.get(&req.op, i as u32);
-            let wire_dist = wire_template(req.funneled, self.nthreads, &dist);
+            let dist = active.meta.policy.get(&req.op, i as u32);
+            let wire_dist = wire_template(req.funneled, self.nthreads, dist);
             let expected = wire_dist.local_len(desc.len, self.nthreads, self.thread);
             let arrived: u64 = pending
                 .frags
@@ -825,25 +855,30 @@ impl Poa {
     /// Change the at-most-once memory through `f`, evict what that pushed
     /// over a bound, and carry the change in retained bytes over to the
     /// ORB-wide total ([`Orb::reply_cache_bytes`]).
-    fn update_recent(&self, f: impl FnOnce(&mut RecentInvocations)) {
+    fn update_recent<R>(&self, f: impl FnOnce(&mut RecentInvocations) -> R) -> R {
         let mut recent = self.recent.lock();
         pardis_audit::access_write(&REPLY_CACHE, &self.recent as *const _ as usize);
         let before = recent.bytes;
-        f(&mut recent);
+        let out = f(&mut recent);
         recent.trim();
         // Wrapping: a net release is the two's complement of its size.
         let delta = (recent.bytes as u64).wrapping_sub(before as u64);
-        self.orb.inner.reply_cache_bytes.fetch_add(delta, Ordering::Relaxed);
+        if delta != 0 {
+            self.orb.inner.reply_cache_bytes.fetch_add(delta, Ordering::Relaxed);
+        }
+        out
     }
 
     /// Mark an invocation accepted *before* its servant runs, closing the
     /// window in which a duplicate arriving mid-execution would re-execute.
-    fn mark_accepted(&self, key: (BindingId, u64)) {
+    /// Returns a frame list for its reply, with room when one was spare.
+    fn mark_accepted(&self, key: (BindingId, u64)) -> ReplyFrames {
         self.update_recent(|recent| {
             if recent.accept(key) && pardis_obs::enabled() {
                 pardis_obs::counter("poa.reply_cache_misses").inc();
             }
-        });
+            recent.spare.pop().unwrap_or_default()
+        })
     }
 
     /// Attach the sent reply frames to an accepted invocation so future
@@ -865,10 +900,11 @@ impl Poa {
     fn dispatch(
         &mut self,
         req: RequestMsg,
-        mut frags: HashMap<u32, Vec<FragmentMsg>>,
+        mut frags: IdMap<u32, Vec<FragmentMsg>>,
         ctx: Option<pardis_obs::TraceCtx>,
+        active: Option<Active>,
     ) {
-        self.mark_accepted((req.binding, req.req_id));
+        let sent = self.mark_accepted((req.binding, req.req_id));
         // Every dispatch of a funneled binding moves its next id, so a
         // strategy switched back and forth between its calls leaves no gap.
         if req.funneled || self.funneled_next.contains_key(&req.binding) {
@@ -892,10 +928,9 @@ impl Poa {
             pardis_obs::Span::open("poa", "poa.dispatch", Some((req.binding.0, req.req_id)), args)
         });
         let _dispatch_guard = dctx.map(pardis_obs::enter_ctx);
-        let servant = self.servants.get(&req.object).cloned();
-        let meta = self.orb.object_meta(req.object);
-        let result = match (servant, meta) {
-            (Some(servant), Some(meta)) => {
+        let kind = active.as_ref().map(|a| a.meta.oref.kind);
+        let result = match active {
+            Some(Active { servant, meta }) => {
                 let deferrable = !req.oneway;
                 let ctx = ServantCtx {
                     thread: self.thread,
@@ -912,15 +947,16 @@ impl Poa {
                     let server_dist = meta.policy.get(&req.op, i as u32);
                     dins.push(DInLocal {
                         desc: desc.clone(),
-                        wire_dist: wire_template(req.funneled, self.nthreads, &server_dist),
-                        server_dist,
+                        wire_dist: wire_template(req.funneled, self.nthreads, server_dist),
+                        server_dist: server_dist.clone(),
                         pieces: frags.remove(&(i as u32)).unwrap_or_default(),
                     });
                 }
                 let sreq = ServerRequest { op: &req.op, ins: &req.ins, dins: &dins, ctx: &ctx };
                 match servant.dispatch_deferred(sreq) {
                     Ok(crate::servant::DispatchResult::Defer) if deferrable => {
-                        self.deferred.push(DeferredCall { req, ctx: dctx });
+                        let kind = meta.oref.kind;
+                        self.deferred.push(DeferredCall { req, ctx: dctx, kind });
                         return;
                     }
                     Ok(crate::servant::DispatchResult::Defer) => {
@@ -931,7 +967,7 @@ impl Poa {
                     Err(e) => Err(e),
                 }
             }
-            _ => Err(format!("object key {} not active on this server", req.object.0)),
+            None => Err(format!("object key {} not active on this server", req.object.0)),
         };
         // Close the span before the reply leaves: the moment the reply is on
         // the wire the client can complete and a tracer may drain the rings,
@@ -943,7 +979,7 @@ impl Poa {
             self.record_reply((req.binding, req.req_id), Vec::new());
             return;
         }
-        self.send_reply(&req, result);
+        self.send_reply(&req, result, kind, sent);
     }
 
     /// Take the requests whose servants deferred their replies. The server
@@ -957,7 +993,7 @@ impl Poa {
     /// dispatch context the reply travels under).
     pub fn reply_deferred(&self, call: DeferredCall, result: Result<ServerReply, String>) {
         let _ctx_guard = call.ctx.map(pardis_obs::enter_ctx);
-        self.send_reply(&call.req, result);
+        self.send_reply(&call.req, result, Some(call.kind), Vec::new());
     }
 
     /// Ship out-fragments and (from the responsible thread) the reply
@@ -973,9 +1009,17 @@ impl Poa {
     /// The reply control rides in the first out-fragment frame the
     /// responsible thread owes each client thread; client threads it owes
     /// no elements get the reply on its own.
-    fn send_reply(&self, req: &RequestMsg, result: Result<ServerReply, String>) {
+    ///
+    /// `kind` is the object's, when this thread has it active; `sent` is
+    /// the list the frames are recorded in.
+    fn send_reply(
+        &self,
+        req: &RequestMsg,
+        result: Result<ServerReply, String>,
+        kind: Option<ObjectKind>,
+        mut sent: ReplyFrames,
+    ) {
         let m = req.client_threads as usize;
-        let kind = self.orb.object_meta(req.object).map(|meta| meta.oref.kind);
 
         let out_descs: Vec<(usize, &DArgDesc)> =
             req.dargs.iter().enumerate().filter(|(_, d)| d.dir == ArgDir::Out).collect();
@@ -1057,7 +1101,7 @@ impl Poa {
         // At most one frame per (out-argument, client thread), plus the
         // reply control to each client thread.
         let outs = douts.as_ref().map_or(0, Vec::len);
-        let mut sent: ReplyFrames = Vec::with_capacity((outs + 1) * m);
+        sent.reserve((outs + 1) * m);
 
         if let Some(douts) = &douts {
             // Cut each distributed out argument into one frame per client

@@ -369,20 +369,21 @@ impl Message {
         let ctx = pardis_obs::current_ctx();
         // Size the frame up front: for bulk-bearing messages the payload
         // dwarfs the header, and a good hint avoids the doubling reallocs
-        // (and their copies) while the payload streams in.
+        // (and their copies) while the payload streams in. A hint covers
+        // the largest frame its fields can make, so a small frame is
+        // written into one allocation.
         let hint = match self {
             Message::Fragment(f) => return encode_fragment_frame(f, &f.data),
-            Message::Request(r) => 96 + r.ins.iter().map(|b| b.len() + 8).sum::<usize>(),
-            Message::Reply(r) => 96 + r.outs.iter().map(|b| b.len() + 8).sum::<usize>(),
+            Message::Request(r) => return RequestView::of(r).encode(),
+            Message::Reply(r) => reply_hint(r),
             Message::Batch(fs) => 16 + fs.iter().map(|f| f.len() + 8).sum::<usize>(),
             _ => 96,
         };
         let mut e = Encoder::with_capacity(order, hint);
         write_header(&mut e, order, self.type_tag(), ctx);
         match self {
-            Message::Request(r) => encode_request(r, &mut e),
             Message::Reply(r) => encode_reply(r, &mut e),
-            Message::Fragment(_) => unreachable!("framed above"),
+            Message::Request(_) | Message::Fragment(_) => {}
             Message::Cancel { binding, req_id } => {
                 binding.encode(&mut e);
                 e.write_u64(*req_id);
@@ -447,7 +448,7 @@ impl Message {
             });
         }
         let mut d = Decoder::new(frame.clone(), order);
-        d.read_raw(8)?; // skip header
+        d.read_bytes(8)?; // skip the header, which was read above
         let ctx = if flags & FLAG_TRACE_CTX != 0 {
             Some(pardis_obs::TraceCtx { trace_id: d.read_u64()?, span_id: d.read_u64()? })
         } else {
@@ -564,28 +565,108 @@ fn decode_darg(d: &mut Decoder) -> Result<DArgDesc, CdrError> {
     })
 }
 
-fn encode_request(r: &RequestMsg, e: &mut Encoder) {
+/// A request control's fields as its sender holds them, borrowed. The
+/// client frames its control from this view, through the same field writer
+/// as [`RequestMsg`], without first copying the operation name, the reply
+/// endpoints or the argument slots into a message of its own.
+pub(crate) struct RequestView<'a> {
+    pub req_id: u64,
+    pub binding: BindingId,
+    pub entity: u64,
+    pub client_seq: u64,
+    pub client: ClientId,
+    pub object: ObjectKey,
+    pub op: &'a str,
+    pub oneway: bool,
+    pub funneled: bool,
+    pub reply_to: &'a [EndpointId],
+    pub client_threads: u32,
+    pub client_host: u32,
+    pub ins: InArgs<'a>,
+    pub dargs: &'a [DArgDesc],
+}
+
+/// The scalar in-arguments of a request.
+#[derive(Clone, Copy)]
+pub(crate) enum InArgs<'a> {
+    /// One CDR blob per slot ([`RequestMsg::ins`]).
+    Slots(&'a [Bytes]),
+    /// `count` slots already laid out as the frame carries them: each one
+    /// appended with [`Encoder::write_byte_seq_with`] to a stream of its
+    /// own. The frame's slots start 4-aligned, as that stream's do, so
+    /// every length word is padded as it would be in the frame.
+    Framed { count: u32, bytes: &'a [u8] },
+}
+
+impl<'a> RequestView<'a> {
+    pub(crate) fn of(r: &'a RequestMsg) -> RequestView<'a> {
+        RequestView {
+            req_id: r.req_id,
+            binding: r.binding,
+            entity: r.entity,
+            client_seq: r.client_seq,
+            client: r.client,
+            object: r.object,
+            op: &r.op,
+            oneway: r.oneway,
+            funneled: r.funneled,
+            reply_to: &r.reply_to,
+            client_threads: r.client_threads,
+            client_host: r.client_host,
+            ins: InArgs::Slots(&r.ins),
+            dargs: &r.dargs,
+        }
+    }
+
+    /// Frame the control, stamping the ambient trace context as
+    /// [`Message::encode`] does: the bytes of `Message::Request` of the
+    /// same fields.
+    pub(crate) fn encode(&self) -> Bytes {
+        let order = ByteOrder::native();
+        let ins = match self.ins {
+            InArgs::Slots(slots) => slots.iter().map(|b| b.len() + 8).sum(),
+            InArgs::Framed { bytes, .. } => bytes.len() + 4,
+        };
+        // Header, context and every fixed field with its padding, then
+        // what varies.
+        let hint = 112 + self.op.len() + 8 * self.reply_to.len() + ins + 48 * self.dargs.len();
+        let mut e = Encoder::with_capacity(order, hint);
+        write_header(&mut e, order, 0, pardis_obs::current_ctx()); // 0 = Message::Request
+        write_request(self, &mut e);
+        e.finish()
+    }
+}
+
+fn write_request(r: &RequestView<'_>, e: &mut Encoder) {
     e.write_u64(r.req_id);
     r.binding.encode(e);
     e.write_u64(r.entity);
     e.write_u64(r.client_seq);
     r.client.encode(e);
     r.object.encode(e);
-    e.write_string(&r.op);
+    e.write_string(r.op);
     e.write_bool(r.oneway);
     e.write_bool(r.funneled);
     e.write_u32(r.reply_to.len() as u32);
-    for ep in &r.reply_to {
+    for ep in r.reply_to {
         ep.encode(e);
     }
     e.write_u32(r.client_threads);
     e.write_u32(r.client_host);
-    e.write_u32(r.ins.len() as u32);
-    for blob in &r.ins {
-        e.write_byte_seq(blob);
+    match r.ins {
+        InArgs::Slots(slots) => {
+            e.write_u32(slots.len() as u32);
+            for blob in slots {
+                e.write_byte_seq(blob);
+            }
+        }
+        InArgs::Framed { count, bytes } => {
+            e.write_u32(count);
+            e.write_raw(bytes);
+        }
     }
     e.write_u32(r.dargs.len() as u32);
-    for a in &r.dargs {
+    for a in r.dargs {
         encode_darg(a, e);
     }
 }
@@ -633,6 +714,17 @@ fn decode_request(d: &mut Decoder) -> Result<RequestMsg, CdrError> {
         ins,
         dargs,
     })
+}
+
+/// Room for the largest frame `r`'s fields can make: header, context and
+/// fixed fields with their padding, then what varies.
+fn reply_hint(r: &ReplyMsg) -> usize {
+    let status = match &r.status {
+        ReplyStatus::Ok => 0,
+        ReplyStatus::Exception(msg) => msg.len() + 8,
+        ReplyStatus::UserException { id, data } => id.len() + data.len() + 16,
+    };
+    56 + status + r.outs.iter().map(|b| b.len() + 8).sum::<usize>() + 48 * r.douts.len()
 }
 
 fn encode_reply(r: &ReplyMsg, e: &mut Encoder) {

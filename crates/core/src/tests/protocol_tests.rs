@@ -2,6 +2,7 @@ use crate::dist::Distribution;
 use crate::object::{BindingId, ClientId, EndpointId, ObjectKey};
 use crate::protocol::*;
 use bytes::Bytes;
+use pardis_cdr::Encoder;
 
 pub(super) fn sample_request() -> RequestMsg {
     RequestMsg {
@@ -35,6 +36,26 @@ fn request_roundtrip() {
     let wire = msg.encode();
     assert_eq!(&wire[..4], b"PRDS");
     assert_eq!(Message::decode(&wire).unwrap(), msg);
+}
+
+#[test]
+fn a_control_framed_from_borrowed_fields_is_the_request_frame() {
+    // Slots of every length modulo 4, so each length word after the first
+    // needs its own padding, and a stream with alignment of its own.
+    let slots: Vec<Vec<u8>> = vec![vec![], vec![7], vec![1, 2, 3], vec![9; 8], vec![5; 13]];
+    for n in 0..=slots.len() {
+        let mut msg = sample_request();
+        msg.ins = slots[..n].iter().cloned().map(Bytes::from).collect();
+        let mut framed = Encoder::new(pardis_cdr::ByteOrder::native());
+        for slot in &slots[..n] {
+            framed.write_byte_seq_with(0, |e| e.write_raw(slot));
+        }
+        let view = RequestView {
+            ins: InArgs::Framed { count: n as u32, bytes: framed.as_slice() },
+            ..RequestView::of(&msg)
+        };
+        assert_eq!(view.encode(), Message::Request(msg.clone()).encode(), "{n} slots");
+    }
 }
 
 #[test]

@@ -138,7 +138,7 @@ fn fake_spmd_server(
         nthreads: 2,
         kind: ObjectKind::Spmd,
     };
-    orb.register_object(DEFAULT_REPOSITORY, name, ObjectMeta { oref, policy });
+    orb.register_object(DEFAULT_REPOSITORY, name, Arc::new(ObjectMeta { oref, policy }));
     inboxes
 }
 

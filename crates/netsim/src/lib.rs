@@ -35,6 +35,7 @@
 mod clock;
 mod engine;
 mod fault;
+mod idhash;
 mod link;
 mod network;
 mod publish;
@@ -42,6 +43,7 @@ mod publish;
 pub use clock::{TimeScale, VirtualClock};
 pub use engine::{LinkUsage, TransportMode};
 pub use fault::{FaultPlan, FaultStats, Verdict};
+pub use idhash::{IdBuild, IdHasher, IdMap, IdSet};
 pub use link::{Link, LinkPreset};
 pub use network::{Host, HostId, Network};
 pub use publish::Published;

@@ -2,6 +2,7 @@
 
 use crate::engine::{Lane, LinkUsage, LocalClock, Scheduler, Slot, TransportMode};
 use crate::fault::{FaultState, FrameFate};
+use crate::idhash::{IdMap, IdSet};
 use crate::publish::Published;
 use crate::{FaultPlan, FaultStats, Link, LinkPreset, TimeScale, Verdict, VirtualClock};
 use parking_lot::Mutex;
@@ -48,16 +49,16 @@ pub struct Host {
 struct Topology {
     hosts: Vec<Host>,
     by_name: HashMap<String, HostId>,
-    links: HashMap<(HostId, HostId), Link>,
+    links: IdMap<(HostId, HostId), Link>,
     default_link: Link,
     /// One wire-guard per unordered host pair, taken while a transfer over
     /// a shared-medium link sleeps in scaled real time. Precomputed here at
     /// registration, so taking it never touches the registry.
-    media: HashMap<(HostId, HostId), Arc<Mutex<()>>>,
+    media: IdMap<(HostId, HostId), Arc<Mutex<()>>>,
     /// Per-directed-pair engine lanes (loopback pairs included). Shared
     /// across snapshot generations so timeline state survives topology
     /// changes.
-    lanes: HashMap<(HostId, HostId), Arc<Lane>>,
+    lanes: IdMap<(HostId, HostId), Arc<Lane>>,
     /// The one shared-medium transmit timeline: every frame over a
     /// `shared` link serialises here regardless of host pair, modelling a
     /// single Ethernet segment (the paper's testbed has exactly one).
@@ -65,7 +66,7 @@ struct Topology {
     segment: Arc<Lane>,
     /// Per-host local virtual clocks for the engine's causality model,
     /// likewise shared across generations.
-    locals: HashMap<HostId, Arc<LocalClock>>,
+    locals: IdMap<HostId, Arc<LocalClock>>,
 }
 
 impl Topology {
@@ -73,12 +74,12 @@ impl Topology {
         Topology {
             hosts: Vec::new(),
             by_name: HashMap::new(),
-            links: HashMap::new(),
+            links: IdMap::default(),
             default_link,
-            media: HashMap::new(),
-            lanes: HashMap::new(),
+            media: IdMap::default(),
+            lanes: IdMap::default(),
             segment: Arc::default(),
-            locals: HashMap::new(),
+            locals: IdMap::default(),
         }
     }
 
@@ -139,9 +140,9 @@ struct Faults {
     global: Option<Arc<FaultPlan>>,
     /// Per-link overrides (win over the global plan). `None` exempts the
     /// link explicitly.
-    per_link: HashMap<(HostId, HostId), Option<Arc<FaultPlan>>>,
+    per_link: IdMap<(HostId, HostId), Option<Arc<FaultPlan>>>,
     /// Lazily materialised per-directed-link schedule state.
-    states: HashMap<(HostId, HostId), FaultState>,
+    states: IdMap<(HostId, HostId), FaultState>,
 }
 
 impl Faults {
@@ -182,7 +183,7 @@ pub struct Network {
     /// means no host is down and the hot path pays one relaxed load.
     hosts_down_on: Arc<AtomicBool>,
     /// Hosts currently taken off the network by [`Network::kill_host`].
-    down_hosts: Arc<Mutex<std::collections::HashSet<HostId>>>,
+    down_hosts: Arc<Mutex<IdSet<HostId>>>,
     dropped: Arc<AtomicU64>,
     duplicated: Arc<AtomicU64>,
     delivered: Arc<AtomicU64>,
@@ -216,7 +217,7 @@ impl Network {
             faults_on: Arc::new(AtomicBool::new(false)),
             faults: Arc::new(Mutex::new(Faults::default())),
             hosts_down_on: Arc::new(AtomicBool::new(false)),
-            down_hosts: Arc::new(Mutex::new(std::collections::HashSet::new())),
+            down_hosts: Arc::new(Mutex::new(IdSet::default())),
             dropped: Arc::new(AtomicU64::new(0)),
             duplicated: Arc::new(AtomicU64::new(0)),
             delivered: Arc::new(AtomicU64::new(0)),
@@ -348,7 +349,7 @@ impl Network {
 
     /// The link that a message from `from` to `to` traverses.
     pub fn link_between(&self, from: HostId, to: HostId) -> Link {
-        self.topo.load().link_between(from, to)
+        self.topo.read().link_between(from, to)
     }
 
     /// Modelled duration of moving `bytes` from `from` to `to`.
@@ -365,7 +366,7 @@ impl Network {
     /// This is the synchronous accounting path — the sender's thread pays
     /// everything. [`Network::transmit`] is the overlapped engine.
     pub fn charge(&self, from: HostId, to: HostId, bytes: usize) -> Duration {
-        let topo = self.topo.load();
+        let topo = self.topo.read();
         let link = topo.link_between(from, to);
         let t = link.transfer_time(bytes);
         self.clock.advance(t);
@@ -578,7 +579,7 @@ impl Network {
             return verdict;
         }
 
-        let topo = self.topo.load();
+        let topo = self.topo.read();
         let link = topo.link_between(from, to);
         let lane = topo.lane(from, to, &link);
         // The sender's local time floors the departure (a reply cannot leave
@@ -630,12 +631,13 @@ impl Network {
         if !overhead.is_zero() {
             std::thread::sleep(overhead);
         }
-        match fate {
-            FrameFate::Delivered => self.dispatch(lane, &link, slot, Arc::new(release)),
-            FrameFate::Duplicated => {
-                let release: Arc<dyn Fn() + Send + Sync> = Arc::new(release);
-                self.dispatch(lane, &link, slot, release.clone());
-                self.dispatch(lane, &link, dup_slot.expect("duplicate slot"), release);
+        match (fate, dup_slot) {
+            (FrameFate::Delivered, _) => self.dispatch(lane, &link, slot, release),
+            (FrameFate::Duplicated, Some(dup_slot)) => {
+                let release = Arc::new(release);
+                let copy = release.clone();
+                self.dispatch(lane, &link, slot, move || copy());
+                self.dispatch(lane, &link, dup_slot, move || release());
             }
             _ => {}
         }
@@ -645,19 +647,20 @@ impl Network {
     /// Hand one arriving copy to its release hook: inline under pure
     /// virtual accounting, through the timer thread when real time is
     /// injected (the wire share of the transfer, `t - t_o`, elapses off the
-    /// sender's thread — that is the overlap).
+    /// sender's thread — that is the overlap). Only a hook that waits for
+    /// the timer is boxed.
     fn dispatch(
         &self,
-        lane: &Arc<Lane>,
+        lane: &Lane,
         link: &Link,
         slot: Slot,
-        release: Arc<dyn Fn() + Send + Sync>,
+        release: impl Fn() + Send + Sync + 'static,
     ) {
         let wire = self.scale.apply(Duration::from_secs_f64((slot.t - link.overhead_s).max(0.0)));
         if wire.is_zero() {
             release();
         } else {
-            self.sched.enqueue(lane, Instant::now() + wire, slot.arrival, release);
+            self.sched.enqueue(lane, Instant::now() + wire, slot.arrival, Arc::new(release));
         }
     }
 
@@ -678,7 +681,7 @@ impl Network {
         if self.mode == TransportMode::Sync {
             return;
         }
-        let local_now = self.topo.load().locals[&host].advance(d.as_secs_f64());
+        let local_now = self.topo.read().locals[&host].advance(d.as_secs_f64());
         // Fold the host's new floor into the global reading eagerly. The
         // engine would do the same fold lazily at the host's next send; doing
         // it here makes the charge visible to virtual-clock observers (trace

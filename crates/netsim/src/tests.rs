@@ -768,3 +768,24 @@ mod engine {
         assert_eq!(net.shared_segment_usage().expect("default link is shared").frames, 1);
     }
 }
+
+#[test]
+fn id_hasher_is_one_seeded_function_per_process_that_separates_ids() {
+    use crate::{IdBuild, IdMap};
+    use std::hash::BuildHasher;
+    // One seed per process: every table hashes a key the same way.
+    let (a, b) = (IdBuild::default(), IdBuild::default());
+    assert_eq!(a.hash_one((3u64, 4u64)), b.hash_one((3u64, 4u64)));
+    // Small, dense ids and their swapped pairs all land apart.
+    let mut seen = std::collections::HashSet::new();
+    for x in 0..64u64 {
+        for y in 0..64u64 {
+            assert!(seen.insert(a.hash_one((x, y))), "({x}, {y}) collides");
+        }
+    }
+    let mut map: IdMap<(u32, u32), u32> = IdMap::default();
+    for i in 0..1000 {
+        map.insert((i, i + 1), i);
+    }
+    assert!((0..1000).all(|i| map[&(i, i + 1)] == i));
+}

@@ -81,6 +81,13 @@ pub mod generated {
     pub mod bank {
         include!(concat!(env!("OUT_DIR"), "/bank_gen.rs"));
     }
+    /// From `idl/prelude_names.idl` — types named `self` and after Rust
+    /// prelude types, which the compiler renames (`Self_`, `Result_`, ...)
+    /// so that the generated code compiles.
+    #[allow(clippy::all, dead_code, unused_imports, unused_variables, unused_mut)]
+    pub mod prelude_names {
+        include!(concat!(env!("OUT_DIR"), "/prelude_names_gen.rs"));
+    }
 }
 
 /// Everything a typical metaapplication needs, in one import.
