@@ -130,7 +130,7 @@ impl ServerGroup {
             funneled_next: IdMap::default(),
             recent: AuditMutex::new(
                 lock_site!("poa: reply cache"),
-                RecentInvocations::new(self.orb.config().reply_cache_cap),
+                RecentInvocations::new(self.orb.cfg().reply_cache_cap),
             ),
             deferred: Vec::new(),
             closed: false,
@@ -360,19 +360,20 @@ impl RecentInvocations {
                 break;
             }
             acks.held.pop_front();
-            let Some(Some(frames)) = self.seen.get_mut(&(binding, id)) else { continue };
-            frames.retain(|(by, _, wire)| {
-                let mine = *by == thread;
-                if mine {
-                    self.bytes -= wire.len();
-                    released += 1;
+            if let Some(Some(frames)) = self.seen.get_mut(&(binding, id)) {
+                frames.retain(|(by, _, wire)| {
+                    let mine = *by == thread;
+                    if mine {
+                        self.bytes -= wire.len();
+                        released += 1;
+                    }
+                    !mine
+                });
+                // An emptied list keeps no capacity: up to `cap` entries
+                // outlive their frames as marks.
+                if frames.is_empty() {
+                    Self::recycle(&mut self.spare, std::mem::take(frames));
                 }
-                !mine
-            });
-            // An emptied list keeps no capacity: up to `cap` entries
-            // outlive their frames as marks.
-            if frames.is_empty() {
-                Self::recycle(&mut self.spare, std::mem::take(frames));
             }
         }
         released
@@ -955,8 +956,7 @@ impl Poa {
                 let sreq = ServerRequest { op: &req.op, ins: &req.ins, dins: &dins, ctx: &ctx };
                 match servant.dispatch_deferred(sreq) {
                     Ok(crate::servant::DispatchResult::Defer) if deferrable => {
-                        let kind = meta.oref.kind;
-                        self.deferred.push(DeferredCall { req, ctx: dctx, kind });
+                        self.deferred.push(DeferredCall { req, ctx: dctx, kind: meta.oref.kind });
                         return;
                     }
                     Ok(crate::servant::DispatchResult::Defer) => {
@@ -1101,7 +1101,7 @@ impl Poa {
         // At most one frame per (out-argument, client thread), plus the
         // reply control to each client thread.
         let outs = douts.as_ref().map_or(0, Vec::len);
-        sent.reserve((outs + 1) * m);
+        sent.reserve_exact((outs + 1) * m);
 
         if let Some(douts) = &douts {
             // Cut each distributed out argument into one frame per client
