@@ -322,7 +322,7 @@ pub(crate) fn on_publish(cell: usize) {
     st.thread_vcs[t][t] += 1;
 }
 
-/// Happens-before: an Arc-swap load (`Published::load`) joins the cell's
+/// Happens-before: an Arc-swap read (`Published::read`) joins the cell's
 /// publish clock into the loader.
 pub(crate) fn on_load(cell: usize) {
     let mut st = lock_core();

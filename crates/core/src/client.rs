@@ -116,7 +116,7 @@ impl ClientGroup {
                 collective_seq: AtomicU64::new(0),
                 single_seq: AtomicU64::new(0),
             }),
-            namespace: (*self.namespace.load()).clone(),
+            namespace: self.namespace.read().clone(),
             spmd_bind_seq: AtomicU64::new(0),
             single_bind_seq: AtomicU64::new(0),
         }
@@ -846,9 +846,11 @@ impl<'p> CallBuilder<'p> {
         self.ins.as_ref().map_or(&[], Encoder::as_slice)
     }
 
-    /// The scalar in-arguments one blob per slot, as a servant reads them.
-    fn in_slots(&self) -> OrbResult<Vec<Bytes>> {
-        let mut d = Decoder::new(Bytes::copy_from_slice(self.framed_ins()), ByteOrder::native());
+    /// The scalar in-arguments one blob per slot, as a servant reads them:
+    /// views into the call's one buffer, which this takes without copying.
+    fn take_in_slots(&mut self) -> OrbResult<Vec<Bytes>> {
+        let Some(ins) = self.ins.take() else { return Ok(Vec::new()) };
+        let mut d = Decoder::new(ins.finish(), ByteOrder::native());
         (0..self.nins).map(|_| Ok(d.read_byte_seq_bytes()?)).collect()
     }
 
@@ -996,6 +998,28 @@ impl<'p> CallBuilder<'p> {
             }
         }
 
+        // Collocated direct call: a single object on the same host becomes a
+        // direct call to the servant, bypassing the network transport
+        // (§4.1). Its arguments are sliced out before anything is recorded
+        // for the invocation, so a failure here leaves nothing behind.
+        let collocated = match proxy.obj.kind {
+            ObjectKind::Single { thread }
+                if cfg.local_bypass
+                    && proxy.obj.host == core.host
+                    && self.dargs.is_empty()
+                    && !oneway =>
+            {
+                core.orb
+                    .collocated_servant(proxy.obj.server, thread, proxy.obj.key)
+                    .map(|s| (thread, s))
+            }
+            _ => None,
+        };
+        let collocated = match collocated {
+            Some((thread, servant)) => Some((thread, servant, self.take_in_slots()?)),
+            None => None,
+        };
+
         // The invoke span opens here (closed when the invocation is
         // unregistered) and covers marshal, transfer, dispatch, and reply.
         // Its causal context is derived from the invocation's stable
@@ -1055,54 +1079,41 @@ impl<'p> CallBuilder<'p> {
             core.register(key, state.clone());
         }
 
-        // Collocated direct call: a single object on the same host becomes a
-        // direct call to the servant, bypassing the network transport
-        // (§4.1).
-        if cfg.local_bypass && proxy.obj.host == core.host && self.dargs.is_empty() && !oneway {
-            if let ObjectKind::Single { thread } = proxy.obj.kind {
-                if let Some(servant) =
-                    core.orb.collocated_servant(proxy.obj.server, thread, proxy.obj.key)
-                {
-                    let ctx = ServantCtx {
-                        thread,
-                        nthreads: proxy.obj.nthreads,
-                        client_threads: cthreads,
-                        rts: None,
-                    };
-                    let ins = self.in_slots()?;
-                    let sreq = ServerRequest { op: self.op, ins: &ins, dins: &[], ctx: &ctx };
-                    let reply = match servant.dispatch(sreq) {
-                        Ok(rep) => match rep.raised {
-                            Some(raised) => ReplyMsg {
-                                req_id,
-                                binding: proxy.binding,
-                                status: ReplyStatus::UserException {
-                                    id: raised.id,
-                                    data: raised.data,
-                                },
-                                outs: Vec::new(),
-                                douts: Vec::new(),
-                            },
-                            None => ReplyMsg {
-                                req_id,
-                                binding: proxy.binding,
-                                status: ReplyStatus::Ok,
-                                outs: rep.outs,
-                                douts: Vec::new(),
-                            },
-                        },
-                        Err(msg) => ReplyMsg {
-                            req_id,
-                            binding: proxy.binding,
-                            status: ReplyStatus::Exception(msg),
-                            outs: Vec::new(),
-                            douts: Vec::new(),
-                        },
-                    };
-                    state.absorb(Message::Reply(reply));
-                    return Ok(((state, core.clone()), key));
-                }
-            }
+        if let Some((thread, servant, ins)) = collocated {
+            let ctx = ServantCtx {
+                thread,
+                nthreads: proxy.obj.nthreads,
+                client_threads: cthreads,
+                rts: None,
+            };
+            let sreq = ServerRequest { op: self.op, ins: &ins, dins: &[], ctx: &ctx };
+            let reply = match servant.dispatch(sreq) {
+                Ok(rep) => match rep.raised {
+                    Some(raised) => ReplyMsg {
+                        req_id,
+                        binding: proxy.binding,
+                        status: ReplyStatus::UserException { id: raised.id, data: raised.data },
+                        outs: Vec::new(),
+                        douts: Vec::new(),
+                    },
+                    None => ReplyMsg {
+                        req_id,
+                        binding: proxy.binding,
+                        status: ReplyStatus::Ok,
+                        outs: rep.outs,
+                        douts: Vec::new(),
+                    },
+                },
+                Err(msg) => ReplyMsg {
+                    req_id,
+                    binding: proxy.binding,
+                    status: ReplyStatus::Exception(msg),
+                    outs: Vec::new(),
+                    douts: Vec::new(),
+                },
+            };
+            state.absorb(Message::Reply(reply));
+            return Ok(((state, core.clone()), key));
         }
 
         let endpoints = proxy.endpoints()?;

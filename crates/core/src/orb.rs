@@ -474,7 +474,9 @@ struct Traffic {
     shards: [TrafficShard; TRAFFIC_SHARDS],
 }
 
-/// Shards of [`Traffic`] (threads beyond this many share them).
+/// Shards of [`Traffic`], handed to sending threads round-robin: enough
+/// for the client and adapter threads of a two-host run to have one each
+/// (threads beyond this many share them).
 const TRAFFIC_SHARDS: usize = 8;
 
 #[derive(Default)]

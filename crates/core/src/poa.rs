@@ -121,7 +121,7 @@ impl ServerGroup {
             host: self.host,
             thread,
             nthreads: self.nthreads,
-            namespace: (*self.namespace.load()).clone(),
+            namespace: self.namespace.read().clone(),
             rts,
             inbox,
             servants: IdMap::default(),
@@ -177,9 +177,6 @@ pub(crate) const REPLY_CACHE_BYTES: usize = 16 << 20;
 /// replies each larger than the budget's share stays replayable.
 pub(crate) const REPLY_CACHE_MIN_ENTRIES: usize = 8;
 
-/// Emptied reply-frame lists an adapter keeps for its next replies.
-const SPARE_FRAME_LISTS: usize = 16;
-
 /// At-most-once memory: which invocations this thread has accepted for
 /// dispatch, and the reply frames it sent for them. A retransmitted request
 /// for a known key never reaches the servant again — it either replays the
@@ -211,9 +208,6 @@ pub(crate) struct RecentInvocations {
     /// The (binding, client thread) pairs whose acknowledgement advanced
     /// since the last reply was recorded.
     due: Vec<(BindingId, u32)>,
-    /// Frame lists this thread emptied, kept for its next replies: the
-    /// adapter thread that allocates a list is the one that frees it.
-    spare: Vec<ReplyFrames>,
 }
 
 /// What one client thread of one binding has acknowledged.
@@ -278,16 +272,6 @@ impl RecentInvocations {
             bytes: 0,
             acks: AckTable { threads: IdMap::default(), order: VecDeque::new(), cap },
             due: Vec::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    /// Keep an emptied frame list's room in `spare` for a later reply, up
-    /// to [`SPARE_FRAME_LISTS`] of them.
-    fn recycle(spare: &mut Vec<ReplyFrames>, mut frames: ReplyFrames) {
-        frames.clear();
-        if frames.capacity() > 0 && spare.len() < SPARE_FRAME_LISTS {
-            spare.push(frames);
         }
     }
 
@@ -324,11 +308,8 @@ impl RecentInvocations {
                 self.acks.hold((binding, by), id);
             }
             let added = frame_bytes(&frames);
-            if let Some(old) = slot.replace(frames) {
-                self.bytes -= frame_bytes(&old);
-                Self::recycle(&mut self.spare, old);
-            }
-            self.bytes += added;
+            let replaced = slot.replace(frames).map_or(0, |old| frame_bytes(&old));
+            self.bytes = self.bytes + added - replaced;
         }
         let mut due = std::mem::take(&mut self.due);
         let released: usize =
@@ -372,7 +353,7 @@ impl RecentInvocations {
                 // An emptied list keeps no capacity: up to `cap` entries
                 // outlive their frames as marks.
                 if frames.is_empty() {
-                    Self::recycle(&mut self.spare, std::mem::take(frames));
+                    *frames = Vec::new();
                 }
             }
         }
@@ -400,7 +381,6 @@ impl RecentInvocations {
             self.order.remove(at);
             if let Some(Some(frames)) = self.seen.remove(&old) {
                 self.bytes -= frame_bytes(&frames);
-                Self::recycle(&mut self.spare, frames);
             }
             if pardis_obs::enabled() {
                 pardis_obs::counter("poa.reply_cache_evictions").inc();
@@ -872,14 +852,12 @@ impl Poa {
 
     /// Mark an invocation accepted *before* its servant runs, closing the
     /// window in which a duplicate arriving mid-execution would re-execute.
-    /// Returns a frame list for its reply, with room when one was spare.
-    fn mark_accepted(&self, key: (BindingId, u64)) -> ReplyFrames {
+    fn mark_accepted(&self, key: (BindingId, u64)) {
         self.update_recent(|recent| {
             if recent.accept(key) && pardis_obs::enabled() {
                 pardis_obs::counter("poa.reply_cache_misses").inc();
             }
-            recent.spare.pop().unwrap_or_default()
-        })
+        });
     }
 
     /// Attach the sent reply frames to an accepted invocation so future
@@ -905,7 +883,7 @@ impl Poa {
         ctx: Option<pardis_obs::TraceCtx>,
         active: Option<Active>,
     ) {
-        let sent = self.mark_accepted((req.binding, req.req_id));
+        self.mark_accepted((req.binding, req.req_id));
         // Every dispatch of a funneled binding moves its next id, so a
         // strategy switched back and forth between its calls leaves no gap.
         if req.funneled || self.funneled_next.contains_key(&req.binding) {
@@ -979,7 +957,7 @@ impl Poa {
             self.record_reply((req.binding, req.req_id), Vec::new());
             return;
         }
-        self.send_reply(&req, result, kind, sent);
+        self.send_reply(&req, result, kind);
     }
 
     /// Take the requests whose servants deferred their replies. The server
@@ -993,7 +971,7 @@ impl Poa {
     /// dispatch context the reply travels under).
     pub fn reply_deferred(&self, call: DeferredCall, result: Result<ServerReply, String>) {
         let _ctx_guard = call.ctx.map(pardis_obs::enter_ctx);
-        self.send_reply(&call.req, result, Some(call.kind), Vec::new());
+        self.send_reply(&call.req, result, Some(call.kind));
     }
 
     /// Ship out-fragments and (from the responsible thread) the reply
@@ -1010,14 +988,12 @@ impl Poa {
     /// responsible thread owes each client thread; client threads it owes
     /// no elements get the reply on its own.
     ///
-    /// `kind` is the object's, when this thread has it active; `sent` is
-    /// the list the frames are recorded in.
+    /// `kind` is the object's, when this thread has it active.
     fn send_reply(
         &self,
         req: &RequestMsg,
         result: Result<ServerReply, String>,
         kind: Option<ObjectKind>,
-        mut sent: ReplyFrames,
     ) {
         let m = req.client_threads as usize;
 
@@ -1101,7 +1077,7 @@ impl Poa {
         // At most one frame per (out-argument, client thread), plus the
         // reply control to each client thread.
         let outs = douts.as_ref().map_or(0, Vec::len);
-        sent.reserve_exact((outs + 1) * m);
+        let mut sent: ReplyFrames = Vec::with_capacity((outs + 1) * m);
 
         if let Some(douts) = &douts {
             // Cut each distributed out argument into one frame per client

@@ -4,14 +4,16 @@
 //! that the simulator and the ORB hand out themselves, and the hot paths
 //! look them up several times per frame. SipHash, the standard library's
 //! default, spends more on such a key than the table spends on the probe.
-//! [`IdBuild`] folds each integer word of the key into one multiply-rotate
-//! state and avalanches it once at the end.
+//! [`IdBuild`] folds each integer word of the key into its state with one
+//! full-width multiply, whose high and low halves are xored together, and
+//! avalanches the state once at the end.
 //!
 //! The state starts from a seed drawn once per process from the standard
 //! library's random keys, so iteration order stays as unpredictable from
-//! run to run as with the default hasher, and a peer that cannot read the
-//! seed cannot aim keys at one bucket. Keep the default hasher for keys
-//! made of text from outside the program.
+//! run to run as with the default hasher, and which keys collide depends
+//! on the seed. This is a guard against accidental clustering, not the
+//! keyed hash SipHash is: keep the default hasher for keys made of text
+//! from outside the program.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -45,7 +47,7 @@ impl BuildHasher for IdBuild {
     }
 }
 
-/// Multiply-rotate over the key's integer words, finished with the
+/// A folded multiply over the key's integer words, finished with the
 /// MurmurHash3 avalanche so the table's bucket and tag bits both mix.
 #[derive(Debug, Clone)]
 pub struct IdHasher {
@@ -75,7 +77,12 @@ impl Hasher for IdHasher {
     }
 
     fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Folding the high half back in makes each state bit depend on many
+        // input bits, so a difference in one word is not undone by a chosen
+        // difference in the next (through a plain multiply, a flip of bit 63
+        // flips bit 63 alone).
+        let full = u128::from(self.state ^ v) * 0x9E37_79B9_7F4A_7C15;
+        self.state = (full as u64) ^ (full >> 64) as u64;
     }
 
     fn write_usize(&mut self, v: usize) {

@@ -280,7 +280,7 @@ impl Network {
     pub fn add_host_with_speed(&self, name: &str, speed: f64) -> HostId {
         assert!(speed.is_finite() && speed > 0.0, "host speed must be positive");
         let _guard = self.mutate.lock();
-        let cur = self.topo.load();
+        let cur = self.topo.read();
         assert!(!cur.by_name.contains_key(name), "host {name:?} already registered");
         let mut next = cur.clone_shallow();
         let id = HostId(next.hosts.len() as u32);
@@ -299,7 +299,7 @@ impl Network {
     /// Install a (bidirectional) link between two hosts.
     pub fn connect(&self, a: HostId, b: HostId, link: Link) {
         let _guard = self.mutate.lock();
-        let mut next = self.topo.load().clone_shallow();
+        let mut next = self.topo.read().clone_shallow();
         next.links.insert((a, b), link);
         next.links.insert((b, a), link);
         next.refresh_pairs();
@@ -312,7 +312,7 @@ impl Network {
     /// Panics if either host is unknown.
     pub fn connect_by_name(&self, a: &str, b: &str, link: Link) {
         let (a, b) = {
-            let topo = self.topo.load();
+            let topo = self.topo.read();
             (
                 *topo.by_name.get(a).unwrap_or_else(|| panic!("unknown host {a:?}")),
                 *topo.by_name.get(b).unwrap_or_else(|| panic!("unknown host {b:?}")),
@@ -324,14 +324,14 @@ impl Network {
     /// Set the link used between host pairs that have no explicit link.
     pub fn set_default_link(&self, link: Link) {
         let _guard = self.mutate.lock();
-        let mut next = self.topo.load().clone_shallow();
+        let mut next = self.topo.read().clone_shallow();
         next.default_link = link;
         self.topo.store(next);
     }
 
     /// Look a host up by name.
     pub fn host_by_name(&self, name: &str) -> Option<HostId> {
-        self.topo.load().by_name.get(name).copied()
+        self.topo.read().by_name.get(name).copied()
     }
 
     /// Host metadata.
@@ -339,12 +339,12 @@ impl Network {
     /// # Panics
     /// Panics on an id from a different network.
     pub fn host(&self, id: HostId) -> Host {
-        self.topo.load().hosts[id.0 as usize].clone()
+        self.topo.read().hosts[id.0 as usize].clone()
     }
 
     /// Number of registered hosts.
     pub fn host_count(&self) -> usize {
-        self.topo.load().hosts.len()
+        self.topo.read().hosts.len()
     }
 
     /// The link that a message from `from` to `to` traverses.
@@ -695,7 +695,7 @@ impl Network {
     /// [`Network::shared_segment_usage`]. Only the overlapped engine feeds
     /// these.
     pub fn per_link_usage(&self) -> Vec<((HostId, HostId), LinkUsage)> {
-        let topo = self.topo.load();
+        let topo = self.topo.read();
         let mut out: Vec<_> = topo
             .lanes
             .iter()
@@ -710,7 +710,7 @@ impl Network {
     /// frames serialise here, whatever their host pair), if it carried any
     /// traffic.
     pub fn shared_segment_usage(&self) -> Option<LinkUsage> {
-        let usage = self.topo.load().segment.usage();
+        let usage = self.topo.read().segment.usage();
         (usage.frames > 0).then_some(usage)
     }
 
@@ -803,13 +803,13 @@ impl Network {
 
     /// Relative compute speed of a host's processors.
     pub fn host_speed(&self, id: HostId) -> f64 {
-        self.topo.load().hosts[id.0 as usize].speed
+        self.topo.read().hosts[id.0 as usize].speed
     }
 }
 
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let topo = self.topo.load();
+        let topo = self.topo.read();
         f.debug_struct("Network")
             .field("hosts", &topo.hosts.iter().map(|h| h.name.clone()).collect::<Vec<_>>())
             .field("links", &topo.links.len())

@@ -1,16 +1,16 @@
 //! Lock-free publication of immutable snapshots.
 //!
-//! [`Published<T>`] holds an `Arc<T>` that readers load with a single atomic
-//! RMW and no lock acquisition — the mechanism behind the steady-state
-//! zero-lock guarantee of frame routing ([`crate::Network`]'s topology
-//! snapshot and the ORB's endpoint table). Writers install a whole new
-//! snapshot; readers that raced keep the old one alive through their own
-//! `Arc`.
+//! [`Published<T>`] holds a snapshot that readers borrow with a single
+//! atomic load, no lock acquisition and no reference-count write — the
+//! mechanism behind the steady-state zero-lock guarantee of frame routing
+//! ([`crate::Network`]'s topology snapshot and the ORB's endpoint table).
+//! Writers install a whole new snapshot; readers that raced keep borrowing
+//! the old one, which stays alive.
 //!
 //! Reclamation is deliberately deferred: every snapshot ever stored stays
 //! alive until the `Published` itself drops, which is what makes the
 //! unsynchronised pointer read safe without epochs or hazard pointers.
-//! Memory therefore grows with the number of *stores*, not loads — fine for
+//! Memory therefore grows with the number of *stores*, not reads — fine for
 //! topologies and endpoint tables, which mutate during setup and then go
 //! read-only.
 
@@ -39,19 +39,6 @@ impl<T> Published<T> {
         }
     }
 
-    /// Load the current snapshot without acquiring any lock.
-    pub fn load(&self) -> Arc<T> {
-        pardis_audit::load_published(self as *const _ as *const () as usize);
-        let ptr = self.current.load(Ordering::Acquire);
-        // SAFETY: `ptr` was produced by `Arc::as_ptr` on an `Arc` that `kept`
-        // retains until `self` drops, so the allocation is alive and holds at
-        // least one strong reference for the duration of this call.
-        unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        }
-    }
-
     /// Borrow the current snapshot without acquiring any lock or touching
     /// its reference count: every snapshot lives as long as the
     /// `Published`, so the borrow can last as long as `self`'s. Readers on
@@ -67,8 +54,8 @@ impl<T> Published<T> {
         unsafe { &*ptr }
     }
 
-    /// Install a new snapshot. Readers switch over atomically; in-flight
-    /// loads of the previous snapshot stay valid.
+    /// Install a new snapshot. Readers switch over atomically; borrows of
+    /// the previous snapshot stay valid.
     pub fn store(&self, value: T) {
         let arc = Arc::new(value);
         let ptr = Arc::as_ptr(&arc) as *mut T;
@@ -89,6 +76,6 @@ impl<T> Published<T> {
 
 impl<T: std::fmt::Debug> std::fmt::Debug for Published<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Published").field("current", &self.load()).finish()
+        f.debug_struct("Published").field("current", self.read()).finish()
     }
 }

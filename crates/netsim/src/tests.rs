@@ -527,10 +527,10 @@ mod engine {
     #[test]
     fn published_readers_see_latest_store() {
         let p = Published::new(1u64);
-        assert_eq!(*p.load(), 1);
-        let held = p.load();
+        assert_eq!(*p.read(), 1);
+        let held = p.read();
         p.store(2);
-        assert_eq!(*p.load(), 2);
+        assert_eq!(*p.read(), 2);
         // A reader that loaded before the swap keeps its snapshot.
         assert_eq!(*held, 1);
         assert_eq!(p.generations(), 2);
@@ -781,6 +781,19 @@ fn id_hasher_is_one_seeded_function_per_process_that_separates_ids() {
     for x in 0..64u64 {
         for y in 0..64u64 {
             assert!(seen.insert(a.hash_one((x, y))), "({x}, {y}) collides");
+        }
+    }
+    // No difference in one word is cancelled by a difference in the next:
+    // flipping any bit of the first word and any bit of the second still
+    // changes the hash (so a peer that picks both words cannot pair keys
+    // up without the seed).
+    for (x, y) in [(0u64, 0u64), (7, 1 << 40), (u64::MAX, 12345)] {
+        let base = a.hash_one((x, y));
+        for i in 0..64 {
+            for j in 0..64 {
+                let flipped = (x ^ (1 << i), y ^ (1 << j));
+                assert_ne!(a.hash_one(flipped), base, "bits {i}, {j} of ({x}, {y}) cancel");
+            }
         }
     }
     let mut map: IdMap<(u32, u32), u32> = IdMap::default();

@@ -205,8 +205,8 @@ impl WindowShared {
 
     /// The attached network and the placement of two ranks, if bound.
     pub(crate) fn net_route(&self, from: usize, to: usize) -> Option<(Network, HostId, HostId)> {
-        let bind = self.net.load();
-        bind.as_ref().as_ref().map(|b| (b.net.clone(), b.hosts[from], b.hosts[to]))
+        let bind = self.net.read();
+        bind.as_ref().map(|b| (b.net.clone(), b.hosts[from], b.hosts[to]))
     }
 
     fn lookup(&self, id: WindowId) -> Result<Arc<WindowCell>, RtsError> {
