@@ -16,7 +16,7 @@
 
 use pardis::core::{ClientGroup, DSequence, Distribution, Orb};
 use pardis::generated::solvers::{DirectProxy, IterativeProxy};
-use pardis::netsim::{Network, TimeScale, TransportMode};
+use pardis::netsim::{Network, TimeScale};
 use pardis::rts::{MpiRts, Rts, World};
 use pardis_apps::solvers::{
     compute_difference, gen_system, spawn_combined_server_paced, spawn_direct_server_paced,
@@ -76,8 +76,8 @@ fn run_case(orb: &Orb, host: pardis::netsim::HostId, a: &[Vec<f64>], b: &[f64], 
 
 /// Netsim-level overlap probe: `K` bulk transfers of the N×N matrix payload
 /// HOST_1 → HOST_2 over the ATM link, each followed by an equal slice of
-/// modelled compute. The blocking transport pays the full transfer on the
-/// caller's thread; the overlapped engine pays only the software overhead
+/// modelled compute. A blocking sender waits out the full transfer on its
+/// own thread; an overlapping sender pays only the software overhead
 /// `t_o` while the wire share elapses concurrently with the compute. The
 /// fraction of the modelled transfer time the overlap hides is
 /// `(wall_blocking − wall_overlapped) / (K · t_transfer)`.
@@ -87,8 +87,9 @@ fn overlap_hidden_frac(n: usize, scale: f64) -> f64 {
     }
     const K: u32 = 4;
     let bytes = n * n * 8;
-    let wall = |mode: TransportMode| -> (f64, f64) {
-        let net = Network::paper_atm_testbed_with(TimeScale::new(scale), mode);
+    let wall = |blocking: bool| -> (f64, f64) {
+        let net = Network::paper_atm_testbed(TimeScale::new(scale));
+        let net = if blocking { net.blocking() } else { net };
         let h1 = net.host_by_name("HOST_1").unwrap();
         let h2 = net.host_by_name("HOST_2").unwrap();
         let t = net.transfer_time(h1, h2, bytes).as_secs_f64();
@@ -101,10 +102,10 @@ fn overlap_hidden_frac(n: usize, scale: f64) -> f64 {
         net.quiesce();
         (start.elapsed().as_secs_f64(), t)
     };
-    let (wall_sync, t) = wall(TransportMode::Sync);
-    let (wall_eng, _) = wall(TransportMode::Overlapped);
+    let (wall_blocking, t) = wall(true);
+    let (wall_eng, _) = wall(false);
     let modelled = f64::from(K) * t * scale;
-    ((wall_sync - wall_eng) / modelled).max(0.0)
+    ((wall_blocking - wall_eng) / modelled).max(0.0)
 }
 
 fn main() {
@@ -124,7 +125,7 @@ fn main() {
     let mut direct_series = Vec::new();
     let mut iter_series = Vec::new();
     let mut diff_series = Vec::new();
-    let mut diff_sync_series = Vec::new();
+    let mut blocking_series = Vec::new();
     let mut same_series = Vec::new();
     let mut hidden_series = Vec::new();
 
@@ -156,16 +157,16 @@ fn main() {
             }
         }
 
-        // The same distributed-servers client on the blocking wire
-        // (`TransportMode::Sync`): the sender's thread pays every
+        // The same distributed-servers client with blocking senders
+        // (`Network::blocking`): the sender's thread waits out every
         // transfer in full, so nothing the non-blocking invocation could
         // hide is hidden.
-        let sync_net = Network::paper_atm_testbed_with(TimeScale::new(scale), TransportMode::Sync);
-        let orb = Orb::new(sync_net);
+        let blocking_net = Network::paper_atm_testbed(TimeScale::new(scale)).blocking();
+        let orb = Orb::new(blocking_net);
         let direct = spawn_direct_server_paced(&orb, h1, "direct_solver", DIRECT_THREADS, pace_h1);
         let iterative =
             spawn_iterative_server_paced(&orb, h2, "itrt_solver", ITER_THREADS, pace_h2);
-        diff_sync_series.push(run_case(&orb, h1, &a, &b, Case { direct: true, iterative: true }));
+        blocking_series.push(run_case(&orb, h1, &a, &b, Case { direct: true, iterative: true }));
         direct.shutdown();
         iterative.shutdown();
 
@@ -189,7 +190,7 @@ fn main() {
     println!("{}", row("direct (HOST_1)", &direct_series));
     println!("{}", row("iterative (HOST_2)", &iter_series));
     println!("{}", row("different servers", &diff_series));
-    println!("{}", row("different (blocking)", &diff_sync_series));
+    println!("{}", row("different (blocking)", &blocking_series));
     println!("{}", row("same server (HOST_1)", &same_series));
     println!("{}", row("overlap hidden frac", &hidden_series));
 
@@ -204,7 +205,7 @@ fn main() {
     report.series("direct (HOST_1)", &direct_series);
     report.series("iterative (HOST_2)", &iter_series);
     report.series("different servers", &diff_series);
-    report.series("different servers (blocking)", &diff_sync_series);
+    report.series("different servers (blocking)", &blocking_series);
     report.series("same server (HOST_1)", &same_series);
     report.series("overlap_hidden_frac", &hidden_series);
     match report.write() {

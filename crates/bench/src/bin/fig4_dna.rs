@@ -19,7 +19,7 @@ use pardis::core::{
     ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest, DEFAULT_REPOSITORY,
 };
 use pardis::generated::dna::{DnaDbProxy, ListServerProxy};
-use pardis::netsim::{Link, LinkPreset, Network, TimeScale, TransportMode};
+use pardis::netsim::{Link, LinkPreset, Network, TimeScale};
 use pardis::registry::{BindingPolicy, GroupProxy, RegistryClient, RegistryServer};
 use pardis_apps::dna::{spawn_dna_server, DnaServerConfig, Placement, LIST_NAMES};
 use pardis_bench::util::{env_usize, quick, row, BenchJson};
@@ -92,7 +92,7 @@ fn run_once(p: usize, placement: Placement, rounds: usize) -> f64 {
 fn aggregate_bandwidth_mbps(streams: usize, shared: bool) -> f64 {
     const FRAMES: usize = 16;
     const BYTES: usize = 64 * 1024;
-    let net = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
+    let net = Network::new(TimeScale::off());
     let server = net.add_host("server");
     let link = if shared { LinkPreset::Ethernet10.link() } else { LinkPreset::AtmOc3.link() };
     let clients: Vec<_> = (0..streams)
@@ -142,7 +142,7 @@ impl Servant for FleetWorker {
 /// leaves behind. Pure virtual bookkeeping on free links: the numbers are
 /// bit-stable run to run, so the series gates at the plain tolerance.
 fn fleet_max_load(replicas: usize, queries: usize, policy: BindingPolicy) -> f64 {
-    let net = Network::with_transport(TimeScale::off(), TransportMode::Sync);
+    let net = Network::new(TimeScale::off());
     let ch = net.add_host("client");
     let hreg = net.add_host("registry");
     net.connect(ch, hreg, Link::free());

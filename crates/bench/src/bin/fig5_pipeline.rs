@@ -17,7 +17,7 @@
 //! ```
 
 use pardis::core::Orb;
-use pardis::netsim::{Network, TimeScale, TransportMode};
+use pardis::netsim::{Network, TimeScale};
 use pardis_apps::pipeline::{
     run_diffusion, run_gradient_alone, spawn_gradient_server_paced, spawn_visualizer,
     PipelineConfig,
@@ -37,7 +37,7 @@ fn main() {
     println!("{}", row("processors", &procs.iter().map(|p| *p as f64).collect::<Vec<_>>()));
 
     let mut overall = Vec::new();
-    let mut overall_sync = Vec::new();
+    let mut overall_blocking = Vec::new();
     let mut diffusion = Vec::new();
     let mut gradient = Vec::new();
 
@@ -88,11 +88,11 @@ fn main() {
             }
         }
 
-        // The full metaapplication once more on the blocking wire
-        // (`TransportMode::Sync`): every visualizer/gradient send pays
-        // its transfer on the sender's thread, so the pipeline overlaps
-        // nothing.
-        let net = Network::paper_ethernet_testbed_with(TimeScale::new(scale), TransportMode::Sync);
+        // The full metaapplication once more with blocking senders
+        // (`Network::blocking`): every visualizer/gradient send waits on
+        // the sender's thread for its own arrival, so the pipeline
+        // overlaps nothing.
+        let net = Network::paper_ethernet_testbed(TimeScale::new(scale)).blocking();
         let pc = net.host_by_name("SGI_PC").unwrap();
         let sp2 = net.host_by_name("SP2").unwrap();
         let indy = net.host_by_name("INDY").unwrap();
@@ -109,9 +109,9 @@ fn main() {
             cfg.ny,
             pace,
         );
-        let (t_sync, _) =
+        let (t_blocking, _) =
             run_diffusion(&orb, pc, "vis_diffusion", Some("fops"), &cfg).expect("blocking run");
-        overall_sync.push(t_sync);
+        overall_blocking.push(t_blocking);
         grad.shutdown();
         vis_d.shutdown();
         vis_g.shutdown();
@@ -119,7 +119,7 @@ fn main() {
     }
 
     println!("{}", row("overall", &overall));
-    println!("{}", row("overall (blocking)", &overall_sync));
+    println!("{}", row("overall (blocking)", &overall_blocking));
     println!("{}", row("diffusion (SGI_PC)", &diffusion));
     println!("{}", row("gradient (SP2)", &gradient));
 
@@ -129,7 +129,7 @@ fn main() {
     report.param_bool("protocol_check", pardis::check::env_requested());
     report.columns(&procs.iter().map(|p| *p as f64).collect::<Vec<_>>());
     report.series("overall", &overall);
-    report.series("overall (blocking)", &overall_sync);
+    report.series("overall (blocking)", &overall_blocking);
     report.series("diffusion (SGI_PC)", &diffusion);
     report.series("gradient (SP2)", &gradient);
     match report.write() {

@@ -1367,16 +1367,13 @@ pub(crate) fn wait_complete(
                 }
                 attempt += 1;
                 // The backoff the client just sat out is local time on its
-                // virtual timeline: under the overlapped engine this is what
-                // walks retries out of a timed link-down window (the sync
-                // transport's sum-clock advances on the dropped frames
-                // themselves).
+                // virtual timeline: this is what walks retries out of a
+                // timed link-down window.
                 let wait_t0 = pardis_obs::now_micros();
                 core.orb.network().charge_wait(core.host, waited);
                 if pardis_obs::enabled() {
-                    // Measured on the virtual clock (zero under the sync
-                    // transport, where charge_wait is a no-op): the profiler
-                    // attributes the interval [ts - us, ts] to backoff.
+                    // Measured on the virtual clock: the profiler attributes
+                    // the interval [ts - us, ts] to backoff.
                     let mut args = vec![
                         ("us", pardis_obs::now_micros().saturating_sub(wait_t0).into()),
                         ("attempt", attempt.into()),

@@ -350,17 +350,16 @@ impl Orb {
     /// charged for, with its head, as the storage it is.
     ///
     /// Steady-state this acquires no lock: the endpoint table and the
-    /// network topology are both immutable published snapshots, and under
-    /// the overlapped engine the sender pays only the link's software
-    /// overhead before returning — wire time elapses on the link's own
-    /// timeline ([`Network::transmit`], which under
-    /// [`pardis_netsim::TransportMode::Sync`] charges the whole transfer
-    /// and releases inline instead).
+    /// network topology are both immutable published snapshots, and the
+    /// sender pays only the link's software overhead before returning — wire
+    /// time elapses on the link's own timeline ([`Network::transmit`]; on a
+    /// [`Network::blocking`] network the sender instead waits for the
+    /// frame's arrival and releases it inline).
     ///
     /// The only error is an endpoint the ORB has never heard of. A frame
     /// the network drops, or one whose receiver has gone away, is
     /// indistinguishable from a frame arriving at a dead host: the send
-    /// returns `Ok` in either transport mode, and recovery is the client
+    /// returns `Ok` whether the sender blocks or not, and recovery is the client
     /// pump's job.
     pub(crate) fn send_wire(&self, from_host: HostId, to: EndpointId, wire: Wire) -> OrbResult<()> {
         // Hazard hook: any audited lock still held here is held across the

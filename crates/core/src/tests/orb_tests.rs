@@ -383,24 +383,29 @@ fn network_delay_is_charged_between_hosts() {
 }
 
 /// A send to an endpoint whose receiver has gone away is a drop, not an
-/// error, under either transport; an endpoint never registered is one.
+/// error, whether the sender blocks or not; an endpoint never registered is
+/// one.
 #[test]
 fn send_to_vanished_receiver_is_a_drop_in_both_modes() {
     use crate::protocol::Message;
-    use pardis_netsim::{Network, TimeScale, TransportMode};
-    for mode in [TransportMode::Sync, TransportMode::Overlapped] {
-        let net = Network::with_transport(TimeScale::off(), mode);
+    use pardis_netsim::{Network, TimeScale};
+    for blocking in [true, false] {
+        let net = Network::new(TimeScale::off());
+        let net = if blocking { net.blocking() } else { net };
         let host = net.add_host("h");
         let orb = Orb::new(net);
         let (ep, rx) = orb.register_endpoint(host);
         orb.send(host, ep, &Message::Close).unwrap();
-        assert!(rx.try_recv().is_ok(), "{mode:?}: delivered");
+        assert!(rx.try_recv().is_ok(), "blocking {blocking}: delivered");
         drop(rx);
-        assert!(orb.send(host, ep, &Message::Close).is_ok(), "{mode:?}: vanished receiver");
+        assert!(
+            orb.send(host, ep, &Message::Close).is_ok(),
+            "blocking {blocking}: vanished receiver"
+        );
         orb.unregister_endpoint(ep);
         assert!(
             matches!(orb.send(host, ep, &Message::Close), Err(OrbError::Disconnected)),
-            "{mode:?}: unknown endpoint"
+            "blocking {blocking}: unknown endpoint"
         );
     }
 }

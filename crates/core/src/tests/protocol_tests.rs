@@ -301,3 +301,87 @@ fn orb_message_tags_are_inside_the_reserved_range() {
     }
     assert_eq!(ORB_REDIST, pardis_rts::tags::PARDIS_BASE | 0x5344);
 }
+
+/// The frames a receiver's decoder meets at the head/body seam, each as the
+/// sender built it: a request, a reply, a fragment whose payload travels as
+/// its body, and a batch envelope whose last sub-frame is that fragment.
+fn seam_frames() -> [(&'static str, Wire); 4] {
+    let frag = FragmentMsg {
+        req_id: 5,
+        binding: BindingId(6),
+        arg: 2,
+        dir: ArgDir::In,
+        start: 128,
+        count: 25,
+        dst_thread: 3,
+        src_thread: 1,
+        data: Bytes::new(),
+    };
+    let body = Bytes::from((0..200u8).collect::<Vec<u8>>());
+    let fragment =
+        |rider| frame_fragment(&frag, rider, 7, Payload::<fn(&mut Encoder)>::Body(body.clone()));
+    let request = Message::Request(sample_request()).encode();
+    let reply = sample_messages().swap_remove(1).encode();
+    [
+        ("request", request.clone().into()),
+        ("reply", reply.into()),
+        ("fragment", fragment(None)),
+        ("batch", fragment(Some(&request))),
+    ]
+}
+
+/// `frame` re-cut at `cut` into a head and a body, the body's storage one
+/// byte off an aligned address when `misalign` is set.
+fn split_at(frame: &[u8], cut: usize, misalign: bool) -> Wire {
+    let mut storage = vec![0u8; usize::from(misalign)];
+    storage.extend_from_slice(&frame[cut..]);
+    let body = Bytes::from(storage).slice(usize::from(misalign)..);
+    Wire { head: Bytes::copy_from_slice(&frame[..cut]), body }
+}
+
+/// Every seam of every frame, aligned and not: the decoder returns a value
+/// or a typed error, and the sender's own seam gives back the message.
+#[test]
+fn decode_traced_survives_every_head_body_seam() {
+    for (kind, wire) in seam_frames() {
+        let frame = wire.to_bytes();
+        let expected = Message::decode_traced(&wire).unwrap();
+        for cut in 0..=frame.len() {
+            for misalign in [false, true] {
+                let got = Message::decode_traced(&split_at(&frame, cut, misalign));
+                if cut == wire.head.len() {
+                    assert_eq!(got.as_ref(), Ok(&expected), "{kind} at its own seam");
+                }
+            }
+        }
+    }
+}
+
+mod seam_fuzz {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// Each case corrupts one byte of every seam frame (an `xor` of 0
+        /// leaves it intact), cuts it into a head and a body at any byte
+        /// and may misalign the body: decoding returns `Ok` or a typed
+        /// `CdrError`, and a panic fails the case. 10 000 cases per kind.
+        #[test]
+        fn decode_traced_never_panics_across_the_seam(
+            cut in any::<usize>(),
+            pos in any::<usize>(),
+            xor in any::<u8>(),
+            misalign in any::<bool>(),
+        ) {
+            for (_, wire) in seam_frames() {
+                let mut frame = wire.to_bytes().to_vec();
+                let at = pos % frame.len();
+                frame[at] ^= xor;
+                let wire = split_at(&frame, cut % (frame.len() + 1), misalign);
+                let _: Result<_, pardis_cdr::CdrError> = Message::decode_traced(&wire);
+            }
+        }
+    }
+}

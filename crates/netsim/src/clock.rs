@@ -1,25 +1,14 @@
-//! Clock handling: time scaling for real-time injection and a virtual clock
-//! for deterministic tests.
+//! Clock handling: time scaling for real-time injection and the network's
+//! virtual clock.
 //!
 //! Both clocks store their `f64` readings as bit patterns in atomics, so the
 //! transport hot path (every frame reads the scale and advances the virtual
 //! clock) acquires no lock.
 
+use crate::engine::f64_update;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// CAS-update an `f64` stored as bits; returns the new value.
-fn f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) -> f64 {
-    let mut cur = cell.load(Ordering::Acquire);
-    loop {
-        let new = f(f64::from_bits(cur));
-        match cell.compare_exchange_weak(cur, new.to_bits(), Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return new,
-            Err(actual) => cur = actual,
-        }
-    }
-}
 
 /// A global multiplier applied to every modelled delay before sleeping.
 ///
@@ -74,12 +63,10 @@ impl Default for TimeScale {
     }
 }
 
-/// A monotone virtual clock accumulating modelled seconds.
-///
-/// Under the synchronous transport the clock is the *sum* of all modelled
-/// transfer times ([`VirtualClock::advance`] per frame); under the
-/// event-driven engine it is the *makespan* — the latest arrival on any
-/// link timeline ([`VirtualClock::advance_to`] per frame).
+/// The network's virtual clock: the *makespan* in modelled seconds, the
+/// latest arrival on any link timeline ([`VirtualClock::advance_to`] per
+/// frame). On a serial workload, where each transfer waits for the one
+/// before it, that is the sum of the transfers.
 ///
 /// Thread-safe and lock-free; cloning shares the underlying counter.
 #[derive(Debug, Clone, Default)]
@@ -93,16 +80,11 @@ impl VirtualClock {
         Self::default()
     }
 
-    /// Advance the clock by a modelled duration and return the new reading.
-    pub fn advance(&self, by: Duration) -> f64 {
-        f64_update(&self.bits, |s| s + by.as_secs_f64())
-    }
-
     /// Advance the clock to at least `to` seconds (used to merge parallel
     /// transfer timelines: the completion time of concurrent transfers is
     /// their max, not their sum).
     pub fn advance_to(&self, to: f64) -> f64 {
-        f64_update(&self.bits, |s| s.max(to))
+        f64_update(&self.bits, |s| s.max(to)).1
     }
 
     /// Current reading in modelled seconds.

@@ -1,9 +1,7 @@
-//! Event-driven per-link transmit engine.
+//! Event-driven per-link transmit engine: the one way a frame crosses the
+//! simulated network.
 //!
-//! The synchronous transport ([`crate::Network::charge`]) makes the sender's
-//! thread pay the whole modelled transfer — latency, serialization, software
-//! overhead — before the frame moves, so N outstanding frames cost N full
-//! transfer times even on a dedicated link. The engine splits a send in two:
+//! A send is split in two:
 //!
 //! * the **sender** synchronously pays only the software overhead `t_o`
 //!   (figure 2's sender-side cost term), then continues computing;
@@ -19,34 +17,25 @@
 //! destination in `(arrival, seq)` order — inline when no real time is
 //! injected, via the [`Scheduler`]'s timer thread when it is.
 //!
+//! A blocking sender (the paper's client that does not overlap,
+//! [`crate::Network::blocking`]) is this engine plus a wait: the frame
+//! takes its lane slot as above, then the sender's time moves to the
+//! frame's arrival and its thread sleeps through the queueing and the whole
+//! transfer before releasing the frame itself.
+//!
 //! All lane state is plain atomics (CAS loops over `f64` bit patterns), so a
 //! steady-state send acquires no lock.
 
 use crate::Link;
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the network accounts and delivers frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportMode {
-    /// The event-driven engine: senders pay `t_o`, wire time lands on
-    /// per-link queues, transfers on dedicated links overlap. The default.
-    #[default]
-    Overlapped,
-    /// The legacy synchronous path: the sender's thread pays the full
-    /// modelled transfer and the virtual clock sums every transfer. Chosen
-    /// explicitly ([`crate::Network::with_transport`]) by the paper's
-    /// "(blocking)" series; accounting is bit-for-bit identical to the
-    /// pre-engine simulator.
-    Sync,
-}
-
 /// Update an `f64` stored as bits in an `AtomicU64`; returns `(old, new)`.
-fn f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) -> (f64, f64) {
+pub(crate) fn f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) -> (f64, f64) {
     let mut cur = cell.load(Ordering::Acquire);
     loop {
         let old = f64::from_bits(cur);
@@ -294,18 +283,18 @@ impl Scheduler {
     fn run(self: Arc<Self>) {
         loop {
             let mut st = self.state.lock();
+            let now = Instant::now();
+            let due = st.heap.peek_mut().filter(|next| next.due <= now).map(PeekMut::pop);
+            if let Some(entry) = due {
+                drop(st);
+                (entry.release)();
+                self.state.lock().inflight -= 1;
+                self.cv.notify_all();
+                continue;
+            }
             match st.heap.peek() {
-                Some(next) if next.due <= Instant::now() => {
-                    let entry = st.heap.pop().expect("peeked entry");
-                    drop(st);
-                    (entry.release)();
-                    let mut st = self.state.lock();
-                    st.inflight -= 1;
-                    drop(st);
-                    self.cv.notify_all();
-                }
                 Some(next) => {
-                    let wait = next.due.saturating_duration_since(Instant::now());
+                    let wait = next.due.saturating_duration_since(now);
                     self.cv.wait_for(&mut st, wait);
                 }
                 None => {

@@ -155,46 +155,36 @@ impl FaultPlan {
     /// Inverse of [`FaultPlan::encode`]. Validates magic, version, and that
     /// the probabilities are probabilities.
     pub fn decode(data: &[u8]) -> Result<FaultPlan, String> {
-        fn take<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-            if data.len() < n {
-                return Err(format!("fault plan truncated: need {n} bytes, have {}", data.len()));
-            }
-            let (head, tail) = data.split_at(n);
+        fn take<const N: usize>(data: &mut &[u8]) -> Result<[u8; N], String> {
+            let Some((head, tail)) = data.split_first_chunk::<N>() else {
+                return Err(format!("fault plan truncated: need {N} bytes, have {}", data.len()));
+            };
             *data = tail;
-            Ok(head)
-        }
-        fn u32_of(b: &[u8]) -> u32 {
-            u32::from_le_bytes(b.try_into().expect("4 bytes"))
-        }
-        fn u64_of(b: &[u8]) -> u64 {
-            u64::from_le_bytes(b.try_into().expect("8 bytes"))
-        }
-        fn f64_of(b: &[u8]) -> f64 {
-            f64::from_le_bytes(b.try_into().expect("8 bytes"))
+            Ok(*head)
         }
 
         let mut d = data;
-        if take(&mut d, 4)? != ENC_MAGIC {
+        if take::<4>(&mut d)? != ENC_MAGIC {
             return Err("not a fault plan (bad magic)".into());
         }
-        let version = take(&mut d, 1)?[0];
+        let [version] = take::<1>(&mut d)?;
         if version != ENC_VERSION {
             return Err(format!("fault plan version {version}, expected {ENC_VERSION}"));
         }
-        let seed = u64_of(take(&mut d, 8)?);
-        let drop_p = f64_of(take(&mut d, 8)?);
-        let dup_p = f64_of(take(&mut d, 8)?);
+        let seed = u64::from_le_bytes(take(&mut d)?);
+        let drop_p = f64::from_le_bytes(take(&mut d)?);
+        let dup_p = f64::from_le_bytes(take(&mut d)?);
         for (name, p) in [("drop", drop_p), ("dup", dup_p)] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} probability {p} out of [0, 1]"));
             }
         }
-        let burst_len = u32_of(take(&mut d, 4)?);
-        let n = u32_of(take(&mut d, 4)?) as usize;
+        let burst_len = u32::from_le_bytes(take(&mut d)?);
+        let n = u32::from_le_bytes(take(&mut d)?) as usize;
         let mut down = Vec::with_capacity(n.min(1 << 10));
         for _ in 0..n {
-            let a = f64_of(take(&mut d, 8)?);
-            let b = f64_of(take(&mut d, 8)?);
+            let a = f64::from_le_bytes(take(&mut d)?);
+            let b = f64::from_le_bytes(take(&mut d)?);
             if !(a.is_finite() && b.is_finite() && a >= 0.0 && b > a) {
                 return Err(format!("malformed down window [{a}, {b})"));
             }

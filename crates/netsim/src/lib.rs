@@ -14,23 +14,27 @@
 //! which is the classic alpha/beta (Hockney) model. Transfers inside one host
 //! use the host's loopback link (typically near-zero cost).
 //!
-//! The simulator supports two clock modes:
+//! Every frame crosses the network through one event-driven engine
+//! ([`Network::transmit`]): the sender pays the link's software overhead,
+//! the wire time lands on a per-link timeline, and the network's
+//! [`VirtualClock`] reads the makespan — the latest arrival on any link.
+//! Two things layer on that engine:
 //!
-//! * **Scaled real time** ([`Network::charge`]): the caller is put to sleep for
-//!   the modelled duration multiplied by a global [`TimeScale`]. This is what
-//!   the figure-reproduction harnesses use — real computation runs at full
-//!   speed while communication costs are injected at a scale that keeps a
-//!   whole parameter sweep under a minute.
-//! * **Virtual time** ([`Network::charge_virtual`]): no sleeping; the modelled
-//!   cost is accumulated on a per-host virtual clock. Deterministic, used by
-//!   unit tests of the cost model itself.
+//! * **Scaled real time**: a [`TimeScale`] above zero sleeps each modelled
+//!   delay times the scale, so real computation runs at full speed while
+//!   communication costs are injected at a rate that keeps a whole parameter
+//!   sweep under a minute. [`TimeScale::off`] injects nothing and leaves pure
+//!   virtual accounting, deterministic for tests.
+//! * **Blocking senders** ([`Network::blocking`]): the paper's client that
+//!   does not overlap. A blocking send is an engine send whose sender then
+//!   waits for the frame's own arrival, so it never overlaps its own
+//!   transfers.
 //!
-//! A third mode layers **deterministic fault injection** on either clock: a
-//! seeded [`FaultPlan`] (drop probability, duplication, burst loss, timed
-//! link-down windows) attaches per link or network-wide, and
-//! [`Network::deliver`] returns a [`Verdict`] the transport must honour
-//! instead of assuming every frame arrives. Without a plan installed,
-//! `deliver` is bit-identical to [`Network::charge`].
+//! **Deterministic fault injection** works under either: a seeded
+//! [`FaultPlan`] (drop probability, duplication, burst loss, timed
+//! link-down windows) attaches per link or network-wide, and `transmit`
+//! returns a [`Verdict`] the transport must honour instead of assuming
+//! every frame arrives. Without a plan installed every frame is delivered.
 
 mod clock;
 mod engine;
@@ -41,7 +45,7 @@ mod network;
 mod publish;
 
 pub use clock::{TimeScale, VirtualClock};
-pub use engine::{LinkUsage, TransportMode};
+pub use engine::LinkUsage;
 pub use fault::{FaultPlan, FaultStats, Verdict};
 pub use idhash::{IdBuild, IdHasher, IdMap, IdSet};
 pub use link::{Link, LinkPreset};

@@ -1,6 +1,6 @@
 //! Host registry, delay injection, and the transmit engine front-end.
 
-use crate::engine::{Lane, LinkUsage, LocalClock, Scheduler, Slot, TransportMode};
+use crate::engine::{Lane, LinkUsage, LocalClock, Scheduler, Slot};
 use crate::fault::{FaultState, FrameFate};
 use crate::idhash::{IdMap, IdSet};
 use crate::publish::Published;
@@ -44,17 +44,13 @@ pub struct Host {
 
 /// Immutable routing snapshot: hosts, links, and the per-pair transmit
 /// state. Published through [`Published`], so the per-frame lookup in
-/// [`Network::charge`] / [`Network::transmit`] acquires no lock — mutation
+/// [`Network::transmit`] acquires no lock — mutation
 /// (host/link registration) builds a fresh snapshot and swaps it in.
 struct Topology {
     hosts: Vec<Host>,
     by_name: HashMap<String, HostId>,
     links: IdMap<(HostId, HostId), Link>,
     default_link: Link,
-    /// One wire-guard per unordered host pair, taken while a transfer over
-    /// a shared-medium link sleeps in scaled real time. Precomputed here at
-    /// registration, so taking it never touches the registry.
-    media: IdMap<(HostId, HostId), Arc<Mutex<()>>>,
     /// Per-directed-pair engine lanes (loopback pairs included). Shared
     /// across snapshot generations so timeline state survives topology
     /// changes.
@@ -76,7 +72,6 @@ impl Topology {
             by_name: HashMap::new(),
             links: IdMap::default(),
             default_link,
-            media: IdMap::default(),
             lanes: IdMap::default(),
             segment: Arc::default(),
             locals: IdMap::default(),
@@ -89,22 +84,18 @@ impl Topology {
             by_name: self.by_name.clone(),
             links: self.links.clone(),
             default_link: self.default_link,
-            media: self.media.clone(),
             lanes: self.lanes.clone(),
             segment: self.segment.clone(),
             locals: self.locals.clone(),
         }
     }
 
-    /// Ensure every host pair has its medium guard and engine lanes.
+    /// Ensure every host has its local clock and every host pair its lane.
     fn refresh_pairs(&mut self) {
         for a in 0..self.hosts.len() as u32 {
             self.locals.entry(HostId(a)).or_default();
             for b in 0..self.hosts.len() as u32 {
                 self.lanes.entry((HostId(a), HostId(b))).or_default();
-                if a <= b {
-                    self.media.entry((HostId(a), HostId(b))).or_default();
-                }
             }
         }
     }
@@ -114,11 +105,6 @@ impl Topology {
             return self.hosts[from.0 as usize].loopback;
         }
         self.links.get(&(from, to)).copied().unwrap_or(self.default_link)
-    }
-
-    fn medium(&self, a: HostId, b: HostId) -> Arc<Mutex<()>> {
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        self.media[&key].clone()
     }
 
     fn lane(&self, from: HostId, to: HostId, link: &Link) -> &Arc<Lane> {
@@ -171,12 +157,13 @@ pub struct Network {
     topo: Arc<Published<Topology>>,
     /// Serialises topology mutations (read-modify-publish).
     mutate: Arc<Mutex<()>>,
-    mode: TransportMode,
+    /// Senders wait for their own frame's arrival ([`Network::blocking`]).
+    blocking: bool,
     sched: Arc<Scheduler>,
     scale: TimeScale,
     clock: VirtualClock,
-    /// Fast gate: false means no plan anywhere and [`Network::deliver`] is
-    /// exactly [`Network::charge`] plus one relaxed load.
+    /// Fast gate: false means no plan anywhere, and a send pays one
+    /// relaxed load for the fault layer.
     faults_on: Arc<AtomicBool>,
     faults: Arc<Mutex<Faults>>,
     /// Fast gate for the host-down check, mirroring `faults_on`: false
@@ -199,18 +186,13 @@ impl Default for Network {
 
 impl Network {
     /// Create an empty network with the given time scale for delay
-    /// injection, on the event-driven overlapped engine.
+    /// injection. Senders overlap their transfers unless the network is
+    /// made [`Network::blocking`].
     pub fn new(scale: TimeScale) -> Self {
-        Self::with_transport(scale, TransportMode::Overlapped)
-    }
-
-    /// Create an empty network with an explicit transport mode
-    /// ([`TransportMode::Sync`] for the paper's blocking accounting).
-    pub fn with_transport(scale: TimeScale, mode: TransportMode) -> Self {
         Network {
             topo: Arc::new(Published::new(Topology::empty(LinkPreset::Ethernet10.link()))),
             mutate: Arc::new(Mutex::new(())),
-            mode,
+            blocking: false,
             sched: Arc::new(Scheduler::default()),
             scale,
             clock: VirtualClock::new(),
@@ -230,12 +212,7 @@ impl Network {
     /// processors) and `HOST_2` (10-node SGI PowerChallenge, faster
     /// processors) joined by a dedicated ATM OC-3 link.
     pub fn paper_atm_testbed(scale: TimeScale) -> Self {
-        Self::paper_atm_testbed_with(scale, TransportMode::Overlapped)
-    }
-
-    /// [`Network::paper_atm_testbed`] with an explicit transport mode.
-    pub fn paper_atm_testbed_with(scale: TimeScale, mode: TransportMode) -> Self {
-        let net = Network::with_transport(scale, mode);
+        let net = Network::new(scale);
         net.add_host_with_speed("HOST_1", 1.0);
         net.add_host_with_speed("HOST_2", 1.8);
         net.connect_by_name("HOST_1", "HOST_2", LinkPreset::AtmOc3.link());
@@ -246,12 +223,7 @@ impl Network {
     /// and the IBM SP/2 (gradient), communicating over Ethernet; an SGI Indy
     /// workstation runs the gradient's visualizer.
     pub fn paper_ethernet_testbed(scale: TimeScale) -> Self {
-        Self::paper_ethernet_testbed_with(scale, TransportMode::Overlapped)
-    }
-
-    /// [`Network::paper_ethernet_testbed`] with an explicit transport mode.
-    pub fn paper_ethernet_testbed_with(scale: TimeScale, mode: TransportMode) -> Self {
-        let net = Network::with_transport(scale, mode);
+        let net = Network::new(scale);
         net.add_host_with_speed("SGI_PC", 1.0);
         net.add_host_with_speed("SP2", 1.1);
         net.add_host_with_speed("INDY", 0.6);
@@ -262,9 +234,16 @@ impl Network {
         net
     }
 
-    /// How this network accounts and delivers frames.
-    pub fn transport_mode(&self) -> TransportMode {
-        self.mode
+    /// Make every sender on this handle block: a send takes its lane slot
+    /// exactly as on the overlapping engine, then the sender's time moves to
+    /// the frame's arrival and its thread sleeps through the queueing and
+    /// the whole transfer before releasing the frame itself. This is the
+    /// paper's client that does not overlap. A serial workload's clock is
+    /// still the sum of its transfers; concurrent blocking senders still
+    /// overlap each other, so their clock is the makespan.
+    pub fn blocking(mut self) -> Self {
+        self.blocking = true;
+        self
     }
 
     /// Register a host with baseline speed.
@@ -355,28 +334,6 @@ impl Network {
     /// Modelled duration of moving `bytes` from `from` to `to`.
     pub fn transfer_time(&self, from: HostId, to: HostId, bytes: usize) -> Duration {
         self.link_between(from, to).transfer_time(bytes)
-    }
-
-    /// Charge a transfer in scaled real time: sleeps for the modelled
-    /// duration times the network's [`TimeScale`], and also accumulates the
-    /// full modelled duration on the virtual clock. On a shared-medium link
-    /// (classic Ethernet) concurrent transfers over the same host pair
-    /// serialise. Returns the modelled duration.
-    ///
-    /// This is the synchronous accounting path — the sender's thread pays
-    /// everything. [`Network::transmit`] is the overlapped engine.
-    pub fn charge(&self, from: HostId, to: HostId, bytes: usize) -> Duration {
-        let topo = self.topo.read();
-        let link = topo.link_between(from, to);
-        let t = link.transfer_time(bytes);
-        self.clock.advance(t);
-        let injected = self.scale.apply(t);
-        if !injected.is_zero() {
-            let guard = link.shared.then(|| topo.medium(from, to));
-            let _held = guard.as_ref().map(|m| m.lock());
-            std::thread::sleep(injected);
-        }
-        t
     }
 
     /// Install (or clear) a network-wide fault plan. It governs every
@@ -500,65 +457,20 @@ impl Network {
         };
     }
 
-    /// Charge a transfer and decide its fate under the installed fault
-    /// plans. With no plan installed this is [`Network::charge`] plus one
-    /// atomic load — the lossless behaviour (costs, clock, verdicts) is
-    /// bit-identical to the fault-free simulator.
-    ///
-    /// A [`Verdict::Dropped`] frame still pays its transfer cost (it went
-    /// onto the wire and died there); a [`Verdict::Duplicated`] frame pays
-    /// twice, once per copy.
-    pub fn deliver(&self, from: HostId, to: HostId, bytes: usize) -> Verdict {
-        self.charge(from, to, bytes);
-        // A killed host eats the frame before any plan is consulted (and
-        // without consuming the plan's seeded sequence) — the frame paid its
-        // wire cost and died at the dead interface.
-        if self.crosses_down_host(from, to) {
-            self.account(FrameFate::DroppedDown);
-            if pardis_obs::enabled() {
-                self.trace_transit_sync(from, to, bytes, FrameFate::DroppedDown.label());
-            }
-            return Verdict::Dropped;
-        }
-        if !self.faults_on.load(Ordering::Acquire) {
-            if pardis_obs::enabled() {
-                self.trace_transit_sync(from, to, bytes, "delivered");
-            }
-            return Verdict::Delivered;
-        }
-        let fate =
-            self.faults.lock().fate(from, to, self.clock.now()).unwrap_or(FrameFate::Delivered);
-        self.account(fate);
-        if pardis_obs::enabled() {
-            // Traced before the duplicate's extra charge so the timing
-            // describes the original copy.
-            self.trace_transit_sync(from, to, bytes, fate.label());
-        }
-        if fate == FrameFate::Duplicated {
-            // The duplicate copy also traverses the wire.
-            self.charge(from, to, bytes);
-        }
-        fate.verdict()
-    }
-
     /// Send a frame through the event-driven transmit engine: the caller
     /// pays only the link's software overhead `t_o` (in scaled real time);
     /// wire latency and serialization are accounted on the per-directed-link
-    /// lane (overlapping on dedicated links, queue-ordered on shared media),
+    /// lane (overlapping on dedicated links, queue-ordered on a shared medium),
     /// and `release` runs once per arriving copy — inline when no real time
     /// is injected, from the engine's timer thread otherwise, in
-    /// `(arrival, seq)` order.
+    /// `(arrival, seq)` order. On a [`Network::blocking`] network the caller
+    /// instead waits for the frame's arrival and runs `release` itself.
     ///
-    /// The fault verdict is drawn from the same seeded per-link schedule as
-    /// [`Network::deliver`], at enqueue time, so chaos runs replay
-    /// identically in either transport mode. A dropped frame still occupies
-    /// the wire; a duplicated frame occupies it twice and `release` runs
-    /// twice. The virtual clock advances to the frame's arrival (makespan
-    /// semantics).
-    ///
-    /// In [`TransportMode::Sync`] this degrades to [`Network::deliver`] plus
-    /// inline `release` calls — the legacy synchronous accounting,
-    /// bit-for-bit.
+    /// The fault verdict is drawn from a seeded per-link schedule at enqueue
+    /// time, with down windows judged at the frame's modelled arrival. A
+    /// dropped frame still occupies the wire; a duplicated frame occupies it
+    /// twice and `release` runs twice. The virtual clock advances to the
+    /// frame's arrival (makespan semantics).
     pub fn transmit(
         &self,
         from: HostId,
@@ -566,34 +478,21 @@ impl Network {
         bytes: usize,
         release: impl Fn() + Send + Sync + 'static,
     ) -> Verdict {
-        if self.mode == TransportMode::Sync {
-            let verdict = self.deliver(from, to, bytes);
-            match verdict {
-                Verdict::Delivered => release(),
-                Verdict::Duplicated => {
-                    release();
-                    release();
-                }
-                Verdict::Dropped => {}
-            }
-            return verdict;
-        }
-
         let topo = self.topo.read();
         let link = topo.link_between(from, to);
         let lane = topo.lane(from, to, &link);
         // The sender's local time floors the departure (a reply cannot leave
         // before its request arrived) and advances by `t_o` — the sender-side
         // share of the transfer.
-        let base = topo.locals[&from].begin_send(link.overhead_s);
+        let sender = &topo.locals[&from];
+        let base = sender.begin_send(link.overhead_s);
         let slot = lane.reserve(&link, bytes, base);
         topo.locals[&to].observe(slot.arrival);
         self.clock.advance_to(slot.arrival);
 
         // Enqueue-time verdict: down windows are judged at the frame's
         // modelled arrival; drop/duplicate come from the per-lane seeded
-        // sequence — identical to the synchronous schedule. A killed host
-        // pre-empts both, plan or no plan.
+        // sequence. A killed host pre-empts both, plan or no plan.
         let fate = if self.crosses_down_host(from, to) {
             self.account(FrameFate::DroppedDown);
             FrameFate::DroppedDown
@@ -626,10 +525,15 @@ impl Network {
             );
         }
 
-        // The sender's synchronous share: the software overhead only.
-        let overhead = self.scale.apply(Duration::from_secs_f64(link.overhead_s));
-        if !overhead.is_zero() {
-            std::thread::sleep(overhead);
+        if self.blocking {
+            // Wait for the frame's own arrival (the later copy's, if
+            // duplicated): queueing plus the whole transfer.
+            let arrival = dup_slot.unwrap_or(slot).arrival;
+            sender.observe(arrival);
+            self.sleep_scaled(arrival - base);
+        } else {
+            // The sender's synchronous share: the software overhead only.
+            self.sleep_scaled(link.overhead_s);
         }
         match (fate, dup_slot) {
             (FrameFate::Delivered, _) => self.dispatch(lane, &link, slot, release),
@@ -645,10 +549,11 @@ impl Network {
     }
 
     /// Hand one arriving copy to its release hook: inline under pure
-    /// virtual accounting, through the timer thread when real time is
-    /// injected (the wire share of the transfer, `t - t_o`, elapses off the
-    /// sender's thread — that is the overlap). Only a hook that waits for
-    /// the timer is boxed.
+    /// virtual accounting or for a blocking sender (which has already
+    /// waited for the arrival), through the timer thread otherwise (the
+    /// wire share of the transfer, `t - t_o`, elapses off the sender's
+    /// thread — that is the overlap). Only a hook that waits for the timer
+    /// is boxed.
     fn dispatch(
         &self,
         lane: &Lane,
@@ -657,16 +562,24 @@ impl Network {
         release: impl Fn() + Send + Sync + 'static,
     ) {
         let wire = self.scale.apply(Duration::from_secs_f64((slot.t - link.overhead_s).max(0.0)));
-        if wire.is_zero() {
+        if self.blocking || wire.is_zero() {
             release();
         } else {
             self.sched.enqueue(lane, Instant::now() + wire, slot.arrival, Arc::new(release));
         }
     }
 
+    /// Sleep the calling thread for `modelled_s` seconds times the scale.
+    fn sleep_scaled(&self, modelled_s: f64) {
+        let d = self.scale.apply(Duration::from_secs_f64(modelled_s));
+        if !d.is_zero() {
+            std::thread::sleep(d);
+        }
+    }
+
     /// Block until every frame the engine scheduled for timed release has
-    /// been handed over (no-op under pure virtual accounting or in
-    /// [`TransportMode::Sync`]).
+    /// been handed over (no-op under pure virtual accounting or on a
+    /// [`Network::blocking`] network).
     pub fn quiesce(&self) {
         self.sched.quiesce();
     }
@@ -674,13 +587,8 @@ impl Network {
     /// Charge local (non-network) time on one host's virtual timeline —
     /// waiting or computing that delays its next send. The reliability
     /// layer charges its retransmission backoff here so retries walk the
-    /// virtual clock out of a timed link-down window under the engine, the
-    /// same way the synchronous transport's sum-clock does implicitly.
-    /// No-op in [`TransportMode::Sync`].
+    /// virtual clock out of a timed link-down window.
     pub fn charge_wait(&self, host: HostId, d: Duration) {
-        if self.mode == TransportMode::Sync {
-            return;
-        }
         let local_now = self.topo.read().locals[&host].advance(d.as_secs_f64());
         // Fold the host's new floor into the global reading eagerly. The
         // engine would do the same fold lazily at the host's next send; doing
@@ -692,8 +600,7 @@ impl Network {
     /// Per-directed-link engine usage (frames, bytes, busy time, timeline
     /// end) for every dedicated lane that carried traffic, sorted by
     /// `(from, to)`. Shared-medium traffic is reported by
-    /// [`Network::shared_segment_usage`]. Only the overlapped engine feeds
-    /// these.
+    /// [`Network::shared_segment_usage`].
     pub fn per_link_usage(&self) -> Vec<((HostId, HostId), LinkUsage)> {
         let topo = self.topo.read();
         let mut out: Vec<_> = topo
@@ -714,10 +621,8 @@ impl Network {
         (usage.frames > 0).then_some(usage)
     }
 
-    /// The network makespan in modelled seconds: under the overlapped
-    /// engine the virtual clock tracks the latest arrival on any link
-    /// timeline (under [`TransportMode::Sync`] it is the sum of transfers,
-    /// as ever).
+    /// The network makespan in modelled seconds: the latest arrival on any
+    /// link timeline.
     pub fn makespan(&self) -> f64 {
         self.clock.now()
     }
@@ -772,26 +677,7 @@ impl Network {
         );
     }
 
-    /// Sync-path variant of [`Network::trace_transit`]: the sender's thread
-    /// just paid the whole transfer `t_s` ending at the clock's current
-    /// reading, so departure is reconstructed backwards and lane queueing is
-    /// zero (the shared-medium wait is real time, not modelled time).
-    fn trace_transit_sync(&self, from: HostId, to: HostId, bytes: usize, fate: &'static str) {
-        let t_s = self.transfer_time(from, to, bytes).as_secs_f64();
-        let arrive = self.clock.now();
-        let t_o = self.link_between(from, to).overhead_s.min(t_s);
-        self.trace_transit(from, to, bytes, fate, arrive - t_s, arrive, 0.0, t_o);
-    }
-
-    /// Charge a transfer in virtual time only (no sleeping).
-    pub fn charge_virtual(&self, from: HostId, to: HostId, bytes: usize) -> Duration {
-        let t = self.transfer_time(from, to, bytes);
-        self.clock.advance(t);
-        t
-    }
-
-    /// The network-wide virtual clock (sum of transfers under
-    /// [`TransportMode::Sync`], makespan under the engine).
+    /// The network-wide virtual clock (the makespan).
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
     }
@@ -813,7 +699,7 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("hosts", &topo.hosts.iter().map(|h| h.name.clone()).collect::<Vec<_>>())
             .field("links", &topo.links.len())
-            .field("mode", &self.mode)
+            .field("blocking", &self.blocking)
             .finish()
     }
 }

@@ -111,65 +111,70 @@ fn unconnected_pair_uses_default_link() {
 }
 
 #[test]
-fn charge_accumulates_virtual_clock() {
-    let net = Network::new(TimeScale::off());
+fn blocking_sends_sum_on_the_virtual_clock() {
+    let net = Network::new(TimeScale::off()).blocking();
     let a = net.add_host("a");
     let b = net.add_host("b");
     net.connect(a, b, Link::new(0.5, 1.0e6, 0.0));
-    net.charge(a, b, 1_000_000); // 0.5 + 1.0 = 1.5 s modelled
-    net.charge_virtual(a, b, 0); // +0.5 s
+    net.transmit(a, b, 1_000_000, || {}); // 0.5 + 1.0 = 1.5 s modelled
+    net.transmit(a, b, 0, || {}); // +0.5 s, departing at the first's arrival
     let now = net.clock().now();
     assert!((now - 2.0).abs() < 1e-9, "clock {now}");
 }
 
 #[test]
-fn charge_sleeps_scaled() {
+fn blocking_send_sleeps_scaled_queueing_plus_transfer() {
     let net = Network::new(TimeScale::new(0.01));
-    let a = net.add_host("a");
-    let b = net.add_host("b");
-    net.connect(a, b, Link::new(1.0, 1.0e9, 0.0)); // 1 s modelled latency
+    let hosts: Vec<_> = ["a", "b", "c", "d"].iter().map(|n| net.add_host(n)).collect();
+    let (a, b, c, d) = (hosts[0], hosts[1], hosts[2], hosts[3]);
+    let link = Link::new(1.0, 1.0e9, 0.0).shared_medium(); // 1 s modelled latency
+    net.connect(a, b, link);
+    net.connect(c, d, link);
+    // An overlapping sender takes the segment for [0, 1].
+    net.transmit(c, d, 0, || {});
+    // A blocking sender on the same segment departs at 1 and arrives at 2:
+    // from its base of 0 it sleeps 0.01 × 2 s, queueing included.
+    let blocking = net.clone().blocking();
     let start = std::time::Instant::now();
-    let modelled = net.charge(a, b, 0);
+    assert_eq!(blocking.transmit(a, b, 0, || {}), Verdict::Delivered);
     let waited = start.elapsed();
-    assert_eq!(modelled, Duration::from_secs(1));
-    assert!(waited >= Duration::from_millis(9), "waited {waited:?}");
+    assert!(waited >= Duration::from_millis(19), "waited {waited:?}");
     assert!(waited < Duration::from_millis(500), "waited {waited:?}");
+    assert!((net.makespan() - 2.0).abs() < 1e-12);
+    net.quiesce();
 }
 
+/// Four blocking senders on four hosts, started together: on one shared
+/// segment they serialise (the last waits for all four transfers), on
+/// dedicated links each owns its wire and they overlap.
 #[test]
-fn shared_medium_serialises_concurrent_transfers() {
-    let net = Network::new(TimeScale::new(1.0));
-    let a = net.add_host("a");
-    let b = net.add_host("b");
-    net.connect(a, b, Link::new(0.02, 1.0e9, 0.0).shared_medium());
-    // Four concurrent 20ms transfers over the shared wire must take ~80ms;
-    // over a dedicated wire they would overlap into ~20ms.
-    let start = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let net = net.clone();
-            s.spawn(move || {
-                net.charge(a, b, 0);
-            });
-        }
-    });
-    let waited = start.elapsed();
+fn blocking_senders_serialise_on_a_shared_segment() {
+    let run = |shared: bool| {
+        let net = Network::new(TimeScale::new(1.0)).blocking();
+        let server = net.add_host("server");
+        let link = Link::new(0.02, 1.0e9, 0.0);
+        let link = if shared { link.shared_medium() } else { link };
+        let clients: Vec<_> = (0..4)
+            .map(|i| {
+                let h = net.add_host(&format!("c{i}"));
+                net.connect(h, server, link);
+                h
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for &c in &clients {
+                let net = net.clone();
+                s.spawn(move || net.transmit(c, server, 0, || {}));
+            }
+        });
+        (start.elapsed(), net.makespan())
+    };
+    let (waited, makespan) = run(true);
+    assert!((makespan - 0.08).abs() < 1e-12, "segment makespan {makespan}");
     assert!(waited >= Duration::from_millis(75), "shared wire overlapped: {waited:?}");
-
-    let dedicated = Network::new(TimeScale::new(1.0));
-    let a = dedicated.add_host("a");
-    let b = dedicated.add_host("b");
-    dedicated.connect(a, b, Link::new(0.02, 1.0e9, 0.0));
-    let start = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let net = dedicated.clone();
-            s.spawn(move || {
-                net.charge(a, b, 0);
-            });
-        }
-    });
-    let waited = start.elapsed();
+    let (waited, makespan) = run(false);
+    assert!((makespan - 0.02).abs() < 1e-12, "dedicated makespan {makespan}");
     assert!(waited < Duration::from_millis(60), "dedicated wire serialised: {waited:?}");
 }
 
@@ -191,7 +196,7 @@ fn paper_testbeds_have_expected_shape() {
 #[test]
 fn virtual_clock_advance_to_is_monotone() {
     let c = VirtualClock::new();
-    c.advance(Duration::from_secs(2));
+    assert_eq!(c.advance_to(2.0), 2.0);
     assert_eq!(c.advance_to(1.0), 2.0); // never goes backwards
     assert_eq!(c.advance_to(3.5), 3.5);
     c.reset();
@@ -214,16 +219,16 @@ fn nan_time_scale_rejected() {
 }
 
 #[test]
-fn deliver_without_plan_is_lossless_and_free() {
-    let net = Network::new(TimeScale::off());
+fn transmit_without_plan_is_lossless_and_free() {
+    let net = Network::new(TimeScale::off()).blocking();
     let a = net.add_host("a");
     let b = net.add_host("b");
     net.connect(a, b, Link::new(0.5, 1.0e6, 0.0));
     for _ in 0..100 {
-        assert_eq!(net.deliver(a, b, 1000), Verdict::Delivered);
+        assert_eq!(net.transmit(a, b, 1000, || {}), Verdict::Delivered);
     }
     // No plan installed: the fault layer records nothing at all, and the
-    // virtual clock matches what plain `charge` would have accumulated.
+    // blocking sender's clock is the sum of its transfers.
     assert_eq!(net.fault_stats(), FaultStats::default());
     let expected = 100.0 * (0.5 + 1000.0 / 1.0e6);
     assert!((net.clock().now() - expected).abs() < 1e-9);
@@ -239,7 +244,7 @@ fn drop_rate_tracks_probability() {
     let n = 10_000;
     let mut dropped = 0;
     for _ in 0..n {
-        if net.deliver(a, b, 64) == Verdict::Dropped {
+        if net.transmit(a, b, 64, || {}) == Verdict::Dropped {
             dropped += 1;
         }
     }
@@ -256,7 +261,8 @@ fn fault_schedule_is_deterministic() {
         let b = net.add_host("b");
         net.connect(a, b, Link::free());
         net.set_fault_plan(Some(FaultPlan::new(7).with_drop(0.3).with_dup(0.1)));
-        let verdicts: Vec<Verdict> = (0..500).map(|i| net.deliver(a, b, 64 + (i % 7))).collect();
+        let verdicts: Vec<Verdict> =
+            (0..500).map(|i| net.transmit(a, b, 64 + (i % 7), || {})).collect();
         (verdicts, net.fault_stats())
     };
     let (v1, s1) = run();
@@ -274,9 +280,9 @@ fn reinstalling_a_plan_restarts_its_schedule() {
     net.connect(a, b, Link::free());
     let plan = FaultPlan::new(3).with_drop(0.5);
     net.set_fault_plan(Some(plan.clone()));
-    let first: Vec<Verdict> = (0..100).map(|_| net.deliver(a, b, 8)).collect();
+    let first: Vec<Verdict> = (0..100).map(|_| net.transmit(a, b, 8, || {})).collect();
     net.set_fault_plan(Some(plan));
-    let second: Vec<Verdict> = (0..100).map(|_| net.deliver(a, b, 8)).collect();
+    let second: Vec<Verdict> = (0..100).map(|_| net.transmit(a, b, 8, || {})).collect();
     assert_eq!(first, second);
 }
 
@@ -287,7 +293,7 @@ fn burst_extends_every_drop() {
     let b = net.add_host("b");
     net.connect(a, b, Link::free());
     net.set_fault_plan(Some(FaultPlan::new(11).with_drop(0.05).with_burst(3)));
-    let verdicts: Vec<Verdict> = (0..2000).map(|_| net.deliver(a, b, 8)).collect();
+    let verdicts: Vec<Verdict> = (0..2000).map(|_| net.transmit(a, b, 8, || {})).collect();
     // Every drop is followed by at least 3 more: drops come in runs of >= 4.
     let mut i = 0;
     while i < verdicts.len() {
@@ -304,13 +310,14 @@ fn burst_extends_every_drop() {
 
 #[test]
 fn link_down_window_drops_everything_inside_it() {
-    let net = Network::new(TimeScale::off());
+    let net = Network::new(TimeScale::off()).blocking();
     let a = net.add_host("a");
     let b = net.add_host("b");
-    // 1 s per frame, so frame k completes at virtual second k+1.
+    // 1 s per frame and a blocking sender, so frame k completes at virtual
+    // second k+1.
     net.connect(a, b, Link::new(1.0, 1.0e9, 0.0));
     net.set_fault_plan(Some(FaultPlan::new(0).with_down_window(2.5, 5.5)));
-    let verdicts: Vec<Verdict> = (0..8).map(|_| net.deliver(a, b, 0)).collect();
+    let verdicts: Vec<Verdict> = (0..8).map(|_| net.transmit(a, b, 0, || {})).collect();
     // Completion times 1..=8; those in [2.5, 5.5) — seconds 3, 4, 5 — die.
     let expected: Vec<Verdict> =
         (1..=8)
@@ -327,30 +334,37 @@ fn link_down_window_drops_everything_inside_it() {
 
 #[test]
 fn duplication_charges_and_counts_twice() {
-    let net = Network::new(TimeScale::off());
+    let net = Network::new(TimeScale::off()).blocking();
     let a = net.add_host("a");
     let b = net.add_host("b");
-    net.connect(a, b, Link::new(1.0, 1.0e9, 0.0));
+    net.connect(a, b, Link::new(1.0, 1.0e9, 0.0).shared_medium());
     net.set_fault_plan(Some(FaultPlan::new(0).with_dup(1.0)));
-    assert_eq!(net.deliver(a, b, 0), Verdict::Duplicated);
+    let copies = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let c = copies.clone();
+    let verdict = net.transmit(a, b, 0, move || {
+        c.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    });
+    assert_eq!(verdict, Verdict::Duplicated);
+    assert_eq!(copies.load(std::sync::atomic::Ordering::SeqCst), 2);
     assert_eq!(net.fault_stats().duplicated, 1);
-    // Both copies traversed the wire: two latencies on the clock.
+    // Both copies traversed the one segment: two latencies on the clock.
     assert!((net.clock().now() - 2.0).abs() < 1e-9);
 }
 
 #[test]
 fn fault_stats_break_down_loss_causes() {
-    let net = Network::new(TimeScale::off());
+    let net = Network::new(TimeScale::off()).blocking();
     let a = net.add_host("a");
     let b = net.add_host("b");
-    // 1 s per frame so frame k completes at virtual second k+1.
+    // 1 s per frame and a blocking sender, so frame k completes at virtual
+    // second k+1.
     net.connect(a, b, Link::new(1.0, 1.0e9, 0.0));
     // Down for seconds [2.5, 4.5): frames completing at 3 and 4 die there.
     net.set_fault_plan(Some(
         FaultPlan::new(5).with_drop(0.3).with_burst(2).with_down_window(2.5, 4.5),
     ));
     for _ in 0..500 {
-        net.deliver(a, b, 0);
+        net.transmit(a, b, 0, || {});
     }
     let s = net.fault_stats();
     assert_eq!(s.down_dropped, 2, "stats {s:?}");
@@ -369,10 +383,10 @@ fn per_link_stats_snapshot_is_directed_and_sorted() {
     net.set_default_link(Link::free());
     net.set_fault_plan(Some(FaultPlan::new(9).with_drop(0.5)));
     for _ in 0..200 {
-        net.deliver(a, b, 8);
-        net.deliver(b, a, 8);
+        net.transmit(a, b, 8, || {});
+        net.transmit(b, a, 8, || {});
     }
-    net.deliver(a, c, 8);
+    net.transmit(a, c, 8, || {});
     let per_link = net.per_link_fault_stats();
     let keys: Vec<_> = per_link.iter().map(|(k, _)| *k).collect();
     assert_eq!(keys, vec![(a, b), (a, c), (b, a)], "sorted directed keys");
@@ -401,15 +415,15 @@ fn per_link_override_and_loopback_exemption() {
     // is exempt by construction.
     net.set_link_fault_plan(a, b, None);
     for _ in 0..50 {
-        assert_eq!(net.deliver(a, b, 8), Verdict::Delivered);
-        assert_eq!(net.deliver(b, a, 8), Verdict::Delivered);
-        assert_eq!(net.deliver(a, a, 8), Verdict::Delivered);
-        assert_eq!(net.deliver(a, c, 8), Verdict::Dropped);
+        assert_eq!(net.transmit(a, b, 8, || {}), Verdict::Delivered);
+        assert_eq!(net.transmit(b, a, 8, || {}), Verdict::Delivered);
+        assert_eq!(net.transmit(a, a, 8, || {}), Verdict::Delivered);
+        assert_eq!(net.transmit(a, c, 8, || {}), Verdict::Dropped);
     }
     // Clearing the global plan turns the layer off for a<->c too.
     net.set_fault_plan(None);
     net.set_link_fault_plan(a, b, None);
-    assert_eq!(net.deliver(a, c, 8), Verdict::Delivered);
+    assert_eq!(net.transmit(a, c, 8, || {}), Verdict::Delivered);
 }
 
 #[test]
@@ -495,14 +509,20 @@ mod property {
         }
 
         #[test]
-        fn virtual_clock_sums(durs in proptest::collection::vec(0.0f64..10.0, 0..50)) {
-            let c = VirtualClock::new();
+        fn blocking_clock_sums_serial_transfers(
+            sizes in proptest::collection::vec(0usize..100_000, 0..50),
+        ) {
+            let net = Network::new(TimeScale::off()).blocking();
+            let a = net.add_host("a");
+            let b = net.add_host("b");
+            let link = Link::new(0.001, 1.0e6, 0.0001);
+            net.connect(a, b, link);
             let mut total = 0.0;
-            for d in &durs {
-                c.advance(Duration::from_secs_f64(*d));
-                total += d;
+            for &n in &sizes {
+                net.transmit(a, b, n, || {});
+                total += link.transfer_seconds(n);
             }
-            prop_assert!((c.now() - total).abs() < 1e-6);
+            prop_assert!((net.clock().now() - total).abs() < 1e-9);
         }
     }
 }
@@ -512,16 +532,22 @@ mod engine {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// Constructors build overlapping senders; `blocking()` makes the
+    /// sender wait, and nothing else changes.
     #[test]
-    fn constructors_default_to_the_engine() {
-        let off = TimeScale::off;
-        assert_eq!(TransportMode::default(), TransportMode::Overlapped);
-        assert_eq!(Network::new(off()).transport_mode(), TransportMode::Overlapped);
-        assert_eq!(Network::paper_atm_testbed(off()).transport_mode(), TransportMode::Overlapped);
-        let eth = Network::paper_ethernet_testbed(off());
-        assert_eq!(eth.transport_mode(), TransportMode::Overlapped);
-        let sync = Network::paper_atm_testbed_with(off(), TransportMode::Sync);
-        assert_eq!(sync.transport_mode(), TransportMode::Sync);
+    fn constructors_overlap_and_blocking_waits() {
+        let two_sends = |net: Network| {
+            let h1 = net.host_by_name("HOST_1").unwrap();
+            let h2 = net.host_by_name("HOST_2").unwrap();
+            net.transmit(h1, h2, 64, || {});
+            net.transmit(h1, h2, 64, || {});
+            net.makespan()
+        };
+        let t = LinkPreset::AtmOc3.link().transfer_seconds(64);
+        let overlapped = two_sends(Network::paper_atm_testbed(TimeScale::off()));
+        assert!(overlapped < 1.5 * t, "second send overlapped the first: {overlapped}");
+        let blocking = two_sends(Network::paper_atm_testbed(TimeScale::off()).blocking());
+        assert_eq!(blocking, 2.0 * t, "second send departs at the first's arrival");
     }
 
     #[test]
@@ -537,7 +563,7 @@ mod engine {
     }
 
     fn engine_pair(link: Link) -> (Network, HostId, HostId) {
-        let net = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
+        let net = Network::new(TimeScale::off());
         let a = net.add_host("A");
         let b = net.add_host("B");
         net.connect(a, b, link);
@@ -589,7 +615,7 @@ mod engine {
         let link = LinkPreset::Ethernet10.link();
         let bytes = 100_000;
         let k = 4;
-        let shared = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
+        let shared = Network::new(TimeScale::off());
         let hosts: Vec<_> = ["A", "B", "C", "D"].iter().map(|n| shared.add_host(n)).collect();
         shared.connect(hosts[0], hosts[1], link);
         shared.connect(hosts[2], hosts[3], link);
@@ -610,7 +636,7 @@ mod engine {
         // The same pairs on dedicated point-to-point links of identical
         // speed overlap: each pair owns its wire.
         let p2p = Link::new(link.latency_s, link.bandwidth_bps, link.overhead_s);
-        let ded = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
+        let ded = Network::new(TimeScale::off());
         let dh: Vec<_> = ["A", "B", "C", "D"].iter().map(|n| ded.add_host(n)).collect();
         ded.connect(dh[0], dh[1], p2p);
         ded.connect(dh[2], dh[3], p2p);
@@ -654,25 +680,18 @@ mod engine {
     }
 
     #[test]
-    fn engine_fault_schedule_matches_sync_schedule() {
+    fn blocking_fault_schedule_matches_engine_schedule() {
         let plan = FaultPlan::new(17).with_drop(0.3).with_dup(0.2).with_burst(1);
         let link = LinkPreset::AtmOc3.link();
-
-        let (eng, a, b) = engine_pair(link);
-        eng.set_fault_plan(Some(plan.clone()));
-        let engine_verdicts: Vec<_> = (0..200).map(|_| eng.transmit(a, b, 512, || {})).collect();
-        eng.quiesce();
-
-        let sync = Network::with_transport(TimeScale::off(), TransportMode::Sync);
-        let sa = sync.add_host("A");
-        let sb = sync.add_host("B");
-        sync.connect(sa, sb, link);
-        sync.set_fault_plan(Some(plan));
-        let sync_verdicts: Vec<_> = (0..200).map(|_| sync.deliver(sa, sb, 512)).collect();
-
-        assert_eq!(engine_verdicts, sync_verdicts);
-        assert_eq!(eng.fault_stats(), sync.fault_stats());
-        assert_eq!(eng.link_fault_stats(a, b), sync.link_fault_stats(sa, sb));
+        let run = |blocking: bool| {
+            let (net, a, b) = engine_pair(link);
+            let net = if blocking { net.blocking() } else { net };
+            net.set_fault_plan(Some(plan.clone()));
+            let verdicts: Vec<_> = (0..200).map(|_| net.transmit(a, b, 512, || {})).collect();
+            net.quiesce();
+            (verdicts, net.fault_stats(), net.link_fault_stats(a, b))
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -727,25 +746,29 @@ mod engine {
     }
 
     #[test]
-    fn sync_mode_transmit_is_deliver_plus_inline_release() {
-        let net = Network::with_transport(TimeScale::off(), TransportMode::Sync);
+    fn blocking_transmit_releases_inline_and_sums_the_clock() {
+        let link = LinkPreset::AtmOc3.link();
+        let net = Network::new(TimeScale::new(0.01)).blocking();
         let a = net.add_host("A");
         let b = net.add_host("B");
-        let link = LinkPreset::AtmOc3.link();
         net.connect(a, b, link);
         let hits = Arc::new(AtomicUsize::new(0));
         let k = 4;
-        for _ in 0..k {
+        for i in 0..k {
             let h = hits.clone();
             net.transmit(a, b, 1 << 20, move || {
                 h.fetch_add(1, Ordering::SeqCst);
             });
+            // Released on the sender's thread before it returned, even
+            // though real time is injected.
+            assert_eq!(hits.load(Ordering::SeqCst), i + 1);
         }
-        assert_eq!(hits.load(Ordering::SeqCst), k);
-        // Legacy accounting: the clock is the *sum* of transfers (modulo
-        // `Duration`'s nanosecond granularity on the charge path).
+        // Each send departs at the previous one's arrival: the clock is the
+        // sum of the transfers.
         let sum = k as f64 * link.transfer_seconds(1 << 20);
-        assert!((net.clock().now() - sum).abs() < 1e-6);
+        assert!((net.clock().now() - sum).abs() < 1e-9);
+        // The lane still saw every frame.
+        assert_eq!(net.per_link_usage()[0].1.frames, k as u64);
     }
 
     #[test]

@@ -349,7 +349,7 @@ mod tulip_one_sided {
 
 mod windows {
     use super::*;
-    use pardis_netsim::{LinkPreset, Network, TimeScale, TransportMode};
+    use pardis_netsim::{LinkPreset, Network, TimeScale};
 
     #[test]
     fn put_nb_completes_and_notifies() {
@@ -442,7 +442,7 @@ mod windows {
     /// time on the lanes (and still deliver the bytes).
     #[test]
     fn attached_network_accrues_wire_time() {
-        let net = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
+        let net = Network::new(TimeScale::off());
         let h0 = net.add_host("A");
         let h1 = net.add_host("B");
         net.connect(h0, h1, LinkPreset::AtmOc3.link());
@@ -461,7 +461,7 @@ mod windows {
     #[test]
     fn rendezvous_costs_more_than_put() {
         let cost = |one_sided: bool| {
-            let net = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
+            let net = Network::new(TimeScale::off());
             let h0 = net.add_host("A");
             let h1 = net.add_host("B");
             net.connect(h0, h1, LinkPreset::AtmOc3.link());

@@ -13,7 +13,7 @@ use pardis::core::{
 };
 use pardis::generated::dna::{DnaDbProxy, ListServerProxy, Status};
 use pardis::generated::solvers::{DirectProxy, IterativeProxy};
-use pardis::netsim::{FaultPlan, FaultStats, HostId, Link, Network, TimeScale, TransportMode};
+use pardis::netsim::{FaultPlan, FaultStats, HostId, Link, Network, TimeScale};
 use pardis::rts::{MpiRts, World};
 use pardis_apps::dna::{
     classify, derivatives, gen_database, spawn_dna_server, DnaServerConfig, Placement, LIST_NAMES,
@@ -78,15 +78,17 @@ impl Servant for Bumper {
 /// determinism check needs: the replies, the servant's effect count, the
 /// network's fault counters, and the client's retransmission count.
 fn counting_workload(seed: u64, calls: i64) -> (Vec<i64>, u64, FaultStats, u64) {
-    counting_workload_with(TransportMode::Overlapped, seed, calls)
+    counting_workload_with(false, seed, calls)
 }
 
+/// [`counting_workload`] with blocking or overlapping senders.
 fn counting_workload_with(
-    mode: TransportMode,
+    blocking: bool,
     seed: u64,
     calls: i64,
 ) -> (Vec<i64>, u64, FaultStats, u64) {
-    let net = Network::with_transport(TimeScale::off(), mode);
+    let net = Network::new(TimeScale::off());
+    let net = if blocking { net.blocking() } else { net };
     let ch = net.add_host("client");
     let sh = net.add_host("server");
     net.connect(ch, sh, Link::free());
@@ -185,21 +187,22 @@ fn chaos_schedule_replays_deterministically() {
 }
 
 #[test]
-fn chaos_outcomes_agree_across_transport_modes() {
+fn chaos_outcomes_agree_blocking_or_not() {
     let _guard = serial();
-    // Both transports draw fault verdicts from the same seeded per-link
-    // schedule — the netsim suite verifies that frame for frame on an
-    // identical frame stream. End to end the realised streams are *not*
-    // identical: a retransmission timer firing against a different
-    // interleaving inserts an extra frame and shifts every later per-lane
-    // ordinal, so raw delivery/retransmit counters are not comparable
-    // across modes. What must agree in every mode for a given seed: the
-    // replies, the at-most-once effect count, and that the plan bites.
-    let engine = counting_workload_with(TransportMode::Overlapped, 0xFA_117, 16);
-    let sync = counting_workload_with(TransportMode::Sync, 0xFA_117, 16);
-    assert_eq!(engine.0, sync.0, "replies must not depend on the transport");
-    assert_eq!(engine.1, sync.1, "effect counts must not depend on the transport");
-    for (label, run) in [("engine", &engine), ("sync", &sync)] {
+    // Blocking and overlapping senders draw fault verdicts from the same
+    // seeded per-link schedule — the netsim suite verifies that frame for
+    // frame on an identical frame stream. End to end the realised streams
+    // are *not* identical: a retransmission timer firing against a
+    // different interleaving inserts an extra frame and shifts every later
+    // per-lane ordinal, so raw delivery/retransmit counters are not
+    // comparable across modes. What must agree in every mode for a given
+    // seed: the replies, the at-most-once effect count, and that the plan
+    // bites.
+    let engine = counting_workload_with(false, 0xFA_117, 16);
+    let blocking = counting_workload_with(true, 0xFA_117, 16);
+    assert_eq!(engine.0, blocking.0, "replies must not depend on blocking");
+    assert_eq!(engine.1, blocking.1, "effect counts must not depend on blocking");
+    for (label, run) in [("engine", &engine), ("blocking", &blocking)] {
         assert!(run.2.dropped > 0, "{label}: the plan must actually bite: {:?}", run.2);
         assert!(run.2.duplicated > 0, "{label}: no duplicates injected: {:?}", run.2);
     }
@@ -209,7 +212,7 @@ fn chaos_outcomes_agree_across_transport_modes() {
     // races real time: a near-boundary call can fire one extra, duplicate-
     // suppressed retransmission, and that inserted frame re-routes every
     // later per-lane verdict.)
-    let replay = counting_workload_with(TransportMode::Overlapped, 0xFA_117, 16);
+    let replay = counting_workload_with(false, 0xFA_117, 16);
     assert_eq!((engine.0, engine.1), (replay.0, replay.1));
     assert!(replay.2.dropped > 0 && replay.2.duplicated > 0, "replay plan bites: {:?}", replay.2);
 }

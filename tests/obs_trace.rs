@@ -10,7 +10,7 @@
 use pardis::core::{
     ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest, TraceReport, TraceSession,
 };
-use pardis::netsim::{FaultPlan, Link, Network, TimeScale, TransportMode};
+use pardis::netsim::{FaultPlan, Link, Network, TimeScale};
 use pardis::obs::{is_valid_json, Phase};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,16 +42,18 @@ impl Servant for Bumper {
 /// between the client and server threads, so the exact stamp an event gets
 /// can race; only the zero-latency trace is byte-reproducible.
 fn traced_workload(seed: u64, calls: i64, latency: f64) -> (Vec<i64>, TraceReport) {
-    traced_workload_with(TransportMode::Overlapped, seed, calls, latency)
+    traced_workload_with(false, seed, calls, latency)
 }
 
+/// [`traced_workload`] with blocking or overlapping senders.
 fn traced_workload_with(
-    mode: TransportMode,
+    blocking: bool,
     seed: u64,
     calls: i64,
     latency: f64,
 ) -> (Vec<i64>, TraceReport) {
-    let net = Network::with_transport(TimeScale::off(), mode);
+    let net = Network::new(TimeScale::off());
+    let net = if blocking { net.blocking() } else { net };
     let ch = net.add_host("client");
     let sh = net.add_host("server");
     net.connect(ch, sh, if latency > 0.0 { Link::new(latency, 1.0e9, 0.0) } else { Link::free() });
@@ -148,27 +150,28 @@ fn same_seed_exports_byte_identical_traces() {
 fn both_transports_export_byte_identical_traces_for_a_seed() {
     let _guard = SERIAL.lock().unwrap();
     // Engine replays against the engine...
-    let (r1, t1) = traced_workload_with(TransportMode::Overlapped, 0x7A_CE5, 16, 0.0);
-    let (r2, t2) = traced_workload_with(TransportMode::Overlapped, 0x7A_CE5, 16, 0.0);
+    let (r1, t1) = traced_workload_with(false, 0x7A_CE5, 16, 0.0);
+    let (r2, t2) = traced_workload_with(false, 0x7A_CE5, 16, 0.0);
     assert_eq!(r1, r2);
     assert_eq!(t1.chrome_json(), t2.chrome_json(), "engine traces must replay byte-identically");
-    // ...sync against sync...
-    let (r3, t3) = traced_workload_with(TransportMode::Sync, 0x7A_CE5, 16, 0.0);
-    let (_, t4) = traced_workload_with(TransportMode::Sync, 0x7A_CE5, 16, 0.0);
-    assert_eq!(t3.chrome_json(), t4.chrome_json(), "sync traces must replay byte-identically");
-    // ...and across modes the *workload* agrees (same replies, same fault
-    // schedule), even though the exports differ in engine-only metrics.
+    // ...blocking senders against blocking senders...
+    let (r3, t3) = traced_workload_with(true, 0x7A_CE5, 16, 0.0);
+    let (_, t4) = traced_workload_with(true, 0x7A_CE5, 16, 0.0);
+    assert_eq!(t3.chrome_json(), t4.chrome_json(), "blocking traces must replay byte-identically");
+    // ...and across the two the *workload* agrees (same replies, same fault
+    // schedule, same frames on the same lanes).
     assert_eq!(r1, r3);
-    for c in ["net.fault.dropped", "net.fault.duplicated", "orb.frames_sent"] {
-        assert_eq!(t1.counter(c), t3.counter(c), "{c} must not depend on the transport");
+    for c in ["net.fault.dropped", "net.fault.duplicated", "orb.frames_sent", "net.link.0-1.frames"]
+    {
+        assert_eq!(t1.counter(c), t3.counter(c), "{c} must not depend on blocking");
     }
-    // The engine additionally reports per-link timeline metrics. (On a free
-    // link the busy time itself rounds to zero micros, so presence is the
-    // signal: the lane counted its frames, sync fed no lane at all.)
-    assert!(t1.counter("net.link.0-1.frames").unwrap() > 0);
-    assert!(t1.counter("net.link.0-1.busy_us").is_some());
-    assert!(t1.counter("net.makespan_us").is_some());
-    assert_eq!(t3.counter("net.link.0-1.frames"), None, "sync feeds no lanes");
+    // Both report per-link timeline metrics. (On a free link the busy time
+    // itself rounds to zero micros, so presence is the signal.)
+    for t in [&t1, &t3] {
+        assert!(t.counter("net.link.0-1.frames").unwrap() > 0);
+        assert!(t.counter("net.link.0-1.busy_us").is_some());
+        assert!(t.counter("net.makespan_us").is_some());
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! global vector.
 
 use pardis::core::{DSequence, Distribution};
-use pardis::netsim::{LinkPreset, Network, TimeScale, TransportMode};
+use pardis::netsim::{LinkPreset, Network, TimeScale};
 use pardis::pooma::{Field2D, Layout2D, PoomaComm};
 use pardis::rts::{Bytes, MpiRts, Msg, ReduceOp, Rts, TulipWorld, Windows, World};
 use std::time::Duration;
@@ -237,7 +237,7 @@ fn pooma_stencil_identical_across_modes() {
 fn networked_redistribution_agrees_and_pull_is_cheaper() {
     let full: Vec<f64> = (0..96).map(|i| i as f64 * 0.5).collect();
     let run = |one_sided: bool| {
-        let net = Network::with_transport(TimeScale::off(), TransportMode::Overlapped);
+        let net = Network::new(TimeScale::off());
         net.set_default_link(LinkPreset::AtmOc3.link());
         let hosts: Vec<_> = (0..4).map(|r| net.add_host(&format!("h{r}"))).collect();
         let (world, ranks) = World::new(4);

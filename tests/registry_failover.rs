@@ -246,7 +246,7 @@ fn failover_completes_against_survivor_mid_kill() {
 fn no_replica_available_only_when_group_is_gone() {
     let _guard = serial();
     // 1 ms of modelled latency per frame: invocations advance the virtual
-    // clock, and charge_virtual below can walk it past the TTL.
+    // clock, and charge_wait below can walk it past the TTL.
     let fleet = spawn_fleet(0.001, &[0.001, 0.001], false);
     fleet.orb.set_registry_ttl_ms(400);
     let admin = RegistryClient::bind(&fleet.client, "registry").unwrap();
@@ -286,7 +286,7 @@ fn no_replica_available_only_when_group_is_gone() {
     let ch = fleet.client.host();
     let deadline = net.clock().now() + 0.6;
     while net.clock().now() < deadline {
-        net.charge_virtual(ch, fleet.replicas[0].host, 0);
+        net.charge_wait(ch, Duration::from_millis(1));
     }
     let err = group.call("bump").arg(&3i64).invoke().unwrap_err();
     match err {
@@ -323,7 +323,7 @@ fn heartbeat_liveness_runs_on_the_virtual_clock() {
     let advance = |secs: f64| {
         let deadline = net.clock().now() + secs;
         while net.clock().now() < deadline {
-            net.charge_virtual(ch, r0.host, 0);
+            net.charge_wait(ch, Duration::from_millis(1));
         }
     };
 
