@@ -47,13 +47,7 @@ impl<'a, T> ElemSink<'a, T> {
     /// Panics unless `0 < block <= stride` and `slots` is empty or ends at a
     /// block end.
     pub fn strided(slots: &'a mut [T], block: usize, stride: usize) -> Self {
-        assert!(0 < block && block <= stride, "blocks of {block} slots every {stride}");
-        let blocks = match slots.len().checked_sub(block) {
-            None if slots.is_empty() => 0,
-            Some(past) if past % stride == 0 => past / stride + 1,
-            _ => panic!("{} slots do not end at a block of {block} every {stride}", slots.len()),
-        };
-        let total = blocks * block;
+        let total = layout_total(slots.len(), block, stride);
         ElemSink {
             slots,
             block,
@@ -92,6 +86,23 @@ impl<'a, T> ElemSink<'a, T> {
         self.filled += 1;
     }
 
+    /// Store clones of the elements of `src`, laid out in blocks of `block`
+    /// every `stride` (the last block ending where `src` ends), in every
+    /// unstored slot, in layout order: one pass over both layouts.
+    ///
+    /// # Panics
+    /// Panics unless `0 < block <= stride`, `src` is empty or ends at a
+    /// block end, and its layout holds exactly [`ElemSink::remaining`]
+    /// elements. Nothing is stored then.
+    pub fn fill_strided(&mut self, src: &[T], block: usize, stride: usize)
+    where
+        T: Clone,
+    {
+        let given = layout_total(src.len(), block, stride);
+        assert_eq!(given, self.remaining(), "{given} elements for {} slots", self.remaining());
+        self.fill_from(src.chunks(stride).flat_map(|blk| blk[..block].iter().cloned()));
+    }
+
     /// Store the next of `values` in every unstored slot, in layout order:
     /// the rest of the current block, then each later block, in one tight
     /// loop.
@@ -111,6 +122,21 @@ impl<'a, T> ElemSink<'a, T> {
         }
         (self.filled, self.at, self.block_end) = (self.total, len, len);
     }
+}
+
+/// Elements in a layout of `len` slots with blocks of `block` every
+/// `stride`, the last block ending at `len`.
+///
+/// # Panics
+/// Panics unless `0 < block <= stride` and `len` is zero or a block end.
+fn layout_total(len: usize, block: usize, stride: usize) -> usize {
+    assert!(0 < block && block <= stride, "blocks of {block} slots every {stride}");
+    let blocks = match len.checked_sub(block) {
+        None if len == 0 => 0,
+        Some(past) if past % stride == 0 => past / stride + 1,
+        _ => panic!("{len} slots do not end at a block of {block} every {stride}"),
+    };
+    blocks * block
 }
 
 /// The doubles in `raw`, eight bytes each as `from` reads them, possibly

@@ -440,6 +440,65 @@ mod bulk {
         }
     }
 
+    /// `fill_strided` stores a strided source's elements, in order, in
+    /// exactly the sink's unstored slots, whatever the two layouts and
+    /// however many slots were pushed first; the gaps of both layouts are
+    /// never read or written.
+    #[test]
+    fn fill_strided_copies_layout_to_layout() {
+        const BLOCKS: usize = 6;
+        let (sentinel, gap) = (-0.5, -1.0);
+        for (block, stride) in LAYOUTS {
+            let total = BLOCKS * block;
+            let slots_len = (BLOCKS - 1) * stride + block;
+            for (src_block, src_stride) in LAYOUTS {
+                for pre in (0..total).filter(|pre| (total - pre).is_multiple_of(src_block)) {
+                    let src_len = ((total - pre) / src_block - 1) * src_stride + src_block;
+                    let mut next = 1000.0;
+                    let src: Vec<f64> = (0..src_len)
+                        .map(|i| {
+                            if i % src_stride >= src_block {
+                                return gap;
+                            }
+                            next += 1.0;
+                            next
+                        })
+                        .collect();
+                    let mut slots = vec![sentinel; slots_len];
+                    let mut sink = ElemSink::strided(&mut slots, block, stride);
+                    for k in 0..pre {
+                        sink.push(k as f64);
+                    }
+                    sink.fill_strided(&src, src_block, src_stride);
+                    let what = format!(
+                        "{block}/{stride} from {src_block}/{src_stride}, {pre} pushed first"
+                    );
+                    assert_eq!((sink.filled(), sink.remaining()), (total, 0), "{what}");
+                    let mut k = 0;
+                    for (i, got) in slots.iter().enumerate() {
+                        let want = if i % stride >= block {
+                            sentinel
+                        } else if k < pre {
+                            k += 1;
+                            (k - 1) as f64
+                        } else {
+                            k += 1;
+                            1000.0 + (k - pre) as f64
+                        };
+                        assert_eq!(got.to_bits(), want.to_bits(), "{what}: slot {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "3 elements for 4 slots")]
+    fn fill_strided_refuses_a_source_of_another_size() {
+        let mut slots = [0.0f64; 4];
+        ElemSink::strided(&mut slots, 4, 4).fill_strided(&[1.0, 2.0, 3.0], 1, 1);
+    }
+
     #[test]
     fn foreign_order_bulk_roundtrips_through_the_swap_loop() {
         let v: Vec<f64> = (0..64).map(|i| (i as f64).exp()).collect();

@@ -266,18 +266,18 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     ///
     /// * **pull** — when the RTS exposes one-sided windows
     ///   ([`Rts::windows`]) and the element type has a fixed wire size,
-    ///   each thread exposes its CDR-encoded local in a window and every
-    ///   destination `get`s exactly the strided byte spans its plan names —
-    ///   one strided get per remote source, no rendezvous handshake and no
-    ///   receive matching;
+    ///   each thread exposes its CDR-encoded local to the peers that read
+    ///   it, meets the others once, and every destination `get`s exactly
+    ///   the strided byte spans its plan names: one strided get per remote
+    ///   source, no closing rendezvous and no receive matching;
     /// * **push** — on a purely two-sided RTS, for variable-width elements,
     ///   or to or from a `Concentrated` template: one packed message per
     ///   destination matched by a tagged receive. FIFO per (source, tag)
     ///   channel plus a deterministic plan means no extra sequencing is
     ///   needed even across repeated redistributions. A gather to one
     ///   thread or a scatter from it has one message per peer, and only
-    ///   the receivers wait; pull would hold every thread at its two
-    ///   barriers, which cost a funneled call most of its time.
+    ///   the receivers wait; pull would hold every thread at its
+    ///   rendezvous, which cost a funneled call most of its time.
     pub fn redistribute(&mut self, rts: &dyn Rts, new_dist: Distribution) {
         assert_eq!(rts.size(), self.nthreads, "redistribute over a mismatched RTS world");
         assert_eq!(rts.rank(), self.thread, "redistribute called from the wrong thread");
@@ -302,11 +302,12 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     }
 
     /// The index sets that move from thread `src` under the current template
-    /// to thread `dst` under `new_dist`.
-    fn share(&self, src: usize, new_dist: &Distribution, dst: usize, out: &mut Vec<Strided>) {
+    /// to thread `dst` under `to`; whether there are any.
+    fn share(&self, src: usize, to: &Distribution, dst: usize, out: &mut Vec<Strided>) -> bool {
         out.clear();
         let n = self.nthreads;
-        pair_plan(self.global_len, &self.dist, n, src, new_dist, n, dst, out);
+        pair_plan(self.global_len, &self.dist, n, src, to, n, dst, out);
+        !out.is_empty()
     }
 
     /// Two-sided exchange: pack each peer's share into one message, then
@@ -316,8 +317,7 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         let me = self.thread;
         let mut sets = Vec::new();
         for dst in (0..self.nthreads).filter(|&dst| dst != me) {
-            self.share(me, new_dist, dst, &mut sets);
-            if !sets.is_empty() {
+            if self.share(me, new_dist, dst, &mut sets) {
                 let mut e = Encoder::new(ByteOrder::native());
                 self.pack_into(&sets, &mut e);
                 rts.send(dst, REDIST_TAG, e.finish());
@@ -344,11 +344,11 @@ impl<T: CdrCodec + Clone> DSequence<T> {
     }
 
     /// One-sided pull redistribution: sources are passive. Each thread
-    /// exposes its encoded local in a collective window; each destination
-    /// computes, from the shared plan, exactly which strided byte spans of
-    /// which source windows hold its new elements and issues one
+    /// exposes its encoded local for one get by each peer its plan sends to
+    /// (the last withdraws it); after one barrier, each destination issues
+    /// in turn ([`in_turn`](pardis_rts::Windows::in_turn)) one
     /// [`get_strided_nb`](pardis_rts::Windows::get_strided_nb) per remote
-    /// source.
+    /// source, for the strided byte spans of its plan.
     ///
     /// The byte arithmetic is licensed by [`CdrCodec::fixed_wire_size`]: a
     /// homogeneous fixed-size array encoded from stream offset 0 places
@@ -362,59 +362,55 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         new_dist: &Distribution,
     ) -> Vec<T> {
         let ws = T::fixed_wire_size().expect("pull path gated on fixed-size elements") as u64;
-        let me = self.thread;
-
-        // Expose my encoded local. Every thread exposes (possibly empty) so
-        // the collective base sequence stays aligned across threads.
-        let mut e = Encoder::with_capacity(ByteOrder::native(), self.local().len() * ws as usize);
-        T::encode_elems(self.local(), &mut e);
+        let (me, n) = (self.thread, self.nthreads);
+        let mut sets = Vec::new();
+        let readers =
+            (0..n).filter(|&dst| dst != me && self.share(me, new_dist, dst, &mut sets)).count();
+        // Every thread takes the base so the sequence stays aligned.
         let base = w.collective_window_base();
-        let my_window =
-            w.expose(base, e.into_vec()).expect("collective window bases never collide in-round");
-        // Windows on every thread must be published before anyone pulls.
+        if readers > 0 {
+            let mut e =
+                Encoder::with_capacity(ByteOrder::native(), self.local().len() * ws as usize);
+            T::encode_elems(self.local(), &mut e);
+            w.expose_for_gets(base, e.into_vec(), readers)
+                .expect("collective window bases never collide in-round");
+        }
         rts.barrier();
 
-        // One strided get per remote source, all issued before any is
-        // awaited; the reply concatenates the spans in request order, which
-        // is the plan order the assembler decodes in.
-        let mut sets = Vec::new();
-        let mut pulls = Vec::new();
-        for src in (0..self.nthreads).filter(|&src| src != me) {
-            self.share(src, new_dist, me, &mut sets);
-            if sets.is_empty() {
-                continue;
+        // All gets issued before any is awaited; a reply concatenates the
+        // spans in request order, which is the plan order the assembler
+        // decodes in.
+        let pulls = w.in_turn(base, || {
+            let mut pulls = Vec::new();
+            for src in (0..n).filter(|&src| src != me) {
+                if !self.share(src, new_dist, me, &mut sets) {
+                    continue;
+                }
+                let spans: Vec<(u64, u64, u64, u64)> = sets
+                    .iter()
+                    .map(|set| {
+                        let (lo, lstride) = set
+                            .localize(self.global_len, &self.dist, n, src)
+                            .expect("plan sets are owned by their source");
+                        (lo * ws, lstride * ws, set.block * ws, set.count)
+                    })
+                    .collect();
+                let id = pardis_rts::WindowId { owner: src, base };
+                let handle = w
+                    .get_strided_nb(id, spans)
+                    .expect("plan spans lie inside the source's encoded local");
+                pulls.push((src, handle));
             }
-            let spans: Vec<(u64, u64, u64, u64)> = sets
-                .iter()
-                .map(|set| {
-                    let (lo, lstride) = set
-                        .localize(self.global_len, &self.dist, self.nthreads, src)
-                        .expect("plan sets are owned by their source");
-                    (lo * ws, lstride * ws, set.block * ws, set.count)
-                })
-                .collect();
-            let id = pardis_rts::WindowId { owner: src, base };
-            let handle = w
-                .get_strided_nb(id, &spans)
-                .expect("plan spans lie inside the source's encoded local");
-            pulls.push((src, handle));
-        }
+            pulls
+        });
 
-        let n = self.nthreads;
         let mut asm = Assembler::new(self.global_len, (&self.dist, n), (new_dist, n, me));
         asm.copy(self.local()).expect("own share");
         for (src, handle) in pulls {
             let mut d = Decoder::new(handle.wait(), ByteOrder::native());
             asm.take(src, &mut d).expect("redistribution elements");
         }
-        let new_local = asm.finish().expect("plan covers every local index");
-
-        // My gets are done, but peers may still be reading my window: drain
-        // my own inflight ops, then rendezvous before withdrawing it.
-        w.fence();
-        rts.barrier();
-        w.deregister(my_window).expect("window exposed above");
-        new_local
+        asm.finish().expect("plan covers every local index")
     }
 }
 

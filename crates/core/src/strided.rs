@@ -536,7 +536,8 @@ impl<'a, T: CdrCodec + Clone> Assembler<'a, T> {
 
     /// Take this thread as a source and clone its share out of `local`, its
     /// storage under the source template — the share of a redistribution
-    /// that stays put.
+    /// that stays put: one strided pass per set
+    /// ([`ElemSink::fill_strided`]).
     pub(crate) fn copy(&mut self, local: &[T]) -> OrbResult<()> {
         let ((from, from_n), t) = (self.src, self.dst.2);
         self.source(t)?;
@@ -551,11 +552,7 @@ impl<'a, T: CdrCodec + Clone> Assembler<'a, T> {
             };
             let items = &local[span];
             let mut sink = self.sink(&set, || Ok(items[0].clone()))?;
-            for blk in items.chunks(src.stride) {
-                for v in &blk[..src.block] {
-                    sink.push(v.clone());
-                }
-            }
+            sink.fill_strided(items, src.block, src.stride);
             self.stored += sink.filled();
         }
         Ok(())

@@ -383,7 +383,7 @@ mod windows {
         let w = ranks[1].windows();
         // 3 blocks of 2 bytes 8 apart from 1, then one plain span, then an
         // empty entry: the same bytes a span-per-block vectored get returns.
-        let strided = w.get_strided_nb(id, &[(1, 8, 2, 3), (30, 2, 2, 1), (0, 1, 1, 0)]);
+        let strided = w.get_strided_nb(id, [(1, 8, 2, 3), (30, 2, 2, 1), (0, 1, 1, 0)]);
         let spans = w.get_vec_nb(id, &[(1, 2), (9, 2), (17, 2), (30, 2)]);
         let got = strided.expect("get").wait();
         assert_eq!(&got[..], &[1, 2, 9, 10, 17, 18, 30, 31]);
@@ -404,7 +404,7 @@ mod windows {
             (0, 0, u64::MAX, u64::MAX), // byte total overflows
         ] {
             assert!(
-                matches!(w.get_strided_nb(id, &[entry]), Err(RtsError::OutOfBounds { .. })),
+                matches!(w.get_strided_nb(id, [entry]), Err(RtsError::OutOfBounds { .. })),
                 "{entry:?}"
             );
         }
@@ -436,6 +436,137 @@ mod windows {
         ));
         assert_eq!(ranks[0].windows().deregister(id).expect("deregister"), vec![1, 2, 3]);
         assert!(matches!(ranks[1].windows().get_nb(id, 0, 1), Err(RtsError::UnknownWindow(_))));
+    }
+
+    #[test]
+    fn a_window_for_planned_gets_withdraws_at_the_last() {
+        let (_w, ranks) = World::new(3);
+        let w0 = ranks[0].windows();
+        w0.expose_for_gets(0x40, (0..16).collect(), 2).expect("expose");
+        let id = WindowId { owner: 0, base: 0x40 };
+        let first = ranks[1].windows().get_nb(id, 0, 4).expect("first planned get");
+        assert_eq!(w0.window_len(id), Ok(16), "one planned get left");
+        let second = ranks[2].windows().get_strided_nb(id, [(1, 4, 1, 4)]).expect("second");
+        assert_eq!(w0.window_len(id), Err(RtsError::UnknownWindow(id)));
+        assert!(matches!(ranks[1].windows().get_nb(id, 0, 1), Err(RtsError::UnknownWindow(_))));
+        assert_eq!(&first.wait()[..], &[0, 1, 2, 3]);
+        assert_eq!(&second.wait()[..], &[1, 5, 9, 13]);
+        // No reader, no window.
+        w0.expose_for_gets(0x80, vec![1; 8], 0).expect("nothing to expose");
+        let unread = WindowId { owner: 0, base: 0x80 };
+        assert_eq!(w0.window_len(unread), Err(RtsError::UnknownWindow(unread)));
+    }
+
+    /// A get whose spans are rejected changes nothing: it takes none of the
+    /// window's planned gets, so the reader still to come finds it.
+    #[test]
+    fn a_rejected_get_takes_no_planned_get() {
+        let (_w, ranks) = World::new(2);
+        let w0 = ranks[0].windows();
+        w0.expose_for_gets(0, vec![5; 8], 1).expect("expose");
+        let id = WindowId { owner: 0, base: 0 };
+        let w1 = ranks[1].windows();
+        assert!(matches!(w1.get_nb(id, 4, 8), Err(RtsError::OutOfBounds { .. })));
+        assert_eq!(w0.window_len(id), Ok(8), "the rejected get took nothing");
+        assert_eq!(&w1.get_nb(id, 0, 8).expect("the planned get").wait()[..], &[5; 8]);
+        assert_eq!(w0.window_len(id), Err(RtsError::UnknownWindow(id)));
+    }
+
+    /// Zero-length gets and zero-length spans read no bytes, inline and
+    /// when the owner serves them on the engine's timer thread. The
+    /// networked case runs on a helper thread, so a panic there fails by
+    /// timeout instead of hanging the suite.
+    #[test]
+    fn empty_gets_read_nothing() {
+        let reads = |ranks: &[Rank]| {
+            let id = ranks[0].windows().expose(0, (0..8).collect()).expect("expose");
+            let w = ranks[1].windows();
+            let got = [
+                w.get_nb(id, 0, 0).expect("empty get"),
+                w.get_nb(id, 8, 0).expect("empty get at the end"),
+                w.get_vec_nb(id, &[(3, 0)]).expect("one empty span"),
+                w.get_vec_nb(id, &[(3, 0), (1, 2), (8, 0)]).expect("empty spans around one"),
+                w.get_strided_nb(id, [(2, 4, 0, 2)]).expect("blocks of no bytes"),
+            ];
+            got.map(|h| h.wait().to_vec())
+        };
+        let want: [Vec<u8>; 5] = [vec![], vec![], vec![], vec![1, 2], vec![]];
+        let (_w, ranks) = World::new(2);
+        assert_eq!(reads(&ranks), want, "no network");
+
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let net = Network::new(TimeScale::new(1.0));
+            let h: Vec<_> = (0..2).map(|r| net.add_host(&format!("h{r}"))).collect();
+            net.set_default_link(LinkPreset::AtmOc3.link());
+            let (world, ranks) = World::new(2);
+            world.attach_network(net.clone(), h);
+            let got = reads(&ranks);
+            net.quiesce();
+            done.send(got).expect("test thread waits");
+        });
+        let got = finished.recv_timeout(Duration::from_secs(30)).expect("the owner served them");
+        assert_eq!(got, want, "served on the timer thread");
+    }
+
+    /// Over a network that duplicates every frame, in scaled real time: a
+    /// duplicated request frame does not take a second planned get, and
+    /// the last get, which withdraws the window at its lookup, still reads
+    /// the bytes it resolved when its request lands.
+    #[test]
+    fn planned_gets_are_counted_at_lookup_not_at_delivery() {
+        let net = Network::new(TimeScale::new(1.0));
+        let h: Vec<_> = (0..3).map(|r| net.add_host(&format!("h{r}"))).collect();
+        net.set_default_link(LinkPreset::AtmOc3.link());
+        net.set_fault_plan(Some(pardis_netsim::FaultPlan::new(7).with_dup(1.0)));
+        let (world, ranks) = World::new(3);
+        world.attach_network(net.clone(), h);
+        let w0 = ranks[0].windows();
+        w0.expose_for_gets(0, (0..32).collect(), 2).expect("expose");
+        let id = WindowId { owner: 0, base: 0 };
+        let first = ranks[1].windows().get_nb(id, 8, 8).expect("first planned get");
+        assert_eq!(&first.wait()[..], &[8, 9, 10, 11, 12, 13, 14, 15]);
+        net.quiesce();
+        assert_eq!(w0.window_len(id), Ok(32), "duplicates took no planned get");
+        let last = ranks[2].windows().get_nb(id, 0, 4).expect("last planned get");
+        assert_eq!(w0.window_len(id), Err(RtsError::UnknownWindow(id)));
+        assert_eq!(&last.wait()[..], &[0, 1, 2, 3]);
+        net.quiesce();
+    }
+
+    /// On a networked world a collective round's turns run from the
+    /// highest rank down, whatever order the threads arrive in; rounds that
+    /// take no turn hold nothing up. Without a network nobody waits.
+    #[test]
+    fn turns_run_in_rank_order_on_a_networked_world() {
+        let net = Network::new(TimeScale::off());
+        let h: Vec<_> = (0..3).map(|r| net.add_host(&format!("h{r}"))).collect();
+        let (world, ranks) = World::new(3);
+        world.attach_network(net, h);
+        let order = std::sync::Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for rank in ranks {
+                let order = &order;
+                scope.spawn(move || {
+                    let w = rank.windows();
+                    for round in 0..30u64 {
+                        let skipped = w.collective_window_base();
+                        let base = w.collective_window_base();
+                        assert_ne!(skipped, base);
+                        rank.barrier();
+                        let pause = (round * 7 + rank.rank() as u64 * 13) % 50;
+                        std::thread::sleep(Duration::from_micros(pause));
+                        w.in_turn(base, || order.lock().unwrap().push(rank.rank()));
+                    }
+                });
+            }
+        });
+        let order = order.into_inner().unwrap();
+        assert!(order.chunks(3).all(|round| round == [2, 1, 0]), "{order:?}");
+
+        let (_w, ranks) = World::new(3);
+        let w = ranks[1].windows();
+        assert_eq!(w.in_turn(w.collective_window_base(), || 5), 5, "no network, no turn");
     }
 
     /// With a network attached, one-sided transfers accrue modelled wire

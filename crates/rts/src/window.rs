@@ -11,9 +11,17 @@
 //!
 //! * **Read-locked lookups** — the window table is a reader-writer-locked
 //!   map: the per-operation lookup in `put_nb`/`get_nb` shares a read lock,
-//!   only [`Windows::expose`] / [`Windows::deregister`] write. Not a
-//!   [`Published`] snapshot: that keeps every version it is ever given, and
-//!   this table changes twice per redistribution and per halo exchange.
+//!   only exposing and withdrawing write. Not a [`Published`] snapshot: that
+//!   keeps every version it is ever given, and this table changes twice per
+//!   redistribution and per halo exchange.
+//! * **Windows withdrawn by their planned gets** — a window exposed with
+//!   [`Windows::expose_for_gets`] serves exactly that many gets and leaves
+//!   the table when the last of them looks it up, with no rendezvous and no
+//!   [`Windows::deregister`]. A collective pull knows its readers from its
+//!   plan, so its owner exposes for exactly those; a window nobody reads is
+//!   never exposed. The count is taken once per [`Windows::get_strided_nb`]
+//!   call, at the lookup on the initiating side, never by a frame's
+//!   delivery, so a duplicated or late frame cannot withdraw a window early.
 //! * **Non-blocking with completion handles** — operations return a
 //!   [`Completion`] / [`GetHandle`] immediately; `fence` drains everything
 //!   this rank initiated; [`Windows::put_nb_notify`] additionally enqueues a
@@ -21,11 +29,29 @@
 //! * **Modelled wire time** — when the owning world is attached to a
 //!   [`Network`] ([`WindowShared::attach`] via `World::attach_network`), a
 //!   put occupies the sender→owner lane for one frame and a get for a tiny
-//!   request frame plus the payload reply, through the PR 5 overlapped
-//!   engine: the initiating thread pays only the software overhead `t_o`,
-//!   wire time accrues on the lane timeline and the delivery effect runs at
-//!   the frame's modelled arrival. With no network attached the operations
+//!   request frame plus the payload reply, through the overlapped engine:
+//!   the initiating thread pays only the software overhead `t_o`, wire time
+//!   accrues on the lane timeline and the delivery effect runs at the
+//!   frame's modelled arrival. With no network attached the operations
 //!   complete inline at zero modelled cost (plain shared-memory semantics).
+//! * **A fixed issue order for collective pulls** — the engine stamps a
+//!   frame from the state of its lanes and host clocks when it is sent, so
+//!   the real-time order of sends is the order of lane reservations, and
+//!   with it the modelled time. [`Windows::in_turn`] makes a collective
+//!   round issue its gets in a fixed rank order on a networked world, so
+//!   the round's modelled time does not depend on which thread woke first.
+//!   The turn runs from the highest rank down: rank `r` issues once rank
+//!   `r + 1` has, and when rank 0 — the rank a collective reports from —
+//!   has issued, so has everyone, and the modelled clock holds the whole
+//!   round. The turn is keyed by the round's collective base, so a round
+//!   that takes no turn (a halo exchange) never holds up a later one; a
+//!   world with no network has no modelled clock and takes no turns.
+//! * **Late landings are the caller's error, never a crash** — an operation
+//!   keeps the window it resolved for as long as it is in flight. A put that
+//!   lands after its window was withdrawn writes a buffer nobody reads, a
+//!   get reads the bytes the window held, and `deregister` hands back a copy
+//!   of the bytes while any operation still holds them (the buffer itself,
+//!   by move, once none does).
 //!
 //! The *users* of this layer — pull-based `dseq` redistribution and
 //! `pooma-rs` halo exchange — take the one-sided path exactly when their
@@ -33,12 +59,13 @@
 //! two-sided RTS returns `None` and gets the send/recv paths; there is no
 //! process-wide switch.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use pardis_netsim::{HostId, Network, Published};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Identifier of an exposed window: the owning rank plus the window's base
 /// address in that rank's exposed byte-address space. The base *is* the
@@ -137,6 +164,9 @@ pub struct Notice {
 struct WindowCell {
     len: usize,
     data: RwLock<Vec<u8>>,
+    /// Gets still to look the window up before it withdraws itself; `None`
+    /// for a window only [`Windows::deregister`] withdraws.
+    gets_left: Option<AtomicUsize>,
 }
 
 /// Modelled-network binding of a world: the per-rank host placement.
@@ -150,6 +180,54 @@ struct NetBinding {
 /// length descriptors); also used by the rendezvous handshake of two-sided
 /// sends over an attached network.
 pub const CTRL_FRAME_BYTES: usize = 64;
+
+/// How long a rank waiting for its turn ([`Windows::in_turn`]) spins before
+/// it parks: its predecessor is usually still waking from the barrier that
+/// opened the round, and a park and a wake-up cost more than that wait.
+const TURN_SPIN: Duration = Duration::from_micros(40);
+
+/// The issue order of collective rounds: `at == base + k` once the `k`
+/// highest ranks have issued in the round at collective base `base`.
+/// Collective bases are [`COLL_WINDOW_STRIDE`] apart, so `k` never reaches
+/// the next round's base.
+#[derive(Default)]
+struct Turn {
+    at: AtomicU64,
+    /// Waiters that stopped spinning; the rank passing the turn takes the
+    /// lock and wakes them only when there are any.
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Turn {
+    fn wait(&self, want: u64) {
+        let spin_until = Instant::now() + TURN_SPIN;
+        while self.at.load(Ordering::Acquire) != want {
+            if Instant::now() < spin_until {
+                std::hint::spin_loop();
+                continue;
+            }
+            let mut guard = self.lock.lock();
+            // Counted before the re-check: a passer that stores after the
+            // re-check then sees the count and wakes this waiter.
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            while self.at.load(Ordering::SeqCst) != want {
+                self.wake.wait(&mut guard);
+            }
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+            return;
+        }
+    }
+
+    fn pass(&self, to: u64) {
+        self.at.store(to, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _guard = self.lock.lock();
+            self.wake.notify_all();
+        }
+    }
+}
 
 /// Per-rank completion/notification state.
 struct RankState {
@@ -166,12 +244,14 @@ struct RankState {
 /// endpoints into it.
 pub struct WindowShared {
     size: usize,
-    /// Window table: read-locked on the put/get path, write-locked only by
-    /// expose/deregister, so a withdrawn window's entry is freed at once.
+    /// Window table: read-locked on the put/get path, write-locked only to
+    /// expose and to withdraw, so a withdrawn window's entry is freed at
+    /// once.
     map: RwLock<HashMap<WindowId, Arc<WindowCell>>>,
     /// Optional modelled-network binding (set once by `attach`).
     net: Published<Option<NetBinding>>,
     ranks: Vec<RankState>,
+    turn: Turn,
 }
 
 impl WindowShared {
@@ -189,6 +269,7 @@ impl WindowShared {
                     notice_cv: Condvar::new(),
                 })
                 .collect(),
+            turn: Turn::default(),
         })
     }
 
@@ -211,6 +292,18 @@ impl WindowShared {
 
     fn lookup(&self, id: WindowId) -> Result<Arc<WindowCell>, RtsError> {
         self.map.read().get(&id).cloned().ok_or(RtsError::UnknownWindow(id))
+    }
+
+    /// Count one planned get of `cell`, just resolved as `id`; the last one
+    /// withdraws the window.
+    fn count_get(&self, id: WindowId, cell: &Arc<WindowCell>) {
+        let Some(left) = &cell.gets_left else { return };
+        if left.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1)) == Ok(1) {
+            let mut map = self.map.write();
+            if map.get(&id).is_some_and(|live| Arc::ptr_eq(live, cell)) {
+                map.remove(&id);
+            }
+        }
     }
 }
 
@@ -347,6 +440,28 @@ impl Windows {
     /// Rejects any overlap with a live window of this rank ([`RtsError::
     /// WindowOverlap`]); zero-length windows only conflict on an equal base.
     pub fn expose(&self, base: u64, data: Vec<u8>) -> Result<WindowId, RtsError> {
+        self.insert(base, data, None)
+    }
+
+    /// Expose `data` at `base` for exactly `gets` one-sided gets: the window
+    /// leaves the table when the last of them looks it up, and needs no
+    /// [`Windows::deregister`]. Each [`Windows::get_strided_nb`] call that
+    /// finds the window counts once, on the initiating side, and keeps the
+    /// bytes it resolved until it completes. `gets == 0` exposes nothing.
+    /// Rejects overlap as [`Windows::expose`] does.
+    pub fn expose_for_gets(&self, base: u64, data: Vec<u8>, gets: usize) -> Result<(), RtsError> {
+        if gets > 0 {
+            self.insert(base, data, Some(AtomicUsize::new(gets)))?;
+        }
+        Ok(())
+    }
+
+    fn insert(
+        &self,
+        base: u64,
+        data: Vec<u8>,
+        gets_left: Option<AtomicUsize>,
+    ) -> Result<WindowId, RtsError> {
         let id = WindowId { owner: self.rank, base };
         let len = data.len() as u64;
         let mut map = self.shared.map.write();
@@ -361,7 +476,10 @@ impl Windows {
                 return Err(RtsError::WindowOverlap { base, len, existing: *wid });
             }
         }
-        map.insert(id, Arc::new(WindowCell { len: data.len(), data: RwLock::new(data) }));
+        map.insert(
+            id,
+            Arc::new(WindowCell { len: data.len(), data: RwLock::new(data), gets_left }),
+        );
         drop(map);
         if pardis_obs::enabled() {
             pardis_obs::counter("rts.win.exposed").inc();
@@ -369,17 +487,21 @@ impl Windows {
         Ok(id)
     }
 
-    /// Withdraw a window this rank exposed, returning its buffer. In-flight
-    /// remote operations that already resolved the window keep writing the
-    /// detached buffer (as with real RDMA, deregistering before a fence is
-    /// an application error, not a crash).
+    /// Withdraw a window this rank exposed, returning its bytes: the buffer
+    /// itself when no operation holds the window any more, a copy of it
+    /// while one does. An operation in flight keeps the buffer it resolved,
+    /// so a put that lands after the withdrawal writes a buffer nobody reads
+    /// (as with real RDMA, deregistering before a fence is an application
+    /// error, not a crash).
     pub fn deregister(&self, id: WindowId) -> Result<Vec<u8>, RtsError> {
         if id.owner != self.rank {
             return Err(RtsError::NotOwner { window: id, rank: self.rank });
         }
         let cell = self.shared.map.write().remove(&id).ok_or(RtsError::UnknownWindow(id))?;
-        let taken = std::mem::take(&mut *cell.data.write());
-        Ok(taken)
+        Ok(match Arc::try_unwrap(cell) {
+            Ok(cell) => cell.data.into_inner(),
+            Err(held) => held.data.read().clone(),
+        })
     }
 
     /// Size in bytes of a live window.
@@ -394,6 +516,27 @@ impl Windows {
     pub fn collective_window_base(&self) -> u64 {
         let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed) % COLL_WINDOW_ROUNDS;
         COLL_WINDOW_REGION | (seq * COLL_WINDOW_STRIDE)
+    }
+
+    /// Run `issue` in this rank's turn of the collective round at `base` (a
+    /// [`Windows::collective_window_base`]). On a world attached to a
+    /// network, rank `r` runs it once rank `r + 1` has run its own, so the
+    /// round's operations reach the engine in a fixed order, its modelled
+    /// time does not depend on thread timing, and rank 0 runs last. Without
+    /// a network it runs at once. Collective: every rank of the round must
+    /// call it, after a rendezvous that opened the round.
+    pub fn in_turn<R>(&self, base: u64, issue: impl FnOnce() -> R) -> R {
+        if self.shared.net.read().is_none() {
+            return issue();
+        }
+        debug_assert_eq!(base % COLL_WINDOW_STRIDE, 0, "turns are keyed by collective bases");
+        let (turn, place) = (&self.shared.turn, (self.shared.size - 1 - self.rank) as u64);
+        if place > 0 {
+            turn.wait(base + place);
+        }
+        let out = issue();
+        turn.pass(base + place + 1);
+        out
     }
 
     /// Non-blocking one-sided write of `data` at `offset` into a window.
@@ -466,7 +609,7 @@ impl Windows {
 
     /// Non-blocking one-sided read of `[offset, offset+len)` from a window.
     pub fn get_nb(&self, id: WindowId, offset: u64, len: u64) -> Result<GetHandle, RtsError> {
-        self.get_strided_nb(id, &[(offset, len, len, 1)])
+        self.get_strided_nb(id, [(offset, len, len, 1)])
     }
 
     /// Vectored get: read several `(offset, len)` spans of one window in a
@@ -474,7 +617,7 @@ impl Windows {
     /// concatenated spans.
     pub fn get_vec_nb(&self, id: WindowId, spans: &[(u64, u64)]) -> Result<GetHandle, RtsError> {
         let spans: Vec<_> = spans.iter().map(|&(offset, len)| (offset, len, len, 1)).collect();
-        self.get_strided_nb(id, &spans)
+        self.get_strided_nb(id, spans)
     }
 
     /// Strided get: each `(offset, stride, block, count)` entry names
@@ -483,12 +626,14 @@ impl Windows {
     /// `(offset, len)` span per block. One request frame, one reply frame
     /// carrying every span concatenated in entry order, blocks ascending
     /// within an entry: the per-message overhead is paid once per source,
-    /// not per block.
+    /// not per block. A vector of entries is kept as it is until the owner
+    /// serves them; a slice is copied.
     pub fn get_strided_nb(
         &self,
         id: WindowId,
-        spans: &[(u64, u64, u64, u64)],
+        spans: impl Into<Vec<(u64, u64, u64, u64)>>,
     ) -> Result<GetHandle, RtsError> {
+        let spans = spans.into();
         let cell = self.shared.lookup(id)?;
         let mut total = 0usize;
         for &(offset, stride, block, count) in spans.iter().filter(|s| s.3 > 0) {
@@ -508,22 +653,25 @@ impl Windows {
                 }
             }
         }
+        // Counted only once the spans are valid: a rejected get changes
+        // nothing.
+        self.shared.count_get(id, &cell);
         if pardis_obs::enabled() {
             pardis_obs::counter("rts.win.gets").inc();
             pardis_obs::counter("rts.win.get.bytes").add(total as u64);
         }
         let core = OpCore::new(&self.shared, self.rank);
-        let spans: Arc<[(u64, u64, u64, u64)]> = spans.into();
         let read = move || {
             let buf = cell.data.read();
-            let mut out = BytesMut::with_capacity(total);
-            for &(offset, stride, block, count) in spans.iter() {
-                for k in 0..count {
-                    let at = (offset + k * stride) as usize;
-                    out.extend_from_slice(&buf[at..at + block as usize]);
-                }
+            let mut out = vec![0u8; total];
+            let mut at = 0;
+            // An empty entry (no blocks, or blocks of no bytes) reads nothing.
+            for &(offset, stride, block, count) in spans.iter().filter(|s| s.2 > 0 && s.3 > 0) {
+                let len = (block * count) as usize;
+                gather(&mut out[at..at + len], &buf[offset as usize..], stride, block);
+                at += len;
             }
-            out.freeze()
+            Bytes::from(out)
         };
         match self.shared.net_route(self.rank, id.owner) {
             Some((net, fh, th)) => {
@@ -603,6 +751,23 @@ impl Windows {
 impl std::fmt::Debug for Windows {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Windows(rank {}/{})", self.rank, self.shared.size)
+    }
+}
+
+/// Fill `out` with blocks of `block` bytes taken `stride` apart from the
+/// front of `src` (`block > 0`). A block of one `f64` — a cyclic
+/// redistribution's — is a fixed-width copy, not a `memcpy` call; any other
+/// width is one `copy_from_slice` per block.
+fn gather(out: &mut [u8], src: &[u8], stride: u64, block: u64) {
+    let (stride, block) = (stride as usize, block as usize);
+    if block == 8 {
+        for (k, to) in out.chunks_exact_mut(8).enumerate() {
+            to.copy_from_slice(&src[k * stride..][..8]);
+        }
+    } else {
+        for (k, to) in out.chunks_exact_mut(block).enumerate() {
+            to.copy_from_slice(&src[k * stride..][..block]);
+        }
     }
 }
 

@@ -3,11 +3,12 @@
 //! Whether a redistribution pulls through windows or pushes through
 //! send/recv — and whether a halo exchange puts or sends — is decided by
 //! the RTS alone: one that offers windows gets the one-sided path, one
-//! whose `windows()` is `None` gets the two-sided path. Every test runs its
-//! workload on a windowed RTS and on the same RTS wrapped in [`TwoSided`],
-//! and asserts bit-for-bit identical outcomes; redistributions are also
-//! checked against the target distribution sliced straight out of the
-//! global vector.
+//! whose `windows()` is `None` gets the two-sided path. The workload tests
+//! run on a windowed RTS and on the same RTS wrapped in [`TwoSided`], and
+//! assert bit-for-bit identical outcomes; redistributions are also checked
+//! against the target distribution sliced straight out of the global
+//! vector. The rest pin the window layer's own contract on a networked
+//! world: a pull's modelled time, and a put that lands late.
 
 use pardis::core::{DSequence, Distribution};
 use pardis::netsim::{LinkPreset, Network, TimeScale};
@@ -271,6 +272,162 @@ fn networked_redistribution_agrees_and_pull_is_cheaper() {
         pull_time < push_time,
         "pull should beat rendezvous push on the virtual clock: pull={pull_time:.6}s push={push_time:.6}s"
     );
+}
+
+/// A seeded pseudo-random stream (SplitMix64).
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// A world of `n` ranks on a network of `AtmOc3` links, one host per rank.
+fn networked_world(n: usize) -> (Network, Vec<pardis::rts::Rank>) {
+    let net = Network::new(TimeScale::off());
+    net.set_default_link(LinkPreset::AtmOc3.link());
+    let hosts: Vec<_> = (0..n).map(|r| net.add_host(&format!("h{r}"))).collect();
+    let (world, ranks) = World::new(n);
+    world.attach_network(net.clone(), hosts);
+    (net, ranks)
+}
+
+/// The pull's modelled time is fixed by its plan, not by which thread
+/// wakes first: every rank sleeps a seeded random 0–200 µs before each
+/// call, and the makespan of 20 `Block -> Cyclic -> Block` round trips is
+/// bit-identical for every sleep seed.
+#[test]
+fn pull_modelled_time_does_not_depend_on_thread_timing() {
+    let full = payload(256);
+    for n in [2, 4] {
+        let makespans: Vec<u64> = (1..=5u64)
+            .map(|seed| {
+                let (net, ranks) = networked_world(n);
+                std::thread::scope(|scope| {
+                    for rank in ranks {
+                        let full = &full;
+                        scope.spawn(move || {
+                            let t = rank.rank();
+                            let mut rng = SplitMix(seed << 8 | t as u64);
+                            let rts = MpiRts::new(rank);
+                            let mut ds = DSequence::distribute(full, Distribution::Block, n, t);
+                            for _ in 0..20 {
+                                for to in [Distribution::Cyclic, Distribution::Block] {
+                                    let pause = Duration::from_micros(rng.next() % 201);
+                                    std::thread::sleep(pause);
+                                    ds.redistribute(&rts, to);
+                                }
+                            }
+                            assert_eq!(
+                                ds.local(),
+                                expected_local(full, &Distribution::Block, n, t)
+                            );
+                        });
+                    }
+                });
+                net.makespan().to_bits()
+            })
+            .collect();
+        assert!(
+            makespans.windows(2).all(|w| w[0] == w[1]),
+            "{n} ranks: makespans differ across sleep seeds: {:?}",
+            makespans.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>()
+        );
+    }
+}
+
+/// A halo exchange and a pull redistribution alternate on one networked
+/// world of 3 ranks for 200 rounds: both users of the window layer finish
+/// (under a timeout), agree bit for bit with the two-sided paths, and leave
+/// no round's window exposed.
+#[test]
+fn halo_exchanges_and_pulls_interleave_on_one_networked_world() {
+    const N: usize = 3;
+    const ROUNDS: usize = 200;
+    let run = |one_sided: bool| {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let full = payload(50);
+            let layout = Layout2D::new(12, 17, N);
+            let (_net, ranks) = networked_world(N);
+            let shared = ranks[0].windows().shared().clone();
+            let out = std::thread::scope(|scope| {
+                let handles: Vec<_> = ranks
+                    .into_iter()
+                    .map(|rank| {
+                        let (full, layout) = (&full, layout.clone());
+                        scope.spawn(move || {
+                            let t = rank.rank();
+                            on_path(one_sided, PoomaComm::new(rank), |rts| {
+                                let mut field = Field2D::from_fn(layout, t, |i, j| {
+                                    ((i * 5 + j * 3) % 13) as f64 / 7.0
+                                });
+                                let mut ds = DSequence::distribute(full, Distribution::Block, N, t);
+                                for round in 0..ROUNDS {
+                                    field.stencil5(0.1, rts);
+                                    let to = [Distribution::Cyclic, Distribution::Block][round % 2]
+                                        .clone();
+                                    ds.redistribute(rts, to);
+                                }
+                                assert_eq!(ds.local(), expected_local(full, ds.dist(), N, t));
+                                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+                                (bits(&field.interior()), bits(ds.local()))
+                            })
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<(Vec<u64>, _)>>()
+            });
+            // A fresh endpoint replays the world's collective bases.
+            let replay = Windows::endpoint(shared, 0);
+            let exposed: Vec<_> = (0..2 * ROUNDS)
+                .map(|_| replay.collective_window_base())
+                .flat_map(|base| (0..N).map(move |owner| pardis::rts::WindowId { owner, base }))
+                .filter(|&id| replay.window_len(id).is_ok())
+                .collect();
+            done.send((out, exposed)).expect("test thread waits");
+        });
+        finished.recv_timeout(Duration::from_secs(120)).expect("200 rounds finish")
+    };
+    let (one_sided, exposed) = run(true);
+    let (two_sided, _) = run(false);
+    assert_eq!(one_sided, two_sided, "windowed and two-sided rounds disagree");
+    assert!(exposed.is_empty(), "windows of finished rounds still exposed: {exposed:?}");
+}
+
+/// A put still in flight when its window is withdrawn lands in a
+/// buffer nobody reads: `deregister` hands back a copy, the engine's
+/// timer thread survives the landing and the network drains. The case
+/// runs on a helper thread, so a regression fails by timeout instead of
+/// hanging the suite.
+#[test]
+fn a_put_landing_after_deregister_is_not_a_crash() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let net = Network::new(TimeScale::new(1.0));
+        let h0 = net.add_host("A");
+        let h1 = net.add_host("B");
+        net.connect(h0, h1, LinkPreset::AtmOc3.link());
+        let (world, ranks) = World::new(2);
+        world.attach_network(net.clone(), vec![h0, h1]);
+        let id = ranks[0].windows().expose(0, vec![3u8; 64]).expect("expose");
+        let put = ranks[1].windows().put_nb(id, 0, Bytes::from(vec![9u8; 64])).expect("put");
+        let bytes = ranks[0].windows().deregister(id).expect("deregister");
+        net.quiesce();
+        put.wait();
+        done.send(bytes).expect("test thread waits");
+    });
+    let bytes = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the late put landed and the network drained");
+    // 0.9 ms of modelled wire time at scale 1: the put is almost surely
+    // still in flight at the withdrawal, and lands after it.
+    assert!(bytes == [3u8; 64] || bytes == [9u8; 64], "{bytes:?}");
 }
 
 mod property {
