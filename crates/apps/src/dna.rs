@@ -31,10 +31,9 @@ use pardis::generated::dna::{ListServerImpl, ListServerSkel, Status};
 use pardis::netsim::HostId;
 use pardis::rts::{tags, MpiRts, World};
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The five partial-result lists of §4.2.
@@ -166,7 +165,8 @@ impl ListServerImpl for ListHolder {
         if self.work_units > 0 {
             std::thread::sleep(Duration::from_micros(self.work_units));
         }
-        let hits = self.entries.lock().iter().filter(|e| e.contains(&s)).cloned().collect();
+        let hits =
+            self.entries.lock().unwrap().iter().filter(|e| e.contains(&s)).cloned().collect();
         Ok((hits,))
     }
 }
@@ -192,7 +192,7 @@ impl Servant for DnaDbServant {
                 // in arrival order (which the ORB already sequences per
                 // client entity).
                 let s: String = req.scalar(0).map_err(|e| e.to_string())?;
-                self.queries.lock().push_back(s);
+                self.queries.lock().unwrap().push_back(s);
                 Ok(DispatchResult::Defer)
             }
             other => Err(format!("interface dna_db has no operation {other:?}")),
@@ -325,7 +325,7 @@ pub fn spawn_dna_server(orb: &Orb, host: HostId, cfg: DnaServerConfig) -> Server
                 while let Some(msg) = rts.try_recv(None, RESULT_TAG) {
                     let (l, items) = decode_results(&msg.data);
                     if let Some((_, entries)) = my_lists.iter().find(|(i, _)| *i == l as usize) {
-                        entries.lock().extend(items);
+                        entries.lock().unwrap().extend(items);
                     }
                 }
 
@@ -337,7 +337,7 @@ pub fn spawn_dna_server(orb: &Orb, host: HostId, cfg: DnaServerConfig) -> Server
 
                 // Start the next queued search when idle.
                 if search.is_none() {
-                    if let Some(q) = queries.lock().pop_front() {
+                    if let Some(q) = queries.lock().unwrap().pop_front() {
                         let deriv = derivatives(&q);
                         search = Some(SearchState { query: q, deriv, pos: 0, local_done: false });
                     }
@@ -368,7 +368,7 @@ pub fn spawn_dna_server(orb: &Orb, host: HostId, cfg: DnaServerConfig) -> Server
                             let owner = cfg.placement.owner(l, p);
                             if owner == t {
                                 if let Some((_, entries)) = my_lists.iter().find(|(i, _)| *i == l) {
-                                    entries.lock().extend(items);
+                                    entries.lock().unwrap().extend(items);
                                 }
                             } else {
                                 rts.send(owner, RESULT_TAG, encode_results(l as u32, &items));
@@ -403,7 +403,7 @@ pub fn spawn_dna_server(orb: &Orb, host: HostId, cfg: DnaServerConfig) -> Server
                         let (l, items) = decode_results(&msg.data);
                         if let Some((_, entries)) = my_lists.iter().find(|(i, _)| *i == l as usize)
                         {
-                            entries.lock().extend(items);
+                            entries.lock().unwrap().extend(items);
                         }
                     }
                     search = None;

@@ -21,6 +21,7 @@
 
 use crate::solvers::ComputePace;
 use crate::ServerHandle;
+use pardis::audit::{lock_site, AuditMutex};
 use pardis::core::{ClientGroup, DSequence, DistPolicy, Orb, OrbResult, ServantCtx, ServerGroup};
 use pardis::generated::pipeline::{
     FieldOperationsImpl, FieldOperationsProxy, FieldOperationsSkel, VisualizerImpl,
@@ -30,7 +31,6 @@ use pardis::netsim::HostId;
 use pardis::pooma::{Field2D, Layout2D};
 use pardis::pstl::{grid::magnitude_gradient, DistVector};
 use pardis::rts::{MpiRts, World};
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,7 +45,7 @@ pub struct VisStats {
 
 /// The `visualizer` servant: records every shown frame.
 pub struct VisualizerServant {
-    stats: Arc<Mutex<VisStats>>,
+    stats: Arc<AuditMutex<VisStats>>,
 }
 
 impl VisualizerImpl for VisualizerServant {
@@ -63,8 +63,9 @@ pub fn spawn_visualizer(
     orb: &Orb,
     host: HostId,
     name: &str,
-) -> (ServerHandle, Arc<Mutex<VisStats>>) {
-    let stats = Arc::new(Mutex::new(VisStats::default()));
+) -> (ServerHandle, Arc<AuditMutex<VisStats>>) {
+    let stats =
+        Arc::new(AuditMutex::new(lock_site!("apps: visualizer stats"), VisStats::default()));
     let group = ServerGroup::create(orb, "visualizer", host, 1);
     let g = group.clone();
     let s = stats.clone();

@@ -59,7 +59,8 @@ mod sync;
 
 pub use report::{AuditReport, Finding, Kind, Severity};
 pub use sync::{
-    AuditCondvar, AuditMutex, AuditMutexGuard, AuditReadGuard, AuditRwLock, AuditWriteGuard,
+    AuditCondvar, AuditMutex, AuditMutexGuard, AuditQueue, AuditReadGuard, AuditRwLock,
+    AuditWriteGuard,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,10 +1,12 @@
-//! Audited drop-in lock wrappers over `std::sync` primitives.
+//! The workspace's synchronization primitives: audited locks, a condvar,
+//! and one blocking queue, all over `std::sync`.
 //!
-//! The wrappers expose the same surface as the workspace's `parking_lot`
-//! stand-in — `lock()` returning a guard directly, `try_lock()` returning
-//! an `Option`, `Condvar::wait(&mut guard)` — so sweeping a crate is a
-//! type-and-constructor change, not a call-site rewrite. Two behaviours
-//! are layered on top:
+//! Every lock, condvar and blocking queue on the runtime path (ORB, RTS,
+//! netsim, protocol checker) is one of these, so the auditor sees them
+//! all. The locks hand out guards directly (`lock()` returns the guard,
+//! `try_lock()` an `Option`, `AuditCondvar::wait` takes `&mut guard`), and
+//! the constructors are `const` so a lock can live in a static. Two
+//! behaviours are layered on top of `std::sync`:
 //!
 //! * **Poison recovery** (always on): a poisoned guard is recovered via
 //!   [`std::sync::PoisonError::into_inner`] instead of cascading the
@@ -21,8 +23,11 @@
 
 use crate::core::{self, Acq};
 use crate::Site;
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 fn recover<G>(r: Result<G, std::sync::PoisonError<G>>, site: &'static Site) -> G {
     r.unwrap_or_else(|e| {
@@ -287,11 +292,7 @@ impl AuditCondvar {
     }
 
     /// Park until notified or `timeout` elapses; true when notified.
-    pub fn wait_timeout<T>(
-        &self,
-        guard: &mut AuditMutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> bool {
+    pub fn wait_timeout<T>(&self, guard: &mut AuditMutexGuard<'_, T>, timeout: Duration) -> bool {
         let site = guard.lock.site;
         let instance = guard.lock.instance();
         if guard.audited {
@@ -331,4 +332,116 @@ impl fmt::Debug for AuditCondvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AuditCondvar").finish_non_exhaustive()
     }
+}
+
+/// A blocking queue: an [`AuditMutex`]-guarded `VecDeque` plus an
+/// [`AuditCondvar`]. Items are pushed at the back; a take removes the
+/// first item matching a predicate (the always-true predicate makes it a
+/// FIFO `pop_front`), so one type serves both an ORB endpoint's inbox and
+/// an RTS mailbox with MPI-style tag matching.
+///
+/// [`AuditQueue::close`] marks the receiving side gone: the queued items
+/// are dropped and every later push is refused, so a queue nobody reads
+/// never grows.
+pub struct AuditQueue<T> {
+    items: AuditMutex<VecDeque<T>>,
+    arrived: AuditCondvar,
+    /// Set once by `close`; read under the items lock.
+    closed: AtomicBool,
+}
+
+impl<T> AuditQueue<T> {
+    /// An empty queue whose lock acquisitions are named by `site`.
+    pub const fn new(site: &'static Site) -> AuditQueue<T> {
+        AuditQueue {
+            items: AuditMutex::new(site, VecDeque::new()),
+            arrived: AuditCondvar::new(),
+            closed: AtomicBool::new(false),
+        }
+    }
+
+    /// Append `item` and wake the waiters. Once the queue is closed the
+    /// push is refused and the item handed back.
+    pub fn push(&self, item: T) -> Result<(), T> {
+        let mut items = self.items.lock();
+        if self.closed.load(Ordering::Relaxed) {
+            return Err(item);
+        }
+        items.push_back(item);
+        drop(items);
+        self.arrived.notify_all();
+        Ok(())
+    }
+
+    /// Remove the first item matching `pred`, without blocking. Items it
+    /// passes over keep their order.
+    pub fn take(&self, pred: impl FnMut(&T) -> bool) -> Option<T> {
+        take_first(&mut self.items.lock(), pred)
+    }
+
+    /// Block until an item matching `pred` is queued, and take it.
+    pub fn wait(&self, mut pred: impl FnMut(&T) -> bool) -> T {
+        let mut items = self.items.lock();
+        loop {
+            if let Some(item) = take_first(&mut items, &mut pred) {
+                return item;
+            }
+            self.arrived.wait(&mut items);
+        }
+    }
+
+    /// [`AuditQueue::wait`] for at most `timeout`; `None` when it elapses
+    /// first. A timeout whose deadline `Instant` cannot represent waits
+    /// without one.
+    pub fn wait_timeout(&self, mut pred: impl FnMut(&T) -> bool, timeout: Duration) -> Option<T> {
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.wait(pred));
+        };
+        let mut items = self.items.lock();
+        loop {
+            if let Some(item) = take_first(&mut items, &mut pred) {
+                return Some(item);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            self.arrived.wait_timeout(&mut items, left);
+        }
+    }
+
+    /// Number of queued items.
+    pub fn len(&self) -> usize {
+        self.items.lock().len()
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether any queued item matches `pred`.
+    pub fn any(&self, pred: impl FnMut(&T) -> bool) -> bool {
+        self.items.lock().iter().any(pred)
+    }
+
+    /// The receiving side is gone: drop what is queued and refuse every
+    /// later push.
+    pub fn close(&self) {
+        // Stored before the lock is taken, so every push that locks after
+        // this one sees it; the items are dropped after the lock is released.
+        self.closed.store(true, Ordering::Relaxed);
+        let _dropped = std::mem::take(&mut *self.items.lock());
+    }
+}
+
+impl<T> fmt::Debug for AuditQueue<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AuditQueue").field("site", &self.items.site.label).finish_non_exhaustive()
+    }
+}
+
+fn take_first<T>(items: &mut VecDeque<T>, pred: impl FnMut(&T) -> bool) -> Option<T> {
+    let at = items.iter().position(pred)?;
+    items.remove(at)
 }

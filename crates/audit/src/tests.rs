@@ -1,15 +1,18 @@
 //! Property/unit suite for the cycle detector, the vector-clock engine and
 //! the hazard detectors: synthetic graphs (2-cycle, 3-cycle,
 //! diamond-no-cycle), seeded random acquisition orders, and the
-//! lock-held-across-transmit regression fixture.
+//! lock-held-across-transmit regression fixture; and the blocking queue's
+//! contract (FIFO order, predicate takes, timed and untimed waits, refusal
+//! once closed).
 //!
 //! The auditor's state is process-global, so every test serializes on one
 //! static mutex and resets the engine on entry and exit.
 
-use crate::{AuditCondvar, AuditMutex, AuditRwLock, Kind, Severity, Site};
+use crate::{AuditCondvar, AuditMutex, AuditQueue, AuditRwLock, Kind, Severity, Site};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -368,4 +371,90 @@ fn disabled_gate_records_nothing() {
     let report = crate::report();
     assert!(report.findings.is_empty(), "{}", report.render_table());
     assert_eq!(report.sites_seen, 0);
+}
+
+fn queue() -> Arc<AuditQueue<i32>> {
+    Arc::new(AuditQueue::new(lock_site!("queue fixture")))
+}
+
+#[test]
+fn queue_takes_in_fifo_order() {
+    let _g = audited();
+    let q = queue();
+    for i in 0..10 {
+        q.push(i).unwrap();
+    }
+    assert_eq!(q.len(), 10);
+    for i in 0..10 {
+        assert_eq!(q.take(|_| true), Some(i));
+    }
+    assert_eq!(q.take(|_| true), None);
+    assert!(crate::report().is_clean());
+}
+
+#[test]
+fn queue_refuses_pushes_once_closed() {
+    let _g = audited();
+    let q = queue();
+    q.push(1).unwrap();
+    q.close();
+    assert_eq!(q.push(2), Err(2));
+    assert!(q.is_empty(), "closing drops what was queued, and nothing lands after");
+}
+
+#[test]
+fn queue_timed_wait_reports_timeout_and_returns_an_item_in_time() {
+    let _g = audited();
+    let q = queue();
+    assert_eq!(q.wait_timeout(|_| true, Duration::from_millis(5)), None);
+    let pusher = q.clone();
+    let t = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(10));
+        pusher.push(3).unwrap();
+    });
+    assert_eq!(q.wait_timeout(|_| true, Duration::from_secs(30)), Some(3));
+    t.join().unwrap();
+    // A deadline past `Instant`'s range is no deadline, not a panic.
+    let pusher = q.clone();
+    let t = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(10));
+        pusher.push(4).unwrap();
+    });
+    assert_eq!(q.wait_timeout(|_| true, Duration::MAX), Some(4));
+    t.join().unwrap();
+    assert!(crate::report().is_clean(), "{}", crate::report().render_table());
+}
+
+#[test]
+fn queue_blocked_wait_wakes_on_push() {
+    let _g = audited();
+    let q = queue();
+    let waiter = q.clone();
+    let t = std::thread::spawn(move || waiter.wait(|_| true));
+    std::thread::sleep(Duration::from_millis(10));
+    q.push(42).unwrap();
+    assert_eq!(t.join().unwrap(), 42);
+}
+
+#[test]
+fn queue_predicate_take_skips_and_keeps_order() {
+    let _g = audited();
+    let q = queue();
+    for i in [1, 2, 7, 3, 8] {
+        q.push(i).unwrap();
+    }
+    assert!(q.any(|&i| i > 6));
+    assert_eq!(q.take(|&i| i > 6), Some(7));
+    assert_eq!(q.take(|&i| i > 100), None);
+    let rest: Vec<i32> = std::iter::from_fn(|| q.take(|_| true)).collect();
+    assert_eq!(rest, [1, 2, 3, 8]);
+}
+
+#[test]
+fn condvar_wait_timeout_times_out_false() {
+    let _g = audited();
+    let lock = AuditMutex::new(lock_site!("timed condvar mutex"), ());
+    let cv = AuditCondvar::new();
+    let mut guard = lock.lock();
+    assert!(!cv.wait_timeout(&mut guard, Duration::from_millis(5)), "nobody notified");
 }

@@ -102,10 +102,12 @@ impl Rts for CheckedRts {
         }
         let me = self.inner.rank();
         self.chk.check_tag(me, "recv", from, tag);
-        let deadline = Instant::now() + timeout;
+        // A deadline `Instant` cannot represent is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         self.chk.block_enter(me, from, tag);
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
             if left.is_zero() {
                 self.chk.block_exit(me);
                 return None;

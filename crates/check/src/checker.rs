@@ -2,8 +2,8 @@
 //! in-flight message ledger, findings.
 
 use crate::report::{CheckReport, Finding, Kind, Severity};
+use pardis_audit::{lock_site, AuditCondvar, AuditMutex};
 use pardis_rts::tags;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,8 +98,8 @@ struct State {
 /// [`Checker::finish`] after the world joins.
 pub struct Checker {
     size: usize,
-    state: Mutex<State>,
-    arrived: Condvar,
+    state: AuditMutex<State>,
+    arrived: AuditCondvar,
     watchdog: Duration,
     /// Events recorded while enabled — used by the disabled-overhead
     /// regression test to prove the disabled path records nothing.
@@ -122,15 +122,18 @@ impl Checker {
         assert!(size > 0, "checker needs at least one rank");
         Arc::new(Checker {
             size,
-            state: Mutex::new(State {
-                next_epoch: vec![0; size],
-                epochs: HashMap::new(),
-                inflight: HashMap::new(),
-                blocked: HashMap::new(),
-                poisoned: vec![false; size],
-                findings: Vec::new(),
-            }),
-            arrived: Condvar::new(),
+            state: AuditMutex::new(
+                lock_site!("check: checker state"),
+                State {
+                    next_epoch: vec![0; size],
+                    epochs: HashMap::new(),
+                    inflight: HashMap::new(),
+                    blocked: HashMap::new(),
+                    poisoned: vec![false; size],
+                    findings: Vec::new(),
+                },
+            ),
+            arrived: AuditCondvar::new(),
             watchdog,
             events: AtomicU64::new(0),
         })
@@ -294,7 +297,7 @@ impl Checker {
             if let Some(v) = st.epochs[&epoch].verdict {
                 return v;
             }
-            if self.arrived.wait_for(&mut st, self.watchdog).timed_out()
+            if !self.arrived.wait_timeout(&mut st, self.watchdog)
                 && st.epochs[&epoch].verdict.is_none()
             {
                 // Watchdog: some rank is busy elsewhere (compute phase, user

@@ -13,7 +13,7 @@ use crate::dist::Distribution;
 use crate::dseq::DSequence;
 use crate::error::{OrbError, OrbResult};
 use crate::object::{BindingId, ClientId, EndpointId, ObjectKind, ObjectRef};
-use crate::orb::{Envelope, ObjectMeta, Orb, OrbConfig, TransferStrategy};
+use crate::orb::{Inbox, ObjectMeta, Orb, OrbConfig, TransferStrategy};
 use crate::protocol::{
     batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, FragmentMsg, InArgs, Message, ReplyMsg,
     ReplyStatus, RequestView, Wire,
@@ -21,7 +21,6 @@ use crate::protocol::{
 use crate::servant::{ServantCtx, ServerRequest};
 use crate::strided::{assemble, cut_fragments, wire_template, Pack};
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
 use pardis_cdr::{Any, ByteOrder, CdrCodec, Decoder, Encoder, TypeCode};
 use pardis_netsim::{HostId, IdMap, IdSet, Published};
@@ -40,7 +39,7 @@ pub struct ClientGroup {
     host: HostId,
     nthreads: usize,
     reply_eps: Vec<EndpointId>,
-    reply_rxs: Arc<AuditMutex<Vec<Option<Receiver<Envelope>>>>>,
+    reply_rxs: Arc<AuditMutex<Vec<Option<Inbox>>>>,
     /// Repository namespace, published as an immutable snapshot (the PR-5
     /// Arc-swap idiom): `attach` reads it without taking a lock.
     namespace: Arc<Published<String>>,
@@ -132,7 +131,7 @@ pub(crate) struct PumpCore {
     pub thread: usize,
     pub nthreads: usize,
     pub reply_eps: Vec<EndpointId>,
-    rx: Receiver<Envelope>,
+    rx: Inbox,
     pub rts: Option<Arc<dyn Rts>>,
     router: ShardedRouter,
     /// Invocation counter of the collective entity (all threads of an SPMD
@@ -293,14 +292,14 @@ impl PumpCore {
     /// one. Returns true if anything was processed.
     pub(crate) fn pump_step(&self, wait: Option<Duration>) -> bool {
         let mut progressed = false;
-        while let Ok(env) = self.rx.try_recv() {
+        while let Some(env) = self.rx.try_recv() {
             pardis_audit::chan_recv(self.reply_eps[self.thread].0);
             self.ingest_wire(&env.wire, 0);
             progressed = true;
         }
         if !progressed {
             if let Some(timeout) = wait {
-                if let Ok(env) = self.rx.recv_timeout(timeout) {
+                if let Some(env) = self.rx.recv_timeout(timeout) {
                     pardis_audit::chan_recv(self.reply_eps[self.thread].0);
                     self.ingest_wire(&env.wire, 0);
                     progressed = true;

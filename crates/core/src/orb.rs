@@ -12,8 +12,7 @@ use crate::object::{ClientId, DistPolicy, EndpointId, ObjectKey, ObjectRef, Serv
 use crate::protocol::{Message, Wire};
 use crate::repository::{ActivationMode, ImplementationRepository, ObjectRepository};
 use crate::servant::Servant;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use pardis_audit::{lock_site, AuditMutex, AuditRwLock};
+use pardis_audit::{lock_site, AuditMutex, AuditQueue, AuditRwLock};
 use pardis_netsim::{HostId, IdMap, Network, Published, TimeScale};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -95,6 +94,30 @@ pub(crate) struct Envelope {
     pub wire: Wire,
 }
 
+/// The receiving side of an endpoint, owned by the thread that drains it.
+/// Dropping it closes the endpoint's queue, so the frames that still arrive
+/// are dropped: the endpoint table never forgets an endpoint, and a dead
+/// endpoint's queue must not grow.
+pub(crate) struct Inbox(Arc<AuditQueue<Envelope>>);
+
+impl Inbox {
+    /// Take the oldest frame, without blocking.
+    pub(crate) fn try_recv(&self) -> Option<Envelope> {
+        self.0.take(|_| true)
+    }
+
+    /// Take the oldest frame, waiting up to `timeout` for one.
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
+        self.0.wait_timeout(|_| true, timeout)
+    }
+}
+
+impl Drop for Inbox {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// Registered object metadata (what the repository hands to binders).
 #[derive(Clone)]
 pub(crate) struct ObjectMeta {
@@ -102,12 +125,12 @@ pub(crate) struct ObjectMeta {
     pub policy: DistPolicy,
 }
 
-/// The ORB's routing table. `EndpointId → (host, delivery channel)`,
+/// The ORB's routing table. `EndpointId → (host, delivery queue)`,
 /// published as an immutable snapshot so [`Orb::send_wire`] resolves a
 /// destination without acquiring any lock — together with the network's
 /// lock-free topology snapshot this makes the steady-state send path
 /// zero-lock.
-type EndpointTable = IdMap<EndpointId, (HostId, Sender<Envelope>)>;
+type EndpointTable = IdMap<EndpointId, (HostId, Arc<AuditQueue<Envelope>>)>;
 
 /// Shared-table identity for the happens-before checker: the endpoint
 /// snapshot's *mutation* path. Writers run under `ep_lock`, so any two
@@ -311,18 +334,18 @@ impl Orb {
 
     /// Create a transport endpoint on `host`; the receiver side goes to the
     /// owning thread.
-    pub(crate) fn register_endpoint(&self, host: HostId) -> (EndpointId, Receiver<Envelope>) {
+    pub(crate) fn register_endpoint(&self, host: HostId) -> (EndpointId, Inbox) {
         let id = EndpointId(self.alloc_id());
-        let (tx, rx) = unbounded();
+        let queue = Arc::new(AuditQueue::new(lock_site!("orb: endpoint inbox")));
         let _guard = self.inner.ep_lock.lock();
         pardis_audit::access_write(
             &ENDPOINT_SNAPSHOT,
             Arc::as_ptr(&self.inner) as *const () as usize,
         );
         let mut table = self.inner.endpoints.read().clone();
-        table.insert(id, (host, tx));
+        table.insert(id, (host, queue.clone()));
         self.inner.endpoints.store(table);
-        (id, rx)
+        (id, Inbox(queue))
     }
 
     #[cfg(test)]
@@ -335,6 +358,12 @@ impl Orb {
         let mut table = self.inner.endpoints.read().clone();
         table.remove(&id);
         self.inner.endpoints.store(table);
+    }
+
+    /// Frames waiting in an endpoint's queue.
+    #[cfg(test)]
+    pub(crate) fn queued_frames(&self, id: EndpointId) -> Option<usize> {
+        self.inner.endpoints.read().get(&id).map(|(_, inbox)| inbox.len())
     }
 
     /// Route a message to an endpoint, charging the network model for the
@@ -367,15 +396,16 @@ impl Orb {
         // the happens-before edge to the receiving pump rides the frame.
         pardis_audit::note_wire_call("Orb::send_wire/Network::transmit");
         pardis_audit::chan_send(to.0);
-        let (to_host, tx) = {
+        let (to_host, inbox) = {
             let eps = self.inner.endpoints.read();
-            let (h, tx) = eps.get(&to).ok_or(OrbError::Disconnected)?;
-            (*h, tx.clone())
+            let (h, inbox) = eps.get(&to).ok_or(OrbError::Disconnected)?;
+            (*h, inbox.clone())
         };
         self.inner.traffic.count(wire.len());
-        // `release` runs once per arriving copy.
+        // `release` runs once per arriving copy. A closed inbox (its
+        // receiver is gone) refuses the frame, which is then dropped.
         self.inner.network.transmit(from_host, to_host, wire.len(), move || {
-            let _ = tx.send(Envelope { wire: wire.clone() });
+            let _ = inbox.push(Envelope { wire: wire.clone() });
         });
         Ok(())
     }

@@ -11,7 +11,7 @@ use crate::error::OrbResult;
 use crate::object::{
     BindingId, DistPolicy, EndpointId, ObjectKey, ObjectKind, ObjectRef, ServerId,
 };
-use crate::orb::{Envelope, ObjectMeta, Orb};
+use crate::orb::{Inbox, ObjectMeta, Orb};
 use crate::protocol::{
     batch_depth_allowed, refuse_frame, ArgDir, DArgDesc, DOutDesc, FragmentMsg, Message, ReplyMsg,
     ReplyStatus, RequestMsg, Wire,
@@ -19,7 +19,6 @@ use crate::protocol::{
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
 use crate::strided::{cut_fragments, wire_template};
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use pardis_audit::{lock_site, AuditMutex};
 use pardis_netsim::{HostId, IdMap, Published};
 use pardis_rts::Rts;
@@ -42,7 +41,7 @@ pub struct ServerGroup {
     host: HostId,
     nthreads: usize,
     endpoints: Vec<EndpointId>,
-    inboxes: Arc<AuditMutex<Vec<Option<Receiver<Envelope>>>>>,
+    inboxes: Arc<AuditMutex<Vec<Option<Inbox>>>>,
     /// Repository namespace, published as an immutable snapshot (the PR-5
     /// Arc-swap idiom): set once at construction, read lock-free at attach.
     namespace: Arc<Published<String>>,
@@ -408,7 +407,7 @@ pub struct Poa {
     nthreads: usize,
     namespace: String,
     rts: Option<Arc<dyn Rts>>,
-    inbox: Receiver<Envelope>,
+    inbox: Inbox,
     servants: IdMap<ObjectKey, Active>,
     pending: IdMap<(BindingId, u64), PendingReq>,
     /// Every pending request whose control has arrived, in dispatch order:
@@ -557,7 +556,7 @@ impl Poa {
         let mut got_any = false;
         loop {
             let mut progressed = false;
-            while let Ok(env) = self.inbox.try_recv() {
+            while let Some(env) = self.inbox.try_recv() {
                 self.handle_wire(&env.wire, 0);
                 progressed = true;
             }
@@ -566,7 +565,7 @@ impl Poa {
                 return;
             }
             // Block briefly on the inbox, re-checking `closed` each slice.
-            if let Ok(env) = self.inbox.recv_timeout(Duration::from_micros(200)) {
+            if let Some(env) = self.inbox.recv_timeout(Duration::from_micros(200)) {
                 self.handle_wire(&env.wire, 0);
                 got_any = true;
             }

@@ -1,8 +1,7 @@
 //! Deferred replies and cross-binding dispatch ordering.
 
 use crate::*;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A servant that defers every `slow` call and answers `fast` immediately.
@@ -15,14 +14,14 @@ impl Servant for Mixed {
         "mixed"
     }
     fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
-        self.log.lock().push(format!("fast:{}", req.op));
+        self.log.lock().unwrap().push(format!("fast:{}", req.op));
         let mut rep = ServerReply::new();
         rep.push_scalar(&"now".to_string());
         Ok(rep)
     }
     fn dispatch_deferred(&self, req: ServerRequest<'_>) -> Result<DispatchResult, String> {
         if req.op == "slow" {
-            self.log.lock().push("deferred:slow".to_string());
+            self.log.lock().unwrap().push("deferred:slow".to_string());
             Ok(DispatchResult::Defer)
         } else {
             self.dispatch(req).map(DispatchResult::Reply)
@@ -67,7 +66,7 @@ fn deferred_reply_completes_later() {
     assert_eq!(slow2.wait().unwrap().scalar::<String>(0).unwrap(), "later");
 
     // Entity ordering: both dispatches happened before either reply.
-    let seen = log.lock().clone();
+    let seen = log.lock().unwrap().clone();
     assert_eq!(seen, vec!["deferred:slow", "deferred:slow"]);
 
     group.shutdown();

@@ -142,7 +142,7 @@ fn invocation_order_preserved_per_binding() {
     // The sequencing guarantee (§2.1): requests from one binding are served
     // in invocation order even when issued back-to-back without waiting.
     struct Recorder {
-        seen: Arc<parking_lot::Mutex<Vec<i32>>>,
+        seen: Arc<std::sync::Mutex<Vec<i32>>>,
     }
     impl Servant for Recorder {
         fn interface(&self) -> &str {
@@ -150,13 +150,13 @@ fn invocation_order_preserved_per_binding() {
         }
         fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
             let v: i32 = req.scalar(0).map_err(|e| e.to_string())?;
-            self.seen.lock().push(v);
+            self.seen.lock().unwrap().push(v);
             Ok(ServerReply::new())
         }
     }
 
     let (orb, host) = Orb::single_host();
-    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
     let group = ServerGroup::create(&orb, "rec", host, 1);
     let (g, s) = (group.clone(), seen.clone());
     let handle = std::thread::spawn(move || {
@@ -172,7 +172,7 @@ fn invocation_order_preserved_per_binding() {
     for h in handles {
         h.wait().unwrap();
     }
-    assert_eq!(*seen.lock(), (0..20).collect::<Vec<i32>>());
+    assert_eq!(*seen.lock().unwrap(), (0..20).collect::<Vec<i32>>());
     group.shutdown();
     handle.join().unwrap();
 }
@@ -396,7 +396,7 @@ fn send_to_vanished_receiver_is_a_drop_in_both_modes() {
         let orb = Orb::new(net);
         let (ep, rx) = orb.register_endpoint(host);
         orb.send(host, ep, &Message::Close).unwrap();
-        assert!(rx.try_recv().is_ok(), "blocking {blocking}: delivered");
+        assert!(rx.try_recv().is_some(), "blocking {blocking}: delivered");
         drop(rx);
         assert!(
             orb.send(host, ep, &Message::Close).is_ok(),
@@ -408,6 +408,20 @@ fn send_to_vanished_receiver_is_a_drop_in_both_modes() {
             "blocking {blocking}: unknown endpoint"
         );
     }
+}
+
+/// The endpoint table never forgets an endpoint, so a frame for one whose
+/// receiver is gone must be dropped, not queued: its queue stays empty.
+#[test]
+fn a_dead_endpoint_queues_nothing() {
+    use crate::protocol::Message;
+    let (orb, host) = Orb::single_host();
+    let (ep, rx) = orb.register_endpoint(host);
+    drop(rx);
+    for _ in 0..1_000 {
+        assert!(orb.send_wire(host, ep, Message::Close.encode().into()).is_ok());
+    }
+    assert_eq!(orb.queued_frames(ep), Some(0));
 }
 
 fn host_of(orb: &Orb, name: &str) -> pardis_netsim::HostId {

@@ -219,7 +219,7 @@ struct BlobRig {
     server: Option<std::thread::JoinHandle<()>>,
     object: crate::ObjectKey,
     hosts: (pardis_netsim::HostId, pardis_netsim::HostId),
-    reply: (crate::EndpointId, crossbeam::channel::Receiver<crate::orb::Envelope>),
+    reply: (crate::EndpointId, crate::orb::Inbox),
 }
 
 impl BlobRig {
@@ -416,7 +416,7 @@ struct AckRig {
     server: Option<std::thread::JoinHandle<()>>,
     object: crate::ObjectKey,
     hosts: (pardis_netsim::HostId, pardis_netsim::HostId),
-    replies: Vec<(crate::EndpointId, crossbeam::channel::Receiver<crate::orb::Envelope>)>,
+    replies: Vec<(crate::EndpointId, crate::orb::Inbox)>,
 }
 
 impl AckRig {
@@ -485,7 +485,7 @@ impl AckRig {
     /// The frame client thread `thread` got back for request `id`, if one
     /// arrives: its length.
     fn recv(&self, thread: usize, id: u64) -> Option<usize> {
-        let env = self.replies[thread].1.recv_timeout(Duration::from_secs(10)).ok()?;
+        let env = self.replies[thread].1.recv_timeout(Duration::from_secs(10))?;
         let Message::Batch(subs) = Message::decode_traced(&env.wire).unwrap().0 else {
             panic!("expected a [reply, out-fragment] envelope")
         };
@@ -498,7 +498,7 @@ impl AckRig {
 
     /// Nothing more arrives at client thread `thread`.
     fn quiet(&self, thread: usize) -> bool {
-        self.replies[thread].1.recv_timeout(Duration::from_millis(200)).is_err()
+        self.replies[thread].1.recv_timeout(Duration::from_millis(200)).is_none()
     }
 
     /// Deliver request `id` whole, client thread `c` acknowledging with

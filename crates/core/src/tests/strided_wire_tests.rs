@@ -125,7 +125,7 @@ fn fake_spmd_server(
     host: pardis_netsim::HostId,
     name: &str,
     policy: DistPolicy,
-) -> Vec<crossbeam::channel::Receiver<crate::orb::Envelope>> {
+) -> Vec<crate::orb::Inbox> {
     let server = ServerId(orb.alloc_id());
     let (endpoints, inboxes): (Vec<_>, Vec<_>) =
         (0..2).map(|_| orb.register_endpoint(host)).unzip();
@@ -171,7 +171,7 @@ fn client_in_frames(server_dist: Distribution) -> Vec<Vec<(Message, Wire, bool)>
         .into_iter()
         .map(|rx| {
             let mut frames = Vec::new();
-            while let Ok(env) = rx.recv_timeout(Duration::from_millis(200)) {
+            while let Some(env) = rx.recv_timeout(Duration::from_millis(200)) {
                 let subs = match decode(&env.wire) {
                     Message::Batch(subs) => {
                         assert_eq!(subs.len(), 2, "[request, fragment]");
@@ -317,7 +317,7 @@ fn poa_keeps_the_plain_frame_for_contiguous_pairs() {
     assert_eq!((reply.req_id, reply.binding, reply.douts), (4, BindingId(77), vec![out]));
     assert_eq!(subs[1].to_bytes(), encode_fragment_frame(&out_head, &payload));
     assert_eq!(Message::decode_traced(&subs[1]).unwrap().2, 0, "out-fragments acknowledge nothing");
-    assert!(reply_rx.recv_timeout(Duration::from_millis(200)).is_err(), "nothing else");
+    assert!(reply_rx.recv_timeout(Duration::from_millis(200)).is_none(), "nothing else");
 
     group.shutdown();
     server.join().unwrap();

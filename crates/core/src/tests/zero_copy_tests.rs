@@ -13,8 +13,7 @@ use crate::servant::{Servant, ServerReply, ServerRequest};
 use crate::{ClientGroup, DSequence, DistPolicy, Orb, ServerGroup, TransferStrategy};
 use bytes::Bytes;
 use pardis_rts::{MpiRts, Rts, World};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn alloc_range(b: &Bytes) -> (usize, usize) {
     let lo = b.as_ptr() as usize;
@@ -85,7 +84,7 @@ impl Servant for PtrProbe {
         "ptrprobe"
     }
     fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
-        self.seen.lock().push(req.ins[0].as_ptr() as usize);
+        self.seen.lock().unwrap().push(req.ins[0].as_ptr() as usize);
         let x: i64 = req.scalar(0).map_err(|e| e.to_string())?;
         let mut rep = ServerReply::new();
         rep.push_scalar(&x);
@@ -127,7 +126,7 @@ fn lead_control_sends_share_one_wire_allocation() {
     group.shutdown();
     server.join().unwrap();
 
-    let ptrs = seen.lock().clone();
+    let ptrs = seen.lock().unwrap().clone();
     assert_eq!(ptrs.len(), n, "every server thread dispatches the request");
     assert!(
         ptrs.iter().all(|p| *p == ptrs[0]),
@@ -188,7 +187,7 @@ impl Servant for Doubler {
         let (n, t) = (x.nthreads(), x.thread());
         let y = DSequence::from_local(doubled, x.len(), x.dist().clone(), n, t);
         let arg = x.local().as_ptr() as usize;
-        self.seen.lock().push(Seen { payload, arg, reply: y.local().as_ptr() as usize });
+        self.seen.lock().unwrap().push(Seen { payload, arg, reply: y.local().as_ptr() as usize });
         let mut rep = ServerReply::new();
         rep.push_dseq(y);
         Ok(rep)
@@ -221,7 +220,7 @@ fn double_on(server_n: usize, server_dist: Distribution) {
     let x = DSequence::distribute(&full, Distribution::Block, 1, 0);
     let sent = x.local().as_ptr() as usize;
     let reply = proxy.call("double").dseq_in(&x).dseq_out(Distribution::Block).invoke().unwrap();
-    let seen = seen.lock().clone();
+    let seen = seen.lock().unwrap().clone();
     assert_eq!(seen.len(), server_n, "every server thread dispatched once");
     let y: DSequence<f64> = reply.dseq(0).unwrap();
     assert_eq!(y.local(), full.iter().map(|v| v * 2.0).collect::<Vec<_>>());

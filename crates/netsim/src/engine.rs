@@ -27,7 +27,7 @@
 //! steady-state send acquires no lock.
 
 use crate::Link;
-use parking_lot::{Condvar, Mutex};
+use pardis_audit::{lock_site, AuditCondvar, AuditMutex};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -225,16 +225,19 @@ struct SchedulerState {
 /// spawned on first use and exits after an idle period, so idle networks
 /// hold no thread.
 pub(crate) struct Scheduler {
-    state: Mutex<SchedulerState>,
-    cv: Condvar,
+    state: AuditMutex<SchedulerState>,
+    cv: AuditCondvar,
     epoch: Instant,
 }
 
 impl Default for Scheduler {
     fn default() -> Self {
         Scheduler {
-            state: Mutex::new(SchedulerState::default()),
-            cv: Condvar::new(),
+            state: AuditMutex::new(
+                lock_site!("netsim: engine schedule"),
+                SchedulerState::default(),
+            ),
+            cv: AuditCondvar::new(),
             epoch: Instant::now(),
         }
     }
@@ -276,7 +279,7 @@ impl Scheduler {
     pub(crate) fn quiesce(&self) {
         let mut st = self.state.lock();
         while st.inflight > 0 {
-            self.cv.wait_for(&mut st, Duration::from_millis(10));
+            self.cv.wait_timeout(&mut st, Duration::from_millis(10));
         }
     }
 
@@ -295,11 +298,11 @@ impl Scheduler {
             match st.heap.peek() {
                 Some(next) => {
                     let wait = next.due.saturating_duration_since(now);
-                    self.cv.wait_for(&mut st, wait);
+                    self.cv.wait_timeout(&mut st, wait);
                 }
                 None => {
-                    let timed_out = self.cv.wait_for(&mut st, IDLE_EXIT).timed_out();
-                    if timed_out && st.heap.is_empty() {
+                    let notified = self.cv.wait_timeout(&mut st, IDLE_EXIT);
+                    if !notified && st.heap.is_empty() {
                         st.running = false;
                         return;
                     }

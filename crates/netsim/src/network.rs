@@ -5,7 +5,7 @@ use crate::fault::{FaultState, FrameFate};
 use crate::idhash::{IdMap, IdSet};
 use crate::publish::Published;
 use crate::{FaultPlan, FaultStats, Link, LinkPreset, TimeScale, Verdict, VirtualClock};
-use parking_lot::Mutex;
+use pardis_audit::{lock_site, AuditMutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -156,7 +156,7 @@ impl Faults {
 pub struct Network {
     topo: Arc<Published<Topology>>,
     /// Serialises topology mutations (read-modify-publish).
-    mutate: Arc<Mutex<()>>,
+    mutate: Arc<AuditMutex<()>>,
     /// Senders wait for their own frame's arrival ([`Network::blocking`]).
     blocking: bool,
     sched: Arc<Scheduler>,
@@ -165,12 +165,12 @@ pub struct Network {
     /// Fast gate: false means no plan anywhere, and a send pays one
     /// relaxed load for the fault layer.
     faults_on: Arc<AtomicBool>,
-    faults: Arc<Mutex<Faults>>,
+    faults: Arc<AuditMutex<Faults>>,
     /// Fast gate for the host-down check, mirroring `faults_on`: false
     /// means no host is down and the hot path pays one relaxed load.
     hosts_down_on: Arc<AtomicBool>,
     /// Hosts currently taken off the network by [`Network::kill_host`].
-    down_hosts: Arc<Mutex<IdSet<HostId>>>,
+    down_hosts: Arc<AuditMutex<IdSet<HostId>>>,
     dropped: Arc<AtomicU64>,
     duplicated: Arc<AtomicU64>,
     delivered: Arc<AtomicU64>,
@@ -191,15 +191,18 @@ impl Network {
     pub fn new(scale: TimeScale) -> Self {
         Network {
             topo: Arc::new(Published::new(Topology::empty(LinkPreset::Ethernet10.link()))),
-            mutate: Arc::new(Mutex::new(())),
+            mutate: Arc::new(AuditMutex::new(lock_site!("netsim: topology mutation"), ())),
             blocking: false,
             sched: Arc::new(Scheduler::default()),
             scale,
             clock: VirtualClock::new(),
             faults_on: Arc::new(AtomicBool::new(false)),
-            faults: Arc::new(Mutex::new(Faults::default())),
+            faults: Arc::new(AuditMutex::new(lock_site!("netsim: fault plans"), Faults::default())),
             hosts_down_on: Arc::new(AtomicBool::new(false)),
-            down_hosts: Arc::new(Mutex::new(IdSet::default())),
+            down_hosts: Arc::new(AuditMutex::new(
+                lock_site!("netsim: down hosts"),
+                IdSet::default(),
+            )),
             dropped: Arc::new(AtomicU64::new(0)),
             duplicated: Arc::new(AtomicU64::new(0)),
             delivered: Arc::new(AtomicU64::new(0)),

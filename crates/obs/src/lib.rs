@@ -65,12 +65,17 @@ pub use metrics::{
 };
 pub use trace::{current_ctx, derive_trace_id, enter_ctx, mix64, CtxGuard, TraceCtx};
 
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard if a holder panicked: a trace or metric
+/// recorded mid-panic is still worth exporting.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Bound on the number of events a single thread's ring retains. When full,
 /// the oldest events are discarded (and counted in [`ThreadTrace::dropped`]).
@@ -110,18 +115,18 @@ static CLOCK: Mutex<Option<Arc<ClockFn>>> = Mutex::new(None);
 /// Install the timestamp source (microseconds). The ORB installs the netsim
 /// virtual clock here so traces are deterministic in the fault seed.
 pub fn set_clock_micros(f: Arc<ClockFn>) {
-    *CLOCK.lock() = Some(f);
+    *lock(&CLOCK) = Some(f);
 }
 
 /// Remove the installed clock; timestamps fall back to 0.
 pub fn clear_clock() {
-    *CLOCK.lock() = None;
+    *lock(&CLOCK) = None;
 }
 
 /// Current timestamp in microseconds: the installed clock's reading, or 0
 /// when none is installed (deterministic by default — never wall time).
 pub fn now_micros() -> u64 {
-    CLOCK.lock().as_ref().map(|f| f()).unwrap_or(0)
+    lock(&CLOCK).as_ref().map(|f| f()).unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -248,8 +253,8 @@ fn with_ring<R>(f: impl FnOnce(&Ring) -> R) -> R {
         if stale {
             let label = LOCAL_LABEL
                 .with(|l| l.borrow().clone())
-                .unwrap_or_else(|| format!("thread-{}", REGISTRY.lock().len()));
-            let mut registry = REGISTRY.lock();
+                .unwrap_or_else(|| format!("thread-{}", lock(&REGISTRY).len()));
+            let mut registry = lock(&REGISTRY);
             let ring = Arc::new(Ring {
                 label: Mutex::new(label),
                 index: registry.len(),
@@ -271,7 +276,7 @@ pub fn set_thread_label(label: &str) {
     LOCAL_RING.with(|cell| {
         if let Some((gen, ring)) = &*cell.borrow() {
             if *gen == GENERATION.load(Ordering::Acquire) {
-                *ring.label.lock() = label.to_string();
+                *lock(&ring.label) = label.to_string();
             }
         }
     });
@@ -279,7 +284,7 @@ pub fn set_thread_label(label: &str) {
 
 fn push(event: Event) {
     with_ring(|ring| {
-        let mut q = ring.events.lock();
+        let mut q = lock(&ring.events);
         if q.len() >= RING_CAP {
             q.pop_front();
             ring.dropped.fetch_add(1, Ordering::Relaxed);
@@ -401,15 +406,15 @@ impl Drop for Span {
 /// grouped per thread, threads sorted by label (ties by registration
 /// order). Rings stay registered so their threads keep recording.
 pub fn drain() -> Vec<ThreadTrace> {
-    let rings: Vec<Arc<Ring>> = REGISTRY.lock().clone();
+    let rings: Vec<Arc<Ring>> = lock(&REGISTRY).clone();
     let mut out: Vec<(usize, ThreadTrace)> = rings
         .iter()
         .map(|ring| {
-            let events: Vec<Event> = std::mem::take(&mut *ring.events.lock()).into();
+            let events: Vec<Event> = std::mem::take(&mut *lock(&ring.events)).into();
             (
                 ring.index,
                 ThreadTrace {
-                    label: ring.label.lock().clone(),
+                    label: lock(&ring.label).clone(),
                     events,
                     dropped: ring.dropped.swap(0, Ordering::Relaxed),
                 },
@@ -426,7 +431,7 @@ pub fn drain() -> Vec<ThreadTrace> {
 pub fn reset() {
     disable();
     GENERATION.fetch_add(1, Ordering::Release);
-    REGISTRY.lock().clear();
+    lock(&REGISTRY).clear();
     metrics::metrics_reset();
     clear_clock();
 }

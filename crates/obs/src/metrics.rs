@@ -4,10 +4,10 @@
 //! shared atomics, so hot paths can cache them. Snapshots iterate in sorted
 //! name order, which keeps every export deterministic.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Number of power-of-two histogram buckets (covers the full `u64` range).
 pub const HIST_BUCKETS: usize = 64;
@@ -139,7 +139,7 @@ static REGISTRY: Mutex<BTreeMap<String, Metric>> = Mutex::new(BTreeMap::new());
 /// # Panics
 /// Panics if `name` is already registered as a histogram.
 pub fn counter(name: &str) -> Counter {
-    let mut reg = REGISTRY.lock();
+    let mut reg = lock(&REGISTRY);
     match reg
         .entry(name.to_string())
         .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
@@ -161,7 +161,7 @@ pub fn set_counter(name: &str, value: u64) {
 /// # Panics
 /// Panics if `name` is already registered as a counter.
 pub fn histogram(name: &str) -> Histogram {
-    let mut reg = REGISTRY.lock();
+    let mut reg = lock(&REGISTRY);
     match reg.entry(name.to_string()).or_insert_with(|| {
         Metric::Histogram(Histogram(Arc::new(HistInner {
             count: AtomicU64::new(0),
@@ -206,7 +206,7 @@ impl MetricSnapshot {
 
 /// Snapshot every registered metric, sorted by name.
 pub fn metrics_snapshot() -> Vec<(String, MetricSnapshot)> {
-    let reg = REGISTRY.lock();
+    let reg = lock(&REGISTRY);
     reg.iter()
         .map(|(name, metric)| {
             let snap = match metric {
@@ -236,5 +236,5 @@ pub fn metrics_snapshot() -> Vec<(String, MetricSnapshot)> {
 
 /// Drop every registered metric.
 pub fn metrics_reset() {
-    REGISTRY.lock().clear();
+    lock(&REGISTRY).clear();
 }

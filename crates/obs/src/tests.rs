@@ -1,12 +1,11 @@
 use super::*;
-use parking_lot::Mutex as PlMutex;
 
 /// The crate's state (gate, rings, metrics, clock) is process-global, so
 /// tests that exercise it must not interleave.
-static SERIAL: PlMutex<()> = PlMutex::new(());
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn with_clean_state<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = SERIAL.lock();
+    let _guard = lock(&SERIAL);
     reset();
     let r = f();
     reset();

@@ -62,9 +62,6 @@ impl Rts for PoomaComm {
     fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
         self.rank.scatter(root, parts)
     }
-    fn all_gather(&self, part: Bytes) -> Vec<Bytes> {
-        self.rank.all_gather(part)
-    }
     fn windows(&self) -> Option<&pardis_rts::Windows> {
         Some(self.rank.windows())
     }

@@ -34,7 +34,8 @@ impl ReduceOp {
 /// MPI / Tulip / POOMA ports:
 ///
 /// * [`MpiRts`] — two-sided message passing over [`crate::World`];
-/// * [`crate::TulipRts`] — the same contract built on one-sided put/get;
+/// * [`crate::TulipRts`] — Tulip's one-sided region API on the window
+///   layer, with the two-sided contract taken from [`crate::World`];
 /// * `pooma_rs::PoomaComm` — POOMA's communication abstraction.
 pub trait Rts: Send + Sync {
     /// This computing thread's rank.
@@ -169,9 +170,6 @@ impl Rts for MpiRts {
     }
     fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
         self.rank.scatter(root, parts)
-    }
-    fn all_gather(&self, part: Bytes) -> Vec<Bytes> {
-        self.rank.all_gather(part)
     }
     fn windows(&self) -> Option<&Windows> {
         Some(self.rank.windows())

@@ -143,7 +143,7 @@ fn scatter_routes_per_rank() {
 fn all_gather_gives_everyone_everything() {
     let out = World::run(5, |rank| {
         let part = Bytes::from(format!("r{}", rank.rank()));
-        rank.all_gather(part)
+        MpiRts::new(rank).all_gather(part)
     });
     for parts in out {
         assert_eq!(parts.len(), 5);
@@ -198,7 +198,7 @@ fn single_rank_world_collectives_are_identities() {
         assert_eq!(&rank.broadcast(0, Some(b("x")))[..], b"x");
         assert_eq!(rank.gather(0, b("g")).unwrap().len(), 1);
         assert_eq!(&rank.scatter(0, Some(vec![b("s")]))[..], b"s");
-        assert_eq!(rank.all_gather(b("a")).len(), 1);
+        assert_eq!(MpiRts::new(rank).all_gather(b("a")).len(), 1);
     });
 }
 
@@ -263,6 +263,34 @@ mod rts_trait_tests {
                 .collect()
         });
         assert_eq!(out, vec![3.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn mpi_rts_timeout_beyond_instant_range_waits_for_the_message() {
+        let out = World::run(2, |rank| late_message(&MpiRts::new(rank)));
+        assert_eq!(out[0].as_deref(), Some(&b"late"[..]));
+    }
+
+    #[test]
+    fn tulip_rts_timeout_beyond_instant_range_waits_for_the_message() {
+        let (_world, endpoints) = TulipWorld::new(2);
+        let out: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> =
+                endpoints.into_iter().map(|ep| s.spawn(move || late_message(&ep))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(out[0].as_deref(), Some(&b"late"[..]));
+    }
+
+    /// Rank 1 sends 10 ms late; rank 0 waits with a timeout whose deadline
+    /// `Instant` cannot represent, which is no deadline.
+    fn late_message(rts: &dyn Rts) -> Option<Bytes> {
+        if rts.rank() == 1 {
+            std::thread::sleep(Duration::from_millis(10));
+            rts.send(0, 7, b("late"));
+            return None;
+        }
+        rts.recv_timeout(Some(1), 7, Duration::MAX).map(|m| m.data)
     }
 
     /// Shared conformance exercise run against any [`Rts`] implementation:
@@ -645,7 +673,8 @@ mod property {
         #[test]
         fn all_gather_consistency(n in 1usize..6) {
             let out = World::run(n, |rank| {
-                rank.all_gather(Bytes::from(vec![rank.rank() as u8; rank.rank() + 1]))
+                let part = Bytes::from(vec![rank.rank() as u8; rank.rank() + 1]);
+                MpiRts::new(rank).all_gather(part)
             });
             for parts in &out {
                 prop_assert_eq!(parts.len(), n);

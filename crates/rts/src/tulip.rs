@@ -1,5 +1,4 @@
-//! A Tulip-style one-sided run-time system, and the RTS interface built on
-//! top of it.
+//! A Tulip-style one-sided run-time system.
 //!
 //! Tulip (Beckman & Gannon, IPPS'96) is an object-parallel run-time system
 //! built around *one-sided* operations: a thread registers memory regions
@@ -8,20 +7,20 @@
 //! implemented over, and names one-sided systems as the future direction for
 //! distributed arguments.
 //!
-//! Here the named-region API is a thin veneer over the real one-sided
-//! window layer ([`Windows`]): a region is a window at a strided base in
-//! the owner's exposed address space, and `put`/`get` are blocking wrappers
-//! around the non-blocking window operations. [`TulipRts`] shows that the
-//! ORB's two-sided [`Rts`] contract can be met with nothing but `put`s into
-//! per-destination queue regions.
+//! Here the named-region API is a thin veneer over the one-sided window
+//! layer ([`Windows`]): a region is a window at a strided base in the
+//! owner's exposed address space, and `put`/`get` are blocking wrappers
+//! around the non-blocking window operations. The two-sided half of the
+//! [`Rts`] contract — tagged send/recv, the barrier and the collectives —
+//! is [`World`]'s: each [`TulipRts`] runs it on a [`Rank`], as [`MpiRts`]
+//! does.
+//!
+//! [`MpiRts`]: crate::MpiRts
 
-use crate::window::{RtsError, WindowId, WindowShared, Windows};
-use crate::{Msg, ReduceOp, Rts};
+use crate::window::{RtsError, WindowId, Windows};
+use crate::{Msg, Rank, Rts, World};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Identifier of a registered region: (owning rank, region number).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,69 +52,33 @@ pub struct Region {
     pub data: Vec<u8>,
 }
 
-struct QueueCell {
-    queue: Mutex<VecDeque<Msg>>,
-    arrived: Condvar,
-}
-
-struct TulipShared {
-    size: usize,
-    /// One incoming queue region per rank, pre-registered; `send` is a `put`
-    /// appended here.
-    queues: Vec<QueueCell>,
-    barrier: Mutex<(usize, u64)>,
-    barrier_cv: Condvar,
-}
-
 /// The shared state of a Tulip program: create once, derive a [`TulipRts`]
 /// per computing thread.
 #[derive(Clone)]
 pub struct TulipWorld {
-    shared: Arc<TulipShared>,
+    world: World,
 }
 
 impl TulipWorld {
     /// Number of computing threads.
     pub fn size(&self) -> usize {
-        self.shared.size
+        self.world.size()
     }
-}
 
-impl TulipWorld {
     /// Create the shared state for `size` computing threads and hand out the
     /// per-thread endpoints.
     ///
     /// # Panics
     /// Panics if `size` is zero.
     pub fn new(size: usize) -> (TulipWorld, Vec<TulipRts>) {
-        assert!(size > 0, "world size must be at least 1");
-        let shared = Arc::new(TulipShared {
-            size,
-            queues: (0..size)
-                .map(|_| QueueCell { queue: Mutex::new(VecDeque::new()), arrived: Condvar::new() })
-                .collect(),
-            barrier: Mutex::new((0, 0)),
-            barrier_cv: Condvar::new(),
-        });
-        let windows = WindowShared::new(size);
-        let endpoints = (0..size)
-            .map(|rank| TulipRts {
-                shared: shared.clone(),
-                rank,
-                coll_seq: std::sync::atomic::AtomicU64::new(0),
-                windows: Windows::endpoint(windows.clone(), rank),
-            })
-            .collect();
-        (TulipWorld { shared }, endpoints)
+        let (world, ranks) = World::new(size);
+        (TulipWorld { world }, ranks.into_iter().map(|rank| TulipRts { rank }).collect())
     }
 }
 
 /// One computing thread's endpoint into a Tulip program.
 pub struct TulipRts {
-    shared: Arc<TulipShared>,
-    rank: usize,
-    coll_seq: std::sync::atomic::AtomicU64,
-    windows: Windows,
+    rank: Rank,
 }
 
 impl TulipRts {
@@ -124,8 +87,8 @@ impl TulipRts {
     /// # Panics
     /// Panics if the region number is already registered by this rank.
     pub fn register_region(&self, number: u64, data: Vec<u8>) -> RegionId {
-        let id = RegionId { owner: self.rank, number };
-        self.windows
+        let id = RegionId { owner: self.rank.rank(), number };
+        self.windows()
             .expose(id.window().base, data)
             .unwrap_or_else(|_| panic!("region {id:?} registered twice"));
         id
@@ -137,143 +100,60 @@ impl TulipRts {
     /// form. Unknown regions and out-of-bounds writes surface as typed
     /// [`RtsError`] values.
     pub fn put(&self, id: RegionId, offset: usize, data: &[u8]) -> Result<(), RtsError> {
-        self.windows.put_nb(id.window(), offset as u64, Bytes::copy_from_slice(data))?.wait();
+        self.windows().put_nb(id.window(), offset as u64, Bytes::copy_from_slice(data))?.wait();
         Ok(())
     }
 
     /// One-sided read of `len` bytes at `offset` from a region. Blocking;
     /// errors are typed like [`TulipRts::put`]'s.
     pub fn get(&self, id: RegionId, offset: usize, len: usize) -> Result<Vec<u8>, RtsError> {
-        Ok(self.windows.get_nb(id.window(), offset as u64, len as u64)?.wait().to_vec())
+        Ok(self.windows().get_nb(id.window(), offset as u64, len as u64)?.wait().to_vec())
     }
 
     /// Drop a region registration, returning its final contents.
     pub fn unregister_region(&self, id: RegionId) -> Result<Vec<u8>, RtsError> {
-        self.windows.deregister(id.window())
+        self.windows().deregister(id.window())
     }
 
     /// This endpoint's window layer (the real one-sided API the region
     /// emulation is built on).
     pub fn windows(&self) -> &Windows {
-        &self.windows
-    }
-
-    fn next_coll_tag(&self) -> u64 {
-        crate::tags::COLLECTIVE_BASE
-            | self.coll_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        self.rank.windows()
     }
 }
 
 impl Rts for TulipRts {
     fn rank(&self) -> usize {
-        self.rank
+        self.rank.rank()
     }
     fn size(&self) -> usize {
-        self.shared.size
+        self.rank.size()
     }
     fn send(&self, to: usize, tag: u64, data: Bytes) {
-        assert!(to < self.shared.size, "send to rank {to} out of range");
-        let cell = &self.shared.queues[to];
-        cell.queue.lock().push_back(Msg::new(self.rank, tag, data));
-        cell.arrived.notify_all();
+        self.rank.send(to, tag, data);
     }
     fn recv(&self, from: Option<usize>, tag: u64) -> Msg {
-        let cell = &self.shared.queues[self.rank];
-        let mut q = cell.queue.lock();
-        loop {
-            if let Some(idx) = q.iter().position(|m| m.matches(from, tag)) {
-                return q.remove(idx).expect("index valid");
-            }
-            cell.arrived.wait(&mut q);
-        }
+        self.rank.recv(from, tag)
     }
     fn recv_timeout(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
-        let deadline = Instant::now() + timeout;
-        let cell = &self.shared.queues[self.rank];
-        let mut q = cell.queue.lock();
-        loop {
-            if let Some(idx) = q.iter().position(|m| m.matches(from, tag)) {
-                return q.remove(idx);
-            }
-            if cell.arrived.wait_until(&mut q, deadline).timed_out() {
-                return q.iter().position(|m| m.matches(from, tag)).and_then(|i| q.remove(i));
-            }
-        }
+        self.rank.recv_timeout(from, tag, timeout)
     }
     fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
-        let cell = &self.shared.queues[self.rank];
-        let mut q = cell.queue.lock();
-        let idx = q.iter().position(|m| m.matches(from, tag))?;
-        q.remove(idx)
+        self.rank.try_recv(from, tag)
     }
     fn barrier(&self) {
-        self.coll_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut state = self.shared.barrier.lock();
-        let gen = state.1;
-        state.0 += 1;
-        if state.0 == self.shared.size {
-            state.0 = 0;
-            state.1 = state.1.wrapping_add(1);
-            self.shared.barrier_cv.notify_all();
-        } else {
-            while state.1 == gen {
-                self.shared.barrier_cv.wait(&mut state);
-            }
-        }
+        self.rank.barrier();
     }
     fn broadcast(&self, root: usize, data: Option<Bytes>) -> Bytes {
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let data = data.expect("broadcast root must supply data");
-            for to in 0..self.shared.size {
-                if to != root {
-                    self.send(to, tag, data.clone());
-                }
-            }
-            data
-        } else {
-            assert!(data.is_none(), "non-root rank passed data to broadcast");
-            self.recv(Some(root), tag).data
-        }
+        self.rank.broadcast(root, data)
     }
     fn gather(&self, root: usize, part: Bytes) -> Option<Vec<Bytes>> {
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let mut parts: Vec<Option<Bytes>> = vec![None; self.shared.size];
-            parts[root] = Some(part);
-            for _ in 0..self.shared.size - 1 {
-                let msg = self.recv(None, tag);
-                parts[msg.from] = Some(msg.data);
-            }
-            Some(parts.into_iter().map(|p| p.expect("every rank contributed")).collect())
-        } else {
-            self.send(root, tag, part);
-            None
-        }
+        self.rank.gather(root, part)
     }
     fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let parts = parts.expect("scatter root must supply parts");
-            assert_eq!(parts.len(), self.shared.size, "scatter needs one part per rank");
-            let mut own = None;
-            for (to, part) in parts.into_iter().enumerate() {
-                if to == root {
-                    own = Some(part);
-                } else {
-                    self.send(to, tag, part);
-                }
-            }
-            own.expect("root part present")
-        } else {
-            assert!(parts.is_none(), "non-root rank passed parts to scatter");
-            self.recv(Some(root), tag).data
-        }
+        self.rank.scatter(root, parts)
     }
     fn windows(&self) -> Option<&Windows> {
-        Some(&self.windows)
+        Some(self.rank.windows())
     }
 }
-
-// ReduceOp re-exported for convenience in one-sided contexts.
-const _: fn(ReduceOp, &[f64]) -> f64 = ReduceOp::apply;

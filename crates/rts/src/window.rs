@@ -60,9 +60,9 @@
 //! process-wide switch.
 
 use bytes::Bytes;
+use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue, AuditRwLock};
 use pardis_netsim::{HostId, Network, Published};
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,7 +163,7 @@ pub struct Notice {
 /// *different* windows never contend.
 struct WindowCell {
     len: usize,
-    data: RwLock<Vec<u8>>,
+    data: AuditRwLock<Vec<u8>>,
     /// Gets still to look the window up before it withdraws itself; `None`
     /// for a window only [`Windows::deregister`] withdraws.
     gets_left: Option<AtomicUsize>,
@@ -190,17 +190,25 @@ const TURN_SPIN: Duration = Duration::from_micros(40);
 /// highest ranks have issued in the round at collective base `base`.
 /// Collective bases are [`COLL_WINDOW_STRIDE`] apart, so `k` never reaches
 /// the next round's base.
-#[derive(Default)]
 struct Turn {
     at: AtomicU64,
     /// Waiters that stopped spinning; the rank passing the turn takes the
     /// lock and wakes them only when there are any.
     parked: AtomicUsize,
-    lock: Mutex<()>,
-    wake: Condvar,
+    lock: AuditMutex<()>,
+    wake: AuditCondvar,
 }
 
 impl Turn {
+    fn new() -> Turn {
+        Turn {
+            at: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
+            lock: AuditMutex::new(lock_site!("rts: collective turn"), ()),
+            wake: AuditCondvar::new(),
+        }
+    }
+
     fn wait(&self, want: u64) {
         let spin_until = Instant::now() + TURN_SPIN;
         while self.at.load(Ordering::Acquire) != want {
@@ -232,22 +240,21 @@ impl Turn {
 /// Per-rank completion/notification state.
 struct RankState {
     /// Operations this rank initiated that have not yet delivered.
-    inflight: Mutex<u64>,
-    drained: Condvar,
+    inflight: AuditMutex<u64>,
+    drained: AuditCondvar,
     /// Delivery notifications addressed to this rank (as window owner).
-    notices: Mutex<VecDeque<Notice>>,
-    notice_cv: Condvar,
+    notices: AuditQueue<Notice>,
 }
 
 /// The shared one-sided state of a world: the window table plus per-rank
-/// completion state. One per `World`/`TulipWorld`; ranks hold [`Windows`]
+/// completion state. One per `World` (a `TulipWorld` is one); ranks hold [`Windows`]
 /// endpoints into it.
 pub struct WindowShared {
     size: usize,
     /// Window table: read-locked on the put/get path, write-locked only to
     /// expose and to withdraw, so a withdrawn window's entry is freed at
     /// once.
-    map: RwLock<HashMap<WindowId, Arc<WindowCell>>>,
+    map: AuditRwLock<HashMap<WindowId, Arc<WindowCell>>>,
     /// Optional modelled-network binding (set once by `attach`).
     net: Published<Option<NetBinding>>,
     ranks: Vec<RankState>,
@@ -259,17 +266,16 @@ impl WindowShared {
     pub fn new(size: usize) -> Arc<WindowShared> {
         Arc::new(WindowShared {
             size,
-            map: RwLock::new(HashMap::new()),
+            map: AuditRwLock::new(lock_site!("rts: window table"), HashMap::new()),
             net: Published::new(None),
             ranks: (0..size)
                 .map(|_| RankState {
-                    inflight: Mutex::new(0),
-                    drained: Condvar::new(),
-                    notices: Mutex::new(VecDeque::new()),
-                    notice_cv: Condvar::new(),
+                    inflight: AuditMutex::new(lock_site!("rts: in-flight count"), 0),
+                    drained: AuditCondvar::new(),
+                    notices: AuditQueue::new(lock_site!("rts: window notices")),
                 })
                 .collect(),
-            turn: Turn::default(),
+            turn: Turn::new(),
         })
     }
 
@@ -314,8 +320,8 @@ struct OpCore {
     shared: Arc<WindowShared>,
     initiator: usize,
     fired: AtomicBool,
-    state: Mutex<(bool, Option<Bytes>)>,
-    done: Condvar,
+    state: AuditMutex<(bool, Option<Bytes>)>,
+    done: AuditCondvar,
 }
 
 impl OpCore {
@@ -325,8 +331,8 @@ impl OpCore {
             shared: shared.clone(),
             initiator,
             fired: AtomicBool::new(false),
-            state: Mutex::new((false, None)),
-            done: Condvar::new(),
+            state: AuditMutex::new(lock_site!("rts: operation completion"), (false, None)),
+            done: AuditCondvar::new(),
         })
     }
 
@@ -478,7 +484,11 @@ impl Windows {
         }
         map.insert(
             id,
-            Arc::new(WindowCell { len: data.len(), data: RwLock::new(data), gets_left }),
+            Arc::new(WindowCell {
+                len: data.len(),
+                data: AuditRwLock::new(lock_site!("rts: window bytes"), data),
+                gets_left,
+            }),
         );
         drop(map);
         if pardis_obs::enabled() {
@@ -591,9 +601,8 @@ impl Windows {
                     buf[offset as usize..offset as usize + data.len()].copy_from_slice(&data);
                 }
                 if let Some(tag) = notify {
-                    let rs = &shared.ranks[id.owner];
-                    rs.notices.lock().push_back(Notice { from, window: id, tag });
-                    rs.notice_cv.notify_all();
+                    // Notice queues are never closed: the push always lands.
+                    let _ = shared.ranks[id.owner].notices.push(Notice { from, window: id, tag });
                 }
                 core.complete(None);
             }
@@ -729,22 +738,12 @@ impl Windows {
 
     /// Block until a delivery [`Notice`] with `tag` arrives at this rank.
     pub fn wait_notify(&self, tag: u64) -> Notice {
-        let rs = &self.shared.ranks[self.rank];
-        let mut q = rs.notices.lock();
-        loop {
-            if let Some(i) = q.iter().position(|n| n.tag == tag) {
-                return q.remove(i).expect("index valid");
-            }
-            rs.notice_cv.wait(&mut q);
-        }
+        self.shared.ranks[self.rank].notices.wait(|n| n.tag == tag)
     }
 
     /// Non-blocking check for a delivery [`Notice`] with `tag`.
     pub fn try_notify(&self, tag: u64) -> Option<Notice> {
-        let rs = &self.shared.ranks[self.rank];
-        let mut q = rs.notices.lock();
-        let i = q.iter().position(|n| n.tag == tag)?;
-        q.remove(i)
+        self.shared.ranks[self.rank].notices.take(|n| n.tag == tag)
     }
 }
 

@@ -3,60 +3,19 @@
 use crate::window::{WindowShared, Windows, CTRL_FRAME_BYTES};
 use crate::{tags, Msg};
 use bytes::Bytes;
+use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue};
 use pardis_netsim::{HostId, Network};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-rank mailbox with unordered tag matching (like an MPI receive queue).
-struct Mailbox {
-    queue: Mutex<VecDeque<Msg>>,
-    arrived: Condvar,
-}
+type Mailbox = AuditQueue<Msg>;
 
-impl Mailbox {
-    fn new() -> Self {
-        Mailbox { queue: Mutex::new(VecDeque::new()), arrived: Condvar::new() }
-    }
-
-    fn push(&self, msg: Msg) {
-        self.queue.lock().push_back(msg);
-        self.arrived.notify_all();
-    }
-
-    fn take_match(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
-        let mut q = self.queue.lock();
-        let idx = q.iter().position(|m| m.matches(from, tag))?;
-        q.remove(idx)
-    }
-
-    fn wait_match(&self, from: Option<usize>, tag: u64, timeout: Option<Duration>) -> Option<Msg> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(idx) = q.iter().position(|m| m.matches(from, tag)) {
-                return q.remove(idx);
-            }
-            match deadline {
-                Some(dl) => {
-                    if self.arrived.wait_until(&mut q, dl).timed_out() {
-                        return q
-                            .iter()
-                            .position(|m| m.matches(from, tag))
-                            .and_then(|idx| q.remove(idx));
-                    }
-                }
-                None => self.arrived.wait(&mut q),
-            }
-        }
-    }
-}
-
+/// Central counter barrier: `(arrived, generation)`.
 struct Barrier {
-    state: Mutex<(usize, u64)>, // (count, generation)
-    released: Condvar,
+    state: AuditMutex<(usize, u64)>,
+    released: AuditCondvar,
 }
 
 struct WorldInner {
@@ -66,6 +25,14 @@ struct WorldInner {
     /// One-sided window state shared by all ranks; also holds the optional
     /// modelled-network binding consulted by [`Rank::send`].
     windows: Arc<WindowShared>,
+}
+
+impl WorldInner {
+    /// Queue `msg` in rank `to`'s mailbox. Mailboxes are never closed, so
+    /// the push always lands.
+    fn deliver(&self, to: usize, msg: Msg) {
+        let _ = self.mailboxes[to].push(msg);
+    }
 }
 
 /// A world of `size` computing threads.
@@ -89,8 +56,11 @@ impl World {
         let windows = WindowShared::new(size);
         let inner = Arc::new(WorldInner {
             size,
-            mailboxes: (0..size).map(|_| Mailbox::new()).collect(),
-            barrier: Barrier { state: Mutex::new((0, 0)), released: Condvar::new() },
+            mailboxes: (0..size).map(|_| Mailbox::new(lock_site!("rts: mailbox"))).collect(),
+            barrier: Barrier {
+                state: AuditMutex::new(lock_site!("rts: barrier"), (0, 0)),
+                released: AuditCondvar::new(),
+            },
             windows: windows.clone(),
         });
         let ranks = (0..size)
@@ -210,41 +180,44 @@ impl Rank {
                         // Receiver-side matching overhead, then delivery.
                         let t_o = deliver_net.link_between(fh, th).overhead_s;
                         deliver_net.charge_wait(th, Duration::from_secs_f64(t_o));
-                        world.mailboxes[to].push(msg.clone());
+                        world.deliver(to, msg.clone());
                     });
                 });
             });
             return;
         }
-        self.world.mailboxes[to].push(msg);
+        self.world.deliver(to, msg);
     }
 
     /// Blocking receive matching `(from, tag)`; `from = None` accepts any
     /// source.
     pub fn recv(&self, from: Option<usize>, tag: u64) -> Msg {
-        self.world.mailboxes[self.rank]
-            .wait_match(from, tag, None)
-            .expect("untimed wait always yields a message")
+        self.mailbox().wait(|m| m.matches(from, tag))
     }
 
-    /// Blocking receive with a timeout. `None` on expiry.
+    /// Blocking receive with a timeout. `None` on expiry; a timeout too
+    /// long to express as a deadline waits without one.
     pub fn recv_timeout(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
-        self.world.mailboxes[self.rank].wait_match(from, tag, Some(timeout))
+        self.mailbox().wait_timeout(|m| m.matches(from, tag), timeout)
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
-        self.world.mailboxes[self.rank].take_match(from, tag)
+        self.mailbox().take(|m| m.matches(from, tag))
     }
 
     /// Is a matching message waiting? (MPI_Probe without dequeuing.)
     pub fn probe(&self, from: Option<usize>, tag: u64) -> bool {
-        self.world.mailboxes[self.rank].queue.lock().iter().any(|m| m.matches(from, tag))
+        self.mailbox().any(|m| m.matches(from, tag))
     }
 
     /// Number of queued (unreceived) messages, any tag.
     pub fn pending(&self) -> usize {
-        self.world.mailboxes[self.rank].queue.lock().len()
+        self.mailbox().len()
+    }
+
+    fn mailbox(&self) -> &Mailbox {
+        &self.world.mailboxes[self.rank]
     }
 
     fn next_coll_tag(&self) -> u64 {
@@ -282,7 +255,7 @@ impl Rank {
             let data = data.expect("broadcast root must supply data");
             for to in 0..self.world.size {
                 if to != root {
-                    self.world.mailboxes[to].push(Msg::new(self.rank, tag, data.clone()));
+                    self.world.deliver(to, Msg::new(self.rank, tag, data.clone()));
                 }
             }
             data
@@ -326,44 +299,13 @@ impl Rank {
                 if to == root {
                     own = Some(part);
                 } else {
-                    self.world.mailboxes[to].push(Msg::new(self.rank, tag, part));
+                    self.world.deliver(to, Msg::new(self.rank, tag, part));
                 }
             }
             own.expect("root part present")
         } else {
             assert!(parts.is_none(), "non-root rank passed parts to scatter");
             self.recv(Some(root), tag).data
-        }
-    }
-
-    /// All-gather: everyone receives every rank's part, in rank order.
-    pub fn all_gather(&self, part: Bytes) -> Vec<Bytes> {
-        // Gather to 0, then broadcast the concatenation framing.
-        let gathered = self.gather(0, part);
-        if self.rank == 0 {
-            let parts = gathered.expect("rank 0 gathers");
-            let mut framed = bytes::BytesMut::new();
-            use bytes::BufMut;
-            framed.put_u32(parts.len() as u32);
-            for p in &parts {
-                framed.put_u32(p.len() as u32);
-                framed.extend_from_slice(p);
-            }
-            self.broadcast(0, Some(framed.freeze()));
-            parts
-        } else {
-            let framed = self.broadcast(0, None);
-            let mut parts = Vec::new();
-            let mut pos = 0usize;
-            let count = u32::from_be_bytes(framed[0..4].try_into().unwrap()) as usize;
-            pos += 4;
-            for _ in 0..count {
-                let len = u32::from_be_bytes(framed[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += 4;
-                parts.push(framed.slice(pos..pos + len));
-                pos += len;
-            }
-            parts
         }
     }
 }

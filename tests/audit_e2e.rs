@@ -1,7 +1,8 @@
 //! Concurrency-audit end-to-end: real ORB workloads run with the auditor's
 //! gate hard-enabled (the same instrumentation `PARDIS_AUDIT=1` turns on)
 //! and must come out with zero findings — the chaos invocation path and the
-//! registry failover path both cross every audited lock in the core. The
+//! registry failover path both cross every audited lock in the core, and a
+//! networked two-rank world crosses the run-time system's and netsim's. The
 //! negative control is a deliberately inverted test-only lock pair, which
 //! must produce exactly one lock-cycle finding naming both sites.
 //!
@@ -9,9 +10,12 @@
 //! mutex and resets the engine around every test.
 
 use pardis::audit;
-use pardis::core::{ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest};
-use pardis::netsim::{FaultPlan, Link, Network, TimeScale};
+use pardis::core::{
+    ClientGroup, DSequence, Distribution, Orb, Servant, ServerGroup, ServerReply, ServerRequest,
+};
+use pardis::netsim::{FaultPlan, Link, LinkPreset, Network, TimeScale};
 use pardis::registry::{BindingPolicy, GroupProxy, RegistryClient, RegistryServer};
+use pardis::rts::{Bytes, MpiRts, Rts, World};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -171,6 +175,47 @@ fn registry_failover_under_audit_reports_zero_findings() {
     let report = audit::report();
     assert!(report.is_clean(), "failover workload must audit clean:\n{}", report.render_table());
     assert!(report.findings.is_empty(), "{}", report.render_table());
+}
+
+/// A two-rank world on an ATM link, armed: a barrier, a send/recv and one
+/// pull redistribution cross the mailboxes, the barrier, the window table,
+/// a window's bytes, the collective turn, the in-flight counts and the
+/// operation completions, plus netsim's topology mutation and its retained
+/// snapshots. All of them are audited, and the run is clean. Before the
+/// run-time system's and netsim's locks went through the auditor, this
+/// scenario saw one site: the retained snapshots.
+#[test]
+fn rts_world_under_audit_sees_the_runtime_locks() {
+    let _g = audited();
+    let net = Network::new(TimeScale::off());
+    net.set_default_link(LinkPreset::AtmOc3.link());
+    let hosts = (0..2).map(|r| net.add_host(&format!("rank{r}"))).collect();
+    let (world, ranks) = World::new(2);
+    world.attach_network(net.clone(), hosts);
+    let full: Vec<f64> = (0..64).map(f64::from).collect();
+    std::thread::scope(|s| {
+        for rank in ranks {
+            let full = &full;
+            s.spawn(move || {
+                let t = rank.rank();
+                let rts = MpiRts::new(rank);
+                rts.barrier();
+                if t == 0 {
+                    rts.send(1, 5, Bytes::from_static(b"ping"));
+                } else {
+                    assert_eq!(&rts.recv(Some(0), 5).data[..], b"ping");
+                }
+                let mut ds = DSequence::distribute(full, Distribution::Block, 2, t);
+                ds.redistribute(&rts, Distribution::Cyclic);
+                let want = DSequence::distribute(full, Distribution::Cyclic, 2, t);
+                assert_eq!(ds.local(), want.local());
+            });
+        }
+    });
+
+    let report = audit::report();
+    assert!(report.is_clean(), "the runtime must audit clean:\n{}", report.render_table());
+    assert!(report.sites_seen >= 8, "sites seen: {}\n{}", report.sites_seen, report.render_table());
 }
 
 /// Negative control: a test-only pair of locks acquired in both orders is a
