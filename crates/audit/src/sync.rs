@@ -5,7 +5,7 @@
 //! netsim, protocol checker) is one of these, so the auditor sees them
 //! all. The locks hand out guards directly (`lock()` returns the guard,
 //! `try_lock()` an `Option`, `AuditCondvar::wait` takes `&mut guard`), and
-//! the constructors are `const` so a lock can live in a static. Two
+//! the constructors are `const` so a lock can live in a static. Three
 //! behaviours are layered on top of `std::sync`:
 //!
 //! * **Poison recovery** (always on): a poisoned guard is recovered via
@@ -16,6 +16,11 @@
 //!   feeds the lock-order graph, the vector-clock engine and the hazard
 //!   detectors in [`crate::core`]. With the gate off the only cost is one
 //!   relaxed atomic load per operation.
+//! * **Sleeper counting** (always on): an [`AuditCondvar`] counts the
+//!   threads parked on it, and a notify with none parked returns after one
+//!   atomic load instead of making a `futex` call. A waiter counts itself
+//!   while it still holds the mutex, so a notifier that changes the state
+//!   under that mutex and notifies afterwards always sees it.
 //!
 //! Whether a given guard participates in auditing is decided at
 //! *acquisition* and remembered in the guard, so a gate flip mid-hold
@@ -26,7 +31,7 @@ use crate::Site;
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 fn recover<G>(r: Result<G, std::sync::PoisonError<G>>, site: &'static Site) -> G {
@@ -260,8 +265,20 @@ impl<T> Drop for AuditWriteGuard<'_, T> {
 /// Condition variable paired with [`AuditMutex`]: a wait releases and
 /// re-acquires the mutex, and the audit bookkeeping mirrors that (the
 /// held-lock stack does not show the mutex while the thread is parked).
+///
+/// A notify wakes only when a thread is parked: [`AuditCondvar::wait`]
+/// counts the thread before the mutex is released and uncounts it after
+/// the mutex is re-acquired, so a notify with nobody parked is one atomic
+/// load. The rule this asks of a user: change the waited-for state under
+/// the mutex (or take the mutex after changing it), then notify. Every
+/// waiter re-checks its condition under the mutex before it parks, so a
+/// notifier that took the mutex after a waiter's check sees that waiter
+/// counted.
 pub struct AuditCondvar {
     inner: std::sync::Condvar,
+    /// Threads between counting themselves in a wait and re-acquiring the
+    /// mutex after it.
+    sleepers: AtomicUsize,
 }
 
 impl Default for AuditCondvar {
@@ -273,7 +290,7 @@ impl Default for AuditCondvar {
 impl AuditCondvar {
     /// A fresh condvar.
     pub const fn new() -> AuditCondvar {
-        AuditCondvar { inner: std::sync::Condvar::new() }
+        AuditCondvar { inner: std::sync::Condvar::new(), sleepers: AtomicUsize::new(0) }
     }
 
     /// Park until notified, releasing the guard's mutex while parked.
@@ -284,7 +301,10 @@ impl AuditCondvar {
             core::on_unlocked(site, instance);
         }
         let inner = guard.guard.take().expect("guard present outside wait");
+        // Counted while the mutex is still held: see the type's doc.
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
         let inner = recover(self.inner.wait(inner), site);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
         if guard.audited {
             core::on_locked(site, instance, Acq::Write);
         }
@@ -299,6 +319,7 @@ impl AuditCondvar {
             core::on_unlocked(site, instance);
         }
         let inner = guard.guard.take().expect("guard present outside wait");
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
         let (inner, res) = match self.inner.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, !r.timed_out()),
             Err(e) => {
@@ -310,6 +331,7 @@ impl AuditCondvar {
                 (g, !r.timed_out())
             }
         };
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
         if guard.audited {
             core::on_locked(site, instance, Acq::Write);
         }
@@ -317,14 +339,25 @@ impl AuditCondvar {
         res
     }
 
-    /// Wake one waiter.
+    /// Wake one waiter, if any is parked.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wake all waiters.
+    /// Wake all waiters, if any is parked.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
+    }
+
+    /// Threads parked (or about to park, or just woken and re-acquiring
+    /// the mutex) in a wait on this condvar.
+    #[cfg(test)]
+    pub(crate) fn sleepers(&self) -> usize {
+        self.sleepers.load(Ordering::SeqCst)
     }
 }
 
@@ -393,21 +426,51 @@ impl<T> AuditQueue<T> {
     /// [`AuditQueue::wait`] for at most `timeout`; `None` when it elapses
     /// first. A timeout whose deadline `Instant` cannot represent waits
     /// without one.
-    pub fn wait_timeout(&self, mut pred: impl FnMut(&T) -> bool, timeout: Duration) -> Option<T> {
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Some(self.wait(pred));
-        };
+    pub fn wait_timeout(&self, pred: impl FnMut(&T) -> bool, timeout: Duration) -> Option<T> {
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.wait_until(pred, || false, Some(deadline)),
+            None => Some(self.wait(pred)),
+        }
+    }
+
+    /// Block until an item matching `pred` is queued (and take it), until
+    /// `done()` holds, or until `deadline` passes; `None` in the last two
+    /// cases. `done` is checked under the queue's lock before every park,
+    /// so a thread that makes it hold and then calls [`AuditQueue::wake`]
+    /// cannot be missed.
+    pub fn wait_until(
+        &self,
+        mut pred: impl FnMut(&T) -> bool,
+        mut done: impl FnMut() -> bool,
+        deadline: Option<Instant>,
+    ) -> Option<T> {
         let mut items = self.items.lock();
         loop {
             if let Some(item) = take_first(&mut items, &mut pred) {
                 return Some(item);
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            if done() {
                 return None;
             }
-            self.arrived.wait_timeout(&mut items, left);
+            match deadline {
+                None => self.arrived.wait(&mut items),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.arrived.wait_timeout(&mut items, left);
+                }
+            }
         }
+    }
+
+    /// Wake the threads parked in a wait so they re-check their `done`
+    /// condition: call it after making one hold. Costs a lock and one
+    /// atomic load when nobody is parked.
+    pub fn wake(&self) {
+        drop(self.items.lock());
+        self.arrived.notify_all();
     }
 
     /// Number of queued items.

@@ -1,9 +1,10 @@
 //! Property/unit suite for the cycle detector, the vector-clock engine and
 //! the hazard detectors: synthetic graphs (2-cycle, 3-cycle,
 //! diamond-no-cycle), seeded random acquisition orders, and the
-//! lock-held-across-transmit regression fixture; and the blocking queue's
+//! lock-held-across-transmit regression fixture; the blocking queue's
 //! contract (FIFO order, predicate takes, timed and untimed waits, refusal
-//! once closed).
+//! once closed); and the condvar's sleeper count (no lost wake-up, the
+//! count back at 0 after every wait, a notify with no sleeper a no-op).
 //!
 //! The auditor's state is process-global, so every test serializes on one
 //! static mutex and resets the engine on entry and exit.
@@ -457,4 +458,100 @@ fn condvar_wait_timeout_times_out_false() {
     let cv = AuditCondvar::new();
     let mut guard = lock.lock();
     assert!(!cv.wait_timeout(&mut guard, Duration::from_millis(5)), "nobody notified");
+}
+
+/// Serialize on `SERIAL` with the gate off: for tests whose lock traffic
+/// must not feed another test's engine.
+fn quiet() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[test]
+fn condvar_handoffs_lose_no_wakeup() {
+    // Two threads pass a turn back and forth 100 000 times; every handoff
+    // needs the other thread's wake-up, so one lost wake-up stalls both.
+    const HANDOFFS: u64 = 100_000;
+    let _g = quiet();
+    let pair = Arc::new((AuditMutex::new(lock_site!("handoff turn"), 0u64), AuditCondvar::new()));
+    let player = |parity: u64| {
+        let pair = pair.clone();
+        std::thread::spawn(move || {
+            let (turn, cv) = &*pair;
+            loop {
+                let mut t = turn.lock();
+                while *t < HANDOFFS && *t % 2 != parity {
+                    cv.wait(&mut t);
+                }
+                if *t >= HANDOFFS {
+                    return;
+                }
+                *t += 1;
+                drop(t);
+                // Notified after unlocking: the sleeper count read here must
+                // see a waiter that counted itself before this thread locked.
+                cv.notify_all();
+            }
+        })
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let players = [player(0), player(1)];
+    std::thread::spawn(move || {
+        for p in players {
+            p.join().unwrap();
+        }
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "handoffs stalled at {}: a wake-up was lost",
+        *pair.0.lock()
+    );
+    assert_eq!(*pair.0.lock(), HANDOFFS);
+    assert_eq!(pair.1.sleepers(), 0);
+}
+
+#[test]
+fn condvar_sleeper_count_returns_to_zero() {
+    let _g = quiet();
+    let pair = Arc::new((AuditMutex::new(lock_site!("sleeper count"), false), AuditCondvar::new()));
+    // A waiter that times out uncounts itself.
+    {
+        let (lock, cv) = &*pair;
+        let mut guard = lock.lock();
+        assert!(!cv.wait_timeout(&mut guard, Duration::from_millis(5)));
+        assert_eq!(cv.sleepers(), 0, "after a timed-out wait");
+    }
+    // So does one that is woken.
+    let waiter = {
+        let pair = pair.clone();
+        std::thread::spawn(move || {
+            let (lock, cv) = &*pair;
+            let mut ready = lock.lock();
+            while !*ready {
+                cv.wait(&mut ready);
+            }
+        })
+    };
+    let (lock, cv) = &*pair;
+    while cv.sleepers() == 0 {
+        std::thread::yield_now();
+    }
+    *lock.lock() = true;
+    cv.notify_all();
+    waiter.join().unwrap();
+    assert_eq!(cv.sleepers(), 0, "after a woken wait");
+}
+
+#[test]
+fn notify_with_no_sleeper_wakes_no_later_waiter() {
+    let _g = quiet();
+    let lock = AuditMutex::new(lock_site!("early notify"), ());
+    let cv = AuditCondvar::new();
+    cv.notify_all();
+    cv.notify_one();
+    let mut guard = lock.lock();
+    assert!(
+        !cv.wait_timeout(&mut guard, Duration::from_millis(20)),
+        "a notify made before anyone parked is not remembered"
+    );
 }

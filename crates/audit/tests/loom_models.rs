@@ -14,13 +14,17 @@
 //!    the accept path inserts and evicts under a capacity bound while the
 //!    replay path probes for duplicates; the cache's size bound and
 //!    set/queue agreement must hold throughout.
+//! 4. **Sleeper-counted wake-up** (`pardis-audit`'s `AuditCondvar`): a
+//!    waiter counts itself while it holds the mutex, then parks; a
+//!    notifier changes the state under the mutex and, after unlocking,
+//!    notifies only if it reads a nonzero count. The waiter always wakes.
 //!
 //! The in-tree `loom` stand-in explores seeded randomized interleavings
 //! (see `vendor/loom`); against the real crate these same tests run under
 //! exhaustive model checking.
 
-use loom::sync::atomic::{AtomicU64, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use loom::sync::{Arc, Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Protocol 1: reply-table rendezvous. The waiter's slot, registered
@@ -158,4 +162,55 @@ fn reply_cache_eviction_vs_duplicate_replay() {
         assert_eq!(c.0.len(), c.1.len());
         assert!(c.0.len() <= CAP);
     });
+}
+
+/// Protocol 4: the sleeper-counted wake-up. The notify is skipped when the
+/// count reads 0, so a lost wake-up would leave the waiter parked for
+/// good: the model runs on a watchdog thread, and a model that has not
+/// finished in 60 s fails the test instead of hanging it.
+#[test]
+fn sleeper_counted_notify_always_wakes_the_waiter() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let model = std::thread::spawn(move || {
+        loom::model(|| {
+            let shared = Arc::new((Mutex::new(false), Condvar::new(), AtomicUsize::new(0)));
+
+            let waiter_shared = shared.clone();
+            let woke = Arc::new(AtomicBool::new(false));
+            let waiter_woke = woke.clone();
+            let waiter = loom::thread::spawn(move || {
+                let (state, cv, sleepers) = &*waiter_shared;
+                let mut ready = state.lock().unwrap();
+                while !*ready {
+                    // Counted under the mutex, before the wait releases it.
+                    sleepers.fetch_add(1, Ordering::SeqCst);
+                    ready = cv.wait(ready).unwrap();
+                    sleepers.fetch_sub(1, Ordering::SeqCst);
+                }
+                waiter_woke.store(true, Ordering::SeqCst);
+            });
+
+            let notifier_shared = shared.clone();
+            let notifier = loom::thread::spawn(move || {
+                let (state, cv, sleepers) = &*notifier_shared;
+                *state.lock().unwrap() = true;
+                // Read after unlocking: the gate a notify with nobody parked
+                // takes.
+                if sleepers.load(Ordering::SeqCst) > 0 {
+                    cv.notify_all();
+                }
+            });
+
+            notifier.join().unwrap();
+            waiter.join().unwrap();
+            assert!(woke.load(Ordering::SeqCst), "the waiter saw the state change");
+            assert_eq!(shared.2.load(Ordering::SeqCst), 0, "the waiter uncounted itself");
+        });
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(std::time::Duration::from_secs(60)).is_ok(),
+        "a waiter stayed parked: a wake-up was lost"
+    );
+    model.join().unwrap();
 }

@@ -226,7 +226,7 @@ impl PumpCore {
         };
         if let Some(msgs) = stashed {
             for msg in msgs {
-                self.route(msg);
+                self.route(msg, None);
             }
         }
     }
@@ -288,29 +288,40 @@ impl PumpCore {
         s.router.get(&key).map(|st| st.is_complete()).unwrap_or(false)
     }
 
-    /// Ingest available messages; optionally wait up to `wait` for the first
-    /// one. Returns true if anything was processed.
-    pub(crate) fn pump_step(&self, wait: Option<Duration>) -> bool {
+    /// Ingest every frame already delivered, without waiting; true if there
+    /// was any. `awaiting` is the invocation the calling thread waits for,
+    /// if any (see [`InvocationState::absorb`]).
+    pub(crate) fn pump_step(&self, awaiting: Option<(BindingId, u64)>) -> bool {
         let mut progressed = false;
         while let Some(env) = self.rx.try_recv() {
             pardis_audit::chan_recv(self.reply_eps[self.thread].0);
-            self.ingest_wire(&env.wire, 0);
+            self.ingest_wire(&env.wire, 0, awaiting);
             progressed = true;
-        }
-        if !progressed {
-            if let Some(timeout) = wait {
-                if let Some(env) = self.rx.recv_timeout(timeout) {
-                    pardis_audit::chan_recv(self.reply_eps[self.thread].0);
-                    self.ingest_wire(&env.wire, 0);
-                    progressed = true;
-                }
-            }
         }
         progressed
     }
 
+    /// [`PumpCore::pump_step`], but when nothing has arrived, park until a
+    /// frame does (and ingest it), `done()` holds, or `until` passes.
+    /// `done` is checked under the endpoint's lock, and whoever makes it
+    /// hold wakes the endpoint ([`Inbox::wake`]).
+    pub(crate) fn pump_or_park(
+        &self,
+        awaiting: Option<(BindingId, u64)>,
+        done: impl FnMut() -> bool,
+        until: Option<Instant>,
+    ) {
+        if self.pump_step(awaiting) {
+            return;
+        }
+        if let Some(env) = self.rx.wait_until(done, until) {
+            pardis_audit::chan_recv(self.reply_eps[self.thread].0);
+            self.ingest_wire(&env.wire, 0, awaiting);
+        }
+    }
+
     /// Ingest one frame that sits inside `depth` batch envelopes.
-    fn ingest_wire(&self, wire: &Wire, depth: usize) {
+    fn ingest_wire(&self, wire: &Wire, depth: usize, awaiting: Option<(BindingId, u64)>) {
         let Ok((msg, ..)) = Message::decode_traced(wire) else {
             refuse_frame();
             return;
@@ -321,7 +332,7 @@ impl PumpCore {
         if let Message::Batch(frames) = &msg {
             if batch_depth_allowed(depth) {
                 for frame in frames {
-                    self.ingest_wire(frame, depth + 1);
+                    self.ingest_wire(frame, depth + 1, awaiting);
                 }
             }
             return;
@@ -335,10 +346,10 @@ impl PumpCore {
                 return;
             }
         }
-        self.route(msg);
+        self.route(msg, awaiting);
     }
 
-    fn route(&self, msg: Message) {
+    fn route(&self, msg: Message, awaiting: Option<(BindingId, u64)>) {
         let key = match &msg {
             Message::Reply(r) => (r.binding, r.req_id),
             Message::Fragment(f) => (f.binding, f.req_id),
@@ -352,7 +363,9 @@ impl PumpCore {
             s.router.get(&key).cloned()
         };
         if let Some(state) = state {
-            state.absorb(msg);
+            if state.absorb(msg, awaiting) {
+                self.rx.wake();
+            }
             return;
         }
         let mut s = shard.lock();
@@ -361,7 +374,9 @@ impl PumpCore {
         // fast-path miss, and stashing now would strand the message.
         if let Some(state) = s.router.get(&key).cloned() {
             drop(s);
-            state.absorb(msg);
+            if state.absorb(msg, awaiting) {
+                self.rx.wake();
+            }
             return;
         }
         // A reply for a finished invocation is a retransmission
@@ -435,6 +450,8 @@ struct InvInner {
     /// thread sends each argument one fragment, so a second one is a
     /// duplicate or a retransmit and must not double-append elements.
     frag_seen: IdSet<(u32, u32)>,
+    /// Threads in [`wait_complete`] on this invocation that may park.
+    waiters: u32,
 }
 
 impl InvInner {
@@ -446,8 +463,13 @@ impl InvInner {
 }
 
 impl InvocationState {
-    fn absorb(&self, msg: Message) {
-        let completed;
+    /// Take in a reply or fragment. True when the invocation is complete
+    /// and a thread other than the pumping one waits for it: that thread
+    /// may be parked on the endpoint and must be woken. `awaiting` is the
+    /// invocation the pumping thread itself waits for, so a thread that
+    /// ingests its own reply wakes nobody.
+    fn absorb(&self, msg: Message, awaiting: Option<(BindingId, u64)>) -> bool {
+        let (completed, others_wait);
         {
             let mut inner = self.inner.lock();
             match msg {
@@ -467,12 +489,14 @@ impl InvocationState {
                 _ => {}
             }
             completed = self.complete_locked(&inner);
+            others_wait = inner.waiters > u32::from(awaiting == Some(self.key));
         }
         if completed {
             // The server answered in full: let go of the frames no
             // retransmission will ever need again.
             self.replay.lock().clear();
         }
+        completed && others_wait
     }
 
     /// Reply present and, on success, every expected local out-element
@@ -1111,7 +1135,7 @@ impl<'p> CallBuilder<'p> {
                     douts: Vec::new(),
                 },
             };
-            state.absorb(Message::Reply(reply));
+            state.absorb(Message::Reply(reply), None);
             return Ok(((state, core.clone()), key));
         }
 
@@ -1316,15 +1340,54 @@ fn retransmit(core: &Arc<PumpCore>, state: &Arc<InvocationState>) -> OrbResult<(
     Ok(())
 }
 
+/// A thread in [`wait_complete`]: counted among its invocation's waiters
+/// from its first check that finds the invocation incomplete until it
+/// leaves, so a pump on another thread that completes the invocation wakes
+/// it.
+struct Waiter<'a> {
+    state: &'a InvocationState,
+    counted: bool,
+}
+
+impl Waiter<'_> {
+    /// Whether the invocation is complete; counts or uncounts this thread
+    /// in the same critical section.
+    fn complete(&mut self) -> bool {
+        let mut inner = self.state.inner.lock();
+        let complete = self.state.complete_locked(&inner);
+        if complete == self.counted {
+            self.counted = !complete;
+            if complete {
+                inner.waiters -= 1;
+            } else {
+                inner.waiters += 1;
+            }
+        }
+        complete
+    }
+}
+
+impl Drop for Waiter<'_> {
+    fn drop(&mut self) {
+        if self.counted {
+            self.state.inner.lock().waiters -= 1;
+        }
+    }
+}
+
 /// Block until `state` completes, retransmitting on the configured
-/// schedule; blocking invocations and futures both wait here.
+/// schedule; blocking invocations and futures both wait here. The thread
+/// parks on its endpoint until a frame arrives, the invocation completes
+/// (another pump took its reply), the next retransmission is due, or the
+/// deadline passes. A timeout whose deadline `Instant` cannot represent
+/// waits without one.
 pub(crate) fn wait_complete(
     core: &Arc<PumpCore>,
     state: &Arc<InvocationState>,
     timeout: Duration,
 ) -> OrbResult<()> {
     let cfg = core.orb.cfg();
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now().checked_add(timeout);
     // Retransmissions are armed only when configured and there is something
     // to replay (not a oneway or collocated call).
     let mut next_retry = if cfg.retry_limit > 0 && !state.replay.lock().is_empty() {
@@ -1334,8 +1397,9 @@ pub(crate) fn wait_complete(
         None
     };
     let mut attempt: u32 = 0;
+    let mut waiter = Waiter { state, counted: false };
     loop {
-        if state.is_complete() {
+        if waiter.complete() {
             if pardis_obs::enabled() {
                 let mut args = Vec::new();
                 if let Some(obs) = &state.obs {
@@ -1351,7 +1415,7 @@ pub(crate) fn wait_complete(
             }
             return Ok(());
         }
-        if Instant::now() >= deadline {
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
             return Err(OrbError::Timeout { waiting_for: "invocation reply".into() });
         }
         if let Some((at, waited)) = next_retry {
@@ -1360,7 +1424,7 @@ pub(crate) fn wait_complete(
                 // attempt lost: the reply may have been sitting in the
                 // channel since the last pump tick, and retransmitting over
                 // it would send frames the fault schedule never asked for.
-                core.pump_step(None);
+                core.pump_step(Some(state.key));
                 if state.is_complete() {
                     continue;
                 }
@@ -1398,7 +1462,8 @@ pub(crate) fn wait_complete(
                 });
             }
         }
-        core.pump_step(Some(Duration::from_micros(200)));
+        let until = [deadline, next_retry.map(|(at, _)| at)].into_iter().flatten().min();
+        core.pump_or_park(Some(state.key), || state.is_complete(), until);
     }
 }
 
@@ -1527,6 +1592,13 @@ impl InvocationHandle {
     pub(crate) fn replay_frames(&self) -> usize {
         self.state.replay.lock().len()
     }
+
+    /// Reads how many threads wait in [`wait_complete`] on this
+    /// invocation, also after the handle has moved on.
+    pub(crate) fn waiters_probe(&self) -> impl Fn() -> u32 {
+        let state = self.state.clone();
+        move || state.inner.lock().waiters
+    }
 }
 
 #[cfg(test)]
@@ -1543,26 +1615,28 @@ impl ReplyData {
 /// and fragments are ingested while the computing thread is busy with its
 /// own work instead of waiting for it to poll.
 ///
-/// The thread drains this client thread's reply endpoint continuously;
-/// futures then resolve in the background. Stop it by dropping the handle
-/// or calling [`CommThread::stop`]. As the paper anticipates, it contends for
-/// a processor with the computing threads — that is the trade-off being
-/// studied.
+/// The thread drains this client thread's reply endpoint continuously,
+/// parking on it between frames; futures then resolve in the background.
+/// Stop it by dropping the handle or calling [`CommThread::stop`]. As the
+/// paper anticipates, it contends for a processor with the computing
+/// threads — that is the trade-off being studied.
 pub struct CommThread {
-    stop: Arc<std::sync::atomic::AtomicBool>,
+    core: Arc<PumpCore>,
+    stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl CommThread {
     pub(crate) fn spawn(core: Arc<PumpCore>) -> CommThread {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = stop.clone();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (flag, pump) = (stop.clone(), core.clone());
         let handle = std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                core.pump_step(Some(Duration::from_micros(200)));
+            let stopped = || flag.load(Ordering::SeqCst);
+            while !stopped() {
+                pump.pump_or_park(None, stopped, None);
             }
         });
-        CommThread { stop, handle: Some(handle) }
+        CommThread { core, stop, handle: Some(handle) }
     }
 
     /// Ask the thread to exit and wait for it.
@@ -1571,7 +1645,8 @@ impl CommThread {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        self.core.rx.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }

@@ -12,7 +12,7 @@ use crate::object::{ClientId, DistPolicy, EndpointId, ObjectKey, ObjectRef, Serv
 use crate::protocol::{Message, Wire};
 use crate::repository::{ActivationMode, ImplementationRepository, ObjectRepository};
 use crate::servant::Servant;
-use pardis_audit::{lock_site, AuditMutex, AuditQueue, AuditRwLock};
+use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue, AuditRwLock};
 use pardis_netsim::{HostId, IdMap, Network, Published, TimeScale};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -106,9 +106,30 @@ impl Inbox {
         self.0.take(|_| true)
     }
 
+    /// Take the oldest frame, waiting for one.
+    pub(crate) fn recv(&self) -> Envelope {
+        self.0.wait(|_| true)
+    }
+
     /// Take the oldest frame, waiting up to `timeout` for one.
+    #[cfg(test)]
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
         self.0.wait_timeout(|_| true, timeout)
+    }
+
+    /// Take the oldest frame, waiting for one until `done()` holds or
+    /// `until` passes (see [`AuditQueue::wait_until`]).
+    pub(crate) fn wait_until(
+        &self,
+        done: impl FnMut() -> bool,
+        until: Option<Instant>,
+    ) -> Option<Envelope> {
+        self.0.wait_until(|_| true, done, until)
+    }
+
+    /// Wake the threads parked on this endpoint to re-check their `done`.
+    pub(crate) fn wake(&self) {
+        self.0.wake();
     }
 }
 
@@ -157,6 +178,10 @@ pub(crate) struct OrbInner {
     /// beside the servant.
     pub objects: AuditRwLock<IdMap<ObjectKey, Arc<ObjectMeta>>>,
     pub names: ObjectRepository,
+    /// Objects registered so far: [`Orb::resolve`] parks on `registered`
+    /// until this moves.
+    registrations: AuditMutex<u64>,
+    registered: AuditCondvar,
     pub impls: ImplementationRepository,
     pub interfaces: InterfaceRepository,
     #[allow(clippy::type_complexity)]
@@ -194,6 +219,8 @@ impl Orb {
                 servers: AuditRwLock::new(lock_site!("orb: server records"), IdMap::default()),
                 objects: AuditRwLock::new(lock_site!("orb: object metadata"), IdMap::default()),
                 names: ObjectRepository::new(),
+                registrations: AuditMutex::new(lock_site!("orb: registration count"), 0),
+                registered: AuditCondvar::new(),
                 impls: ImplementationRepository::new(),
                 interfaces: InterfaceRepository::new(),
                 servants: AuditRwLock::new(lock_site!("orb: servant table"), IdMap::default()),
@@ -420,6 +447,8 @@ impl Orb {
         let oref = meta.oref.clone();
         self.inner.objects.write().insert(oref.key, meta);
         self.inner.names.register(namespace, name, oref.key);
+        *self.inner.registrations.lock() += 1;
+        self.inner.registered.notify_all();
         oref
     }
 
@@ -434,11 +463,15 @@ impl Orb {
 
     /// Resolve `name` in `namespace` to an object reference, activating the
     /// implementation if the agent is configured to and one is registered.
+    /// Waits up to the configured timeout for the object to be registered,
+    /// parking until the next registration; a timeout whose deadline
+    /// `Instant` cannot represent waits without one.
     pub fn resolve(&self, namespace: &str, name: &str) -> OrbResult<ObjectRef> {
         let cfg = self.config();
-        let deadline = Instant::now() + cfg.timeout;
+        let deadline = Instant::now().checked_add(cfg.timeout);
         let mut activated = false;
         loop {
+            let seen = *self.inner.registrations.lock();
             if let Some(key) = self.inner.names.lookup(namespace, name) {
                 if let Some(meta) = self.object_meta(key) {
                     return Ok(meta.oref.clone());
@@ -450,10 +483,19 @@ impl Orb {
                     continue; // give the launcher's registration a chance
                 }
             }
-            if Instant::now() >= deadline {
-                return Err(OrbError::ObjectNotFound(format!("{namespace}/{name}")));
+            let mut count = self.inner.registrations.lock();
+            while *count == seen {
+                match deadline {
+                    None => self.inner.registered.wait(&mut count),
+                    Some(deadline) => {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            return Err(OrbError::ObjectNotFound(format!("{namespace}/{name}")));
+                        }
+                        self.inner.registered.wait_timeout(&mut count, left);
+                    }
+                }
             }
-            std::thread::sleep(Duration::from_micros(200));
         }
     }
 

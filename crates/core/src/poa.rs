@@ -25,7 +25,6 @@ use pardis_rts::Rts;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Salt deriving a dispatch span's id from its parent invoke span (xor'd
 /// with the shifted thread index so collective dispatches stay distinct).
@@ -550,24 +549,19 @@ impl Poa {
         self.closed
     }
 
-    /// Ingest messages. With `block`, waits (in small slices) until at least
-    /// one message arrived or the adapter closed.
+    /// Ingest messages. With `block`, parks on the inbox until at least one
+    /// message arrived (a `Close` is a frame too).
     fn pump(&mut self, block: bool) {
         let mut got_any = false;
-        loop {
-            let mut progressed = false;
+        while let Some(env) = self.inbox.try_recv() {
+            self.handle_wire(&env.wire, 0);
+            got_any = true;
+        }
+        if block && !got_any && !self.closed {
+            let env = self.inbox.recv();
+            self.handle_wire(&env.wire, 0);
             while let Some(env) = self.inbox.try_recv() {
                 self.handle_wire(&env.wire, 0);
-                progressed = true;
-            }
-            got_any |= progressed;
-            if !block || got_any || self.closed {
-                return;
-            }
-            // Block briefly on the inbox, re-checking `closed` each slice.
-            if let Some(env) = self.inbox.recv_timeout(Duration::from_micros(200)) {
-                self.handle_wire(&env.wire, 0);
-                got_any = true;
             }
         }
     }

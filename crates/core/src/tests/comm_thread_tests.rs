@@ -172,6 +172,86 @@ fn comm_threads_serve_funneled_distributed_calls() {
     server.join().unwrap();
 }
 
+/// Doubles its argument once the test lets it, so the reply lands while
+/// the caller is waiting.
+struct HeldDoubler(std::sync::Mutex<std::sync::mpsc::Receiver<()>>);
+
+impl Servant for HeldDoubler {
+    fn interface(&self) -> &str {
+        "doubler"
+    }
+    fn dispatch(&self, req: ServerRequest<'_>) -> Result<ServerReply, String> {
+        self.0.lock().unwrap().recv().map_err(|e| e.to_string())?;
+        Doubler.dispatch(req)
+    }
+}
+
+/// A thread blocks in `wait` on an invocation while a comm thread pumps the
+/// same endpoint. The servant answers once the waiter has counted itself
+/// and is on its way to park; the comm thread and the waiter then race for
+/// the reply frame, and when the comm thread wins it completes the
+/// invocation and must wake the parked waiter. Under a 30-s timeout every
+/// wait returns within 50 ms. Under `PARDIS_AUDIT=1` the run must also leave
+/// the concurrency auditor with zero findings.
+fn comm_thread_wakes_a_parked_waiter(name: &str, wait: fn(InvocationHandle) -> i64) {
+    pardis_audit::env_requested();
+    let (orb, host) = Orb::single_host();
+    orb.set_local_bypass(false);
+    orb.set_timeout(Duration::from_secs(30));
+    let (release, held) = std::sync::mpsc::channel();
+    let group = ServerGroup::create(&orb, "doubler", host, 1);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let server = {
+        let group = group.clone();
+        let name = name.to_string();
+        std::thread::spawn(move || {
+            let mut poa = group.attach(0, None);
+            poa.activate_single(&name, Arc::new(HeldDoubler(std::sync::Mutex::new(held))));
+            ready_tx.send(()).unwrap();
+            poa.impl_is_ready();
+        })
+    };
+    ready_rx.recv().unwrap();
+
+    let client = ClientGroup::create(&orb, host, 1).attach(0, None);
+    let comm = client.start_comm_thread();
+    let proxy = client.bind(name).unwrap();
+    for i in 0..200i64 {
+        let inv = proxy.call("x").arg(&i).invoke_nb().unwrap();
+        let waiters = inv.waiters_probe();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(move || {
+                let t0 = std::time::Instant::now();
+                (wait(inv), t0.elapsed())
+            });
+            while waiters() == 0 {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+            let (got, took) = waiter.join().unwrap();
+            assert_eq!(got, 2 * i);
+            assert!(took < Duration::from_millis(50), "call {i}: the wait took {took:?}");
+        });
+    }
+    comm.stop();
+    group.shutdown();
+    server.join().unwrap();
+    pardis_audit::enforce_env();
+}
+
+#[test]
+fn comm_thread_wakes_a_thread_parked_in_wait() {
+    comm_thread_wakes_a_parked_waiter("held1", |inv| inv.wait().unwrap().scalar(0).unwrap());
+}
+
+#[test]
+fn comm_thread_wakes_a_thread_parked_in_future_get() {
+    comm_thread_wakes_a_parked_waiter("held2", |inv| {
+        let fut: PFuture<i64> = inv.scalar_future(0);
+        fut.get().unwrap()
+    });
+}
+
 #[test]
 fn dropping_the_handle_stops_the_thread() {
     let (orb, host) = Orb::single_host();

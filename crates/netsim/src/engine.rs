@@ -279,7 +279,7 @@ impl Scheduler {
     pub(crate) fn quiesce(&self) {
         let mut st = self.state.lock();
         while st.inflight > 0 {
-            self.cv.wait_timeout(&mut st, Duration::from_millis(10));
+            self.cv.wait(&mut st);
         }
     }
 

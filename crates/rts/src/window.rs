@@ -189,12 +189,11 @@ const TURN_SPIN: Duration = Duration::from_micros(40);
 /// The issue order of collective rounds: `at == base + k` once the `k`
 /// highest ranks have issued in the round at collective base `base`.
 /// Collective bases are [`COLL_WINDOW_STRIDE`] apart, so `k` never reaches
-/// the next round's base.
+/// the next round's base. A waiter that stops spinning parks on `wake`;
+/// the passer stores the turn, takes the lock and notifies, and the
+/// condvar's own sleeper count makes that notify free when nobody parked.
 struct Turn {
     at: AtomicU64,
-    /// Waiters that stopped spinning; the rank passing the turn takes the
-    /// lock and wakes them only when there are any.
-    parked: AtomicUsize,
     lock: AuditMutex<()>,
     wake: AuditCondvar,
 }
@@ -203,7 +202,6 @@ impl Turn {
     fn new() -> Turn {
         Turn {
             at: AtomicU64::new(0),
-            parked: AtomicUsize::new(0),
             lock: AuditMutex::new(lock_site!("rts: collective turn"), ()),
             wake: AuditCondvar::new(),
         }
@@ -217,23 +215,19 @@ impl Turn {
                 continue;
             }
             let mut guard = self.lock.lock();
-            // Counted before the re-check: a passer that stores after the
-            // re-check then sees the count and wakes this waiter.
-            self.parked.fetch_add(1, Ordering::SeqCst);
-            while self.at.load(Ordering::SeqCst) != want {
+            // Re-checked under the lock: a passer that stores after this
+            // check takes the lock after this waiter has parked.
+            while self.at.load(Ordering::Acquire) != want {
                 self.wake.wait(&mut guard);
             }
-            self.parked.fetch_sub(1, Ordering::SeqCst);
             return;
         }
     }
 
     fn pass(&self, to: u64) {
-        self.at.store(to, Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _guard = self.lock.lock();
-            self.wake.notify_all();
-        }
+        self.at.store(to, Ordering::Release);
+        drop(self.lock.lock());
+        self.wake.notify_all();
     }
 }
 

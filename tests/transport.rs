@@ -253,3 +253,29 @@ fn blocking_orb_delivers_duplicates_through_transmit() {
     group.shutdown();
     server.join().unwrap();
 }
+
+#[test]
+fn an_unbounded_timeout_binds_and_calls() {
+    // `Duration::MAX` is past what `Instant` can add: the bind's and the
+    // call's deadlines are then no deadline, not an overflow panic.
+    let _guard = serial();
+    let net = network(false);
+    let ch = net.add_host("client");
+    let sh = net.add_host("server");
+    net.connect(ch, sh, LinkPreset::AtmOc3.link());
+    let orb = Orb::new(net);
+    orb.set_timeout(std::time::Duration::MAX);
+    let group = ServerGroup::create(&orb, "counter", sh, 1);
+    let g = group.clone();
+    let server = std::thread::spawn(move || {
+        let mut poa = g.attach(0, None);
+        poa.activate_single("bump_unbounded", Arc::new(Bumper { hits: Arc::default() }));
+        poa.impl_is_ready();
+    });
+    let client = ClientGroup::create(&orb, ch, 1).attach(0, None);
+    let proxy = client.bind("bump_unbounded").unwrap();
+    let reply = proxy.call("bump").arg(&21i64).invoke().unwrap();
+    assert_eq!(reply.scalar::<i64>(0).unwrap(), 42);
+    group.shutdown();
+    server.join().unwrap();
+}
