@@ -1,21 +1,138 @@
 //! The compiler pipeline end to end: the `idl/*.idl` files shipped in this
-//! repository must compile, and the build-time-generated stubs this test
-//! binary itself links against must agree with a fresh run of the compiler.
+//! repository must compile, the build-time-generated stubs this test
+//! binary itself links against must agree with a fresh run of the compiler,
+//! and the emitted text is pinned by the committed copies under
+//! `tests/golden/`.
 
-use pardis::codegen::{compile_idl, CodegenOptions};
+use pardis::codegen::{compile_idl, lint_generated_tags, CodegenOptions};
 use pardis::idl;
 
 fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
+/// For each file `build.rs` compiles: its stem, what `build.rs` wrote, and
+/// the committed copy under `tests/golden/`.
+const GOLDEN: [(&str, &str, &str); 5] = [
+    (
+        "solvers",
+        include_str!(concat!(env!("OUT_DIR"), "/solvers_gen.rs")),
+        include_str!("golden/solvers.rs"),
+    ),
+    ("dna", include_str!(concat!(env!("OUT_DIR"), "/dna_gen.rs")), include_str!("golden/dna.rs")),
+    (
+        "pipeline",
+        include_str!(concat!(env!("OUT_DIR"), "/pipeline_gen.rs")),
+        include_str!("golden/pipeline.rs"),
+    ),
+    (
+        "bank",
+        include_str!(concat!(env!("OUT_DIR"), "/bank_gen.rs")),
+        include_str!("golden/bank.rs"),
+    ),
+    (
+        "prelude_names",
+        include_str!(concat!(env!("OUT_DIR"), "/prelude_names_gen.rs")),
+        include_str!("golden/prelude_names.rs"),
+    ),
+];
+
+/// `build.rs`'s regeneration command for each stem, one `stem\tcommand`
+/// line per file: the options table lives only in `build.rs`.
+const IDLC_COMMANDS: &str = include_str!(concat!(env!("OUT_DIR"), "/idlc_commands.txt"));
+
+/// The file that drives every emitter branch the shipped IDL leaves
+/// unvisited, compiled with both package mappings.
+const COVERAGE_IDL: &str = "tests/golden/emitter_coverage.idl";
+const COVERAGE_COMMAND: &str = "cargo run -q -p pardis-codegen --bin pardis-idlc -- \
+                                -pooma -hpcxx -o tests/golden/emitter_coverage.rs \
+                                tests/golden/emitter_coverage.idl";
+
+/// The coverage file's golden output must also be valid Rust.
+#[allow(clippy::all, dead_code, unused_imports, unused_variables, unused_mut)]
+mod emitter_coverage {
+    include!("golden/emitter_coverage.rs");
+}
+
+fn idlc_command(stem: &str) -> &'static str {
+    IDLC_COMMANDS
+        .lines()
+        .find_map(|line| line.strip_prefix(stem)?.strip_prefix('\t'))
+        .unwrap_or_else(|| panic!("build.rs wrote no command for {stem}"))
+}
+
+/// Byte-for-byte comparison; a mismatch names its first differing line and
+/// the command that regenerates the committed copy.
+fn assert_golden(stem: &str, emitted: &str, golden: &str, command: &str) {
+    if emitted == golden {
+        return;
+    }
+    let line = emitted.lines().zip(golden.lines()).take_while(|(a, b)| a == b).count() + 1;
+    panic!(
+        "emitted source for {stem} differs from tests/golden/{stem}.rs from line {line}:\n  \
+         emitted: {:?}\n  golden:  {:?}\nIf the change is intended, regenerate the copy with\n  \
+         {command}\nand review its diff.",
+        emitted.lines().nth(line - 1).unwrap_or("<end of file>"),
+        golden.lines().nth(line - 1).unwrap_or("<end of file>"),
+    );
+}
+
+/// Every `.idl` file under `idl/`, by stem.
+fn shipped_stems() -> Vec<String> {
+    let mut stems: Vec<String> = std::fs::read_dir("idl")
+        .expect("read idl/")
+        .map(|e| e.expect("idl/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "idl"))
+        .map(|p| p.file_stem().and_then(|s| s.to_str()).expect("utf-8 stem").to_string())
+        .collect();
+    stems.sort();
+    stems
+}
+
 #[test]
 fn shipped_idl_files_compile() {
-    for file in ["idl/solvers.idl", "idl/dna.idl", "idl/pipeline.idl"] {
-        let source = read(file);
+    let stems = shipped_stems();
+    assert!(!stems.is_empty(), "idl/ holds IDL files");
+    for stem in &stems {
+        let file = format!("idl/{stem}.idl");
+        let source = read(&file);
         let model = idl::compile(&source)
             .unwrap_or_else(|errs| panic!("{file}: {}", errs[0].render(&source)));
         assert!(!model.interfaces.is_empty(), "{file} declares interfaces");
+        assert!(
+            std::path::Path::new(&format!("tests/golden/{stem}.rs")).exists(),
+            "{file} has no golden copy tests/golden/{stem}.rs"
+        );
+        assert!(
+            GOLDEN.iter().any(|(s, ..)| s == stem),
+            "{file} is not compiled by build.rs or not diffed against its golden copy"
+        );
+    }
+}
+
+#[test]
+fn build_output_matches_the_golden_copies() {
+    for (stem, emitted, golden) in GOLDEN {
+        assert_golden(stem, emitted, golden, idlc_command(stem));
+    }
+}
+
+#[test]
+fn emitter_coverage_matches_its_golden_copy() {
+    let source = read(COVERAGE_IDL);
+    let emitted = compile_idl(&source, &CodegenOptions { pooma: true, hpcxx: true })
+        .unwrap_or_else(|errs| panic!("{COVERAGE_IDL}: {}", errs[0].render(&source)));
+    let golden = read("tests/golden/emitter_coverage.rs");
+    assert_golden("emitter_coverage", &emitted, &golden, COVERAGE_COMMAND);
+}
+
+#[test]
+fn golden_copies_take_no_reserved_tag_literal() {
+    let coverage = read("tests/golden/emitter_coverage.rs");
+    let golden = GOLDEN.iter().map(|&(stem, _, g)| (stem, g));
+    for (stem, source) in golden.chain([("emitter_coverage", coverage.as_str())]) {
+        let findings = lint_generated_tags(source);
+        assert!(findings.is_empty(), "tests/golden/{stem}.rs: {findings:#?}");
     }
 }
 
