@@ -2,7 +2,10 @@
 
 use crate::names::{camel, relative_path, snake, snake_raw, upper};
 use crate::CodegenOptions;
-use pardis_idl::model::{flat_key, Model, NamedType, RConst, RDir, RDist, RInterface, ROp, RType};
+use pardis_idl::ast::PragmaMap;
+use pardis_idl::model::{
+    flat_key, Model, NamedType, RConst, RDir, RDist, RInterface, ROp, RParam, RType,
+};
 use std::fmt::Write;
 
 /// Generate Rust source for a resolved model.
@@ -31,7 +34,7 @@ fn emit_scope(
     for c in model.consts.iter().filter(|c| c.path == path) {
         emit_const(out, c, &pad);
     }
-    for t in model.types.iter().filter(|t| type_path(t) == path) {
+    for t in model.types.iter().filter(|t| type_path(t).0 == path) {
         emit_type(out, model, t, path, &pad);
     }
     for iface in model.interfaces.iter().filter(|i| i.path == path) {
@@ -51,7 +54,7 @@ fn emit_scope(
         consider(child_segment(&c.path, path));
     }
     for t in &model.types {
-        consider(child_segment(type_path(t), path));
+        consider(child_segment(type_path(t).0, path));
     }
     for i in &model.interfaces {
         consider(child_segment(&i.path, path));
@@ -67,12 +70,13 @@ fn emit_scope(
     }
 }
 
-fn type_path(t: &NamedType) -> &[String] {
+/// A named type's module path and IDL name.
+fn type_path(t: &NamedType) -> (&[String], &str) {
     match t {
-        NamedType::Alias { path, .. }
-        | NamedType::Struct { path, .. }
-        | NamedType::Enum { path, .. }
-        | NamedType::Exception { path, .. } => path,
+        NamedType::Alias { path, name, .. }
+        | NamedType::Struct { path, name, .. }
+        | NamedType::Enum { path, name, .. }
+        | NamedType::Exception { path, name, .. } => (path, name),
     }
 }
 
@@ -111,19 +115,14 @@ fn rust_ty(model: &Model, ty: &RType, here: &[String]) -> String {
 
 /// Path to the Rust item generated for named type `key`, from `here`.
 fn named_path(model: &Model, key: &str, here: &[String]) -> String {
-    for t in &model.types {
-        if t.key() == key {
-            let (path, name) = match t {
-                NamedType::Alias { path, name, .. }
-                | NamedType::Struct { path, name, .. }
-                | NamedType::Enum { path, name, .. }
-                | NamedType::Exception { path, name, .. } => (path, name),
-            };
-            return relative_path(here, path, &camel(name));
+    match model.types.iter().find(|t| t.key() == key) {
+        Some(t) => {
+            let (path, name) = type_path(t);
+            relative_path(here, path, &camel(name))
         }
+        // Unreachable for well-formed models; emit something that fails loudly.
+        None => format!("compile_error!(\"unresolved type {key}\")"),
     }
-    // Unreachable for well-formed models; emit something that fails loudly.
-    format!("compile_error!(\"unresolved type {key}\")")
 }
 
 fn emit_const(out: &mut String, c: &RConst, pad: &str) {
@@ -148,114 +147,12 @@ fn emit_type(out: &mut String, model: &Model, t: &NamedType, here: &[String], pa
             let _ = writeln!(out, "{pad}pub type {} = {};", camel(name), rust_ty(model, ty, here));
         }
         NamedType::Struct { name, fields, .. } => {
-            let rust_name = camel(name);
-            let _ = writeln!(out, "{pad}/// IDL struct `{name}`.");
-            let _ = writeln!(out, "{pad}#[derive(Debug, Clone, PartialEq)]");
-            let _ = writeln!(out, "{pad}pub struct {rust_name} {{");
-            for (fname, fty) in fields {
-                let _ = writeln!(
-                    out,
-                    "{pad}    /// Field `{fname}`.\n{pad}    pub {}: {},",
-                    snake(fname),
-                    rust_ty(model, fty, here)
-                );
-            }
-            let _ = writeln!(out, "{pad}}}");
-            // CdrCodec.
-            let _ = writeln!(out, "{pad}impl ::pardis_cdr::CdrCodec for {rust_name} {{");
-            let _ = writeln!(out, "{pad}    fn encode(&self, e: &mut ::pardis_cdr::Encoder) {{");
-            for (fname, _) in fields {
-                let _ = writeln!(
-                    out,
-                    "{pad}        ::pardis_cdr::CdrCodec::encode(&self.{}, e);",
-                    snake(fname)
-                );
-            }
-            let _ = writeln!(out, "{pad}    }}");
-            let _ = writeln!(
-                out,
-                "{pad}    fn decode(d: &mut ::pardis_cdr::Decoder) -> Result<Self, ::pardis_cdr::CdrError> {{"
-            );
-            let _ = writeln!(out, "{pad}        Ok({rust_name} {{");
-            for (fname, _) in fields {
-                let _ = writeln!(
-                    out,
-                    "{pad}            {}: ::pardis_cdr::CdrCodec::decode(d)?,",
-                    snake(fname)
-                );
-            }
-            let _ = writeln!(out, "{pad}        }})");
-            let _ = writeln!(out, "{pad}    }}");
-            let _ = writeln!(out, "{pad}    fn type_code() -> ::pardis_cdr::TypeCode {{");
-            let _ = writeln!(out, "{pad}        ::pardis_cdr::TypeCode::Struct {{");
-            let _ = writeln!(out, "{pad}            name: \"{name}\".to_string(),");
-            let _ = writeln!(out, "{pad}            fields: ::std::sync::Arc::new(vec![");
-            for (fname, fty) in fields {
-                let _ = writeln!(
-                    out,
-                    "{pad}                (\"{fname}\".to_string(), <{} as ::pardis_cdr::CdrCodec>::type_code()),",
-                    rust_ty(model, fty, here)
-                );
-            }
-            let _ = writeln!(out, "{pad}            ]),");
-            let _ = writeln!(out, "{pad}        }}");
-            let _ = writeln!(out, "{pad}    }}");
-            let _ = writeln!(out, "{pad}}}");
+            emit_record(out, model, here, pad, name, fields, false);
         }
         NamedType::Exception { name, fields, .. } => {
+            emit_record(out, model, here, pad, name, fields, true);
             let rust_name = camel(name);
             let key = t.key();
-            let _ = writeln!(out, "{pad}/// IDL exception `{name}` (usable in `raises` clauses).");
-            let _ = writeln!(out, "{pad}#[derive(Debug, Clone, PartialEq)]");
-            let _ = writeln!(out, "{pad}pub struct {rust_name} {{");
-            for (fname, fty) in fields {
-                let _ = writeln!(
-                    out,
-                    "{pad}    /// Member `{fname}`.\n{pad}    pub {}: {},",
-                    snake(fname),
-                    rust_ty(model, fty, here)
-                );
-            }
-            let _ = writeln!(out, "{pad}}}");
-            let _ = writeln!(out, "{pad}impl ::pardis_cdr::CdrCodec for {rust_name} {{");
-            let _ = writeln!(out, "{pad}    fn encode(&self, e: &mut ::pardis_cdr::Encoder) {{");
-            for (fname, _) in fields {
-                let _ = writeln!(
-                    out,
-                    "{pad}        ::pardis_cdr::CdrCodec::encode(&self.{}, e);",
-                    snake(fname)
-                );
-            }
-            let _ = writeln!(out, "{pad}    }}");
-            let _ = writeln!(
-                out,
-                "{pad}    fn decode(d: &mut ::pardis_cdr::Decoder) -> Result<Self, ::pardis_cdr::CdrError> {{"
-            );
-            let _ = writeln!(out, "{pad}        Ok({rust_name} {{");
-            for (fname, _) in fields {
-                let _ = writeln!(
-                    out,
-                    "{pad}            {}: ::pardis_cdr::CdrCodec::decode(d)?,",
-                    snake(fname)
-                );
-            }
-            let _ = writeln!(out, "{pad}        }})");
-            let _ = writeln!(out, "{pad}    }}");
-            let _ = writeln!(out, "{pad}    fn type_code() -> ::pardis_cdr::TypeCode {{");
-            let _ = writeln!(out, "{pad}        ::pardis_cdr::TypeCode::Struct {{");
-            let _ = writeln!(out, "{pad}            name: \"{name}\".to_string(),");
-            let _ = writeln!(out, "{pad}            fields: ::std::sync::Arc::new(vec![");
-            for (fname, fty) in fields {
-                let _ = writeln!(
-                    out,
-                    "{pad}                (\"{fname}\".to_string(), <{} as ::pardis_cdr::CdrCodec>::type_code()),",
-                    rust_ty(model, fty, here)
-                );
-            }
-            let _ = writeln!(out, "{pad}            ]),");
-            let _ = writeln!(out, "{pad}        }}");
-            let _ = writeln!(out, "{pad}    }}");
-            let _ = writeln!(out, "{pad}}}");
             let _ = writeln!(out, "{pad}impl {rust_name} {{");
             let _ = writeln!(out, "{pad}    /// Exception repository id.");
             let _ = writeln!(out, "{pad}    pub const REPO_ID: &'static str = \"{key}\";");
@@ -334,100 +231,203 @@ fn emit_type(out: &mut String, model: &Model, t: &NamedType, here: &[String], pa
     }
 }
 
+/// An IDL struct or exception: the Rust struct and its field-by-field CDR
+/// codec.
+fn emit_record(
+    out: &mut String,
+    model: &Model,
+    here: &[String],
+    pad: &str,
+    name: &str,
+    fields: &[(String, RType)],
+    exception: bool,
+) {
+    let rust_name = camel(name);
+    let (doc, member) = if exception {
+        (format!("IDL exception `{name}` (usable in `raises` clauses)."), "Member")
+    } else {
+        (format!("IDL struct `{name}`."), "Field")
+    };
+    let _ = writeln!(out, "{pad}/// {doc}");
+    let _ = writeln!(out, "{pad}#[derive(Debug, Clone, PartialEq)]");
+    let _ = writeln!(out, "{pad}pub struct {rust_name} {{");
+    for (fname, fty) in fields {
+        let _ = writeln!(
+            out,
+            "{pad}    /// {member} `{fname}`.\n{pad}    pub {}: {},",
+            snake(fname),
+            rust_ty(model, fty, here)
+        );
+    }
+    let _ = writeln!(out, "{pad}}}");
+    let _ = writeln!(out, "{pad}impl ::pardis_cdr::CdrCodec for {rust_name} {{");
+    let _ = writeln!(out, "{pad}    fn encode(&self, e: &mut ::pardis_cdr::Encoder) {{");
+    for (fname, _) in fields {
+        let _ = writeln!(
+            out,
+            "{pad}        ::pardis_cdr::CdrCodec::encode(&self.{}, e);",
+            snake(fname)
+        );
+    }
+    let _ = writeln!(out, "{pad}    }}");
+    let _ = writeln!(
+        out,
+        "{pad}    fn decode(d: &mut ::pardis_cdr::Decoder) -> Result<Self, ::pardis_cdr::CdrError> {{"
+    );
+    let _ = writeln!(out, "{pad}        Ok({rust_name} {{");
+    for (fname, _) in fields {
+        let _ =
+            writeln!(out, "{pad}            {}: ::pardis_cdr::CdrCodec::decode(d)?,", snake(fname));
+    }
+    let _ = writeln!(out, "{pad}        }})");
+    let _ = writeln!(out, "{pad}    }}");
+    let _ = writeln!(out, "{pad}    fn type_code() -> ::pardis_cdr::TypeCode {{");
+    let _ = writeln!(out, "{pad}        ::pardis_cdr::TypeCode::Struct {{");
+    let _ = writeln!(out, "{pad}            name: \"{name}\".to_string(),");
+    let _ = writeln!(out, "{pad}            fields: ::std::sync::Arc::new(vec![");
+    for (fname, fty) in fields {
+        let _ = writeln!(
+            out,
+            "{pad}                (\"{fname}\".to_string(), <{} as ::pardis_cdr::CdrCodec>::type_code()),",
+            rust_ty(model, fty, here)
+        );
+    }
+    let _ = writeln!(out, "{pad}            ]),");
+    let _ = writeln!(out, "{pad}        }}");
+    let _ = writeln!(out, "{pad}    }}");
+    let _ = writeln!(out, "{pad}}}");
+}
+
+/// What every emitter inside one interface needs.
+struct Cx<'a> {
+    model: &'a Model,
+    /// The interface's module path.
+    here: &'a [String],
+    pad: &'a str,
+    /// The interface's CamelCase name.
+    iface: String,
+}
+
+impl Cx<'_> {
+    /// The Rust type for an IDL type, as seen from the interface's module.
+    fn ty(&self, ty: &RType) -> String {
+        rust_ty(self.model, ty, self.here)
+    }
+
+    /// Name of the futures struct of `op`'s non-blocking stubs.
+    fn futures_name(&self, op: &ROp) -> String {
+        format!("{}{}Futures", self.iface, camel(&op.name))
+    }
+}
+
 /// Per-operation wire layout, shared between proxy and skeleton emission.
 struct OpShape<'m> {
     op: &'m ROp,
     /// Scalar (non-distributed) `in`/`inout` params in declaration order.
-    scalar_ins: Vec<&'m pardis_idl::model::RParam>,
-    /// Distributed params (any direction) in declaration order.
-    dseqs: Vec<&'m pardis_idl::model::RParam>,
-    /// Outputs in declaration order: ret first (if non-void), then each
-    /// `out`/`inout` param.
+    scalar_ins: Vec<&'m RParam>,
+    /// Distributed params (any direction) in declaration order; a param's
+    /// position here is its wire index.
+    dseqs: Vec<DSeqParam<'m>>,
+    /// Outputs in declaration order: the return value first (if
+    /// non-void), then each `out`/`inout` param.
     outputs: Vec<Output<'m>>,
 }
 
-enum Output<'m> {
-    /// Return value (scalar slot 0).
-    Ret(&'m RType),
-    /// Scalar out param: (name, type, slot index).
-    Scalar(&'m str, &'m RType, usize),
-    /// Distributed out param: (name, element type, ordinal).
-    DSeq(&'m str, &'m RType, usize),
+/// A distributed param, typed once.
+struct DSeqParam<'m> {
+    name: &'m str,
+    /// Element type.
+    elem: &'m RType,
+    dir: DSeqDir<'m>,
+}
+
+enum DSeqDir<'m> {
+    /// `in`, with its declared server-side distribution and its typedef's
+    /// pragma mappings.
+    In { server_dist: Option<&'m RDist>, pragmas: &'m [PragmaMap] },
+    /// `out` (sema rejects `inout` dsequences).
+    Out,
+}
+
+/// One value the reply carries back.
+struct Output<'m> {
+    /// The out param's name; `None` for the return value.
+    name: Option<&'m str>,
+    /// Its type; for a distributed out, the element type.
+    ty: &'m RType,
+    /// A distributed out (read by dseq ordinal), not a scalar (by slot).
+    dseq: bool,
+    /// Scalar slot or dseq ordinal.
+    index: usize,
 }
 
 impl<'m> OpShape<'m> {
     fn new(op: &'m ROp) -> OpShape<'m> {
-        let mut scalar_ins = Vec::new();
-        let mut dseqs = Vec::new();
-        let mut outputs = Vec::new();
-        let mut scalar_slot = usize::from(op.ret != RType::Void);
-        let mut dseq_out_ordinal = 0;
+        let mut shape =
+            OpShape { op, scalar_ins: Vec::new(), dseqs: Vec::new(), outputs: Vec::new() };
         if op.ret != RType::Void {
-            outputs.push(Output::Ret(&op.ret));
+            shape.outputs.push(Output { name: None, ty: &op.ret, dseq: false, index: 0 });
         }
+        let (mut scalar_slot, mut dseq_ordinal) = (shape.outputs.len(), 0);
         for p in &op.params {
-            if p.ty.is_distributed() {
-                let RType::DSequence { elem, .. } = &p.ty else { unreachable!() };
-                if p.dir == RDir::Out {
-                    outputs.push(Output::DSeq(&p.name, elem, dseq_out_ordinal));
-                    dseq_out_ordinal += 1;
-                }
-                dseqs.push(p);
-            } else {
-                if p.dir != RDir::Out {
-                    scalar_ins.push(p);
-                }
-                if p.dir != RDir::In {
-                    outputs.push(Output::Scalar(&p.name, &p.ty, scalar_slot));
-                    scalar_slot += 1;
-                }
+            if let RType::DSequence { elem, server_dist, pragmas, .. } = &p.ty {
+                let dir = if p.dir == RDir::In {
+                    DSeqDir::In { server_dist: server_dist.as_ref(), pragmas }
+                } else {
+                    let index = dseq_ordinal;
+                    dseq_ordinal += 1;
+                    shape.outputs.push(Output { name: Some(&p.name), ty: elem, dseq: true, index });
+                    DSeqDir::Out
+                };
+                shape.dseqs.push(DSeqParam { name: &p.name, elem, dir });
+                continue;
+            }
+            if p.dir != RDir::Out {
+                shape.scalar_ins.push(p);
+            }
+            if p.dir != RDir::In {
+                let index = scalar_slot;
+                scalar_slot += 1;
+                shape.outputs.push(Output { name: Some(&p.name), ty: &p.ty, dseq: false, index });
             }
         }
-        OpShape { op, scalar_ins, dseqs, outputs }
+        shape
     }
 
-    /// Rust type of the output tuple.
-    fn out_tuple(&self, model: &Model, here: &[String]) -> String {
+    /// Distributed `in` params in declaration order.
+    fn dseq_ins(&self) -> impl Iterator<Item = &DSeqParam<'m>> {
+        self.dseqs.iter().filter(|d| matches!(d.dir, DSeqDir::In { .. }))
+    }
+
+    /// Rust type of the output tuple; `single` takes distributed outs as
+    /// plain `Vec`s (the `_single` stub).
+    fn out_tuple(&self, cx: &Cx<'_>, single: bool) -> String {
         if self.outputs.is_empty() {
             return "()".into();
         }
-        let mut parts = Vec::new();
-        for o in &self.outputs {
-            parts.push(match o {
-                Output::Ret(ty) => rust_ty(model, ty, here),
-                Output::Scalar(_, ty, _) => rust_ty(model, ty, here),
-                Output::DSeq(_, elem, _) => {
-                    format!("::pardis_core::DSequence<{}>", rust_ty(model, elem, here))
-                }
-            });
-        }
-        format!("({},)", parts.join(", "))
-    }
-
-    /// Output tuple with dseq outs as plain `Vec` (the `_single` stub).
-    fn out_tuple_single(&self, model: &Model, here: &[String]) -> String {
-        if self.outputs.is_empty() {
-            return "()".into();
-        }
-        let mut parts = Vec::new();
-        for o in &self.outputs {
-            parts.push(match o {
-                Output::Ret(ty) => rust_ty(model, ty, here),
-                Output::Scalar(_, ty, _) => rust_ty(model, ty, here),
-                Output::DSeq(_, elem, _) => format!("Vec<{}>", rust_ty(model, elem, here)),
-            });
-        }
+        let parts: Vec<String> = self
+            .outputs
+            .iter()
+            .map(|o| match (o.dseq, single) {
+                (false, _) => cx.ty(o.ty),
+                (true, false) => format!("::pardis_core::DSequence<{}>", cx.ty(o.ty)),
+                (true, true) => format!("Vec<{}>", cx.ty(o.ty)),
+            })
+            .collect();
         format!("({},)", parts.join(", "))
     }
 }
 
-/// Which pragma mapping (if any) applies to a distributed param under the
-/// given option set.
-fn pragma_native(ty: &RType, system: &str) -> Option<String> {
-    if let RType::DSequence { pragmas, .. } = ty {
-        pragmas.iter().find(|p| p.system == system).map(|p| p.native.clone())
-    } else {
-        None
+impl Output<'_> {
+    /// Field and binding name: `ret` for the return value.
+    fn field(&self) -> String {
+        self.name.map_or_else(|| "ret".to_string(), snake)
+    }
+
+    /// `{from}.scalar{suffix}::<T>(slot)` or `{from}.dseq{suffix}::<E>(ordinal)`.
+    fn read(&self, cx: &Cx<'_>, from: &str, suffix: &str) -> String {
+        let what = if self.dseq { "dseq" } else { "scalar" };
+        format!("{from}.{what}{suffix}::<{}>({}usize)", cx.ty(self.ty), self.index)
     }
 }
 
@@ -438,12 +438,12 @@ fn emit_interface(
     iface: &RInterface,
     pad: &str,
 ) {
-    let here = &iface.path;
-    let key = iface.key();
-    let all_ops: Vec<&ROp> = model.all_ops(&key);
-    let proxy_name = format!("{}Proxy", camel(&iface.name));
-    let impl_name = format!("{}Impl", camel(&iface.name));
-    let skel_name = format!("{}Skel", camel(&iface.name));
+    let cx = Cx { model, here: &iface.path, pad, iface: camel(&iface.name) };
+    let shapes: Vec<OpShape<'_>> =
+        model.all_ops(&iface.key()).into_iter().map(OpShape::new).collect();
+    let proxy_name = format!("{}Proxy", cx.iface);
+    let impl_name = format!("{}Impl", cx.iface);
+    let skel_name = format!("{}Skel", cx.iface);
 
     // ----- default server-side distribution policy -----
     let _ = writeln!(
@@ -458,31 +458,17 @@ fn emit_interface(
         snake(&iface.name)
     );
     let _ = writeln!(out, "{pad}    let mut policy = ::pardis_core::DistPolicy::new();");
-    for op in &all_ops {
-        let mut wire_idx = 0usize;
-        for p in &op.params {
-            if let RType::DSequence { server_dist, .. } = &p.ty {
-                if p.dir == RDir::In {
-                    if let Some(d) = server_dist {
-                        let dist = match d {
-                            RDist::Block => "::pardis_core::Distribution::Block".to_string(),
-                            RDist::Cyclic => "::pardis_core::Distribution::Cyclic".to_string(),
-                            RDist::Concentrated(k) => {
-                                format!("::pardis_core::Distribution::Concentrated({k})")
-                            }
-                            RDist::BlockCyclic(b) => {
-                                format!("::pardis_core::Distribution::BlockCyclic({b})")
-                            }
-                        };
-                        let _ = writeln!(
-                            out,
-                            "{pad}    policy.set(\"{}\", {wire_idx}u32, {dist});",
-                            op.name
-                        );
-                    }
-                }
-                wire_idx += 1;
-            }
+    for shape in &shapes {
+        for (wire_idx, d) in shape.dseqs.iter().enumerate() {
+            let DSeqDir::In { server_dist: Some(dist), .. } = d.dir else { continue };
+            let dist = match dist {
+                RDist::Block => "::pardis_core::Distribution::Block".to_string(),
+                RDist::Cyclic => "::pardis_core::Distribution::Cyclic".to_string(),
+                RDist::Concentrated(k) => format!("::pardis_core::Distribution::Concentrated({k})"),
+                RDist::BlockCyclic(b) => format!("::pardis_core::Distribution::BlockCyclic({b})"),
+            };
+            let _ =
+                writeln!(out, "{pad}    policy.set(\"{}\", {wire_idx}u32, {dist});", shape.op.name);
         }
     }
     let _ = writeln!(out, "{pad}    policy");
@@ -517,62 +503,23 @@ fn emit_interface(
          {pad}        &self.inner\n\
          {pad}    }}"
     );
-
-    for op in &all_ops {
-        let shape = OpShape::new(op);
-        emit_blocking_stub(out, model, &shape, here, pad, StubKind::Distributed);
-        if !op.oneway {
-            emit_nb_stub(out, model, &shape, here, pad, &camel(&iface.name), StubKind::Distributed);
-        }
-        if shape.op.has_distributed() {
-            emit_blocking_stub(out, model, &shape, here, pad, StubKind::Single);
-            let has_pooma = shape
-                .dseqs
-                .iter()
-                .any(|p| p.dir == RDir::In && pragma_native(&p.ty, "POOMA").is_some());
-            let has_hpcxx = shape
-                .dseqs
-                .iter()
-                .any(|p| p.dir == RDir::In && pragma_native(&p.ty, "HPC++").is_some());
-            if opts.pooma && has_pooma {
-                emit_blocking_stub(out, model, &shape, here, pad, StubKind::Pooma);
-                if !op.oneway {
-                    emit_nb_stub(
-                        out,
-                        model,
-                        &shape,
-                        here,
-                        pad,
-                        &camel(&iface.name),
-                        StubKind::Pooma,
-                    );
-                }
+    for shape in &shapes {
+        for kind in StubKind::ALL.into_iter().filter(|k| k.applies(&cx, shape, opts)) {
+            if shape.op.oneway {
+                emit_stub(out, &cx, shape, kind, Mode::Oneway);
+                continue;
             }
-            if opts.hpcxx && has_hpcxx {
-                emit_blocking_stub(out, model, &shape, here, pad, StubKind::Hpcxx);
-                if !op.oneway {
-                    emit_nb_stub(
-                        out,
-                        model,
-                        &shape,
-                        here,
-                        pad,
-                        &camel(&iface.name),
-                        StubKind::Hpcxx,
-                    );
-                }
+            emit_stub(out, &cx, shape, kind, Mode::Blocking);
+            if kind != StubKind::Single {
+                emit_stub(out, &cx, shape, kind, Mode::NonBlocking);
             }
         }
     }
     let _ = writeln!(out, "{pad}}}");
 
     // ----- futures structs -----
-    for op in &all_ops {
-        if op.oneway {
-            continue;
-        }
-        let shape = OpShape::new(op);
-        emit_futures_struct(out, model, &shape, here, pad, &camel(&iface.name));
+    for shape in shapes.iter().filter(|s| !s.op.oneway) {
+        emit_futures_struct(out, &cx, shape);
     }
 
     // ----- skeleton -----
@@ -583,31 +530,20 @@ fn emit_interface(
         iface.name
     );
     let _ = writeln!(out, "{pad}pub trait {impl_name}: Send + Sync + 'static {{");
-    for op in &all_ops {
-        let shape = OpShape::new(op);
+    for shape in &shapes {
+        let op = shape.op;
         let mut args = vec!["&self".to_string(), "ctx: &::pardis_core::ServantCtx".to_string()];
         for p in &shape.scalar_ins {
-            args.push(format!("{}: {}", snake(&p.name), rust_ty(model, &p.ty, here)));
+            args.push(format!("{}: {}", snake(&p.name), cx.ty(&p.ty)));
         }
-        for p in &shape.dseqs {
-            if p.dir == RDir::In {
-                let RType::DSequence { elem, .. } = &p.ty else { unreachable!() };
-                args.push(format!(
-                    "{}: ::pardis_core::DSequence<{}>",
-                    snake(&p.name),
-                    rust_ty(model, elem, here)
-                ));
-            }
+        for d in shape.dseq_ins() {
+            args.push(format!("{}: ::pardis_core::DSequence<{}>", snake(d.name), cx.ty(d.elem)));
         }
-        let err_ty = if op.raises.is_empty() {
-            "String".to_string()
-        } else {
-            "::pardis_core::Raised".to_string()
-        };
+        let err_ty = if op.raises.is_empty() { "String" } else { "::pardis_core::Raised" };
         let _ = writeln!(out, "{pad}    /// IDL operation `{}`.", op.name);
         if !op.raises.is_empty() {
             let raised: Vec<String> =
-                op.raises.iter().map(|r| named_path(model, r, here)).collect();
+                op.raises.iter().map(|r| named_path(model, r, cx.here)).collect();
             let _ = writeln!(
                 out,
                 "{pad}    /// Raises {} (return `Err(exc.into())`).",
@@ -619,7 +555,7 @@ fn emit_interface(
             "{pad}    fn {}({}) -> Result<{}, {err_ty}>;",
             snake(&op.name),
             args.join(", "),
-            shape.out_tuple(model, here)
+            shape.out_tuple(&cx, false)
         );
     }
     let _ = writeln!(out, "{pad}}}");
@@ -638,8 +574,8 @@ fn emit_interface(
         "{pad}    fn dispatch(&self, req: ::pardis_core::ServerRequest<'_>) -> Result<::pardis_core::ServerReply, String> {{"
     );
     let _ = writeln!(out, "{pad}        match req.op {{");
-    for op in &all_ops {
-        let shape = OpShape::new(op);
+    for shape in &shapes {
+        let op = shape.op;
         let _ = writeln!(out, "{pad}            \"{}\" => {{", op.name);
         let mut call_args = vec!["req.ctx".to_string()];
         for (slot, p) in shape.scalar_ins.iter().enumerate() {
@@ -647,23 +583,18 @@ fn emit_interface(
                 out,
                 "{pad}                let {}: {} = req.scalar({slot}usize).map_err(|e| e.to_string())?;",
                 snake(&p.name),
-                rust_ty(model, &p.ty, here)
+                cx.ty(&p.ty)
             );
             call_args.push(snake(&p.name));
         }
-        let mut in_ordinal = 0usize;
-        for p in &shape.dseqs {
-            if p.dir == RDir::In {
-                let RType::DSequence { elem, .. } = &p.ty else { unreachable!() };
-                let _ = writeln!(
-                    out,
-                    "{pad}                let {}: ::pardis_core::DSequence<{}> = req.dseq({in_ordinal}usize).map_err(|e| e.to_string())?;",
-                    snake(&p.name),
-                    rust_ty(model, elem, here)
-                );
-                call_args.push(snake(&p.name));
-                in_ordinal += 1;
-            }
+        for (ordinal, d) in shape.dseq_ins().enumerate() {
+            let _ = writeln!(
+                out,
+                "{pad}                let {}: ::pardis_core::DSequence<{}> = req.dseq({ordinal}usize).map_err(|e| e.to_string())?;",
+                snake(d.name),
+                cx.ty(d.elem)
+            );
+            call_args.push(snake(d.name));
         }
         if op.raises.is_empty() {
             let _ = writeln!(
@@ -689,13 +620,10 @@ fn emit_interface(
         let _ =
             writeln!(out, "{pad}                let mut rep = ::pardis_core::ServerReply::new();");
         for (i, o) in shape.outputs.iter().enumerate() {
-            match o {
-                Output::Ret(_) | Output::Scalar(..) => {
-                    let _ = writeln!(out, "{pad}                rep.push_scalar(&out.{i});");
-                }
-                Output::DSeq(..) => {
-                    let _ = writeln!(out, "{pad}                rep.push_dseq(out.{i});");
-                }
+            if o.dseq {
+                let _ = writeln!(out, "{pad}                rep.push_dseq(out.{i});");
+            } else {
+                let _ = writeln!(out, "{pad}                rep.push_scalar(&out.{i});");
             }
         }
         if shape.outputs.is_empty() {
@@ -714,6 +642,7 @@ fn emit_interface(
     let _ = writeln!(out, "{pad}}}");
 }
 
+/// How an operation's distributed arguments are taken.
 #[derive(PartialEq, Clone, Copy)]
 enum StubKind {
     /// SPMD stub over `DSequence` views.
@@ -726,313 +655,192 @@ enum StubKind {
     Hpcxx,
 }
 
-fn emit_blocking_stub(
-    out: &mut String,
-    model: &Model,
-    shape: &OpShape<'_>,
-    here: &[String],
-    pad: &str,
-    kind: StubKind,
-) {
-    let op = shape.op;
-    let (suffix, doc) = match kind {
-        StubKind::Distributed => {
-            ("", "Blocking invocation (SPMD stub: distributed arguments are this thread's views).")
-        }
-        StubKind::Single => (
-            "_single",
-            "Blocking invocation, non-distributed stub: whole sequences, for single clients (§3.1).",
-        ),
-        StubKind::Pooma => {
-            ("_pooma", "Blocking invocation marshaling directly from POOMA fields (`-pooma`).")
-        }
-        StubKind::Hpcxx => (
-            "_hpcxx",
-            "Blocking invocation marshaling directly from HPC++ PSTL distributed vectors (`-hpcxx`).",
-        ),
-    };
+impl StubKind {
+    /// Every kind, in the order a proxy lists its stubs.
+    const ALL: [StubKind; 4] =
+        [StubKind::Distributed, StubKind::Single, StubKind::Pooma, StubKind::Hpcxx];
 
-    // Signature.
+    /// Does `shape`'s operation get this kind of stub?
+    fn applies(self, cx: &Cx<'_>, shape: &OpShape<'_>, opts: &CodegenOptions) -> bool {
+        let enabled = match self {
+            StubKind::Distributed => return true,
+            StubKind::Single => return !shape.dseqs.is_empty(),
+            StubKind::Pooma => opts.pooma,
+            StubKind::Hpcxx => opts.hpcxx,
+        };
+        enabled && shape.dseqs.iter().any(|d| self.native(cx, d).is_some())
+    }
+
+    /// The native container this stub takes `in` param `d` as, when `d`'s
+    /// typedef carries this kind's pragma mapping.
+    fn native(self, cx: &Cx<'_>, d: &DSeqParam<'_>) -> Option<String> {
+        let DSeqDir::In { pragmas, .. } = d.dir else { return None };
+        let (system, native) = match self {
+            StubKind::Pooma => ("POOMA", "::pooma_rs::Field2D".to_string()),
+            StubKind::Hpcxx => ("HPC++", format!("::pstl_rs::DistVector<{}>", cx.ty(d.elem))),
+            StubKind::Distributed | StubKind::Single => return None,
+        };
+        pragmas.iter().any(|p| p.system == system).then_some(native)
+    }
+
+    /// The stub name's suffix and the blocking stub's doc line.
+    fn suffix_and_doc(self) -> (&'static str, &'static str) {
+        match self {
+            StubKind::Distributed => {
+                ("", "Blocking invocation (SPMD stub: distributed arguments are this thread's views).")
+            }
+            StubKind::Single => (
+                "_single",
+                "Blocking invocation, non-distributed stub: whole sequences, for single clients (§3.1).",
+            ),
+            StubKind::Pooma => {
+                ("_pooma", "Blocking invocation marshaling directly from POOMA fields (`-pooma`).")
+            }
+            StubKind::Hpcxx => (
+                "_hpcxx",
+                "Blocking invocation marshaling directly from HPC++ PSTL distributed vectors (`-hpcxx`).",
+            ),
+        }
+    }
+}
+
+/// How a stub waits for its operation.
+#[derive(PartialEq, Clone, Copy)]
+enum Mode {
+    /// Returns the outputs.
+    Blocking,
+    /// Returns their futures (`_nb`, §3.3).
+    NonBlocking,
+    /// A `oneway` operation: returns once sent.
+    Oneway,
+}
+
+/// One proxy stub: doc line, signature, the pragma pre-conversions, the
+/// call chain, then the tail `mode` calls for.
+fn emit_stub(out: &mut String, cx: &Cx<'_>, shape: &OpShape<'_>, kind: StubKind, mode: Mode) {
+    let (op, pad) = (shape.op, cx.pad);
+    let single = kind == StubKind::Single;
     let mut args = vec!["&self".to_string()];
+    let mut prelude = String::new();
+    // Scalars and dseqs must each be chained in declaration order; the
+    // relative interleaving of scalars and dseqs does not matter on the
+    // wire, so chain scalars first for readability.
+    let mut chain = format!("self.inner.call(\"{}\")", op.name);
     for p in &shape.scalar_ins {
-        args.push(format!("{}: &{}", snake(&p.name), rust_ty(model, &p.ty, here)));
+        let name = snake(&p.name);
+        args.push(format!("{name}: &{}", cx.ty(&p.ty)));
+        let _ = write!(chain, ".arg({name})");
     }
-    for p in &shape.dseqs {
-        let RType::DSequence { elem, .. } = &p.ty else { unreachable!() };
-        let ename = rust_ty(model, elem, here);
-        match p.dir {
-            RDir::In => {
-                let arg_ty = match kind {
-                    StubKind::Single => format!("Vec<{ename}>"),
-                    StubKind::Pooma if pragma_native(&p.ty, "POOMA").is_some() => {
-                        "&::pooma_rs::Field2D".to_string()
-                    }
-                    StubKind::Hpcxx if pragma_native(&p.ty, "HPC++").is_some() => {
-                        format!("&::pstl_rs::DistVector<{ename}>")
-                    }
-                    _ => format!("&::pardis_core::DSequence<{ename}>"),
-                };
-                args.push(format!("{}: {arg_ty}", snake(&p.name)));
+    for d in &shape.dseqs {
+        let name = snake(d.name);
+        match (&d.dir, kind.native(cx, d)) {
+            (DSeqDir::In { .. }, _) if single => {
+                args.push(format!("{name}: Vec<{}>", cx.ty(d.elem)));
+                let _ = write!(chain, ".dseq_in_full({name})");
             }
-            RDir::Out => {
-                if kind != StubKind::Single {
-                    args.push(format!("{}_dist: ::pardis_core::Distribution", snake(&p.name)));
-                }
+            (DSeqDir::In { .. }, Some(native)) => {
+                args.push(format!("{name}: &{native}"));
+                let _ = writeln!(prelude, "{pad}        let {name}_ds = {name}.to_dseq();");
+                let _ = write!(chain, ".dseq_in(&{name}_ds)");
             }
-            RDir::InOut => unreachable!("sema rejects inout dseq"),
+            (DSeqDir::In { .. }, None) => {
+                args.push(format!("{name}: &::pardis_core::DSequence<{}>", cx.ty(d.elem)));
+                let _ = write!(chain, ".dseq_in({name})");
+            }
+            (DSeqDir::Out, _) if single => {
+                chain.push_str(".dseq_out(::pardis_core::Distribution::Concentrated(0usize))");
+            }
+            (DSeqDir::Out, _) => {
+                args.push(format!("{name}_dist: ::pardis_core::Distribution"));
+                let _ = write!(chain, ".dseq_out({name}_dist)");
+            }
         }
     }
-    let ret_ty = if op.oneway {
-        "()".to_string()
-    } else if kind == StubKind::Single {
-        shape.out_tuple_single(model, here)
-    } else {
-        shape.out_tuple(model, here)
-    };
 
-    let _ = writeln!(out, "{pad}    /// {doc}");
+    let (suffix, doc) = kind.suffix_and_doc();
+    let (suffix, ret_ty) = match mode {
+        Mode::Blocking => (suffix.to_string(), shape.out_tuple(cx, single)),
+        Mode::Oneway => (suffix.to_string(), "()".to_string()),
+        Mode::NonBlocking => (format!("{suffix}_nb"), cx.futures_name(op)),
+    };
+    if mode == Mode::NonBlocking {
+        let _ = writeln!(
+            out,
+            "{pad}    /// Non-blocking invocation: returns immediately with futures of the\n\
+             {pad}    /// out arguments and return value (§3.3)."
+        );
+    } else {
+        let _ = writeln!(out, "{pad}    /// {doc}");
+    }
     let _ = writeln!(
         out,
         "{pad}    pub fn {}{suffix}({}) -> ::pardis_core::OrbResult<{ret_ty}> {{",
         if suffix.is_empty() { snake(&op.name) } else { snake_raw(&op.name) },
         args.join(", ")
     );
-
-    // Pre-conversions for pragma stubs.
-    for p in &shape.dseqs {
-        if p.dir != RDir::In {
-            continue;
-        }
-        match kind {
-            StubKind::Pooma if pragma_native(&p.ty, "POOMA").is_some() => {
-                let _ = writeln!(out, "{pad}        let {0}_ds = {0}.to_dseq();", snake(&p.name));
-            }
-            StubKind::Hpcxx if pragma_native(&p.ty, "HPC++").is_some() => {
-                let _ = writeln!(out, "{pad}        let {0}_ds = {0}.to_dseq();", snake(&p.name));
-            }
-            _ => {}
-        }
-    }
-
-    emit_call_chain(out, model, shape, pad, kind);
-
-    if op.oneway {
-        let _ = writeln!(out, "{pad}        call.invoke_oneway()");
-    } else {
-        let _ = writeln!(out, "{pad}        let reply = call.invoke()?;");
-        let mut extracts = Vec::new();
-        for o in &shape.outputs {
-            extracts.push(match o {
-                Output::Ret(ty) => {
-                    format!("reply.scalar::<{}>(0usize)?", rust_ty(model, ty, here))
-                }
-                Output::Scalar(_, ty, slot) => {
-                    format!("reply.scalar::<{}>({slot}usize)?", rust_ty(model, ty, here))
-                }
-                Output::DSeq(_, elem, ordinal) => {
-                    let e = rust_ty(model, elem, here);
-                    if kind == StubKind::Single {
-                        format!("reply.dseq::<{e}>({ordinal}usize)?.take_local()")
-                    } else {
-                        format!("reply.dseq::<{e}>({ordinal}usize)?")
-                    }
-                }
-            });
-        }
-        if extracts.is_empty() {
-            let _ = writeln!(out, "{pad}        let _ = reply;");
-            let _ = writeln!(out, "{pad}        Ok(())");
-        } else {
-            let _ = writeln!(out, "{pad}        Ok(({},))", extracts.join(", "));
-        }
-    }
-    let _ = writeln!(out, "{pad}    }}");
-}
-
-/// Emit `let call = self.inner.call("op")…;` with the argument chain.
-fn emit_call_chain(
-    out: &mut String,
-    model: &Model,
-    shape: &OpShape<'_>,
-    pad: &str,
-    kind: StubKind,
-) {
-    let _ = model;
-    let mut chain = format!("self.inner.call(\"{}\")", shape.op.name);
-    // Scalars and dseqs must each be chained in declaration order; the
-    // relative interleaving of scalars and dseqs does not matter on the
-    // wire, so chain scalars first for readability.
-    for p in &shape.scalar_ins {
-        chain.push_str(&format!(".arg({})", snake(&p.name)));
-    }
-    for p in &shape.dseqs {
-        match p.dir {
-            RDir::In => match kind {
-                StubKind::Single => {
-                    chain.push_str(&format!(".dseq_in_full({})", snake(&p.name)));
-                }
-                StubKind::Pooma if pragma_native(&p.ty, "POOMA").is_some() => {
-                    chain.push_str(&format!(".dseq_in(&{}_ds)", snake(&p.name)));
-                }
-                StubKind::Hpcxx if pragma_native(&p.ty, "HPC++").is_some() => {
-                    chain.push_str(&format!(".dseq_in(&{}_ds)", snake(&p.name)));
-                }
-                _ => chain.push_str(&format!(".dseq_in({})", snake(&p.name))),
-            },
-            RDir::Out => {
-                if kind == StubKind::Single {
-                    chain.push_str(".dseq_out(::pardis_core::Distribution::Concentrated(0usize))");
-                } else {
-                    chain.push_str(&format!(".dseq_out({}_dist)", snake(&p.name)));
-                }
-            }
-            RDir::InOut => unreachable!("sema rejects inout dseq"),
-        }
-    }
+    out.push_str(&prelude);
     let _ = writeln!(out, "{pad}        let call = {chain};");
-}
 
-fn futures_name(iface_camel: &str, op: &ROp) -> String {
-    format!("{iface_camel}{}Futures", camel(&op.name))
-}
-
-fn emit_nb_stub(
-    out: &mut String,
-    model: &Model,
-    shape: &OpShape<'_>,
-    here: &[String],
-    pad: &str,
-    iface_camel: &str,
-    kind: StubKind,
-) {
-    let op = shape.op;
-    let fname = futures_name(iface_camel, op);
-    let suffix = match kind {
-        StubKind::Pooma => "_pooma_nb",
-        StubKind::Hpcxx => "_hpcxx_nb",
-        _ => "_nb",
-    };
-    let mut args = vec!["&self".to_string()];
-    for p in &shape.scalar_ins {
-        args.push(format!("{}: &{}", snake(&p.name), rust_ty(model, &p.ty, here)));
-    }
-    for p in &shape.dseqs {
-        let RType::DSequence { elem, .. } = &p.ty else { unreachable!() };
-        let ename = rust_ty(model, elem, here);
-        match p.dir {
-            RDir::In => {
-                let arg_ty = match kind {
-                    StubKind::Pooma if pragma_native(&p.ty, "POOMA").is_some() => {
-                        "&::pooma_rs::Field2D".to_string()
-                    }
-                    StubKind::Hpcxx if pragma_native(&p.ty, "HPC++").is_some() => {
-                        format!("&::pstl_rs::DistVector<{ename}>")
-                    }
-                    _ => format!("&::pardis_core::DSequence<{ename}>"),
-                };
-                args.push(format!("{}: {arg_ty}", snake(&p.name)));
+    match mode {
+        Mode::Oneway => {
+            let _ = writeln!(out, "{pad}        call.invoke_oneway()");
+        }
+        Mode::Blocking => {
+            let _ = writeln!(out, "{pad}        let reply = call.invoke()?;");
+            if shape.outputs.is_empty() {
+                let _ = writeln!(out, "{pad}        let _ = reply;");
+                let _ = writeln!(out, "{pad}        Ok(())");
+            } else {
+                let reads: Vec<String> = shape
+                    .outputs
+                    .iter()
+                    .map(|o| {
+                        let take = if single && o.dseq { ".take_local()" } else { "" };
+                        format!("{}?{take}", o.read(cx, "reply", ""))
+                    })
+                    .collect();
+                let _ = writeln!(out, "{pad}        Ok(({},))", reads.join(", "));
             }
-            RDir::Out => args.push(format!("{}_dist: ::pardis_core::Distribution", snake(&p.name))),
-            RDir::InOut => unreachable!("sema rejects inout dseq"),
+        }
+        Mode::NonBlocking => {
+            let _ = writeln!(out, "{pad}        let handle = call.invoke_nb()?;");
+            let mut fields: Vec<String> = shape
+                .outputs
+                .iter()
+                .map(|o| format!("{}: {}", o.field(), o.read(cx, "handle", "_future")))
+                .collect();
+            fields.push("handle".to_string());
+            let _ = writeln!(
+                out,
+                "{pad}        Ok({} {{ {} }})",
+                cx.futures_name(op),
+                fields.join(", ")
+            );
         }
     }
-    let _ = writeln!(
-        out,
-        "{pad}    /// Non-blocking invocation: returns immediately with futures of the\n\
-         {pad}    /// out arguments and return value (§3.3)."
-    );
-    let _ = writeln!(
-        out,
-        "{pad}    pub fn {}{suffix}({}) -> ::pardis_core::OrbResult<{fname}> {{",
-        snake_raw(&op.name),
-        args.join(", ")
-    );
-    for p in &shape.dseqs {
-        if p.dir != RDir::In {
-            continue;
-        }
-        match kind {
-            StubKind::Pooma if pragma_native(&p.ty, "POOMA").is_some() => {
-                let _ = writeln!(out, "{pad}        let {0}_ds = {0}.to_dseq();", snake(&p.name));
-            }
-            StubKind::Hpcxx if pragma_native(&p.ty, "HPC++").is_some() => {
-                let _ = writeln!(out, "{pad}        let {0}_ds = {0}.to_dseq();", snake(&p.name));
-            }
-            _ => {}
-        }
-    }
-    emit_call_chain(out, model, shape, pad, kind);
-    let _ = writeln!(out, "{pad}        let handle = call.invoke_nb()?;");
-    let mut fields = Vec::new();
-    for o in &shape.outputs {
-        fields.push(match o {
-            Output::Ret(ty) => {
-                format!("ret: handle.scalar_future::<{}>(0usize)", rust_ty(model, ty, here))
-            }
-            Output::Scalar(name, ty, slot) => format!(
-                "{}: handle.scalar_future::<{}>({slot}usize)",
-                snake(name),
-                rust_ty(model, ty, here)
-            ),
-            Output::DSeq(name, elem, ordinal) => format!(
-                "{}: handle.dseq_future::<{}>({ordinal}usize)",
-                snake(name),
-                rust_ty(model, elem, here)
-            ),
-        });
-    }
-    fields.push("handle".to_string());
-    let _ = writeln!(out, "{pad}        Ok({fname} {{ {} }})", fields.join(", "));
     let _ = writeln!(out, "{pad}    }}");
 }
 
-fn emit_futures_struct(
-    out: &mut String,
-    model: &Model,
-    shape: &OpShape<'_>,
-    here: &[String],
-    pad: &str,
-    iface_camel: &str,
-) {
-    let op = shape.op;
-    let fname = futures_name(iface_camel, op);
+fn emit_futures_struct(out: &mut String, cx: &Cx<'_>, shape: &OpShape<'_>) {
+    let (op, pad) = (shape.op, cx.pad);
+    let fname = cx.futures_name(op);
     let _ = writeln!(
         out,
         "{pad}/// Futures of `{}::{}`; all resolve together when the server completes.",
-        iface_camel, op.name
+        cx.iface, op.name
     );
     let _ = writeln!(out, "{pad}pub struct {fname} {{");
     let _ = writeln!(out, "{pad}    /// Completion handle (poll or cancel).");
     let _ = writeln!(out, "{pad}    pub handle: ::pardis_core::InvocationHandle,");
     for o in &shape.outputs {
-        match o {
-            Output::Ret(ty) => {
-                let _ = writeln!(out, "{pad}    /// Future of the return value.");
-                let _ = writeln!(
-                    out,
-                    "{pad}    pub ret: ::pardis_core::PFuture<{}>,",
-                    rust_ty(model, ty, here)
-                );
-            }
-            Output::Scalar(name, ty, _) => {
-                let _ = writeln!(out, "{pad}    /// Future of out argument `{name}`.");
-                let _ = writeln!(
-                    out,
-                    "{pad}    pub {}: ::pardis_core::PFuture<{}>,",
-                    snake(name),
-                    rust_ty(model, ty, here)
-                );
-            }
-            Output::DSeq(name, elem, _) => {
-                let _ = writeln!(out, "{pad}    /// Future of distributed out argument `{name}`.");
-                let _ = writeln!(
-                    out,
-                    "{pad}    pub {}: ::pardis_core::DSeqFuture<{}>,",
-                    snake(name),
-                    rust_ty(model, elem, here)
-                );
-            }
-        }
+        let (what, future) = match (o.name, o.dseq) {
+            (None, _) => ("the return value".to_string(), "PFuture"),
+            (Some(name), false) => (format!("out argument `{name}`"), "PFuture"),
+            (Some(name), true) => (format!("distributed out argument `{name}`"), "DSeqFuture"),
+        };
+        let _ = writeln!(out, "{pad}    /// Future of {what}.");
+        let _ =
+            writeln!(out, "{pad}    pub {}: ::pardis_core::{future}<{}>,", o.field(), cx.ty(o.ty));
     }
     let _ = writeln!(out, "{pad}}}");
     let _ = writeln!(out, "{pad}impl {fname} {{");
