@@ -10,7 +10,7 @@
 use pardis::core::{ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest};
 use pardis::netsim::{FaultPlan, Link, LinkPreset, Network, TimeScale};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -126,8 +126,13 @@ fn serial_workload_clock_is_the_sum_of_transfers() {
 }
 
 /// `clients` hosts invoke concurrently against one server over dedicated
-/// per-pair links. Returns the network's virtual clock reading and the sum
-/// of every frame's transfer time.
+/// per-pair links, in lockstep: a barrier starts every call round, so no
+/// client gets a round ahead. The modelled makespan then does not depend on
+/// the real-time order in which the one server thread serves the clients:
+/// a client running rounds ahead pulls the server host's clock forward, and
+/// the replies owed to the clients behind it leave that much later. Returns
+/// the network's virtual clock reading and the sum of every frame's
+/// transfer time.
 fn concurrent_workload(blocking: bool, clients: usize, calls: i64) -> (f64, f64) {
     let net = network(blocking);
     let sh = net.add_host("server");
@@ -147,22 +152,34 @@ fn concurrent_workload(blocking: bool, clients: usize, calls: i64) -> (f64, f64)
         poa.activate_single("bump_cc", Arc::new(Bumper { hits: h }));
         poa.impl_is_ready();
     });
+    let rounds = Arc::new(Barrier::new(clients));
     let workers: Vec<_> = hosts
         .into_iter()
         .map(|host| {
             let orb = orb.clone();
+            let rounds = rounds.clone();
             std::thread::spawn(move || {
                 let client = ClientGroup::create(&orb, host, 1).attach(0, None);
-                let proxy = client.bind("bump_cc").unwrap();
-                for i in 0..calls {
-                    let reply = proxy.call("bump").arg(&i).invoke().unwrap();
-                    assert_eq!(reply.scalar::<i64>(0).unwrap(), 2 * i);
-                }
+                let proxy = client.bind("bump_cc").map_err(|e| e.to_string());
+                // Every client meets every round, even after a failed call,
+                // so a failure is reported at the join instead of hanging
+                // the others at the barrier.
+                (0..calls)
+                    .map(|i| {
+                        rounds.wait();
+                        let proxy = proxy.as_ref().map_err(String::clone)?;
+                        let reply =
+                            proxy.call("bump").arg(&i).invoke().map_err(|e| e.to_string())?;
+                        reply.scalar::<i64>(0).map_err(|e| e.to_string())
+                    })
+                    .collect::<Vec<_>>()
             })
         })
         .collect();
     for w in workers {
-        w.join().unwrap();
+        let replies = w.join().unwrap();
+        let want: Vec<_> = (0..calls).map(|i| Ok(2 * i)).collect();
+        assert_eq!(replies, want);
     }
     orb.network().quiesce();
     let clock = orb.network().clock().now();
