@@ -8,20 +8,29 @@
 //!   `CdrCodec` (pardis-cdr) marshaling (including the
 //!   automatically generated marshaling for dynamically-sized nested
 //!   structures that §4.1 highlights);
-//! * **client proxies** — for every operation a blocking stub, a
-//!   non-blocking `_nb` stub returning futures (§3.3), and — for operations
-//!   with distributed arguments — the second, non-distributed `_single` stub
-//!   PARDIS generates for single clients (§3.1);
+//! * **client proxies** — for every operation a blocking stub (a send-only
+//!   one for `oneway` operations), a non-blocking `_nb` stub returning
+//!   futures (§3.3), and — for operations with distributed arguments — the
+//!   second, non-distributed `_single` stub PARDIS generates for single
+//!   clients (§3.1);
 //! * **server skeletons** — an `…Impl` trait plus an `…Skel` adapter
 //!   implementing `pardis_core::Servant`;
 //! * **pragma mappings** — with [`CodegenOptions::pooma`] /
 //!   [`CodegenOptions::hpcxx`] enabled (the paper's `-pooma` / `-hpcxx`
-//!   compiler options), extra stubs that marshal straight from
-//!   `pooma_rs::Field2D` / `pstl_rs::DistVector` (§3.4, §4.3).
+//!   compiler options), extra blocking and non-blocking stubs that marshal
+//!   straight from `pooma_rs::Field2D` / `pstl_rs::DistVector` (§3.4, §4.3).
+//!
+//! Every proxy stub comes from one emitter, which writes the signature and
+//! the pragma pre-conversion once for all kinds and waiting modes; only the
+//! call's tail differs between blocking, non-blocking and oneway stubs.
 //!
 //! The emitted source is plain text meant to be `include!`d (typically from
 //! a `build.rs`, as the `pardis` facade crate does) or written by the
-//! `pardis-idlc` binary.
+//! `pardis-idlc` binary. Its text is pinned: the repository commits the
+//! output for every shipped IDL file, and for an IDL file that reaches
+//! every emitter branch, under `tests/golden/`, and
+//! `tests/idl_compiler_e2e.rs` diffs the compiler's output against those
+//! copies byte for byte.
 
 mod emit;
 mod names;
