@@ -305,19 +305,12 @@ impl IterativeImpl for IterativeSolver {
         let first_row = a.my_runs().first().map(|r| r.start as usize).unwrap_or(0);
         let my_rows: Vec<Vec<f64>> = a.local().to_vec();
         let my_b: Vec<f64> = b.local().to_vec();
-        let (x, iters) = if ctx.nthreads == 1 {
-            jacobi_solve_block(&NullRts, n, &my_rows, &my_b, first_row, tol, self.max_iters)
-        } else {
-            jacobi_solve_block(
-                ctx.rts().as_ref(),
-                n,
-                &my_rows,
-                &my_b,
-                first_row,
-                tol,
-                self.max_iters,
-            )
-        };
+        // A sequential server has no RTS of its own: it solves over a
+        // world of one rank.
+        let alone = (ctx.nthreads == 1).then(|| MpiRts::new(World::new(1).1.remove(0)));
+        let rts = alone.as_ref().map_or_else(|| ctx.rts().as_ref(), |one| one as &dyn Rts);
+        let (x, iters) =
+            jacobi_solve_block(rts, n, &my_rows, &my_b, first_row, tol, self.max_iters);
         if let Some(pace) = &self.pace {
             // Each sweep is ~2n^2 flops, split over the computing threads.
             let flops = 2.0 * (n as f64).powi(2) * iters as f64 / ctx.nthreads as f64;
@@ -466,45 +459,6 @@ pub fn compute_difference(x1: &DSequence<f64>, x2: &DSequence<f64>, rts: Option<
     match rts {
         Some(rts) if rts.size() > 1 => rts.all_reduce_f64(local, ReduceOp::Max),
         _ => local,
-    }
-}
-
-/// A 1-thread RTS stand-in for sequential servant paths.
-struct NullRts;
-
-impl Rts for NullRts {
-    fn rank(&self) -> usize {
-        0
-    }
-    fn size(&self) -> usize {
-        1
-    }
-    fn send(&self, _to: usize, _tag: u64, _data: Bytes) {
-        unreachable!("NullRts never communicates")
-    }
-    fn recv(&self, _from: Option<usize>, _tag: u64) -> pardis::rts::Msg {
-        unreachable!("NullRts never communicates")
-    }
-    fn recv_timeout(
-        &self,
-        _from: Option<usize>,
-        _tag: u64,
-        _timeout: std::time::Duration,
-    ) -> Option<pardis::rts::Msg> {
-        None
-    }
-    fn try_recv(&self, _from: Option<usize>, _tag: u64) -> Option<pardis::rts::Msg> {
-        None
-    }
-    fn barrier(&self) {}
-    fn broadcast(&self, _root: usize, data: Option<Bytes>) -> Bytes {
-        data.expect("single-rank broadcast")
-    }
-    fn gather(&self, _root: usize, part: Bytes) -> Option<Vec<Bytes>> {
-        Some(vec![part])
-    }
-    fn scatter(&self, _root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
-        parts.expect("single-rank scatter").remove(0)
     }
 }
 

@@ -180,11 +180,12 @@ impl Checker {
     // ----- tag discipline ---------------------------------------------------
 
     /// Validate a point-to-point tag used by traffic flowing through the
-    /// decorator. ORB tags are whitelisted; anything else in the reserved
-    /// band (including the collectives band) is an application violation.
+    /// decorator. The ORB sends nothing point-to-point, so any tag in the
+    /// reserved band (including the collectives band) is an application
+    /// violation.
     pub(crate) fn check_tag(&self, rank: usize, dir: &str, peer: Option<usize>, tag: u64) {
         self.events.fetch_add(1, Ordering::Relaxed);
-        if tags::is_reserved(tag) && !tags::ORB_TAGS.contains(&tag) {
+        if tags::is_reserved(tag) {
             let band = if tags::is_collective(tag) { "collective band" } else { "ORB band" };
             let peer = peer.map_or_else(|| "any".to_string(), |p| p.to_string());
             self.record(

@@ -8,9 +8,9 @@
 //! of MPI verifiers (MUST-style collective matching, wait-for-graph deadlock
 //! detection):
 //!
-//! * **Reserved-tag discipline** — application `send`/`recv` on a tag inside
-//!   the ORB band (anything in [`pardis_rts::tags::RESERVED_TAG_RANGE`] that
-//!   is not a known ORB tag) is an error.
+//! * **Reserved-tag discipline** — a `send`/`recv` on a tag inside the
+//!   reserved band ([`pardis_rts::tags::RESERVED_TAG_RANGE`]) is an error:
+//!   the ORB sends nothing point-to-point, so only the application can.
 //! * **Collective matching** — a per-world epoch log records which
 //!   collective each rank entered; barrier-vs-broadcast divergence and root
 //!   disagreement are flagged, and all ranks skip the doomed collective so

@@ -55,7 +55,7 @@ fn reserved_tag_send_and_recv_are_flagged() {
     let _g = lock();
     enable();
     let chk = Checker::new(2);
-    let bad = tags::pardis(0x99); // reserved, not an ORB tag
+    let bad = tags::pardis(0x99); // reserved
     checked_world(2, &chk, |rts| {
         if rts.rank() == 0 {
             rts.send(1, bad, b("evil"));
@@ -69,22 +69,6 @@ fn reserved_tag_send_and_recv_are_flagged() {
     let f = &report.findings[0];
     assert_eq!(f.severity, Severity::Error);
     assert!(f.rank.is_some());
-}
-
-#[test]
-fn orb_tags_pass_the_tag_check() {
-    let _g = lock();
-    enable();
-    let chk = Checker::new(2);
-    checked_world(2, &chk, |rts| {
-        if rts.rank() == 0 {
-            rts.send(1, tags::ORB_REDIST, b("orb"));
-        } else {
-            rts.recv(Some(0), tags::ORB_REDIST);
-        }
-    });
-    disable();
-    assert!(chk.finish().is_clean());
 }
 
 #[test]

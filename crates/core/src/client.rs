@@ -564,7 +564,7 @@ impl InvocationState {
 
     /// Distributed out-argument `ordinal` in the expected distribution.
     /// Collective over `rts` when it crossed the wire in another one.
-    pub(crate) fn dseq<T: CdrCodec + Clone>(
+    pub(crate) fn dseq<T: CdrCodec + Clone + Send + Sync + 'static>(
         &self,
         ordinal: usize,
         rts: Option<&dyn Rts>,
@@ -1506,7 +1506,10 @@ impl InvocationHandle {
     }
 
     /// Mint a future for distributed out-argument `ordinal`.
-    pub fn dseq_future<T: CdrCodec + Clone>(&self, ordinal: usize) -> crate::future::DSeqFuture<T> {
+    pub fn dseq_future<T: CdrCodec + Clone + Send + Sync + 'static>(
+        &self,
+        ordinal: usize,
+    ) -> crate::future::DSeqFuture<T> {
         crate::future::DSeqFuture::new(self.core.clone(), self.state.clone(), ordinal)
     }
 
@@ -1581,7 +1584,10 @@ impl ReplyData {
     /// whole at thread 0 and this call redistributes it over the client's
     /// RTS, so every thread of the collective call must make it, in the same
     /// order — as launching the call already has them do.
-    pub fn dseq<T: CdrCodec + Clone>(&self, ordinal: usize) -> OrbResult<DSequence<T>> {
+    pub fn dseq<T: CdrCodec + Clone + Send + Sync + 'static>(
+        &self,
+        ordinal: usize,
+    ) -> OrbResult<DSequence<T>> {
         self.state.dseq(ordinal, self.rts.as_deref())
     }
 }

@@ -22,10 +22,11 @@
 //!   through the run-time system interface.
 
 use crate::dist::{Distribution, Run};
+use crate::error::{OrbError, OrbResult};
 use crate::strided::{pair_plan, Assembler, Pack, Strided};
 use bytes::Bytes;
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
-use pardis_rts::{tags, Rts};
+use pardis_rts::{Rts, WindowId, Windows};
 use std::sync::Arc;
 
 /// A distributed sequence: one computing thread's view of a globally
@@ -248,57 +249,8 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         T::encode_elems(self.local(), &mut e);
         // Each part is its thread's local in local order, which is the order
         // of its share of "thread 0 of 1", where everything lands.
-        let whole = Distribution::Concentrated(0);
-        let mut asm = Assembler::new(self.global_len, (&self.dist, self.nthreads), (&whole, 1, 0));
-        for (src, part) in rts.all_gather(e.finish()).into_iter().enumerate() {
-            let mut d = Decoder::new(part, ByteOrder::native());
-            asm.take(src, &mut d).expect("gathered elements");
-        }
-        asm.finish().expect("distribution covers every index")
-    }
-
-    /// Collective: apply a new distribution template, exchanging elements
-    /// thread-to-thread through the run-time system. Must be called by all
-    /// threads with the same `new_dist`.
-    ///
-    /// Two wire strategies, same plan and identical results; the RTS, the
-    /// element type and the templates pick one, nothing else does:
-    ///
-    /// * **pull** — when the RTS exposes one-sided windows
-    ///   ([`Rts::windows`]) and the element type has a fixed wire size,
-    ///   each thread exposes its CDR-encoded local to the peers that read
-    ///   it, meets the others once, and every destination `get`s exactly
-    ///   the strided byte spans its plan names: one strided get per remote
-    ///   source, no closing rendezvous and no receive matching;
-    /// * **push** — on a purely two-sided RTS, for variable-width elements,
-    ///   or to or from a `Concentrated` template: one packed message per
-    ///   destination matched by a tagged receive. FIFO per (source, tag)
-    ///   channel plus a deterministic plan means no extra sequencing is
-    ///   needed even across repeated redistributions. A gather to one
-    ///   thread or a scatter from it has one message per peer, and only
-    ///   the receivers wait; pull would hold every thread at its
-    ///   rendezvous, which cost a funneled call most of its time.
-    pub fn redistribute(&mut self, rts: &dyn Rts, new_dist: Distribution) {
-        assert_eq!(rts.size(), self.nthreads, "redistribute over a mismatched RTS world");
-        assert_eq!(rts.rank(), self.thread, "redistribute called from the wrong thread");
-        new_dist.validate(self.global_len, self.nthreads).expect("invalid target distribution");
-        // All threads see identical gate inputs (the trait object's window
-        // support, T's wire size, both templates), so the branch itself is
-        // collective.
-        let one_end = |d: &Distribution| matches!(d, Distribution::Concentrated(_));
-        let windows = (self.nthreads > 1
-            && self.global_len > 0
-            && T::fixed_wire_size().is_some()
-            && !one_end(&self.dist)
-            && !one_end(&new_dist))
-        .then(|| rts.windows())
-        .flatten();
-        let new_local = match windows {
-            Some(w) => self.redistribute_pull(rts, w, &new_dist),
-            None => self.redistribute_push(rts, &new_dist),
-        };
-        self.local = new_local.into();
-        self.dist = new_dist;
+        let parts = rts.all_gather(e.finish()).into_iter().map(Some).enumerate();
+        self.assemble((&Distribution::Concentrated(0), 1, 0), parts).expect("gathered elements")
     }
 
     /// The index sets that move from thread `src` under the current template
@@ -310,70 +262,138 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         !out.is_empty()
     }
 
-    /// Two-sided exchange: pack each peer's share into one message, then
-    /// scatter what arrives (and what stays) into the new local vector.
-    fn redistribute_push(&self, rts: &dyn Rts, new_dist: &Distribution) -> Vec<T> {
-        const REDIST_TAG: u64 = tags::ORB_REDIST; // 'SD', from the shared registry
-        let me = self.thread;
-        let mut sets = Vec::new();
-        for dst in (0..self.nthreads).filter(|&dst| dst != me) {
-            if self.share(me, new_dist, dst, &mut sets) {
-                let mut e = Encoder::new(ByteOrder::native());
-                self.pack_into(&sets, &mut e);
-                rts.send(dst, REDIST_TAG, e.finish());
+    /// This thread's local part under `to`, from the sources' shares in the
+    /// order given: a `Some` share is decoded, `None` is this thread's own,
+    /// copied out of its local.
+    fn assemble(
+        &self,
+        to: (&Distribution, usize, usize),
+        shares: impl IntoIterator<Item = (usize, Option<Bytes>)>,
+    ) -> OrbResult<Vec<T>> {
+        let mut asm = Assembler::new(self.global_len, (&self.dist, self.nthreads), to);
+        for (src, share) in shares {
+            match share {
+                Some(share) => asm.take(src, &mut Decoder::new(share, ByteOrder::native()))?,
+                None => asm.copy(self.local())?,
             }
         }
-        let n = self.nthreads;
-        let mut asm = Assembler::new(self.global_len, (&self.dist, n), (new_dist, n, me));
-        for src in 0..n {
-            let got = if src == me {
-                asm.copy(self.local())
-            } else {
-                match asm.source(src) {
-                    Ok([]) => Ok(()),
-                    Ok(_) => {
-                        let data = rts.recv(Some(src), REDIST_TAG).data;
-                        asm.decode(&mut Decoder::new(data, ByteOrder::native()))
-                    }
-                    Err(e) => Err(e),
-                }
-            };
-            got.expect("redistribution elements");
-        }
-        asm.finish().expect("plan covers every local index")
+        asm.finish()
+    }
+}
+
+/// Redistribution. A share may leave as a view of the sequence's storage,
+/// which another thread then holds: hence the bounds.
+impl<T: CdrCodec + Clone + Send + Sync + 'static> DSequence<T> {
+    /// Collective: apply a new distribution template, exchanging elements
+    /// thread-to-thread through the run-time system. Must be called by all
+    /// threads with the same `new_dist`.
+    ///
+    /// The templates and the element type pick the transport; every thread
+    /// sees the same ones, so the choice is collective:
+    ///
+    /// * to `Concentrated(root)`, one [`Rts::gather`]; from it, one
+    ///   [`Rts::scatter`]. Only the receivers wait, so a funneled call holds
+    ///   no thread at a rendezvous;
+    /// * between distributed templates, a pull through one-sided windows
+    ///   ([`Rts::windows`]): every destination `get`s exactly what its plan
+    ///   names from each source, as strided byte spans of the source's
+    ///   encoded local for fixed-width elements, as a packed share found
+    ///   through an offset table for variable-width ones.
+    ///
+    /// # Panics
+    /// Panics if the RTS does not match the sequence, if `new_dist` is not
+    /// valid for it, or if the exchange fails.
+    pub fn redistribute(&mut self, rts: &dyn Rts, new_dist: Distribution) {
+        assert_eq!(rts.size(), self.nthreads, "redistribute over a mismatched RTS world");
+        assert_eq!(rts.rank(), self.thread, "redistribute called from the wrong thread");
+        self.local = self.exchange(rts, &new_dist).expect("redistribution").into();
+        self.dist = new_dist;
     }
 
-    /// One-sided pull redistribution: sources are passive. Each thread
-    /// exposes its encoded local for one get by each peer its plan sends to
-    /// (the last withdraws it); after one barrier, each destination issues
-    /// in turn ([`in_turn`](pardis_rts::Windows::in_turn)) one
-    /// [`get_strided_nb`](pardis_rts::Windows::get_strided_nb) per remote
-    /// source, for the strided byte spans of its plan.
+    /// Run the transport [`DSequence::redistribute`] picks: this thread's
+    /// local part under `to`.
+    fn exchange(&self, rts: &dyn Rts, to: &Distribution) -> OrbResult<Vec<T>> {
+        to.validate(self.global_len, self.nthreads).map_err(OrbError::Protocol)?;
+        let windows = || {
+            rts.windows()
+                .ok_or_else(|| OrbError::Protocol("the RTS has no one-sided windows".into()))
+        };
+        match (&self.dist, to) {
+            (_, &Distribution::Concentrated(root)) => self.gather_to(rts, root, to),
+            (&Distribution::Concentrated(root), _) => self.scatter_from(rts, root, to),
+            _ => match T::fixed_wire_size() {
+                Some(size) => self.pull(rts, windows()?, to, size as u64),
+                None => self.pull_packed(rts, windows()?, to),
+            },
+        }
+    }
+
+    /// This thread's share for thread `dst` under `to`: a view of its
+    /// storage when the share is one run of it in native image
+    /// ([`Pack::body`]), packed into a buffer sized for it otherwise.
+    fn packed_share(&self, to: &Distribution, dst: usize, sets: &mut Vec<Strided>) -> Bytes {
+        self.share(self.thread, to, dst, sets);
+        if let Some(view) = Pack::body(self, sets) {
+            return view;
+        }
+        let count: u64 = sets.iter().map(Strided::total).sum();
+        let size = count as usize * T::fixed_wire_size().unwrap_or(8);
+        let mut e = Encoder::with_capacity(ByteOrder::native(), size);
+        self.pack_into(sets, &mut e);
+        e.finish()
+    }
+
+    /// Gather to `Concentrated(root)`: each thread's share for the root is
+    /// its [`Rts::gather`] part. The root copies its own share before it
+    /// waits for the others', then decodes theirs; everyone else is left
+    /// with nothing.
+    fn gather_to(&self, rts: &dyn Rts, root: usize, to: &Distribution) -> OrbResult<Vec<T>> {
+        let me = self.thread;
+        let part = if me == root { Bytes::new() } else { self.packed_share(to, root, &mut vec![]) };
+        let gathered = std::iter::once_with(|| rts.gather(root, part).unwrap_or_default());
+        let parts = gathered.flatten().enumerate().filter(|&(src, _)| src != me);
+        let own = std::iter::once((me, None));
+        self.assemble((to, self.nthreads, me), own.chain(parts.map(|(src, p)| (src, Some(p)))))
+    }
+
+    /// Scatter from `Concentrated(root)`: the root's [`Rts::scatter`] part
+    /// for each peer is that peer's share, and it copies its own; each peer
+    /// decodes the part it receives.
+    fn scatter_from(&self, rts: &dyn Rts, root: usize, to: &Distribution) -> OrbResult<Vec<T>> {
+        let (me, n) = (self.thread, self.nthreads);
+        let parts = (me == root).then(|| {
+            let mut sets = Vec::new();
+            let pack =
+                |dst| if dst == me { Bytes::new() } else { self.packed_share(to, dst, &mut sets) };
+            (0..n).map(pack).collect()
+        });
+        let part = rts.scatter(root, parts);
+        self.assemble((to, n, me), [(root, (me != root).then_some(part))])
+    }
+
+    /// One-sided pull of fixed-width elements: sources are passive. Each
+    /// thread exposes its encoded local for one get by each peer its plan
+    /// sends to (the last withdraws it); after one barrier, each
+    /// destination issues in turn ([`in_turn`](Windows::in_turn)) one
+    /// [`get_strided_nb`](Windows::get_strided_nb) per remote source, for
+    /// the strided byte spans of its plan.
     ///
-    /// The byte arithmetic is licensed by [`CdrCodec::fixed_wire_size`]: a
-    /// homogeneous fixed-size array encoded from stream offset 0 places
-    /// element `i` at byte `i * size` with no padding, so a set whose source
-    /// locals start at `lo`, `stride` apart, is the same shape scaled by
-    /// `size`.
-    fn redistribute_pull(
-        &self,
-        rts: &dyn Rts,
-        w: &pardis_rts::Windows,
-        new_dist: &Distribution,
-    ) -> Vec<T> {
-        let ws = T::fixed_wire_size().expect("pull path gated on fixed-size elements") as u64;
+    /// The byte arithmetic is licensed by [`CdrCodec::fixed_wire_size`]
+    /// (`size` here): a homogeneous fixed-size array encoded from stream
+    /// offset 0 places element `i` at byte `i * size` with no padding, so a
+    /// set whose source locals start at `lo`, `stride` apart, is the same
+    /// shape scaled by `size`.
+    fn pull(&self, rts: &dyn Rts, w: &Windows, to: &Distribution, size: u64) -> OrbResult<Vec<T>> {
         let (me, n) = (self.thread, self.nthreads);
         let mut sets = Vec::new();
-        let readers =
-            (0..n).filter(|&dst| dst != me && self.share(me, new_dist, dst, &mut sets)).count();
+        let readers = (0..n).filter(|&dst| dst != me && self.share(me, to, dst, &mut sets)).count();
         // Every thread takes the base so the sequence stays aligned.
         let base = w.collective_window_base();
         if readers > 0 {
             let mut e =
-                Encoder::with_capacity(ByteOrder::native(), self.local().len() * ws as usize);
+                Encoder::with_capacity(ByteOrder::native(), self.local().len() * size as usize);
             T::encode_elems(self.local(), &mut e);
-            w.expose_for_gets(base, e.into_vec(), readers)
-                .expect("collective window bases never collide in-round");
+            w.expose_for_gets(base, e.into_vec(), readers)?;
         }
         rts.barrier();
 
@@ -383,34 +403,69 @@ impl<T: CdrCodec + Clone> DSequence<T> {
         let pulls = w.in_turn(base, || {
             let mut pulls = Vec::new();
             for src in (0..n).filter(|&src| src != me) {
-                if !self.share(src, new_dist, me, &mut sets) {
+                if !self.share(src, to, me, &mut sets) {
                     continue;
                 }
-                let spans: Vec<(u64, u64, u64, u64)> = sets
-                    .iter()
-                    .map(|set| {
-                        let (lo, lstride) = set
-                            .localize(self.global_len, &self.dist, n, src)
-                            .expect("plan sets are owned by their source");
-                        (lo * ws, lstride * ws, set.block * ws, set.count)
-                    })
-                    .collect();
-                let id = pardis_rts::WindowId { owner: src, base };
-                let handle = w
-                    .get_strided_nb(id, spans)
-                    .expect("plan spans lie inside the source's encoded local");
-                pulls.push((src, handle));
+                let mut spans = Vec::with_capacity(sets.len());
+                for set in &sets {
+                    let (lo, lstride) = set
+                        .localize(self.global_len, &self.dist, n, src)
+                        .ok_or_else(|| OrbError::Protocol(format!("{set:?} is not {src}'s")))?;
+                    spans.push((lo * size, lstride * size, set.block * size, set.count));
+                }
+                pulls.push((src, w.get_strided_nb(WindowId { owner: src, base }, spans)?));
             }
-            pulls
-        });
+            OrbResult::Ok(pulls)
+        })?;
+        let pulled = pulls.into_iter().map(|(src, handle)| (src, Some(handle.wait())));
+        self.assemble((to, n, me), std::iter::once((me, None)).chain(pulled))
+    }
 
-        let mut asm = Assembler::new(self.global_len, (&self.dist, n), (new_dist, n, me));
-        asm.copy(self.local()).expect("own share");
-        for (src, handle) in pulls {
-            let mut d = Decoder::new(handle.wait(), ByteOrder::native());
-            asm.take(src, &mut d).expect("redistribution elements");
+    /// One-sided pull of variable-width elements. Each thread packs every
+    /// peer's share into one buffer behind a table of `n + 1` `u64` offsets
+    /// (in the stream's byte order): share `d` spans `[table[d],
+    /// table[d + 1])` and starts 8-aligned, so CDR alignment inside it is
+    /// what it would be from offset 0. The buffer is exposed once, for two
+    /// gets by each reader; after one barrier each destination gets, in
+    /// turn, its two offsets from each source, then the bytes between them.
+    fn pull_packed(&self, rts: &dyn Rts, w: &Windows, to: &Distribution) -> OrbResult<Vec<T>> {
+        let (me, n) = (self.thread, self.nthreads);
+        let mut e = Encoder::new(ByteOrder::native());
+        e.write_raw(&vec![0; (n + 1) * 8]);
+        let (mut offsets, mut readers, mut sets) = (Vec::with_capacity(n + 1), 0, Vec::new());
+        for dst in 0..n {
+            e.align(8);
+            offsets.push(e.len() as u64);
+            if dst != me && self.share(me, to, dst, &mut sets) {
+                self.pack_into(&sets, &mut e);
+                readers += 1;
+            }
         }
-        asm.finish().expect("plan covers every local index")
+        offsets.push(e.len() as u64);
+        let mut packed = e.into_vec();
+        for (entry, offset) in packed.chunks_exact_mut(8).zip(&offsets) {
+            entry.copy_from_slice(&offset.to_ne_bytes());
+        }
+        let base = w.collective_window_base();
+        w.expose_for_gets(base, packed, 2 * readers)?;
+        rts.barrier();
+
+        let pulls = w.in_turn(base, || {
+            let sources = (0..n).filter(|&src| src != me && self.share(src, to, me, &mut sets));
+            let tables = sources
+                .map(|src| Ok((src, w.get_nb(WindowId { owner: src, base }, me as u64 * 8, 16)?)))
+                .collect::<OrbResult<Vec<_>>>()?;
+            let mut pulls = Vec::with_capacity(tables.len());
+            for (src, table) in tables {
+                let mut d = Decoder::new(table.wait(), ByteOrder::native());
+                let (lo, hi) = (d.read_u64()?, d.read_u64()?);
+                let id = WindowId { owner: src, base };
+                pulls.push((src, w.get_nb(id, lo, hi.saturating_sub(lo))?));
+            }
+            OrbResult::Ok(pulls)
+        })?;
+        let pulled = pulls.into_iter().map(|(src, handle)| (src, Some(handle.wait())));
+        self.assemble((to, n, me), std::iter::once((me, None)).chain(pulled))
     }
 }
 

@@ -1,6 +1,7 @@
 //! ORB errors.
 
 use pardis_cdr::CdrError;
+use pardis_rts::RtsError;
 use std::fmt;
 
 /// Everything that can go wrong in the ORB.
@@ -82,6 +83,14 @@ impl std::error::Error for OrbError {
 impl From<CdrError> for OrbError {
     fn from(e: CdrError) -> Self {
         OrbError::Marshal(e)
+    }
+}
+
+/// A one-sided RTS operation the ORB issued was refused: the ORB misused
+/// its windows.
+impl From<RtsError> for OrbError {
+    fn from(e: RtsError) -> Self {
+        OrbError::Protocol(format!("one-sided RTS: {e}"))
     }
 }
 

@@ -61,7 +61,7 @@ pub struct DSeqFuture<T> {
     _marker: PhantomData<fn() -> T>,
 }
 
-impl<T: CdrCodec + Clone> DSeqFuture<T> {
+impl<T: CdrCodec + Clone + Send + Sync + 'static> DSeqFuture<T> {
     pub(crate) fn new(core: Arc<PumpCore>, state: Arc<InvocationState>, ordinal: usize) -> Self {
         DSeqFuture { core, state, ordinal, _marker: PhantomData }
     }

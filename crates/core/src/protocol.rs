@@ -130,13 +130,6 @@ fn ctx_ext_len(ctx: &Option<pardis_obs::TraceCtx>) -> usize {
     }
 }
 
-/// The reserved-tag band the ORB's RTS traffic lives in, re-exported from
-/// `pardis-rts` (the single source of truth) so protocol-level code can name
-/// the range without a direct rts dependency path of its own.
-pub use pardis_rts::tags::{
-    is_reserved as is_reserved_tag, ORB_REDIST, ORB_TAGS, RESERVED_TAG_RANGE,
-};
-
 /// Direction of a distributed argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArgDir {

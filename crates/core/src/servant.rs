@@ -103,7 +103,10 @@ impl ServerRequest<'_> {
     /// and this call redistributes it over [`ServantCtx::rts`], so every
     /// computing thread must make it, in the same order — as the collective
     /// SPMD dispatch already has them do.
-    pub fn dseq<T: CdrCodec + Clone>(&self, ordinal: usize) -> OrbResult<DSequence<T>> {
+    pub fn dseq<T: CdrCodec + Clone + Send + Sync + 'static>(
+        &self,
+        ordinal: usize,
+    ) -> OrbResult<DSequence<T>> {
         let din = self
             .dins
             .get(ordinal)

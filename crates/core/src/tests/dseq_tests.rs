@@ -157,34 +157,64 @@ fn redistribute_nested_rows() {
 
 mod property {
     use super::*;
+    use pardis_cdr::CdrCodec;
     use proptest::prelude::*;
+
+    /// A template of kind `kind % 4`, valid for any world of `n > 0`.
+    fn template(kind: usize, param: u64, n: usize) -> Distribution {
+        match kind % 4 {
+            0 => Distribution::Block,
+            1 => Distribution::Cyclic,
+            2 => Distribution::Concentrated(param as usize % n),
+            _ => Distribution::BlockCyclic(1 + param % 5),
+        }
+    }
+
+    /// Distribute `full` over `n` threads under `src`, redistribute it to
+    /// `dst`, and gather it back on every thread.
+    fn roundtrip<T: CdrCodec + Clone + Send + Sync + 'static>(
+        full: &[T],
+        n: usize,
+        src: &Distribution,
+        dst: &Distribution,
+    ) -> Vec<Vec<T>> {
+        World::run(n, |rank| {
+            let t = rank.rank();
+            let rts = MpiRts::new(rank);
+            let mut ds = DSequence::distribute(full, src.clone(), n, t);
+            ds.redistribute(&rts, dst.clone());
+            ds.gather(&rts)
+        })
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// redistribute is content-preserving for any (src, dst) template
-        /// pair over any world size.
+        /// redistribute is content-preserving for any (src, dst) pair of
+        /// the four template kinds over any world size, for fixed-width
+        /// elements (`i64`) and variable-width ones (`String`, and the
+        /// paper's `Vec<f64>` matrix rows).
         #[test]
         fn redistribute_roundtrip(
             len in 0usize..60,
             n in 1usize..5,
-            src_cyclic in any::<bool>(),
-            dst_cyclic in any::<bool>(),
+            src_kind in 0usize..4,
+            dst_kind in 0usize..4,
+            param in 0u64..16,
         ) {
-            let full: Vec<i64> = (0..len as i64).collect();
-            let expect = full.clone();
-            let src = if src_cyclic { Distribution::Cyclic } else { Distribution::Block };
-            let dst = if dst_cyclic { Distribution::Cyclic } else { Distribution::Block };
-            let dst2 = dst.clone();
-            let out = World::run(n, move |rank| {
-                let t = rank.rank();
-                let rts = MpiRts::new(rank);
-                let mut ds = DSequence::distribute(&full, src.clone(), n, t);
-                ds.redistribute(&rts, dst2.clone());
-                ds.gather(&rts)
-            });
-            for got in out {
-                prop_assert_eq!(&got, &expect);
+            let src = template(src_kind, param, n);
+            let dst = template(dst_kind, param / 3, n);
+            let ints: Vec<i64> = (0..len as i64).collect();
+            let words: Vec<String> = (0..len).map(|i| "w".repeat(i % 7) + &i.to_string()).collect();
+            let rows: Vec<Vec<f64>> = (0..len).map(|i| vec![i as f64 / 4.0; i % 5]).collect();
+            for got in roundtrip(&ints, n, &src, &dst) {
+                prop_assert_eq!(&got, &ints, "i64 {:?}->{:?} over {}", &src, &dst, n);
+            }
+            for got in roundtrip(&words, n, &src, &dst) {
+                prop_assert_eq!(&got, &words, "String {:?}->{:?} over {}", &src, &dst, n);
+            }
+            for got in roundtrip(&rows, n, &src, &dst) {
+                prop_assert_eq!(&got, &rows, "Vec<f64> {:?}->{:?} over {}", &src, &dst, n);
             }
         }
 

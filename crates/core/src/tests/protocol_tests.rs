@@ -289,19 +289,6 @@ mod property {
     }
 }
 
-#[test]
-fn orb_message_tags_are_inside_the_reserved_range() {
-    // The constant the ORB actually sends with (dseq REDIST_TAG) is
-    // re-exported here from pardis-rts; assert the re-export is live and it
-    // falls inside the shared reserved band.
-    assert_eq!(RESERVED_TAG_RANGE, pardis_rts::tags::RESERVED_TAG_RANGE);
-    for tag in ORB_TAGS {
-        assert!(RESERVED_TAG_RANGE.contains(&tag), "{tag:#x} escaped the reserved band");
-        assert!(is_reserved_tag(tag));
-    }
-    assert_eq!(ORB_REDIST, pardis_rts::tags::PARDIS_BASE | 0x5344);
-}
-
 /// The frames a receiver's decoder meets at the head/body seam, each as the
 /// sender built it: a request, a reply, a fragment whose payload travels as
 /// its body, and a batch envelope whose last sub-frame is that fragment.

@@ -326,7 +326,7 @@ fn poa_keeps_the_plain_frame_for_contiguous_pairs() {
 /// `ServerRequest::dseq` over hand-built pieces, as server thread `t` of 2
 /// expecting 12 elements under `dist`, from a client that names `client` as
 /// its template.
-fn assemble_at<T: CdrCodec + Clone>(
+fn assemble_at<T: CdrCodec + Clone + Send + Sync + 'static>(
     client: (Distribution, usize),
     dist: &Distribution,
     t: usize,

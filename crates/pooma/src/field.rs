@@ -3,14 +3,10 @@
 use crate::Layout2D;
 use bytes::Bytes;
 use pardis_core::{DSequence, Distribution};
-use pardis_rts::{tags, Rts, WindowId, Windows};
+use pardis_rts::{tags, Rts, WindowId};
 
-/// Tag used for guard-cell exchange (user band — this is application
+/// Notify tag for one-sided halo puts (user band — this is application
 /// communication, not ORB traffic).
-const GUARD_TAG: u64 = 0x6009;
-
-/// Notify tag for one-sided halo puts (user band, distinct from the
-/// two-sided guard tag).
 const HALO_TAG: u64 = 0x600a;
 
 /// One computing thread's band of a distributed 2-D field, padded with one
@@ -91,15 +87,19 @@ impl Field2D {
         self.data[nx..nx * (self.local_rows() + 1)].to_vec()
     }
 
-    /// Exchange guard rows with the neighbouring threads over the RTS.
-    /// Collective: every thread must call. Single-thread worlds are a
-    /// no-op.
+    /// Exchange guard rows with the neighbouring threads over the RTS's
+    /// one-sided windows. Collective: every thread must call. Single-thread
+    /// worlds are a no-op.
     ///
-    /// The RTS decides the path: when it has one-sided windows, each
-    /// thread *puts* its boundary strips straight into its neighbours'
-    /// exposed landing windows (notify-on-delivery replaces receive
-    /// matching); on a purely two-sided RTS the classic send/recv exchange
-    /// runs.
+    /// Each thread exposes a two-row landing window (the upper neighbour's
+    /// strip lands in the first half, the lower neighbour's in the second),
+    /// *puts* its boundary strips straight into its neighbours' windows
+    /// (notify-on-delivery replaces receive matching), then copies the
+    /// landed halves into its guard rows. Only neighbour sides are touched —
+    /// global top/bottom guards keep their Dirichlet values.
+    ///
+    /// # Panics
+    /// Panics if the RTS fails a window operation.
     pub fn exchange_guards(&mut self, rts: &dyn Rts) {
         let n = self.layout.nthreads;
         debug_assert_eq!(rts.size(), n, "field layout does not match the RTS world");
@@ -107,43 +107,7 @@ impl Field2D {
         if n == 1 {
             return;
         }
-        if let Some(w) = rts.windows() {
-            self.exchange_guards_one_sided(rts, w);
-            return;
-        }
-        let nx = self.layout.nx;
-        let t = self.thread;
-        let rows = self.local_rows();
-        debug_assert!(tags::is_user(GUARD_TAG), "guard exchange must use a user tag");
-
-        // Send my top interior row up, my bottom interior row down.
-        if t > 0 {
-            let top: Vec<u8> = row_bytes(&self.data[nx..2 * nx]);
-            rts.send(t - 1, GUARD_TAG, Bytes::from(top));
-        }
-        if t + 1 < n {
-            let bottom: Vec<u8> = row_bytes(&self.data[rows * nx..(rows + 1) * nx]);
-            rts.send(t + 1, GUARD_TAG, Bytes::from(bottom));
-        }
-        // Receive the neighbours' boundary rows into my guards.
-        if t > 0 {
-            let msg = rts.recv(Some(t - 1), GUARD_TAG);
-            write_row(&mut self.data[0..nx], &msg.data);
-        }
-        if t + 1 < n {
-            let msg = rts.recv(Some(t + 1), GUARD_TAG);
-            let start = (rows + 1) * nx;
-            write_row(&mut self.data[start..start + nx], &msg.data);
-        }
-    }
-
-    /// One-sided guard exchange: expose a two-row landing window (upper
-    /// neighbour's strip lands in the first half, lower neighbour's in the
-    /// second), put boundary strips into the neighbours' windows, then copy
-    /// the landed halves into the guard rows. Only neighbour sides are
-    /// touched — global top/bottom guards keep their Dirichlet values.
-    fn exchange_guards_one_sided(&mut self, rts: &dyn Rts, w: &Windows) {
-        let n = self.layout.nthreads;
+        let w = rts.windows().expect("every RTS has one-sided windows");
         let nx = self.layout.nx;
         let t = self.thread;
         let rows = self.local_rows();

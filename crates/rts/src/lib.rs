@@ -38,10 +38,11 @@ pub use world::{Rank, World};
 
 /// Reserved tag bands.
 ///
-/// User computation may use any tag below [`tags::PARDIS_BASE`]; the ORB tags
-/// its own traffic inside the PARDIS band; the collectives implementation
-/// uses a third, private band. This mirrors §2.2's requirement for "a set of
-/// reserved message tags".
+/// User computation may use any tag below [`tags::PARDIS_BASE`]; the PARDIS
+/// band is kept for the ORB (which moves distributed arguments through
+/// windows and collectives, so it sends nothing point-to-point there
+/// today); the collectives implementation uses a third, private band. This
+/// mirrors §2.2's requirement for "a set of reserved message tags".
 pub mod tags {
     /// First tag reserved for PARDIS (ORB) traffic.
     pub const PARDIS_BASE: u64 = 1 << 62;
@@ -50,15 +51,9 @@ pub mod tags {
 
     /// The whole reserved band: every tag at or above [`PARDIS_BASE`] belongs
     /// to the ORB or the runtime, never to user computation. Single source of
-    /// truth for §2.2's "set of reserved message tags"; re-exported by
-    /// `pardis_core::protocol` so ORB code and checkers agree on the range.
+    /// truth for §2.2's "set of reserved message tags", which the checker
+    /// enforces.
     pub const RESERVED_TAG_RANGE: core::ops::Range<u64> = PARDIS_BASE..u64::MAX;
-
-    /// Tag of the ORB's distributed-sequence redistribution channel.
-    pub const ORB_REDIST: u64 = PARDIS_BASE | 0x5344;
-    /// Every point-to-point tag the ORB itself uses inside the reserved band.
-    /// (Collectives use the separate [`COLLECTIVE_BASE`] band.)
-    pub const ORB_TAGS: [u64; 1] = [ORB_REDIST];
 
     /// Build a PARDIS-band tag from a small discriminator.
     pub fn pardis(n: u64) -> u64 {

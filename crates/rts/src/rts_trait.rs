@@ -33,7 +33,8 @@ impl ReduceOp {
 /// Three implementations demonstrate its portability, mirroring the paper's
 /// MPI / Tulip / POOMA ports:
 ///
-/// * [`MpiRts`] — two-sided message passing over [`crate::World`];
+/// * [`MpiRts`] — message passing over [`crate::World`], with the world's
+///   one-sided windows;
 /// * [`crate::TulipRts`] — Tulip's one-sided region API on the window
 ///   layer, with the two-sided contract taken from [`crate::World`];
 /// * `pooma_rs::PoomaComm` — POOMA's communication abstraction.
@@ -59,14 +60,13 @@ pub trait Rts: Send + Sync {
     /// Scatter one part per rank from `root`.
     fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes;
 
-    /// The backend's one-sided window endpoint, when it has one. Errors of
-    /// the one-sided operations surface as typed [`crate::RtsError`] values
-    /// through the endpoint's `Result` returns — never panics. `None` means
-    /// the backend is purely two-sided and callers must fall back to
-    /// send/recv emulation.
-    fn windows(&self) -> Option<&Windows> {
-        None
-    }
+    /// The backend's one-sided window endpoint. Windows are part of the
+    /// contract: the ORB moves distributed arguments and halos through them
+    /// and has no send/recv fallback, so every implementation supplies one.
+    /// Errors of the one-sided operations surface as typed
+    /// [`crate::RtsError`] values through the endpoint's `Result` returns —
+    /// never panics.
+    fn windows(&self) -> Option<&Windows>;
 
     /// All-gather: everyone receives every rank's part, in rank order.
     /// Default: gather to 0, broadcast a framed concatenation.

@@ -219,17 +219,9 @@ fn tags_bands_are_disjoint() {
 }
 
 #[test]
-fn orb_tags_fall_inside_the_reserved_range() {
-    // §2.2: every ORB point-to-point tag must live in the reserved band,
-    // below the runtime's private collective band.
-    for &tag in &tags::ORB_TAGS {
-        assert!(tags::RESERVED_TAG_RANGE.contains(&tag), "{tag:#x} outside reserved range");
-        assert!(tags::is_reserved(tag));
-        assert!(!tags::is_user(tag));
-        assert!(!tags::is_collective(tag), "{tag:#x} must not collide with collectives");
-    }
-    // The reserved range starts exactly at the PARDIS band and covers the
-    // collective band too.
+fn reserved_range_covers_the_pardis_and_collective_bands() {
+    // §2.2: the reserved range starts exactly at the PARDIS band and covers
+    // the collective band too.
     assert_eq!(tags::RESERVED_TAG_RANGE.start, tags::PARDIS_BASE);
     assert!(tags::is_reserved(tags::COLLECTIVE_BASE));
     assert!(tags::is_collective(tags::COLLECTIVE_BASE));
@@ -613,6 +605,48 @@ mod windows {
         assert!(got.iter().all(|&b| b == 7));
         // One put frame + a get request/reply pair went over the wire.
         assert!(net.makespan() > 0.0, "one-sided traffic must advance the virtual clock");
+    }
+
+    /// On a networked world a collective's messages pay what a send pays: a
+    /// scatter from rank 0 over 3 ranks advances the modelled clock exactly
+    /// as sending the same parts with `send` does, and so does a broadcast.
+    #[test]
+    fn collectives_pay_the_modelled_cost_of_send() {
+        let parts = || vec![b(""), Bytes::from(vec![1u8; 700]), Bytes::from(vec![2u8; 1500])];
+        let makespan = |run: &(dyn Fn(&Rank) + Sync)| {
+            let net = Network::new(TimeScale::off());
+            net.set_default_link(LinkPreset::AtmOc3.link());
+            let h: Vec<_> = (0..3).map(|r| net.add_host(&format!("h{r}"))).collect();
+            let (world, ranks) = World::new(3);
+            world.attach_network(net.clone(), h);
+            std::thread::scope(|scope| {
+                for rank in ranks {
+                    scope.spawn(move || run(&rank));
+                }
+            });
+            net.quiesce();
+            net.makespan()
+        };
+        let sent = makespan(&|rank| match rank.rank() {
+            0 => parts().into_iter().enumerate().skip(1).for_each(|(to, p)| rank.send(to, 9, p)),
+            r => assert_eq!(rank.recv(Some(0), 9).data, parts()[r]),
+        });
+        let scattered = makespan(&|rank| {
+            let got = rank.scatter(0, (rank.rank() == 0).then(parts));
+            assert_eq!(got, parts()[rank.rank()]);
+        });
+        assert!(sent > 0.0);
+        assert_eq!(scattered, sent, "a scatter costs what its sends cost");
+
+        let one = || Bytes::from(vec![3u8; 900]);
+        let sent = makespan(&|rank| match rank.rank() {
+            0 => (1..3).for_each(|to| rank.send(to, 9, one())),
+            _ => assert_eq!(rank.recv(Some(0), 9).data, one()),
+        });
+        let broadcast = makespan(&|rank| {
+            assert_eq!(rank.broadcast(0, (rank.rank() == 0).then(one)), one());
+        });
+        assert_eq!(broadcast, sent, "a broadcast costs what its sends cost");
     }
 
     /// Two-sided sends over an attached network pay the rendezvous chain,

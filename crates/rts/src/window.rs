@@ -54,10 +54,8 @@
 //!   by move, once none does).
 //!
 //! The *users* of this layer — pull-based `dseq` redistribution and
-//! `pooma-rs` halo exchange — take the one-sided path exactly when their
-//! RTS offers windows ([`crate::Rts::windows`] returns `Some`). A purely
-//! two-sided RTS returns `None` and gets the send/recv paths; there is no
-//! process-wide switch.
+//! `pooma-rs` halo exchange — have no other path: every RTS supplies its
+//! endpoint ([`crate::Rts::windows`]).
 
 use bytes::Bytes;
 use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue, AuditRwLock};

@@ -96,7 +96,8 @@ impl World {
     }
 
     /// Bind the world to a modelled [`Network`]: `hosts[r]` is the host rank
-    /// `r` runs on. Two-sided sends then pay a rendezvous (request-to-send,
+    /// `r` runs on. Two-sided sends, and the messages of the collectives
+    /// built on them, then pay a rendezvous (request-to-send,
     /// clear-to-send, payload — three frames plus the receiver's matching
     /// overhead) and one-sided window operations pay their single- or
     /// two-frame cost, all through the overlapped transmit engine. Bind
@@ -245,7 +246,9 @@ impl Rank {
     }
 
     /// Broadcast from `root`: the root passes `Some(data)`, everyone gets the
-    /// payload.
+    /// payload. Each copy leaves through [`Rank::send`], so on a networked
+    /// world it pays what a send pays; so do [`Rank::gather`]'s and
+    /// [`Rank::scatter`]'s parts.
     ///
     /// # Panics
     /// Panics if the root passes `None` or a non-root passes `Some`.
@@ -253,10 +256,8 @@ impl Rank {
         let tag = self.next_coll_tag();
         if self.rank == root {
             let data = data.expect("broadcast root must supply data");
-            for to in 0..self.world.size {
-                if to != root {
-                    self.world.deliver(to, Msg::new(self.rank, tag, data.clone()));
-                }
+            for to in (0..self.world.size).filter(|&to| to != root) {
+                self.send(to, tag, data.clone());
             }
             data
         } else {
@@ -299,7 +300,7 @@ impl Rank {
                 if to == root {
                     own = Some(part);
                 } else {
-                    self.world.deliver(to, Msg::new(self.rank, tag, part));
+                    self.send(to, tag, part);
                 }
             }
             own.expect("root part present")

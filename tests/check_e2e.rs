@@ -78,7 +78,7 @@ fn reserved_tag_application_send_is_detected() {
     let _g = lock();
     enable();
     let chk = Checker::new(2);
-    let bad = tags::pardis(0xBAD); // reserved band, not a legal ORB tag
+    let bad = tags::pardis(0xBAD); // reserved band
     checked_world(2, &chk, |rts| {
         if rts.rank() == 0 {
             rts.send(1, bad, b("contraband"));

@@ -1,77 +1,24 @@
-//! End-to-end suite for the one-sided RTS layer.
+//! End-to-end suite for the one-sided RTS layer and the transports built
+//! on it.
 //!
-//! Whether a redistribution pulls through windows or pushes through
-//! send/recv — and whether a halo exchange puts or sends — is decided by
-//! the RTS alone: one that offers windows gets the one-sided path, one
-//! whose `windows()` is `None` gets the two-sided path. The workload tests
-//! run on a windowed RTS and on the same RTS wrapped in [`TwoSided`], and
-//! assert bit-for-bit identical outcomes; redistributions are also checked
-//! against the target distribution sliced straight out of the global
-//! vector. The rest pin the window layer's own contract on a networked
-//! world: a pull's modelled time, and a put that lands late.
+//! A redistribution takes one of four transports, picked by its templates
+//! and its element type: a gather to a `Concentrated` target, a scatter
+//! from a `Concentrated` source, a strided pull of fixed-width elements
+//! between distributed templates, and a pull of packed shares for
+//! variable-width ones. The "identical across modes" tests run shapes that
+//! cover those transports and check each result against its oracle: a
+//! redistribution against the target distribution sliced straight out of
+//! the global vector ([`expected_local`]), a halo-exchanging stencil
+//! against the same field stepped on one thread. The rest pin the window
+//! layer's own contract on a networked world: a pull's modelled time, and
+//! a put that lands late.
 
+use pardis::cdr::CdrCodec;
 use pardis::core::{DSequence, Distribution};
 use pardis::netsim::{LinkPreset, Network, TimeScale};
 use pardis::pooma::{Field2D, Layout2D, PoomaComm};
-use pardis::rts::{Bytes, MpiRts, Msg, ReduceOp, Rts, TulipWorld, Windows, World};
+use pardis::rts::{Bytes, MpiRts, Rts, TulipWorld, Windows, World};
 use std::time::Duration;
-
-/// A purely two-sided view of an RTS: forwards every call except
-/// `windows()`, which returns `None`, so callers take their send/recv
-/// paths.
-struct TwoSided<R: Rts>(R);
-
-impl<R: Rts> Rts for TwoSided<R> {
-    fn rank(&self) -> usize {
-        self.0.rank()
-    }
-    fn size(&self) -> usize {
-        self.0.size()
-    }
-    fn send(&self, to: usize, tag: u64, data: Bytes) {
-        self.0.send(to, tag, data)
-    }
-    fn recv(&self, from: Option<usize>, tag: u64) -> Msg {
-        self.0.recv(from, tag)
-    }
-    fn recv_timeout(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
-        self.0.recv_timeout(from, tag, timeout)
-    }
-    fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
-        self.0.try_recv(from, tag)
-    }
-    fn barrier(&self) {
-        self.0.barrier()
-    }
-    fn broadcast(&self, root: usize, data: Option<Bytes>) -> Bytes {
-        self.0.broadcast(root, data)
-    }
-    fn gather(&self, root: usize, part: Bytes) -> Option<Vec<Bytes>> {
-        self.0.gather(root, part)
-    }
-    fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
-        self.0.scatter(root, parts)
-    }
-    fn windows(&self) -> Option<&Windows> {
-        None
-    }
-    fn all_gather(&self, part: Bytes) -> Vec<Bytes> {
-        self.0.all_gather(part)
-    }
-    fn all_reduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        self.0.all_reduce_f64(value, op)
-    }
-}
-
-/// Run `f` on `rts` as it is (one-sided) or behind [`TwoSided`].
-fn on_path<R: Rts, T>(one_sided: bool, rts: R, f: impl FnOnce(&dyn Rts) -> T) -> T {
-    if one_sided {
-        assert!(rts.windows().is_some(), "the one-sided leg needs a windowed RTS");
-        f(&rts)
-    } else {
-        f(&TwoSided(rts))
-    }
-}
 
 /// The elements thread `t` owns under `dist`, in global-index order, picked
 /// element by element with [`Distribution::owner`].
@@ -80,101 +27,86 @@ fn expected_local<T: Clone>(full: &[T], dist: &Distribution, n: usize, t: usize)
     (0..len).filter(|&i| dist.owner(len, n, i) == t).map(|i| full[i as usize].clone()).collect()
 }
 
-/// Deterministic but non-trivial payload (negative, fractional values) so
-/// byte-level mix-ups cannot cancel out.
+/// [`expected_local`] for every thread of `n`.
+fn expected_locals<T: Clone>(full: &[T], dist: &Distribution, n: usize) -> Vec<Vec<T>> {
+    (0..n).map(|t| expected_local(full, dist, n, t)).collect()
+}
+
+/// Deterministic but non-trivial payload (negative, fractional values, none
+/// of them zero) so byte-level mix-ups cannot cancel out.
 fn payload(len: usize) -> Vec<f64> {
     (0..len).map(|i| (i as f64 - 3.25) * 1.000_000_1).collect()
 }
 
-/// Per-rank local contents, as raw bits, after redistributing `len` f64
-/// elements from `src` to `dst` over `n` ranks.
-fn redistribute_bits(
-    one_sided: bool,
-    len: usize,
-    n: usize,
-    src: Distribution,
-    dst: Distribution,
-) -> Vec<Vec<u64>> {
-    let full = payload(len);
-    World::run(n, move |rank| {
+/// Strings of varying width, so no two shares pack to the same size.
+fn words(len: usize) -> Vec<String> {
+    (0..len).map(|i| format!("elem-{i}-{}", "x".repeat(i % 11))).collect()
+}
+
+/// Per-rank local contents after redistributing `full` from `src` to `dst`
+/// over `n` ranks of an [`MpiRts`] world.
+fn redistributed<T>(full: &[T], n: usize, src: &Distribution, dst: &Distribution) -> Vec<Vec<T>>
+where
+    T: CdrCodec + Clone + Send + Sync + 'static,
+{
+    World::run(n, |rank| {
         let t = rank.rank();
-        on_path(one_sided, MpiRts::new(rank), |rts| {
-            let mut ds = DSequence::distribute(&full, src.clone(), n, t);
-            ds.redistribute(rts, dst.clone());
-            ds.local().iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
-        })
+        let rts = MpiRts::new(rank);
+        let mut ds = DSequence::distribute(full, src.clone(), n, t);
+        ds.redistribute(&rts, dst.clone());
+        ds.local().to_vec()
     })
 }
 
-/// What [`redistribute_bits`] must return: the target distribution sliced
-/// out of the global vector.
-fn expected_bits(len: usize, n: usize, dst: &Distribution) -> Vec<Vec<u64>> {
-    let full = payload(len);
-    (0..n)
-        .map(|t| expected_local(&full, dst, n, t).into_iter().map(f64::to_bits).collect())
-        .collect()
-}
-
-#[test]
-fn redistribution_identical_across_modes() {
-    let shapes = [
+/// Shapes that take every transport: pulls between distributed templates,
+/// a gather to `Concentrated`, a scatter from it, and both ends at once.
+fn shapes() -> [(usize, usize, Distribution, Distribution); 7] {
+    [
         (17, 4, Distribution::Block, Distribution::Cyclic),
         (64, 3, Distribution::Cyclic, Distribution::Block),
         (40, 4, Distribution::Block, Distribution::BlockCyclic(3)),
         (29, 2, Distribution::BlockCyclic(5), Distribution::Concentrated(1)),
         (9, 3, Distribution::Concentrated(2), Distribution::Cyclic),
+        (12, 3, Distribution::Concentrated(0), Distribution::Concentrated(2)),
         (1, 2, Distribution::Block, Distribution::Cyclic),
-    ];
-    for (len, n, src, dst) in shapes {
-        let expected = expected_bits(len, n, &dst);
-        let pull = redistribute_bits(true, len, n, src.clone(), dst.clone());
-        let push = redistribute_bits(false, len, n, src.clone(), dst.clone());
-        assert_eq!(pull, expected, "pull wrong for len={len} n={n} {src:?}->{dst:?}");
-        assert_eq!(push, expected, "push wrong for len={len} n={n} {src:?}->{dst:?}");
+    ]
+}
+
+#[test]
+fn redistribution_identical_across_modes() {
+    for (len, n, src, dst) in shapes() {
+        let full = payload(len);
+        let got = redistributed(&full, n, &src, &dst);
+        assert_eq!(got, expected_locals(&full, &dst, n), "len={len} n={n} {src:?}->{dst:?}");
     }
 }
 
 #[test]
 fn repeated_redistributions_identical_across_modes() {
     let full: Vec<f64> = (0..50).map(|i| (i * i) as f64 / 7.0).collect();
-    let run = |one_sided: bool| {
-        let full = full.clone();
-        World::run(3, move |rank| {
-            let t = rank.rank();
-            on_path(one_sided, MpiRts::new(rank), |rts| {
-                let mut ds = DSequence::distribute(&full, Distribution::Block, 3, t);
-                ds.redistribute(rts, Distribution::Cyclic);
-                ds.redistribute(rts, Distribution::BlockCyclic(4));
-                ds.redistribute(rts, Distribution::Block);
-                ds.local().to_vec()
-            })
-        })
-    };
-    let expected: Vec<Vec<f64>> =
-        (0..3).map(|t| expected_local(&full, &Distribution::Block, 3, t)).collect();
-    assert_eq!(run(true), expected);
-    assert_eq!(run(false), expected);
+    let got = World::run(3, |rank| {
+        let t = rank.rank();
+        let rts = MpiRts::new(rank);
+        let mut ds = DSequence::distribute(&full, Distribution::Block, 3, t);
+        ds.redistribute(&rts, Distribution::Cyclic);
+        ds.redistribute(&rts, Distribution::BlockCyclic(4));
+        ds.redistribute(&rts, Distribution::Concentrated(1));
+        ds.redistribute(&rts, Distribution::Block);
+        ds.local().to_vec()
+    });
+    assert_eq!(got, expected_locals(&full, &Distribution::Block, 3));
 }
 
-/// Variable-width elements have no fixed wire size, so a windowed RTS
-/// still falls back to push — and keeps working.
+/// Variable-width elements take the packed pull between distributed
+/// templates and the gather and scatter at `Concentrated` ends; every shape
+/// lands the target slice.
 #[test]
 fn string_redistribution_identical_across_modes() {
-    let full: Vec<String> = (0..13).map(|i| format!("elem-{i}-{}", "x".repeat(i))).collect();
-    let run = |one_sided: bool| {
-        let full = full.clone();
-        World::run(3, move |rank| {
-            let t = rank.rank();
-            on_path(one_sided, MpiRts::new(rank), |rts| {
-                let mut ds = DSequence::distribute(&full, Distribution::Block, 3, t);
-                ds.redistribute(rts, Distribution::Cyclic);
-                ds.gather(rts)
-            })
-        })
-    };
-    let windowed = run(true);
-    assert_eq!(windowed, run(false));
-    assert!(windowed.iter().all(|g| *g == full));
+    for (len, n, src, dst) in shapes() {
+        let full = words(len);
+        let got = redistributed(&full, n, &src, &dst);
+        assert_eq!(got, expected_locals(&full, &dst, n), "len={len} n={n} {src:?}->{dst:?}");
+    }
 }
 
 /// The Tulip RTS port drives the same pull path through its own window
@@ -182,96 +114,90 @@ fn string_redistribution_identical_across_modes() {
 #[test]
 fn tulip_redistribution_identical_across_modes() {
     let full: Vec<i64> = (0..37).map(|i| i * 31 - 400).collect();
-    let run = |one_sided: bool| {
-        let (_tw, endpoints) = TulipWorld::new(4);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .map(|ep| {
-                    let full = full.clone();
-                    scope.spawn(move || {
-                        let t = ep.rank();
-                        on_path(one_sided, ep, |rts| {
-                            let mut ds = DSequence::distribute(&full, Distribution::Cyclic, 4, t);
-                            ds.redistribute(rts, Distribution::Block);
-                            ds.local().to_vec()
-                        })
-                    })
+    let (_tw, endpoints) = TulipWorld::new(4);
+    let got = std::thread::scope(|scope| {
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .map(|ep| {
+                let full = &full;
+                scope.spawn(move || {
+                    let t = ep.rank();
+                    let mut ds = DSequence::distribute(full, Distribution::Cyclic, 4, t);
+                    ds.redistribute(&ep, Distribution::Block);
+                    ds.local().to_vec()
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-        })
-    };
-    let expected: Vec<Vec<i64>> =
-        (0..4).map(|t| expected_local(&full, &Distribution::Block, 4, t)).collect();
-    assert_eq!(run(true), expected);
-    assert_eq!(run(false), expected);
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
+    });
+    assert_eq!(got, expected_locals(&full, &Distribution::Block, 4));
 }
 
-/// Stencil iteration over the POOMA field: the one-sided halo exchange must
-/// produce bit-identical fields to the send/recv exchange.
-fn stencil_bits(one_sided: bool) -> Vec<Vec<u64>> {
-    let layout = Layout2D::new(12, 17, 3);
-    World::run(3, move |rank| {
+/// The field [`stencil_on`] starts from.
+fn initial(i: usize, j: usize) -> f64 {
+    ((i * 7 + j * 3) % 11) as f64 / 3.0
+}
+
+/// A 12 x 17 field over `n` threads of a [`PoomaComm`] world after `steps`
+/// rounds of `step`, as the bits of its interior in global row-major order.
+fn stencil_on(n: usize, steps: usize, step: fn(&mut Field2D, &dyn Rts)) -> Vec<u64> {
+    let layout = Layout2D::new(12, 17, n);
+    let bands = World::run(n, |rank| {
         let t = rank.rank();
-        on_path(one_sided, PoomaComm::new(rank), |rts| {
-            let mut field =
-                Field2D::from_fn(layout.clone(), t, |i, j| ((i * 7 + j * 3) % 11) as f64 / 3.0);
-            for _ in 0..5 {
-                field.stencil9(0.05, rts);
-                field.stencil5(0.1, rts);
-            }
-            field.interior().into_iter().map(f64::to_bits).collect::<Vec<u64>>()
-        })
-    })
+        let comm = PoomaComm::new(rank);
+        let mut field = Field2D::from_fn(layout.clone(), t, initial);
+        for _ in 0..steps {
+            step(&mut field, &comm);
+        }
+        field.interior()
+    });
+    bands.concat().into_iter().map(f64::to_bits).collect()
 }
 
+/// Stencil iteration over the POOMA field: the halo-exchanging field on
+/// three threads is bit-identical to the same field stepped on one thread,
+/// which exchanges nothing.
 #[test]
 fn pooma_stencil_identical_across_modes() {
-    assert_eq!(stencil_bits(true), stencil_bits(false));
+    let step: fn(&mut Field2D, &dyn Rts) = |field, rts| {
+        field.stencil9(0.05, rts);
+        field.stencil5(0.1, rts);
+    };
+    assert_eq!(stencil_on(3, 5, step), stencil_on(1, 5, step));
 }
 
-/// Both paths also agree with an engine-mode network attached (transfers
-/// charged on modelled lanes), and one-sided traffic books strictly less
-/// virtual wire time than the rendezvous-based push.
+/// With an engine-mode network attached (transfers charged on modelled
+/// lanes), a strided pull of doubles and a packed pull of strings land the
+/// target slice.
 #[test]
-fn networked_redistribution_agrees_and_pull_is_cheaper() {
-    let full: Vec<f64> = (0..96).map(|i| i as f64 * 0.5).collect();
-    let run = |one_sided: bool| {
-        let net = Network::new(TimeScale::off());
-        net.set_default_link(LinkPreset::AtmOc3.link());
-        let hosts: Vec<_> = (0..4).map(|r| net.add_host(&format!("h{r}"))).collect();
-        let (world, ranks) = World::new(4);
-        world.attach_network(net.clone(), hosts);
-        let out = std::thread::scope(|scope| {
+fn networked_redistribution_lands_the_target_slice() {
+    fn run<T: CdrCodec + Clone + Send + Sync + 'static>(
+        full: &[T],
+        to: Distribution,
+    ) -> Vec<Vec<T>> {
+        let (_net, ranks) = networked_world(4);
+        std::thread::scope(|scope| {
             let handles: Vec<_> = ranks
                 .into_iter()
                 .map(|rank| {
-                    let full = full.clone();
+                    let to = to.clone();
                     scope.spawn(move || {
                         let t = rank.rank();
-                        on_path(one_sided, MpiRts::new(rank), |rts| {
-                            let mut ds = DSequence::distribute(&full, Distribution::Block, 4, t);
-                            ds.redistribute(rts, Distribution::BlockCyclic(2));
-                            ds.local().to_vec()
-                        })
+                        let rts = MpiRts::new(rank);
+                        let mut ds = DSequence::distribute(full, Distribution::Block, 4, t);
+                        ds.redistribute(&rts, to);
+                        ds.local().to_vec()
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-        });
-        (out, net.makespan())
-    };
-    let (pull, pull_time) = run(true);
-    let (push, push_time) = run(false);
-    let expected: Vec<Vec<f64>> =
-        (0..4).map(|t| expected_local(&full, &Distribution::BlockCyclic(2), 4, t)).collect();
-    assert_eq!(pull, expected, "networked pull wrong");
-    assert_eq!(push, expected, "networked push wrong");
-    assert!(
-        pull_time < push_time,
-        "pull should beat rendezvous push on the virtual clock: pull={pull_time:.6}s push={push_time:.6}s"
-    );
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+    let full: Vec<f64> = (0..96).map(|i| i as f64 * 0.5).collect();
+    let to = Distribution::BlockCyclic(2);
+    assert_eq!(run(&full, to.clone()), expected_locals(&full, &to, 4), "doubles");
+    let full = words(45);
+    assert_eq!(run(&full, to.clone()), expected_locals(&full, &to, 4), "strings");
 }
 
 /// A seeded pseudo-random stream (SplitMix64).
@@ -343,60 +269,54 @@ fn pull_modelled_time_does_not_depend_on_thread_timing() {
 
 /// A halo exchange and a pull redistribution alternate on one networked
 /// world of 3 ranks for 200 rounds: both users of the window layer finish
-/// (under a timeout), agree bit for bit with the two-sided paths, and leave
-/// no round's window exposed.
+/// (under a timeout), land what their oracles say (the target slice, and
+/// the field stepped on one thread), and leave no round's window exposed.
 #[test]
 fn halo_exchanges_and_pulls_interleave_on_one_networked_world() {
     const N: usize = 3;
     const ROUNDS: usize = 200;
-    let run = |one_sided: bool| {
-        let (done, finished) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let full = payload(50);
-            let layout = Layout2D::new(12, 17, N);
-            let (_net, ranks) = networked_world(N);
-            let shared = ranks[0].windows().shared().clone();
-            let out = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranks
-                    .into_iter()
-                    .map(|rank| {
-                        let (full, layout) = (&full, layout.clone());
-                        scope.spawn(move || {
-                            let t = rank.rank();
-                            on_path(one_sided, PoomaComm::new(rank), |rts| {
-                                let mut field = Field2D::from_fn(layout, t, |i, j| {
-                                    ((i * 5 + j * 3) % 13) as f64 / 7.0
-                                });
-                                let mut ds = DSequence::distribute(full, Distribution::Block, N, t);
-                                for round in 0..ROUNDS {
-                                    field.stencil5(0.1, rts);
-                                    let to = [Distribution::Cyclic, Distribution::Block][round % 2]
-                                        .clone();
-                                    ds.redistribute(rts, to);
-                                }
-                                assert_eq!(ds.local(), expected_local(full, ds.dist(), N, t));
-                                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
-                                (bits(&field.interior()), bits(ds.local()))
-                            })
-                        })
+    let step: fn(&mut Field2D, &dyn Rts) = |field, rts| field.stencil5(0.1, rts);
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let full = payload(50);
+        let layout = Layout2D::new(12, 17, N);
+        let (_net, ranks) = networked_world(N);
+        let shared = ranks[0].windows().shared().clone();
+        let bands = std::thread::scope(|scope| {
+            let handles: Vec<_> = ranks
+                .into_iter()
+                .map(|rank| {
+                    let (full, layout) = (&full, layout.clone());
+                    scope.spawn(move || {
+                        let t = rank.rank();
+                        let comm = PoomaComm::new(rank);
+                        let mut field = Field2D::from_fn(layout, t, initial);
+                        let mut ds = DSequence::distribute(full, Distribution::Block, N, t);
+                        for round in 0..ROUNDS {
+                            step(&mut field, &comm);
+                            let to = [Distribution::Cyclic, Distribution::Block][round % 2].clone();
+                            ds.redistribute(&comm, to);
+                        }
+                        assert_eq!(ds.local(), expected_local(full, ds.dist(), N, t));
+                        field.interior()
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<(Vec<u64>, _)>>()
-            });
-            // A fresh endpoint replays the world's collective bases.
-            let replay = Windows::endpoint(shared, 0);
-            let exposed: Vec<_> = (0..2 * ROUNDS)
-                .map(|_| replay.collective_window_base())
-                .flat_map(|base| (0..N).map(move |owner| pardis::rts::WindowId { owner, base }))
-                .filter(|&id| replay.window_len(id).is_ok())
+                })
                 .collect();
-            done.send((out, exposed)).expect("test thread waits");
+            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
         });
-        finished.recv_timeout(Duration::from_secs(120)).expect("200 rounds finish")
-    };
-    let (one_sided, exposed) = run(true);
-    let (two_sided, _) = run(false);
-    assert_eq!(one_sided, two_sided, "windowed and two-sided rounds disagree");
+        // A fresh endpoint replays the world's collective bases.
+        let replay = Windows::endpoint(shared, 0);
+        let exposed: Vec<_> = (0..2 * ROUNDS)
+            .map(|_| replay.collective_window_base())
+            .flat_map(|base| (0..N).map(move |owner| pardis::rts::WindowId { owner, base }))
+            .filter(|&id| replay.window_len(id).is_ok())
+            .collect();
+        let field: Vec<u64> = bands.concat().into_iter().map(f64::to_bits).collect();
+        done.send((field, exposed)).expect("test thread waits");
+    });
+    let (field, exposed) =
+        finished.recv_timeout(Duration::from_secs(120)).expect("200 rounds finish");
+    assert_eq!(field, stencil_on(1, ROUNDS, step), "the networked field is not the one-thread one");
     assert!(exposed.is_empty(), "windows of finished rounds still exposed: {exposed:?}");
 }
 
@@ -448,10 +368,11 @@ mod property {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Pull and push both land exactly the target slice of the global
-        /// vector on random (len, src, dst) grids.
+        /// Every transport lands exactly the target slice of the global
+        /// vector, for doubles and for strings, on random (len, src, dst)
+        /// grids over all four template kinds.
         #[test]
-        fn pull_matches_push(
+        fn target_slice_lands(
             len in 1usize..80,
             n in 2usize..5,
             src_kind in 0usize..4,
@@ -461,11 +382,12 @@ mod property {
         ) {
             let src = dist_from(src_kind, src_param, n);
             let dst = dist_from(dst_kind, dst_param, n);
-            let expected = expected_bits(len, n, &dst);
-            let pull = redistribute_bits(true, len, n, src.clone(), dst.clone());
-            let push = redistribute_bits(false, len, n, src.clone(), dst.clone());
-            prop_assert_eq!(&pull, &expected, "pull: len={} n={} {:?}->{:?}", len, n, src, dst);
-            prop_assert_eq!(&push, &expected, "push: len={} n={} {:?}->{:?}", len, n, src, dst);
+            let full = payload(len);
+            let got = redistributed(&full, n, &src, &dst);
+            prop_assert_eq!(got, expected_locals(&full, &dst, n), "f64: len={} n={} {:?}->{:?}", len, n, src, dst);
+            let full = words(len);
+            let got = redistributed(&full, n, &src, &dst);
+            prop_assert_eq!(got, expected_locals(&full, &dst, n), "String: len={} n={} {:?}->{:?}", len, n, src, dst);
         }
     }
 }
