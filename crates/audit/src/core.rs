@@ -91,8 +91,8 @@ pub(crate) struct CoreState {
     pub_clocks: HashMap<usize, Vc>,
     /// Access history per audited memory site *instance* — keyed
     /// `(site address, instance address)` so independent tables behind
-    /// the same code path (one router per client thread, one reply cache
-    /// per adapter) never cross-implicate.
+    /// the same code path (one router per client thread) never
+    /// cross-implicate.
     mem: HashMap<(usize, usize), MemState>,
     /// Accumulated hazard/race/poison findings (cycles are derived from
     /// `edges` at report time).

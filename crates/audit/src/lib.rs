@@ -14,7 +14,7 @@
 //!   acquire/release, channel send/recv ([`chan_send`]/[`chan_recv`]) and
 //!   Arc-swap publish/load ([`publish`]/[`load_published`]) edges;
 //!   [`access_read`]/[`access_write`]-instrumented shared tables (reply table, endpoint
-//!   snapshot, plan cache, reply cache, registry lease map) are checked
+//!   snapshot, registry lease map) are checked
 //!   FastTrack-style for conflicting unsynchronized accesses.
 //! * **Hazard patterns** — a lock held across a wire call
 //!   ([`note_wire_call`]), hold time above an opt-in virtual-clock budget

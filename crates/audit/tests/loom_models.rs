@@ -1,4 +1,4 @@
-//! Loom models of the ORB core's three hottest synchronization protocols.
+//! Loom models of the ORB core's hottest synchronization protocols.
 //!
 //! Each model re-states a protocol from `pardis-core` in loom primitives
 //! and asserts its invariant under explored interleavings:
@@ -10,11 +10,7 @@
 //!    (`orb.rs`/`publish.rs`): a publisher installs a new endpoint
 //!    snapshot while senders load; a sender must observe a complete
 //!    snapshot of *some* generation, never a torn one.
-//! 3. **Bounded reply-cache eviction vs. duplicate replay** (`poa.rs`):
-//!    the accept path inserts and evicts under a capacity bound while the
-//!    replay path probes for duplicates; the cache's size bound and
-//!    set/queue agreement must hold throughout.
-//! 4. **Sleeper-counted wake-up** (`pardis-audit`'s `AuditCondvar`): a
+//! 3. **Sleeper-counted wake-up** (`pardis-audit`'s `AuditCondvar`): a
 //!    waiter counts itself while it holds the mutex, then parks; a
 //!    notifier changes the state under the mutex and, after unlocking,
 //!    notifies only if it reads a nonzero count. The waiter always wakes.
@@ -25,7 +21,7 @@
 
 use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 /// Protocol 1: reply-table rendezvous. The waiter's slot, registered
 /// under the router lock, receives the reply exactly once; unregistration
@@ -112,59 +108,7 @@ fn republish_vs_concurrent_send_wire() {
     });
 }
 
-/// Protocol 3: bounded reply-cache eviction vs. duplicate replay. The
-/// accept path evicts FIFO under a capacity bound while the replay path
-/// probes; the set and queue always agree and never exceed the bound.
-#[test]
-fn reply_cache_eviction_vs_duplicate_replay() {
-    const CAP: usize = 4;
-    loom::model(|| {
-        type Cache = Arc<Mutex<(VecDeque<u64>, HashSet<u64>)>>;
-        let cache: Cache = Arc::new(Mutex::new((VecDeque::new(), HashSet::new())));
-
-        let accept_cache = cache.clone();
-        let accept = loom::thread::spawn(move || {
-            for id in 0..8u64 {
-                let mut c = accept_cache.lock().unwrap();
-                let (queue, seen) = &mut *c;
-                if seen.insert(id) {
-                    queue.push_back(id);
-                    if queue.len() > CAP {
-                        let evicted = queue.pop_front().expect("nonempty over capacity");
-                        assert!(seen.remove(&evicted), "set and queue agree");
-                    }
-                }
-                assert!(queue.len() <= CAP, "capacity bound holds");
-                assert_eq!(queue.len(), seen.len(), "set and queue agree");
-            }
-        });
-
-        let replay_cache = cache.clone();
-        let replay = loom::thread::spawn(move || {
-            let mut suppressed = 0usize;
-            for id in 0..8u64 {
-                let c = replay_cache.lock().unwrap();
-                let (queue, seen) = &*c;
-                // Either outcome is legal (evicted duplicates re-execute),
-                // but the probe must see a consistent cache.
-                if seen.contains(&id) {
-                    suppressed += 1;
-                    assert!(queue.contains(&id), "set member is queued");
-                }
-                assert_eq!(queue.len(), seen.len(), "set and queue agree");
-            }
-            suppressed
-        });
-
-        accept.join().unwrap();
-        let _ = replay.join().unwrap();
-        let c = cache.lock().unwrap();
-        assert_eq!(c.0.len(), c.1.len());
-        assert!(c.0.len() <= CAP);
-    });
-}
-
-/// Protocol 4: the sleeper-counted wake-up. The notify is skipped when the
+/// Protocol 3: the sleeper-counted wake-up. The notify is skipped when the
 /// count reads 0, so a lost wake-up would leave the waiter parked for
 /// good: the model runs on a watchdog thread, and a model that has not
 /// finished in 60 s fails the test instead of hanging it.

@@ -1,5 +1,5 @@
-//! Load & concurrency sweep — the sharded request core under 1 → 10k
-//! synthetic clients.
+//! Load & concurrency sweep — the request core under 1 → 10k synthetic
+//! clients.
 //!
 //! Each synthetic client is an independent binding with its own pipeline of
 //! non-blocking invocations; clients are multiplexed over a small pool of
@@ -7,8 +7,10 @@
 //! communication thread) against one single-threaded server over the
 //! Ethernet10 netsim link. Per concurrency level the harness reports wall
 //! and virtual-clock request throughput plus wall p50/p99 invocation
-//! latency of the default core (sharded reply router, every frame sent as
-//! it is made), under the `sharded_*` series names.
+//! latency of the default core (one reply router per client thread, its
+//! orphan stash and done set capped at 16 384 keys each, every frame sent
+//! as it is made), under the `sharded_*` series names, which the committed
+//! `results/BENCH_load.json` and its CI gate compare.
 //!
 //! Every frame holds the shared Ethernet segment for its software overhead
 //! and its bytes, so `sharded_virt_rps` is the same at every client count.

@@ -1,2 +1,2 @@
-//! pardis-bench: figure harnesses live in src/bin, criterion benches in benches/.
+//! pardis-bench: figure harnesses live in src/bin.
 pub mod util;

@@ -111,7 +111,7 @@ impl ClientGroup {
                 reply_eps: self.reply_eps.clone(),
                 rx,
                 rts,
-                router: ShardedRouter::new(),
+                router: AuditMutex::new(lock_site!("client: reply router"), Router::default()),
                 collective_seq: AtomicU64::new(0),
                 single_seq: AtomicU64::new(0),
             }),
@@ -133,7 +133,7 @@ pub(crate) struct PumpCore {
     pub reply_eps: Vec<EndpointId>,
     rx: Inbox,
     pub rts: Option<Arc<dyn Rts>>,
-    router: ShardedRouter,
+    router: AuditMutex<Router>,
     /// Invocation counter of the collective entity (all threads of an SPMD
     /// client stay in sync by the SPMD calling discipline).
     collective_seq: AtomicU64,
@@ -148,19 +148,20 @@ struct DoneSet {
     order: VecDeque<(BindingId, u64)>,
 }
 
-/// Per-shard bound on the done-set and on the number of distinct orphan
-/// keys a pump will stash — plenty for any live pipeline, small enough
-/// that duplicate storms cannot grow memory without bound.
-pub(crate) const PUMP_MEMORY_CAP: usize = 1024;
+/// Bound on the done-set and on the number of distinct orphan keys a pump
+/// will stash — plenty for any live pipeline, small enough that duplicate
+/// storms cannot grow memory without bound.
+pub(crate) const PUMP_MEMORY_CAP: usize = 16 * 1024;
 
-/// One shard of the reply router: the in-flight invocation map plus the
-/// orphan stash and done-set for the keys that hash here. Co-locating the
-/// three under one lock keeps routing a reply a single acquisition — and
-/// makes registration's insert atomic with its orphan-stash take, so a
-/// reply racing the registration can never strand in the stash.
+/// A client thread's reply router: the invocations it may still route
+/// frames to, plus the orphan stash and done-set. Only the thread and its
+/// [`CommThread`] take it. The three share one lock, so routing a reply is
+/// a single acquisition, and registration's insert is atomic with its
+/// orphan-stash take: a reply racing the registration can never strand in
+/// the stash.
 #[derive(Default)]
-struct RouterShard {
-    router: IdMap<(BindingId, u64), Arc<InvocationState>>,
+struct Router {
+    live: IdMap<(BindingId, u64), Arc<InvocationState>>,
     orphans: IdMap<(BindingId, u64), Vec<Message>>,
     /// Arrival order of stashed orphan keys, for capped FIFO eviction.
     /// Entries can go stale (register/unregister removed the key); eviction
@@ -169,128 +170,135 @@ struct RouterShard {
     done: DoneSet,
 }
 
-/// Shard count of each client thread's reply router (a power of two).
-const ROUTER_SHARDS: usize = 16;
-
-/// The shard a reply-router key hashes to.
-pub(crate) fn router_shard_of(key: (BindingId, u64)) -> usize {
-    ((mix64(key.0 .0) ^ mix64(key.1)) & (ROUTER_SHARDS as u64 - 1)) as usize
-}
-
-/// The reply router, split into [`ROUTER_SHARDS`] shards keyed by
-/// invocation id: concurrent waiters and pumps hash to different locks
-/// instead of serialising on one.
-struct ShardedRouter {
-    shards: Box<[AuditMutex<RouterShard>]>,
-}
-
-impl ShardedRouter {
-    fn new() -> ShardedRouter {
-        let shards = (0..ROUTER_SHARDS)
-            .map(|_| {
-                AuditMutex::new(lock_site!("client: reply router shard"), RouterShard::default())
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        ShardedRouter { shards }
-    }
-
-    fn shard(&self, key: (BindingId, u64)) -> &AuditMutex<RouterShard> {
-        &self.shards[router_shard_of(key)]
-    }
-
-    fn iter(&self) -> std::slice::Iter<'_, AuditMutex<RouterShard>> {
-        self.shards.iter()
+impl Router {
+    /// A frame for no live invocation: a reply for a finished one is a
+    /// retransmission by-product and is dropped (counter only — see
+    /// [`InvInner::take`] for why this never becomes a trace event); one
+    /// for an unknown key is stashed (bounded) for a registration racing it.
+    fn stash(&mut self, key: (BindingId, u64), msg: Message) {
+        if self.done.set.contains(&key) {
+            if pardis_obs::enabled() {
+                pardis_obs::counter("client.dup_replies").inc();
+            }
+            return;
+        }
+        // Capped FIFO stash: evict the oldest distinct key (skipping stale
+        // order entries) instead of silently refusing new ones, so a storm
+        // of strays cannot pin the stash while live registrations starve.
+        if !self.orphans.contains_key(&key) {
+            while self.orphans.len() >= PUMP_MEMORY_CAP {
+                let Some(old) = self.orphan_order.pop_front() else { break };
+                if self.orphans.remove(&old).is_some() {
+                    pardis_obs::counter("client.orphans.evicted").inc();
+                }
+            }
+            self.orphan_order.push_back(key);
+        }
+        self.orphans.entry(key).or_default().push(msg);
     }
 }
 
 impl PumpCore {
     /// Register a fully pre-built invocation state. The critical section is
-    /// one insert plus the orphan-stash take — atomic under the shard lock,
+    /// one insert plus the orphan-stash take — atomic under the router lock,
     /// so a reply racing the registration routes either through the router
     /// or through the stash, never past both.
     fn register(&self, key: (BindingId, u64), state: Arc<InvocationState>) {
         let stashed = {
-            let shard = self.router.shard(key);
-            let mut s = shard.lock();
+            let mut r = self.router.lock();
             // Inside the guard: the access inherits the lock's release
             // clock, so lock-ordered accesses never read as races.
-            pardis_audit::access_write(&REPLY_TABLE, shard as *const _ as usize);
-            s.router.insert(key, state);
+            pardis_audit::access_write(&REPLY_TABLE, &self.router as *const _ as usize);
+            r.live.insert(key, state);
             // The stash is almost always empty: skip hashing the key then.
-            if s.orphans.is_empty() {
+            if r.orphans.is_empty() {
                 None
             } else {
-                s.orphans.remove(&key)
+                r.orphans.remove(&key)
             }
         };
-        if let Some(msgs) = stashed {
-            for msg in msgs {
-                self.route(msg, None);
-            }
+        for msg in stashed.into_iter().flatten() {
+            self.route(msg, None);
         }
     }
 
-    fn unregister(&self, key: (BindingId, u64)) {
-        let state = {
-            let shard = self.router.shard(key);
-            let mut s = shard.lock();
-            pardis_audit::access_write(&REPLY_TABLE, shard as *const _ as usize);
-            if !s.orphans.is_empty() {
-                s.orphans.remove(&key);
+    /// Forget an invocation that no holder keeps and nothing will
+    /// retransmit: later copies of its frames are duplicates. Closes its
+    /// invoke span when `close_span`.
+    fn unregister(&self, state: &InvocationState, close_span: bool) {
+        let key = state.key;
+        {
+            let mut r = self.router.lock();
+            pardis_audit::access_write(&REPLY_TABLE, &self.router as *const _ as usize);
+            if !r.orphans.is_empty() {
+                r.orphans.remove(&key);
             }
-            let state = s.router.remove(&key);
-            if s.done.set.insert(key) {
-                s.done.order.push_back(key);
-                while s.done.order.len() > PUMP_MEMORY_CAP {
-                    if let Some(old) = s.done.order.pop_front() {
-                        s.done.set.remove(&old);
+            if r.live.remove(&key).is_some() && r.done.set.insert(key) {
+                // Oldest out before newest in: the order queue never grows
+                // past the cap.
+                if r.done.order.len() == PUMP_MEMORY_CAP {
+                    if let Some(old) = r.done.order.pop_front() {
+                        r.done.set.remove(&old);
                     }
                 }
-            }
-            state
-        };
-        if let Some(state) = state {
-            // Teardown's slow half runs outside the shard lock: close the
-            // invoke span opened at launch (exactly once, even if tracing
-            // was toggled in between).
-            if state.span_open.swap(false, Ordering::Relaxed) {
-                let mut args = Vec::new();
-                if let Some(obs) = &state.obs {
-                    args.push(("trace", obs.ctx.trace_id.into()));
-                    args.push(("span", obs.ctx.span_id.into()));
-                    if pardis_obs::enabled() {
-                        // Completion closes the end-to-end latency window on
-                        // the virtual clock; per-op and per-binding
-                        // histograms feed the p50/p95/p99 exposition.
-                        let lat = pardis_obs::now_micros().saturating_sub(obs.start_us);
-                        pardis_obs::histogram(&format!("orb.invoke_latency_us.op.{}", obs.op))
-                            .observe(lat);
-                        pardis_obs::histogram(&format!(
-                            "orb.invoke_latency_us.binding.{}",
-                            key.0 .0
-                        ))
-                        .observe(lat);
-                    }
-                }
-                pardis_obs::span_end("client", "client.invoke", Some((key.0 .0, key.1)), args);
+                r.done.order.push_back(key);
             }
         }
+        if !close_span {
+            return;
+        }
+        // Outside the router lock: close the invoke span opened at launch.
+        let mut args = Vec::new();
+        if let Some(obs) = &state.obs {
+            args.push(("trace", obs.ctx.trace_id.into()));
+            args.push(("span", obs.ctx.span_id.into()));
+            if pardis_obs::enabled() {
+                // Completion closes the end-to-end latency window on the
+                // virtual clock; per-op and per-binding histograms feed the
+                // p50/p95/p99 exposition.
+                let lat = pardis_obs::now_micros().saturating_sub(obs.start_us);
+                pardis_obs::histogram(&format!("orb.invoke_latency_us.op.{}", obs.op)).observe(lat);
+                pardis_obs::histogram(&format!("orb.invoke_latency_us.binding.{}", key.0 .0))
+                    .observe(lat);
+            }
+        }
+        pardis_obs::span_end("client", "client.invoke", Some((key.0 .0, key.1)), args);
     }
 
-    /// Completion check without pumping — only meaningful when a
-    /// communication thread (or another caller) is draining the endpoint.
-    #[cfg(test)]
-    pub(crate) fn peek_complete(&self, key: (BindingId, u64)) -> bool {
-        let shard = self.router.shard(key);
-        let s = shard.lock();
-        pardis_audit::access_read(&REPLY_TABLE, shard as *const _ as usize);
-        s.router.get(&key).map(|st| st.is_complete()).unwrap_or(false)
+    /// Apply `event` to `state`'s record and act on what it leaves, in one
+    /// critical section: a complete invocation lets go of its retransmit
+    /// frames, and one that has neither a holder nor frames left is
+    /// forgotten. Every event that can complete or release a registered
+    /// invocation goes through here. True when the invocation is complete and a thread
+    /// other than the one awaiting `awaiting` waits for it: that thread may
+    /// be parked on the endpoint and must be woken.
+    fn transition(
+        &self,
+        state: &InvocationState,
+        awaiting: Option<(BindingId, u64)>,
+        event: impl FnOnce(&mut InvInner),
+    ) -> bool {
+        let (wake, forget, close_span, _frames);
+        {
+            let mut inner = state.inner.lock();
+            event(&mut inner);
+            let complete = state.complete_locked(&inner);
+            // The server answered in full: no retransmission will ever
+            // need these frames again (dropped outside the lock).
+            _frames = if complete { std::mem::take(&mut inner.replay) } else { Vec::new() };
+            wake = complete && inner.waiters > u32::from(awaiting == Some(state.key));
+            forget = inner.holders == 0 && inner.replay.is_empty();
+            close_span = forget && std::mem::take(&mut inner.span_open);
+        }
+        if forget {
+            self.unregister(state, close_span);
+        }
+        wake
     }
 
     /// Ingest every frame already delivered, without waiting; true if there
     /// was any. `awaiting` is the invocation the calling thread waits for,
-    /// if any (see [`InvocationState::absorb`]).
+    /// if any (see [`PumpCore::transition`]).
     pub(crate) fn pump_step(&self, awaiting: Option<(BindingId, u64)>) -> bool {
         let mut progressed = false;
         while let Some(env) = self.rx.try_recv() {
@@ -356,58 +364,22 @@ impl PumpCore {
             // Close or stray messages at a client endpoint: ignore.
             _ => return,
         };
-        let shard = self.router.shard(key);
         let state = {
-            let s = shard.lock();
-            pardis_audit::access_read(&REPLY_TABLE, shard as *const _ as usize);
-            s.router.get(&key).cloned()
+            let mut r = self.router.lock();
+            pardis_audit::access_write(&REPLY_TABLE, &self.router as *const _ as usize);
+            match r.live.get(&key) {
+                Some(state) => state.clone(),
+                None => return r.stash(key, msg),
+            }
         };
-        if let Some(state) = state {
-            if state.absorb(msg, awaiting) {
-                self.rx.wake();
-            }
-            return;
+        if self.transition(&state, awaiting, |inner| inner.take(msg)) {
+            self.rx.wake();
         }
-        let mut s = shard.lock();
-        pardis_audit::access_write(&REPLY_TABLE, shard as *const _ as usize);
-        // Re-check under the write lock: a register may have raced our
-        // fast-path miss, and stashing now would strand the message.
-        if let Some(state) = s.router.get(&key).cloned() {
-            drop(s);
-            if state.absorb(msg, awaiting) {
-                self.rx.wake();
-            }
-            return;
-        }
-        // A reply for a finished invocation is a retransmission
-        // by-product; drop it (counter only — see `absorb` for why
-        // this never becomes a trace event). Unknown keys are
-        // stashed (bounded) for a registration racing the reply.
-        if s.done.set.contains(&key) {
-            if pardis_obs::enabled() {
-                pardis_obs::counter("client.dup_replies").inc();
-            }
-            return;
-        }
-        // Capped FIFO stash: evict the oldest distinct key (skipping stale
-        // order entries) instead of silently refusing new ones, so a storm
-        // of strays cannot pin the stash while live registrations starve.
-        let is_new = !s.orphans.contains_key(&key);
-        if is_new {
-            while s.orphans.len() >= PUMP_MEMORY_CAP {
-                let Some(old) = s.orphan_order.pop_front() else { break };
-                if s.orphans.remove(&old).is_some() {
-                    pardis_obs::counter("client.orphans.evicted").inc();
-                }
-            }
-            s.orphan_order.push_back(key);
-        }
-        s.orphans.entry(key).or_default().push(msg);
     }
 }
 
-/// Client-side record of one in-flight invocation; the rendezvous point
-/// between the pump and the futures.
+/// Client-side record of one invocation; the rendezvous point between the
+/// pump and the futures.
 pub(crate) struct InvocationState {
     client_threads: usize,
     thread: usize,
@@ -419,16 +391,6 @@ pub(crate) struct InvocationState {
     /// in, and the one the caller expects it in.
     out_dists: Vec<(Distribution, Distribution)>,
     inner: AuditMutex<InvInner>,
-    /// Frames this thread must re-send to nudge the server if the reply
-    /// does not arrive: the request control plus this thread's fragments,
-    /// pre-encoded with their destination endpoints. Empty for oneways and
-    /// collocated bypass calls (nothing to retry), and again once the
-    /// invocation completes (nothing left to retry: whoever still holds the
-    /// results must not also pin the request's bulk frames).
-    replay: AuditMutex<Vec<(EndpointId, Wire)>>,
-    /// An `client.invoke` trace span was opened for this invocation and
-    /// must be closed exactly once (at unregistration).
-    span_open: AtomicBool,
     /// Tracing sidecar captured at launch (only while tracing): the
     /// invocation's causal context, operation name, and virtual-clock start
     /// for the per-op/per-binding latency histograms.
@@ -442,6 +404,7 @@ struct InvObs {
     start_us: u64,
 }
 
+/// The changing part of an invocation's record, under its one lock.
 #[derive(Default)]
 struct InvInner {
     reply: Option<ReplyMsg>,
@@ -452,53 +415,45 @@ struct InvInner {
     frag_seen: IdSet<(u32, u32)>,
     /// Threads in [`wait_complete`] on this invocation that may park.
     waiters: u32,
+    /// Live [`Holder`]s: the handle and the futures minted from it.
+    holders: u32,
+    /// Frames this thread must re-send to nudge the server if the reply
+    /// does not arrive: the request control plus this thread's fragments,
+    /// pre-encoded with their destination endpoints. Empty for collocated
+    /// calls, and again once the invocation completes or a wait on it gives
+    /// up: nothing is left to retry, and whoever still holds the results
+    /// must not also pin the request's bulk frames.
+    replay: Vec<(EndpointId, Wire)>,
+    /// A `client.invoke` trace span was opened for this invocation and is
+    /// closed when the router forgets it.
+    span_open: bool,
 }
 
 impl InvInner {
-    fn absorb_fragment(&mut self, f: FragmentMsg) {
-        if self.frag_seen.insert((f.arg, f.src_thread)) {
-            self.frags.entry(f.arg).or_default().push(f);
+    /// Take in a reply or fragment.
+    fn take(&mut self, msg: Message) {
+        match msg {
+            Message::Reply(r) => {
+                // A second reply copy for a still-registered invocation is
+                // the same retransmission by-product the done-set catches
+                // after unregistration; count it in the same place. Counter
+                // only, no event: whether the pump sees the copy in this
+                // drain or a later one is a scheduling race, and a trace
+                // event would make the export non-reproducible.
+                if self.reply.is_some() && pardis_obs::enabled() {
+                    pardis_obs::counter("client.dup_replies").inc();
+                }
+                self.reply = Some(r);
+            }
+            Message::Fragment(f) if self.frag_seen.insert((f.arg, f.src_thread)) => {
+                self.frags.entry(f.arg).or_default().push(f);
+            }
+            _ => {}
         }
     }
 }
 
 impl InvocationState {
-    /// Take in a reply or fragment. True when the invocation is complete
-    /// and a thread other than the pumping one waits for it: that thread
-    /// may be parked on the endpoint and must be woken. `awaiting` is the
-    /// invocation the pumping thread itself waits for, so a thread that
-    /// ingests its own reply wakes nobody.
-    fn absorb(&self, msg: Message, awaiting: Option<(BindingId, u64)>) -> bool {
-        let (completed, others_wait);
-        {
-            let mut inner = self.inner.lock();
-            match msg {
-                Message::Reply(r) => {
-                    // A second reply copy for a still-registered invocation is
-                    // the same retransmission by-product the done-set catches
-                    // after unregistration; count it in the same place. Counter
-                    // only, no event: whether the pump sees the copy in this
-                    // drain or a later one is a scheduling race, and a trace
-                    // event would make the export non-reproducible.
-                    if inner.reply.is_some() && pardis_obs::enabled() {
-                        pardis_obs::counter("client.dup_replies").inc();
-                    }
-                    inner.reply = Some(r);
-                }
-                Message::Fragment(f) => inner.absorb_fragment(f),
-                _ => {}
-            }
-            completed = self.complete_locked(&inner);
-            others_wait = inner.waiters > u32::from(awaiting == Some(self.key));
-        }
-        if completed {
-            // The server answered in full: let go of the frames no
-            // retransmission will ever need again.
-            self.replay.lock().clear();
-        }
-        completed && others_wait
-    }
-
     /// Reply present and, on success, every expected local out-element
     /// arrived. (All futures of one invocation resolve together, §3.3.)
     pub(crate) fn is_complete(&self) -> bool {
@@ -525,41 +480,25 @@ impl InvocationState {
     }
 
     fn check_status(&self) -> OrbResult<()> {
+        ok_reply(&self.inner.lock()).map(drop)
+    }
+
+    /// A decoder over scalar out slot `slot`.
+    fn out_slot(&self, slot: usize) -> OrbResult<Decoder> {
         let inner = self.inner.lock();
-        match &inner.reply {
-            Some(ReplyMsg { status: ReplyStatus::Exception(msg), .. }) => {
-                Err(OrbError::ServerException(msg.clone()))
-            }
-            Some(ReplyMsg { status: ReplyStatus::UserException { id, data }, .. }) => {
-                Err(OrbError::UserException { id: id.clone(), data: data.clone() })
-            }
-            Some(_) => Ok(()),
-            None => Err(OrbError::Protocol("reply not yet available".into())),
-        }
+        let blob = ok_reply(&inner)?
+            .outs
+            .get(slot)
+            .ok_or_else(|| OrbError::Protocol(format!("no scalar out slot {slot}")))?;
+        Ok(Decoder::new(blob.clone(), ByteOrder::native()))
     }
 
     pub(crate) fn scalar<T: CdrCodec>(&self, slot: usize) -> OrbResult<T> {
-        self.check_status()?;
-        let inner = self.inner.lock();
-        let reply = inner.reply.as_ref().expect("checked");
-        let blob = reply
-            .outs
-            .get(slot)
-            .ok_or_else(|| OrbError::Protocol(format!("no scalar out slot {slot}")))?;
-        let mut d = Decoder::new(blob.clone(), ByteOrder::native());
-        Ok(T::decode(&mut d)?)
+        Ok(T::decode(&mut self.out_slot(slot)?)?)
     }
 
     fn any(&self, slot: usize, tc: &TypeCode) -> OrbResult<Any> {
-        self.check_status()?;
-        let inner = self.inner.lock();
-        let reply = inner.reply.as_ref().expect("checked");
-        let blob = reply
-            .outs
-            .get(slot)
-            .ok_or_else(|| OrbError::Protocol(format!("no scalar out slot {slot}")))?;
-        let mut d = Decoder::new(blob.clone(), ByteOrder::native());
-        Ok(Any::decode_value(tc, &mut d)?)
+        Ok(Any::decode_value(tc, &mut self.out_slot(slot)?)?)
     }
 
     /// Distributed out-argument `ordinal` in the expected distribution.
@@ -569,15 +508,14 @@ impl InvocationState {
         ordinal: usize,
         rts: Option<&dyn Rts>,
     ) -> OrbResult<DSequence<T>> {
-        self.check_status()?;
+        let inner = self.inner.lock();
+        let reply = ok_reply(&inner)?;
         let wire_idx = *self
             .out_wire_idx
             .get(ordinal)
             .ok_or_else(|| OrbError::Protocol(format!("no distributed out-arg {ordinal}")))?;
         let (wire_dist, expected) = &self.out_dists[ordinal];
         let mut ds = {
-            let inner = self.inner.lock();
-            let reply = inner.reply.as_ref().expect("checked");
             let out = reply
                 .douts
                 .get(ordinal)
@@ -589,10 +527,26 @@ impl InvocationState {
             let local = assemble(len, src, (wire_dist, n, t), pieces)?;
             DSequence::from_shared(local, len, wire_dist.clone(), n, t)
         };
+        drop(inner);
         if wire_dist != expected {
             ds.redistribute(rts.expect("parallel client has an RTS"), expected.clone());
         }
         Ok(ds)
+    }
+}
+
+/// The reply, if it has arrived and reports success; the server's exception
+/// if it reports one.
+fn ok_reply(inner: &InvInner) -> OrbResult<&ReplyMsg> {
+    match &inner.reply {
+        Some(ReplyMsg { status: ReplyStatus::Exception(msg), .. }) => {
+            Err(OrbError::ServerException(msg.clone()))
+        }
+        Some(ReplyMsg { status: ReplyStatus::UserException { id, data }, .. }) => {
+            Err(OrbError::UserException { id: id.clone(), data: data.clone() })
+        }
+        Some(reply) => Ok(reply),
+        None => Err(OrbError::Protocol("reply not yet available".into())),
     }
 }
 
@@ -910,23 +864,14 @@ impl<'p> CallBuilder<'p> {
     /// Blocking invocation: returns only after the request "has been fully
     /// processed by the server".
     pub fn invoke(self) -> OrbResult<ReplyData> {
-        let timeout = self.proxy.core.orb.cfg().timeout;
-        let (state, key) = self.launch(false)?;
-        let core = state.1.clone();
-        let state = state.0;
-        let result = wait_complete(&core, &state, timeout);
-        core.unregister(key);
-        result?;
-        state.check_status()?;
-        Ok(ReplyData { state, rts: core.rts.clone() })
+        self.invoke_nb()?.wait()
     }
 
     /// Non-blocking invocation: returns immediately after the request has
     /// been sent, with a handle minting futures for the out-arguments and
     /// return value.
     pub fn invoke_nb(self) -> OrbResult<InvocationHandle> {
-        let (state, key) = self.launch(false)?;
-        Ok(InvocationHandle { core: state.1, state: state.0, key })
+        Ok(self.launch(false)?.expect("a two-way call has a handle"))
     }
 
     /// Oneway invocation: no reply at all (§4.3 discusses the cost of
@@ -938,22 +883,16 @@ impl<'p> CallBuilder<'p> {
     /// reach each of them, and only the reply says it has.
     pub fn invoke_oneway(self) -> OrbResult<()> {
         let funneled = self.proxy.funneled(self.proxy.core.orb.cfg());
-        let ((state, core), key) = self.launch(!funneled)?;
-        if funneled {
-            let result = wait_complete(&core, &state, core.orb.cfg().timeout);
-            core.unregister(key);
-            result?;
+        if let Some(handle) = self.launch(!funneled)? {
+            handle.holder.wait_complete()?;
         }
         Ok(())
     }
 
-    /// Validate, register, and ship the request. Returns the state and its
-    /// router key.
-    #[allow(clippy::type_complexity)]
-    fn launch(
-        mut self,
-        oneway: bool,
-    ) -> OrbResult<((Arc<InvocationState>, Arc<PumpCore>), (BindingId, u64))> {
+    /// Validate, register, and ship the request. Returns the handle of a
+    /// two-way call, which holds its registration from here on: an error
+    /// past registration drops it, and the router forgets the invocation.
+    fn launch(mut self, oneway: bool) -> OrbResult<Option<InvocationHandle>> {
         let proxy = self.proxy;
         let core = &proxy.core;
         let cfg = core.orb.cfg();
@@ -1067,9 +1006,14 @@ impl<'p> CallBuilder<'p> {
                 server: proxy.obj.server,
                 out_wire_idx,
                 out_dists,
-                inner: AuditMutex::new(lock_site!("client: invocation state"), InvInner::default()),
-                replay: AuditMutex::new(lock_site!("client: retransmit frames"), Vec::new()),
-                span_open: AtomicBool::new(trace_on && !oneway),
+                inner: AuditMutex::new(
+                    lock_site!("client: invocation state"),
+                    InvInner {
+                        holders: u32::from(!oneway),
+                        span_open: trace_on && !oneway,
+                        ..InvInner::default()
+                    },
+                ),
                 obs: ctx.map(|ctx| InvObs {
                     ctx,
                     op: self.op.to_string(),
@@ -1098,9 +1042,10 @@ impl<'p> CallBuilder<'p> {
         // parent itself): marshal/fragment instants, frame encodes and the
         // netsim transit events all stamp this invocation's context.
         let _ctx_guard = ctx.map(pardis_obs::enter_ctx);
-        if !oneway {
+        let handle = (!oneway).then(|| {
             core.register(key, state.clone());
-        }
+            InvocationHandle { holder: Holder { core: core.clone(), state: state.clone() } }
+        });
 
         if let Some((thread, servant, ins)) = collocated {
             let ctx = ServantCtx {
@@ -1135,8 +1080,8 @@ impl<'p> CallBuilder<'p> {
                     douts: Vec::new(),
                 },
             };
-            state.absorb(Message::Reply(reply), None);
-            return Ok(((state, core.clone()), key));
+            core.transition(&state, None, |inner| inner.take(Message::Reply(reply)));
+            return Ok(handle);
         }
 
         let endpoints = proxy.endpoints()?;
@@ -1255,16 +1200,12 @@ impl<'p> CallBuilder<'p> {
             }
         }
         if !oneway {
-            // Checked under the lock `absorb` clears through: a reply that
-            // completed the invocation while the frames were still leaving
-            // either sees them here and drops them, or is seen here first.
-            let mut slot = state.replay.lock();
-            if !state.is_complete() {
-                *slot = replay;
-            }
+            // A reply that completed the invocation while the frames were
+            // still leaving has been taken in already: the transition then
+            // lets go of them at once.
+            core.transition(&state, None, |inner| inner.replay = replay);
         }
-
-        Ok(((state, core.clone()), key))
+        Ok(handle)
     }
 }
 
@@ -1291,21 +1232,23 @@ pub(crate) fn backoff_delay(cfg: &OrbConfig, key: (BindingId, u64), attempt: u32
 }
 
 /// Re-send the recorded frames (control plus this thread's fragments) of
-/// every incomplete invocation this pump is tracking, not only the one being
-/// awaited: the POA dispatches a client entity's requests in sequence order,
-/// so a lost earlier request could otherwise block a later one at the server
-/// while only the later one was being retried. The POA deduplicates by
-/// (binding, req_id), so at worst a retransmission costs wire time; at best
-/// it resurrects a dropped request or provokes a replay of the cached reply.
-fn retransmit(core: &Arc<PumpCore>, state: &Arc<InvocationState>) -> OrbResult<()> {
-    let mut targets: Vec<Arc<InvocationState>> = Vec::new();
-    for shard in core.router.iter() {
-        targets.extend(shard.lock().router.values().cloned());
-    }
-    if !targets.iter().any(|t| Arc::ptr_eq(t, state)) {
-        targets.push(state.clone());
-    }
-    targets.retain(|t| !t.is_complete() && !t.replay.lock().is_empty());
+/// every invocation this pump may still retransmit, oldest first, not only
+/// the one being awaited: the POA dispatches a client entity's requests in
+/// sequence order, so a lost earlier request could otherwise block a later
+/// one at the server while only the later one was being retried. The POA
+/// deduplicates by (binding, req_id), so at worst a retransmission costs
+/// wire time; at best it resurrects a dropped request or provokes a replay
+/// of the cached reply.
+fn retransmit(core: &PumpCore) -> OrbResult<()> {
+    let mut live: Vec<Arc<InvocationState>> = core.router.lock().live.values().cloned().collect();
+    live.sort_unstable_by_key(|t| t.key);
+    let targets: Vec<_> = live
+        .iter()
+        .filter_map(|t| {
+            let frames = t.inner.lock().replay.clone();
+            (!frames.is_empty()).then_some((t, frames))
+        })
+        .collect();
     if targets.is_empty() {
         return Ok(());
     }
@@ -1313,8 +1256,7 @@ fn retransmit(core: &Arc<PumpCore>, state: &Arc<InvocationState>) -> OrbResult<(
     if pardis_obs::enabled() {
         pardis_obs::counter("client.retransmit_rounds").inc();
     }
-    for target in targets {
-        let frames = target.replay.lock().clone();
+    for (target, frames) in targets {
         if pardis_obs::enabled() {
             pardis_obs::counter("client.frames_retransmitted").add(frames.len() as u64);
             let mut args = vec![("frames", frames.len().into())];
@@ -1375,22 +1317,61 @@ impl Drop for Waiter<'_> {
     }
 }
 
+/// One holder of an invocation's registration: its [`InvocationHandle`] or
+/// a future minted from it. The router keeps a registered invocation while
+/// any holder lives; once the last one is gone, it forgets the invocation
+/// when it has completed (or a wait on it gave up), and keeps routing and
+/// retransmitting one that has not until its reply lands.
+pub(crate) struct Holder {
+    pub(crate) core: Arc<PumpCore>,
+    pub(crate) state: Arc<InvocationState>,
+}
+
+impl Clone for Holder {
+    fn clone(&self) -> Holder {
+        self.state.inner.lock().holders += 1;
+        Holder { core: self.core.clone(), state: self.state.clone() }
+    }
+}
+
+impl Drop for Holder {
+    fn drop(&mut self) {
+        self.core.transition(&self.state, None, |inner| inner.holders -= 1);
+    }
+}
+
+impl Holder {
+    /// Has the server completed (all results locally available)?
+    /// Non-blocking: pumps whatever has arrived first.
+    pub(crate) fn resolved(&self) -> bool {
+        self.core.pump_step(None);
+        self.state.is_complete()
+    }
+
+    /// Block until the invocation completes (see [`wait_complete`]). A
+    /// wait that fails gives the invocation up: it is retransmitted no
+    /// more.
+    pub(crate) fn wait_complete(&self) -> OrbResult<()> {
+        let result = wait_complete(&self.core, &self.state);
+        if result.is_err() {
+            self.core.transition(&self.state, None, |inner| inner.replay.clear());
+        }
+        result
+    }
+}
+
 /// Block until `state` completes, retransmitting on the configured
 /// schedule; blocking invocations and futures both wait here. The thread
 /// parks on its endpoint until a frame arrives, the invocation completes
 /// (another pump took its reply), the next retransmission is due, or the
 /// deadline passes. A timeout whose deadline `Instant` cannot represent
 /// waits without one.
-pub(crate) fn wait_complete(
-    core: &Arc<PumpCore>,
-    state: &Arc<InvocationState>,
-    timeout: Duration,
-) -> OrbResult<()> {
+fn wait_complete(core: &PumpCore, state: &InvocationState) -> OrbResult<()> {
     let cfg = core.orb.cfg();
-    let deadline = Instant::now().checked_add(timeout);
+    let deadline = Instant::now().checked_add(cfg.timeout);
     // Retransmissions are armed only when configured and there is something
     // to replay (not a oneway or collocated call).
-    let mut next_retry = if cfg.retry_limit > 0 && !state.replay.lock().is_empty() {
+    let mut next_retry = if cfg.retry_limit > 0 && !state.inner.lock().replay.is_empty() {
         let backoff = backoff_delay(cfg, state.key, 0);
         Some((Instant::now() + backoff, backoff))
     } else {
@@ -1452,7 +1433,7 @@ pub(crate) fn wait_complete(
                         args,
                     );
                 }
-                retransmit(core, state)?;
+                retransmit(core)?;
                 // Once the budget is spent, stop nudging but keep waiting
                 // out the deadline — the last retransmission's reply may
                 // still be in flight.
@@ -1470,39 +1451,38 @@ pub(crate) fn wait_complete(
 /// Handle returned by a non-blocking invocation: check or await completion,
 /// and mint futures for the results.
 pub struct InvocationHandle {
-    core: Arc<PumpCore>,
-    state: Arc<InvocationState>,
-    key: (BindingId, u64),
+    holder: Holder,
 }
 
 impl InvocationHandle {
     /// Has the server completed (all results locally available)?
     /// Non-blocking: pumps whatever has arrived first.
     pub fn resolved(&self) -> bool {
-        self.core.pump_step(None);
-        self.state.is_complete()
+        self.holder.resolved()
     }
 
     /// Completion check without pumping: observes progress made by a
     /// [`CommThread`] (or any concurrent pump) only.
     #[cfg(test)]
     pub(crate) fn peek(&self) -> bool {
-        self.core.peek_complete(self.key)
+        self.holder.state.is_complete()
     }
 
     /// Block until completion, then hand back the reply.
     pub fn wait(self) -> OrbResult<ReplyData> {
-        let timeout = self.core.orb.cfg().timeout;
-        wait_complete(&self.core, &self.state, timeout)?;
-        self.core.unregister(self.key);
-        self.state.check_status()?;
-        Ok(ReplyData { state: self.state, rts: self.core.rts.clone() })
+        self.holder.wait_complete()?;
+        let (state, rts) = (self.holder.state.clone(), self.holder.core.rts.clone());
+        // The router forgets the invocation here, before its results are
+        // read.
+        drop(self);
+        state.check_status()?;
+        Ok(ReplyData { state, rts })
     }
 
     /// Mint a future for scalar out slot `slot` (slot 0 is the return value
     /// of a non-void operation).
     pub fn scalar_future<T: CdrCodec>(&self, slot: usize) -> crate::future::PFuture<T> {
-        crate::future::PFuture::new(self.core.clone(), self.state.clone(), slot)
+        crate::future::PFuture::new(self.holder.clone(), slot)
     }
 
     /// Mint a future for distributed out-argument `ordinal`.
@@ -1510,20 +1490,21 @@ impl InvocationHandle {
         &self,
         ordinal: usize,
     ) -> crate::future::DSeqFuture<T> {
-        crate::future::DSeqFuture::new(self.core.clone(), self.state.clone(), ordinal)
+        crate::future::DSeqFuture::new(self.holder.clone(), ordinal)
     }
 
     /// Best-effort cancel: tells the server to drop the request if it has
-    /// not been dispatched yet.
+    /// not been dispatched yet, and gives the invocation up.
     #[cfg(test)]
     pub(crate) fn cancel(self) {
-        if let Ok(endpoints) = self.core.orb.server_endpoints(self.state.server) {
-            let msg = Message::Cancel { binding: self.key.0, req_id: self.key.1 };
+        let (core, state) = (&self.holder.core, &self.holder.state);
+        if let Ok(endpoints) = core.orb.server_endpoints(state.server) {
+            let msg = Message::Cancel { binding: state.key.0, req_id: state.key.1 };
             for ep in endpoints {
-                let _ = self.core.orb.send(self.core.host, ep, &msg);
+                let _ = core.orb.send(core.host, ep, &msg);
             }
         }
-        self.core.unregister(self.key);
+        core.transition(state, None, |inner| inner.replay.clear());
     }
 }
 
@@ -1552,7 +1533,7 @@ impl std::fmt::Debug for Proxy {
 
 impl std::fmt::Debug for InvocationHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InvocationHandle").field("key", &self.key).finish()
+        f.debug_struct("InvocationHandle").field("key", &self.holder.state.key).finish()
     }
 }
 
@@ -1593,16 +1574,24 @@ impl ReplyData {
 }
 
 #[cfg(test)]
+impl InvocationState {
+    /// Request frames still held for retransmission.
+    fn replay_frames(&self) -> usize {
+        self.inner.lock().replay.len()
+    }
+}
+
+#[cfg(test)]
 impl InvocationHandle {
     /// Request frames still held for retransmission.
     pub(crate) fn replay_frames(&self) -> usize {
-        self.state.replay.lock().len()
+        self.holder.state.replay_frames()
     }
 
     /// Reads how many threads wait in [`wait_complete`] on this
     /// invocation, also after the handle has moved on.
     pub(crate) fn waiters_probe(&self) -> impl Fn() -> u32 {
-        let state = self.state.clone();
+        let state = self.holder.state.clone();
         move || state.inner.lock().waiters
     }
 }
@@ -1611,7 +1600,7 @@ impl InvocationHandle {
 impl ReplyData {
     /// Request frames still held for retransmission.
     pub(crate) fn replay_frames(&self) -> usize {
-        self.state.replay.lock().len()
+        self.state.replay_frames()
     }
 }
 

@@ -7,33 +7,32 @@
 //! completes. The C++ mapping in the paper drew on ABC++'s futures; this
 //! Rust mapping keeps the same three verbs: `resolved`, blocking `get`, and
 //! cheap handle semantics (futures are handles to shared state, so
-//! instantiation is inexpensive, §4.1).
+//! instantiation is inexpensive, §4.1). Each future is one of its
+//! invocation's holders: the client forgets the invocation once the handle
+//! and every future minted from it are gone.
 
-use crate::client::{wait_complete, InvocationState, PumpCore};
+use crate::client::Holder;
 use crate::dseq::DSequence;
 use crate::error::OrbResult;
 use pardis_cdr::CdrCodec;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 /// A future of a scalar result (return value or non-distributed out
 /// argument).
 pub struct PFuture<T> {
-    core: Arc<PumpCore>,
-    state: Arc<InvocationState>,
+    holder: Holder,
     slot: usize,
     _marker: PhantomData<fn() -> T>,
 }
 
 impl<T: CdrCodec> PFuture<T> {
-    pub(crate) fn new(core: Arc<PumpCore>, state: Arc<InvocationState>, slot: usize) -> Self {
-        PFuture { core, state, slot, _marker: PhantomData }
+    pub(crate) fn new(holder: Holder, slot: usize) -> Self {
+        PFuture { holder, slot, _marker: PhantomData }
     }
 
     /// Poll: has the result been delivered? (Pumps pending messages first.)
     pub fn resolved(&self) -> bool {
-        self.core.pump_step(None);
-        self.state.is_complete()
+        self.holder.resolved()
     }
 
     /// Read the value, blocking until the future resolves. A server
@@ -41,42 +40,43 @@ impl<T: CdrCodec> PFuture<T> {
     ///
     /// [`OrbError::ServerException`]: crate::error::OrbError::ServerException
     pub fn get(&self) -> OrbResult<T> {
-        wait_complete(&self.core, &self.state, self.core.orb.cfg().timeout)?;
-        self.state.scalar(self.slot)
+        self.holder.wait_complete()?;
+        self.holder.state.scalar(self.slot)
     }
 }
 
 impl<T> std::fmt::Debug for PFuture<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PFuture(slot {}, resolved: {})", self.slot, self.state.is_complete())
+        let resolved = self.holder.state.is_complete();
+        write!(f, "PFuture(slot {}, resolved: {resolved})", self.slot)
     }
 }
 
 /// A future of a distributed out argument: resolves to this thread's local
 /// view of the result sequence.
 pub struct DSeqFuture<T> {
-    core: Arc<PumpCore>,
-    state: Arc<InvocationState>,
+    holder: Holder,
     ordinal: usize,
     _marker: PhantomData<fn() -> T>,
 }
 
 impl<T: CdrCodec + Clone + Send + Sync + 'static> DSeqFuture<T> {
-    pub(crate) fn new(core: Arc<PumpCore>, state: Arc<InvocationState>, ordinal: usize) -> Self {
-        DSeqFuture { core, state, ordinal, _marker: PhantomData }
+    pub(crate) fn new(holder: Holder, ordinal: usize) -> Self {
+        DSeqFuture { holder, ordinal, _marker: PhantomData }
     }
 
     /// Assemble the local view, blocking until the future resolves. Under
     /// the funneled strategy this is collective over a parallel client's
     /// RTS, like [`crate::ReplyData::dseq`].
     pub fn get(&self) -> OrbResult<DSequence<T>> {
-        wait_complete(&self.core, &self.state, self.core.orb.cfg().timeout)?;
-        self.state.dseq(self.ordinal, self.core.rts.as_deref())
+        self.holder.wait_complete()?;
+        self.holder.state.dseq(self.ordinal, self.holder.core.rts.as_deref())
     }
 }
 
 impl<T> std::fmt::Debug for DSeqFuture<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DSeqFuture(out {}, resolved: {})", self.ordinal, self.state.is_complete())
+        let resolved = self.holder.state.is_complete();
+        write!(f, "DSeqFuture(out {}, resolved: {resolved})", self.ordinal)
     }
 }

@@ -46,15 +46,6 @@ pub struct ServerGroup {
     namespace: Arc<Published<String>>,
 }
 
-/// Shared-table identity for the happens-before checker: the POA's
-/// bounded duplicate-suppression cache (`Poa::recent`).
-static REPLY_CACHE: pardis_audit::Site = pardis_audit::Site {
-    label: "poa: reply cache",
-    krate: "pardis-core",
-    file: file!(),
-    line: line!(),
-};
-
 impl ServerGroup {
     /// Register a server of `nthreads` computing threads on `host`. The
     /// name labels the server in the caller's code only; the ORB keeps no
@@ -126,10 +117,7 @@ impl ServerGroup {
             pending: IdMap::default(),
             order: Vec::new(),
             funneled_next: IdMap::default(),
-            recent: AuditMutex::new(
-                lock_site!("poa: reply cache"),
-                RecentInvocations::new(self.orb.cfg().reply_cache_cap),
-            ),
+            recent: RecentInvocations::new(self.orb.cfg().reply_cache_cap),
             deferred: Vec::new(),
             closed: false,
         }
@@ -417,9 +405,8 @@ pub struct Poa {
     /// The request id of each binding's next funneled request (see
     /// [`Poa::dispatch_ready`]).
     funneled_next: IdMap<BindingId, u64>,
-    /// Duplicate-suppression state; a `Mutex` only because replies are sent
-    /// from `&self` methods — the adapter itself is single-threaded.
-    recent: AuditMutex<RecentInvocations>,
+    /// Duplicate-suppression state.
+    recent: RecentInvocations,
     deferred: Vec<DeferredCall>,
     closed: bool,
 }
@@ -654,12 +641,7 @@ impl Poa {
             self.acknowledge(frag.binding, frag.src_thread, through);
         }
         let key = (frag.binding, frag.req_id);
-        let accepted = {
-            let recent = self.recent.lock();
-            pardis_audit::access_read(&REPLY_CACHE, &self.recent as *const _ as usize);
-            recent.seen.contains_key(&key)
-        };
-        if accepted {
+        if self.recent.seen.contains_key(&key) {
             // Fragment of an already-dispatched invocation
             // (retransmission by-product): ignore.
             return;
@@ -789,27 +771,23 @@ impl Poa {
     /// Replay (or suppress) a request whose key has already been accepted.
     /// Returns false if the key is new.
     fn replay_if_seen(&self, key: (BindingId, u64)) -> bool {
-        let frames = {
-            let recent = self.recent.lock();
-            pardis_audit::access_read(&REPLY_CACHE, &self.recent as *const _ as usize);
-            match recent.seen.get(&key) {
-                None => return false,
-                // Original still executing (or deferred): drop the
-                // duplicate; the client will retry into the cache later.
-                Some(None) => {
-                    if pardis_obs::enabled() {
-                        pardis_obs::counter("poa.dup_suppressed").inc();
-                        pardis_obs::instant(
-                            "poa",
-                            "poa.dup_suppressed",
-                            Some((key.0 .0, key.1)),
-                            vec![("state", "executing".into())],
-                        );
-                    }
-                    return true;
+        let frames = match self.recent.seen.get(&key) {
+            None => return false,
+            // Original still executing (or deferred): drop the duplicate;
+            // the client will retry into the cache later.
+            Some(None) => {
+                if pardis_obs::enabled() {
+                    pardis_obs::counter("poa.dup_suppressed").inc();
+                    pardis_obs::instant(
+                        "poa",
+                        "poa.dup_suppressed",
+                        Some((key.0 .0, key.1)),
+                        vec![("state", "executing".into())],
+                    );
                 }
-                Some(Some(frames)) => frames.clone(),
+                return true;
             }
+            Some(Some(frames)) => frames,
         };
         if pardis_obs::enabled() {
             pardis_obs::counter("poa.reply_cache_hits").inc();
@@ -821,7 +799,7 @@ impl Poa {
             );
         }
         for (_, ep, wire) in frames {
-            let _ = self.orb.send_wire(self.host, ep, wire);
+            let _ = self.orb.send_wire(self.host, *ep, wire.clone());
         }
         true
     }
@@ -829,11 +807,10 @@ impl Poa {
     /// Change the at-most-once memory through `f`, evict what that pushed
     /// over a bound, and carry the change in retained bytes over to the
     /// ORB-wide total ([`Orb::reply_cache_bytes`]).
-    fn update_recent<R>(&self, f: impl FnOnce(&mut RecentInvocations) -> R) -> R {
-        let mut recent = self.recent.lock();
-        pardis_audit::access_write(&REPLY_CACHE, &self.recent as *const _ as usize);
+    fn update_recent<R>(&mut self, f: impl FnOnce(&mut RecentInvocations) -> R) -> R {
+        let recent = &mut self.recent;
         let before = recent.bytes;
-        let out = f(&mut recent);
+        let out = f(recent);
         recent.trim();
         // Wrapping: a net release is the two's complement of its size.
         let delta = (recent.bytes as u64).wrapping_sub(before as u64);
@@ -845,7 +822,7 @@ impl Poa {
 
     /// Mark an invocation accepted *before* its servant runs, closing the
     /// window in which a duplicate arriving mid-execution would re-execute.
-    fn mark_accepted(&self, key: (BindingId, u64)) {
+    fn mark_accepted(&mut self, key: (BindingId, u64)) {
         self.update_recent(|recent| {
             if recent.accept(key) && pardis_obs::enabled() {
                 pardis_obs::counter("poa.reply_cache_misses").inc();
@@ -855,7 +832,7 @@ impl Poa {
 
     /// Attach the sent reply frames to an accepted invocation so future
     /// duplicates replay them.
-    fn record_reply(&self, key: (BindingId, u64), frames: ReplyFrames) {
+    fn record_reply(&mut self, key: (BindingId, u64), frames: ReplyFrames) {
         let mut released = 0;
         self.update_recent(|recent| released = recent.record(key, frames));
         if released > 0 && pardis_obs::enabled() {
@@ -865,7 +842,7 @@ impl Poa {
 
     /// Client thread `thread` of `binding` completed every request up to
     /// `through`, so it will never ask for those replies again.
-    fn acknowledge(&self, binding: BindingId, thread: u32, through: u64) {
+    fn acknowledge(&mut self, binding: BindingId, thread: u32, through: u64) {
         self.update_recent(|recent| recent.acknowledge(binding, thread, through));
     }
 
@@ -962,7 +939,7 @@ impl Poa {
     /// Complete a previously deferred request: ships out-fragments and the
     /// reply control exactly as an immediate reply would have (including the
     /// dispatch context the reply travels under).
-    pub fn reply_deferred(&self, call: DeferredCall, result: Result<ServerReply, String>) {
+    pub fn reply_deferred(&mut self, call: DeferredCall, result: Result<ServerReply, String>) {
         let _ctx_guard = call.ctx.map(pardis_obs::enter_ctx);
         self.send_reply(&call.req, result, Some(call.kind));
     }
@@ -983,7 +960,7 @@ impl Poa {
     ///
     /// `kind` is the object's, when this thread has it active.
     fn send_reply(
-        &self,
+        &mut self,
         req: &RequestMsg,
         result: Result<ServerReply, String>,
         kind: Option<ObjectKind>,

@@ -83,14 +83,9 @@ fn orphan_stash_eviction_regression() {
     let client = ClientGroup::create(&orb, host, 1).attach(0, None);
     let before = pardis_obs::counter("client.orphans.evicted").get();
 
-    // Every stray key hashes to one router shard, so the cap applies to
-    // one stash and the count is exact.
     let cap = crate::client::PUMP_MEMORY_CAP;
     let extra = 10usize;
-    let strays = (0u64..)
-        .map(|i| (BindingId(0xDEAD_0000_0000 | i), i))
-        .filter(|&key| crate::client::router_shard_of(key) == 0)
-        .take(cap + extra);
+    let strays = (0u64..).map(|i| (BindingId(0xDEAD_0000_0000 | i), i)).take(cap + extra);
     for (binding, req_id) in strays {
         let stray = Message::Reply(ReplyMsg {
             req_id,

@@ -391,11 +391,6 @@ impl Network {
         self.hosts_down_on.store(!down.is_empty(), Ordering::Release);
     }
 
-    /// Whether `host` is currently killed.
-    pub fn host_is_down(&self, host: HostId) -> bool {
-        self.hosts_down_on.load(Ordering::Acquire) && self.down_hosts.lock().contains(&host)
-    }
-
     /// True when either end of the frame is a killed host.
     fn crosses_down_host(&self, from: HostId, to: HostId) -> bool {
         if !self.hosts_down_on.load(Ordering::Acquire) {

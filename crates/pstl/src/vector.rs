@@ -70,11 +70,6 @@ impl<T: Clone + Send> DistVector<T> {
         &self.local
     }
 
-    /// Mutable access to this thread's block.
-    pub fn local_mut(&mut self) -> &mut [T] {
-        &mut self.local
-    }
-
     /// First global index of this thread's block.
     pub fn first_index(&self) -> usize {
         block_range(self.global_len, self.nthreads, self.thread).0

@@ -102,6 +102,51 @@ fn repeated_barriers_do_not_deadlock() {
     });
 }
 
+/// `World::run` with rank 1 panicking while ranks 0 and 2 block in `wait`,
+/// on a watchdog thread: its panic message, or `None` when it has not
+/// panicked within 10 s.
+fn run_with_a_failing_rank(wait: fn(&Rank)) -> Option<String> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| {
+            World::run(3, |rank| {
+                if rank.rank() == 1 {
+                    // Most likely the others are parked by now; if not,
+                    // they enter the wait after the panic, which must fail
+                    // them just the same.
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("rank 1 fails");
+                }
+                wait(&rank);
+            })
+        });
+        let msg = outcome.err().map(|p| match p.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(p) => p.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        });
+        let _ = tx.send(msg);
+    });
+    rx.recv_timeout(Duration::from_secs(10)).ok().flatten()
+}
+
+#[test]
+fn a_panicking_rank_fails_its_world_instead_of_hanging_it() {
+    fn in_barrier(rank: &Rank) {
+        rank.barrier();
+    }
+    fn in_recv(rank: &Rank) {
+        rank.recv(Some(1), 7);
+    }
+    for (what, wait) in [("barrier", in_barrier as fn(&Rank)), ("recv", in_recv)] {
+        let msg = run_with_a_failing_rank(wait)
+            .unwrap_or_else(|| panic!("World::run hung with its peers in {what}"));
+        assert!(
+            msg.contains("rank 1: rank 1 fails"),
+            "{what}: run re-raises rank 1's panic: {msg}"
+        );
+    }
+}
+
 #[test]
 fn broadcast_delivers_to_all() {
     let out = World::run(4, |rank| {

@@ -354,21 +354,12 @@ impl OpCore {
         }
         st.1.take()
     }
-
-    fn is_done(&self) -> bool {
-        self.state.lock().0
-    }
 }
 
 /// Completion handle of a non-blocking put.
 pub struct Completion(Arc<OpCore>);
 
 impl Completion {
-    /// Has the data landed in the target window?
-    pub fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
     /// Block until the data has landed.
     pub fn wait(self) {
         self.0.wait();
@@ -379,11 +370,6 @@ impl Completion {
 pub struct GetHandle(Arc<OpCore>);
 
 impl GetHandle {
-    /// Has the reply arrived?
-    pub fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
     /// Block until the reply arrives and take the bytes (the requested
     /// spans, concatenated in request order).
     pub fn wait(self) -> Bytes {
@@ -731,11 +717,6 @@ impl Windows {
     /// Block until a delivery [`Notice`] with `tag` arrives at this rank.
     pub fn wait_notify(&self, tag: u64) -> Notice {
         self.shared.ranks[self.rank].notices.wait(|n| n.tag == tag)
-    }
-
-    /// Non-blocking check for a delivery [`Notice`] with `tag`.
-    pub fn try_notify(&self, tag: u64) -> Option<Notice> {
-        self.shared.ranks[self.rank].notices.take(|n| n.tag == tag)
     }
 }
 

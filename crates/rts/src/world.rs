@@ -6,8 +6,8 @@ use bytes::Bytes;
 use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue};
 use pardis_netsim::{HostId, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Per-rank mailbox with unordered tag matching (like an MPI receive queue).
 type Mailbox = AuditQueue<Msg>;
@@ -25,6 +25,8 @@ struct WorldInner {
     /// One-sided window state shared by all ranks; also holds the optional
     /// modelled-network binding consulted by [`Rank::send`].
     windows: Arc<WindowShared>,
+    /// The first rank whose closure in [`World::run`] panicked.
+    poisoned: OnceLock<usize>,
 }
 
 impl WorldInner {
@@ -32,6 +34,45 @@ impl WorldInner {
     /// the push always lands.
     fn deliver(&self, to: usize, msg: Msg) {
         let _ = self.mailboxes[to].push(msg);
+    }
+
+    /// The rank that poisoned the world, if one has.
+    fn poisoned(&self) -> Option<usize> {
+        self.poisoned.get().copied()
+    }
+
+    /// Rank `rank` panicked: fail every receive and barrier of the world
+    /// from now on. The first rank to fail is the one named. Waiters check
+    /// the mark under the lock they park with, and each lock is taken here
+    /// before its waiters are woken, so none sleeps through it.
+    fn poison(&self, rank: usize) {
+        let _ = self.poisoned.set(rank);
+        for mailbox in &self.mailboxes {
+            mailbox.wake();
+        }
+        drop(self.barrier.state.lock());
+        self.barrier.released.notify_all();
+    }
+
+    /// Panic on `me`'s behalf if the world is poisoned.
+    fn check(&self, me: usize) {
+        if let Some(failed) = self.poisoned() {
+            panic!("rank {me}: the world is poisoned: rank {failed} panicked");
+        }
+    }
+}
+
+/// Poisons its rank's world if the rank's thread unwinds.
+struct PoisonOnPanic {
+    world: Arc<WorldInner>,
+    rank: usize,
+}
+
+impl Drop for PoisonOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.world.poison(self.rank);
+        }
     }
 }
 
@@ -62,6 +103,7 @@ impl World {
                 released: AuditCondvar::new(),
             },
             windows: windows.clone(),
+            poisoned: OnceLock::new(),
         });
         let ranks = (0..size)
             .map(|r| Rank {
@@ -75,19 +117,42 @@ impl World {
     }
 
     /// SPMD launch: run `f(rank)` on `size` OS threads and collect the
-    /// results in rank order. Panics in any thread propagate.
+    /// results in rank order.
+    ///
+    /// A rank that panics poisons the world: every rank blocked in, or
+    /// later entering, a receive or barrier of it panics too, naming the
+    /// failed rank, and `run` panics with the first rank's message once
+    /// every thread has ended.
     pub fn run<R, F>(size: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Rank) -> R + Send + Sync,
     {
-        let (_world, ranks) = World::new(size);
+        let (world, ranks) = World::new(size);
         let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                ranks.into_iter().map(|rank| scope.spawn(move || f(rank))).collect();
-            handles.into_iter().map(|h| h.join().expect("computing thread panicked")).collect()
-        })
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = ranks
+                .into_iter()
+                .map(|rank| {
+                    let guard = PoisonOnPanic { world: world.inner.clone(), rank: rank.rank };
+                    scope.spawn(move || {
+                        let _guard = guard;
+                        f(rank)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        if let Some(failed) = world.inner.poisoned() {
+            let payload = results.into_iter().nth(failed).and_then(Result::err);
+            let msg = payload.as_ref().and_then(|p| {
+                p.downcast_ref::<&str>().copied().or(p.downcast_ref::<String>().map(String::as_str))
+            });
+            panic!("computing thread panicked: rank {failed}: {}", msg.unwrap_or("(no message)"));
+        }
+        // No rank panicked (a panic poisons the world), so every result is
+        // a value.
+        results.into_iter().map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
     }
 
     /// Number of computing threads.
@@ -192,14 +257,38 @@ impl Rank {
 
     /// Blocking receive matching `(from, tag)`; `from = None` accepts any
     /// source.
+    ///
+    /// # Panics
+    /// Panics if a rank of a [`World::run`] world has panicked.
     pub fn recv(&self, from: Option<usize>, tag: u64) -> Msg {
-        self.mailbox().wait(|m| m.matches(from, tag))
+        loop {
+            // Without a deadline the wait ends with a message, or with a
+            // poisoned world, which panics.
+            if let Some(msg) = self.recv_until(from, tag, None) {
+                return msg;
+            }
+        }
     }
 
     /// Blocking receive with a timeout. `None` on expiry; a timeout too
     /// long to express as a deadline waits without one.
+    ///
+    /// # Panics
+    /// As [`Rank::recv`].
     pub fn recv_timeout(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
-        self.mailbox().wait_timeout(|m| m.matches(from, tag), timeout)
+        self.recv_until(from, tag, Instant::now().checked_add(timeout))
+    }
+
+    fn recv_until(&self, from: Option<usize>, tag: u64, deadline: Option<Instant>) -> Option<Msg> {
+        let world = &self.world;
+        world.check(self.rank);
+        let msg = self.mailbox().wait_until(
+            |m| m.matches(from, tag),
+            || world.poisoned().is_some(),
+            deadline,
+        );
+        world.check(self.rank);
+        msg
     }
 
     /// Non-blocking receive.
@@ -226,11 +315,15 @@ impl Rank {
     }
 
     /// Synchronise all ranks (central counter barrier).
+    ///
+    /// # Panics
+    /// As [`Rank::recv`].
     pub fn barrier(&self) {
         // Barrier participation also consumes a collective sequence number so
         // barriers interleave correctly with the message-based collectives.
         self.coll_seq.fetch_add(1, Ordering::Relaxed);
         let b = &self.world.barrier;
+        self.world.check(self.rank);
         let mut state = b.state.lock();
         let gen = state.1;
         state.0 += 1;
@@ -239,10 +332,12 @@ impl Rank {
             state.1 = state.1.wrapping_add(1);
             b.released.notify_all();
         } else {
-            while state.1 == gen {
+            while state.1 == gen && self.world.poisoned().is_none() {
                 b.released.wait(&mut state);
             }
         }
+        drop(state);
+        self.world.check(self.rank);
     }
 
     /// Broadcast from `root`: the root passes `Some(data)`, everyone gets the

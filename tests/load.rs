@@ -1,6 +1,6 @@
-//! Load & concurrency suite for the sharded request core: many client
-//! threads hammering one server through the sharded reply router all get
-//! their own answers back.
+//! Load & concurrency suite for the request core: many client threads,
+//! each with its own reply router, hammering one server all get their own
+//! answers back.
 //!
 //! Tests serialise on one mutex and run under the audit scope, so
 //! `PARDIS_AUDIT=1 cargo test --test load` turns the suite into a
@@ -72,8 +72,8 @@ fn spawn_bumper(
     (group, server, hits)
 }
 
-/// Many concurrent single-thread clients against one server: the sharded
-/// router keeps every reply attributed to its own invocation.
+/// Many concurrent single-thread clients against one server: each
+/// client's router keeps every reply attributed to its own invocation.
 #[test]
 fn concurrent_clients() {
     let _s = serial();
