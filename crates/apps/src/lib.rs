@@ -20,11 +20,41 @@
 //! benches.
 
 pub mod dna;
+pub mod figures;
 pub mod pipeline;
 pub mod solvers;
 
 use pardis::core::ServerGroup;
+use pardis::netsim::{HostId, Network};
+use pardis::rts::Rts;
 use std::thread::JoinHandle;
+
+/// Start a measured run on every client thread of `rts` at one modelled
+/// instant, returned: once all are ready, the moment everything sent before
+/// has landed (the makespan). The run takes the latest
+/// [`Network::thread_time`] its threads read at their last completion,
+/// minus it.
+pub(crate) fn start_case(rts: &dyn Rts, net: &Network, host: HostId) -> f64 {
+    rts.barrier();
+    let start = net.makespan();
+    // Nobody sends until every thread has read the same instant.
+    rts.barrier();
+    net.raise_thread_time(host, start);
+    start
+}
+
+/// Run `launch` on rank `me` of `rts` in rank order (collective), so a
+/// parallel client's frames take the send floor and links in one order.
+pub(crate) fn in_turn<R>(rts: &dyn Rts, me: usize, launch: impl FnOnce() -> R) -> R {
+    let (mut launch, mut out) = (Some(launch), None);
+    for rank in 0..rts.size() {
+        if rank == me {
+            out = launch.take().map(|launch| launch());
+        }
+        rts.barrier();
+    }
+    out.expect("every rank takes its turn")
+}
 
 /// A running parallel server: the ORB-side group handle plus the OS thread
 /// that hosts its computing threads.

@@ -20,7 +20,7 @@
 //! compute time approaches the request period.
 
 use crate::solvers::ComputePace;
-use crate::ServerHandle;
+use crate::{in_turn, start_case, ServerHandle};
 use pardis::audit::{lock_site, AuditMutex};
 use pardis::core::{ClientGroup, DSequence, DistPolicy, Orb, OrbResult, ServantCtx, ServerGroup};
 use pardis::generated::pipeline::{
@@ -32,7 +32,6 @@ use pardis::pooma::{Field2D, Layout2D};
 use pardis::pstl::{grid::magnitude_gradient, DistVector};
 use pardis::rts::{MpiRts, World};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What a visualizer has seen so far.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -102,7 +101,6 @@ const GRADIENT_FLOPS_PER_CELL: f64 = 120.0;
 
 impl FieldOperationsImpl for GradientServant {
     fn gradient(&self, ctx: &ServantCtx, myfield: DSequence<f64>) -> Result<(), String> {
-        let start = std::time::Instant::now();
         let v = DistVector::from_dseq(&myfield);
         let grad = if ctx.nthreads == 1 {
             let g = pardis::pstl::grid::magnitude_gradient_seq(v.local(), self.nx, self.ny);
@@ -112,10 +110,20 @@ impl FieldOperationsImpl for GradientServant {
         };
         if let Some(pace) = &self.pace {
             let flops = (self.nx * self.ny) as f64 * GRADIENT_FLOPS_PER_CELL / ctx.nthreads as f64;
-            pace.charge(flops, start.elapsed());
+            pace.charge(flops, ctx.rts.as_deref());
         }
         if let Some(vis) = &self.vis {
-            vis.show(&grad.to_dseq()).map_err(|e| e.to_string())?;
+            // Launched rank by rank, as every parallel client here launches.
+            let grad = grad.to_dseq();
+            let show = match &ctx.rts {
+                Some(rts) => in_turn(rts.as_ref(), ctx.thread, || vis.show_nb(&grad)),
+                None => vis.show_nb(&grad),
+            };
+            show.and_then(|f| f.handle.wait()).map_err(|e| e.to_string())?;
+            if let Some(pace) = &self.pace {
+                // The ranks reply together, not each at its own show's end.
+                pace.sync(ctx.rts.as_deref());
+            }
         }
         Ok(())
     }
@@ -168,7 +176,7 @@ pub fn spawn_gradient_server_paced(
             let mut poa = g.attach(t, Some(rts));
             poa.activate_spmd(
                 &name,
-                Arc::new(FieldOperationsSkel(GradientServant { nx, ny, vis, pace })),
+                Arc::new(FieldOperationsSkel(GradientServant { nx, ny, vis, pace: pace.clone() })),
                 DistPolicy::new(),
             );
             poa.impl_is_ready();
@@ -214,8 +222,11 @@ impl Default for PipelineConfig {
 }
 
 /// Run the diffusion component: a parallel client on `host` driving the
-/// named visualizer and (optionally) gradient servers. Returns elapsed wall
-/// seconds from the client's perspective and the final field checksum.
+/// named visualizer and (optionally) gradient servers. Returns the modelled
+/// seconds from the start of the run (every client thread ready, everything
+/// sent before it landed) to the last client thread's last completion, and
+/// the final field checksum. The stencil itself is charged no modelled
+/// time.
 pub fn run_diffusion(
     orb: &Orb,
     host: HostId,
@@ -248,7 +259,8 @@ pub fn run_diffusion(
             (-(dx * dx + dy * dy) / 64.0).exp()
         });
 
-        let start = Instant::now();
+        let net = orb.network();
+        let start = start_case(rts.as_ref(), net, host);
         let mut prev_show: Option<pardis::generated::pipeline::VisualizerShowFutures> = None;
         let mut prev_grad: Option<pardis::generated::pipeline::FieldOperationsGradientFutures> =
             None;
@@ -260,14 +272,14 @@ pub fn run_diffusion(
                 if let Some(f) = prev_show.take() {
                     f.handle.wait()?;
                 }
-                prev_show = Some(vis.show_pooma_nb(&field)?);
+                prev_show = Some(in_turn(rts.as_ref(), t, || vis.show_pooma_nb(&field))?);
             }
             if let Some(fops) = &fops {
                 if cfg.gradient_every > 0 && step % cfg.gradient_every == 0 {
                     if let Some(f) = prev_grad.take() {
                         f.handle.wait()?;
                     }
-                    prev_grad = Some(fops.gradient_pooma_nb(&field)?);
+                    prev_grad = Some(in_turn(rts.as_ref(), t, || fops.gradient_pooma_nb(&field))?);
                 }
             }
         }
@@ -277,7 +289,7 @@ pub fn run_diffusion(
         if let Some(f) = prev_grad.take() {
             f.handle.wait()?;
         }
-        let elapsed = start.elapsed().as_secs_f64();
+        let elapsed = net.thread_time(host) - start;
         let checksum = rts.all_reduce_f64(field.local_sum(), pardis::rts::ReduceOp::Sum);
         Ok((elapsed, checksum))
     });
@@ -293,8 +305,9 @@ pub fn run_diffusion(
 }
 
 /// Measure the gradient component alone: a parallel client fires
-/// back-to-back gradient requests on a precomputed field. Returns elapsed
-/// wall seconds for `count` requests.
+/// back-to-back gradient requests on a precomputed field. Returns the
+/// modelled seconds `count` requests take, measured as [`run_diffusion`]
+/// measures.
 pub fn run_gradient_alone(
     orb: &Orb,
     host: HostId,
@@ -315,11 +328,12 @@ pub fn run_gradient_alone(
         let fops = FieldOperationsProxy::spmd_bind(&ct, &fops_name)?;
         let layout = Layout2D::new(nx, ny, threads);
         let field = Field2D::from_fn(layout, t, |i, j| ((i * 31 + j * 7) % 17) as f64);
-        let start = Instant::now();
+        let net = orb.network();
+        let start = start_case(rts.as_ref(), net, host);
         for _ in 0..count {
-            fops.gradient_pooma(&field)?;
+            in_turn(rts.as_ref(), t, || fops.gradient_pooma_nb(&field))?.handle.wait()?;
         }
-        Ok(start.elapsed().as_secs_f64())
+        Ok(net.thread_time(host) - start)
     });
     pardis::check::enforce(&chk);
     let mut worst = 0.0f64;

@@ -13,11 +13,12 @@ use crate::ServerHandle;
 use bytes::Bytes;
 use pardis::core::{DSequence, DistPolicy, Distribution, Orb, ServantCtx};
 use pardis::generated::solvers::{DirectImpl, DirectSkel, IterativeImpl, IterativeSkel};
-use pardis::netsim::HostId;
+use pardis::netsim::{HostId, Network};
 use pardis::rts::{tags, MpiRts, ReduceOp, Rts, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Generate a dense diagonally dominant system `(A, b)` of size `n`
 /// (deterministic in `seed`). Diagonal dominance makes both pivot-free
@@ -209,30 +210,37 @@ pub fn jacobi_solve_block(
     (x, max_iters)
 }
 
-/// Models the compute speed of a mid-90s host: after the (fast, modern)
-/// real computation, the servant sleeps out the remainder of the modelled
-/// duration `flops / flops_per_sec * time_scale`. Sleeps overlap across
-/// threads and processes, so the paper's concurrency effects (overlap of
-/// the two solvers, serialisation on a shared server) reproduce on any
-/// machine — including single-core CI boxes where real compute cannot
-/// overlap.
-#[derive(Debug, Clone, Copy)]
+/// Models the compute speed of a mid-90s host on the netsim clock: a
+/// computing thread charges `flops / flops_per_sec` to its own timeline on
+/// `host` ([`Network::charge_thread`]), so its next send — a servant's
+/// reply — departs that much later. Nothing sleeps: concurrent threads
+/// overlap in modelled time, one thread's charges add, on any machine.
+#[derive(Debug, Clone)]
 pub struct ComputePace {
+    /// The network whose clock the compute is charged to.
+    pub net: Network,
+    /// The host the computing threads run on.
+    pub host: HostId,
     /// Modelled per-processor floating-point rate (the paper's R4400s and
     /// R8000s were tens of MFLOP/s).
     pub flops_per_sec: f64,
-    /// Global scale applied to the modelled duration (match the netsim
-    /// [`pardis::netsim::TimeScale`]).
-    pub time_scale: f64,
 }
 
 impl ComputePace {
-    /// Sleep out whatever the real computation left of the modelled time.
-    pub fn charge(&self, flops: f64, already_spent: std::time::Duration) {
-        let modelled = flops / self.flops_per_sec * self.time_scale;
-        let remaining = modelled - already_spent.as_secs_f64();
-        if remaining > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(remaining));
+    /// Charge `flops` of work to the calling thread's timeline, then
+    /// [`ComputePace::sync`]: the ranks of an SPMD computation exchange data
+    /// as they go, so none finishes before the slowest.
+    pub fn charge(&self, flops: f64, rts: Option<&dyn Rts>) {
+        self.net.charge_thread(self.host, Duration::from_secs_f64(flops / self.flops_per_sec));
+        self.sync(rts);
+    }
+
+    /// Raise each rank of `rts` to the latest of their times on `host`
+    /// (collective when `rts` has more than one rank).
+    pub fn sync(&self, rts: Option<&dyn Rts>) {
+        if let Some(rts) = rts.filter(|rts| rts.size() > 1) {
+            let end = rts.all_reduce_f64(self.net.thread_time(self.host), ReduceOp::Max);
+            self.net.raise_thread_time(self.host, end);
         }
     }
 }
@@ -255,7 +263,6 @@ impl DirectImpl for DirectSolver {
         if b.len() as usize != n {
             return Err(format!("matrix is {n} rows but vector has {} entries", b.len()));
         }
-        let start = std::time::Instant::now();
         let mut my_rows: Vec<Vec<f64>> = a.local().to_vec();
         let mut my_b: Vec<f64> = b.local().to_vec();
         let x = if ctx.nthreads == 1 {
@@ -266,7 +273,7 @@ impl DirectImpl for DirectSolver {
         if let Some(pace) = &self.pace {
             // Elimination is ~n^3/3 flops, split over the computing threads.
             let flops = (n as f64).powi(3) / 3.0 / ctx.nthreads as f64;
-            pace.charge(flops, start.elapsed());
+            pace.charge(flops, ctx.rts.as_deref());
         }
         // Return this thread's block of the (replicated) solution.
         let out = DSequence::distribute(&x, Distribution::Block, ctx.nthreads, ctx.thread);
@@ -301,7 +308,6 @@ impl IterativeImpl for IterativeSolver {
         if b.len() as usize != n {
             return Err(format!("matrix is {n} rows but vector has {} entries", b.len()));
         }
-        let start = std::time::Instant::now();
         let first_row = a.my_runs().first().map(|r| r.start as usize).unwrap_or(0);
         let my_rows: Vec<Vec<f64>> = a.local().to_vec();
         let my_b: Vec<f64> = b.local().to_vec();
@@ -314,7 +320,7 @@ impl IterativeImpl for IterativeSolver {
         if let Some(pace) = &self.pace {
             // Each sweep is ~2n^2 flops, split over the computing threads.
             let flops = 2.0 * (n as f64).powi(2) * iters as f64 / ctx.nthreads as f64;
-            pace.charge(flops, start.elapsed());
+            pace.charge(flops, ctx.rts.as_deref());
         }
         let out = DSequence::distribute(&x, Distribution::Block, ctx.nthreads, ctx.thread);
         Ok((out,))
@@ -335,13 +341,9 @@ pub fn iterative_policy() -> DistPolicy {
 }
 
 /// Launch a direct-solver server with `nthreads` computing threads on
-/// `host`, registering object `name`.
-pub fn spawn_direct_server(orb: &Orb, host: HostId, name: &str, nthreads: usize) -> ServerHandle {
-    spawn_direct_server_paced(orb, host, name, nthreads, None)
-}
-
-/// [`spawn_direct_server`] with a modelled compute speed.
-pub fn spawn_direct_server_paced(
+/// `host`, registering object `name`, with a modelled compute speed if
+/// `pace` is given.
+pub fn spawn_direct_server(
     orb: &Orb,
     host: HostId,
     name: &str,
@@ -357,7 +359,8 @@ pub fn spawn_direct_server_paced(
             let t = rank.rank();
             let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
             let mut poa = g.attach(t, Some(rts));
-            poa.activate_spmd(&name, Arc::new(DirectSkel(DirectSolver { pace })), direct_policy());
+            let servant = DirectSolver { pace: pace.clone() };
+            poa.activate_spmd(&name, Arc::new(DirectSkel(servant)), direct_policy());
             poa.impl_is_ready();
         });
         pardis::check::enforce(&chk);
@@ -365,18 +368,8 @@ pub fn spawn_direct_server_paced(
     ServerHandle::new(group, join)
 }
 
-/// Launch an iterative-solver server.
+/// Launch an iterative-solver server, as [`spawn_direct_server`] does.
 pub fn spawn_iterative_server(
-    orb: &Orb,
-    host: HostId,
-    name: &str,
-    nthreads: usize,
-) -> ServerHandle {
-    spawn_iterative_server_paced(orb, host, name, nthreads, None)
-}
-
-/// [`spawn_iterative_server`] with a modelled compute speed.
-pub fn spawn_iterative_server_paced(
     orb: &Orb,
     host: HostId,
     name: &str,
@@ -392,11 +385,8 @@ pub fn spawn_iterative_server_paced(
             let t = rank.rank();
             let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
             let mut poa = g.attach(t, Some(rts));
-            poa.activate_spmd(
-                &name,
-                Arc::new(IterativeSkel(IterativeSolver { pace, ..Default::default() })),
-                iterative_policy(),
-            );
+            let servant = IterativeSolver { pace: pace.clone(), ..Default::default() };
+            poa.activate_spmd(&name, Arc::new(IterativeSkel(servant)), iterative_policy());
             poa.impl_is_ready();
         });
         pardis::check::enforce(&chk);
@@ -408,17 +398,6 @@ pub fn spawn_iterative_server_paced(
 /// single-server configuration, where the two invocations share the same
 /// computing threads and therefore serialise.
 pub fn spawn_combined_server(
-    orb: &Orb,
-    host: HostId,
-    direct_name: &str,
-    iterative_name: &str,
-    nthreads: usize,
-) -> ServerHandle {
-    spawn_combined_server_paced(orb, host, direct_name, iterative_name, nthreads, None)
-}
-
-/// [`spawn_combined_server`] with a modelled compute speed.
-pub fn spawn_combined_server_paced(
     orb: &Orb,
     host: HostId,
     direct_name: &str,
@@ -436,12 +415,10 @@ pub fn spawn_combined_server_paced(
             let t = rank.rank();
             let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
             let mut poa = g.attach(t, Some(rts));
-            poa.activate_spmd(&dn, Arc::new(DirectSkel(DirectSolver { pace })), direct_policy());
-            poa.activate_spmd(
-                &itn,
-                Arc::new(IterativeSkel(IterativeSolver { pace, ..Default::default() })),
-                iterative_policy(),
-            );
+            let direct = DirectSolver { pace: pace.clone() };
+            poa.activate_spmd(&dn, Arc::new(DirectSkel(direct)), direct_policy());
+            let iterative = IterativeSolver { pace: pace.clone(), ..Default::default() };
+            poa.activate_spmd(&itn, Arc::new(IterativeSkel(iterative)), iterative_policy());
             poa.impl_is_ready();
         });
         pardis::check::enforce(&chk);

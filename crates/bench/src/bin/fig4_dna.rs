@@ -107,7 +107,6 @@ fn aggregate_bandwidth_mbps(streams: usize, shared: bool) -> f64 {
             net.transmit(c, server, BYTES, || {});
         }
     }
-    net.quiesce();
     (FRAMES * streams * BYTES * 8) as f64 / net.makespan() / 1e6
 }
 

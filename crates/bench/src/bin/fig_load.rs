@@ -127,7 +127,6 @@ fn run_level(clients: usize) -> LevelOut {
         lat_us.extend(j.join().expect("worker"));
     }
     let wall = wall_start.elapsed().as_secs_f64();
-    orb.network().quiesce();
     let virt = orb.network().clock().now();
     let (frames, _bytes) = orb.traffic();
     group.shutdown();

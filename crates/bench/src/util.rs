@@ -4,7 +4,7 @@ use std::io;
 use std::path::PathBuf;
 
 /// Read a scale/size knob from the environment with a default, so sweeps
-/// can be shrunk for smoke runs (`PARDIS_TIME_SCALE=0 PARDIS_QUICK=1 ...`).
+/// can be shrunk for smoke runs (`PARDIS_QUICK=1 ...`).
 pub fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }

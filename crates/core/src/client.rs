@@ -162,7 +162,8 @@ pub(crate) const PUMP_MEMORY_CAP: usize = 16 * 1024;
 #[derive(Default)]
 struct Router {
     live: IdMap<(BindingId, u64), Arc<InvocationState>>,
-    orphans: IdMap<(BindingId, u64), Vec<Message>>,
+    /// Stashed frames with their modelled arrivals.
+    orphans: IdMap<(BindingId, u64), Vec<(Message, f64)>>,
     /// Arrival order of stashed orphan keys, for capped FIFO eviction.
     /// Entries can go stale (register/unregister removed the key); eviction
     /// skips them.
@@ -175,7 +176,7 @@ impl Router {
     /// retransmission by-product and is dropped (counter only — see
     /// [`InvInner::take`] for why this never becomes a trace event); one
     /// for an unknown key is stashed (bounded) for a registration racing it.
-    fn stash(&mut self, key: (BindingId, u64), msg: Message) {
+    fn stash(&mut self, key: (BindingId, u64), msg: Message, arrival: f64) {
         if self.done.set.contains(&key) {
             if pardis_obs::enabled() {
                 pardis_obs::counter("client.dup_replies").inc();
@@ -194,7 +195,7 @@ impl Router {
             }
             self.orphan_order.push_back(key);
         }
-        self.orphans.entry(key).or_default().push(msg);
+        self.orphans.entry(key).or_default().push((msg, arrival));
     }
 }
 
@@ -217,8 +218,8 @@ impl PumpCore {
                 r.orphans.remove(&key)
             }
         };
-        for msg in stashed.into_iter().flatten() {
-            self.route(msg, None);
+        for (msg, arrival) in stashed.into_iter().flatten() {
+            self.route(msg, arrival, None);
         }
     }
 
@@ -303,7 +304,7 @@ impl PumpCore {
         let mut progressed = false;
         while let Some(env) = self.rx.try_recv() {
             pardis_audit::chan_recv(self.reply_eps[self.thread].0);
-            self.ingest_wire(&env.wire, 0, awaiting);
+            self.ingest_wire(&env.wire, 0, env.arrival, awaiting);
             progressed = true;
         }
         progressed
@@ -324,12 +325,19 @@ impl PumpCore {
         }
         if let Some(env) = self.rx.wait_until(done, until) {
             pardis_audit::chan_recv(self.reply_eps[self.thread].0);
-            self.ingest_wire(&env.wire, 0, awaiting);
+            self.ingest_wire(&env.wire, 0, env.arrival, awaiting);
         }
     }
 
-    /// Ingest one frame that sits inside `depth` batch envelopes.
-    fn ingest_wire(&self, wire: &Wire, depth: usize, awaiting: Option<(BindingId, u64)>) {
+    /// Ingest one frame that sits inside `depth` batch envelopes and landed
+    /// at modelled time `arrival`.
+    fn ingest_wire(
+        &self,
+        wire: &Wire,
+        depth: usize,
+        arrival: f64,
+        awaiting: Option<(BindingId, u64)>,
+    ) {
         let Ok((msg, ..)) = Message::decode_traced(wire) else {
             refuse_frame();
             return;
@@ -340,7 +348,7 @@ impl PumpCore {
         if let Message::Batch(frames) = &msg {
             if batch_depth_allowed(depth) {
                 for frame in frames {
-                    self.ingest_wire(frame, depth + 1, awaiting);
+                    self.ingest_wire(frame, depth + 1, arrival, awaiting);
                 }
             }
             return;
@@ -354,10 +362,10 @@ impl PumpCore {
                 return;
             }
         }
-        self.route(msg, awaiting);
+        self.route(msg, arrival, awaiting);
     }
 
-    fn route(&self, msg: Message, awaiting: Option<(BindingId, u64)>) {
+    fn route(&self, msg: Message, arrival: f64, awaiting: Option<(BindingId, u64)>) {
         let key = match &msg {
             Message::Reply(r) => (r.binding, r.req_id),
             Message::Fragment(f) => (f.binding, f.req_id),
@@ -369,10 +377,10 @@ impl PumpCore {
             pardis_audit::access_write(&REPLY_TABLE, &self.router as *const _ as usize);
             match r.live.get(&key) {
                 Some(state) => state.clone(),
-                None => return r.stash(key, msg),
+                None => return r.stash(key, msg, arrival),
             }
         };
-        if self.transition(&state, awaiting, |inner| inner.take(msg)) {
+        if self.transition(&state, awaiting, |inner| inner.take(msg, arrival)) {
             self.rx.wake();
         }
     }
@@ -427,11 +435,15 @@ struct InvInner {
     /// A `client.invoke` trace span was opened for this invocation and is
     /// closed when the router forgets it.
     span_open: bool,
+    /// The latest modelled arrival among the frames taken in: a wait that
+    /// returns this invocation raises its thread's time there.
+    arrival: f64,
 }
 
 impl InvInner {
-    /// Take in a reply or fragment.
-    fn take(&mut self, msg: Message) {
+    /// Take in a reply or fragment that landed at `arrival`.
+    fn take(&mut self, msg: Message, arrival: f64) {
+        self.arrival = self.arrival.max(arrival);
         match msg {
             Message::Reply(r) => {
                 // A second reply copy for a still-registered invocation is
@@ -1080,7 +1092,7 @@ impl<'p> CallBuilder<'p> {
                     douts: Vec::new(),
                 },
             };
-            core.transition(&state, None, |inner| inner.take(Message::Reply(reply)));
+            core.transition(&state, None, |inner| inner.take(Message::Reply(reply), 0.0));
             return Ok(handle);
         }
 
@@ -1292,9 +1304,9 @@ struct Waiter<'a> {
 }
 
 impl Waiter<'_> {
-    /// Whether the invocation is complete; counts or uncounts this thread
-    /// in the same critical section.
-    fn complete(&mut self) -> bool {
+    /// The latest arrival among the invocation's frames if it is complete;
+    /// counts or uncounts this thread in the same critical section.
+    fn complete(&mut self) -> Option<f64> {
         let mut inner = self.state.inner.lock();
         let complete = self.state.complete_locked(&inner);
         if complete == self.counted {
@@ -1305,7 +1317,7 @@ impl Waiter<'_> {
                 inner.waiters += 1;
             }
         }
-        complete
+        complete.then_some(inner.arrival)
     }
 }
 
@@ -1380,7 +1392,9 @@ fn wait_complete(core: &PumpCore, state: &InvocationState) -> OrbResult<()> {
     let mut attempt: u32 = 0;
     let mut waiter = Waiter { state, counted: false };
     loop {
-        if waiter.complete() {
+        if let Some(arrival) = waiter.complete() {
+            // The wait returns when the last frame lands.
+            core.orb.network().raise_thread_time(core.host, arrival);
             if pardis_obs::enabled() {
                 let mut args = Vec::new();
                 if let Some(obs) = &state.obs {

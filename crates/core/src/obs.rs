@@ -40,15 +40,6 @@ impl TraceSession {
         TraceSession { orb: orb.clone() }
     }
 
-    /// Settle in-flight traffic before [`finish`]: see
-    /// [`quiesce_endpoints`]. Replaces the hand-rolled quiesce/sleep/drain
-    /// loops the e2e suites used to carry.
-    ///
-    /// [`finish`]: TraceSession::finish
-    pub fn quiesce(&self, clients: &[&ClientThread]) {
-        quiesce_endpoints(&self.orb, clients);
-    }
-
     /// Stop recording and collect everything: per-thread events plus a
     /// metrics snapshot that folds in the ORB's traffic/retransmission
     /// counters and the network's fault statistics (network-wide and per
@@ -60,14 +51,12 @@ impl TraceSession {
     }
 }
 
-/// Settle in-flight traffic: drain the transmit engine's scheduled
-/// releases, give the adapters a moment to flush retransmission
+/// Settle in-flight traffic before [`TraceSession::finish`] or a read of
+/// the fault counters: give the adapters a moment to flush retransmission
 /// by-products (duplicate replies ride the network after the client has
 /// moved on), then ingest whatever reached the given client threads'
-/// endpoints. Useful with or without an active trace session — fault
-/// counters read after this reflect a settled network.
-pub fn quiesce_endpoints(orb: &Orb, clients: &[&ClientThread]) {
-    orb.network().quiesce();
+/// endpoints.
+pub fn quiesce_endpoints(clients: &[&ClientThread]) {
     std::thread::sleep(Duration::from_millis(200));
     for client in clients {
         client.drain_pending();

@@ -87,11 +87,14 @@ impl Default for OrbConfig {
     }
 }
 
-/// A transport delivery: one wire frame.
+/// A transport delivery: one wire frame and when it landed.
 #[derive(Debug, Clone)]
 pub(crate) struct Envelope {
     /// Encoded [`Message`] frame.
     pub wire: Wire,
+    /// The frame's modelled arrival, in seconds: whoever takes the frame in
+    /// raises its thread's time to it ([`Network::raise_thread_time`]).
+    pub arrival: f64,
 }
 
 /// The receiving side of an endpoint, owned by the thread that drains it.
@@ -406,11 +409,12 @@ impl Orb {
     /// charged for, with its head, as the storage it is.
     ///
     /// Steady-state this acquires no lock: the endpoint table and the
-    /// network topology are both immutable published snapshots, and the
-    /// sender pays only the link's software overhead before returning — wire
-    /// time elapses on the link's own timeline ([`Network::transmit`]; on a
-    /// [`Network::blocking`] network the sender instead waits for the
-    /// frame's arrival and releases it inline).
+    /// network topology are both immutable published snapshots. The frame
+    /// lands in the destination's inbox, stamped with its modelled arrival,
+    /// before this returns; its sender's host pays only the link's software
+    /// overhead, and wire time elapses on the link's own timeline
+    /// ([`Network::transmit`]; on a [`Network::blocking`] network the
+    /// sender's time instead moves to the frame's arrival).
     ///
     /// The only error is an endpoint the ORB has never heard of. A frame
     /// the network drops, or one whose receiver has gone away, is
@@ -431,8 +435,8 @@ impl Orb {
         self.inner.traffic.count(wire.len());
         // `release` runs once per arriving copy. A closed inbox (its
         // receiver is gone) refuses the frame, which is then dropped.
-        self.inner.network.transmit(from_host, to_host, wire.len(), move || {
-            let _ = inbox.push(Envelope { wire: wire.clone() });
+        self.inner.network.transmit(from_host, to_host, wire.len(), move |arrival: f64| {
+            let _ = inbox.push(Envelope { wire: wire.clone(), arrival });
         });
         Ok(())
     }

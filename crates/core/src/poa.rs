@@ -140,11 +140,14 @@ struct PendingReq {
     /// frame of the request (control or fragment): the dispatch span and
     /// everything under it parents into the client's trace.
     ctx: Option<pardis_obs::TraceCtx>,
+    /// The latest modelled arrival among the frames kept: the dispatching
+    /// thread's time starts there.
+    arrival: f64,
 }
 
 impl PendingReq {
     fn new() -> Self {
-        PendingReq { control: None, frags: IdMap::default(), ctx: None }
+        PendingReq { control: None, frags: IdMap::default(), ctx: None, arrival: 0.0 }
     }
 }
 
@@ -541,22 +544,23 @@ impl Poa {
     fn pump(&mut self, block: bool) {
         let mut got_any = false;
         while let Some(env) = self.inbox.try_recv() {
-            self.handle_wire(&env.wire, 0);
+            self.handle_wire(&env.wire, 0, env.arrival);
             got_any = true;
         }
         if block && !got_any && !self.closed {
             let env = self.inbox.recv();
-            self.handle_wire(&env.wire, 0);
+            self.handle_wire(&env.wire, 0, env.arrival);
             while let Some(env) = self.inbox.try_recv() {
-                self.handle_wire(&env.wire, 0);
+                self.handle_wire(&env.wire, 0, env.arrival);
             }
         }
     }
 
-    /// Handle one frame that sits inside `depth` batch envelopes.
-    fn handle_wire(&mut self, wire: &Wire, depth: usize) {
+    /// Handle one frame that sits inside `depth` batch envelopes and landed
+    /// at modelled time `arrival`.
+    fn handle_wire(&mut self, wire: &Wire, depth: usize, arrival: f64) {
         match Message::decode_traced(wire) {
-            Ok((msg, ctx, ack_lag)) => self.handle(msg, ctx, ack_lag, depth),
+            Ok((msg, ctx, ack_lag)) => self.handle(msg, ctx, ack_lag, depth, arrival),
             // A malformed frame cannot be answered: it has no parseable
             // reply address.
             Err(_) => refuse_frame(),
@@ -569,6 +573,7 @@ impl Poa {
         ctx: Option<pardis_obs::TraceCtx>,
         ack_lag: u16,
         depth: usize,
+        arrival: f64,
     ) {
         // The sender's context is ambient while the frame is handled, so
         // reassembly instants (and any re-sent frames' transit events)
@@ -581,7 +586,7 @@ impl Poa {
             Message::Batch(frames) => {
                 if batch_depth_allowed(depth) {
                     for frame in frames {
-                        self.handle_wire(&frame, depth + 1);
+                        self.handle_wire(&frame, depth + 1, arrival);
                     }
                 }
             }
@@ -602,9 +607,10 @@ impl Poa {
                     let at = self.order.partition_point(|q| *q < queued);
                     self.order.insert(at, queued);
                     entry.control = Some(req);
+                    entry.arrival = entry.arrival.max(arrival);
                 }
             }
-            Message::Fragment(frag) => self.handle_fragment(frag, ctx, ack_lag),
+            Message::Fragment(frag) => self.handle_fragment(frag, ctx, ack_lag, arrival),
             Message::Cancel { binding, req_id } => {
                 let cancelled = self.pending.remove(&(binding, req_id));
                 if let Some(PendingReq { control: Some(req), .. }) = cancelled {
@@ -629,6 +635,7 @@ impl Poa {
         frag: FragmentMsg,
         ctx: Option<pardis_obs::TraceCtx>,
         ack_lag: u16,
+        arrival: f64,
     ) {
         if frag.dst_thread as usize != self.thread {
             refuse_frame();
@@ -666,6 +673,7 @@ impl Poa {
                 );
             }
             slot.push(frag);
+            entry.arrival = entry.arrival.max(arrival);
         }
     }
 
@@ -718,7 +726,10 @@ impl Poa {
                 blocked = Some(entity);
                 return true;
             }
-            if let Some(PendingReq { control: Some(req), frags, ctx }) = self.pending.remove(&key) {
+            if let Some(PendingReq { control: Some(req), frags, ctx, arrival }) =
+                self.pending.remove(&key)
+            {
+                self.orb.network().raise_thread_time(self.host, arrival);
                 self.dispatch(req, frags, ctx, active);
                 dispatched += 1;
             }

@@ -1,65 +1,25 @@
-//! Clock handling: time scaling for real-time injection and the network's
-//! virtual clock.
+//! Clock handling: the network's virtual clock and each thread's timeline.
 //!
-//! Both clocks store their `f64` readings as bit patterns in atomics, so the
-//! transport hot path (every frame reads the scale and advances the virtual
-//! clock) acquires no lock.
+//! Every reading is modelled seconds stored as `f64` bits in an atomic or a
+//! thread-local cell, so the transport hot path (every frame advances the
+//! virtual clock and reads the sender's timeline) acquires no lock.
 
 use crate::engine::f64_update;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// A global multiplier applied to every modelled delay before sleeping.
-///
-/// A scale of `1.0` injects delays at their modelled magnitude; `0.01` runs a
-/// sweep 100x faster while preserving every *ratio* the evaluation figures
-/// depend on; `0.0` disables sleeping entirely (pure virtual accounting).
-#[derive(Debug, Clone)]
-pub struct TimeScale {
-    scale: Arc<AtomicU64>,
-}
+/// The constructors' time parameter, from when a network could also inject
+/// scaled real time. Every network now runs on modelled time alone, so
+/// [`TimeScale::off`] is its only value; the type stays until ROADMAP item
+/// 2(b) re-bases the benchmark that still passes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TimeScale;
 
 impl TimeScale {
-    /// Create a new time scale.
-    ///
-    /// # Panics
-    /// Panics if `scale` is negative or non-finite.
-    pub fn new(scale: f64) -> Self {
-        assert!(scale.is_finite() && scale >= 0.0, "time scale must be finite and >= 0");
-        TimeScale { scale: Arc::new(AtomicU64::new(scale.to_bits())) }
-    }
-
-    /// Real-time injection at modelled magnitude.
-    pub fn realtime() -> Self {
-        TimeScale::new(1.0)
-    }
-
-    /// No sleeping at all; only virtual accounting.
+    /// Modelled time only (the only time there is).
     pub fn off() -> Self {
-        TimeScale::new(0.0)
-    }
-
-    /// Current multiplier.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.scale.load(Ordering::Acquire))
-    }
-
-    /// Change the multiplier (affects all clones).
-    pub fn set(&self, scale: f64) {
-        assert!(scale.is_finite() && scale >= 0.0, "time scale must be finite and >= 0");
-        self.scale.store(scale.to_bits(), Ordering::Release);
-    }
-
-    /// Scale a modelled duration down to the injected duration.
-    pub fn apply(&self, modelled: Duration) -> Duration {
-        modelled.mul_f64(self.get())
-    }
-}
-
-impl Default for TimeScale {
-    fn default() -> Self {
-        TimeScale::realtime()
+        TimeScale
     }
 }
 
@@ -96,4 +56,45 @@ impl VirtualClock {
     pub fn reset(&self) {
         self.bits.store(0f64.to_bits(), Ordering::Release);
     }
+}
+
+/// The calling thread's modelled time on each host of one network, indexed
+/// by host id. A thread keeps the timeline of the last network it charged
+/// or raised; touching another network starts that one afresh, so no time
+/// leaks between networks (network ids are never reused).
+struct Timeline {
+    net: u64,
+    hosts: Vec<f64>,
+}
+
+thread_local! {
+    static TIMELINE: RefCell<Timeline> = const { RefCell::new(Timeline { net: 0, hosts: Vec::new() }) };
+}
+
+/// The calling thread's time on `host` of network `net` (0 if it has none,
+/// or if the thread is past destroying its thread-locals: a frame a
+/// destructor sends then departs at its host's floor).
+pub(crate) fn thread_time(net: u64, host: u32) -> f64 {
+    let read = |t: &RefCell<Timeline>| {
+        let t = t.borrow();
+        t.hosts.get(host as usize).filter(|_| t.net == net).copied()
+    };
+    TIMELINE.try_with(read).ok().flatten().unwrap_or(0.0)
+}
+
+/// Replace the calling thread's time on `host` of network `net` by
+/// `f(time)`; past its thread-locals' destruction, do nothing.
+pub(crate) fn update_thread_time(net: u64, host: u32, f: impl FnOnce(f64) -> f64) {
+    let _ = TIMELINE.try_with(|t| {
+        let mut t = t.borrow_mut();
+        if t.net != net {
+            t.net = net;
+            t.hosts.clear();
+        }
+        let host = host as usize;
+        if t.hosts.len() <= host {
+            t.hosts.resize(host + 1, 0.0);
+        }
+        t.hosts[host] = f(t.hosts[host]);
+    });
 }

@@ -3,36 +3,37 @@
 //!
 //! A send is split in two:
 //!
-//! * the **sender** synchronously pays only the software overhead `t_o`
-//!   (figure 2's sender-side cost term), then continues computing;
+//! * the **sender** pays only the software overhead `t_o` (figure 2's
+//!   sender-side cost term) on its host's send floor, then continues
+//!   computing;
 //! * the **wire** is accounted on a per-directed-link [`Lane`] timeline:
 //!   dedicated links (ATM, loopback) let transfers overlap — a new frame can
 //!   be injected every `t_o` while earlier frames are still in flight — and
 //!   shared-medium Ethernet serialises frames in queue order.
 //!
 //! Every frame gets a deterministic departure/arrival stamp on its lane
-//! (`depart = max(lane cursor, virtual now)`, `arrival = depart + t`), the
+//! (`depart = max(lane cursor, send floor)`, `arrival = depart + t`), the
 //! network-wide virtual clock becomes the *makespan* (max arrival seen), and
-//! per-lane busy time gives link utilization. Frames are released to the
-//! destination in `(arrival, seq)` order — inline when no real time is
-//! injected, via the [`Scheduler`]'s timer thread when it is.
+//! per-lane busy time gives link utilization. A frame's [`Release`] hook
+//! runs on the sender's thread before the send returns, and is told the
+//! frame's modelled arrival: modelled time is the only time, so nothing
+//! waits for a timer.
+//!
+//! The send floor is the later of the sending host's [`LocalClock`] and the
+//! sending thread's own timeline on that host (`crate::clock`): compute a
+//! thread charged to itself delays only its own sends.
 //!
 //! A blocking sender (the paper's client that does not overlap,
-//! [`crate::Network::blocking`]) is this engine plus a wait: the frame
-//! takes its lane slot as above, then the sender's time moves to the
-//! frame's arrival and its thread sleeps through the queueing and the whole
-//! transfer before releasing the frame itself.
+//! [`crate::Network::blocking`]) is this engine plus a modelled wait: the
+//! frame takes its lane slot as above, then the sender's host floor and
+//! thread time move to the frame's arrival.
 //!
 //! All lane state is plain atomics (CAS loops over `f64` bit patterns), so a
 //! steady-state send acquires no lock.
 
 use crate::Link;
-use pardis_audit::{lock_site, AuditCondvar, AuditMutex};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use pardis_audit::{lock_site, AuditMutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Update an `f64` stored as bits in an `AtomicU64`; returns `(old, new)`.
 pub(crate) fn f64_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) -> (f64, f64) {
@@ -63,19 +64,33 @@ pub(crate) struct Slot {
 /// an arriving frame pulls it up to the frame's arrival, which is what
 /// makes a reply depart no earlier than its request arrived — causality —
 /// without serialising *independent* sends the way a global floor would.
-#[derive(Debug, Default)]
-pub(crate) struct LocalClock(AtomicU64);
+pub(crate) struct LocalClock {
+    time: AtomicU64,
+    /// Held by a blocking send from claiming the floor until the floor has
+    /// moved to the frame's arrival, so the host's blocking senders wait
+    /// for each other whatever their real-time overlap.
+    pub(crate) blocking_turn: AuditMutex<()>,
+}
+
+impl Default for LocalClock {
+    fn default() -> Self {
+        LocalClock {
+            time: AtomicU64::new(0),
+            blocking_turn: AuditMutex::new(lock_site!("netsim: blocking send turn"), ()),
+        }
+    }
+}
 
 impl LocalClock {
     /// Claim the departure floor for one send and pay `overhead_s` of
     /// sender time. Returns the floor (the host's time before the send).
     pub(crate) fn begin_send(&self, overhead_s: f64) -> f64 {
-        f64_update(&self.0, |c| c + overhead_s).0
+        f64_update(&self.time, |c| c + overhead_s).0
     }
 
     /// Fold an observed event (a frame arrival) into the host's time.
     pub(crate) fn observe(&self, at: f64) {
-        f64_update(&self.0, |c| c.max(at));
+        f64_update(&self.time, |c| c.max(at));
     }
 
     /// Charge local (non-network) time the host spent waiting or computing
@@ -83,7 +98,7 @@ impl LocalClock {
     /// time forward or a timed link-down window could never pass. Returns
     /// the host's new local reading.
     pub(crate) fn advance(&self, by_s: f64) -> f64 {
-        f64_update(&self.0, |c| c + by_s).1
+        f64_update(&self.time, |c| c + by_s).1
     }
 }
 
@@ -105,9 +120,6 @@ pub(crate) struct Lane {
     busy: AtomicU64,
     frames: AtomicU64,
     bytes: AtomicU64,
-    /// Monotone floor on real-time release stamps (micros since the
-    /// scheduler epoch), so scaled-time releases never reorder within a lane.
-    last_due_us: AtomicU64,
 }
 
 impl Lane {
@@ -142,13 +154,6 @@ impl Lane {
             busy_until_s: f64::from_bits(self.busy_until.load(Ordering::Relaxed)),
         }
     }
-
-    /// Clamp a real-time release stamp so it never precedes an earlier
-    /// frame's on this lane. Returns the effective stamp.
-    fn clamp_due_us(&self, due_us: u64) -> u64 {
-        let prev = self.last_due_us.fetch_max(due_us, Ordering::AcqRel);
-        prev.max(due_us)
-    }
 }
 
 /// Traffic summary of one directed link under the engine.
@@ -178,136 +183,22 @@ impl LinkUsage {
     }
 }
 
-/// A scheduled frame release.
-struct Pending {
-    due: Instant,
-    arrival_bits: u64,
-    seq: u64,
-    release: Arc<dyn Fn() + Send + Sync>,
+/// What runs when a frame arrives: a closure of no arguments, or one that
+/// takes the frame's modelled arrival in seconds. `Args` only tells the two
+/// apart.
+pub trait Release<Args> {
+    /// Hand over one arriving copy, which lands at `arrival_s`.
+    fn release(&self, arrival_s: f64);
 }
 
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == CmpOrdering::Equal
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    /// Reversed: the `BinaryHeap` is a max-heap and we want the earliest
-    /// `(due, arrival, seq)` on top.
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.arrival_bits.cmp(&self.arrival_bits))
-            .then_with(|| other.seq.cmp(&self.seq))
+impl<F: Fn()> Release<()> for F {
+    fn release(&self, _arrival_s: f64) {
+        self()
     }
 }
 
-#[derive(Default)]
-struct SchedulerState {
-    heap: BinaryHeap<Pending>,
-    /// Frames enqueued but not yet released (for [`Scheduler::quiesce`]).
-    inflight: usize,
-    /// Whether the timer thread is alive.
-    running: bool,
-    seq: u64,
-}
-
-/// Timer thread releasing scheduled frames in `(due, arrival, seq)` order.
-/// Engaged only when real time is injected (`TimeScale > 0`); with pure
-/// virtual accounting releases happen inline on the sender. The thread is
-/// spawned on first use and exits after an idle period, so idle networks
-/// hold no thread.
-pub(crate) struct Scheduler {
-    state: AuditMutex<SchedulerState>,
-    cv: AuditCondvar,
-    epoch: Instant,
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler {
-            state: AuditMutex::new(
-                lock_site!("netsim: engine schedule"),
-                SchedulerState::default(),
-            ),
-            cv: AuditCondvar::new(),
-            epoch: Instant::now(),
-        }
-    }
-}
-
-const IDLE_EXIT: Duration = Duration::from_millis(50);
-
-impl Scheduler {
-    /// Schedule `release` to run at `due` (real time), keeping per-lane
-    /// release order monotone.
-    pub(crate) fn enqueue(
-        self: &Arc<Self>,
-        lane: &Lane,
-        due: Instant,
-        arrival: f64,
-        release: Arc<dyn Fn() + Send + Sync>,
-    ) {
-        let due_us = due.saturating_duration_since(self.epoch).as_micros() as u64;
-        let due_us = lane.clamp_due_us(due_us);
-        let due = self.epoch + Duration::from_micros(due_us);
-        let mut st = self.state.lock();
-        st.seq += 1;
-        let seq = st.seq;
-        st.heap.push(Pending { due, arrival_bits: arrival.to_bits(), seq, release });
-        st.inflight += 1;
-        if !st.running {
-            st.running = true;
-            let sched = Arc::clone(self);
-            std::thread::Builder::new()
-                .name("pardis-netsim-engine".into())
-                .spawn(move || sched.run())
-                .expect("spawn engine timer thread");
-        }
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Block until every scheduled release has run.
-    pub(crate) fn quiesce(&self) {
-        let mut st = self.state.lock();
-        while st.inflight > 0 {
-            self.cv.wait(&mut st);
-        }
-    }
-
-    fn run(self: Arc<Self>) {
-        loop {
-            let mut st = self.state.lock();
-            let now = Instant::now();
-            let due = st.heap.peek_mut().filter(|next| next.due <= now).map(PeekMut::pop);
-            if let Some(entry) = due {
-                drop(st);
-                (entry.release)();
-                self.state.lock().inflight -= 1;
-                self.cv.notify_all();
-                continue;
-            }
-            match st.heap.peek() {
-                Some(next) => {
-                    let wait = next.due.saturating_duration_since(now);
-                    self.cv.wait_timeout(&mut st, wait);
-                }
-                None => {
-                    let notified = self.cv.wait_timeout(&mut st, IDLE_EXIT);
-                    if !notified && st.heap.is_empty() {
-                        st.running = false;
-                        return;
-                    }
-                }
-            }
-        }
+impl<F: Fn(f64)> Release<f64> for F {
+    fn release(&self, arrival_s: f64) {
+        self(arrival_s)
     }
 }

@@ -18,19 +18,23 @@
 //! ([`Network::transmit`]): the sender pays the link's software overhead,
 //! the wire time lands on a per-link timeline, and the network's
 //! [`VirtualClock`] reads the makespan — the latest arrival on any link.
-//! Two things layer on that engine:
+//! There is one clock, and it is modelled: a frame is released to its
+//! destination on the sender's thread before the send returns, told its
+//! modelled arrival, and nothing sleeps. Two things layer on that engine:
 //!
-//! * **Scaled real time**: a [`TimeScale`] above zero sleeps each modelled
-//!   delay times the scale, so real computation runs at full speed while
-//!   communication costs are injected at a rate that keeps a whole parameter
-//!   sweep under a minute. [`TimeScale::off`] injects nothing and leaves pure
-//!   virtual accounting, deterministic for tests.
+//! * **Thread timelines**: each thread has a modelled time per host it runs
+//!   on ([`Network::thread_time`]). Compute it charges
+//!   ([`Network::charge_thread`]) advances it, taking in a frame raises it
+//!   to the frame's arrival ([`Network::raise_thread_time`]), and its sends
+//!   depart no earlier than it. The host keeps a send floor of its own,
+//!   which pays every send's `t_o` and is raised by every arrival, so a
+//!   thread that charges no compute never runs ahead of its host's floor.
 //! * **Blocking senders** ([`Network::blocking`]): the paper's client that
-//!   does not overlap. A blocking send is an engine send whose sender then
-//!   waits for the frame's own arrival, so it never overlaps its own
-//!   transfers.
+//!   does not overlap. A blocking send is an engine send whose sender's
+//!   floor and thread time then move to the frame's own arrival, so it
+//!   never overlaps its own transfers.
 //!
-//! **Deterministic fault injection** works under either: a seeded
+//! **Deterministic fault injection** works under both: a seeded
 //! [`FaultPlan`] (drop probability, duplication, burst loss, timed
 //! link-down windows) attaches per link or network-wide, and `transmit`
 //! returns a [`Verdict`] the transport must honour instead of assuming

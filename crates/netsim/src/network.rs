@@ -1,6 +1,7 @@
-//! Host registry, delay injection, and the transmit engine front-end.
+//! Host registry, thread timelines, and the transmit engine front-end.
 
-use crate::engine::{Lane, LinkUsage, LocalClock, Scheduler, Slot};
+use crate::clock::{thread_time, update_thread_time};
+use crate::engine::{Lane, LinkUsage, LocalClock, Release};
 use crate::fault::{FaultState, FrameFate};
 use crate::idhash::{IdMap, IdSet};
 use crate::publish::Published;
@@ -9,7 +10,7 @@ use pardis_audit::{lock_site, AuditMutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Opaque identifier of a registered host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,18 +150,21 @@ impl Faults {
     }
 }
 
+/// Source of network ids; 0 is never issued, so it names no network.
+static NEXT_NETWORK_ID: AtomicU64 = AtomicU64::new(1);
+
 /// The simulated testbed: a set of hosts and the links joining them.
 ///
 /// Cloning a `Network` is cheap and shares all state.
 #[derive(Clone)]
 pub struct Network {
+    /// Process-unique id, shared by clones: the key of a thread's timeline.
+    id: u64,
     topo: Arc<Published<Topology>>,
     /// Serialises topology mutations (read-modify-publish).
     mutate: Arc<AuditMutex<()>>,
     /// Senders wait for their own frame's arrival ([`Network::blocking`]).
     blocking: bool,
-    sched: Arc<Scheduler>,
-    scale: TimeScale,
     clock: VirtualClock,
     /// Fast gate: false means no plan anywhere, and a send pays one
     /// relaxed load for the fault layer.
@@ -185,16 +189,16 @@ impl Default for Network {
 }
 
 impl Network {
-    /// Create an empty network with the given time scale for delay
-    /// injection. Senders overlap their transfers unless the network is
-    /// made [`Network::blocking`].
-    pub fn new(scale: TimeScale) -> Self {
+    /// Create an empty network. Senders overlap their transfers unless the
+    /// network is made [`Network::blocking`]. The [`TimeScale`] is always
+    /// [`TimeScale::off`] and is ignored; the parameter stays until ROADMAP
+    /// item 2(b).
+    pub fn new(_scale: TimeScale) -> Self {
         Network {
+            id: NEXT_NETWORK_ID.fetch_add(1, Ordering::Relaxed),
             topo: Arc::new(Published::new(Topology::empty(LinkPreset::Ethernet10.link()))),
             mutate: Arc::new(AuditMutex::new(lock_site!("netsim: topology mutation"), ())),
             blocking: false,
-            sched: Arc::new(Scheduler::default()),
-            scale,
             clock: VirtualClock::new(),
             faults_on: Arc::new(AtomicBool::new(false)),
             faults: Arc::new(AuditMutex::new(lock_site!("netsim: fault plans"), Faults::default())),
@@ -238,12 +242,13 @@ impl Network {
     }
 
     /// Make every sender on this handle block: a send takes its lane slot
-    /// exactly as on the overlapping engine, then the sender's time moves to
-    /// the frame's arrival and its thread sleeps through the queueing and
-    /// the whole transfer before releasing the frame itself. This is the
-    /// paper's client that does not overlap. A serial workload's clock is
-    /// still the sum of its transfers; concurrent blocking senders still
-    /// overlap each other, so their clock is the makespan.
+    /// exactly as on the overlapping engine, then the sender's host floor
+    /// and its thread's time move to the frame's arrival, so its next send
+    /// or compute starts after the queueing and the whole transfer. This is
+    /// the paper's client that does not overlap. A serial workload's clock
+    /// is still the sum of its transfers; concurrent blocking senders still
+    /// overlap each other, so their clock is the makespan. The wait is
+    /// modelled only: the thread does not sleep.
     pub fn blocking(mut self) -> Self {
         self.blocking = true;
         self
@@ -455,35 +460,42 @@ impl Network {
         };
     }
 
-    /// Send a frame through the event-driven transmit engine: the caller
-    /// pays only the link's software overhead `t_o` (in scaled real time);
-    /// wire latency and serialization are accounted on the per-directed-link
-    /// lane (overlapping on dedicated links, queue-ordered on a shared medium),
-    /// and `release` runs once per arriving copy — inline when no real time
-    /// is injected, from the engine's timer thread otherwise, in
-    /// `(arrival, seq)` order. On a [`Network::blocking`] network the caller
-    /// instead waits for the frame's arrival and runs `release` itself.
+    /// Send a frame through the event-driven transmit engine. The frame
+    /// departs at the send floor — the later of the sending host's floor and
+    /// the calling thread's time on that host ([`Network::thread_time`]) —
+    /// and the host floor pays the link's software overhead `t_o`; the
+    /// thread's time does not move. Wire latency and serialization are
+    /// accounted on the per-directed-link lane (overlapping on dedicated
+    /// links, queue-ordered on a shared medium). `release` runs once per
+    /// arriving copy on the calling thread before `transmit` returns; a
+    /// `Fn(f64)` release is told the copy's modelled arrival. On a
+    /// [`Network::blocking`] network the sender's floor and thread time
+    /// then move to the frame's arrival.
     ///
     /// The fault verdict is drawn from a seeded per-link schedule at enqueue
     /// time, with down windows judged at the frame's modelled arrival. A
     /// dropped frame still occupies the wire; a duplicated frame occupies it
     /// twice and `release` runs twice. The virtual clock advances to the
     /// frame's arrival (makespan semantics).
-    pub fn transmit(
+    pub fn transmit<A>(
         &self,
         from: HostId,
         to: HostId,
         bytes: usize,
-        release: impl Fn() + Send + Sync + 'static,
+        release: impl Release<A>,
     ) -> Verdict {
         let topo = self.topo.read();
         let link = topo.link_between(from, to);
         let lane = topo.lane(from, to, &link);
-        // The sender's local time floors the departure (a reply cannot leave
+        // The sender's host time floors the departure (a reply cannot leave
         // before its request arrived) and advances by `t_o` — the sender-side
-        // share of the transfer.
+        // share of the transfer. The sending thread's own time floors it
+        // too: compute it charged delays its sends, and no one else's.
         let sender = &topo.locals[&from];
-        let base = sender.begin_send(link.overhead_s);
+        // A blocking send holds its host's turn until the floor has moved
+        // to its arrival (released before `release` runs, which may send).
+        let turn = self.blocking.then(|| sender.blocking_turn.lock());
+        let base = sender.begin_send(link.overhead_s).max(thread_time(self.id, from.0));
         let slot = lane.reserve(&link, bytes, base);
         topo.locals[&to].observe(slot.arrival);
         self.clock.advance_to(slot.arrival);
@@ -528,59 +540,25 @@ impl Network {
             // duplicated): queueing plus the whole transfer.
             let arrival = dup_slot.unwrap_or(slot).arrival;
             sender.observe(arrival);
-            self.sleep_scaled(arrival - base);
-        } else {
-            // The sender's synchronous share: the software overhead only.
-            self.sleep_scaled(link.overhead_s);
+            self.raise_thread_time(from, arrival);
         }
+        drop(turn);
         match (fate, dup_slot) {
-            (FrameFate::Delivered, _) => self.dispatch(lane, &link, slot, release),
+            (FrameFate::Delivered, _) => release.release(slot.arrival),
             (FrameFate::Duplicated, Some(dup_slot)) => {
-                let release = Arc::new(release);
-                let copy = release.clone();
-                self.dispatch(lane, &link, slot, move || copy());
-                self.dispatch(lane, &link, dup_slot, move || release());
+                release.release(slot.arrival);
+                release.release(dup_slot.arrival);
             }
             _ => {}
         }
         fate.verdict()
     }
 
-    /// Hand one arriving copy to its release hook: inline under pure
-    /// virtual accounting or for a blocking sender (which has already
-    /// waited for the arrival), through the timer thread otherwise (the
-    /// wire share of the transfer, `t - t_o`, elapses off the sender's
-    /// thread — that is the overlap). Only a hook that waits for the timer
-    /// is boxed.
-    fn dispatch(
-        &self,
-        lane: &Lane,
-        link: &Link,
-        slot: Slot,
-        release: impl Fn() + Send + Sync + 'static,
-    ) {
-        let wire = self.scale.apply(Duration::from_secs_f64((slot.t - link.overhead_s).max(0.0)));
-        if self.blocking || wire.is_zero() {
-            release();
-        } else {
-            self.sched.enqueue(lane, Instant::now() + wire, slot.arrival, Arc::new(release));
-        }
-    }
-
-    /// Sleep the calling thread for `modelled_s` seconds times the scale.
-    fn sleep_scaled(&self, modelled_s: f64) {
-        let d = self.scale.apply(Duration::from_secs_f64(modelled_s));
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
-    }
-
-    /// Block until every frame the engine scheduled for timed release has
-    /// been handed over (no-op under pure virtual accounting or on a
-    /// [`Network::blocking`] network).
-    pub fn quiesce(&self) {
-        self.sched.quiesce();
-    }
+    /// Wait until every frame sent so far has been handed over. Every frame
+    /// is released before its send returns, so there is nothing to wait
+    /// for: this is a no-op, kept until ROADMAP item 2(b) re-bases the
+    /// benchmark that still calls it.
+    pub fn quiesce(&self) {}
 
     /// Charge local (non-network) time on one host's virtual timeline —
     /// waiting or computing that delays its next send. The reliability
@@ -593,6 +571,29 @@ impl Network {
         // it here makes the charge visible to virtual-clock observers (trace
         // timestamps, the backoff instant's measured wait) right away.
         self.clock.advance_to(local_now);
+    }
+
+    /// Charge `d` of modelled compute to the calling thread's timeline on
+    /// `host`: its next send from `host` departs no earlier than the end of
+    /// that compute. Other threads' sends, and the host's floor, do not
+    /// move.
+    pub fn charge_thread(&self, host: HostId, d: Duration) {
+        update_thread_time(self.id, host.0, |t| t + d.as_secs_f64());
+    }
+
+    /// The calling thread's modelled time on `host`, in seconds: the latest
+    /// arrival it has been raised to plus the compute charged since. A
+    /// thread that has neither reads 0; its sends depart at the host floor.
+    pub fn thread_time(&self, host: HostId) -> f64 {
+        thread_time(self.id, host.0)
+    }
+
+    /// Raise the calling thread's time on `host` to at least `at_s` — the
+    /// arrival of a frame it has just taken in (a dispatched request, or the
+    /// reply a wait returned), so that the compute it charges next starts
+    /// there.
+    pub fn raise_thread_time(&self, host: HostId, at_s: f64) {
+        update_thread_time(self.id, host.0, |t| t.max(at_s));
     }
 
     /// Per-directed-link engine usage (frames, bytes, busy time, timeline
@@ -678,11 +679,6 @@ impl Network {
     /// The network-wide virtual clock (the makespan).
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
-    }
-
-    /// The time scale used for real-time injection.
-    pub fn time_scale(&self) -> &TimeScale {
-        &self.scale
     }
 
     /// Relative compute speed of a host's processors.

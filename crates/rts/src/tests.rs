@@ -102,14 +102,14 @@ fn repeated_barriers_do_not_deadlock() {
     });
 }
 
-/// `World::run` with rank 1 panicking while ranks 0 and 2 block in `wait`,
-/// on a watchdog thread: its panic message, or `None` when it has not
-/// panicked within 10 s.
-fn run_with_a_failing_rank(wait: fn(&Rank)) -> Option<String> {
+/// `World::run` over `size` ranks with rank 1 panicking while the others
+/// block in `wait`, on a watchdog thread: its panic message, or `None` when
+/// it has not panicked within 10 s.
+fn run_with_a_failing_rank(size: usize, wait: fn(&Rank)) -> Option<String> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let outcome = std::panic::catch_unwind(|| {
-            World::run(3, |rank| {
+            World::run(size, |rank| {
                 if rank.rank() == 1 {
                     // Most likely the others are parked by now; if not,
                     // they enter the wait after the panic, which must fail
@@ -138,8 +138,39 @@ fn a_panicking_rank_fails_its_world_instead_of_hanging_it() {
         rank.recv(Some(1), 7);
     }
     for (what, wait) in [("barrier", in_barrier as fn(&Rank)), ("recv", in_recv)] {
-        let msg = run_with_a_failing_rank(wait)
+        let msg = run_with_a_failing_rank(3, wait)
             .unwrap_or_else(|| panic!("World::run hung with its peers in {what}"));
+        assert!(
+            msg.contains("rank 1: rank 1 fails"),
+            "{what}: run re-raises rank 1's panic: {msg}"
+        );
+    }
+}
+
+/// Window waits fail with the world too: on a networked two-rank world,
+/// rank 0 parked for a put notification, or for rank 1's turn of a
+/// collective round, panics when rank 1 does, and `run` re-raises rank 1's
+/// panic.
+#[test]
+fn a_panicking_rank_fails_window_waits_instead_of_hanging_them() {
+    fn networked(rank: &Rank) -> &crate::Windows {
+        let net = pardis_netsim::Network::new(pardis_netsim::TimeScale::off());
+        let hosts = vec![net.add_host("h0"), net.add_host("h1")];
+        let windows = rank.windows();
+        windows.shared().attach(net, hosts);
+        windows
+    }
+    fn in_wait_notify(rank: &Rank) {
+        networked(rank).wait_notify(5);
+    }
+    fn in_turn(rank: &Rank) {
+        let windows = networked(rank);
+        // Rank 1 issues first; rank 0 waits for its pass.
+        windows.in_turn(windows.collective_window_base(), || ());
+    }
+    for (what, wait) in [("wait_notify", in_wait_notify as fn(&Rank)), ("in_turn", in_turn)] {
+        let msg = run_with_a_failing_rank(2, wait)
+            .unwrap_or_else(|| panic!("World::run hung with rank 0 in {what}"));
         assert!(
             msg.contains("rank 1: rank 1 fails"),
             "{what}: run re-raises rank 1's panic: {msg}"
@@ -537,10 +568,10 @@ mod windows {
         assert_eq!(w0.window_len(id), Err(RtsError::UnknownWindow(id)));
     }
 
-    /// Zero-length gets and zero-length spans read no bytes, inline and
-    /// when the owner serves them on the engine's timer thread. The
-    /// networked case runs on a helper thread, so a panic there fails by
-    /// timeout instead of hanging the suite.
+    /// Zero-length gets and zero-length spans read no bytes, with no
+    /// network and when the owner serves them over one. The networked case
+    /// runs on a helper thread, so a panic there fails by timeout instead
+    /// of hanging the suite.
     #[test]
     fn empty_gets_read_nothing() {
         let reads = |ranks: &[Rank]| {
@@ -561,26 +592,24 @@ mod windows {
 
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let net = Network::new(TimeScale::new(1.0));
+            let net = Network::new(TimeScale::off());
             let h: Vec<_> = (0..2).map(|r| net.add_host(&format!("h{r}"))).collect();
             net.set_default_link(LinkPreset::AtmOc3.link());
             let (world, ranks) = World::new(2);
-            world.attach_network(net.clone(), h);
-            let got = reads(&ranks);
-            net.quiesce();
-            done.send(got).expect("test thread waits");
+            world.attach_network(net, h);
+            done.send(reads(&ranks)).expect("test thread waits");
         });
         let got = finished.recv_timeout(Duration::from_secs(30)).expect("the owner served them");
-        assert_eq!(got, want, "served on the timer thread");
+        assert_eq!(got, want, "served over the network");
     }
 
-    /// Over a network that duplicates every frame, in scaled real time: a
-    /// duplicated request frame does not take a second planned get, and
-    /// the last get, which withdraws the window at its lookup, still reads
-    /// the bytes it resolved when its request lands.
+    /// Over a network that duplicates every frame: a duplicated request
+    /// frame does not take a second planned get, and the last get, which
+    /// withdraws the window at its lookup, still reads the bytes it
+    /// resolved when its request lands.
     #[test]
     fn planned_gets_are_counted_at_lookup_not_at_delivery() {
-        let net = Network::new(TimeScale::new(1.0));
+        let net = Network::new(TimeScale::off());
         let h: Vec<_> = (0..3).map(|r| net.add_host(&format!("h{r}"))).collect();
         net.set_default_link(LinkPreset::AtmOc3.link());
         net.set_fault_plan(Some(pardis_netsim::FaultPlan::new(7).with_dup(1.0)));
@@ -591,12 +620,10 @@ mod windows {
         let id = WindowId { owner: 0, base: 0 };
         let first = ranks[1].windows().get_nb(id, 8, 8).expect("first planned get");
         assert_eq!(&first.wait()[..], &[8, 9, 10, 11, 12, 13, 14, 15]);
-        net.quiesce();
         assert_eq!(w0.window_len(id), Ok(32), "duplicates took no planned get");
         let last = ranks[2].windows().get_nb(id, 0, 4).expect("last planned get");
         assert_eq!(w0.window_len(id), Err(RtsError::UnknownWindow(id)));
         assert_eq!(&last.wait()[..], &[0, 1, 2, 3]);
-        net.quiesce();
     }
 
     /// On a networked world a collective round's turns run from the
@@ -669,7 +696,6 @@ mod windows {
                     scope.spawn(move || run(&rank));
                 }
             });
-            net.quiesce();
             net.makespan()
         };
         let sent = makespan(&|rank| match rank.rank() {

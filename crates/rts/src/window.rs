@@ -62,7 +62,7 @@ use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue, AuditRwLock}
 use pardis_netsim::{HostId, Network, Published};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Identifier of an exposed window: the owning rank plus the window's base
@@ -205,17 +205,20 @@ impl Turn {
         }
     }
 
-    fn wait(&self, want: u64) {
+    /// Wait until the turn is `want`, or until `failed` names a rank
+    /// (which [`WindowShared::poison`] wakes this wait for).
+    fn wait(&self, want: u64, failed: &OnceLock<usize>) {
         let spin_until = Instant::now() + TURN_SPIN;
-        while self.at.load(Ordering::Acquire) != want {
+        while self.at.load(Ordering::Acquire) != want && failed.get().is_none() {
             if Instant::now() < spin_until {
                 std::hint::spin_loop();
                 continue;
             }
             let mut guard = self.lock.lock();
-            // Re-checked under the lock: a passer that stores after this
-            // check takes the lock after this waiter has parked.
-            while self.at.load(Ordering::Acquire) != want {
+            // Re-checked under the lock: a passer (or a poisoner) that
+            // stores after this check takes the lock after this waiter has
+            // parked.
+            while self.at.load(Ordering::Acquire) != want && failed.get().is_none() {
                 self.wake.wait(&mut guard);
             }
             return;
@@ -251,6 +254,8 @@ pub struct WindowShared {
     net: Published<Option<NetBinding>>,
     ranks: Vec<RankState>,
     turn: Turn,
+    /// The first rank of the owning world whose thread panicked.
+    poisoned: OnceLock<usize>,
 }
 
 impl WindowShared {
@@ -268,7 +273,36 @@ impl WindowShared {
                 })
                 .collect(),
             turn: Turn::new(),
+            poisoned: OnceLock::new(),
         })
+    }
+
+    /// The rank that poisoned the world, if one has.
+    pub(crate) fn poisoned(&self) -> Option<usize> {
+        self.poisoned.get().copied()
+    }
+
+    /// Rank `rank` panicked: fail every wait on this state from now on — a
+    /// turn, a fence, a notification — as the world's receives and barrier
+    /// fail. The first rank to fail is the one named. Each wait checks the
+    /// mark under the lock it parks with, and each lock is taken here
+    /// before its waiters are woken, so none sleeps through it.
+    pub(crate) fn poison(&self, rank: usize) {
+        let _ = self.poisoned.set(rank);
+        drop(self.turn.lock.lock());
+        self.turn.wake.notify_all();
+        for rs in &self.ranks {
+            drop(rs.inflight.lock());
+            rs.drained.notify_all();
+            rs.notices.wake();
+        }
+    }
+
+    /// Panic on rank `me`'s behalf if the world is poisoned.
+    pub(crate) fn check(&self, me: usize) {
+        if let Some(failed) = self.poisoned() {
+            panic!("rank {me}: the world is poisoned: rank {failed} panicked");
+        }
     }
 
     /// Bind the world to a modelled network: `hosts[r]` is the host rank `r`
@@ -513,6 +547,9 @@ impl Windows {
     /// time does not depend on thread timing, and rank 0 runs last. Without
     /// a network it runs at once. Collective: every rank of the round must
     /// call it, after a rendezvous that opened the round.
+    ///
+    /// # Panics
+    /// Panics if a rank of a `World::run` world has panicked.
     pub fn in_turn<R>(&self, base: u64, issue: impl FnOnce() -> R) -> R {
         if self.shared.net.read().is_none() {
             return issue();
@@ -520,7 +557,8 @@ impl Windows {
         debug_assert_eq!(base % COLL_WINDOW_STRIDE, 0, "turns are keyed by collective bases");
         let (turn, place) = (&self.shared.turn, (self.shared.size - 1 - self.rank) as u64);
         if place > 0 {
-            turn.wait(base + place);
+            turn.wait(base + place, &self.shared.poisoned);
+            self.shared.check(self.rank);
         }
         let out = issue();
         turn.pass(base + place + 1);
@@ -697,6 +735,9 @@ impl Windows {
     /// Block until every operation this rank initiated has delivered
     /// (puts landed, gets replied). The one-sided analogue of `MPI_Win_fence`
     /// restricted to the origin side.
+    ///
+    /// # Panics
+    /// Panics if a rank of a `World::run` world has panicked.
     pub fn fence(&self) {
         if pardis_obs::enabled() {
             pardis_obs::counter("rts.win.fences").inc();
@@ -704,9 +745,11 @@ impl Windows {
         let _span = pardis_obs::Span::open("rts", "rts.win.fence", None, Vec::new());
         let rs = &self.shared.ranks[self.rank];
         let mut n = rs.inflight.lock();
-        while *n > 0 {
+        while *n > 0 && self.shared.poisoned().is_none() {
             rs.drained.wait(&mut n);
         }
+        drop(n);
+        self.shared.check(self.rank);
     }
 
     /// Operations initiated by this rank still in flight.
@@ -715,8 +758,20 @@ impl Windows {
     }
 
     /// Block until a delivery [`Notice`] with `tag` arrives at this rank.
+    ///
+    /// # Panics
+    /// Panics if a rank of a `World::run` world has panicked.
     pub fn wait_notify(&self, tag: u64) -> Notice {
-        self.shared.ranks[self.rank].notices.wait(|n| n.tag == tag)
+        let shared = &self.shared;
+        loop {
+            // Without a deadline the wait ends with a notice, or with a
+            // poisoned world, which panics.
+            let failed = || shared.poisoned().is_some();
+            match shared.ranks[self.rank].notices.wait_until(|n| n.tag == tag, failed, None) {
+                Some(notice) => return notice,
+                None => shared.check(self.rank),
+            }
+        }
     }
 }
 

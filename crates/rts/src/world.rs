@@ -6,7 +6,7 @@ use bytes::Bytes;
 use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue};
 use pardis_netsim::{HostId, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-rank mailbox with unordered tag matching (like an MPI receive queue).
@@ -23,10 +23,9 @@ struct WorldInner {
     mailboxes: Vec<Mailbox>,
     barrier: Barrier,
     /// One-sided window state shared by all ranks; also holds the optional
-    /// modelled-network binding consulted by [`Rank::send`].
+    /// modelled-network binding consulted by [`Rank::send`], and the mark of
+    /// the first rank whose closure in [`World::run`] panicked.
     windows: Arc<WindowShared>,
-    /// The first rank whose closure in [`World::run`] panicked.
-    poisoned: OnceLock<usize>,
 }
 
 impl WorldInner {
@@ -36,29 +35,18 @@ impl WorldInner {
         let _ = self.mailboxes[to].push(msg);
     }
 
-    /// The rank that poisoned the world, if one has.
-    fn poisoned(&self) -> Option<usize> {
-        self.poisoned.get().copied()
-    }
-
-    /// Rank `rank` panicked: fail every receive and barrier of the world
-    /// from now on. The first rank to fail is the one named. Waiters check
-    /// the mark under the lock they park with, and each lock is taken here
-    /// before its waiters are woken, so none sleeps through it.
+    /// Rank `rank` panicked: fail every receive, barrier and window wait of
+    /// the world from now on. The first rank to fail is the one named.
+    /// Waiters check the mark under the lock they park with, and each lock
+    /// is taken here before its waiters are woken, so none sleeps through
+    /// it.
     fn poison(&self, rank: usize) {
-        let _ = self.poisoned.set(rank);
+        self.windows.poison(rank);
         for mailbox in &self.mailboxes {
             mailbox.wake();
         }
         drop(self.barrier.state.lock());
         self.barrier.released.notify_all();
-    }
-
-    /// Panic on `me`'s behalf if the world is poisoned.
-    fn check(&self, me: usize) {
-        if let Some(failed) = self.poisoned() {
-            panic!("rank {me}: the world is poisoned: rank {failed} panicked");
-        }
     }
 }
 
@@ -103,7 +91,6 @@ impl World {
                 released: AuditCondvar::new(),
             },
             windows: windows.clone(),
-            poisoned: OnceLock::new(),
         });
         let ranks = (0..size)
             .map(|r| Rank {
@@ -120,9 +107,10 @@ impl World {
     /// results in rank order.
     ///
     /// A rank that panics poisons the world: every rank blocked in, or
-    /// later entering, a receive or barrier of it panics too, naming the
-    /// failed rank, and `run` panics with the first rank's message once
-    /// every thread has ended.
+    /// later entering, a receive, barrier, window turn, fence or
+    /// notification wait of it panics too, naming the failed rank, and
+    /// `run` panics with the first rank's message once every thread has
+    /// ended.
     pub fn run<R, F>(size: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -143,7 +131,7 @@ impl World {
                 .collect();
             handles.into_iter().map(|h| h.join()).collect()
         });
-        if let Some(failed) = world.inner.poisoned() {
+        if let Some(failed) = world.inner.windows.poisoned() {
             let payload = results.into_iter().nth(failed).and_then(Result::err);
             let msg = payload.as_ref().and_then(|p| {
                 p.downcast_ref::<&str>().copied().or(p.downcast_ref::<String>().map(String::as_str))
@@ -281,13 +269,13 @@ impl Rank {
 
     fn recv_until(&self, from: Option<usize>, tag: u64, deadline: Option<Instant>) -> Option<Msg> {
         let world = &self.world;
-        world.check(self.rank);
+        world.windows.check(self.rank);
         let msg = self.mailbox().wait_until(
             |m| m.matches(from, tag),
-            || world.poisoned().is_some(),
+            || world.windows.poisoned().is_some(),
             deadline,
         );
-        world.check(self.rank);
+        world.windows.check(self.rank);
         msg
     }
 
@@ -323,7 +311,7 @@ impl Rank {
         // barriers interleave correctly with the message-based collectives.
         self.coll_seq.fetch_add(1, Ordering::Relaxed);
         let b = &self.world.barrier;
-        self.world.check(self.rank);
+        self.world.windows.check(self.rank);
         let mut state = b.state.lock();
         let gen = state.1;
         state.0 += 1;
@@ -332,12 +320,12 @@ impl Rank {
             state.1 = state.1.wrapping_add(1);
             b.released.notify_all();
         } else {
-            while state.1 == gen && self.world.poisoned().is_none() {
+            while state.1 == gen && self.world.windows.poisoned().is_none() {
                 b.released.wait(&mut state);
             }
         }
         drop(state);
-        self.world.check(self.rank);
+        self.world.windows.check(self.rank);
     }
 
     /// Broadcast from `root`: the root passes `Some(data)`, everyone gets the

@@ -10,18 +10,19 @@
 //! paper's listing: `_spmd_bind` both solvers, non-blocking `solve_nb` on
 //! the remote iterative solver, blocking `solve` on the local direct one,
 //! then read the future. Run in distributed-servers and same-server mode
-//! and compare the totals.
+//! and compare the totals, in modelled seconds: the solvers charge their
+//! flops at the testbed's mid-90s speeds to the netsim clock.
 
 use pardis::core::{ClientGroup, DSequence, Distribution, Orb};
 use pardis::generated::solvers::{DirectProxy, IterativeProxy};
 use pardis::netsim::{Network, TimeScale};
 use pardis::rts::{MpiRts, Rts, World};
+use pardis_apps::figures::FIG2_FLOPS;
 use pardis_apps::solvers::{
     compute_difference, gen_system, spawn_combined_server, spawn_direct_server,
-    spawn_iterative_server,
+    spawn_iterative_server, ComputePace,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 const CLIENT_THREADS: usize = 2;
 
@@ -38,7 +39,12 @@ fn run_client(orb: &Orb, host: pardis::netsim::HostId, a: &[Vec<f64>], b: &[f64]
         let a_ds = DSequence::distribute(a, Distribution::Block, CLIENT_THREADS, t);
         let b_ds = DSequence::distribute(b, Distribution::Block, CLIENT_THREADS, t);
 
-        let start = Instant::now();
+        // Start together, once everything sent before has landed.
+        let net = orb.network();
+        rts.barrier();
+        let start = net.makespan();
+        rts.barrier();
+        net.raise_thread_time(host, start);
         let tolerance = 0.000_001;
         // Non-blocking request to the (remote) iterative solver...
         let x1 =
@@ -47,7 +53,7 @@ fn run_client(orb: &Orb, host: pardis::netsim::HostId, a: &[Vec<f64>], b: &[f64]
         let (x2_real,) = d_solver.solve(&a_ds, &b_ds, Distribution::Block).expect("solve");
         // Reading the future blocks until the result is delivered.
         let x1_real = x1.x.get().expect("future");
-        let elapsed = start.elapsed().as_secs_f64();
+        let elapsed = net.thread_time(host) - start;
         let difference = compute_difference(&x1_real, &x2_real, Some(rts.as_ref()));
         (elapsed, difference)
     });
@@ -57,30 +63,32 @@ fn run_client(orb: &Orb, host: pardis::netsim::HostId, a: &[Vec<f64>], b: &[f64]
 
 fn main() {
     let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(300);
-    // The paper's testbed: HOST_1 (4-node) and HOST_2 (10-node) over a
-    // dedicated ATM link; delays injected at 1/50 scale for a quick demo.
-    let net = Network::paper_atm_testbed(TimeScale::new(0.02));
+    // The paper's testbed: HOST_1 (4-node) and HOST_2 (10-node, 1.8x
+    // faster processors) over a dedicated ATM link.
+    let net = Network::paper_atm_testbed(TimeScale::off());
     let h1 = net.host_by_name("HOST_1").unwrap();
     let h2 = net.host_by_name("HOST_2").unwrap();
+    let pace = |host, flops_per_sec| Some(ComputePace { net: net.clone(), host, flops_per_sec });
     let (a, b) = gen_system(n, 42);
 
     // Distributed-servers mode: direct on HOST_1, iterative on HOST_2.
     let orb = Orb::new(net.clone());
-    let direct = spawn_direct_server(&orb, h1, "direct_solver", 4);
-    let iterative = spawn_iterative_server(&orb, h2, "itrt_solver", 8);
+    let direct = spawn_direct_server(&orb, h1, "direct_solver", 4, pace(h1, FIG2_FLOPS));
+    let iterative = spawn_iterative_server(&orb, h2, "itrt_solver", 8, pace(h2, FIG2_FLOPS * 1.8));
     let (t_diff, delta) = run_client(&orb, h1, &a, &b);
     println!("N = {n}");
-    println!("  different servers : {t_diff:8.3} s   (methods agree to {delta:.2e})");
+    println!("  different servers : {t_diff:8.3} modelled s   (methods agree to {delta:.2e})");
     direct.shutdown();
     iterative.shutdown();
 
     // Same-server mode: both objects on one HOST_1 server — "switching
     // requires only a change of the host name" (§4.1); here it is one
     // launcher call.
-    let orb = Orb::new(net);
-    let combined = spawn_combined_server(&orb, h1, "direct_solver", "itrt_solver", 4);
+    let orb = Orb::new(net.clone());
+    let combined =
+        spawn_combined_server(&orb, h1, "direct_solver", "itrt_solver", 4, pace(h1, FIG2_FLOPS));
     let (t_same, delta) = run_client(&orb, h1, &a, &b);
-    println!("  same server       : {t_same:8.3} s   (methods agree to {delta:.2e})");
+    println!("  same server       : {t_same:8.3} modelled s   (methods agree to {delta:.2e})");
     combined.shutdown();
 
     println!(

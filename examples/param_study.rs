@@ -26,8 +26,8 @@ fn main() {
     let tolerances = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10];
 
     let (orb, host) = Orb::single_host();
-    let direct = spawn_direct_server(&orb, host, "direct_solver", 2);
-    let iterative = spawn_iterative_server(&orb, host, "itrt_solver", 4);
+    let direct = spawn_direct_server(&orb, host, "direct_solver", 2, None);
+    let iterative = spawn_iterative_server(&orb, host, "itrt_solver", 4, None);
 
     let (a, b) = gen_system(n, 7);
     println!("parameter study over {} tolerances, {n}x{n} system", tolerances.len());

@@ -23,7 +23,7 @@ fn main() {
     //    object "direct_solver". The launcher spawns the threads, attaches
     //    each to the ORB, activates the generated skeleton and enters
     //    impl_is_ready().
-    let server = spawn_direct_server(&orb, host, "direct_solver", 2);
+    let server = spawn_direct_server(&orb, host, "direct_solver", 2, None);
 
     // 3. A parallel client: 2 computing threads acting as one entity.
     let n = 64;

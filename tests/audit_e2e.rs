@@ -88,7 +88,7 @@ fn chaos_workload_under_audit_reports_zero_findings() {
         let reply = proxy.call("bump").arg(&i).invoke().unwrap();
         assert_eq!(reply.scalar::<i64>(0).unwrap(), 2 * i);
     }
-    pardis::core::quiesce_endpoints(&orb, &[&client]);
+    pardis::core::quiesce_endpoints(&[&client]);
     group.shutdown();
     server.join().unwrap();
     assert_eq!(hits.load(Ordering::SeqCst), 40, "at-most-once under chaos");

@@ -124,7 +124,7 @@ fn counting_workload_with(
     // a duplicated request may still be queued at the server after the last
     // invocation returned, and its (suppressed) cached reply rides the
     // network after the client has already moved on.
-    pardis::core::quiesce_endpoints(&orb, &[&client]);
+    pardis::core::quiesce_endpoints(&[&client]);
     let stats = orb.network().fault_stats();
     let retransmits = orb.retransmits();
     // Lift the faults before shutdown so the Close frame cannot be lost.
@@ -229,8 +229,8 @@ fn solvers_metaapplication_survives_chaos() {
     orb.set_retry_base(Duration::from_millis(5));
     orb.set_retry_seed(0x501_13B5);
 
-    let direct = spawn_direct_server(&orb, h1, "direct_chaos", 2);
-    let iterative = spawn_iterative_server(&orb, h2, "itrt_chaos", 3);
+    let direct = spawn_direct_server(&orb, h1, "direct_chaos", 2, None);
+    let iterative = spawn_iterative_server(&orb, h2, "itrt_chaos", 3, None);
 
     let n = 48;
     let (a, b) = gen_system(n, 11);
@@ -470,7 +470,6 @@ fn merged_control_frames_keep_at_most_once_under_loss() {
         assert_eq!(x.local(), DSequence::distribute(&want, Distribution::Block, 2, t).local());
     });
     pardis::check::enforce(&chk);
-    orb.network().quiesce();
     let report = session.finish();
 
     for (t, h) in hits.iter().enumerate() {
@@ -551,7 +550,6 @@ fn acknowledged_replies_stay_within_the_pipeline_under_loss() {
             peak
         });
         pardis::check::enforce(&chk);
-        orb.network().quiesce();
         let report = session.finish();
 
         let what = format!("{strategy:?} Block -> {server_dist:?}");
@@ -609,7 +607,6 @@ fn funneled_calls_reach_every_server_thread_under_loss() {
         }
     });
     pardis::check::enforce(&chk);
-    orb.network().quiesce();
 
     for (t, h) in hits.iter().enumerate() {
         assert_eq!(h.load(Ordering::SeqCst), 3 * ROUNDS, "server thread {t} ran each call once");

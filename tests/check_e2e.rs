@@ -169,7 +169,7 @@ fn clean_full_orb_run_produces_clean_report() {
     let _g = lock();
     enable();
     let (orb, host) = Orb::single_host();
-    let server = spawn_direct_server(&orb, host, "chk_direct", 2);
+    let server = spawn_direct_server(&orb, host, "chk_direct", 2, None);
     let (a, bb) = gen_system(16, 9);
     let expect = solve_seq(&a, &bb);
 

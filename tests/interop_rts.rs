@@ -86,7 +86,7 @@ fn direct_server_over_pooma_comm() {
 #[test]
 fn mixed_rts_client_and_server() {
     let (orb, host) = Orb::single_host();
-    let server = pardis_apps::solvers::spawn_direct_server(&orb, host, "direct_rts", 2);
+    let server = pardis_apps::solvers::spawn_direct_server(&orb, host, "direct_rts", 2, None);
 
     let (a, b) = gen_system(26, 31);
     let expect = solve_seq(&a, &b);

@@ -85,7 +85,7 @@ fn futures_read_alone_leave_no_invocation_behind() {
         let future = proxy.call("double").arg(&i).invoke_nb().unwrap().scalar_future::<i64>(0);
         assert_eq!(future.get().unwrap(), 2 * i);
     }
-    session.quiesce(&[&client]);
+    pardis::core::quiesce_endpoints(&[&client]);
     let report = session.finish();
 
     assert_eq!(invoke_spans(&report, Phase::Begin, None), 1_000);
@@ -117,7 +117,7 @@ fn a_dropped_handle_is_retransmitted_until_its_reply_lands() {
     drop(lost);
     let reply = proxy.call("double").arg(&2i64).invoke().unwrap();
     assert_eq!(reply.scalar::<i64>(0).unwrap(), 4);
-    session.quiesce(&[&client]);
+    pardis::core::quiesce_endpoints(&[&client]);
     let report = session.finish();
 
     assert!(orb.retransmits() >= 1, "the down window must have forced retries");

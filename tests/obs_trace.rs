@@ -89,7 +89,7 @@ fn traced_workload_with(
     // still be in flight (nothing pumps the client endpoint between
     // invocations), and whether it lands before the snapshot would be a
     // race.
-    session.quiesce(&[&client]);
+    pardis::core::quiesce_endpoints(&[&client]);
 
     // Snapshot before lifting the fault plan — that reset would zero the
     // fault counters the report mirrors.

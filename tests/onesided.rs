@@ -320,34 +320,40 @@ fn halo_exchanges_and_pulls_interleave_on_one_networked_world() {
     assert!(exposed.is_empty(), "windows of finished rounds still exposed: {exposed:?}");
 }
 
-/// A put still in flight when its window is withdrawn lands in a
-/// buffer nobody reads: `deregister` hands back a copy, the engine's
-/// timer thread survives the landing and the network drains. The case
-/// runs on a helper thread, so a regression fails by timeout instead of
-/// hanging the suite.
+/// A put racing the withdrawal of its window either is refused (the
+/// window is gone when the put looks it up), lands before the withdrawal
+/// (`deregister` hands back its bytes) or lands after it, in a buffer
+/// nobody reads: none of the three is a crash, and the put completes. The
+/// put is released on its sender's thread, so it races the withdrawal in
+/// real time on a second thread. The case runs on a helper thread, so a
+/// regression fails by timeout instead of hanging the suite.
 #[test]
 fn a_put_landing_after_deregister_is_not_a_crash() {
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let net = Network::new(TimeScale::new(1.0));
+        let net = Network::new(TimeScale::off());
         let h0 = net.add_host("A");
         let h1 = net.add_host("B");
         net.connect(h0, h1, LinkPreset::AtmOc3.link());
         let (world, ranks) = World::new(2);
-        world.attach_network(net.clone(), vec![h0, h1]);
+        world.attach_network(net, vec![h0, h1]);
         let id = ranks[0].windows().expose(0, vec![3u8; 64]).expect("expose");
-        let put = ranks[1].windows().put_nb(id, 0, Bytes::from(vec![9u8; 64])).expect("put");
-        let bytes = ranks[0].windows().deregister(id).expect("deregister");
-        net.quiesce();
-        put.wait();
-        done.send(bytes).expect("test thread waits");
+        let (bytes, put) = std::thread::scope(|s| {
+            let put = s.spawn(|| {
+                ranks[1].windows().put_nb(id, 0, Bytes::from(vec![9u8; 64])).map(|c| c.wait())
+            });
+            let bytes = ranks[0].windows().deregister(id).expect("deregister");
+            (bytes, put.join().expect("the put does not panic"))
+        });
+        done.send((bytes, put)).expect("test thread waits");
     });
-    let bytes = finished
-        .recv_timeout(Duration::from_secs(30))
-        .expect("the late put landed and the network drained");
-    // 0.9 ms of modelled wire time at scale 1: the put is almost surely
-    // still in flight at the withdrawal, and lands after it.
+    let (bytes, put) =
+        finished.recv_timeout(Duration::from_secs(30)).expect("the put and the withdrawal finish");
     assert!(bytes == [3u8; 64] || bytes == [9u8; 64], "{bytes:?}");
+    assert!(
+        matches!(put, Ok(()) | Err(pardis::rts::RtsError::UnknownWindow(_))),
+        "the racing put ends as a landing or a refusal: {put:?}"
+    );
 }
 
 mod property {

@@ -23,8 +23,8 @@ fn atm_orb() -> (Orb, pardis::netsim::HostId, pardis::netsim::HostId) {
 #[test]
 fn paper_client_program_distributed_servers() {
     let (orb, h1, h2) = atm_orb();
-    let direct = spawn_direct_server(&orb, h1, "direct_solver", 2);
-    let iterative = spawn_iterative_server(&orb, h2, "itrt_solver", 3);
+    let direct = spawn_direct_server(&orb, h1, "direct_solver", 2, None);
+    let iterative = spawn_iterative_server(&orb, h2, "itrt_solver", 3, None);
 
     let n = 48;
     let (a, b) = gen_system(n, 11);
@@ -78,7 +78,7 @@ fn paper_client_program_distributed_servers() {
 #[test]
 fn single_client_uses_nondistributed_stub() {
     let (orb, h1, _h2) = atm_orb();
-    let server = spawn_direct_server(&orb, h1, "direct1", 3);
+    let server = spawn_direct_server(&orb, h1, "direct1", 3, None);
     let (a, b) = gen_system(30, 5);
     let expect = solve_seq(&a, &b);
 
@@ -97,7 +97,7 @@ fn combined_server_serialises_the_two_solves() {
     // The same-server configuration: both solver objects on one parallel
     // server; the two requests share its computing threads.
     let (orb, h1, _h2) = atm_orb();
-    let server = spawn_combined_server(&orb, h1, "d", "i", 2);
+    let server = spawn_combined_server(&orb, h1, "d", "i", 2, None);
     let (a, b) = gen_system(24, 8);
 
     let client = ClientGroup::create(&orb, h1, 1).attach(0, None);
@@ -122,7 +122,7 @@ fn combined_server_serialises_the_two_solves() {
 #[test]
 fn dimension_mismatch_raises_server_exception() {
     let (orb, h1, _h2) = atm_orb();
-    let server = spawn_direct_server(&orb, h1, "direct2", 2);
+    let server = spawn_direct_server(&orb, h1, "direct2", 2, None);
     let (a, _) = gen_system(10, 1);
     let b_wrong = vec![0.0; 7];
 
@@ -137,7 +137,7 @@ fn dimension_mismatch_raises_server_exception() {
 fn funneled_transfer_same_answers() {
     let (orb, h1, h2) = atm_orb();
     orb.set_transfer_strategy(pardis::core::TransferStrategy::Funneled);
-    let server = spawn_iterative_server(&orb, h2, "itrt2", 2);
+    let server = spawn_iterative_server(&orb, h2, "itrt2", 2, None);
     let (a, b) = gen_system(20, 3);
     let expect = solve_seq(&a, &b);
 

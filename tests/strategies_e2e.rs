@@ -15,7 +15,7 @@ fn run_strategy(strategy: TransferStrategy) -> (Vec<f64>, u64, u64) {
     let h2 = net.host_by_name("HOST_2").unwrap();
     let orb = Orb::new(net);
     orb.set_transfer_strategy(strategy);
-    let server = spawn_iterative_server(&orb, h2, "it", 3);
+    let server = spawn_iterative_server(&orb, h2, "it", 3, None);
 
     let (a, b) = gen_system(24, 77);
     let client = ClientGroup::create(&orb, h1, 2);

@@ -94,7 +94,6 @@ fn serial_workload(blocking: bool, calls: i64) -> (Vec<i64>, f64, f64, u64, u64)
         let reply = proxy.call("bump").arg(&i).invoke().unwrap();
         results.push(reply.scalar::<i64>(0).unwrap());
     }
-    orb.network().quiesce();
     let clock = orb.network().clock().now();
     let busy = busy_sum(orb.network());
     let (frames, bytes) = orb.traffic();
@@ -181,7 +180,6 @@ fn concurrent_workload(blocking: bool, clients: usize, calls: i64) -> (f64, f64)
         let want: Vec<_> = (0..calls).map(|i| Ok(2 * i)).collect();
         assert_eq!(replies, want);
     }
-    orb.network().quiesce();
     let clock = orb.network().clock().now();
     let busy = busy_sum(orb.network());
     assert_eq!(hits.load(Ordering::SeqCst), clients as u64 * calls as u64);
@@ -222,7 +220,6 @@ fn blocking_and_overlapping_senders_feed_the_same_lanes() {
         let b = net.add_host("b");
         net.connect(a, b, LinkPreset::AtmOc3.link());
         net.transmit(a, b, 1024, || {});
-        net.quiesce();
         let usage = net.per_link_usage();
         assert_eq!(usage.len(), 1, "blocking {blocking}");
         assert_eq!(usage[0].1.frames, 1);
