@@ -11,7 +11,7 @@
 //! `pardis_netsim`), so a point can depend on how the host's threads were
 //! scheduled. The runners keep that out where the program allows: a
 //! parallel client launches rank by rank, and an SPMD computation's ranks
-//! end their compute together ([`ComputePace::charge`]).
+//! end their compute together.
 
 use crate::pipeline::{
     run_diffusion, run_gradient_alone, spawn_gradient_server_paced, spawn_visualizer,
@@ -145,15 +145,15 @@ pub fn fig2_point(n: usize, flops_per_sec: f64) -> Fig2Point {
         let net = if blocking { net.blocking() } else { net };
         let h1 = net.host_by_name("HOST_1").expect("testbed host");
         let h2 = net.host_by_name("HOST_2").expect("testbed host");
-        let pace = |host, speed| Some(ComputePace { net: net.clone(), host, flops_per_sec: speed });
-        let paces = (pace(h1, flops_per_sec), pace(h2, flops_per_sec * 1.8));
-        (Orb::new(net), h1, h2, paces)
+        (Orb::new(net), h1, h2)
     };
+    let pace_h1 = Some(ComputePace { flops_per_sec });
+    let pace_h2 = Some(ComputePace { flops_per_sec: flops_per_sec * 1.8 });
     // Direct on HOST_1, iterative on HOST_2: each alone, then the paper's
     // client; with blocking senders (`Network::blocking`) nothing the
     // non-blocking invocation could hide is hidden.
     let distributed = |blocking: bool, cases: &[(bool, bool)]| {
-        let (orb, h1, h2, (pace_h1, pace_h2)) = testbed(blocking);
+        let (orb, h1, h2) = testbed(blocking);
         let trace = (!blocking).then(|| pardis::core::trace_from_env(&orb)).flatten();
         let direct = spawn_direct_server(&orb, h1, "direct_solver", FIG2_DIRECT_THREADS, pace_h1);
         let iterative = spawn_iterative_server(&orb, h2, "itrt_solver", FIG2_ITER_THREADS, pace_h2);
@@ -166,7 +166,7 @@ pub fn fig2_point(n: usize, flops_per_sec: f64) -> Fig2Point {
     let cases = distributed(false, &[(true, false), (false, true), (true, true)]);
     let blocking = distributed(true, &[(true, true)])[0];
     // Both objects on one HOST_1 server.
-    let (orb, h1, _, (pace_h1, _)) = testbed(false);
+    let (orb, h1, _) = testbed(false);
     let combined = spawn_combined_server(
         &orb,
         h1,
@@ -218,13 +218,13 @@ pub fn fig5_point(p: usize, steps: usize) -> Fig5Point {
         let net = if blocking { net.blocking() } else { net };
         let host = |name| net.host_by_name(name).expect("testbed host");
         let (pc, sp2, indy) = (host("SGI_PC"), host("SP2"), host("INDY"));
-        let pace = ComputePace { net: net.clone(), host: sp2, flops_per_sec: FIG5_FLOPS };
+        let pace = Some(ComputePace { flops_per_sec: FIG5_FLOPS });
         let orb = Orb::new(net.clone());
         let trace = (!blocking).then(|| pardis::core::trace_from_env(&orb)).flatten();
         let (vis_d, _) = spawn_visualizer(&orb, pc, "vis_diffusion");
         let (vis_g, _) = spawn_visualizer(&orb, indy, "vis_gradient");
         let (nx, ny, vis) = (cfg.nx, cfg.ny, Some("vis_gradient"));
-        let grad = spawn_gradient_server_paced(&orb, sp2, "fops", p, vis, nx, ny, Some(pace));
+        let grad = spawn_gradient_server_paced(&orb, sp2, "fops", p, vis, nx, ny, pace);
         let diffuse =
             |fops| run_diffusion(&orb, pc, "vis_diffusion", fops, &cfg).expect("diffusion run").0;
         let overall = diffuse(Some("fops"));

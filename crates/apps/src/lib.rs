@@ -29,12 +29,12 @@ use pardis::netsim::{HostId, Network};
 use pardis::rts::Rts;
 use std::thread::JoinHandle;
 
-/// Start a measured run on every client thread of `rts` at one modelled
-/// instant, returned: once all are ready, the moment everything sent before
-/// has landed (the makespan). The run takes the latest
-/// [`Network::thread_time`] its threads read at their last completion,
-/// minus it.
-pub(crate) fn start_case(rts: &dyn Rts, net: &Network, host: HostId) -> f64 {
+/// Start a measured run on every client thread of `rts` on `host` at one
+/// modelled instant, returned (collective): once all are ready, the moment
+/// everything sent before has landed (the makespan). The run takes the
+/// latest [`Network::thread_time`] its threads read at their last
+/// completion, minus it.
+pub fn start_case(rts: &dyn Rts, net: &Network, host: HostId) -> f64 {
     rts.barrier();
     let start = net.makespan();
     // Nobody sends until every thread has read the same instant.

@@ -19,7 +19,7 @@
 //! paper's observation that the pipeline congests once the gradient's
 //! compute time approaches the request period.
 
-use crate::solvers::ComputePace;
+use crate::solvers::{ComputePace, HostPace};
 use crate::{in_turn, start_case, ServerHandle};
 use pardis::audit::{lock_site, AuditMutex};
 use pardis::core::{ClientGroup, DSequence, DistPolicy, Orb, OrbResult, ServantCtx, ServerGroup};
@@ -91,7 +91,7 @@ pub struct GradientServant {
     vis: Option<VisualizerProxy>,
     /// Optional modelled compute speed (figure harnesses; see
     /// [`ComputePace`]).
-    pace: Option<ComputePace>,
+    pace: Option<HostPace>,
 }
 
 /// Modelled work of one gradient request: the original system's
@@ -112,18 +112,18 @@ impl FieldOperationsImpl for GradientServant {
             let flops = (self.nx * self.ny) as f64 * GRADIENT_FLOPS_PER_CELL / ctx.nthreads as f64;
             pace.charge(flops, ctx.rts.as_deref());
         }
-        if let Some(vis) = &self.vis {
-            // Launched rank by rank, as every parallel client here launches.
-            let grad = grad.to_dseq();
-            let show = match &ctx.rts {
-                Some(rts) => in_turn(rts.as_ref(), ctx.thread, || vis.show_nb(&grad)),
-                None => vis.show_nb(&grad),
-            };
-            show.and_then(|f| f.handle.wait()).map_err(|e| e.to_string())?;
-            if let Some(pace) = &self.pace {
-                // The ranks reply together, not each at its own show's end.
-                pace.sync(ctx.rts.as_deref());
+        match (&self.vis, &self.pace, &ctx.rts) {
+            (Some(vis), Some(pace), Some(rts)) => {
+                // Paced: launched rank by rank, as every parallel client of
+                // a figure launches, and the ranks reply together, not each
+                // at its own show's end.
+                let grad = grad.to_dseq();
+                let show = in_turn(rts.as_ref(), ctx.thread, || vis.show_nb(&grad));
+                show.and_then(|f| f.handle.wait()).map_err(|e| e.to_string())?;
+                pace.sync(Some(rts.as_ref()));
             }
+            (Some(vis), _, _) => vis.show(&grad.to_dseq()).map_err(|e| e.to_string())?,
+            (None, _, _) => {}
         }
         Ok(())
     }
@@ -156,6 +156,7 @@ pub fn spawn_gradient_server_paced(
     ny: usize,
     pace: Option<ComputePace>,
 ) -> ServerHandle {
+    let pace = pace.map(|pace| pace.on(orb, host));
     let group = ServerGroup::create(orb, "gradient-server", host, nthreads);
     let g = group.clone();
     let orb = orb.clone();

@@ -212,32 +212,45 @@ pub fn jacobi_solve_block(
 
 /// Models the compute speed of a mid-90s host on the netsim clock: a
 /// computing thread charges `flops / flops_per_sec` to its own timeline on
-/// `host` ([`Network::charge_thread`]), so its next send — a servant's
-/// reply — departs that much later. Nothing sleeps: concurrent threads
-/// overlap in modelled time, one thread's charges add, on any machine.
-#[derive(Debug, Clone)]
+/// its server's host ([`Network::charge_thread`]), so its next send — a
+/// servant's reply — departs that much later. Nothing sleeps: concurrent
+/// threads overlap in modelled time, one thread's charges add, on any
+/// machine. The server launchers take it and charge the network and host
+/// they launch on.
+#[derive(Debug, Clone, Copy)]
 pub struct ComputePace {
-    /// The network whose clock the compute is charged to.
-    pub net: Network,
-    /// The host the computing threads run on.
-    pub host: HostId,
     /// Modelled per-processor floating-point rate (the paper's R4400s and
     /// R8000s were tens of MFLOP/s).
     pub flops_per_sec: f64,
 }
 
 impl ComputePace {
+    /// This pace for computing threads on `host` of `orb`'s network.
+    pub(crate) fn on(self, orb: &Orb, host: HostId) -> HostPace {
+        HostPace { net: orb.network().clone(), host, flops_per_sec: self.flops_per_sec }
+    }
+}
+
+/// A [`ComputePace`] on the host a server's computing threads run on.
+#[derive(Debug, Clone)]
+pub(crate) struct HostPace {
+    net: Network,
+    host: HostId,
+    flops_per_sec: f64,
+}
+
+impl HostPace {
     /// Charge `flops` of work to the calling thread's timeline, then
-    /// [`ComputePace::sync`]: the ranks of an SPMD computation exchange data
+    /// [`HostPace::sync`]: the ranks of an SPMD computation exchange data
     /// as they go, so none finishes before the slowest.
-    pub fn charge(&self, flops: f64, rts: Option<&dyn Rts>) {
+    pub(crate) fn charge(&self, flops: f64, rts: Option<&dyn Rts>) {
         self.net.charge_thread(self.host, Duration::from_secs_f64(flops / self.flops_per_sec));
         self.sync(rts);
     }
 
-    /// Raise each rank of `rts` to the latest of their times on `host`
+    /// Raise each rank of `rts` to the latest of their times on the host
     /// (collective when `rts` has more than one rank).
-    pub fn sync(&self, rts: Option<&dyn Rts>) {
+    pub(crate) fn sync(&self, rts: Option<&dyn Rts>) {
         if let Some(rts) = rts.filter(|rts| rts.size() > 1) {
             let end = rts.all_reduce_f64(self.net.thread_time(self.host), ReduceOp::Max);
             self.net.raise_thread_time(self.host, end);
@@ -249,7 +262,7 @@ impl ComputePace {
 #[derive(Default)]
 pub struct DirectSolver {
     /// Optional modelled compute speed (see [`ComputePace`]).
-    pub pace: Option<ComputePace>,
+    pace: Option<HostPace>,
 }
 
 impl DirectImpl for DirectSolver {
@@ -287,7 +300,7 @@ pub struct IterativeSolver {
     /// Iteration cap (guards against non-convergent inputs).
     pub max_iters: usize,
     /// Optional modelled compute speed (see [`ComputePace`]).
-    pub pace: Option<ComputePace>,
+    pace: Option<HostPace>,
 }
 
 impl Default for IterativeSolver {
@@ -350,6 +363,7 @@ pub fn spawn_direct_server(
     nthreads: usize,
     pace: Option<ComputePace>,
 ) -> ServerHandle {
+    let pace = pace.map(|pace| pace.on(orb, host));
     let group = pardis::core::ServerGroup::create(orb, "direct-server", host, nthreads);
     let g = group.clone();
     let name = name.to_string();
@@ -376,6 +390,7 @@ pub fn spawn_iterative_server(
     nthreads: usize,
     pace: Option<ComputePace>,
 ) -> ServerHandle {
+    let pace = pace.map(|pace| pace.on(orb, host));
     let group = pardis::core::ServerGroup::create(orb, "iterative-server", host, nthreads);
     let g = group.clone();
     let name = name.to_string();
@@ -405,6 +420,7 @@ pub fn spawn_combined_server(
     nthreads: usize,
     pace: Option<ComputePace>,
 ) -> ServerHandle {
+    let pace = pace.map(|pace| pace.on(orb, host));
     let group = pardis::core::ServerGroup::create(orb, "combined-solver-server", host, nthreads);
     let g = group.clone();
     let dn = direct_name.to_string();

@@ -58,43 +58,46 @@ impl VirtualClock {
     }
 }
 
-/// The calling thread's modelled time on each host of one network, indexed
-/// by host id. A thread keeps the timeline of the last network it charged
-/// or raised; touching another network starts that one afresh, so no time
-/// leaks between networks (network ids are never reused).
-struct Timeline {
-    net: u64,
-    hosts: Vec<f64>,
-}
+/// The calling thread's modelled time on each host of each network it has
+/// charged or raised: one entry per network id (ids are never reused), its
+/// times indexed by host id, the network touched last first, where a send
+/// finds it in one step. Entries live as long as the thread.
+type Timelines = Vec<(u64, Vec<f64>)>;
 
 thread_local! {
-    static TIMELINE: RefCell<Timeline> = const { RefCell::new(Timeline { net: 0, hosts: Vec::new() }) };
+    static TIMELINES: RefCell<Timelines> = const { RefCell::new(Vec::new()) };
 }
 
 /// The calling thread's time on `host` of network `net` (0 if it has none,
 /// or if the thread is past destroying its thread-locals: a frame a
 /// destructor sends then departs at its host's floor).
 pub(crate) fn thread_time(net: u64, host: u32) -> f64 {
-    let read = |t: &RefCell<Timeline>| {
+    let read = |t: &RefCell<Timelines>| {
         let t = t.borrow();
-        t.hosts.get(host as usize).filter(|_| t.net == net).copied()
+        let (_, hosts) = t.iter().find(|(id, _)| *id == net)?;
+        hosts.get(host as usize).copied()
     };
-    TIMELINE.try_with(read).ok().flatten().unwrap_or(0.0)
+    TIMELINES.try_with(read).ok().flatten().unwrap_or(0.0)
 }
 
 /// Replace the calling thread's time on `host` of network `net` by
 /// `f(time)`; past its thread-locals' destruction, do nothing.
 pub(crate) fn update_thread_time(net: u64, host: u32, f: impl FnOnce(f64) -> f64) {
-    let _ = TIMELINE.try_with(|t| {
+    let _ = TIMELINES.try_with(|t| {
         let mut t = t.borrow_mut();
-        if t.net != net {
-            t.net = net;
-            t.hosts.clear();
-        }
+        let at = match t.iter().position(|(id, _)| *id == net) {
+            Some(at) => at,
+            None => {
+                t.push((net, Vec::new()));
+                t.len() - 1
+            }
+        };
+        t[..=at].rotate_right(1);
+        let hosts = &mut t[0].1;
         let host = host as usize;
-        if t.hosts.len() <= host {
-            t.hosts.resize(host + 1, 0.0);
+        if hosts.len() <= host {
+            hosts.resize(host + 1, 0.0);
         }
-        t.hosts[host] = f(t.hosts[host]);
+        hosts[host] = f(hosts[host]);
     });
 }

@@ -797,7 +797,8 @@ mod engine {
     }
 
     /// A thread's time belongs to one host of one network: it delays no
-    /// send from another host, and none on another network.
+    /// send from another host, and none on another network; working on
+    /// another network loses none of it.
     #[test]
     fn thread_time_does_not_leak_across_hosts_or_networks() {
         let link = LinkPreset::AtmOc3.link();
@@ -811,14 +812,17 @@ mod engine {
         net.transmit(b, a, 64, || {});
         assert_eq!(net.makespan(), t);
         // The same host ids on another network: untouched, and working there
-        // starts that network's timeline afresh.
+        // leaves the first network's time where it was.
         let (other, oa, ob) = engine_pair(link);
         assert_eq!(other.thread_time(oa), 0.0);
         other.transmit(oa, ob, 64, || {});
         assert_eq!(other.makespan(), t);
         other.raise_thread_time(oa, 0.5);
         assert_eq!(other.thread_time(oa), 0.5);
-        assert_eq!(net.thread_time(a), 0.0);
+        assert_eq!(net.thread_time(a), 3.0);
+        net.transmit(a, b, 64, || {});
+        assert_eq!(net.makespan(), 3.0 + t);
+        assert_eq!(other.thread_time(oa), 0.5);
     }
 
     #[test]

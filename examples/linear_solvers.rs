@@ -22,6 +22,7 @@ use pardis_apps::solvers::{
     compute_difference, gen_system, spawn_combined_server, spawn_direct_server,
     spawn_iterative_server, ComputePace,
 };
+use pardis_apps::start_case;
 use std::sync::Arc;
 
 const CLIENT_THREADS: usize = 2;
@@ -41,10 +42,7 @@ fn run_client(orb: &Orb, host: pardis::netsim::HostId, a: &[Vec<f64>], b: &[f64]
 
         // Start together, once everything sent before has landed.
         let net = orb.network();
-        rts.barrier();
-        let start = net.makespan();
-        rts.barrier();
-        net.raise_thread_time(host, start);
+        let start = start_case(rts.as_ref(), net, host);
         let tolerance = 0.000_001;
         // Non-blocking request to the (remote) iterative solver...
         let x1 =
@@ -68,13 +66,13 @@ fn main() {
     let net = Network::paper_atm_testbed(TimeScale::off());
     let h1 = net.host_by_name("HOST_1").unwrap();
     let h2 = net.host_by_name("HOST_2").unwrap();
-    let pace = |host, flops_per_sec| Some(ComputePace { net: net.clone(), host, flops_per_sec });
+    let pace = |flops_per_sec| Some(ComputePace { flops_per_sec });
     let (a, b) = gen_system(n, 42);
 
     // Distributed-servers mode: direct on HOST_1, iterative on HOST_2.
     let orb = Orb::new(net.clone());
-    let direct = spawn_direct_server(&orb, h1, "direct_solver", 4, pace(h1, FIG2_FLOPS));
-    let iterative = spawn_iterative_server(&orb, h2, "itrt_solver", 8, pace(h2, FIG2_FLOPS * 1.8));
+    let direct = spawn_direct_server(&orb, h1, "direct_solver", 4, pace(FIG2_FLOPS));
+    let iterative = spawn_iterative_server(&orb, h2, "itrt_solver", 8, pace(FIG2_FLOPS * 1.8));
     let (t_diff, delta) = run_client(&orb, h1, &a, &b);
     println!("N = {n}");
     println!("  different servers : {t_diff:8.3} modelled s   (methods agree to {delta:.2e})");
@@ -86,7 +84,7 @@ fn main() {
     // launcher call.
     let orb = Orb::new(net.clone());
     let combined =
-        spawn_combined_server(&orb, h1, "direct_solver", "itrt_solver", 4, pace(h1, FIG2_FLOPS));
+        spawn_combined_server(&orb, h1, "direct_solver", "itrt_solver", 4, pace(FIG2_FLOPS));
     let (t_same, delta) = run_client(&orb, h1, &a, &b);
     println!("  same server       : {t_same:8.3} modelled s   (methods agree to {delta:.2e})");
     combined.shutdown();

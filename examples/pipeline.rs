@@ -37,14 +37,14 @@ fn main() {
     let pc = net.host_by_name("SGI_PC").unwrap();
     let sp2 = net.host_by_name("SP2").unwrap();
     let indy = net.host_by_name("INDY").unwrap();
-    let pace = ComputePace { net: net.clone(), host: sp2, flops_per_sec: FIG5_FLOPS };
+    let pace = Some(ComputePace { flops_per_sec: FIG5_FLOPS });
     let orb = Orb::new(net);
 
     let (vis_d, stats_d) = spawn_visualizer(&orb, pc, "vis_diffusion");
     let (vis_g, stats_g) = spawn_visualizer(&orb, indy, "vis_gradient");
     let (nx, ny) = (cfg.nx, cfg.ny);
     let grad =
-        spawn_gradient_server_paced(&orb, sp2, "fops", p, Some("vis_gradient"), nx, ny, Some(pace));
+        spawn_gradient_server_paced(&orb, sp2, "fops", p, Some("vis_gradient"), nx, ny, pace);
 
     // Overall metaapplication, from the diffusion client's perspective.
     let (t_overall, checksum) =

@@ -29,16 +29,17 @@ fn fig2_overlap_beats_one_server_and_blocking_senders() {
 }
 
 /// Figure 5 at P = 1 and 2: the whole pipeline takes longer than either
-/// component alone, and blocking senders do not make it faster.
+/// component alone.
+///
+/// Figure 5's other claim, that blocking senders make the pipeline slower,
+/// is not asserted: the diffusion's stencil is charged no compute, so the
+/// gradient chain bounds both runs and the model gives them equal (ROADMAP
+/// item 15).
 #[test]
 fn fig5_overall_sits_above_both_components() {
     for procs in [1, 2] {
         let p = fig5_point(procs, 100);
         assert!(p.diffusion > 0.0 && p.gradient > 0.0, "P = {procs}: {p:?}");
         assert!(p.overall >= p.diffusion.max(p.gradient), "P = {procs}: {p:?}");
-        // The gradient chain bounds both runs, so the model gives them
-        // equal up to the order in which the diffusion host's threads took
-        // its send floor, which wanders by well under 0.5 %.
-        assert!(p.overall_blocking >= p.overall * 0.995, "P = {procs}: {p:?}");
     }
 }
