@@ -85,10 +85,7 @@ fn main() {
     report.series("disabled_chan_ns", &[disabled_chan]);
     report.series("enabled_lock_ns", &[enabled_lock]);
     report.series("enabled_access_ns", &[enabled_access]);
-    match report.write() {
-        Ok(path) => eprintln!("  wrote {}", path.display()),
-        Err(e) => eprintln!("  JSON write failed: {e}"),
-    }
+    report.write();
     report.gate_from_args();
 
     println!("#");

@@ -252,10 +252,7 @@ fn main() {
     report.series("agg_bw_shared_mbps", &agg_shared);
     report.series("fleet_rr_max_load", &fleet_rr);
     report.series("fleet_ll_max_load", &fleet_ll);
-    match report.write() {
-        Ok(path) => eprintln!("  wrote {}", path.display()),
-        Err(e) => eprintln!("  JSON write failed: {e}"),
-    }
+    report.write();
     report.gate_from_args();
 
     println!("#");

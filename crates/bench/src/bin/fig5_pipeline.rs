@@ -48,10 +48,7 @@ fn main() {
         println!("{}", row(name, &series));
         report.series(name, &series);
     }
-    match report.write() {
-        Ok(path) => eprintln!("  wrote {}", path.display()),
-        Err(e) => eprintln!("  JSON write failed: {e}"),
-    }
+    report.write();
     report.gate_from_args();
 
     println!("#");

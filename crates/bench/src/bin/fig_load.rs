@@ -167,9 +167,6 @@ fn main() {
     }
     println!("{}", row("sharded_frames", &series(|o| o.frames as f64)));
 
-    match json.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("write failed: {e}"),
-    }
+    json.write();
     json.gate_from_args();
 }

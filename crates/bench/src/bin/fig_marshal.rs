@@ -179,9 +179,6 @@ fn main() {
     for (name, vals) in &m.series {
         json.series(name, vals);
     }
-    match json.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
-    }
+    json.write();
     json.gate_from_args();
 }

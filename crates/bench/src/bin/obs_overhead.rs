@@ -79,10 +79,7 @@ fn main() {
     report.series("enabled_span_ns", &[enabled_span]);
     report.series("histogram_observe_ns", &[observe]);
     report.series("counter_inc_ns", &[count]);
-    match report.write() {
-        Ok(path) => eprintln!("  wrote {}", path.display()),
-        Err(e) => eprintln!("  JSON write failed: {e}"),
-    }
+    report.write();
     report.gate_from_args();
 
     println!("#");

@@ -1,6 +1,5 @@
 //! Shared harness utilities.
 
-use std::io;
 use std::path::PathBuf;
 
 /// Read a scale/size knob from the environment with a default, so sweeps
@@ -101,14 +100,16 @@ impl BenchJson {
         s
     }
 
-    /// Write to `results/BENCH_<id>.json` (creating `results/`), returning
-    /// the path.
-    pub fn write(&self) -> io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.id));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// Write to `results/BENCH_<id>.json` (creating `results/`), saying on
+    /// stderr where, or why not.
+    pub fn write(&self) {
+        let path = PathBuf::from("results").join(format!("BENCH_{}.json", self.id));
+        let written =
+            std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, self.to_json()));
+        match written {
+            Ok(()) => eprintln!("  wrote {}", path.display()),
+            Err(e) => eprintln!("  JSON write failed: {e}"),
+        }
     }
 
     /// Compare this report against a baseline `BENCH_*.json` text over the

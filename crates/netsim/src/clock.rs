@@ -85,14 +85,10 @@ pub(crate) fn thread_time(net: u64, host: u32) -> f64 {
 pub(crate) fn update_thread_time(net: u64, host: u32, f: impl FnOnce(f64) -> f64) {
     let _ = TIMELINES.try_with(|t| {
         let mut t = t.borrow_mut();
-        let at = match t.iter().position(|(id, _)| *id == net) {
-            Some(at) => at,
-            None => {
-                t.push((net, Vec::new()));
-                t.len() - 1
-            }
-        };
-        t[..=at].rotate_right(1);
+        match t.iter().position(|(id, _)| *id == net) {
+            Some(at) => t[..=at].rotate_right(1),
+            None => t.insert(0, (net, Vec::new())),
+        }
         let hosts = &mut t[0].1;
         let host = host as usize;
         if hosts.len() <= host {

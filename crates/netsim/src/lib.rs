@@ -23,7 +23,8 @@
 //! modelled arrival, and nothing sleeps. Two things layer on that engine:
 //!
 //! * **Thread timelines**: each thread has a modelled time per host it runs
-//!   on ([`Network::thread_time`]). Compute it charges
+//!   on, kept for each network apart ([`Network::thread_time`]). Compute it
+//!   charges
 //!   ([`Network::charge_thread`]) advances it, taking in a frame raises it
 //!   to the frame's arrival ([`Network::raise_thread_time`]), and its sends
 //!   depart no earlier than it. The host keeps a send floor of its own,
