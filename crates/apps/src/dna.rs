@@ -134,19 +134,6 @@ pub fn classify(seq: &str, query: &str, deriv: &[Vec<String>; 4]) -> Option<usiz
     None
 }
 
-/// Deterministic busy work: `units` rounds of a small mixing loop. Models
-/// per-query processing cost without depending on data volume.
-pub fn busy_work(units: u64) -> u64 {
-    let mut acc: u64 = 0x9e3779b97f4a7c15;
-    for i in 0..units * 2_000 {
-        acc ^= acc << 13;
-        acc ^= acc >> 7;
-        acc ^= acc << 17;
-        acc = acc.wrapping_add(i);
-    }
-    std::hint::black_box(acc)
-}
-
 /// The `list_server` servant: holds one partial-result list, answers
 /// `match` by filtering it after the configured modelled processing cost.
 ///
@@ -541,18 +528,5 @@ mod tests {
         let items = vec!["ACGT".to_string(), "GG".to_string()];
         let enc = encode_results(3, &items);
         assert_eq!(decode_results(&enc), (3, items));
-    }
-
-    #[test]
-    fn busy_work_scales() {
-        // Not a benchmark — just check it does not optimise away to a
-        // constant-time no-op.
-        let t0 = std::time::Instant::now();
-        busy_work(1);
-        let small = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        busy_work(200);
-        let big = t1.elapsed();
-        assert!(big > small, "busy work must scale ({small:?} vs {big:?})");
     }
 }

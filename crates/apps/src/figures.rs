@@ -7,11 +7,15 @@
 //! before it landed) to its client's last completion. The figure binaries
 //! and the tier-1 test of the figures' claims both call these functions.
 //!
-//! A host's send floor is shared by its threads in real-time order (see
+//! The RTS messages an SPMD computation's ranks exchange carry their
+//! modelled times (`pardis_rts::World`), so a rank that takes in a sibling's
+//! data, or leaves a barrier, is raised to the time it was sent at, and a
+//! server's ranks need no rendezvous beyond the data they exchange. A
+//! host's send floor is shared by its threads in real-time order (see
 //! `pardis_netsim`), so a point can depend on how the host's threads were
 //! scheduled. The runners keep that out where the program allows: a
-//! parallel client launches rank by rank, and an SPMD computation's ranks
-//! end their compute together.
+//! parallel client launches rank by rank (`in_turn`), and the barriers
+//! that pass its turns leave every rank at the latest of their times.
 
 use crate::pipeline::{
     run_diffusion, run_gradient_alone, spawn_gradient_server_paced, spawn_visualizer,

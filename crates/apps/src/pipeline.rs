@@ -110,17 +110,15 @@ impl FieldOperationsImpl for GradientServant {
         };
         if let Some(pace) = &self.pace {
             let flops = (self.nx * self.ny) as f64 * GRADIENT_FLOPS_PER_CELL / ctx.nthreads as f64;
-            pace.charge(flops, ctx.rts.as_deref());
+            pace.charge(flops);
         }
         match (&self.vis, &self.pace, &ctx.rts) {
-            (Some(vis), Some(pace), Some(rts)) => {
+            (Some(vis), Some(_), Some(rts)) => {
                 // Paced: launched rank by rank, as every parallel client of
-                // a figure launches, and the ranks reply together, not each
-                // at its own show's end.
+                // a figure launches.
                 let grad = grad.to_dseq();
                 let show = in_turn(rts.as_ref(), ctx.thread, || vis.show_nb(&grad));
                 show.and_then(|f| f.handle.wait()).map_err(|e| e.to_string())?;
-                pace.sync(Some(rts.as_ref()));
             }
             (Some(vis), _, _) => vis.show(&grad.to_dseq()).map_err(|e| e.to_string())?,
             (None, _, _) => {}

@@ -11,7 +11,7 @@
 
 use crate::ServerHandle;
 use bytes::Bytes;
-use pardis::core::{DSequence, DistPolicy, Distribution, Orb, ServantCtx};
+use pardis::core::{DSequence, DistPolicy, Distribution, Orb, Poa, ServantCtx, ServerGroup};
 use pardis::generated::solvers::{DirectImpl, DirectSkel, IterativeImpl, IterativeSkel};
 use pardis::netsim::{HostId, Network};
 use pardis::rts::{tags, MpiRts, ReduceOp, Rts, World};
@@ -213,7 +213,8 @@ pub fn jacobi_solve_block(
 /// Models the compute speed of a mid-90s host on the netsim clock: a
 /// computing thread charges `flops / flops_per_sec` to its own timeline on
 /// its server's host ([`Network::charge_thread`]), so its next send — a
-/// servant's reply — departs that much later. Nothing sleeps: concurrent
+/// servant's reply, or an RTS message to a sibling rank, which raises the
+/// sibling to it — departs that much later. Nothing sleeps: concurrent
 /// threads overlap in modelled time, one thread's charges add, on any
 /// machine. The server launchers take it and charge the network and host
 /// they launch on.
@@ -231,7 +232,10 @@ impl ComputePace {
     }
 }
 
-/// A [`ComputePace`] on the host a server's computing threads run on.
+/// A [`ComputePace`] on the host a server's computing threads run on. The
+/// ranks of an SPMD servant need nothing more to end together: their RTS
+/// messages carry their times, so the data they exchange after a dispatch
+/// puts them at one time before their equal charges.
 #[derive(Debug, Clone)]
 pub(crate) struct HostPace {
     net: Network,
@@ -240,21 +244,9 @@ pub(crate) struct HostPace {
 }
 
 impl HostPace {
-    /// Charge `flops` of work to the calling thread's timeline, then
-    /// [`HostPace::sync`]: the ranks of an SPMD computation exchange data
-    /// as they go, so none finishes before the slowest.
-    pub(crate) fn charge(&self, flops: f64, rts: Option<&dyn Rts>) {
+    /// Charge `flops` of work to the calling thread's timeline.
+    pub(crate) fn charge(&self, flops: f64) {
         self.net.charge_thread(self.host, Duration::from_secs_f64(flops / self.flops_per_sec));
-        self.sync(rts);
-    }
-
-    /// Raise each rank of `rts` to the latest of their times on the host
-    /// (collective when `rts` has more than one rank).
-    pub(crate) fn sync(&self, rts: Option<&dyn Rts>) {
-        if let Some(rts) = rts.filter(|rts| rts.size() > 1) {
-            let end = rts.all_reduce_f64(self.net.thread_time(self.host), ReduceOp::Max);
-            self.net.raise_thread_time(self.host, end);
-        }
     }
 }
 
@@ -286,7 +278,7 @@ impl DirectImpl for DirectSolver {
         if let Some(pace) = &self.pace {
             // Elimination is ~n^3/3 flops, split over the computing threads.
             let flops = (n as f64).powi(3) / 3.0 / ctx.nthreads as f64;
-            pace.charge(flops, ctx.rts.as_deref());
+            pace.charge(flops);
         }
         // Return this thread's block of the (replicated) solution.
         let out = DSequence::distribute(&x, Distribution::Block, ctx.nthreads, ctx.thread);
@@ -333,7 +325,7 @@ impl IterativeImpl for IterativeSolver {
         if let Some(pace) = &self.pace {
             // Each sweep is ~2n^2 flops, split over the computing threads.
             let flops = 2.0 * (n as f64).powi(2) * iters as f64 / ctx.nthreads as f64;
-            pace.charge(flops, ctx.rts.as_deref());
+            pace.charge(flops);
         }
         let out = DSequence::distribute(&x, Distribution::Block, ctx.nthreads, ctx.thread);
         Ok((out,))
@@ -353,6 +345,34 @@ pub fn iterative_policy() -> DistPolicy {
     DistPolicy::new().with("solve", 1, Distribution::Block).with("solve", 2, Distribution::Block)
 }
 
+/// Launch a solver server labelled `label` with `nthreads` computing
+/// threads on `host`; `activate` puts its objects on each thread's adapter,
+/// with a modelled compute speed if `pace` is given.
+fn spawn_solver_server(
+    orb: &Orb,
+    host: HostId,
+    label: &str,
+    nthreads: usize,
+    pace: Option<ComputePace>,
+    activate: impl Fn(&mut Poa, Option<HostPace>) + Send + Sync + 'static,
+) -> ServerHandle {
+    let pace = pace.map(|pace| pace.on(orb, host));
+    let group = ServerGroup::create(orb, label, host, nthreads);
+    let g = group.clone();
+    let chk = pardis::check::for_world(nthreads);
+    let join = std::thread::spawn(move || {
+        World::run(nthreads, |rank| {
+            let t = rank.rank();
+            let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
+            let mut poa = g.attach(t, Some(rts));
+            activate(&mut poa, pace.clone());
+            poa.impl_is_ready();
+        });
+        pardis::check::enforce(&chk);
+    });
+    ServerHandle::new(group, join)
+}
+
 /// Launch a direct-solver server with `nthreads` computing threads on
 /// `host`, registering object `name`, with a modelled compute speed if
 /// `pace` is given.
@@ -363,23 +383,10 @@ pub fn spawn_direct_server(
     nthreads: usize,
     pace: Option<ComputePace>,
 ) -> ServerHandle {
-    let pace = pace.map(|pace| pace.on(orb, host));
-    let group = pardis::core::ServerGroup::create(orb, "direct-server", host, nthreads);
-    let g = group.clone();
     let name = name.to_string();
-    let chk = pardis::check::for_world(nthreads);
-    let join = std::thread::spawn(move || {
-        World::run(nthreads, |rank| {
-            let t = rank.rank();
-            let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
-            let mut poa = g.attach(t, Some(rts));
-            let servant = DirectSolver { pace: pace.clone() };
-            poa.activate_spmd(&name, Arc::new(DirectSkel(servant)), direct_policy());
-            poa.impl_is_ready();
-        });
-        pardis::check::enforce(&chk);
-    });
-    ServerHandle::new(group, join)
+    spawn_solver_server(orb, host, "direct-server", nthreads, pace, move |poa, pace| {
+        poa.activate_spmd(&name, Arc::new(DirectSkel(DirectSolver { pace })), direct_policy());
+    })
 }
 
 /// Launch an iterative-solver server, as [`spawn_direct_server`] does.
@@ -390,23 +397,11 @@ pub fn spawn_iterative_server(
     nthreads: usize,
     pace: Option<ComputePace>,
 ) -> ServerHandle {
-    let pace = pace.map(|pace| pace.on(orb, host));
-    let group = pardis::core::ServerGroup::create(orb, "iterative-server", host, nthreads);
-    let g = group.clone();
     let name = name.to_string();
-    let chk = pardis::check::for_world(nthreads);
-    let join = std::thread::spawn(move || {
-        World::run(nthreads, |rank| {
-            let t = rank.rank();
-            let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
-            let mut poa = g.attach(t, Some(rts));
-            let servant = IterativeSolver { pace: pace.clone(), ..Default::default() };
-            poa.activate_spmd(&name, Arc::new(IterativeSkel(servant)), iterative_policy());
-            poa.impl_is_ready();
-        });
-        pardis::check::enforce(&chk);
-    });
-    ServerHandle::new(group, join)
+    spawn_solver_server(orb, host, "iterative-server", nthreads, pace, move |poa, pace| {
+        let servant = IterativeSolver { pace, ..Default::default() };
+        poa.activate_spmd(&name, Arc::new(IterativeSkel(servant)), iterative_policy());
+    })
 }
 
 /// Launch one parallel server hosting *both* solver objects — the paper's
@@ -420,26 +415,13 @@ pub fn spawn_combined_server(
     nthreads: usize,
     pace: Option<ComputePace>,
 ) -> ServerHandle {
-    let pace = pace.map(|pace| pace.on(orb, host));
-    let group = pardis::core::ServerGroup::create(orb, "combined-solver-server", host, nthreads);
-    let g = group.clone();
-    let dn = direct_name.to_string();
-    let itn = iterative_name.to_string();
-    let chk = pardis::check::for_world(nthreads);
-    let join = std::thread::spawn(move || {
-        World::run(nthreads, |rank| {
-            let t = rank.rank();
-            let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
-            let mut poa = g.attach(t, Some(rts));
-            let direct = DirectSolver { pace: pace.clone() };
-            poa.activate_spmd(&dn, Arc::new(DirectSkel(direct)), direct_policy());
-            let iterative = IterativeSolver { pace: pace.clone(), ..Default::default() };
-            poa.activate_spmd(&itn, Arc::new(IterativeSkel(iterative)), iterative_policy());
-            poa.impl_is_ready();
-        });
-        pardis::check::enforce(&chk);
-    });
-    ServerHandle::new(group, join)
+    let (dn, itn) = (direct_name.to_string(), iterative_name.to_string());
+    spawn_solver_server(orb, host, "combined-solver-server", nthreads, pace, move |poa, pace| {
+        let direct = DirectSolver { pace: pace.clone() };
+        poa.activate_spmd(&dn, Arc::new(DirectSkel(direct)), direct_policy());
+        let iterative = IterativeSolver { pace, ..Default::default() };
+        poa.activate_spmd(&itn, Arc::new(IterativeSkel(iterative)), iterative_policy());
+    })
 }
 
 /// Max-norm distance between two distributed vectors sharing a

@@ -89,13 +89,17 @@ impl ClientGroup {
     }
 
     /// Claim computing thread `thread`'s client endpoint. `rts` is required
-    /// when `nthreads > 1`.
+    /// when `nthreads > 1`; what the thread takes in through it raises its
+    /// modelled time on this group's host, as a reply does.
     pub fn attach(&self, thread: usize, rts: Option<Arc<dyn Rts>>) -> ClientThread {
         assert!(thread < self.nthreads, "thread {thread} out of range");
         if self.nthreads > 1 {
             let r = rts.as_ref().expect("parallel clients must attach with an RTS endpoint");
             assert_eq!(r.size(), self.nthreads, "RTS world size != client thread count");
             assert_eq!(r.rank(), thread, "RTS rank != attaching thread");
+        }
+        if let Some(windows) = rts.as_ref().and_then(|r| r.windows()) {
+            windows.bind_timeline(self.orb.network(), self.host);
         }
         let rx = self.reply_rxs.lock()[thread]
             .take()

@@ -88,7 +88,8 @@ impl ServerGroup {
 
     /// Claim computing thread `thread`'s adapter. `rts` is required when
     /// `nthreads > 1` (the ORB needs the run-time system to reach sibling
-    /// threads).
+    /// threads); what the thread takes in through it raises its modelled
+    /// time on the server's host, as a dispatched request does.
     ///
     /// # Panics
     /// Panics if the thread index is out of range, already attached, or a
@@ -99,6 +100,9 @@ impl ServerGroup {
             let r = rts.as_ref().expect("parallel servers must attach with an RTS endpoint");
             assert_eq!(r.size(), self.nthreads, "RTS world size != server thread count");
             assert_eq!(r.rank(), thread, "RTS rank != attaching thread");
+        }
+        if let Some(windows) = rts.as_ref().and_then(|r| r.windows()) {
+            windows.bind_timeline(self.orb.network(), self.host);
         }
         let inbox = self.inboxes.lock()[thread]
             .take()

@@ -24,12 +24,13 @@
 //!
 //! * **Thread timelines**: each thread has a modelled time per host it runs
 //!   on, kept for each network apart ([`Network::thread_time`]). Compute it
-//!   charges
-//!   ([`Network::charge_thread`]) advances it, taking in a frame raises it
-//!   to the frame's arrival ([`Network::raise_thread_time`]), and its sends
-//!   depart no earlier than it. The host keeps a send floor of its own,
-//!   which pays every send's `t_o` and is raised by every arrival, so a
-//!   thread that charges no compute never runs ahead of its host's floor.
+//!   charges ([`Network::charge_thread`]) advances it; taking in a frame, or
+//!   a run-time-system message or window data that carries a time, raises
+//!   it to that arrival or time ([`Network::raise_thread_time`]); and its
+//!   sends depart no earlier than it. The host keeps a send floor of its
+//!   own, which pays every send's `t_o` and is raised by every arrival, so
+//!   a thread that charges no compute never runs ahead of its host's floor,
+//!   and neither does any time it carries to another thread.
 //! * **Blocking senders** ([`Network::blocking`]): the paper's client that
 //!   does not overlap. A blocking send is an engine send whose sender's
 //!   floor and thread time then move to the frame's own arrival, so it

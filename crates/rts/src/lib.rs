@@ -30,7 +30,7 @@ mod world;
 pub use bytes::Bytes;
 pub use msg::Msg;
 pub use rts_trait::{MpiRts, ReduceOp, Rts};
-pub use tulip::{Region, RegionId, TulipRts, TulipWorld};
+pub use tulip::{RegionId, TulipRts, TulipWorld};
 pub use window::{
     Completion, GetHandle, Notice, RtsError, WindowId, WindowShared, Windows, CTRL_FRAME_BYTES,
 };

@@ -71,52 +71,55 @@ pub trait Rts: Send + Sync {
     /// All-gather: everyone receives every rank's part, in rank order.
     /// Default: gather to 0, broadcast a framed concatenation.
     fn all_gather(&self, part: Bytes) -> Vec<Bytes> {
-        let gathered = self.gather(0, part);
-        if self.rank() == 0 {
-            let parts = gathered.expect("rank 0 gathers");
-            let mut framed = bytes::BytesMut::new();
-            use bytes::BufMut;
-            framed.put_u32(parts.len() as u32);
-            for p in &parts {
-                framed.put_u32(p.len() as u32);
-                framed.extend_from_slice(p);
+        match self.gather(0, part) {
+            Some(parts) => {
+                use bytes::BufMut;
+                let mut framed = bytes::BytesMut::new();
+                framed.put_u32(parts.len() as u32);
+                for p in &parts {
+                    framed.put_u32(p.len() as u32);
+                    framed.extend_from_slice(p);
+                }
+                self.broadcast(0, Some(framed.freeze()));
+                parts
             }
-            self.broadcast(0, Some(framed.freeze()));
-            parts
-        } else {
-            let framed = self.broadcast(0, None);
-            let mut parts = Vec::new();
-            let mut pos = 0usize;
-            let count = u32::from_be_bytes(framed[0..4].try_into().unwrap()) as usize;
-            pos += 4;
-            for _ in 0..count {
-                let len = u32::from_be_bytes(framed[pos..pos + 4].try_into().unwrap()) as usize;
-                pos += 4;
-                parts.push(framed.slice(pos..pos + len));
-                pos += len;
-            }
-            parts
+            None => unframe(&self.broadcast(0, None)),
         }
     }
 
     /// All-reduce a scalar. Default: gather-to-0 + broadcast.
     fn all_reduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
         let part = Bytes::copy_from_slice(&value.to_be_bytes());
-        let gathered = self.gather(0, part);
-        if self.rank() == 0 {
-            let values: Vec<f64> = gathered
-                .expect("rank 0 gathers")
-                .iter()
-                .map(|b| f64::from_be_bytes(b[..8].try_into().unwrap()))
-                .collect();
-            let result = op.apply(&values);
-            self.broadcast(0, Some(Bytes::copy_from_slice(&result.to_be_bytes())));
-            result
-        } else {
-            let b = self.broadcast(0, None);
-            f64::from_be_bytes(b[..8].try_into().unwrap())
+        match self.gather(0, part) {
+            Some(parts) => {
+                let values: Vec<f64> = parts.iter().filter_map(|b| be_f64(b)).collect();
+                let result = op.apply(&values);
+                self.broadcast(0, Some(Bytes::copy_from_slice(&result.to_be_bytes())));
+                result
+            }
+            None => be_f64(&self.broadcast(0, None)).unwrap_or(f64::NAN),
         }
     }
+}
+
+/// The big-endian `f64` a part starts with, if it holds one.
+fn be_f64(part: &[u8]) -> Option<f64> {
+    part.first_chunk().map(|b| f64::from_be_bytes(*b))
+}
+
+/// The parts of [`Rts::all_gather`]'s framed concatenation (a `u32` count,
+/// then a `u32` length and the bytes of each part), sharing its buffer. A
+/// truncated frame ends the list.
+fn unframe(framed: &Bytes) -> Vec<Bytes> {
+    let Some((count, mut rest)) = framed.split_first_chunk() else { return Vec::new() };
+    let mut parts = Vec::with_capacity((u32::from_be_bytes(*count) as usize).min(rest.len() / 4));
+    while let Some((len, tail)) = rest.split_first_chunk() {
+        let len = (u32::from_be_bytes(*len) as usize).min(tail.len());
+        let at = framed.len() - tail.len();
+        parts.push(framed.slice(at..at + len));
+        rest = &tail[len..];
+    }
+    parts
 }
 
 /// The MPI implementation of the RTS interface: a thin veneer over
@@ -140,38 +143,52 @@ impl MpiRts {
     }
 }
 
-impl Rts for MpiRts {
-    fn rank(&self) -> usize {
-        self.rank.rank()
-    }
-    fn size(&self) -> usize {
-        self.rank.size()
-    }
-    fn send(&self, to: usize, tag: u64, data: Bytes) {
-        self.rank.send(to, tag, data);
-    }
-    fn recv(&self, from: Option<usize>, tag: u64) -> Msg {
-        self.rank.recv(from, tag)
-    }
-    fn recv_timeout(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
-        self.rank.recv_timeout(from, tag, timeout)
-    }
-    fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
-        self.rank.try_recv(from, tag)
-    }
-    fn barrier(&self) {
-        self.rank.barrier();
-    }
-    fn broadcast(&self, root: usize, data: Option<Bytes>) -> Bytes {
-        self.rank.broadcast(root, data)
-    }
-    fn gather(&self, root: usize, part: Bytes) -> Option<Vec<Bytes>> {
-        self.rank.gather(root, part)
-    }
-    fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
-        self.rank.scatter(root, parts)
-    }
-    fn windows(&self) -> Option<&Windows> {
-        Some(self.rank.windows())
-    }
+/// Implement [`Rts`] for a type whose `rank` field is its [`Rank`]: the
+/// contract is the rank's, call for call.
+macro_rules! rts_over_rank {
+    ($t:ty) => {
+        impl $crate::Rts for $t {
+            fn rank(&self) -> usize {
+                self.rank.rank()
+            }
+            fn size(&self) -> usize {
+                self.rank.size()
+            }
+            fn send(&self, to: usize, tag: u64, data: $crate::Bytes) {
+                self.rank.send(to, tag, data);
+            }
+            fn recv(&self, from: Option<usize>, tag: u64) -> $crate::Msg {
+                self.rank.recv(from, tag)
+            }
+            fn recv_timeout(
+                &self,
+                from: Option<usize>,
+                tag: u64,
+                timeout: std::time::Duration,
+            ) -> Option<$crate::Msg> {
+                self.rank.recv_timeout(from, tag, timeout)
+            }
+            fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<$crate::Msg> {
+                self.rank.try_recv(from, tag)
+            }
+            fn barrier(&self) {
+                self.rank.barrier();
+            }
+            fn broadcast(&self, root: usize, data: Option<$crate::Bytes>) -> $crate::Bytes {
+                self.rank.broadcast(root, data)
+            }
+            fn gather(&self, root: usize, part: $crate::Bytes) -> Option<Vec<$crate::Bytes>> {
+                self.rank.gather(root, part)
+            }
+            fn scatter(&self, root: usize, parts: Option<Vec<$crate::Bytes>>) -> $crate::Bytes {
+                self.rank.scatter(root, parts)
+            }
+            fn windows(&self) -> Option<&$crate::Windows> {
+                Some(self.rank.windows())
+            }
+        }
+    };
 }
+pub(crate) use rts_over_rank;
+
+rts_over_rank!(MpiRts);

@@ -178,6 +178,36 @@ fn a_panicking_rank_fails_window_waits_instead_of_hanging_them() {
     }
 }
 
+/// A barrier is unpriced, so it carries time only between ranks on one
+/// host: on a networked world with ranks 0 and 1 on one host and rank 2 on
+/// another, rank 0's charge raises rank 1 and leaves rank 2 alone.
+#[test]
+fn a_barrier_carries_no_time_between_hosts() {
+    use pardis_netsim::{Network, TimeScale};
+    let net = Network::new(TimeScale::off());
+    let (h0, h1) = (net.add_host("h0"), net.add_host("h1"));
+    let (world, ranks) = World::new(3);
+    world.attach_network(net.clone(), vec![h0, h0, h1]);
+    let hosts = [h0, h0, h1];
+    let after: Vec<f64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = ranks
+            .into_iter()
+            .map(|rank| {
+                let net = &net;
+                scope.spawn(move || {
+                    if rank.rank() == 0 {
+                        net.charge_thread(h0, Duration::from_secs(1));
+                    }
+                    rank.barrier();
+                    net.thread_time(hosts[rank.rank()])
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("rank")).collect()
+    });
+    assert_eq!(after, [1.0, 1.0, 0.0]);
+}
+
 #[test]
 fn broadcast_delivers_to_all() {
     let out = World::run(4, |rank| {

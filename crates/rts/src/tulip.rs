@@ -16,11 +16,11 @@
 //! does.
 //!
 //! [`MpiRts`]: crate::MpiRts
+//! [`Rts`]: crate::Rts
 
 use crate::window::{RtsError, WindowId, Windows};
-use crate::{Msg, Rank, Rts, World};
+use crate::{Rank, World};
 use bytes::Bytes;
-use std::time::Duration;
 
 /// Identifier of a registered region: (owning rank, region number).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,15 +41,6 @@ impl RegionId {
     fn window(self) -> WindowId {
         WindowId { owner: self.owner, base: self.number.wrapping_mul(REGION_STRIDE) }
     }
-}
-
-/// A registered memory region: a byte buffer remote ranks can `put` into and
-/// `get` from. (Kept as the named concept of the Tulip API; storage lives in
-/// the window layer.)
-#[derive(Debug, Default)]
-pub struct Region {
-    /// Region contents.
-    pub data: Vec<u8>,
 }
 
 /// The shared state of a Tulip program: create once, derive a [`TulipRts`]
@@ -122,38 +113,4 @@ impl TulipRts {
     }
 }
 
-impl Rts for TulipRts {
-    fn rank(&self) -> usize {
-        self.rank.rank()
-    }
-    fn size(&self) -> usize {
-        self.rank.size()
-    }
-    fn send(&self, to: usize, tag: u64, data: Bytes) {
-        self.rank.send(to, tag, data);
-    }
-    fn recv(&self, from: Option<usize>, tag: u64) -> Msg {
-        self.rank.recv(from, tag)
-    }
-    fn recv_timeout(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
-        self.rank.recv_timeout(from, tag, timeout)
-    }
-    fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
-        self.rank.try_recv(from, tag)
-    }
-    fn barrier(&self) {
-        self.rank.barrier();
-    }
-    fn broadcast(&self, root: usize, data: Option<Bytes>) -> Bytes {
-        self.rank.broadcast(root, data)
-    }
-    fn gather(&self, root: usize, part: Bytes) -> Option<Vec<Bytes>> {
-        self.rank.gather(root, part)
-    }
-    fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
-        self.rank.scatter(root, parts)
-    }
-    fn windows(&self) -> Option<&Windows> {
-        Some(self.rank.windows())
-    }
-}
+crate::rts_trait::rts_over_rank!(TulipRts);

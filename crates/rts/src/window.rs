@@ -34,6 +34,11 @@
 //!   accrues on the lane timeline and the delivery effect runs at the
 //!   frame's modelled arrival. With no network attached the operations
 //!   complete inline at zero modelled cost (plain shared-memory semantics).
+//! * **Modelled time crosses with the data** (`crate::World`'s rule) — a
+//!   window carries its owner's time at exposure, raised by every put that
+//!   lands; a completed get raises its getter to the later of that and its
+//!   reply's arrival, as an MPI-3 RMA flush makes remote data visible, and
+//!   [`Windows::wait_notify`] raises the owner to its put's time.
 //! * **A fixed issue order for collective pulls** — the engine stamps a
 //!   frame from the state of its lanes and host clocks when it is sent, so
 //!   the real-time order of sends is the order of lane reservations, and
@@ -46,6 +51,7 @@
 //!   round. The turn is keyed by the round's collective base, so a round
 //!   that takes no turn (a halo exchange) never holds up a later one; a
 //!   world with no network has no modelled clock and takes no turns.
+//!   Passing the turn carries no modelled time: it only orders real time.
 //! * **Late landings are the caller's error, never a crash** — an operation
 //!   keeps the window it resolved for as long as it is in flight. A put that
 //!   lands after its window was withdrawn writes a buffer nobody reads, a
@@ -165,6 +171,9 @@ struct WindowCell {
     /// Gets still to look the window up before it withdraws itself; `None`
     /// for a window only [`Windows::deregister`] withdraws.
     gets_left: Option<AtomicUsize>,
+    /// The modelled time its bytes carry, as `f64` bits: times are never
+    /// negative, so their bits order as they do and `fetch_max` raises them.
+    time: AtomicU64,
 }
 
 /// Modelled-network binding of a world: the per-rank host placement.
@@ -237,8 +246,12 @@ struct RankState {
     /// Operations this rank initiated that have not yet delivered.
     inflight: AuditMutex<u64>,
     drained: AuditCondvar,
-    /// Delivery notifications addressed to this rank (as window owner).
-    notices: AuditQueue<Notice>,
+    /// Delivery notifications addressed to this rank (as window owner),
+    /// each with the modelled time its put carried.
+    notices: AuditQueue<(Notice, f64)>,
+    /// Where this rank's modelled time lives when no network is attached:
+    /// set once, by the ORB the rank attaches to.
+    timeline: OnceLock<(Network, HostId)>,
 }
 
 /// The shared one-sided state of a world: the window table plus per-rank
@@ -270,6 +283,7 @@ impl WindowShared {
                     inflight: AuditMutex::new(lock_site!("rts: in-flight count"), 0),
                     drained: AuditCondvar::new(),
                     notices: AuditQueue::new(lock_site!("rts: window notices")),
+                    timeline: OnceLock::new(),
                 })
                 .collect(),
             turn: Turn::new(),
@@ -322,6 +336,33 @@ impl WindowShared {
         bind.as_ref().map(|b| (b.net.clone(), b.hosts[from], b.hosts[to]))
     }
 
+    /// Where rank `rank`'s modelled time lives: on its host of the attached
+    /// network, or else where an ORB bound it.
+    fn timeline(&self, rank: usize) -> Option<(&Network, HostId)> {
+        match self.net.read() {
+            Some(bind) => Some((&bind.net, bind.hosts[rank])),
+            None => self.ranks[rank].timeline.get().map(|(net, host)| (net, *host)),
+        }
+    }
+
+    /// The host rank `rank` runs on and the calling thread's modelled time
+    /// there, if the rank is bound to a timeline.
+    pub(crate) fn clock(&self, rank: usize) -> Option<(HostId, f64)> {
+        self.timeline(rank).map(|(net, host)| (host, net.thread_time(host)))
+    }
+
+    /// The calling thread's modelled time as rank `rank` (0 if unbound).
+    pub(crate) fn now(&self, rank: usize) -> f64 {
+        self.clock(rank).map_or(0.0, |(_, now)| now)
+    }
+
+    /// Raise the calling thread, as rank `rank`, to a carried time `at`.
+    pub(crate) fn raise(&self, rank: usize, at: f64) {
+        if let Some((net, host)) = self.timeline(rank) {
+            net.raise_thread_time(host, at);
+        }
+    }
+
     fn lookup(&self, id: WindowId) -> Result<Arc<WindowCell>, RtsError> {
         self.map.read().get(&id).cloned().ok_or(RtsError::UnknownWindow(id))
     }
@@ -346,7 +387,9 @@ struct OpCore {
     shared: Arc<WindowShared>,
     initiator: usize,
     fired: AtomicBool,
-    state: AuditMutex<(bool, Option<Bytes>)>,
+    /// Delivered?, a get's bytes, and the modelled time the delivery
+    /// carried.
+    state: AuditMutex<(bool, Option<Bytes>, f64)>,
     done: AuditCondvar,
 }
 
@@ -357,20 +400,20 @@ impl OpCore {
             shared: shared.clone(),
             initiator,
             fired: AtomicBool::new(false),
-            state: AuditMutex::new(lock_site!("rts: operation completion"), (false, None)),
+            state: AuditMutex::new(lock_site!("rts: operation completion"), (false, None, 0.0)),
             done: AuditCondvar::new(),
         })
     }
 
-    /// Mark delivered (at most once), waking waiters and the initiator's
-    /// fence.
-    fn complete(&self, data: Option<Bytes>) {
+    /// Mark delivered (at most once) at modelled time `at`, waking waiters
+    /// and the initiator's fence.
+    fn complete(&self, data: Option<Bytes>, at: f64) {
         if self.fired.swap(true, Ordering::AcqRel) {
             return;
         }
         {
             let mut st = self.state.lock();
-            *st = (true, data);
+            *st = (true, data, at);
             self.done.notify_all();
         }
         let rs = &self.shared.ranks[self.initiator];
@@ -381,12 +424,12 @@ impl OpCore {
         }
     }
 
-    fn wait(&self) -> Option<Bytes> {
+    fn wait(&self) -> (Option<Bytes>, f64) {
         let mut st = self.state.lock();
         while !st.0 {
             self.done.wait(&mut st);
         }
-        st.1.take()
+        (st.1.take(), st.2)
     }
 }
 
@@ -405,9 +448,13 @@ pub struct GetHandle(Arc<OpCore>);
 
 impl GetHandle {
     /// Block until the reply arrives and take the bytes (the requested
-    /// spans, concatenated in request order).
+    /// spans, concatenated in request order). The calling thread is raised
+    /// to the time the get completed at: the later of its reply's arrival
+    /// and the time the window's bytes carried.
     pub fn wait(self) -> Bytes {
-        self.0.wait().expect("get completion carries data")
+        let (data, at) = self.0.wait();
+        self.0.shared.raise(self.0.initiator, at);
+        data.expect("get completion carries data")
     }
 }
 
@@ -452,6 +499,14 @@ impl Windows {
     /// endpoints).
     pub fn shared(&self) -> &Arc<WindowShared> {
         &self.shared
+    }
+
+    /// Keep this rank's modelled time on its thread's timeline on `host` of
+    /// `net`, where an ORB that attaches the rank runs it. The first binding
+    /// holds; a world attached to a network keeps its ranks' times on its
+    /// hosts and ignores this.
+    pub fn bind_timeline(&self, net: &Network, host: HostId) {
+        let _ = self.shared.ranks[self.rank].timeline.set((net.clone(), host));
     }
 
     /// Expose `data` as a window at `base` in this rank's address space.
@@ -500,6 +555,7 @@ impl Windows {
                 len: data.len(),
                 data: AuditRwLock::new(lock_site!("rts: window bytes"), data),
                 gets_left,
+                time: AtomicU64::new(self.shared.now(self.rank).to_bits()),
             }),
         );
         drop(map);
@@ -545,8 +601,9 @@ impl Windows {
     /// network, rank `r` runs it once rank `r + 1` has run its own, so the
     /// round's operations reach the engine in a fixed order, its modelled
     /// time does not depend on thread timing, and rank 0 runs last. Without
-    /// a network it runs at once. Collective: every rank of the round must
-    /// call it, after a rendezvous that opened the round.
+    /// a network it runs at once. Passing the turn carries no modelled
+    /// time: it orders real time only. Collective: every rank of the round
+    /// must call it, after a rendezvous that opened the round.
     ///
     /// # Panics
     /// Panics if a rank of a `World::run` world has panicked.
@@ -567,14 +624,16 @@ impl Windows {
 
     /// Non-blocking one-sided write of `data` at `offset` into a window.
     /// Returns immediately with a [`Completion`]; the data lands when the
-    /// modelled frame arrives (inline when no network is attached).
+    /// modelled frame arrives (inline when no network is attached), and
+    /// raises the window's time to the put's: its frame's arrival, or on a
+    /// world without a network the sender's time.
     pub fn put_nb(&self, id: WindowId, offset: u64, data: Bytes) -> Result<Completion, RtsError> {
         self.put_impl(id, offset, data, None)
     }
 
     /// [`Windows::put_nb`] plus notify-on-delivery: when the data lands, a
     /// [`Notice`] with `tag` is queued at the window owner
-    /// ([`Windows::wait_notify`]).
+    /// ([`Windows::wait_notify`]), carrying the put's time.
     pub fn put_nb_notify(
         &self,
         id: WindowId,
@@ -611,23 +670,25 @@ impl Windows {
         let frame_bytes = data.len() + CTRL_FRAME_BYTES;
         let deliver = {
             let core = core.clone();
-            move || {
+            move |at: f64| {
                 {
                     let mut buf = cell.data.write();
                     buf[offset as usize..offset as usize + data.len()].copy_from_slice(&data);
+                    cell.time.fetch_max(at.to_bits(), Ordering::AcqRel);
                 }
                 if let Some(tag) = notify {
                     // Notice queues are never closed: the push always lands.
-                    let _ = shared.ranks[id.owner].notices.push(Notice { from, window: id, tag });
+                    let notice = Notice { from, window: id, tag };
+                    let _ = shared.ranks[id.owner].notices.push((notice, at));
                 }
-                core.complete(None);
+                core.complete(None, at);
             }
         };
         match self.shared.net_route(self.rank, id.owner) {
             Some((net, fh, th)) => {
                 net.transmit(fh, th, frame_bytes, deliver);
             }
-            None => deliver(),
+            None => deliver(self.shared.now(self.rank)),
         }
         Ok(Completion(core))
     }
@@ -686,6 +747,7 @@ impl Windows {
             pardis_obs::counter("rts.win.get.bytes").add(total as u64);
         }
         let core = OpCore::new(&self.shared, self.rank);
+        // The spans' bytes and the time they carry.
         let read = move || {
             let buf = cell.data.read();
             let mut out = vec![0u8; total];
@@ -696,7 +758,7 @@ impl Windows {
                 gather(&mut out[at..at + len], &buf[offset as usize..], stride, block);
                 at += len;
             }
-            Bytes::from(out)
+            (Bytes::from(out), f64::from_bits(cell.time.load(Ordering::Acquire)))
         };
         match self.shared.net_route(self.rank, id.owner) {
             Some((net, fh, th)) => {
@@ -706,14 +768,17 @@ impl Windows {
                 let core = core.clone();
                 let reply_net = net.clone();
                 net.transmit(fh, th, CTRL_FRAME_BYTES, move || {
-                    let data = read();
+                    let (data, written) = read();
                     let core = core.clone();
-                    reply_net.transmit(th, fh, data.len() + CTRL_FRAME_BYTES, move || {
-                        core.complete(Some(data.clone()));
+                    reply_net.transmit(th, fh, data.len() + CTRL_FRAME_BYTES, move |at: f64| {
+                        core.complete(Some(data.clone()), at.max(written));
                     });
                 });
             }
-            None => core.complete(Some(read())),
+            None => {
+                let (data, written) = read();
+                core.complete(Some(data), written);
+            }
         }
         Ok(GetHandle(core))
     }
@@ -757,7 +822,8 @@ impl Windows {
         *self.shared.ranks[self.rank].inflight.lock()
     }
 
-    /// Block until a delivery [`Notice`] with `tag` arrives at this rank.
+    /// Block until a delivery [`Notice`] with `tag` arrives at this rank,
+    /// and raise the calling thread to the time its put carried.
     ///
     /// # Panics
     /// Panics if a rank of a `World::run` world has panicked.
@@ -767,8 +833,11 @@ impl Windows {
             // Without a deadline the wait ends with a notice, or with a
             // poisoned world, which panics.
             let failed = || shared.poisoned().is_some();
-            match shared.ranks[self.rank].notices.wait_until(|n| n.tag == tag, failed, None) {
-                Some(notice) => return notice,
+            match shared.ranks[self.rank].notices.wait_until(|n| n.0.tag == tag, failed, None) {
+                Some((notice, at)) => {
+                    shared.raise(self.rank, at);
+                    return notice;
+                }
                 None => shared.check(self.rank),
             }
         }

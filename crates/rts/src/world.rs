@@ -1,4 +1,9 @@
 //! The MPI-like world of computing threads.
+//!
+//! Modelled time crosses it as Lamport's clocks do, in modelled seconds: a
+//! message carries, beside its bytes, its frame's arrival on a networked
+//! world or else its sender's time on the host an ORB bound it to
+//! ([`crate::Windows::bind_timeline`]), and taking it in raises the taker.
 
 use crate::window::{WindowShared, Windows, CTRL_FRAME_BYTES};
 use crate::{tags, Msg};
@@ -9,13 +14,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-rank mailbox with unordered tag matching (like an MPI receive queue).
-type Mailbox = AuditQueue<Msg>;
+/// Per-rank mailbox with unordered tag matching (like an MPI receive
+/// queue). Each message waits with the modelled time it carries.
+type Mailbox = AuditQueue<(Msg, f64)>;
 
-/// Central counter barrier: `(arrived, generation)`.
+/// Central counter barrier.
 struct Barrier {
-    state: AuditMutex<(usize, u64)>,
+    state: AuditMutex<BarrierState>,
     released: AuditCondvar,
+}
+
+/// The open generation, with the host and modelled time of each bound rank
+/// that arrived in it, and the arrivals of the last one to complete, which
+/// every rank it released reads before the next can complete.
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    arrivals: Vec<(HostId, f64)>,
+    released: Vec<(HostId, f64)>,
 }
 
 struct WorldInner {
@@ -29,10 +46,10 @@ struct WorldInner {
 }
 
 impl WorldInner {
-    /// Queue `msg` in rank `to`'s mailbox. Mailboxes are never closed, so
-    /// the push always lands.
-    fn deliver(&self, to: usize, msg: Msg) {
-        let _ = self.mailboxes[to].push(msg);
+    /// Queue `msg`, carrying modelled time `at`, in rank `to`'s mailbox.
+    /// Mailboxes are never closed, so the push always lands.
+    fn deliver(&self, to: usize, msg: Msg, at: f64) {
+        let _ = self.mailboxes[to].push((msg, at));
     }
 
     /// Rank `rank` panicked: fail every receive, barrier and window wait of
@@ -87,7 +104,7 @@ impl World {
             size,
             mailboxes: (0..size).map(|_| Mailbox::new(lock_site!("rts: mailbox"))).collect(),
             barrier: Barrier {
-                state: AuditMutex::new(lock_site!("rts: barrier"), (0, 0)),
+                state: AuditMutex::new(lock_site!("rts: barrier"), BarrierState::default()),
                 released: AuditCondvar::new(),
             },
             windows: windows.clone(),
@@ -153,9 +170,11 @@ impl World {
     /// built on them, then pay a rendezvous (request-to-send,
     /// clear-to-send, payload — three frames plus the receiver's matching
     /// overhead) and one-sided window operations pay their single- or
-    /// two-frame cost, all through the overlapped transmit engine. Bind
-    /// fault-free networks only: this layer models cost, not loss, so a
-    /// dropped frame would stall a receive forever.
+    /// two-frame cost, all through the overlapped transmit engine. Rank
+    /// `r`'s modelled time is then its thread's time on `hosts[r]` of `net`,
+    /// and a message carries its frame's arrival. Bind fault-free networks
+    /// only: this layer models cost, not loss, so a dropped frame would
+    /// stall a receive forever.
     ///
     /// # Panics
     /// Panics if `hosts` does not name one host per rank.
@@ -196,6 +215,8 @@ impl Rank {
     }
 
     /// Asynchronous tagged send. Never blocks (mailboxes are unbounded).
+    /// The message carries the sender's modelled time: its payload frame's
+    /// arrival on a networked world, the calling thread's time otherwise.
     ///
     /// With a network attached ([`World::attach_network`]) the send is
     /// modelled as an MPI-style rendezvous — a request-to-send control
@@ -230,21 +251,22 @@ impl Rank {
                     let world = world.clone();
                     let msg = msg.clone();
                     let deliver_net = payload_net.clone();
-                    payload_net.transmit(fh, th, payload_bytes, move || {
+                    payload_net.transmit(fh, th, payload_bytes, move |at: f64| {
                         // Receiver-side matching overhead, then delivery.
                         let t_o = deliver_net.link_between(fh, th).overhead_s;
                         deliver_net.charge_wait(th, Duration::from_secs_f64(t_o));
-                        world.deliver(to, msg.clone());
+                        world.deliver(to, msg.clone(), at);
                     });
                 });
             });
             return;
         }
-        self.world.deliver(to, msg);
+        self.world.deliver(to, msg, self.world.windows.now(self.rank));
     }
 
     /// Blocking receive matching `(from, tag)`; `from = None` accepts any
-    /// source.
+    /// source. Raises the calling thread to the time the message carried,
+    /// as every receive does.
     ///
     /// # Panics
     /// Panics if a rank of a [`World::run`] world has panicked.
@@ -258,8 +280,9 @@ impl Rank {
         }
     }
 
-    /// Blocking receive with a timeout. `None` on expiry; a timeout too
-    /// long to express as a deadline waits without one.
+    /// Blocking receive with a timeout, raising as [`Rank::recv`] does.
+    /// `None` on expiry; a timeout too long to express as a deadline waits
+    /// without one.
     ///
     /// # Panics
     /// As [`Rank::recv`].
@@ -271,22 +294,28 @@ impl Rank {
         let world = &self.world;
         world.windows.check(self.rank);
         let msg = self.mailbox().wait_until(
-            |m| m.matches(from, tag),
+            |(m, _)| m.matches(from, tag),
             || world.windows.poisoned().is_some(),
             deadline,
         );
         world.windows.check(self.rank);
-        msg
+        msg.map(|msg| self.take_in(msg))
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive, raising as [`Rank::recv`] does.
     pub fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
-        self.mailbox().take(|m| m.matches(from, tag))
+        self.mailbox().take(|(m, _)| m.matches(from, tag)).map(|msg| self.take_in(msg))
+    }
+
+    /// Raise the calling thread to the time `msg` carried and hand it over.
+    fn take_in(&self, (msg, at): (Msg, f64)) -> Msg {
+        self.world.windows.raise(self.rank, at);
+        msg
     }
 
     /// Is a matching message waiting? (MPI_Probe without dequeuing.)
     pub fn probe(&self, from: Option<usize>, tag: u64) -> bool {
-        self.mailbox().any(|m| m.matches(from, tag))
+        self.mailbox().any(|(m, _)| m.matches(from, tag))
     }
 
     /// Number of queued (unreceived) messages, any tag.
@@ -302,7 +331,11 @@ impl Rank {
         tags::COLLECTIVE_BASE | self.coll_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Synchronise all ranks (central counter barrier).
+    /// Synchronise all ranks (central counter barrier). Every rank leaves
+    /// raised to the latest time a rank on its host arrived with: the
+    /// barrier is unpriced, so it carries no time between hosts, where only
+    /// a priced frame may. A world without a network has all its ranks on
+    /// the host its ORB runs them on, so every rank leaves at the latest.
     ///
     /// # Panics
     /// As [`Rank::recv`].
@@ -310,28 +343,39 @@ impl Rank {
         // Barrier participation also consumes a collective sequence number so
         // barriers interleave correctly with the message-based collectives.
         self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        let b = &self.world.barrier;
-        self.world.windows.check(self.rank);
+        let (b, windows) = (&self.world.barrier, &self.world.windows);
+        windows.check(self.rank);
+        let clock = windows.clock(self.rank);
         let mut state = b.state.lock();
-        let gen = state.1;
-        state.0 += 1;
-        if state.0 == self.world.size {
-            state.0 = 0;
-            state.1 = state.1.wrapping_add(1);
+        let gen = state.generation;
+        state.arrived += 1;
+        state.arrivals.extend(clock);
+        if state.arrived == self.world.size {
+            let BarrierState { arrived, generation, arrivals, released } = &mut *state;
+            (*arrived, *generation) = (0, gen.wrapping_add(1));
+            std::mem::swap(arrivals, released);
+            arrivals.clear();
             b.released.notify_all();
         } else {
-            while state.1 == gen && self.world.windows.poisoned().is_none() {
+            while state.generation == gen && windows.poisoned().is_none() {
                 b.released.wait(&mut state);
             }
         }
+        let host = clock.map(|(host, _)| host);
+        let on_host = state.released.iter().filter(|(h, _)| Some(*h) == host);
+        let at = on_host.fold(0.0, |at, &(_, t)| f64::max(at, t));
         drop(state);
-        self.world.windows.check(self.rank);
+        windows.check(self.rank);
+        windows.raise(self.rank, at);
     }
 
     /// Broadcast from `root`: the root passes `Some(data)`, everyone gets the
     /// payload. Each copy leaves through [`Rank::send`], so on a networked
-    /// world it pays what a send pays; so do [`Rank::gather`]'s and
-    /// [`Rank::scatter`]'s parts.
+    /// world it pays what a send pays, and it carries time as a send does;
+    /// so do [`Rank::gather`]'s and [`Rank::scatter`]'s parts. A collective's
+    /// result therefore raises its taker to the latest part it depends on:
+    /// the root of a gather to every rank's, the others of a broadcast or a
+    /// scatter to the root's.
     ///
     /// # Panics
     /// Panics if the root passes `None` or a non-root passes `Some`.
