@@ -4,10 +4,12 @@
 //! operation scans a synthetic DNA database in parallel, plus five *single*
 //! objects (`list_server`) holding the partial results: one list of exact
 //! matches and one per edit-distance derivative class (transposition,
-//! deletion, substitution, addition). Periodically during the search each
-//! computing thread lets the ORB in (`process_requests`), so clients can
-//! query the lists *while the search runs* — the `search` reply itself is
-//! deferred until every thread finishes its shard.
+//! deletion, substitution, addition). Between chunks of its scan each
+//! computing thread lets the ORB in (`process_requests`), and a thread with
+//! nothing to scan parks until a frame or an RTS message arrives
+//! (`wait_for_work`), so clients can query the lists *while the search
+//! runs* — the `search` reply itself is deferred until every thread
+//! finishes its shard.
 //!
 //! Placement of the five single objects over the computing threads is the
 //! experiment's variable: `Centralized` puts all five on thread 0 (the
@@ -25,14 +27,16 @@
 use crate::ServerHandle;
 use bytes::Bytes;
 use pardis::core::{
-    DispatchResult, DistPolicy, Orb, Servant, ServantCtx, ServerGroup, ServerReply, ServerRequest,
+    DeferredCall, DispatchResult, DistPolicy, Orb, Poa, Servant, ServantCtx, ServerGroup,
+    ServerReply, ServerRequest,
 };
 use pardis::generated::dna::{ListServerImpl, ListServerSkel, Status};
 use pardis::netsim::HostId;
-use pardis::rts::{tags, MpiRts, World};
+use pardis::rts::{tags, MpiRts, Rts, World};
 use pardis_cdr::{ByteOrder, CdrCodec, Decoder, Encoder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -149,9 +153,7 @@ pub struct ListHolder {
 
 impl ListServerImpl for ListHolder {
     fn match_(&self, _ctx: &ServantCtx, s: String) -> Result<(Vec<String>,), String> {
-        if self.work_units > 0 {
-            std::thread::sleep(Duration::from_micros(self.work_units));
-        }
+        std::thread::sleep(Duration::from_micros(self.work_units));
         let hits =
             self.entries.lock().unwrap().iter().filter(|e| e.contains(&s)).cloned().collect();
         Ok((hits,))
@@ -162,7 +164,7 @@ impl ListServerImpl for ListHolder {
 /// records the query for the server main loop; the reply is completed when
 /// every computing thread has finished scanning its shard.
 pub struct DnaDbServant {
-    queries: Arc<Mutex<std::collections::VecDeque<String>>>,
+    queries: Arc<Mutex<VecDeque<String>>>,
 }
 
 impl Servant for DnaDbServant {
@@ -187,12 +189,11 @@ impl Servant for DnaDbServant {
     }
 }
 
-/// App-level tags (user band): partial results to a list owner, shard-done
-/// notification to thread 0, everyone-done release from thread 0, and the
-/// final per-thread drained acknowledgement that gates the search reply.
+/// App-level tags (user band): partial results to a list owner, a thread's
+/// shard-done notice to every thread, and the per-thread drained
+/// acknowledgement to thread 0 that gates the search reply.
 const RESULT_TAG: u64 = 0x0D0A;
 const DONE_TAG: u64 = 0x0D0B;
-const ALL_DONE_TAG: u64 = 0x0D0C;
 const DRAINED_TAG: u64 = 0x0D0D;
 
 fn encode_results(list: u32, items: &[String]) -> Bytes {
@@ -247,191 +248,182 @@ impl Default for DnaServerConfig {
     }
 }
 
-/// Per-thread search progress.
+/// Per-thread search progress: the next row of the shard to scan, or
+/// `None` once the whole shard is scanned.
 struct SearchState {
     query: String,
     deriv: [Vec<String>; 4],
-    pos: usize,
-    local_done: bool,
+    next: Option<usize>,
 }
 
 /// Launch the complete §4.2 parallel server: the SPMD `dna_db` object plus
 /// the five single `list_server` objects placed per the configuration. The
 /// object names are `"dna_db"` and the entries of [`LIST_NAMES`].
 pub fn spawn_dna_server(orb: &Orb, host: HostId, cfg: DnaServerConfig) -> ServerHandle {
-    let p = cfg.nthreads;
-    let group = ServerGroup::create(orb, "dna-server", host, p);
+    let group = ServerGroup::create(orb, "dna-server", host, cfg.nthreads);
     let g = group.clone();
-    let chk = pardis::check::for_world(p);
+    let chk = pardis::check::for_world(cfg.nthreads);
     let join = std::thread::spawn(move || {
-        World::run(p, |rank| {
-            let t = rank.rank();
+        World::run(cfg.nthreads, |rank| {
             let rts = pardis::check::wrap_if(&chk, Arc::new(MpiRts::new(rank)));
-            let mut poa = g.attach(t, Some(rts.clone()));
-
-            // The SPMD database object (collective activation).
-            let queries: Arc<Mutex<std::collections::VecDeque<String>>> =
-                Arc::new(Mutex::new(std::collections::VecDeque::new()));
-            poa.activate_spmd(
-                "dna_db",
-                Arc::new(DnaDbServant { queries: queries.clone() }),
-                DistPolicy::new(),
-            );
-
-            // My single list objects.
-            let mut my_lists: Vec<(usize, Arc<Mutex<Vec<String>>>)> = Vec::new();
-            for (l, name) in LIST_NAMES.iter().enumerate() {
-                if cfg.placement.owner(l, p) == t {
-                    let entries = Arc::new(Mutex::new(Vec::new()));
-                    poa.activate_single(
-                        name,
-                        Arc::new(ListServerSkel(ListHolder {
-                            entries: entries.clone(),
-                            work_units: cfg.weights[l],
-                        })),
-                    );
-                    my_lists.push((l, entries));
-                }
-            }
-
-            // My shard: round-robin rows of the (deterministic) database.
-            let db = gen_database(cfg.db_size, cfg.len_range.0, cfg.len_range.1, cfg.seed);
-            let shard: Vec<String> =
-                db.into_iter().enumerate().filter(|(i, _)| i % p == t).map(|(_, s)| s).collect();
-
-            debug_assert!(tags::is_user(RESULT_TAG));
-            let mut search: Option<SearchState> = None;
-            let mut deferred: std::collections::VecDeque<_> = Default::default();
-            let mut done_count = 0usize; // thread 0 only
-            let mut drained_count = 0usize; // thread 0 only
-
-            loop {
-                // Ingest partial results destined for my lists *before*
-                // serving queries, so a `match` dispatched below always sees
-                // everything already delivered to this thread.
-                while let Some(msg) = rts.try_recv(None, RESULT_TAG) {
-                    let (l, items) = decode_results(&msg.data);
-                    if let Some((_, entries)) = my_lists.iter().find(|(i, _)| *i == l as usize) {
-                        entries.lock().unwrap().extend(items);
-                    }
-                }
-
-                poa.process_requests();
-                deferred.extend(poa.take_deferred());
-                if poa.is_closed() {
-                    break;
-                }
-
-                // Start the next queued search when idle.
-                if search.is_none() {
-                    if let Some(q) = queries.lock().unwrap().pop_front() {
-                        let deriv = derivatives(&q);
-                        search = Some(SearchState { query: q, deriv, pos: 0, local_done: false });
-                    }
-                }
-
-                // Advance my shard scan.
-                let mut progressed = false;
-                if let Some(state) = &mut search {
-                    if !state.local_done {
-                        progressed = true;
-                        let end = (state.pos + cfg.chunk).min(shard.len());
-                        if cfg.scan_cost_us > 0 {
-                            std::thread::sleep(Duration::from_micros(
-                                cfg.scan_cost_us * (end - state.pos) as u64,
-                            ));
-                        }
-                        let mut found: [Vec<String>; 5] = std::array::from_fn(|_| Vec::new());
-                        for s in &shard[state.pos..end] {
-                            if let Some(c) = classify(s, &state.query, &state.deriv) {
-                                found[c].push(s.clone());
-                            }
-                        }
-                        state.pos = end;
-                        for (l, items) in found.into_iter().enumerate() {
-                            if items.is_empty() {
-                                continue;
-                            }
-                            let owner = cfg.placement.owner(l, p);
-                            if owner == t {
-                                if let Some((_, entries)) = my_lists.iter().find(|(i, _)| *i == l) {
-                                    entries.lock().unwrap().extend(items);
-                                }
-                            } else {
-                                rts.send(owner, RESULT_TAG, encode_results(l as u32, &items));
-                            }
-                        }
-                        if state.pos >= shard.len() {
-                            state.local_done = true;
-                            rts.send(0, DONE_TAG, Bytes::new());
-                        }
-                    }
-                }
-
-                // Thread 0 counts shard completions and releases everyone.
-                if t == 0 {
-                    while rts.try_recv(None, DONE_TAG).is_some() {
-                        done_count += 1;
-                    }
-                    if done_count == p {
-                        done_count = 0;
-                        for dst in 0..p {
-                            rts.send(dst, ALL_DONE_TAG, Bytes::new());
-                        }
-                    }
-                }
-
-                // Release phase 1: on ALL_DONE every thread performs its
-                // final drain — every RESULT sent before a sender's DONE is
-                // already in the owner's mailbox — and acknowledges to
-                // thread 0.
-                if rts.try_recv(None, ALL_DONE_TAG).is_some() {
-                    while let Some(msg) = rts.try_recv(None, RESULT_TAG) {
-                        let (l, items) = decode_results(&msg.data);
-                        if let Some((_, entries)) = my_lists.iter().find(|(i, _)| *i == l as usize)
-                        {
-                            entries.lock().unwrap().extend(items);
-                        }
-                    }
-                    search = None;
-                    rts.send(0, DRAINED_TAG, Bytes::new());
-                    if t != 0 {
-                        // Only thread 0's reply reaches the client (SPMD
-                        // reply control); siblings retire their deferred
-                        // copy now.
-                        if let Some(call) = deferred.pop_front() {
-                            let mut rep = ServerReply::new();
-                            rep.push_scalar(&Status::Done);
-                            poa.reply_deferred(call, Ok(rep));
-                        }
-                    }
-                }
-
-                // Release phase 2 (thread 0): the search reply goes out only
-                // after *every* thread has drained, so a client that sees
-                // the search complete sees complete lists.
-                if t == 0 {
-                    while rts.try_recv(None, DRAINED_TAG).is_some() {
-                        drained_count += 1;
-                    }
-                    if drained_count == p {
-                        drained_count = 0;
-                        if let Some(call) = deferred.pop_front() {
-                            let mut rep = ServerReply::new();
-                            rep.push_scalar(&Status::Done);
-                            poa.reply_deferred(call, Ok(rep));
-                        }
-                    }
-                }
-
-                if !progressed {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
+            DnaRank::attach(&g, rts, cfg.clone()).run();
         });
         pardis::check::enforce(&chk);
     });
     ServerHandle::new(group, join)
+}
+
+/// One computing thread of the DNA server: its adapter and RTS endpoint,
+/// the lists it owns, its shard, and where its search stands.
+struct DnaRank {
+    poa: Poa,
+    rts: Arc<dyn Rts>,
+    cfg: DnaServerConfig,
+    /// Queries of `search` requests not yet started ([`DnaDbServant`]).
+    queries: Arc<Mutex<VecDeque<String>>>,
+    /// The lists placed on this thread, by list index.
+    lists: Vec<(usize, Arc<Mutex<Vec<String>>>)>,
+    /// This thread's round-robin rows of the (deterministic) database.
+    shard: Vec<String>,
+    search: Option<SearchState>,
+    deferred: VecDeque<DeferredCall>,
+    /// Shard-done notices counted so far, and drained acknowledgements
+    /// (thread 0 only).
+    done: usize,
+    acks: usize,
+}
+
+impl DnaRank {
+    /// Attach this thread's adapter, activate the `dna_db` object
+    /// (collectively) and the lists placed on this thread, and cut its shard.
+    fn attach(group: &ServerGroup, rts: Arc<dyn Rts>, cfg: DnaServerConfig) -> DnaRank {
+        let (t, p) = (rts.rank(), cfg.nthreads);
+        let mut poa = group.attach(t, Some(rts.clone()));
+        let queries = Arc::default();
+        let db = DnaDbServant { queries: Arc::clone(&queries) };
+        poa.activate_spmd("dna_db", Arc::new(db), DistPolicy::new());
+        let mut lists = Vec::new();
+        for (l, name) in
+            LIST_NAMES.iter().enumerate().filter(|(l, _)| cfg.placement.owner(*l, p) == t)
+        {
+            let entries = Arc::new(Mutex::new(Vec::new()));
+            let holder = ListHolder { entries: entries.clone(), work_units: cfg.weights[l] };
+            poa.activate_single(name, Arc::new(ListServerSkel(holder)));
+            lists.push((l, entries));
+        }
+        let db = gen_database(cfg.db_size, cfg.len_range.0, cfg.len_range.1, cfg.seed);
+        let shard = db.into_iter().skip(t).step_by(p).collect();
+        debug_assert!(tags::is_user(RESULT_TAG));
+        let deferred = VecDeque::new();
+        DnaRank { poa, rts, cfg, queries, lists, shard, search: None, deferred, done: 0, acks: 0 }
+    }
+
+    /// Take in the RTS messages, let the ORB in, then scan one chunk while
+    /// this thread's shard of a search is left, and park otherwise, until
+    /// the server closes.
+    fn run(mut self) {
+        loop {
+            // Results for my lists are filed *before* serving queries, so a
+            // `match` dispatched below sees everything already delivered to
+            // this thread.
+            self.take_in();
+            self.poa.process_requests();
+            self.deferred.extend(self.poa.take_deferred());
+            if self.poa.is_closed() {
+                return;
+            }
+            if self.search.is_none() {
+                let query = self.queries.lock().unwrap().pop_front();
+                self.search =
+                    query.map(|q| SearchState { deriv: derivatives(&q), query: q, next: Some(0) });
+            }
+            if self.search.as_ref().is_some_and(|s| s.next.is_some()) {
+                self.scan_chunk();
+            } else {
+                self.poa.wait_for_work();
+            }
+        }
+    }
+
+    /// Take in every message waiting for this thread, one handler per tag.
+    ///
+    /// Shard-done notices are taken before results: every result a thread
+    /// sent before its notice is then already here, so once every thread's
+    /// notice is in, this thread's lists are complete and it acknowledges
+    /// to thread 0. Thread 0 replies to the search only once every thread
+    /// has, so a client that sees the search complete sees complete lists.
+    fn take_in(&mut self) {
+        while self.rts.try_recv(None, DONE_TAG).is_some() {
+            self.done += 1;
+        }
+        while let Some(msg) = self.rts.try_recv(None, RESULT_TAG) {
+            let (l, items) = decode_results(&msg.data);
+            self.file(l as usize, items);
+        }
+        let p = self.cfg.nthreads;
+        if self.done >= p {
+            // Notices of the next search may already be in the count.
+            self.done -= p;
+            self.search = None;
+            self.rts.send(0, DRAINED_TAG, Bytes::new());
+            // Only thread 0's reply reaches the client (SPMD reply control);
+            // siblings retire their deferred copy now.
+            if self.rts.rank() != 0 {
+                self.reply_done();
+            }
+        }
+        while self.rts.try_recv(None, DRAINED_TAG).is_some() {
+            self.acks += 1;
+            if self.acks == p {
+                self.acks = 0;
+                self.reply_done();
+            }
+        }
+    }
+
+    /// Scan the next chunk of my shard for the running search, file or send
+    /// what it matches, and tell every thread when the shard is done.
+    fn scan_chunk(&mut self) {
+        let Some(SearchState { query, deriv, next }) = &mut self.search else { return };
+        let Some(from) = *next else { return };
+        let end = (from + self.cfg.chunk).min(self.shard.len());
+        std::thread::sleep(Duration::from_micros(self.cfg.scan_cost_us * (end - from) as u64));
+        let mut found: [Vec<String>; 5] = std::array::from_fn(|_| Vec::new());
+        for s in &self.shard[from..end] {
+            if let Some(c) = classify(s, query, deriv) {
+                found[c].push(s.clone());
+            }
+        }
+        *next = (end < self.shard.len()).then_some(end);
+        let shard_done = next.is_none();
+        for (l, items) in found.into_iter().enumerate().filter(|(_, items)| !items.is_empty()) {
+            match self.cfg.placement.owner(l, self.cfg.nthreads) {
+                owner if owner == self.rts.rank() => self.file(l, items),
+                owner => self.rts.send(owner, RESULT_TAG, encode_results(l as u32, &items)),
+            }
+        }
+        if shard_done {
+            for dst in 0..self.cfg.nthreads {
+                self.rts.send(dst, DONE_TAG, Bytes::new());
+            }
+        }
+    }
+
+    /// Append `items` to my list `l`.
+    fn file(&self, l: usize, items: Vec<String>) {
+        if let Some((_, entries)) = self.lists.iter().find(|(i, _)| *i == l) {
+            entries.lock().unwrap().extend(items);
+        }
+    }
+
+    /// Complete the oldest deferred search with `Done`.
+    fn reply_done(&mut self) {
+        if let Some(call) = self.deferred.pop_front() {
+            let mut rep = ServerReply::new();
+            rep.push_scalar(&Status::Done);
+            self.poa.reply_deferred(call, Ok(rep));
+        }
+    }
 }
 
 /// The figure-4 client: issue a non-blocking `search`, then stream list

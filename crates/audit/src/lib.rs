@@ -60,7 +60,7 @@ mod sync;
 pub use report::{AuditReport, Finding, Kind, Severity};
 pub use sync::{
     AuditCondvar, AuditMutex, AuditMutexGuard, AuditQueue, AuditReadGuard, AuditRwLock,
-    AuditWriteGuard,
+    AuditWriteGuard, SharedWake,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,5 +1,5 @@
 //! The workspace's synchronization primitives: audited locks, a condvar,
-//! and one blocking queue, all over `std::sync`.
+//! one blocking queue and a wake that queues share, all over `std::sync`.
 //!
 //! Every lock, condvar and blocking queue on the runtime path (ORB, RTS,
 //! netsim, protocol checker) is one of these, so the auditor sees them
@@ -32,6 +32,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 fn recover<G>(r: Result<G, std::sync::PoisonError<G>>, site: &'static Site) -> G {
@@ -376,11 +377,16 @@ impl fmt::Debug for AuditCondvar {
 /// [`AuditQueue::close`] marks the receiving side gone: the queued items
 /// are dropped and every later push is refused, so a queue nobody reads
 /// never grows.
+///
+/// [`AuditQueue::bind`] shares a [`SharedWake`] with other queues, so one
+/// thread can park until any of them holds an item.
 pub struct AuditQueue<T> {
     items: AuditMutex<VecDeque<T>>,
     arrived: AuditCondvar,
     /// Set once by `close`; read under the items lock.
     closed: AtomicBool,
+    /// Notified after every push and [`AuditQueue::wake`] once bound.
+    shared: OnceLock<Arc<SharedWake>>,
 }
 
 impl<T> AuditQueue<T> {
@@ -390,7 +396,19 @@ impl<T> AuditQueue<T> {
             items: AuditMutex::new(site, VecDeque::new()),
             arrived: AuditCondvar::new(),
             closed: AtomicBool::new(false),
+            shared: OnceLock::new(),
         }
+    }
+
+    /// Share `wake` with this queue: from now on every push, and every
+    /// [`AuditQueue::wake`], also notifies it. Binding the same wake again
+    /// does nothing.
+    ///
+    /// # Panics
+    /// Panics if the queue is already bound to another wake.
+    pub fn bind(&self, wake: &Arc<SharedWake>) {
+        let bound = self.shared.get_or_init(|| wake.clone());
+        assert!(Arc::ptr_eq(bound, wake), "queue already bound to another wake");
     }
 
     /// Append `item` and wake the waiters. Once the queue is closed the
@@ -402,8 +420,16 @@ impl<T> AuditQueue<T> {
         }
         items.push_back(item);
         drop(items);
-        self.arrived.notify_all();
+        self.notify();
         Ok(())
+    }
+
+    /// Notify this queue's waiters and its shared wake, if bound.
+    fn notify(&self) {
+        self.arrived.notify_all();
+        if let Some(wake) = self.shared.get() {
+            wake.notify();
+        }
     }
 
     /// Remove the first item matching `pred`, without blocking. Items it
@@ -470,7 +496,7 @@ impl<T> AuditQueue<T> {
     /// atomic load when nobody is parked.
     pub fn wake(&self) {
         drop(self.items.lock());
-        self.arrived.notify_all();
+        self.notify();
     }
 
     /// Number of queued items.
@@ -481,11 +507,6 @@ impl<T> AuditQueue<T> {
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether any queued item matches `pred`.
-    pub fn any(&self, pred: impl FnMut(&T) -> bool) -> bool {
-        self.items.lock().iter().any(pred)
     }
 
     /// The receiving side is gone: drop what is queued and refuse every
@@ -501,6 +522,56 @@ impl<T> AuditQueue<T> {
 impl<T> fmt::Debug for AuditQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AuditQueue").field("site", &self.items.site.label).finish_non_exhaustive()
+    }
+}
+
+/// A wake shared by several [`AuditQueue`]s ([`AuditQueue::bind`]), so one
+/// thread can park until any of them has work.
+///
+/// A push to a bound queue pays for the wake only when a thread waits
+/// here, as [`AuditCondvar`]'s notify does: the waiter counts itself before
+/// it checks its queues, so a pusher that reads no waiter after pushing
+/// returns after that one atomic load, and the waiter's check finds the
+/// item. A pusher that reads a waiter takes the wake's lock before it
+/// notifies, and the waiter holds that lock from its check until it parks,
+/// so the notify cannot fall between the two.
+pub struct SharedWake {
+    lock: AuditMutex<()>,
+    woken: AuditCondvar,
+    /// Threads between counting themselves in [`SharedWake::wait_until`]
+    /// and leaving it.
+    waiting: AtomicUsize,
+}
+
+impl SharedWake {
+    /// A wake whose lock acquisitions are named by `site`.
+    pub const fn new(site: &'static Site) -> SharedWake {
+        SharedWake {
+            lock: AuditMutex::new(site, ()),
+            woken: AuditCondvar::new(),
+            waiting: AtomicUsize::new(0),
+        }
+    }
+
+    /// Park until `ready()` holds. `ready` looks at the bound queues (and
+    /// at whatever else notifies this wake); it runs before every park, with
+    /// the wake's lock held, and must not park or panic.
+    pub fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+        let mut held = self.lock.lock();
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        while !ready() {
+            self.woken.wait(&mut held);
+        }
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Wake the thread waiting here, if one is: one atomic load when none
+    /// is. Call it after changing what its `ready` looks at.
+    pub fn notify(&self) {
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            drop(self.lock.lock());
+            self.woken.notify_all();
+        }
     }
 }
 

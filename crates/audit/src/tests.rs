@@ -3,13 +3,15 @@
 //! diamond-no-cycle), seeded random acquisition orders, and the
 //! lock-held-across-transmit regression fixture; the blocking queue's
 //! contract (FIFO order, predicate takes, timed and untimed waits, refusal
-//! once closed); and the condvar's sleeper count (no lost wake-up, the
-//! count back at 0 after every wait, a notify with no sleeper a no-op).
+//! once closed); the wake two queues share (either queue's push wakes its
+//! waiter, and none is lost); and the condvar's sleeper count (no lost
+//! wake-up, the count back at 0 after every wait, a notify with no sleeper
+//! a no-op).
 //!
 //! The auditor's state is process-global, so every test serializes on one
 //! static mutex and resets the engine on entry and exit.
 
-use crate::{AuditCondvar, AuditMutex, AuditQueue, AuditRwLock, Kind, Severity, Site};
+use crate::{AuditCondvar, AuditMutex, AuditQueue, AuditRwLock, Kind, Severity, SharedWake, Site};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -444,11 +446,82 @@ fn queue_predicate_take_skips_and_keeps_order() {
     for i in [1, 2, 7, 3, 8] {
         q.push(i).unwrap();
     }
-    assert!(q.any(|&i| i > 6));
     assert_eq!(q.take(|&i| i > 6), Some(7));
     assert_eq!(q.take(|&i| i > 100), None);
     let rest: Vec<i32> = std::iter::from_fn(|| q.take(|_| true)).collect();
     assert_eq!(rest, [1, 2, 3, 8]);
+}
+
+/// Two queues bound to one wake.
+fn bound_pair() -> (Arc<AuditQueue<i32>>, Arc<AuditQueue<i32>>, Arc<SharedWake>) {
+    let (a, b) = (queue(), queue());
+    let wake = Arc::new(SharedWake::new(lock_site!("wake fixture")));
+    a.bind(&wake);
+    b.bind(&wake);
+    (a, b, wake)
+}
+
+#[test]
+fn shared_wake_parks_until_either_queue_has_an_item() {
+    let _g = audited();
+    let (a, b, wake) = bound_pair();
+    a.bind(&wake);
+    for (item, q) in [&a, &b].into_iter().enumerate() {
+        let parked = {
+            let (a, b, wake) = (a.clone(), b.clone(), wake.clone());
+            std::thread::spawn(move || wake.wait_until(|| !a.is_empty() || !b.is_empty()))
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        q.push(item as i32).unwrap();
+        parked.join().unwrap();
+        assert_eq!(q.take(|_| true), Some(item as i32));
+    }
+    assert!(crate::report().is_clean(), "{}", crate::report().render_table());
+}
+
+#[test]
+#[should_panic(expected = "already bound to another wake")]
+fn a_queue_binds_one_wake() {
+    let (a, _, _) = bound_pair();
+    a.bind(&Arc::new(SharedWake::new(lock_site!("second wake"))));
+}
+
+#[test]
+fn shared_wake_handoffs_lose_no_wakeup() {
+    // Each round the parker waits on both queues and the pusher fills one
+    // of them, then waits for the parker's answer; one lost wake-up stalls
+    // both.
+    const ROUNDS: i32 = 20_000;
+    let _g = quiet();
+    let (a, b, wake) = bound_pair();
+    let answers = queue();
+    let parker = {
+        let (a, b, answers) = (a.clone(), b.clone(), answers.clone());
+        std::thread::spawn(move || {
+            for _ in 0..ROUNDS {
+                wake.wait_until(|| !a.is_empty() || !b.is_empty());
+                let item = a.take(|_| true).or_else(|| b.take(|_| true)).unwrap();
+                answers.push(item).unwrap();
+            }
+        })
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let pusher = {
+        let answers = answers.clone();
+        std::thread::spawn(move || {
+            for i in 0..ROUNDS {
+                [&a, &b][i as usize % 2].push(i).unwrap();
+                assert_eq!(answers.wait(|_| true), i);
+            }
+            let _ = done_tx.send(());
+        })
+    };
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+        "handoffs stalled: a wake-up was lost"
+    );
+    pusher.join().unwrap();
+    parker.join().unwrap();
 }
 
 #[test]

@@ -14,6 +14,11 @@
 //!    waiter counts itself while it holds the mutex, then parks; a
 //!    notifier changes the state under the mutex and, after unlocking,
 //!    notifies only if it reads a nonzero count. The waiter always wakes.
+//! 4. **A wake two queues share** (`pardis-audit`'s `SharedWake`): a waiter
+//!    counts itself, then looks at both queues with the wake's lock held
+//!    and parks; each pusher pushes under its queue's lock and, after
+//!    unlocking, takes the wake's lock and notifies only if it reads a
+//!    nonzero count. The waiter always sees both pushes.
 //!
 //! The in-tree `loom` stand-in explores seeded randomized interleavings
 //! (see `vendor/loom`); against the real crate these same tests run under
@@ -155,6 +160,60 @@ fn sleeper_counted_notify_always_wakes_the_waiter() {
     assert!(
         done_rx.recv_timeout(std::time::Duration::from_secs(60)).is_ok(),
         "a waiter stayed parked: a wake-up was lost"
+    );
+    model.join().unwrap();
+}
+
+/// Protocol 4: the wake two queues share. One pusher per queue; the waiter
+/// parks until it has seen an item in each. A lost wake-up leaves it parked
+/// for good, so the model runs on a watchdog as protocol 3's does.
+#[test]
+fn shared_wake_sees_a_push_to_either_queue() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let model = std::thread::spawn(move || {
+        loom::model(|| {
+            let wake = Arc::new((Mutex::new(()), Condvar::new(), AtomicUsize::new(0)));
+            let queues = Arc::new([Mutex::new(0u32), Mutex::new(0u32)]);
+
+            let (waiter_wake, waiter_queues) = (wake.clone(), queues.clone());
+            let waiter = loom::thread::spawn(move || {
+                let (lock, cv, waiting) = &*waiter_wake;
+                let mut held = lock.lock().unwrap();
+                // Counted before the look, while the wake's lock is held.
+                waiting.fetch_add(1, Ordering::SeqCst);
+                while waiter_queues.iter().any(|q| *q.lock().unwrap() == 0) {
+                    held = cv.wait(held).unwrap();
+                }
+                waiting.fetch_sub(1, Ordering::SeqCst);
+            });
+
+            let pushers: Vec<_> = (0..2)
+                .map(|i| {
+                    let (wake, queues) = (wake.clone(), queues.clone());
+                    loom::thread::spawn(move || {
+                        *queues[i].lock().unwrap() += 1;
+                        let (lock, cv, waiting) = &*wake;
+                        // Read after the push: the gate a push nobody waits
+                        // for takes.
+                        if waiting.load(Ordering::SeqCst) > 0 {
+                            drop(lock.lock().unwrap());
+                            cv.notify_all();
+                        }
+                    })
+                })
+                .collect();
+
+            for pusher in pushers {
+                pusher.join().unwrap();
+            }
+            waiter.join().unwrap();
+            assert_eq!(wake.2.load(Ordering::SeqCst), 0, "the waiter uncounted itself");
+        });
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(std::time::Duration::from_secs(60)).is_ok(),
+        "the waiter stayed parked: a wake-up was lost"
     );
     model.join().unwrap();
 }

@@ -3,7 +3,7 @@
 use crate::checker::{Checker, CollOp, Verdict};
 use crate::enabled;
 use bytes::Bytes;
-use pardis_rts::{Msg, ReduceOp, Rts};
+use pardis_rts::{Msg, ReduceOp, Rts, SharedWake};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,6 +42,34 @@ impl CheckedRts {
         self.chk.watchdog().min(Duration::from_millis(20)).max(Duration::from_millis(1))
     }
 
+    /// A checked receive's wait, for at most `timeout`: `None` when it
+    /// elapses or this rank is poisoned. It blocks in watchdog slices so the
+    /// wait is observable: between slices the checker runs wait-for-graph
+    /// deadlock detection and this rank notices if it has been poisoned.
+    fn wait(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
+        let me = self.inner.rank();
+        // A deadline `Instant` cannot represent is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
+        self.chk.block_enter(me, from, tag);
+        loop {
+            let left =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
+                self.chk.block_exit(me);
+                return None;
+            }
+            if let Some(msg) = self.inner.recv_timeout(from, tag, left.min(self.slice())) {
+                self.chk.block_exit(me);
+                self.chk.note_recv(me, msg.from, tag);
+                return Some(msg);
+            }
+            if self.chk.block_tick(me) {
+                self.chk.block_exit(me);
+                return None;
+            }
+        }
+    }
+
     fn collective(&self, op: CollOp) -> Verdict {
         if enabled() {
             self.chk.collective_enter(self.inner.rank(), op)
@@ -78,50 +106,17 @@ impl Rts for CheckedRts {
         if from.is_none() {
             self.chk.check_wildcard(me, tag);
         }
-        // Block in watchdog slices so the wait is observable: between
-        // slices the checker runs wait-for-graph deadlock detection and
-        // this rank notices if it has been poisoned.
-        self.chk.block_enter(me, from, tag);
-        loop {
-            if let Some(msg) = self.inner.recv_timeout(from, tag, self.slice()) {
-                self.chk.block_exit(me);
-                self.chk.note_recv(me, msg.from, tag);
-                return msg;
-            }
-            if self.chk.block_tick(me) {
-                self.chk.block_exit(me);
-                // Poisoned: synthesize so the world can unwind and report.
-                return Msg::new(from.unwrap_or(me), tag, Bytes::new());
-            }
-        }
+        // Poisoned: synthesize so the world can unwind and report.
+        let synthesized = || Msg::new(from.unwrap_or(me), tag, Bytes::new());
+        self.wait(from, tag, Duration::MAX).unwrap_or_else(synthesized)
     }
 
     fn recv_timeout(&self, from: Option<usize>, tag: u64, timeout: Duration) -> Option<Msg> {
         if !enabled() {
             return self.inner.recv_timeout(from, tag, timeout);
         }
-        let me = self.inner.rank();
-        self.chk.check_tag(me, "recv", from, tag);
-        // A deadline `Instant` cannot represent is no deadline.
-        let deadline = Instant::now().checked_add(timeout);
-        self.chk.block_enter(me, from, tag);
-        loop {
-            let left =
-                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
-            if left.is_zero() {
-                self.chk.block_exit(me);
-                return None;
-            }
-            if let Some(msg) = self.inner.recv_timeout(from, tag, left.min(self.slice())) {
-                self.chk.block_exit(me);
-                self.chk.note_recv(me, msg.from, tag);
-                return Some(msg);
-            }
-            if self.chk.block_tick(me) {
-                self.chk.block_exit(me);
-                return None;
-            }
-        }
+        self.chk.check_tag(self.inner.rank(), "recv", from, tag);
+        self.wait(from, tag, timeout)
     }
 
     fn try_recv(&self, from: Option<usize>, tag: u64) -> Option<Msg> {
@@ -165,6 +160,10 @@ impl Rts for CheckedRts {
                 parts.and_then(|p| p.into_iter().nth(self.inner.rank())).unwrap_or_default()
             }
         }
+    }
+
+    fn park(&self, wake: &Arc<SharedWake>, ready: &mut dyn FnMut() -> bool) {
+        self.inner.park(wake, ready);
     }
 
     fn all_gather(&self, part: Bytes) -> Vec<Bytes> {

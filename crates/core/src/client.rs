@@ -306,7 +306,7 @@ impl PumpCore {
     /// if any (see [`PumpCore::transition`]).
     pub(crate) fn pump_step(&self, awaiting: Option<(BindingId, u64)>) -> bool {
         let mut progressed = false;
-        while let Some(env) = self.rx.try_recv() {
+        while let Some(env) = self.rx.take(|_| true) {
             pardis_audit::chan_recv(self.reply_eps[self.thread].0);
             self.ingest_wire(&env.wire, 0, env.arrival, awaiting);
             progressed = true;
@@ -317,7 +317,7 @@ impl PumpCore {
     /// [`PumpCore::pump_step`], but when nothing has arrived, park until a
     /// frame does (and ingest it), `done()` holds, or `until` passes.
     /// `done` is checked under the endpoint's lock, and whoever makes it
-    /// hold wakes the endpoint ([`Inbox::wake`]).
+    /// hold wakes the endpoint ([`pardis_audit::AuditQueue::wake`]).
     pub(crate) fn pump_or_park(
         &self,
         awaiting: Option<(BindingId, u64)>,
@@ -327,7 +327,7 @@ impl PumpCore {
         if self.pump_step(awaiting) {
             return;
         }
-        if let Some(env) = self.rx.wait_until(done, until) {
+        if let Some(env) = self.rx.wait_until(|_| true, done, until) {
             pardis_audit::chan_recv(self.reply_eps[self.thread].0);
             self.ingest_wire(&env.wire, 0, env.arrival, awaiting);
         }

@@ -16,7 +16,8 @@
 //!   local bypass).
 //! * **Server side** (§3.1, §3.3) — [`ServerGroup`] / [`Poa`]:
 //!   `activate_spmd` (collective), `activate_single`, `impl_is_ready`
-//!   (surrender control), `process_requests` (poll mid-computation).
+//!   (surrender control), `process_requests` (let the ORB in
+//!   mid-computation) and `wait_for_work` (park until there is work).
 //! * **Client side** (§3.1) — [`ClientGroup`] / [`ClientThread`]:
 //!   `spmd_bind` (the parallel client as one entity) and `bind` (one binding
 //!   per thread); [`Proxy`] / [`CallBuilder`] for invocations.

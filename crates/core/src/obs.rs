@@ -52,10 +52,12 @@ impl TraceSession {
 }
 
 /// Settle in-flight traffic before [`TraceSession::finish`] or a read of
-/// the fault counters: give the adapters a moment to flush retransmission
-/// by-products (duplicate replies ride the network after the client has
-/// moved on), then ingest whatever reached the given client threads'
-/// endpoints.
+/// the fault counters: give the adapter threads 200 ms to handle what is
+/// still queued at them (a duplicated request that arrived after its client
+/// moved on, which an adapter answers from its reply cache or drops; netsim
+/// releases every frame on its sender's thread, so such a reply has landed
+/// once its adapter sent it), then ingest whatever reached the given client
+/// threads' endpoints.
 pub fn quiesce_endpoints(clients: &[&ClientThread]) {
     std::thread::sleep(Duration::from_millis(200));
     for client in clients {

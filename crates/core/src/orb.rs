@@ -98,41 +98,24 @@ pub(crate) struct Envelope {
 }
 
 /// The receiving side of an endpoint, owned by the thread that drains it.
-/// Dropping it closes the endpoint's queue, so the frames that still arrive
-/// are dropped: the endpoint table never forgets an endpoint, and a dead
-/// endpoint's queue must not grow.
+/// It dereferences to the endpoint's queue, whose takes accept any frame
+/// (`|_| true`): frames are taken oldest first. Dropping it closes the
+/// queue, so the frames that still arrive are dropped: the endpoint table
+/// never forgets an endpoint, and a dead endpoint's queue must not grow.
 pub(crate) struct Inbox(Arc<AuditQueue<Envelope>>);
 
+impl std::ops::Deref for Inbox {
+    type Target = AuditQueue<Envelope>;
+    fn deref(&self) -> &AuditQueue<Envelope> {
+        &self.0
+    }
+}
+
 impl Inbox {
-    /// Take the oldest frame, without blocking.
-    pub(crate) fn try_recv(&self) -> Option<Envelope> {
-        self.0.take(|_| true)
-    }
-
-    /// Take the oldest frame, waiting for one.
-    pub(crate) fn recv(&self) -> Envelope {
-        self.0.wait(|_| true)
-    }
-
     /// Take the oldest frame, waiting up to `timeout` for one.
     #[cfg(test)]
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
         self.0.wait_timeout(|_| true, timeout)
-    }
-
-    /// Take the oldest frame, waiting for one until `done()` holds or
-    /// `until` passes (see [`AuditQueue::wait_until`]).
-    pub(crate) fn wait_until(
-        &self,
-        done: impl FnMut() -> bool,
-        until: Option<Instant>,
-    ) -> Option<Envelope> {
-        self.0.wait_until(|_| true, done, until)
-    }
-
-    /// Wake the threads parked on this endpoint to re-check their `done`.
-    pub(crate) fn wake(&self) {
-        self.0.wake();
     }
 }
 

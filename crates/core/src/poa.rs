@@ -3,9 +3,10 @@
 //! A parallel server is a [`ServerGroup`]: one request endpoint per computing
 //! thread. Each thread attaches to get its [`Poa`], activates servants
 //! (collectively for SPMD objects, individually for single objects), then
-//! either surrenders control with [`Poa::impl_is_ready`] or polls
-//! periodically with [`Poa::process_requests`] from inside its computation —
-//! exactly the programming model of §3.3.
+//! either surrenders control with [`Poa::impl_is_ready`] or lets the ORB in
+//! with [`Poa::process_requests`] between steps of its own computation,
+//! parking in [`Poa::wait_for_work`] when it has none — exactly the
+//! programming model of §3.3.
 
 use crate::error::OrbResult;
 use crate::object::{
@@ -19,7 +20,7 @@ use crate::protocol::{
 use crate::servant::{DInLocal, Servant, ServantCtx, ServerReply, ServerRequest};
 use crate::strided::{cut_fragments, wire_template};
 use bytes::Bytes;
-use pardis_audit::{lock_site, AuditMutex};
+use pardis_audit::{lock_site, AuditMutex, SharedWake};
 use pardis_netsim::{HostId, IdMap, Published};
 use pardis_rts::Rts;
 use std::collections::VecDeque;
@@ -124,6 +125,7 @@ impl ServerGroup {
             recent: RecentInvocations::new(self.orb.cfg().reply_cache_cap),
             deferred: Vec::new(),
             closed: false,
+            wake: Arc::new(SharedWake::new(lock_site!("poa: work wake"))),
         }
     }
 
@@ -416,6 +418,9 @@ pub struct Poa {
     recent: RecentInvocations,
     deferred: Vec<DeferredCall>,
     closed: bool,
+    /// What [`Poa::wait_for_work`] parks on: the inbox's and the rank's
+    /// mailbox's pushes notify it.
+    wake: Arc<SharedWake>,
 }
 
 /// An object this thread activated: its servant beside the metadata it was
@@ -518,9 +523,9 @@ impl Poa {
         self.servants.clear();
     }
 
-    /// Surrender control to PARDIS: poll for requests until the server is
-    /// deactivated (a `Close` frame arrives). Does not return before then
-    /// (§3.3).
+    /// Surrender control to PARDIS: serve requests, parked on the inbox
+    /// between them, until the server is deactivated (a `Close` frame
+    /// arrives). Does not return before then (§3.3).
     pub fn impl_is_ready(&mut self) {
         while !self.closed {
             self.pump(true);
@@ -530,12 +535,31 @@ impl Poa {
         self.pump(false);
     }
 
-    /// Poll for and serve pending requests without blocking, then return so
-    /// the server can proceed with its interrupted computation (§3.3).
-    /// Returns the number of requests dispatched.
+    /// Take in the frames that have arrived and serve the requests they
+    /// complete, without blocking, then return so the server can proceed
+    /// with its interrupted computation (§3.3). Returns the number of
+    /// requests dispatched.
     pub fn process_requests(&mut self) -> usize {
         self.pump(false);
         self.dispatch_ready()
+    }
+
+    /// Park until this thread has work: a frame in its inbox (a `Close` is
+    /// one) or, with an RTS, a message for its rank, whatever the tag. Takes
+    /// nothing in: the caller follows with [`Poa::process_requests`] and its
+    /// own receives. Returns at once if the adapter is closed.
+    ///
+    /// # Panics
+    /// Panics if a rank of the thread's `World::run` world has panicked, as
+    /// a receive does, or if the rank already parked for another adapter.
+    pub fn wait_for_work(&mut self) {
+        let (inbox, closed) = (&self.inbox, self.closed);
+        inbox.bind(&self.wake);
+        let mut ready = || closed || !inbox.is_empty();
+        match &self.rts {
+            Some(rts) => rts.park(&self.wake, &mut ready),
+            None => self.wake.wait_until(ready),
+        }
     }
 
     /// True once a `Close` frame has been seen.
@@ -547,14 +571,14 @@ impl Poa {
     /// message arrived (a `Close` is a frame too).
     fn pump(&mut self, block: bool) {
         let mut got_any = false;
-        while let Some(env) = self.inbox.try_recv() {
+        while let Some(env) = self.inbox.take(|_| true) {
             self.handle_wire(&env.wire, 0, env.arrival);
             got_any = true;
         }
         if block && !got_any && !self.closed {
-            let env = self.inbox.recv();
+            let env = self.inbox.wait(|_| true);
             self.handle_wire(&env.wire, 0, env.arrival);
-            while let Some(env) = self.inbox.try_recv() {
+            while let Some(env) = self.inbox.take(|_| true) {
                 self.handle_wire(&env.wire, 0, env.arrival);
             }
         }

@@ -229,8 +229,8 @@ pub enum DispatchResult {
     /// Do not reply yet: the POA parks the request and hands it back
     /// through [`crate::Poa::take_deferred`]; the server completes it later
     /// with [`crate::Poa::reply_deferred`]. This is how a long-running
-    /// operation (the §4.2 DNA search) stays open while the server polls
-    /// for other requests with `process_requests`.
+    /// operation (the §4.2 DNA search) stays open while the server serves
+    /// other requests with `process_requests`.
     Defer,
 }
 

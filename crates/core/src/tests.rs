@@ -14,4 +14,5 @@ mod reply_cache_tests;
 mod repository_tests;
 mod spmd_tests;
 mod strided_wire_tests;
+mod work_wait_tests;
 mod zero_copy_tests;

@@ -29,6 +29,7 @@ mod world;
 
 pub use bytes::Bytes;
 pub use msg::Msg;
+pub use pardis_audit::SharedWake;
 pub use rts_trait::{MpiRts, ReduceOp, Rts};
 pub use tulip::{RegionId, TulipRts, TulipWorld};
 pub use window::{

@@ -1,7 +1,8 @@
 //! The run-time system interface the ORB programs against.
 
-use crate::{Msg, Rank, Windows};
+use crate::{Msg, Rank, SharedWake, Windows};
 use bytes::Bytes;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Reductions supported by [`Rts::all_reduce_f64`].
@@ -59,6 +60,10 @@ pub trait Rts: Send + Sync {
     fn gather(&self, root: usize, part: Bytes) -> Option<Vec<Bytes>>;
     /// Scatter one part per rank from `root`.
     fn scatter(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes;
+    /// Park until a message waits for this thread, whatever its tag, or
+    /// `ready()` holds, waking through `wake` ([`Rank::park`]). A wrapper
+    /// passes it to the rank it wraps.
+    fn park(&self, wake: &Arc<SharedWake>, ready: &mut dyn FnMut() -> bool);
 
     /// The backend's one-sided window endpoint. Windows are part of the
     /// contract: the ORB moves distributed arguments and halos through them
@@ -144,7 +149,9 @@ impl MpiRts {
 }
 
 /// Implement [`Rts`] for a type whose `rank` field is its [`Rank`]: the
-/// contract is the rank's, call for call.
+/// contract is the rank's, call for call. Every port over a [`crate::World`]
+/// is one ([`MpiRts`], [`crate::TulipRts`], `pooma_rs::PoomaComm`).
+#[macro_export]
 macro_rules! rts_over_rank {
     ($t:ty) => {
         impl $crate::Rts for $t {
@@ -183,12 +190,17 @@ macro_rules! rts_over_rank {
             fn scatter(&self, root: usize, parts: Option<Vec<$crate::Bytes>>) -> $crate::Bytes {
                 self.rank.scatter(root, parts)
             }
+            fn park(
+                &self,
+                wake: &std::sync::Arc<$crate::SharedWake>,
+                ready: &mut dyn FnMut() -> bool,
+            ) {
+                self.rank.park(wake, ready);
+            }
             fn windows(&self) -> Option<&$crate::Windows> {
                 Some(self.rank.windows())
             }
         }
     };
 }
-pub(crate) use rts_over_rank;
-
 rts_over_rank!(MpiRts);

@@ -113,4 +113,4 @@ impl TulipRts {
     }
 }
 
-crate::rts_trait::rts_over_rank!(TulipRts);
+crate::rts_over_rank!(TulipRts);

@@ -8,7 +8,7 @@
 use crate::window::{WindowShared, Windows, CTRL_FRAME_BYTES};
 use crate::{tags, Msg};
 use bytes::Bytes;
-use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue};
+use pardis_audit::{lock_site, AuditCondvar, AuditMutex, AuditQueue, SharedWake};
 use pardis_netsim::{HostId, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -313,14 +313,21 @@ impl Rank {
         msg
     }
 
-    /// Is a matching message waiting? (MPI_Probe without dequeuing.)
-    pub fn probe(&self, from: Option<usize>, tag: u64) -> bool {
-        self.mailbox().any(|(m, _)| m.matches(from, tag))
-    }
-
-    /// Number of queued (unreceived) messages, any tag.
-    pub fn pending(&self) -> usize {
-        self.mailbox().len()
+    /// Park on `wake` until a message waits in this rank's mailbox,
+    /// whatever its tag, or `ready()` holds; take nothing in. The first park
+    /// binds the mailbox to `wake` ([`AuditQueue::bind`]), so a message that
+    /// lands later, or the world's poisoning, wakes it; whatever makes
+    /// `ready` hold must notify `wake` too.
+    ///
+    /// # Panics
+    /// As [`Rank::recv`].
+    pub fn park(&self, wake: &Arc<SharedWake>, ready: &mut dyn FnMut() -> bool) {
+        let (mailbox, windows) = (self.mailbox(), &self.world.windows);
+        mailbox.bind(wake);
+        // The poison mark is read after the mailbox's lock, which `poison`
+        // takes after setting it and before notifying `wake`.
+        wake.wait_until(|| ready() || !mailbox.is_empty() || windows.poisoned().is_some());
+        windows.check(self.rank);
     }
 
     fn mailbox(&self) -> &Mailbox {

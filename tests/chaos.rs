@@ -122,8 +122,9 @@ fn counting_workload_with(
     }
     // Let trailing duplicate copies drain before snapshotting the counters:
     // a duplicated request may still be queued at the server after the last
-    // invocation returned, and its (suppressed) cached reply rides the
-    // network after the client has already moved on.
+    // invocation returned, and the counters move when the adapter thread
+    // handles it and sends its cached reply, after the client has already
+    // moved on.
     pardis::core::quiesce_endpoints(&[&client]);
     let stats = orb.network().fault_stats();
     let retransmits = orb.retransmits();

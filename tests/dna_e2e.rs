@@ -109,6 +109,32 @@ fn second_search_after_first_completes() {
 }
 
 #[test]
+fn overlapping_searches_both_complete() {
+    // The second search is issued before the first can resolve (each
+    // thread's scan sleeps at least 1 ms), so the server queues it behind
+    // the first and runs it after the first's release.
+    let (orb, host) = Orb::single_host();
+    let cfg = DnaServerConfig { scan_cost_us: 10, ..small_cfg(Placement::Distributed, 3) };
+    let server = spawn_dna_server(&orb, host, cfg.clone());
+    let client = ClientGroup::create(&orb, host, 1).attach(0, None);
+    let db = DnaDbProxy::spmd_bind(&client, "dna_db").unwrap();
+    let queries = ["ACGT", "GATTA"];
+    let searches: Vec<_> = queries.iter().map(|q| db.search_nb(&q.to_string()).unwrap()).collect();
+    for search in &searches {
+        assert_eq!(search.ret.get().unwrap(), Status::Done);
+    }
+
+    // Each list holds both searches' matches.
+    let [first, second] = queries.map(|q| expected_counts(&cfg, q));
+    for (l, name) in LIST_NAMES.iter().enumerate() {
+        let proxy = ListServerProxy::bind(&client, name).unwrap();
+        let (hits,) = proxy.match_(&String::new()).unwrap();
+        assert_eq!(hits.len(), first[l] + second[l], "list {name} has the wrong size");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn list_servers_run_on_their_owning_threads() {
     // With netsim accounting off and local bypass disabled, queries to
     // distributed lists still route correctly (each single object lives on

@@ -1,17 +1,21 @@
-//! An idle ORB sleeps: no thread wakes up unless a frame, a deadline or a
-//! stop asks it to.
+//! An idle ORB sleeps: no thread wakes up unless a frame, an RTS message, a
+//! deadline or a stop asks it to.
 //!
-//! One single-threaded server, one client after one call, and the client's
-//! communication thread sit idle for 300 ms. The voluntary context switches
-//! of every thread of the process, summed from `/proc/self/task/*/status`,
-//! must stay at a handful over that time: an adapter or a pump that polled
-//! in 200 µs slices would make thousands. The count is process-wide, so this
+//! One single-threaded server, a 4-thread DNA server with no search running,
+//! one client after one call to each, and the client's communication thread
+//! sit idle for 300 ms. The voluntary context switches of every thread of
+//! the process, summed from `/proc/self/task/*/status`, must stay at a
+//! handful over that time: an adapter or a pump that polled in 200 µs
+//! slices, or a computing thread that slept 50 µs between looks at its inbox
+//! and mailbox, would make thousands. The count is process-wide, so this
 //! binary holds this one test only. Under `PARDIS_AUDIT=1` the run must
 //! also leave the concurrency auditor with zero findings.
 #![cfg(target_os = "linux")]
 
 use pardis::core::{ClientGroup, Orb, Servant, ServerGroup, ServerReply, ServerRequest};
+use pardis::generated::dna::ListServerProxy;
 use pardis::netsim::{LinkPreset, Network, TimeScale};
+use pardis_apps::dna::{spawn_dna_server, DnaServerConfig, LIST_NAMES};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,11 +76,19 @@ fn an_idle_orb_makes_no_wakeups() {
         })
     };
     ready_rx.recv().expect("the server activates its object");
+    let dna = spawn_dna_server(&orb, server_host, DnaServerConfig::default());
     let client = ClientGroup::create(&orb, client_host, 1).attach(0, None);
     let comm = client.start_comm_thread();
     let proxy = client.bind("doubler").expect("bind");
     let reply = proxy.call("double").arg(&21i64).invoke().expect("invoke");
     assert_eq!(reply.scalar::<i64>(0).expect("result"), 42);
+    // One query per list reaches each of the DNA server's four threads in
+    // its loop.
+    for name in LIST_NAMES {
+        let list = ListServerProxy::bind(&client, name).expect("bind a list");
+        let (hits,) = list.match_(&String::new()).expect("query a list");
+        assert!(hits.is_empty(), "no search has run");
+    }
 
     let before = voluntary_switches();
     std::thread::sleep(Duration::from_millis(300));
@@ -90,6 +102,7 @@ fn an_idle_orb_makes_no_wakeups() {
     drop(client);
     group.shutdown();
     server.join().expect("server thread");
+    dna.shutdown();
     assert!(woke <= IDLE_SWITCHES, "{woke} voluntary context switches in 300 ms of idling");
     pardis::audit::enforce_env();
 }

@@ -85,10 +85,10 @@ fn traced_workload_with(
         results.push(reply.scalar::<i64>(0).unwrap());
     }
 
-    // Quiesce before snapshotting: a duplicated copy of the final reply may
-    // still be in flight (nothing pumps the client endpoint between
-    // invocations), and whether it lands before the snapshot would be a
-    // race.
+    // Quiesce before snapshotting: a duplicate of the final request may
+    // still be queued at the adapter, and whether its thread handles it,
+    // sending a cached reply that lands at once, before the snapshot would
+    // be a race (nothing pumps the client endpoint between invocations).
     pardis::core::quiesce_endpoints(&[&client]);
 
     // Snapshot before lifting the fault plan — that reset would zero the
